@@ -2,6 +2,15 @@
 
 __version__ = "0.1.0"
 
+import os as _os
+
+# DGP_THREADS sizes the BLAS/OpenMP thread pools, which are fixed when the
+# libraries load, so it is applied here, before the first numeric import
+if _os.environ.get("DGP_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "NUMEXPR_NUM_THREADS"):
+        _os.environ[_var] = _os.environ["DGP_THREADS"]
+
 from .kernels import (RBFParams, ARDParams, rbf_eval, ard_eval, gram, chol_psd,
                       DimensionMismatchError, SingularMatrixError)
 from .random_field import (Grid2D, ExpCovSpec, KLExpansion, exp_cov,

@@ -1,7 +1,7 @@
 """Command-line front end: generate -> train -> predict -> uq -> baseline.
 
-Heavy imports happen inside the command handlers so that DGP_THREADS can
-cap the linear-algebra thread pools before the numerics load.
+DGP_THREADS, which caps the linear-algebra thread pools, takes effect on
+import of the package (see ``dgpuq/__init__.py``).
 
 Exit codes: 0 success, 2 usage or validation error, 3 numeric failure.
 """
@@ -14,15 +14,6 @@ import sys
 
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("DGP_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 def _fail_usage(msg):
@@ -330,7 +321,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     import numpy as np

@@ -34,14 +34,12 @@ from .rng import rng_for
 __all__ = [
     "InputLayer",
     "DeepGPModel",
-    "PsiStats",
     "train_deep",
     "elbo",
     "elbo_grad_vector",
     "pack_params",
     "unpack_params",
     "predict_layer1",
-    "psi_stats",
     "propagate",
     "predict",
 ]
@@ -57,15 +55,6 @@ class InputLayer:
     noise_var: float
     mu_bar: np.ndarray   # (n, q1)
     lam: np.ndarray      # (n, q1), positive
-
-
-@dataclass(frozen=True)
-class PsiStats:
-    """Test-point kernel expectations under q(h*)."""
-
-    psi0: float          # n* * sigma_h_sq
-    psi1: np.ndarray     # (m, n*)
-    psi2: np.ndarray     # (m, m), summed over test points
 
 
 @dataclass
@@ -454,17 +443,6 @@ def predict_layer1(model: DeepGPModel, Xstar):
     return mean, cov
 
 
-def psi_stats(kernel: ARDParams, qh_star: VariationalLatent, Hu) -> PsiStats:
-    """Closed-form test-point kernel expectations (summed over test rows)."""
-    Hu = np.atleast_2d(np.asarray(Hu, dtype=float))
-    if Hu.shape[1] != qh_star.q:
-        raise DimensionMismatchError("psi_stats inducing inputs", qh_star.q,
-                                     Hu.shape[1])
-    phi0, phi1, _, phi2 = _phi_forward(kernel, qh_star.means,
-                                       qh_star.variances, Hu)
-    return PsiStats(psi0=phi0, psi1=phi1.T, psi2=phi2)
-
-
 def _layer_pred_cache(model: DeepGPModel, t):
     key = ("layer", t)
     if key in model._pred_cache:
@@ -479,8 +457,7 @@ def _layer_pred_cache(model: DeepGPModel, t):
                            return_cache=True)
     V = layer.beta * cache.AinvM                     # (m, nu)
     Dmat = cache.Kuu_inv - cache.A_inv               # PSD: posterior shrinkage
-    entry = {"V": V, "Dmat": Dmat, "Kuu_inv": cache.Kuu_inv,
-             "A_inv": cache.A_inv, "Z": layer.inducing.inputs,
+    entry = {"V": V, "Dmat": Dmat, "Z": layer.inducing.inputs,
              "kernel": layer.kernel, "beta": layer.beta}
     model._pred_cache[key] = entry
     return entry
@@ -500,11 +477,13 @@ def propagate(model: DeepGPModel, layer_index: int, qh_prev_star,
     variances = np.atleast_2d(np.asarray(variances, dtype=float))
     cache = _layer_pred_cache(model, layer_index)
     kern, V, Dmat = cache["kernel"], cache["V"], cache["Dmat"]
-    _, psi1, T, _ = _phi_forward(kern, means, np.clip(variances, 1e-300, None),
+    _, phi1, T, _ = _phi_forward(kern, means, np.clip(variances, 1e-300, None),
                                  cache["Z"])
-    mean = psi1 @ V                                             # (n*, nu)
-    tr_term = np.einsum("tkl,kl->t", T, Dmat)                   # (n*,)
-    quad = np.einsum("tkl,kj,lj->tj", T, V, V)                  # (n*, nu)
+    n_star, m = phi1.shape
+    Tf = T.reshape(n_star, m * m)
+    mean = phi1 @ V                                             # (n*, nu)
+    tr_term = Tf @ Dmat.ravel()                                 # <T_t, Dmat>
+    quad = Tf @ (V[:, None, :] * V[None, :, :]).reshape(m * m, -1)  # V'T_t V
     proj = mean * mean
     var = kern.sigma_h_sq - tr_term[:, None] + quad - proj
     np.maximum(var, 0.0, out=var)

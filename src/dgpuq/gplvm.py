@@ -192,34 +192,66 @@ class LayerState:
 # Phi statistics (closed forms for the ARD kernel) and their gradients
 # ---------------------------------------------------------------------------
 
-def _phi_forward(kernel: ARDParams, means, variances, Z):
-    """Return (phi0, Phi1, T, Phi2) where T[i] is the i-th term of Phi2."""
-    n, q = means.shape
-    m = Z.shape[0]
+def _pair_design(Z):
+    """(m*m, q) pair designs zbar = (z_k + z_l)/2, delta = z_k - z_l; row k*m+l."""
+    q = Z.shape[1]
+    return ((0.5 * (Z[:, None, :] + Z[None, :, :])).reshape(-1, q),
+            (Z[:, None, :] - Z[None, :, :]).reshape(-1, q))
+
+
+def _pair_sums(M, delta):
+    """``sum_l M[k,l] delta_kl`` (m, q) and ``sum_kl M[k,l] delta_kl^2`` (q,)."""
+    m = M.shape[0]
+    return (np.einsum("kl,klj->kj", M, delta.reshape(m, m, -1)),
+            M.ravel() @ (delta * delta))
+
+
+def _phi_terms(kernel: ARDParams, means, variances, Z):
+    """(mu, Zc, gam, a, rho, b, zbar, delta) for the Phi forward and backward:
+    means and Z shifted by the mean of Z, gam = w*S + 1, a = w/gam,
+    rho = 2*w*S + 1, b = w/rho, and the pair design of the centred Z."""
     w = kernel.weights
-    log1 = np.zeros((n, m))
-    log2 = np.zeros((n, m, m))
-    for j in range(q):
-        d = means[:, j, None] - Z[None, :, j]               # (n, m)
-        gam = w[j] * variances[:, j] + 1.0                  # (n,)
-        log1 += -0.5 * w[j] * d * d / gam[:, None] - 0.5 * np.log(gam)[:, None]
-        delta = Z[:, j, None] - Z[None, :, j]               # (m, m)
-        zbar = 0.5 * (Z[:, j, None] + Z[None, :, j])        # (m, m)
-        rho = 2.0 * w[j] * variances[:, j] + 1.0            # (n,)
-        md = means[:, j, None, None] - zbar[None, :, :]     # (n, m, m)
-        log2 += (-0.25 * w[j] * (delta * delta)[None, :, :]
-                 - w[j] * md * md / rho[:, None, None]
-                 - 0.5 * np.log(rho)[:, None, None])
-    phi1 = kernel.sigma_h_sq * np.exp(log1)
-    T = kernel.sigma_h_sq ** 2 * np.exp(log2)
+    centre = Z.mean(axis=0)
+    gam, rho = w * variances + 1.0, 2.0 * w * variances + 1.0
+    return ((means - centre, Z - centre, gam, w / gam, rho, w / rho)
+            + _pair_design(Z - centre))
+
+
+def _phi_forward(kernel: ARDParams, means, variances, Z):
+    """Return (phi0, Phi1, T, Phi2) where T[i] is the i-th term of Phi2.
+
+    With the coefficients of :func:`_phi_terms`, the ARD closed forms are
+
+        log Phi1[i,k] = log s2 + sum_j [-a (mu - z_k)^2 / 2 - log(gam) / 2]
+        log T[i,k,l]  = 2 log s2 + sum_j [-w delta_kl^2 / 4 - b (mu - zbar_kl)^2
+                                          - log(rho) / 2]
+
+    and expanding the squares turns each sum over j into matrix products:
+
+        log Phi1 = (a*mu) @ Z^T - (a/2) @ (Z^2)^T + row1
+        log T    = [2*b*mu, -b] @ [zbar, zbar^2]^T - (delta^2 @ w)^T / 4 + row2
+
+    with row1, row2 the terms in mu^2, log s2 and the log-determinants.  Both
+    depend on mu and Z only through differences, so both are first shifted
+    by the mean of Z: the expanded squares then scale with the spread of
+    the points, not with their distance from the origin, and do not cancel.
+    T keeps its (n, m, m) layout; nothing of size n*m*m*q is formed.
+    """
+    n, m = means.shape[0], Z.shape[0]
+    mu, Zc, gam, a, rho, b, zbar, delta = _phi_terms(kernel, means, variances, Z)
+    log_s2 = np.log(kernel.sigma_h_sq)
+    log1 = (a * mu) @ Zc.T - (0.5 * a) @ (Zc * Zc).T
+    log1 += (log_s2 - 0.5 * np.sum(a * mu * mu + np.log(gam), axis=1))[:, None]
+    log2 = np.hstack([2.0 * b * mu, -b]) @ np.hstack([zbar, zbar * zbar]).T
+    log2 += (2.0 * log_s2 - np.sum(b * mu * mu + 0.5 * np.log(rho), axis=1))[:, None]
+    log2 -= 0.25 * ((delta * delta) @ kernel.weights)
+    T = np.exp(log2, out=log2).reshape(n, m, m)
     phi2 = T.sum(axis=0)
-    phi2 = 0.5 * (phi2 + phi2.T)
-    phi0 = n * kernel.sigma_h_sq
-    return phi0, phi1, T, phi2
+    return n * kernel.sigma_h_sq, np.exp(log1, out=log1), T, 0.5 * (phi2 + phi2.T)
 
 
 def phi_stats(kernel: ARDParams, latent: VariationalLatent, Hu) -> PhiStats:
-    """Closed-form Phi quantities for the ARD kernel."""
+    """Closed-form Phi quantities for the ARD kernel, at training or test rows."""
     Hu = np.atleast_2d(np.asarray(Hu, dtype=float))
     if Hu.shape[1] != latent.q:
         raise DimensionMismatchError("phi_stats inducing inputs", latent.q,
@@ -236,56 +268,49 @@ def _phi_backward(kernel, means, variances, Z, phi1, T, W1, W2, w_phi0):
 
     Returns raw-parameter gradients for latent means/variances, inducing
     inputs, sigma_h_sq and the ARD weights.
+
+    The exponents of :func:`_phi_forward` are quadratic in (mu - z_k) and
+    (mu - zbar_kl), so every reduction of P1 = W1*Phi1 (n, m) and
+    Q = W2*T (n, m*m) is a contraction against the same centred design
+    matrices (p = 0, 1, 2):
+
+        sum_k P1 (mu - z_k)^p        from  P1 @ [1, Z, Z^2]
+        sum_kl Q (mu - zbar_kl)^p    from  T @ (W2 * [zbar, zbar^2, 1])
+        sum_il Q (mu - zbar_kl)/rho  from  T^T @ [mu/rho, 1/rho]   (d Z)
+        sum_l (sum_i Q) delta_kl^p   from  :func:`_pair_sums`
+
+    W2 rides on the design matrices, so Q itself is never formed.
     """
     n, q = means.shape
+    m = Z.shape[0]
     w = kernel.weights
-    P1 = W1 * phi1                       # (n, m)
-    Q = W2[None, :, :] * T               # (n, m, m)
-
-    d_means = np.zeros((n, q))
-    d_vars = np.zeros((n, q))
-    d_Z = np.zeros_like(Z)
-    d_w = np.zeros(q)
-    for j in range(q):
-        d = means[:, j, None] - Z[None, :, j]
-        gam = w[j] * variances[:, j] + 1.0
-        inv_gam = 1.0 / gam[:, None]
-        # Phi1 contributions
-        d_means[:, j] += np.sum(P1 * (-w[j] * d * inv_gam), axis=1)
-        d_Z[:, j] += np.sum(P1 * (w[j] * d * inv_gam), axis=0)
-        d_vars[:, j] += np.sum(
-            P1 * (0.5 * w[j] ** 2 * d * d * inv_gam ** 2 - 0.5 * w[j] * inv_gam),
-            axis=1)
-        d_w[j] += np.sum(P1 * (-0.5 * d * d * inv_gam
-                               + 0.5 * w[j] * d * d * variances[:, j, None] * inv_gam ** 2
-                               - 0.5 * variances[:, j, None] * inv_gam))
-        # Phi2 contributions
-        delta = Z[:, j, None] - Z[None, :, j]
-        zbar = 0.5 * (Z[:, j, None] + Z[None, :, j])
-        rho = 2.0 * w[j] * variances[:, j] + 1.0
-        inv_rho = 1.0 / rho[:, None, None]
-        md = means[:, j, None, None] - zbar[None, :, :]
-        d_means[:, j] += np.sum(Q * (-2.0 * w[j] * md * inv_rho), axis=(1, 2))
-        d_vars[:, j] += np.sum(
-            Q * (2.0 * w[j] ** 2 * md * md * inv_rho ** 2 - w[j] * inv_rho),
-            axis=(1, 2))
-        sv = variances[:, j, None, None]
-        d_w[j] += np.sum(Q * (-0.25 * (delta * delta)[None, :, :]
-                              - md * md * inv_rho
-                              + 2.0 * w[j] * md * md * sv * inv_rho ** 2
-                              - sv * inv_rho))
-        # both slots of the symmetric pair contribute to each inducing point
-        d_Z[:, j] += 2.0 * np.sum(
-            Q * (-0.5 * w[j] * delta[None, :, :] + w[j] * md * inv_rho),
-            axis=(0, 2))
-    d_sigma = (np.sum(P1) + 2.0 * np.sum(Q)) / kernel.sigma_h_sq + n * w_phi0
-    return {
-        "latent_means": d_means,
-        "latent_vars": d_vars,
-        "Hu": d_Z,
-        "sigma_h_sq": d_sigma,
-        "weights": d_w,
-    }
+    mu, Zc, gam, a, rho, b, zbar, delta = _phi_terms(kernel, means, variances, Z)
+    # Phi1: r1 = sum_k P1, mu*r1 - PZ = sum_k P1 (mu - z_k), s2 = ... (mu - z_k)^2
+    P1 = W1 * phi1
+    r1 = P1.sum(axis=1)[:, None]
+    PZ = P1 @ Zc
+    s2 = mu * (mu * r1 - 2.0 * PZ) + P1 @ (Zc * Zc)
+    d_means = -a * (mu * r1 - PZ)
+    d_vars = 0.5 * a * (a * s2 - r1)
+    d_w = -0.5 * np.sum(s2 / gam ** 2 + variances * r1 / gam, axis=0)
+    d_Z = P1.T @ (a * mu) - Zc * (P1.T @ a)
+    # Phi2: the same three sums over the pairs (k, l), weighted by Q
+    Tf = T.reshape(n, m * m)
+    w2 = W2.reshape(-1, 1)
+    QD = Tf @ (w2 * np.hstack([zbar, zbar * zbar, np.ones_like(w2)]))
+    QZ, QZ2, r2 = QD[:, :q], QD[:, q:2 * q], QD[:, 2 * q:]
+    t2 = mu * (mu * r2 - 2.0 * QZ) + QZ2
+    d_means -= 2.0 * b * (mu * r2 - QZ)
+    d_vars += b * (2.0 * b * t2 - r2)
+    pair_delta, pair_delta2 = _pair_sums(W2 * T.sum(axis=0), delta)
+    d_w -= np.sum(t2 / rho ** 2 + variances * r2 / rho, axis=0) + 0.25 * pair_delta2
+    # both slots of the symmetric pair contribute to each inducing point
+    R = w2 * (Tf.T @ np.hstack([mu / rho, 1.0 / rho]))
+    pair_md = (R[:, :q] - zbar * R[:, q:]).reshape(m, m, q).sum(axis=1)
+    d_Z += w * (2.0 * pair_md - pair_delta)
+    d_sigma = (np.sum(P1) + 2.0 * np.sum(r2)) / kernel.sigma_h_sq + n * w_phi0
+    return {"latent_means": d_means, "latent_vars": d_vars, "Hu": d_Z,
+            "sigma_h_sq": d_sigma, "weights": d_w}
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +331,6 @@ class _LayerCache:
     phi2: np.ndarray
     Kuu: np.ndarray
     Kuu_gram: np.ndarray
-    L_K: np.ndarray
-    P2w: np.ndarray           # Lk^-1 Phi2 Lk^-T
     Kuu_inv: np.ndarray
     A_inv: np.ndarray
     M: np.ndarray             # Phi1^T @ out_means
@@ -380,8 +403,8 @@ def layer_bound(kernel: ARDParams, beta: float, latent: VariationalLatent,
     cache = _LayerCache(kernel=kernel, beta=beta, means=latent.means,
                         variances=latent.variances, Z=Hu, out_means=out_means,
                         out_vars=out_vars, phi1=phi1, T=T, phi2=phi2, Kuu=Kuu,
-                        Kuu_gram=Kuu_gram, L_K=L_K, P2w=P2w, Kuu_inv=Kuu_inv,
-                        A_inv=A_inv, M=M, AinvM=AinvM, djit=djit, value=value)
+                        Kuu_gram=Kuu_gram, Kuu_inv=Kuu_inv, A_inv=A_inv, M=M,
+                        AinvM=AinvM, djit=djit, value=value)
     return value, cache
 
 
@@ -412,12 +435,10 @@ def layer_bound_grads(cache: _LayerCache):
     # jitter's own derivative so gradients stay consistent with the value
     WK = 0.5 * (W_Kuu + W_Kuu.T)
     E = WK if cache.djit is None else WK + float(np.trace(WK)) * cache.djit
-    PK = E * cache.Kuu_gram
-    w = kern.weights
-    for j in range(cache.Z.shape[1]):
-        delta = cache.Z[:, j, None] - cache.Z[None, :, j]
-        g["Hu"][:, j] += -2.0 * w[j] * np.sum(PK * delta, axis=1)
-        g["weights"][j] += -0.5 * np.sum(PK * delta * delta)
+    pair_delta, pair_delta2 = _pair_sums(E * cache.Kuu_gram,
+                                         _pair_design(cache.Z)[1])
+    g["Hu"] -= 2.0 * kern.weights * pair_delta
+    g["weights"] -= 0.5 * pair_delta2
     g["sigma_h_sq"] += float(np.sum(WK * cache.Kuu)) / kern.sigma_h_sq
 
     sum_sq = float(np.sum(cache.out_means ** 2))

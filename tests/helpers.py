@@ -94,3 +94,90 @@ def mc_phi_oracle(kernel, means, variances, Z, n_samples, seed):
     phi2_rows = prod.mean(axis=1)
     se2 = prod.std(axis=1) / np.sqrt(n_samples)
     return phi1, se1, phi2_rows, se2
+
+
+# Per-dimension loop forms of the Phi statistics and their gradients: the
+# direct transcription of the ARD closed forms, one latent dimension at a
+# time, against which the matrix-product forms in dgpuq.gplvm are checked.
+
+def loop_phi_forward(kernel, means, variances, Z):
+    """Return (phi0, Phi1, T, Phi2) where T[i] is the i-th term of Phi2."""
+    n, q = means.shape
+    m = Z.shape[0]
+    w = kernel.weights
+    log1 = np.zeros((n, m))
+    log2 = np.zeros((n, m, m))
+    for j in range(q):
+        d = means[:, j, None] - Z[None, :, j]               # (n, m)
+        gam = w[j] * variances[:, j] + 1.0                  # (n,)
+        log1 += -0.5 * w[j] * d * d / gam[:, None] - 0.5 * np.log(gam)[:, None]
+        delta = Z[:, j, None] - Z[None, :, j]               # (m, m)
+        zbar = 0.5 * (Z[:, j, None] + Z[None, :, j])        # (m, m)
+        rho = 2.0 * w[j] * variances[:, j] + 1.0            # (n,)
+        md = means[:, j, None, None] - zbar[None, :, :]     # (n, m, m)
+        log2 += (-0.25 * w[j] * (delta * delta)[None, :, :]
+                 - w[j] * md * md / rho[:, None, None]
+                 - 0.5 * np.log(rho)[:, None, None])
+    phi1 = kernel.sigma_h_sq * np.exp(log1)
+    T = kernel.sigma_h_sq ** 2 * np.exp(log2)
+    phi2 = T.sum(axis=0)
+    phi2 = 0.5 * (phi2 + phi2.T)
+    phi0 = n * kernel.sigma_h_sq
+    return phi0, phi1, T, phi2
+
+
+def loop_phi_backward(kernel, means, variances, Z, phi1, T, W1, W2, w_phi0):
+    """Accumulate gradients of w_phi0*phi0 + <W1, Phi1> + <W2, Phi2>.
+
+    Returns raw-parameter gradients for latent means/variances, inducing
+    inputs, sigma_h_sq and the ARD weights.
+    """
+    n, q = means.shape
+    w = kernel.weights
+    P1 = W1 * phi1                       # (n, m)
+    Q = W2[None, :, :] * T               # (n, m, m)
+
+    d_means = np.zeros((n, q))
+    d_vars = np.zeros((n, q))
+    d_Z = np.zeros_like(Z)
+    d_w = np.zeros(q)
+    for j in range(q):
+        d = means[:, j, None] - Z[None, :, j]
+        gam = w[j] * variances[:, j] + 1.0
+        inv_gam = 1.0 / gam[:, None]
+        # Phi1 contributions
+        d_means[:, j] += np.sum(P1 * (-w[j] * d * inv_gam), axis=1)
+        d_Z[:, j] += np.sum(P1 * (w[j] * d * inv_gam), axis=0)
+        d_vars[:, j] += np.sum(
+            P1 * (0.5 * w[j] ** 2 * d * d * inv_gam ** 2 - 0.5 * w[j] * inv_gam),
+            axis=1)
+        d_w[j] += np.sum(P1 * (-0.5 * d * d * inv_gam
+                               + 0.5 * w[j] * d * d * variances[:, j, None] * inv_gam ** 2
+                               - 0.5 * variances[:, j, None] * inv_gam))
+        # Phi2 contributions
+        delta = Z[:, j, None] - Z[None, :, j]
+        zbar = 0.5 * (Z[:, j, None] + Z[None, :, j])
+        rho = 2.0 * w[j] * variances[:, j] + 1.0
+        inv_rho = 1.0 / rho[:, None, None]
+        md = means[:, j, None, None] - zbar[None, :, :]
+        d_means[:, j] += np.sum(Q * (-2.0 * w[j] * md * inv_rho), axis=(1, 2))
+        d_vars[:, j] += np.sum(
+            Q * (2.0 * w[j] ** 2 * md * md * inv_rho ** 2 - w[j] * inv_rho),
+            axis=(1, 2))
+        sv = variances[:, j, None, None]
+        d_w[j] += np.sum(Q * (-0.25 * (delta * delta)[None, :, :]
+                              - md * md * inv_rho
+                              + 2.0 * w[j] * md * md * sv * inv_rho ** 2
+                              - sv * inv_rho))
+        # both slots of the symmetric pair contribute to each inducing point
+        d_Z[:, j] += 2.0 * np.sum(
+            Q * (-0.5 * w[j] * delta[None, :, :] + w[j] * md * inv_rho),
+            axis=(0, 2))
+    d_sigma = (np.sum(P1) + 2.0 * np.sum(Q)) / kernel.sigma_h_sq + n * w_phi0
+    return {
+        "latent_means": d_means,
+        "latent_vars": d_vars,
+        "Hu": d_Z,
+        "sigma_h_sq": d_sigma,
+        "weights": d_w,
+    }

@@ -3,12 +3,13 @@ import pytest
 
 from dgpuq import gp
 from dgpuq.kernels import RBFParams, ARDParams, gram
-from dgpuq.gplvm import VariationalLatent, InducingSet, LayerState, layer_bound
+from dgpuq.gplvm import (VariationalLatent, InducingSet, LayerState, layer_bound,
+                         phi_stats)
 from dgpuq.deepgp import (DeepGPModel, InputLayer, elbo, elbo_grad_vector,
                           pack_params, unpack_params, train_deep,
-                          predict_layer1, psi_stats, propagate, predict)
+                          predict_layer1, propagate, predict, _layer_pred_cache)
 from dgpuq.rng import rng_for
-from helpers import mc_phi_oracle
+from helpers import mc_phi_oracle, loop_phi_forward
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -164,23 +165,23 @@ class TestPredictLayer1:
         np.testing.assert_allclose(cov_a, cov_b, atol=1e-10)
 
 
-class TestPsiStats:
+class TestPhiStatsAtTestPoints:
     def test_zero_variance_collapse(self):
         rng = np.random.default_rng(17)
         kern = ARDParams(1.4, rng.uniform(0.3, 2.0, 2))
         means = rng.normal(size=(5, 2))
         Z = rng.normal(size=(3, 2))
         qh = VariationalLatent(means, np.full((5, 2), 1e-300))
-        st = psi_stats(kern, qh, Z)
-        np.testing.assert_allclose(st.psi1, gram(means, Z, kern).T, atol=1e-10)
+        st = phi_stats(kern, qh, Z)
+        np.testing.assert_allclose(st.phi1.T, gram(means, Z, kern).T, atol=1e-10)
 
-    def test_psi0_counts_test_points(self):
+    def test_phi0_counts_test_points(self):
         rng = np.random.default_rng(18)
         kern = ARDParams(2.5, np.ones(2))
         qh = VariationalLatent(rng.normal(size=(7, 2)),
                                rng.uniform(0.1, 1.0, (7, 2)))
-        st = psi_stats(kern, qh, rng.normal(size=(4, 2)))
-        assert st.psi0 == pytest.approx(7 * 2.5, abs=0)
+        st = phi_stats(kern, qh, rng.normal(size=(4, 2)))
+        assert st.phi0 == pytest.approx(7 * 2.5, abs=0)
 
     def test_matches_monte_carlo(self):
         rng = np.random.default_rng(19)
@@ -188,13 +189,13 @@ class TestPsiStats:
         means = rng.normal(size=(2, 1))
         variances = rng.uniform(0.3, 0.9, (2, 1))
         Z = rng.normal(size=(2, 1))
-        st = psi_stats(kern, VariationalLatent(means, variances), Z)
+        st = phi_stats(kern, VariationalLatent(means, variances), Z)
         phi1_mc, se1, phi2_rows, se2 = mc_phi_oracle(kernel=kern, means=means,
                                                      variances=variances, Z=Z,
                                                      n_samples=200000, seed=23)
-        assert np.all(np.abs(st.psi1.T - phi1_mc) < 3 * se1 + 1e-12)
+        assert np.all(np.abs(st.phi1 - phi1_mc) < 3 * se1 + 1e-12)
         se2_tot = np.sqrt((se2 ** 2).sum(axis=0))
-        assert np.all(np.abs(st.psi2 - phi2_rows.sum(axis=0)) < 3 * se2_tot + 1e-12)
+        assert np.all(np.abs(st.phi2 - phi2_rows.sum(axis=0)) < 3 * se2_tot + 1e-12)
 
 
 class TestPropagate:
@@ -226,6 +227,30 @@ class TestPropagate:
         var_or += 1.0 / layer.beta
         np.testing.assert_allclose(mean, mean_or, atol=1e-8)
         np.testing.assert_allclose(var, var_or, atol=1e-8)
+
+    def test_matrix_moments_match_einsum_forms(self):
+        model = tiny_model(seed=23, n=12, nu=9, dims=(3, 2), m=6)
+        elbo(model)
+        rng = np.random.default_rng(4)
+        means = rng.normal(size=(8, 3))
+        variances = rng.uniform(0.01, 1.5, (8, 3))
+        for t in range(model.n_latents):
+            mean, var = propagate(model, t, (means, variances),
+                                  include_noise=False)
+            cache = _layer_pred_cache(model, t)
+            V, Dmat, kern = cache["V"], cache["Dmat"], cache["kernel"]
+            _, phi1, T, _ = loop_phi_forward(kern, means, variances, cache["Z"])
+            tr_term = np.einsum("tkl,kl->t", T, Dmat)
+            quad = np.einsum("tkl,kj,lj->tj", T, V, V)
+            mean_or = phi1 @ V
+            var_or = np.maximum(kern.sigma_h_sq - tr_term[:, None] + quad
+                                - mean_or * mean_or, 0.0)
+            np.testing.assert_allclose(mean, mean_or, rtol=1e-12,
+                                       atol=1e-12 * np.abs(mean_or).max())
+            np.testing.assert_allclose(var, var_or, rtol=1e-12,
+                                       atol=1e-12 * kern.sigma_h_sq)
+            means = mean_or
+            variances = var_or + 1e-3
 
     def test_random_propagations_finite_nonnegative(self):
         model = tiny_model(seed=25)

@@ -6,8 +6,9 @@ from dgpuq.kernels import ARDParams, RBFParams, gram, DimensionMismatchError
 from dgpuq.gplvm import (VariationalLatent, InducingSet, LayerState, Reparam,
                          phi_stats, layer_bound, layer_bound_grads, latent_kl,
                          elbo_layer, elbo_grad, train_gplvm, effective_dims,
-                         recover_inducing_posterior)
-from helpers import central_diff, mc_phi_oracle
+                         recover_inducing_posterior, _phi_forward, _phi_backward)
+from helpers import (central_diff, mc_phi_oracle, loop_phi_forward,
+                     loop_phi_backward)
 from dgpuq.rng import rng_for
 
 
@@ -69,6 +70,43 @@ class TestPhiStats:
         lat = VariationalLatent(np.zeros((3, 2)), np.ones((3, 2)))
         with pytest.raises(DimensionMismatchError):
             phi_stats(ARDParams(1.0, np.ones(2)), lat, np.zeros((2, 3)))
+
+
+def max_rel_err(a, b):
+    """Largest entrywise difference relative to the largest oracle entry."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
+
+
+class TestPhiMatrixForms:
+    """The matrix-product Phi forward and backward against the loop forms."""
+
+    @pytest.mark.parametrize("n, q, m, offset", [
+        (7, 1, 4, 0.0),       # one latent dimension
+        (6, 3, 1, 0.0),       # one inducing point
+        (150, 8, 30, 0.0),    # the small-surrogate layer shape
+        (220, 5, 16, 0.0),
+        (40, 4, 7, 1e3),      # far from the origin: the centring guard
+    ])
+    def test_matches_loop_oracle(self, n, q, m, offset):
+        rng = np.random.default_rng(n * 100 + q * 10 + m)
+        kern = ARDParams(rng.uniform(0.5, 2.0), rng.uniform(0.1, 2.0, q))
+        means = rng.normal(size=(n, q)) + offset
+        variances = rng.uniform(0.05, 1.5, (n, q))
+        Z = rng.normal(size=(m, q)) + offset
+        got = _phi_forward(kern, means, variances, Z)
+        want = loop_phi_forward(kern, means, variances, Z)
+        for a, b in zip(got, want):
+            assert max_rel_err(a, b) <= 1e-12
+        W1 = rng.normal(size=(n, m))
+        W2 = rng.normal(size=(m, m))
+        W2 = W2 + W2.T
+        g = _phi_backward(kern, means, variances, Z, got[1], got[2], W1, W2, -0.7)
+        g_loop = loop_phi_backward(kern, means, variances, Z, want[1], want[2],
+                                   W1, W2, -0.7)
+        assert g.keys() == g_loop.keys()
+        for key in g:
+            assert max_rel_err(g[key], g_loop[key]) <= 1e-12, key
 
 
 class TestElboLayer:

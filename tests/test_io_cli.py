@@ -220,3 +220,34 @@ class TestCli:
              "--n", "2", "--seed", "1", "--out", str(tmp_path / "mt")],
             capture_output=True, text=True, env=env)
         assert res.returncode == 0, res.stderr
+
+    def test_dgp_threads_caps_blas_on_package_import(self):
+        if not os.path.exists("/proc/self/maps"):
+            pytest.skip("needs /proc/self/maps to find the loaded BLAS")
+        env = dict(os.environ, DGP_THREADS="1")
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+            env.pop(var, None)
+        res = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE],
+                             capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        counts = [int(line.split()[-1]) for line in res.stdout.splitlines()]
+        if not counts:
+            pytest.skip("no OpenBLAS loaded; nothing to read the count from")
+        assert counts == [1] * len(counts), res.stdout
+
+
+# imports the CLI module, then asks every loaded OpenBLAS for its own count
+BLAS_THREADS_PROBE = """
+import ctypes, os
+import dgpuq.cli
+getters = ("openblas_get_num_threads", "openblas_get_num_threads64_",
+           "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_")
+with open("/proc/self/maps") as fh:
+    paths = {line.split()[-1] for line in fh if "blas" in line.lower()}
+for path in sorted(p for p in paths if ".so" in os.path.basename(p)):
+    lib = ctypes.CDLL(path)
+    fn = next((getattr(lib, g) for g in getters if hasattr(lib, g)), None)
+    if fn is not None:
+        fn.restype = ctypes.c_int
+        print(os.path.basename(path), fn())
+"""
