@@ -10,6 +10,13 @@ subsequent latent maps through a sparse collapsed layer from
 The first latent keeps a full n x n posterior covariance per column,
 parameterized as S_j = (C^-1 + diag(lam_j))^-1 and mean column C mu_bar_j
 with C the input-layer prior covariance; deeper latents are factorized.
+With W = diag(sqrt(lam_j)), B_j = I + W C W and H_j = B_j^-1, two exact
+identities carry the first-latent forward and backward:
+
+    S_j = W^-1 (I - H_j) W^-1,        C^-1 S_j = W H_j W^-1,
+
+so each column of the joint bound needs one Cholesky factor of B_j and
+its triangular inverse; C^-1 is never formed.
 Training is two-phase: a greedy stack of GP-LVMs initializes every layer,
 then the joint bound (first-layer KL + collapsed layer terms + entropies)
 is refined by gradient ascent.  Prediction propagates Gaussian moments
@@ -22,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dtrtri, dlauum
 
 from .kernels import RBFParams, ARDParams, gram, chol_psd, DimensionMismatchError
 from .gplvm import (LayerState, VariationalLatent, InducingSet, KUU_JITTER,
@@ -83,39 +91,100 @@ class DeepGPModel:
 # ---------------------------------------------------------------------------
 
 def _input_cov(input_layer: InputLayer, X):
-    C = gram(X, X, input_layer.kernel) + input_layer.noise_var * np.eye(X.shape[0])
-    L_C, _ = chol_psd(C)
-    return C, L_C
+    """Return (Kx, C): the input Gram matrix and Kx + noise_var * I."""
+    Kx = gram(X, X, input_layer.kernel)
+    return Kx, Kx + input_layer.noise_var * np.eye(X.shape[0])
+
+
+def _lapack_checked(routine, *args, **kwargs):
+    out, info = routine(*args, **kwargs)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"{routine.__name__} failed with info={info}")
+    return out
 
 
 def _first_latent_forward(input_layer: InputLayer, C, need_full=False):
     """Moments of the first latent and the per-column KL to its prior.
 
-    Returns (M1, diag_S, kl, cols) where cols caches per-column factors for
-    the backward pass when ``need_full`` is set.
+    Column j factors B_j = I + W C W = L L^T (W = diag(sqrt(lam_j))) and
+    inverts the factor; H_j = B_j^-1 = L^-T L^-1, so diag H_j is the column
+    sums of squares of L^-1 and diag S_j = (1 - diag H_j) / lam_j.  That
+    difference loses digits only where lam_i * C_ii is tiny (h_ii near 1);
+    the former form C_ii - ||(L^-1 W C)_i||^2 lost them where lam * C is
+    large.  The 1e-300 floor keeps log S finite either way.
+
+    Returns (M1, diag_S, kl, cols) where cols holds L^-1 (lower, Fortran
+    order) per column for the backward pass when ``need_full`` is set.
     """
     n, q1 = input_layer.mu_bar.shape
     M1 = C @ input_layer.mu_bar
     diag_S = np.empty((n, q1))
     kl = 0.0
     cols = [] if need_full else None
-    diag_C = np.diag(C)
     for j in range(q1):
         lam_j = input_layer.lam[:, j]
         w = np.sqrt(lam_j)
         B = w[:, None] * C * w[None, :]
         B[np.diag_indices_from(B)] += 1.0
-        L_B = np.linalg.cholesky(B)
-        V = scipy.linalg.solve_triangular(L_B, w[:, None] * C, lower=True)
-        dS = diag_C - np.sum(V * V, axis=0)
+        # B is symmetric and potrf reads one triangle: B.T is B in Fortran
+        # order, factored in place without a copy
+        L = _lapack_checked(dpotrf, B.T, lower=1, overwrite_a=1)
+        logdet_B = 2.0 * float(np.sum(np.log(np.diag(L))))
+        L_inv = _lapack_checked(dtrtri, L, lower=1, overwrite_c=1)
+        h = np.einsum("ij,ij->j", L_inv, L_inv)
+        dS = (1.0 - h) / lam_j
         np.maximum(dS, 1e-300, out=dS)
         diag_S[:, j] = dS
-        logdet_B = 2.0 * float(np.sum(np.log(np.diag(L_B))))
         kl += 0.5 * (float(input_layer.mu_bar[:, j] @ M1[:, j])
                      - float(lam_j @ dS) + logdet_B)
         if need_full:
-            cols.append((w, L_B, V))
+            cols.append(L_inv)
     return M1, diag_S, kl, cols
+
+
+def _first_latent_grads(input_layer: InputLayer, X, Kx, C, cols, d_M1, d_s1):
+    """Input-layer gradient block given d(value)/dM1 and d(value)/d diag S.
+
+    The value is the layer terms that read M1 and diag S, minus the first
+    KL; ``cols`` comes from :func:`_first_latent_forward`, and its factors
+    are overwritten in place.  Per column, with e = d_s1 + lam/2 and
+    S = W^-1 (I - H) W^-1:
+
+        d lam = -(S o S) e,
+        d C  += C^-1 S diag(e) S C^-1 - (C^-1 - C^-1 S C^-1) / 2
+              = W (H diag(e / lam) H - H / 2) W.
+    """
+    il = input_layer
+    n, q1 = il.mu_bar.shape
+    d_mu_bar = C @ (d_M1 - il.mu_bar)
+    d_log_lam = np.empty((n, q1))
+    G_C = d_M1 @ il.mu_bar.T - 0.5 * il.mu_bar @ il.mu_bar.T
+    diag = np.diag_indices(n)
+    for j in range(q1):
+        lam_j = il.lam[:, j]
+        e_lam = (d_s1[:, j] + 0.5 * lam_j) / lam_j
+        H = _lapack_checked(dlauum, cols[j], lower=1, overwrite_c=1)
+        H = np.tril(H) + np.tril(H, -1).T
+        # (I - H) o (I - H): H o H off the diagonal, (1 - h_ii)^2 on it
+        SS = H * H
+        SS[diag] = (1.0 - H[diag]) ** 2
+        d_log_lam[:, j] = -(SS @ e_lam)
+        HeH = H @ (e_lam[:, None] * H)
+        HeH -= 0.5 * H
+        w = np.sqrt(lam_j)
+        G_C += w[:, None] * HeH * w[None, :]
+    P = G_C * Kx
+    g_log_tau = float(np.sum(P))
+    row = P.sum(axis=1)
+    colsum = P.sum(axis=0)
+    quad = np.einsum("ik,ij,jk->k", X, P, X, optimize=True)
+    sq = X * X
+    g_log_b = -il.kernel.lengthscale_inv * (sq.T @ row + sq.T @ colsum - 2.0 * quad)
+    g_log_noise = il.noise_var * float(np.trace(G_C))
+    return {"log_tau0": g_log_tau, "log_b": g_log_b,
+            "log_noise": g_log_noise, "mu_bar": d_mu_bar,
+            "log_lam": d_log_lam}
 
 
 def elbo(model: DeepGPModel) -> float:
@@ -126,7 +195,7 @@ def elbo(model: DeepGPModel) -> float:
 def _deep_value_and_grad(model: DeepGPModel, need_grad=True):
     X, Y = model.X, model.Y
     G = model.n_latents
-    C, _ = _input_cov(model.input_layer, X)
+    Kx, C = _input_cov(model.input_layer, X)
     M1, diag_S1, kl1, cols = _first_latent_forward(model.input_layer, C,
                                                    need_full=need_grad)
     model.hidden_layers[0].latent = VariationalLatent(means=M1, variances=diag_S1)
@@ -174,39 +243,9 @@ def _deep_value_and_grad(model: DeepGPModel, need_grad=True):
         })
 
     # input layer: chain through M1 = C mu_bar, diag S_j and the first KL
-    il = model.input_layer
-    n, q1 = il.mu_bar.shape
-    d_M1 = grads[0]["latent_means"]
-    d_s1 = grads[0]["latent_vars"]
-    d_mu_bar = C @ (d_M1 - il.mu_bar)
-    d_log_lam = np.empty((n, q1))
-    G_C = d_M1 @ il.mu_bar.T - 0.5 * il.mu_bar @ il.mu_bar.T
-    for j in range(q1):
-        w, L_B, V = cols[j]
-        lam_j = il.lam[:, j]
-        S_full = C - V.T @ V
-        SS = S_full * S_full
-        d_lam = -(SS @ (d_s1[:, j] + 0.5 * lam_j))
-        d_log_lam[:, j] = d_lam * lam_j
-        # C^-1 S = I - diag(w) B^-1 diag(w) C,   C^-1 - C^-1 S C^-1 = W B^-1 W
-        BinvWC = scipy.linalg.solve_triangular(L_B, V, lower=True, trans=1)
-        CinvS = -w[:, None] * BinvWC
-        CinvS[np.diag_indices_from(CinvS)] += 1.0
-        F = scipy.linalg.solve_triangular(L_B, np.diag(w), lower=True)
-        G_C += (CinvS * (d_s1[:, j] + 0.5 * lam_j)[None, :]) @ CinvS.T
-        G_C -= 0.5 * F.T @ F
-    Kx = gram(X, X, il.kernel)
-    P = G_C * Kx
-    g_log_tau = float(np.sum(P))
-    row = P.sum(axis=1)
-    colsum = P.sum(axis=0)
-    quad = np.einsum("ik,ij,jk->k", X, P, X, optimize=True)
-    sq = X * X
-    g_log_b = -il.kernel.lengthscale_inv * (sq.T @ row + sq.T @ colsum - 2.0 * quad)
-    g_log_noise = il.noise_var * float(np.trace(G_C))
-    input_block = {"log_tau0": g_log_tau, "log_b": g_log_b,
-                   "log_noise": g_log_noise, "mu_bar": d_mu_bar,
-                   "log_lam": d_log_lam}
+    input_block = _first_latent_grads(model.input_layer, X, Kx, C, cols,
+                                      grads[0]["latent_means"],
+                                      grads[0]["latent_vars"])
     return value, {"input": input_block, "layers": layer_blocks,
                    "latents": latent_blocks}
 
@@ -429,14 +468,13 @@ def predict_layer1(model: DeepGPModel, Xstar):
                                      Xstar.shape[1])
     key = "layer1"
     if key not in model._pred_cache:
-        C, L_C = _input_cov(il, model.X)
-        M1 = C @ il.mu_bar
-        model._pred_cache[key] = (L_C, M1)
-    L_C, M1 = model._pred_cache[key]
+        _, C = _input_cov(il, model.X)
+        model._pred_cache[key], _ = chol_psd(C)
+    L_C = model._pred_cache[key]
     Ks = gram(model.X, Xstar, il.kernel)
     Kss = gram(Xstar, Xstar, il.kernel)
-    alpha = scipy.linalg.cho_solve((L_C, True), M1)
-    mean = Ks.T @ alpha
+    # the training-input mean is C mu_bar, so C^-1 M1 = mu_bar exactly
+    mean = Ks.T @ il.mu_bar
     v = scipy.linalg.solve_triangular(L_C, Ks, lower=True)
     cov = Kss - v.T @ v
     cov = 0.5 * (cov + cov.T)

@@ -179,9 +179,35 @@ def load_model(model_dir) -> DeepGPModel:
                                      variances=get(arrays["latent_variances"])),
             inducing=InducingSet(inputs=get(arrays["inducing_inputs"])),
         ))
+    dims = [int(d) for d in doc["dims"]]
+    _check_model_shapes(path, X, Y, il, layers, dims)
     return DeepGPModel(X=X, Y=Y, input_layer=il, hidden_layers=layers,
-                       dims=[int(d) for d in doc["dims"]],
-                       training_meta=doc.get("training", {}))
+                       dims=dims, training_meta=doc.get("training", {}))
+
+
+def _check_model_shapes(path, X, Y, il, layers, dims):
+    """Raise ValueError naming the first field whose shape disagrees."""
+
+    def expect(field, got, want):
+        if tuple(got) != tuple(want):
+            raise ValueError(f"{path}: {field} has shape {tuple(got)}, "
+                             f"expected {tuple(want)}")
+
+    n = X.shape[0]
+    expect("data.Y rows", Y.shape[:1], (n,))
+    if not dims or len(layers) != len(dims):
+        raise ValueError(f"{path}: {len(layers)} layers for {len(dims)} dims")
+    expect("input_layer.mu_bar", il.mu_bar.shape, (n, dims[0]))
+    expect("input_layer.lam", il.lam.shape, (n, dims[0]))
+    expect("input_layer.lengthscale_inv", il.kernel.lengthscale_inv.shape,
+           X.shape[1:])
+    for t, (layer, q) in enumerate(zip(layers, dims)):
+        expect(f"layers[{t}].latent_means", layer.latent.means.shape, (n, q))
+        expect(f"layers[{t}].latent_variances", layer.latent.variances.shape,
+               (n, q))
+        expect(f"layers[{t}].inducing_inputs columns",
+               layer.inducing.inputs.shape[1:], (q,))
+        expect(f"layers[{t}].weights", layer.kernel.weights.shape, (q,))
 
 
 # ---------------------------------------------------------------------------

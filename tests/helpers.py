@@ -1,6 +1,9 @@
 """Shared test oracles: independent of the implementation paths they check."""
 
 import numpy as np
+import scipy.linalg
+
+from dgpuq.kernels import gram
 
 
 def central_diff(fun, x, eps=1e-5):
@@ -181,3 +184,72 @@ def loop_phi_backward(kernel, means, variances, Z, phi1, T, W1, W2, w_phi0):
         "sigma_h_sq": d_sigma,
         "weights": d_w,
     }
+
+
+# Per-column forms of the first-latent moments and gradients: S_j is formed
+# from the Cholesky factor of B_j = I + W C W (W = diag(sqrt(lam_j))) through
+# V = L_B^-1 W C and an explicit L_B^-1 W, against which the B^-1 forms in
+# dgpuq.deepgp are checked.
+
+def loop_first_latent_forward(input_layer, C):
+    """Return (M1, diag_S, kl, cols) with cols[j] = (w, L_B, V)."""
+    n, q1 = input_layer.mu_bar.shape
+    M1 = C @ input_layer.mu_bar
+    diag_S = np.empty((n, q1))
+    kl = 0.0
+    cols = []
+    diag_C = np.diag(C)
+    for j in range(q1):
+        lam_j = input_layer.lam[:, j]
+        w = np.sqrt(lam_j)
+        B = w[:, None] * C * w[None, :]
+        B[np.diag_indices_from(B)] += 1.0
+        L_B = np.linalg.cholesky(B)
+        V = scipy.linalg.solve_triangular(L_B, w[:, None] * C, lower=True)
+        dS = diag_C - np.sum(V * V, axis=0)
+        np.maximum(dS, 1e-300, out=dS)
+        diag_S[:, j] = dS
+        logdet_B = 2.0 * float(np.sum(np.log(np.diag(L_B))))
+        kl += 0.5 * (float(input_layer.mu_bar[:, j] @ M1[:, j])
+                     - float(lam_j @ dS) + logdet_B)
+        cols.append((w, L_B, V))
+    return M1, diag_S, kl, cols
+
+
+def loop_first_latent_grads(input_layer, X, C, cols, d_M1, d_s1):
+    """Input-layer gradient block given d(value)/dM1 and d(value)/d diag S.
+
+    The value is the layer terms that read M1 and diag S, minus the first
+    KL; ``cols`` comes from :func:`loop_first_latent_forward`.
+    """
+    il = input_layer
+    n, q1 = il.mu_bar.shape
+    d_mu_bar = C @ (d_M1 - il.mu_bar)
+    d_log_lam = np.empty((n, q1))
+    G_C = d_M1 @ il.mu_bar.T - 0.5 * il.mu_bar @ il.mu_bar.T
+    for j in range(q1):
+        w, L_B, V = cols[j]
+        lam_j = il.lam[:, j]
+        S_full = C - V.T @ V
+        SS = S_full * S_full
+        d_lam = -(SS @ (d_s1[:, j] + 0.5 * lam_j))
+        d_log_lam[:, j] = d_lam * lam_j
+        # C^-1 S = I - diag(w) B^-1 diag(w) C,   C^-1 - C^-1 S C^-1 = W B^-1 W
+        BinvWC = scipy.linalg.solve_triangular(L_B, V, lower=True, trans=1)
+        CinvS = -w[:, None] * BinvWC
+        CinvS[np.diag_indices_from(CinvS)] += 1.0
+        F = scipy.linalg.solve_triangular(L_B, np.diag(w), lower=True)
+        G_C += (CinvS * (d_s1[:, j] + 0.5 * lam_j)[None, :]) @ CinvS.T
+        G_C -= 0.5 * F.T @ F
+    Kx = gram(X, X, il.kernel)
+    P = G_C * Kx
+    g_log_tau = float(np.sum(P))
+    row = P.sum(axis=1)
+    colsum = P.sum(axis=0)
+    quad = np.einsum("ik,ij,jk->k", X, P, X, optimize=True)
+    sq = X * X
+    g_log_b = -il.kernel.lengthscale_inv * (sq.T @ row + sq.T @ colsum - 2.0 * quad)
+    g_log_noise = il.noise_var * float(np.trace(G_C))
+    return {"log_tau0": g_log_tau, "log_b": g_log_b,
+            "log_noise": g_log_noise, "mu_bar": d_mu_bar,
+            "log_lam": d_log_lam}

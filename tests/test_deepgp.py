@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from dgpuq import gp
-from dgpuq.kernels import RBFParams, ARDParams, gram
+from dgpuq.kernels import RBFParams, ARDParams, gram, chol_psd
 from dgpuq.gplvm import (VariationalLatent, InducingSet, LayerState, layer_bound,
                          phi_stats)
 from dgpuq.deepgp import (DeepGPModel, InputLayer, elbo, elbo_grad_vector,
                           pack_params, unpack_params, train_deep,
-                          predict_layer1, propagate, predict, _layer_pred_cache)
+                          predict_layer1, propagate, predict, _layer_pred_cache,
+                          _input_cov, _first_latent_forward, _first_latent_grads)
 from dgpuq.rng import rng_for
-from helpers import mc_phi_oracle, loop_phi_forward
+from helpers import (mc_phi_oracle, loop_phi_forward, loop_first_latent_forward,
+                     loop_first_latent_grads)
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -45,9 +47,25 @@ def benchmark_1d(seed=42, n=50):
     return X, Y, Xte, Yte
 
 
+def wide_lam_model():
+    """tiny_model with first-latent precisions log-uniform over e^-6..e^6."""
+    model = tiny_model()
+    il = model.input_layer
+    il.lam = np.exp(np.random.default_rng(8).uniform(-6.0, 6.0, il.lam.shape))
+    return model
+
+
+def rel_err(a, b):
+    """Largest absolute difference over the largest oracle magnitude."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
+
+
 class TestJointElboGradient:
-    def test_matches_finite_differences_on_tiny_instance(self):
-        model = tiny_model()
+    @pytest.mark.parametrize("make_model", [tiny_model, wide_lam_model],
+                             ids=["tiny", "wide_lam"])
+    def test_matches_finite_differences_on_tiny_instance(self, make_model):
+        model = make_model()
         x0 = pack_params(model)
         g = elbo_grad_vector(model)
         eps = 1e-5
@@ -71,6 +89,28 @@ class TestJointElboGradient:
         direct = sum(0.5 * np.log((2 * np.pi * np.e) ** q * np.prod(S[i]))
                      for i in range(n))
         assert ours == pytest.approx(direct, abs=1e-10)
+
+
+class TestFirstLatentMatrixForms:
+    @pytest.mark.parametrize("n,q1", [(5, 1), (25, 3), (120, 4)])
+    def test_matches_loop_oracle(self, n, q1):
+        rng = np.random.default_rng(100 + n)
+        X = rng.normal(size=(n, 3))
+        il = InputLayer(kernel=RBFParams(1.3, rng.uniform(0.2, 1.0, 3)),
+                        noise_var=0.05, mu_bar=rng.normal(size=(n, q1)),
+                        lam=np.exp(rng.uniform(-3.0, 3.0, (n, q1))))
+        d_M1 = rng.normal(size=(n, q1))
+        d_s1 = rng.normal(size=(n, q1))
+        Kx, C = _input_cov(il, X)
+        M1, diag_S, kl, cols = _first_latent_forward(il, C, need_full=True)
+        M1_or, diag_S_or, kl_or, cols_or = loop_first_latent_forward(il, C)
+        assert rel_err(M1, M1_or) <= 1e-10
+        assert rel_err(diag_S, diag_S_or) <= 1e-10
+        assert rel_err(kl, kl_or) <= 1e-10
+        g = _first_latent_grads(il, X, Kx, C, cols, d_M1, d_s1)
+        g_or = loop_first_latent_grads(il, X, C, cols_or, d_M1, d_s1)
+        for name in ("mu_bar", "log_lam", "log_tau0", "log_b", "log_noise"):
+            assert rel_err(g[name], g_or[name]) <= 1e-10, name
 
 
 class TestTrainDeep:
@@ -143,6 +183,22 @@ class TestPredictLayer1:
         trained_h1 = C @ mu_bar
         mean, _ = predict_layer1(model, X)
         assert np.abs(mean - trained_h1).max() < 1e-4
+
+    def test_mean_is_gram_times_mu_bar_when_cholesky_needs_jitter(self):
+        # duplicated rows make the Gram singular and a tiny noise leaves
+        # C = K + noise I unfactorizable without jitter
+        model = tiny_model(seed=17)
+        X = np.vstack([model.X[:5], model.X[:5]])
+        model.X = X
+        il = model.input_layer
+        il.noise_var = 1e-18
+        K = gram(X, X, il.kernel)
+        _, jitter = chol_psd(K + il.noise_var * np.eye(10))
+        assert jitter > 0
+        mean, _ = predict_layer1(model, X)
+        expect = K @ il.mu_bar
+        np.testing.assert_allclose(mean, expect, rtol=0,
+                                   atol=1e-10 * np.abs(expect).max())
 
     def test_prior_reversion_far_from_data(self):
         model = tiny_model(seed=13)

@@ -8,14 +8,25 @@ import time
 import numpy as np
 import pytest
 
+import dgpuq
 from dgpuq import io
 from dgpuq.deepgp import train_deep, predict
 from dgpuq.rng import rng_for
 
 
+def cli_env(**overrides):
+    """The test environment with the imported package's source on the path."""
+    src = os.path.dirname(os.path.dirname(dgpuq.__file__))
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def run_cli(*args, cwd=None):
     return subprocess.run([sys.executable, "-m", "dgpuq.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd,
+                          env=cli_env())
 
 
 def file_hash(path):
@@ -54,6 +65,15 @@ class TestMatrixContainer:
             io.read_matrix(path)
 
 
+def save_tiny_model(out_dir):
+    rng = rng_for(78)
+    X = rng.uniform(0, 1, (12, 2))
+    Y = rng.normal(size=(12, 3))
+    model = train_deep(X, Y, dims=[2], m_inducing=[6], iters=5, seed=1,
+                       init_iters=20)
+    io.save_model(out_dir, model)
+
+
 class TestModelPersistence:
     def test_reload_reproduces_predictions_bitwise(self, tmp_path):
         rng = rng_for(77)
@@ -71,12 +91,7 @@ class TestModelPersistence:
         assert np.array_equal(var0, var1)
 
     def test_model_file_schema(self, tmp_path):
-        rng = rng_for(78)
-        X = rng.uniform(0, 1, (12, 2))
-        Y = rng.normal(size=(12, 3))
-        model = train_deep(X, Y, dims=[2], m_inducing=[6], iters=5, seed=1,
-                           init_iters=20)
-        io.save_model(tmp_path / "m", model)
+        save_tiny_model(tmp_path / "m")
         doc = json.loads((tmp_path / "m" / "model.json").read_text())
         assert doc["format"] == "dgpuq-model-v1"
         for name in doc["data"].values():
@@ -84,6 +99,12 @@ class TestModelPersistence:
         for layer in doc["layers"]:
             for name in layer["arrays"].values():
                 assert (tmp_path / "m" / name).exists()
+
+    def test_wrong_shape_array_rejected(self, tmp_path):
+        save_tiny_model(tmp_path / "m")
+        io.write_matrix(tmp_path / "m" / "input_lam.dgpm", np.ones((3, 5)))
+        with pytest.raises(ValueError, match="input_layer.lam"):
+            io.load_model(tmp_path / "m")
 
     def test_non_model_json_rejected(self, tmp_path):
         (tmp_path / "model.json").write_text(json.dumps({"format": "x"}))
@@ -177,6 +198,15 @@ class TestCli:
                       "--out", str(tmp_path / "m2"))
         assert res.returncode == 2
 
+    def test_predict_on_wrong_shape_model_exits_2(self, tmp_path):
+        save_tiny_model(tmp_path / "m")
+        io.write_matrix(tmp_path / "m" / "input_lam.dgpm", np.ones((3, 5)))
+        io.write_matrix(tmp_path / "x.dgpm", np.zeros((4, 2)))
+        res = run_cli("predict", "--model", str(tmp_path / "m"), "--inputs",
+                      str(tmp_path / "x.dgpm"), "--out", str(tmp_path / "p"))
+        assert res.returncode == 2
+        assert "input_layer.lam" in res.stderr
+
     def test_missing_dataset_exits_2(self, tmp_path):
         res = run_cli("train", "--data", str(tmp_path / "nope"),
                       "--out", str(tmp_path / "m3"))
@@ -213,7 +243,7 @@ class TestCli:
         assert np.abs(mean - acc / 30).max() < 1e-12
 
     def test_dgp_threads_env_respected(self, desk_dataset, tmp_path):
-        env = dict(os.environ, DGP_THREADS="1")
+        env = cli_env(DGP_THREADS="1")
         res = subprocess.run(
             [sys.executable, "-m", "dgpuq.cli", "mc-baseline",
              "--kle-manifest", str(desk_dataset / "manifest.json"),
@@ -224,7 +254,7 @@ class TestCli:
     def test_dgp_threads_caps_blas_on_package_import(self):
         if not os.path.exists("/proc/self/maps"):
             pytest.skip("needs /proc/self/maps to find the loaded BLAS")
-        env = dict(os.environ, DGP_THREADS="1")
+        env = cli_env(DGP_THREADS="1")
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
             env.pop(var, None)
         res = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE],
