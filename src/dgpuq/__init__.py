@@ -11,7 +11,7 @@ if _os.environ.get("DGP_THREADS"):
                  "NUMEXPR_NUM_THREADS"):
         _os.environ[_var] = _os.environ["DGP_THREADS"]
 
-from .kernels import (RBFParams, ARDParams, rbf_eval, ard_eval, gram, chol_psd,
+from .kernels import (RBFParams, ARDParams, ard_eval, gram, chol_psd,
                       DimensionMismatchError, SingularMatrixError)
 from .random_field import (Grid2D, ExpCovSpec, KLExpansion, exp_cov,
                            kle_decompose, sample_log_field, permeability,
@@ -19,7 +19,7 @@ from .random_field import (Grid2D, ExpCovSpec, KLExpansion, exp_cov,
 from .darcy import SourceSpec, DarcySolution, source_term, solve, restrict
 
 __all__ = [
-    "RBFParams", "ARDParams", "rbf_eval", "ard_eval", "gram", "chol_psd",
+    "RBFParams", "ARDParams", "ard_eval", "gram", "chol_psd",
     "DimensionMismatchError", "SingularMatrixError",
     "Grid2D", "ExpCovSpec", "KLExpansion", "exp_cov", "kle_decompose",
     "sample_log_field", "permeability", "std_normal_inv_cdf", "std_normal_cdf",

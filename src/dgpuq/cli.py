@@ -104,7 +104,6 @@ def cmd_gen_data(args):
 
 
 def cmd_train(args):
-    import numpy as np
     from .deepgp import train_deep
     from .gplvm import effective_dims
     from . import io
@@ -150,7 +149,6 @@ def cmd_train(args):
 
 
 def cmd_predict(args):
-    import numpy as np
     from .deepgp import predict
     from . import io
 
@@ -166,14 +164,24 @@ def cmd_predict(args):
     print(f"wrote predictions for {Xstar.shape[0]} inputs to {args.out}")
 
 
-def _pdf_rows(pdf):
-    return [(float(a), float(m), float(lo), float(hi))
-            for a, m, lo, hi in zip(pdf.abscissae, pdf.mean_density,
-                                    pdf.lower, pdf.upper)]
+def _write_pdfs(out_dir, pdfs):
+    """Write each density estimate to pdf_<i>.csv; return the manifest entries."""
+    import numpy as np
+    from . import io
+
+    entries = []
+    for i, pdf in enumerate(pdfs):
+        fname = f"pdf_{i}.csv"
+        rows = np.column_stack([pdf.abscissae, pdf.mean_density, pdf.lower,
+                                pdf.upper]).tolist()
+        io.write_csv(os.path.join(out_dir, fname),
+                     ["x", "mean", "lower", "upper"], rows)
+        entries.append({"location": list(pdf.location), "column": pdf.column,
+                        "file": fname})
+    return entries
 
 
 def cmd_uq(args):
-    import numpy as np
     from .random_field import Grid2D
     from .uq import InputDistribution, uq_report
     from . import io
@@ -198,16 +206,10 @@ def cmd_uq(args):
                     report.errorbar_mean[None, :])
     io.write_matrix(os.path.join(args.out, "errorbar_variance.dgpm"),
                     report.errorbar_variance[None, :])
-    pdf_files = []
-    for i, pdf in enumerate(report.pdf_points):
-        fname = f"pdf_{i}.csv"
-        io.write_csv(os.path.join(args.out, fname),
-                     ["x", "mean", "lower", "upper"], _pdf_rows(pdf))
-        pdf_files.append({"location": list(pdf.location), "column": pdf.column,
-                          "file": fname})
     doc = {"format": "dgpuq-uq-v1", "n_inner": report.n_inner,
            "n_repeats": report.n_repeats, "seed": args.seed,
-           "smooth": args.smooth, "pdfs": pdf_files,
+           "smooth": args.smooth,
+           "pdfs": _write_pdfs(args.out, report.pdf_points),
            "fields": {"mean_of_mean": "mean_of_mean.dgpm",
                       "mean_of_variance": "mean_of_variance.dgpm",
                       "errorbar_mean": "errorbar_mean.dgpm",
@@ -219,7 +221,6 @@ def cmd_uq(args):
 
 
 def cmd_mc_baseline(args):
-    import numpy as np
     from .darcy import solve, restrict
     from .uq import InputDistribution, mc_baseline
     from . import io
@@ -241,15 +242,8 @@ def cmd_mc_baseline(args):
     os.makedirs(args.out, exist_ok=True)
     io.write_matrix(os.path.join(args.out, "mean.dgpm"), mean[None, :])
     io.write_matrix(os.path.join(args.out, "variance.dgpm"), var[None, :])
-    pdf_files = []
-    for i, pdf in enumerate(pdfs):
-        fname = f"pdf_{i}.csv"
-        io.write_csv(os.path.join(args.out, fname),
-                     ["x", "mean", "lower", "upper"], _pdf_rows(pdf))
-        pdf_files.append({"location": list(pdf.location), "column": pdf.column,
-                          "file": fname})
     doc = {"format": "dgpuq-mc-v1", "n": args.n, "seed": args.seed,
-           "target": target, "pdfs": pdf_files,
+           "target": target, "pdfs": _write_pdfs(args.out, pdfs),
            "fields": {"mean": "mean.dgpm", "variance": "variance.dgpm"},
            "out_grid": [out_grid.nx, out_grid.ny]}
     io._json_dump(os.path.join(args.out, "report.json"), doc)

@@ -82,6 +82,23 @@ def _face_transmissibilities(K2d: np.ndarray, hx: float, hy: float):
     return tx, ty
 
 
+def _face_fluxes(K2d: np.ndarray, p2d: np.ndarray, hx: float, hy: float):
+    """Darcy fluxes normal to every face, padded with the zero wall fluxes.
+
+    Returns ``(ux, uy)`` of shapes (ny, nx + 1) and (ny + 1, nx): column i
+    of ``ux`` is the face left of cell column i, row j of ``uy`` the face
+    below cell row j.
+    """
+    ny, nx = K2d.shape
+    ux = np.zeros((ny, nx + 1))
+    ux[:, 1:-1] = -(2.0 * K2d[:, :-1] * K2d[:, 1:] / (K2d[:, :-1] + K2d[:, 1:])) \
+        * (p2d[:, 1:] - p2d[:, :-1]) / hx
+    uy = np.zeros((ny + 1, nx))
+    uy[1:-1, :] = -(2.0 * K2d[:-1, :] * K2d[1:, :] / (K2d[:-1, :] + K2d[1:, :])) \
+        * (p2d[1:, :] - p2d[:-1, :]) / hy
+    return ux, uy
+
+
 def solve(grid: Grid2D, K, source=None) -> DarcySolution:
     """Solve -div(K grad p) = f with no-flux walls and zero-mean pressure.
 
@@ -150,17 +167,7 @@ def solve(grid: Grid2D, K, source=None) -> DarcySolution:
 
     p -= np.mean(p)  # uniform cells: area-weighted mean == arithmetic mean
 
-    # face fluxes (Darcy velocities normal to faces), zero on the boundary
-    p2d = grid.to_2d(p)
-    ux_face = -(2.0 * K2d[:, :-1] * K2d[:, 1:] / (K2d[:, :-1] + K2d[:, 1:])) \
-        * (p2d[:, 1:] - p2d[:, :-1]) / hx
-    uy_face = -(2.0 * K2d[:-1, :] * K2d[1:, :] / (K2d[:-1, :] + K2d[1:, :])) \
-        * (p2d[1:, :] - p2d[:-1, :]) / hy
-
-    ux_pad = np.zeros((ny, nx + 1))
-    ux_pad[:, 1:-1] = ux_face
-    uy_pad = np.zeros((ny + 1, nx))
-    uy_pad[1:-1, :] = uy_face
+    ux_pad, uy_pad = _face_fluxes(K2d, grid.to_2d(p), hx, hy)
     vel_x = 0.5 * (ux_pad[:, :-1] + ux_pad[:, 1:])
     vel_y = 0.5 * (uy_pad[:-1, :] + uy_pad[1:, :])
 
@@ -173,15 +180,7 @@ def flux_divergence(sol: DarcySolution, K) -> np.ndarray:
     nx, ny = grid.nx, grid.ny
     hx, hy = 1.0 / nx, 1.0 / ny
     K2d = grid.to_2d(np.asarray(K, dtype=float).ravel())
-    p2d = grid.to_2d(sol.pressure)
-    ux_face = -(2.0 * K2d[:, :-1] * K2d[:, 1:] / (K2d[:, :-1] + K2d[:, 1:])) \
-        * (p2d[:, 1:] - p2d[:, :-1]) / hx
-    uy_face = -(2.0 * K2d[:-1, :] * K2d[1:, :] / (K2d[:-1, :] + K2d[1:, :])) \
-        * (p2d[1:, :] - p2d[:-1, :]) / hy
-    ux_pad = np.zeros((ny, nx + 1))
-    ux_pad[:, 1:-1] = ux_face
-    uy_pad = np.zeros((ny + 1, nx))
-    uy_pad[1:-1, :] = uy_face
+    ux_pad, uy_pad = _face_fluxes(K2d, grid.to_2d(sol.pressure), hx, hy)
     div = (ux_pad[:, 1:] - ux_pad[:, :-1]) / hx + (uy_pad[1:, :] - uy_pad[:-1, :]) / hy
     return div.ravel()
 

@@ -28,13 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.lapack import dpotrf, dtrtri, dlauum
 
-from .kernels import RBFParams, ARDParams, gram, chol_psd, DimensionMismatchError
-from .gplvm import (LayerState, VariationalLatent, InducingSet, KUU_JITTER,
-                    layer_bound, layer_bound_grads, train_gplvm, _phi_forward,
-                    recover_inducing_posterior)
+from .kernels import ARDParams, gram, chol_psd, DimensionMismatchError
+from .gplvm import (LayerState, VariationalLatent, InducingSet, layer_bound,
+                    layer_bound_grads, train_gplvm, _phi_forward)
 from .optimize import ascend
 from . import gp as gp_mod
 from .rng import rng_for
@@ -59,7 +57,7 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 class InputLayer:
     """Exact-GP mapping from observed inputs to the first latent."""
 
-    kernel: RBFParams
+    kernel: ARDParams    # w = 2b, packed as log b (see gp._pack_theta)
     noise_var: float
     mu_bar: np.ndarray   # (n, q1)
     lam: np.ndarray      # (n, q1), positive
@@ -174,14 +172,8 @@ def _first_latent_grads(input_layer: InputLayer, X, Kx, C, cols, d_M1, d_s1):
         HeH -= 0.5 * H
         w = np.sqrt(lam_j)
         G_C += w[:, None] * HeH * w[None, :]
-    P = G_C * Kx
-    g_log_tau = float(np.sum(P))
-    row = P.sum(axis=1)
-    colsum = P.sum(axis=0)
-    quad = np.einsum("ik,ij,jk->k", X, P, X, optimize=True)
-    sq = X * X
-    g_log_b = -il.kernel.lengthscale_inv * (sq.T @ row + sq.T @ colsum - 2.0 * quad)
-    g_log_noise = il.noise_var * float(np.trace(G_C))
+    g_log_tau, g_log_b, g_log_noise = gp_mod._hyper_grads(X, Kx, G_C, il.kernel,
+                                                          il.noise_var)
     return {"log_tau0": g_log_tau, "log_b": g_log_b,
             "log_noise": g_log_noise, "mu_bar": d_mu_bar,
             "log_lam": d_log_lam}
@@ -258,8 +250,8 @@ def pack_params(model: DeepGPModel, frozen_input=False) -> np.ndarray:
     il = model.input_layer
     parts = []
     if not frozen_input:
-        parts += [[np.log(il.kernel.tau0_sq)], np.log(il.kernel.lengthscale_inv),
-                  [np.log(il.noise_var)], il.mu_bar.ravel(), np.log(il.lam).ravel()]
+        parts += [gp_mod._pack_theta(il.kernel, il.noise_var), il.mu_bar.ravel(),
+                  np.log(il.lam).ravel()]
     for layer in model.hidden_layers:
         parts += [layer.inducing.inputs.ravel(), [np.log(layer.kernel.sigma_h_sq)],
                   np.log(layer.kernel.weights), [np.log(layer.beta)]]
@@ -283,15 +275,11 @@ def unpack_params(model: DeepGPModel, x, frozen_input=False) -> DeepGPModel:
     if frozen_input:
         new_il = il
     else:
-        kappa = il.kernel.dim
-        tau = float(np.exp(take(1)[0]))
-        b = np.exp(take(kappa))
-        nv = float(np.exp(take(1)[0]))
+        kern, nv = gp_mod._unpack_theta(take(il.kernel.dim + 2))
         n, q1 = il.mu_bar.shape
         mu_bar = take(n * q1).reshape(n, q1).copy()
         lam = np.exp(take(n * q1)).reshape(n, q1)
-        new_il = InputLayer(kernel=RBFParams(tau0_sq=tau, lengthscale_inv=b),
-                            noise_var=nv, mu_bar=mu_bar, lam=lam)
+        new_il = InputLayer(kernel=kern, noise_var=nv, mu_bar=mu_bar, lam=lam)
     new_layers = []
     for layer in model.hidden_layers:
         m, q = layer.inducing.inputs.shape
@@ -363,7 +351,6 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0, init_iters=150,
         raise ValueError("need at least one latent layer")
     if len(m_inducing) != G:
         raise ValueError("m_inducing must have one entry per layer")
-    n = X.shape[0]
     if float(np.var(Y)) <= 0.0:
         raise ValueError("Y has zero variance; nothing to model")
     if fix_latent_to_inputs and (G != 1 or dims[0] != X.shape[1]):
@@ -396,23 +383,16 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0, init_iters=150,
     for layer in layers:
         layer.reparam = None
 
-    # input layer: exact-GP fit of X -> first latent means
+    # input layer: exact-GP fit of X -> first latent means; the mean is
+    # C mu_bar, so mu_bar is the fit's mean weights C^-1 M1
     if fix_latent_to_inputs:
-        M1 = X.copy()
-        S1 = np.full_like(M1, 1e-9)
-        gpm = gp_mod.fit(X, M1, iters=min(init_iters, 60))
-        il_kernel, il_noise = gpm.kernel, gpm.noise_var
+        M1, S1 = X.copy(), np.full_like(X, 1e-9)
     else:
-        M1 = latent_means[1]
-        S1 = latent_vars[1]
-        gpm = gp_mod.fit(X, M1, iters=min(init_iters, 60))
-        il_kernel, il_noise = gpm.kernel, gpm.noise_var
-    C = gram(X, X, il_kernel) + il_noise * np.eye(n)
-    L_C, _ = chol_psd(C)
-    mu_bar = scipy.linalg.cho_solve((L_C, True), M1)
-    lam = 1.0 / np.clip(S1, 1e-12, None)
-    input_layer = InputLayer(kernel=il_kernel, noise_var=il_noise,
-                             mu_bar=mu_bar, lam=lam)
+        M1, S1 = latent_means[1], latent_vars[1]
+    gpm = gp_mod.fit(X, M1, iters=min(init_iters, 60))
+    input_layer = InputLayer(kernel=gpm.kernel, noise_var=gpm.noise_var,
+                             mu_bar=gpm.alpha,
+                             lam=1.0 / np.clip(S1, 1e-12, None))
 
     model = DeepGPModel(X=X, Y=Y, input_layer=input_layer, hidden_layers=layers,
                         dims=dims, training_meta={"seed": int(seed),
@@ -460,25 +440,22 @@ def _sparse_layer_on_fixed_inputs(X, Y, m, seed) -> LayerState:
 # ---------------------------------------------------------------------------
 
 def predict_layer1(model: DeepGPModel, Xstar):
-    """Exact-GP predictive moments of the first latent at new inputs."""
-    Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
-    il = model.input_layer
-    if Xstar.shape[1] != model.X.shape[1]:
-        raise DimensionMismatchError("predict_layer1 columns", model.X.shape[1],
-                                     Xstar.shape[1])
+    """Exact-GP predictive moments of the first latent at new inputs.
+
+    The cached :class:`gp.GPModel` has targets M1 = C mu_bar (the first
+    latent's means) and mean weights C^-1 M1 = mu_bar exactly, whatever
+    jitter the factorization of C needed.
+    """
     key = "layer1"
     if key not in model._pred_cache:
+        il = model.input_layer
         _, C = _input_cov(il, model.X)
-        model._pred_cache[key], _ = chol_psd(C)
-    L_C = model._pred_cache[key]
-    Ks = gram(model.X, Xstar, il.kernel)
-    Kss = gram(Xstar, Xstar, il.kernel)
-    # the training-input mean is C mu_bar, so C^-1 M1 = mu_bar exactly
-    mean = Ks.T @ il.mu_bar
-    v = scipy.linalg.solve_triangular(L_C, Ks, lower=True)
-    cov = Kss - v.T @ v
-    cov = 0.5 * (cov + cov.T)
-    return mean, cov
+        L_C, _ = chol_psd(C)
+        model._pred_cache[key] = gp_mod.GPModel(
+            kernel=il.kernel, noise_var=il.noise_var, train_x=model.X,
+            train_y=model.hidden_layers[0].latent.means, chol_cache=L_C,
+            alpha=il.mu_bar)
+    return gp_mod.predict(model._pred_cache[key], Xstar)
 
 
 def _layer_pred_cache(model: DeepGPModel, t):

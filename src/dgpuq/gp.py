@@ -2,7 +2,8 @@
 
 Used as the first layer of the deep model (the mapping from observed
 inputs) and as the oracle baseline that the variational layers are tested
-against.  Output columns are independent and share one kernel.
+against.  Output columns are independent and share one ARD kernel with
+w = 2b, fitted in theta = [log tau0_sq, log b, log noise_var].
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .kernels import RBFParams, gram, chol_psd, pairwise_sqdist, DimensionMismatchError
+from .kernels import (ARDParams, RBFParams, gram, chol_psd, pairwise_sqdist,
+                      DimensionMismatchError)
 from .optimize import ascend
 
 __all__ = ["GPModel", "build_model", "log_marginal", "log_marginal_grad", "fit", "predict"]
@@ -22,21 +24,22 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 @dataclass
 class GPModel:
-    """Trained exact-GP state with a cached Cholesky factor of K + noise*I."""
+    """Exact-GP state: the Cholesky factor of K + noise*I and the mean weights."""
 
-    kernel: RBFParams
+    kernel: ARDParams
     noise_var: float
     train_x: np.ndarray   # (n, kappa)
     train_y: np.ndarray   # (n, nu)
     chol_cache: np.ndarray  # lower factor of gram(X, X) + noise_var * I
+    alpha: np.ndarray     # (n, nu) mean weights; the predictive mean is Ks^T alpha
 
     @property
     def n(self):
         return self.train_x.shape[0]
 
 
-def build_model(kernel: RBFParams, noise_var: float, X, Y) -> GPModel:
-    """Assemble a model and its factorization cache."""
+def build_model(kernel: ARDParams, noise_var: float, X, Y) -> GPModel:
+    """Assemble a model, its factorization and alpha = (K + noise*I)^-1 Y."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if Y.shape[0] != X.shape[0]:
@@ -46,7 +49,8 @@ def build_model(kernel: RBFParams, noise_var: float, X, Y) -> GPModel:
     Kn = gram(X, X, kernel) + noise_var * np.eye(X.shape[0])
     L, _ = chol_psd(Kn)
     return GPModel(kernel=kernel, noise_var=float(noise_var),
-                   train_x=X, train_y=Y, chol_cache=L)
+                   train_x=X, train_y=Y, chol_cache=L,
+                   alpha=scipy.linalg.cho_solve((L, True), Y))
 
 
 def log_marginal(model: GPModel) -> float:
@@ -59,32 +63,47 @@ def log_marginal(model: GPModel) -> float:
     return float(-0.5 * np.sum(alpha * alpha) - 0.5 * nu * (logdet + n * LOG_2PI))
 
 
+def _hyper_grads(X, K, G, kernel: ARDParams, noise_var):
+    """(dL/dlog sigma_h_sq, dL/dlog w, dL/dlog noise_var) from G = dL/dC.
+
+    C = K + noise_var * I with K = gram(X, X, kernel); dL/dlog w equals
+    dL/dlog b for w = 2b, and is one matrix product for all dimensions.
+    """
+    P = G * K
+    g_log_sigma = float(np.sum(P))
+    row = P.sum(axis=1)
+    col = P.sum(axis=0)
+    quad = np.einsum("ik,ij,jk->k", X, P, X, optimize=True)
+    sq = X * X
+    g_log_w = -0.5 * kernel.weights * (sq.T @ row + sq.T @ col - 2.0 * quad)
+    g_log_noise = noise_var * float(np.trace(G))
+    return g_log_sigma, g_log_w, g_log_noise
+
+
 def log_marginal_grad(model: GPModel):
     """Gradient of the log marginal w.r.t. (log tau0_sq, log b, log noise_var).
 
-    Uses d/dtheta = 0.5 tr((sum_j alpha_j alpha_j^T - nu * Kinv) dK/dtheta)
-    with alpha_j = Kinv y_j; the per-dimension scale gradients are assembled
-    with one matrix product instead of a loop over dimensions.
+    dL/dC = W / 2 with W = sum_j alpha_j alpha_j^T - nu * Kinv.
     """
-    X, Y, L = model.train_x, model.train_y, model.chol_cache
-    n, nu = Y.shape
-    kern = model.kernel
-    Kinv_Y = scipy.linalg.cho_solve((L, True), Y)
+    X, L, alpha = model.train_x, model.chol_cache, model.alpha
+    n, nu = alpha.shape
     Kinv = scipy.linalg.cho_solve((L, True), np.eye(n))
-    W = Kinv_Y @ Kinv_Y.T - nu * Kinv  # so that dL/dtheta = 0.5 tr(W dK/dtheta)
+    W = alpha @ alpha.T - nu * Kinv
+    K = gram(X, X, model.kernel)
+    return _hyper_grads(X, K, 0.5 * W, model.kernel, model.noise_var)
 
-    K = gram(X, X, kern)
-    WK = W * K
-    g_log_tau = 0.5 * float(np.sum(WK))
-    # sum_ij WK_ij (x_ik - x_jk)^2 for every k at once
-    row = WK.sum(axis=1)
-    col = WK.sum(axis=0)
-    quad = np.einsum("ik,ij,jk->k", X, WK, X, optimize=True)
-    sq = X * X
-    d_b = sq.T @ row + sq.T @ col - 2.0 * quad
-    g_log_b = 0.5 * (-kern.lengthscale_inv) * d_b
-    g_log_noise = 0.5 * model.noise_var * float(np.trace(W))
-    return g_log_tau, g_log_b, g_log_noise
+
+def _pack_theta(kernel: ARDParams, noise_var) -> np.ndarray:
+    """theta = [log tau0_sq, log b, log noise_var] with b = w / 2."""
+    return np.concatenate([[np.log(kernel.sigma_h_sq)], np.log(0.5 * kernel.weights),
+                           [np.log(noise_var)]])
+
+
+def _unpack_theta(theta):
+    """Inverse of :func:`_pack_theta`: returns (kernel, noise_var)."""
+    kernel = RBFParams(tau0_sq=float(np.exp(theta[0])),
+                       lengthscale_inv=np.exp(theta[1:-1]))
+    return kernel, float(np.exp(theta[-1]))
 
 
 def _median_heuristic(X, max_points=200):
@@ -98,7 +117,7 @@ def _median_heuristic(X, max_points=200):
     return np.full(X.shape[1], 1.0 / med)
 
 
-def fit(X, Y, init: RBFParams = None, noise_var=None, iters=100,
+def fit(X, Y, init: ARDParams = None, noise_var=None, iters=100,
         return_trace=False):
     """Maximize the log marginal over hyperparameters in log space.
 
@@ -109,7 +128,6 @@ def fit(X, Y, init: RBFParams = None, noise_var=None, iters=100,
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[0] < 2:
         raise ValueError("need at least two training points")
-    kappa = X.shape[1]
     y_var = float(np.var(Y))
     if y_var == 0.0:
         y_var = 1.0
@@ -118,16 +136,9 @@ def fit(X, Y, init: RBFParams = None, noise_var=None, iters=100,
     if noise_var is None:
         noise_var = 0.01 * y_var
 
-    def unpack(theta):
-        tau = float(np.exp(theta[0]))
-        b = np.exp(theta[1:1 + kappa])
-        nv = float(np.exp(theta[-1]))
-        return RBFParams(tau0_sq=tau, lengthscale_inv=b), nv
-
     def value_and_grad(theta, need_grad=True):
         try:
-            kern, nv = unpack(theta)
-            model = build_model(kern, nv, X, Y)
+            model = build_model(*_unpack_theta(theta), X, Y)
             f = log_marginal(model)
             if not need_grad:
                 return f, None
@@ -136,12 +147,8 @@ def fit(X, Y, init: RBFParams = None, noise_var=None, iters=100,
             return -np.inf, None
         return f, np.concatenate([[gt], gb, [gn]])
 
-    theta0 = np.concatenate([[np.log(init.tau0_sq)],
-                             np.log(init.lengthscale_inv),
-                             [np.log(noise_var)]])
-    theta, trace = ascend(value_and_grad, theta0, iters)
-    kern, nv = unpack(theta)
-    model = build_model(kern, nv, X, Y)
+    theta, trace = ascend(value_and_grad, _pack_theta(init, noise_var), iters)
+    model = build_model(*_unpack_theta(theta), X, Y)
     if return_trace:
         return model, trace
     return model
@@ -150,19 +157,17 @@ def fit(X, Y, init: RBFParams = None, noise_var=None, iters=100,
 def predict(model: GPModel, Xstar):
     """Predictive mean (n*, nu) and covariance (n*, n*) at test inputs.
 
-    Solved through the cached Cholesky factor; the covariance is shared by
-    all output columns and symmetrized on return.
+    The mean is Ks^T alpha; the covariance is solved through the cached
+    Cholesky factor, shared by all output columns and symmetrized on return.
     """
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
     if Xstar.shape[1] != model.train_x.shape[1]:
         raise DimensionMismatchError("predict columns",
                                      model.train_x.shape[1], Xstar.shape[1])
-    L = model.chol_cache
     Ks = gram(model.train_x, Xstar, model.kernel)   # (n, n*)
     Kss = gram(Xstar, Xstar, model.kernel)
-    alpha = scipy.linalg.cho_solve((L, True), model.train_y)
-    mean = Ks.T @ alpha
-    v = scipy.linalg.solve_triangular(L, Ks, lower=True)
+    mean = Ks.T @ model.alpha
+    v = scipy.linalg.solve_triangular(model.chol_cache, Ks, lower=True)
     cov = Kss - v.T @ v
     cov = 0.5 * (cov + cov.T)
     return mean, cov

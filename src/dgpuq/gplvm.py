@@ -17,13 +17,12 @@ standard-normal latent prior, and :func:`train_gplvm` optimizes that model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
-from .kernels import (ARDParams, gram, chol_psd, DimensionMismatchError,
-                      SingularMatrixError)
+from .kernels import ARDParams, gram, DimensionMismatchError, SingularMatrixError
 from .optimize import ascend
 from .rng import rng_for
 
@@ -125,7 +124,7 @@ class InducingSet:
 
     inputs: np.ndarray                 # (m, q)
     out_means: np.ndarray = None       # (m, nu)
-    out_covs: np.ndarray = None        # (nu, m, m), symmetric PSD
+    out_cov: np.ndarray = None         # (m, m), symmetric PSD, shared by all nu columns
 
     def __post_init__(self):
         self.inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
@@ -532,11 +531,9 @@ def recover_inducing_posterior(state: LayerState, Y) -> InducingSet:
                            state.inducing.inputs, Y, return_cache=True)
     Sigma = cache.Kuu @ cache.A_inv @ cache.Kuu
     Sigma = 0.5 * (Sigma + Sigma.T)
-    nu_means = state.beta * cache.Kuu @ cache.AinvM
-    nu = Y.shape[1]
     return InducingSet(inputs=state.inducing.inputs.copy(),
-                       out_means=nu_means,
-                       out_covs=np.repeat(Sigma[None, :, :], nu, axis=0))
+                       out_means=state.beta * cache.Kuu @ cache.AinvM,
+                       out_cov=Sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -98,11 +98,12 @@ def save_model(out_dir, model: DeepGPModel, extra_meta=None):
             "Y": put("train_y.dgpm", model.Y),
         },
         "input_layer": {
-            "tau0_sq": float(il.kernel.tau0_sq),
+            # the file keeps the (tau0_sq, b) form of the ARD kernel, w = 2b
+            "tau0_sq": float(il.kernel.sigma_h_sq),
             "noise_var": float(il.noise_var),
             "arrays": {
                 "lengthscale_inv": put("input_lengthscale_inv.dgpm",
-                                       il.kernel.lengthscale_inv[None, :]),
+                                       0.5 * il.kernel.weights[None, :]),
                 "mu_bar": put("input_mu_bar.dgpm", il.mu_bar),
                 "lam": put("input_lam.dgpm", il.lam),
             },
@@ -199,7 +200,7 @@ def _check_model_shapes(path, X, Y, il, layers, dims):
         raise ValueError(f"{path}: {len(layers)} layers for {len(dims)} dims")
     expect("input_layer.mu_bar", il.mu_bar.shape, (n, dims[0]))
     expect("input_layer.lam", il.lam.shape, (n, dims[0]))
-    expect("input_layer.lengthscale_inv", il.kernel.lengthscale_inv.shape,
+    expect("input_layer.lengthscale_inv", il.kernel.weights.shape,
            X.shape[1:])
     for t, (layer, q) in enumerate(zip(layers, dims)):
         expect(f"layers[{t}].latent_means", layer.latent.means.shape, (n, q))

@@ -1,14 +1,15 @@
-"""Covariance functions, Gram-matrix assembly and safe Cholesky factorization.
+"""Covariance function, Gram-matrix assembly and safe Cholesky factorization.
 
-Two kernel families are provided:
+There is one kernel, :class:`ARDParams`, the automatic relevance
+determination (exponential quadratic) kernel
 
-* :class:`RBFParams` — exponential quadratic kernel
-  ``k(x, x') = tau0_sq * exp(-(x - x')^T B (x - x'))`` with diagonal ``B``,
-  used for mappings whose inputs are observed.
-* :class:`ARDParams` — automatic relevance determination kernel
-  ``k(h, h') = sigma_h_sq * exp(-0.5 * sum_k w_k (h_k - h'_k)^2)``,
-  used for latent-space mappings; the per-dimension weights ``w_k`` reveal
-  which latent coordinates matter.
+    k(h, h') = sigma_h_sq * exp(-0.5 * sum_k w_k (h_k - h'_k)^2),
+
+whose per-dimension weights ``w_k`` reveal which coordinates matter.  The
+input layer's form ``tau0_sq * exp(-(x - x')^T B (x - x'))`` with diagonal
+``B = diag(b)`` is the same kernel with ``w = 2b``; :func:`RBFParams` builds
+it from ``(tau0_sq, b)``.  Scaling by 2 and by 1/2 is exact, so both
+parameterizations give bit-identical Gram matrices.
 
 All arrays are dense row-major float64.
 """
@@ -24,7 +25,6 @@ __all__ = [
     "SingularMatrixError",
     "RBFParams",
     "ARDParams",
-    "rbf_eval",
     "ard_eval",
     "gram",
     "chol_psd",
@@ -44,26 +44,6 @@ class DimensionMismatchError(ValueError):
 
 class SingularMatrixError(np.linalg.LinAlgError):
     """Cholesky failed even at the maximum jitter level."""
-
-
-@dataclass(frozen=True)
-class RBFParams:
-    """Exponential quadratic kernel: signal variance and diagonal scale matrix."""
-
-    tau0_sq: float
-    lengthscale_inv: np.ndarray  # diagonal of B, one entry per input dimension
-
-    def __post_init__(self):
-        object.__setattr__(self, "lengthscale_inv",
-                           np.atleast_1d(np.asarray(self.lengthscale_inv, dtype=float)))
-        if not self.tau0_sq > 0:
-            raise ValueError(f"tau0_sq must be positive, got {self.tau0_sq}")
-        if not np.all(self.lengthscale_inv >= 0) or not np.all(np.isfinite(self.lengthscale_inv)):
-            raise ValueError("lengthscale_inv entries must be finite and >= 0")
-
-    @property
-    def dim(self):
-        return self.lengthscale_inv.shape[0]
 
 
 @dataclass(frozen=True)
@@ -88,20 +68,15 @@ class ARDParams:
         return self.weights.shape[0]
 
 
+def RBFParams(tau0_sq, lengthscale_inv) -> ARDParams:
+    """The kernel ``tau0_sq * exp(-(x - x')^T diag(b) (x - x'))``: ARD with w = 2b."""
+    b = np.atleast_1d(np.asarray(lengthscale_inv, dtype=float))
+    return ARDParams(sigma_h_sq=tau0_sq, weights=2.0 * b)
+
+
 def _check_len(name, vec, expected):
     if vec.shape[-1] != expected:
         raise DimensionMismatchError(name, expected, vec.shape[-1])
-
-
-def rbf_eval(x1, x2, p: RBFParams) -> float:
-    """Evaluate the exponential quadratic kernel at a single pair of points."""
-    x1 = np.asarray(x1, dtype=float).ravel()
-    x2 = np.asarray(x2, dtype=float).ravel()
-    if x1.shape[0] != x2.shape[0]:
-        raise DimensionMismatchError("rbf_eval inputs", x1.shape[0], x2.shape[0])
-    _check_len("rbf_eval lengthscale_inv", x1, p.dim)
-    d = x1 - x2
-    return float(p.tau0_sq * np.exp(-np.dot(d * p.lengthscale_inv, d)))
 
 
 def ard_eval(h1, h2, p: ARDParams) -> float:
@@ -131,39 +106,20 @@ def pairwise_sqdist(A, B, scale) -> np.ndarray:
     return sq
 
 
-def gram(A, B, kernel) -> np.ndarray:
-    """Assemble the Gram matrix with entry (i, j) = kernel(A[i], B[j]).
-
-    ``kernel`` may be :class:`RBFParams`, :class:`ARDParams`, or any callable
-    taking two vectors. Parameter objects use a vectorized path; a callable
-    falls back to the explicit double loop.
-    """
+def gram(A, B, kernel: ARDParams) -> np.ndarray:
+    """Assemble the Gram matrix with entry (i, j) = k(A[i], B[j])."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[1] != B.shape[1]:
         raise DimensionMismatchError("gram column counts", A.shape[1], B.shape[1])
+    _check_len("gram vs kernel dim", A, kernel.dim)
     # the expanded-form distances carry asymmetric roundoff; make the
     # self-Gram exactly symmetric with unit diagonal distance zero
-    same = A.shape == B.shape and np.shares_memory(A, B)
-    if isinstance(kernel, RBFParams):
-        _check_len("gram vs kernel dim", A, kernel.dim)
-        sq = pairwise_sqdist(A, B, kernel.lengthscale_inv)
-        if same:
-            sq = 0.5 * (sq + sq.T)
-            np.fill_diagonal(sq, 0.0)
-        return kernel.tau0_sq * np.exp(-sq)
-    if isinstance(kernel, ARDParams):
-        _check_len("gram vs kernel dim", A, kernel.dim)
-        sq = pairwise_sqdist(A, B, kernel.weights)
-        if same:
-            sq = 0.5 * (sq + sq.T)
-            np.fill_diagonal(sq, 0.0)
-        return kernel.sigma_h_sq * np.exp(-0.5 * sq)
-    out = np.empty((A.shape[0], B.shape[0]))
-    for i in range(A.shape[0]):
-        for j in range(B.shape[0]):
-            out[i, j] = kernel(A[i], B[j])
-    return out
+    sq = pairwise_sqdist(A, B, kernel.weights)
+    if A.shape == B.shape and np.shares_memory(A, B):
+        sq = 0.5 * (sq + sq.T)
+        np.fill_diagonal(sq, 0.0)
+    return kernel.sigma_h_sq * np.exp(-0.5 * sq)
 
 
 def chol_psd(M, base_jitter=None):

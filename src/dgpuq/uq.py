@@ -203,6 +203,26 @@ def _pdf_columns(pdf_at, out_grid: Grid2D):
     return cols
 
 
+def _pdf_estimate(loc, col, sample_sets) -> PdfEstimate:
+    """Mean KDE of one output column over repeated sample sets.
+
+    The grid spans every sample with a 10 % margin; the band is two
+    standard deviations of the curves across the sets, so a single set
+    gives lower = upper = its own curve.
+    """
+    all_vals = np.concatenate(sample_sets)
+    lo, hi = float(all_vals.min()), float(all_vals.max())
+    margin = 0.1 * max(hi - lo, 1e-12)
+    grid = np.linspace(lo - margin, hi + margin, PDF_GRID_SIZE)
+    curves = np.asarray([kde_curve(v, grid) for v in sample_sets])
+    mean_curve = curves.mean(axis=0)
+    band = 2.0 * curves.std(axis=0)
+    return PdfEstimate(location=loc, column=col, abscissae=grid,
+                       mean_density=mean_curve,
+                       lower=np.clip(mean_curve - band, 0.0, None),
+                       upper=mean_curve + band)
+
+
 def uq_report(model: DeepGPModel, dist: InputDistribution, n_prime: int,
               n_repeats: int, seed: int, pdf_at=None, out_grid: Grid2D = None,
               smooth: str = "none") -> UQReport:
@@ -238,18 +258,8 @@ def uq_report(model: DeepGPModel, dist: InputDistribution, n_prime: int,
         n_inner=int(n_prime),
         n_repeats=int(n_repeats),
     )
-    for i, (loc, col) in enumerate(pdf_cols):
-        all_vals = np.concatenate(pdf_values[i])
-        lo, hi = float(all_vals.min()), float(all_vals.max())
-        margin = 0.1 * max(hi - lo, 1e-12)
-        grid = np.linspace(lo - margin, hi + margin, PDF_GRID_SIZE)
-        curves = np.asarray([kde_curve(v, grid) for v in pdf_values[i]])
-        mean_curve = curves.mean(axis=0)
-        band = 2.0 * curves.std(axis=0)
-        report.pdf_points.append(PdfEstimate(
-            location=loc, column=col, abscissae=grid, mean_density=mean_curve,
-            lower=np.clip(mean_curve - band, 0.0, None),
-            upper=mean_curve + band))
+    report.pdf_points = [_pdf_estimate(loc, col, pdf_values[i])
+                         for i, (loc, col) in enumerate(pdf_cols)]
     return report
 
 
@@ -292,13 +302,6 @@ def mc_baseline(simulator, dist: InputDistribution, N: int, seed: int,
             collected[c][i] = y[col]
     mean = sum_y / N
     variance = np.clip(sum_sq / N - mean * mean, 0.0, None)
-    pdfs = []
-    for c, (loc, col) in enumerate(pdf_cols):
-        vals = collected[c]
-        lo, hi = float(vals.min()), float(vals.max())
-        margin = 0.1 * max(hi - lo, 1e-12)
-        grid = np.linspace(lo - margin, hi + margin, PDF_GRID_SIZE)
-        curve = kde_curve(vals, grid)
-        pdfs.append(PdfEstimate(location=loc, column=col, abscissae=grid,
-                                mean_density=curve, lower=curve, upper=curve))
+    pdfs = [_pdf_estimate(loc, col, [collected[c]])
+            for c, (loc, col) in enumerate(pdf_cols)]
     return mean, variance, pdfs

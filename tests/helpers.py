@@ -248,7 +248,7 @@ def loop_first_latent_grads(input_layer, X, C, cols, d_M1, d_s1):
     colsum = P.sum(axis=0)
     quad = np.einsum("ik,ij,jk->k", X, P, X, optimize=True)
     sq = X * X
-    g_log_b = -il.kernel.lengthscale_inv * (sq.T @ row + sq.T @ colsum - 2.0 * quad)
+    g_log_b = -0.5 * il.kernel.weights * (sq.T @ row + sq.T @ colsum - 2.0 * quad)
     g_log_noise = il.noise_var * float(np.trace(G_C))
     return {"log_tau0": g_log_tau, "log_b": g_log_b,
             "log_noise": g_log_noise, "mu_bar": d_mu_bar,

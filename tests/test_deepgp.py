@@ -204,7 +204,7 @@ class TestPredictLayer1:
         model = tiny_model(seed=13)
         mean, cov = predict_layer1(model, np.full((1, 2), 60.0))
         assert np.abs(mean).max() < 1e-6
-        assert cov[0, 0] == pytest.approx(model.input_layer.kernel.tau0_sq,
+        assert cov[0, 0] == pytest.approx(model.input_layer.kernel.sigma_h_sq,
                                           rel=1e-6)
 
     def test_matches_exact_gp_predict(self):

@@ -53,8 +53,8 @@ class TestLogMarginal:
                                model.train_x, model.train_y)
             return gp.log_marginal(m)
 
-        theta0 = np.concatenate([[np.log(model.kernel.tau0_sq)],
-                                 np.log(model.kernel.lengthscale_inv),
+        theta0 = np.concatenate([[np.log(model.kernel.sigma_h_sq)],
+                                 np.log(0.5 * model.kernel.weights),
                                  [np.log(model.noise_var)]])
         fd = central_diff(fun, theta0)
         rel = np.abs(g - fd) / (np.abs(fd) + 1e-8)
@@ -75,7 +75,7 @@ class TestFit:
         Y = np.sin(2 * np.pi * X) + 0.05 * rng.standard_normal((30, 1))
         m1 = gp.fit(X, Y, iters=150)
         m2 = gp.fit(X, 2.0 * Y, iters=150)
-        ratio = m2.kernel.tau0_sq / m1.kernel.tau0_sq
+        ratio = m2.kernel.sigma_h_sq / m1.kernel.sigma_h_sq
         assert 2.0 <= ratio <= 6.0
 
     def test_objective_trace_nondecreasing(self):
@@ -145,7 +145,7 @@ class TestPredict:
         model = random_model(rng, n=12, kappa=2, nu=1, noise=0.05)
         Xs = rng.normal(size=(30, 2)) * 2.0
         _, cov = gp.predict(model, Xs)
-        bound = model.kernel.tau0_sq + model.noise_var
+        bound = model.kernel.sigma_h_sq + model.noise_var
         assert np.all(np.diag(cov) <= bound + 1e-10)
 
     def test_column_mismatch(self):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgpuq.kernels import (RBFParams, ARDParams, rbf_eval, ard_eval, gram,
-                           chol_psd, DimensionMismatchError,
+from dgpuq.kernels import (RBFParams, ARDParams, ard_eval, gram,
+                           chol_psd, pairwise_sqdist, DimensionMismatchError,
                            SingularMatrixError)
 from helpers import loop_gram
 
@@ -14,20 +14,20 @@ EXP_HALF = 0.6065306597126334
 class TestRbfEval:
     def test_zero_distance_returns_signal_variance(self):
         p = RBFParams(tau0_sq=2.0, lengthscale_inv=np.array([1.0, 1.0]))
-        assert rbf_eval((0.3, 0.7), (0.3, 0.7), p) == pytest.approx(2.0, abs=0)
+        assert ard_eval((0.3, 0.7), (0.3, 0.7), p) == pytest.approx(2.0, abs=0)
 
     def test_weight_zero_direction_ignored(self):
         p = RBFParams(tau0_sq=3.5, lengthscale_inv=np.array([0.0, 5.0]))
-        assert rbf_eval((1.0, 0.0), (0.0, 0.0), p) == pytest.approx(3.5, abs=0)
+        assert ard_eval((1.0, 0.0), (0.0, 0.0), p) == pytest.approx(3.5, abs=0)
 
     def test_scalar_oracle(self):
         p = RBFParams(tau0_sq=1.0, lengthscale_inv=np.array([0.5]))
-        assert rbf_eval([1.0], [0.0], p) == pytest.approx(EXP_HALF, abs=1e-12)
+        assert ard_eval([1.0], [0.0], p) == pytest.approx(EXP_HALF, abs=1e-12)
 
     def test_dimension_mismatch_names_both_lengths(self):
         p = RBFParams(tau0_sq=1.0, lengthscale_inv=np.array([1.0, 1.0]))
         with pytest.raises(DimensionMismatchError) as err:
-            rbf_eval([1.0, 2.0], [1.0], p)
+            ard_eval([1.0, 2.0], [1.0], p)
         assert err.value.expected == 2
         assert err.value.got == 1
 
@@ -36,7 +36,7 @@ class TestRbfEval:
     @settings(max_examples=50, deadline=None)
     def test_symmetry(self, a, b):
         p = RBFParams(tau0_sq=1.7, lengthscale_inv=np.array([0.3, 1.0, 2.0]))
-        assert rbf_eval(a, b, p) == rbf_eval(b, a, p)
+        assert ard_eval(a, b, p) == ard_eval(b, a, p)
 
 
 class TestArdEval:
@@ -94,10 +94,17 @@ class TestGram:
         expected = loop_gram(A, B, lambda a, b: ard_eval(a, b, p))
         np.testing.assert_allclose(G, expected, rtol=0, atol=1e-12)
 
-    def test_callable_kernel_path(self):
-        A = np.array([[0.0], [1.0]])
-        G = gram(A, A, lambda a, b: float(a[0] + b[0]))
-        np.testing.assert_allclose(G, [[0.0, 1.0], [1.0, 2.0]])
+    def test_rbf_form_is_ard_with_doubled_weights(self):
+        rng = np.random.default_rng(6)
+        A = rng.normal(size=(7, 3))
+        B = rng.normal(size=(5, 3))
+        b = rng.uniform(0.1, 2.0, 3)
+        p = RBFParams(tau0_sq=1.3, lengthscale_inv=b)
+        assert isinstance(p, ARDParams)
+        np.testing.assert_array_equal(p.weights, 2.0 * b)
+        # tau0_sq * exp(-(x - x')^T diag(b) (x - x')), bit for bit
+        expected = 1.3 * np.exp(-pairwise_sqdist(A, B, b))
+        np.testing.assert_array_equal(gram(A, B, p), expected)
 
     def test_column_mismatch(self):
         p = RBFParams(tau0_sq=1.0, lengthscale_inv=np.array([1.0, 1.0]))
