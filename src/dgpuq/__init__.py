@@ -3,13 +3,24 @@
 __version__ = "0.1.0"
 
 import os as _os
+import sys as _sys
 
 # DGP_THREADS sizes the BLAS/OpenMP thread pools, which are fixed when the
 # libraries load, so it is applied here, before the first numeric import
 if _os.environ.get("DGP_THREADS"):
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "NUMEXPR_NUM_THREADS"):
-        _os.environ[_var] = _os.environ["DGP_THREADS"]
+    _threads = _os.environ["DGP_THREADS"]
+    _vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS")
+    if "numpy" in _sys.modules and any(_os.environ.get(v) != _threads
+                                       for v in _vars):
+        import warnings as _warnings
+        _warnings.warn(
+            f"DGP_THREADS={_threads} cannot resize the thread pools of BLAS "
+            "libraries numpy has already loaded; import dgpuq before numpy, "
+            "or set " + ", ".join(_vars) + " before Python starts",
+            RuntimeWarning, stacklevel=2)
+    for _var in _vars:
+        _os.environ[_var] = _threads
 
 from .kernels import (RBFParams, ARDParams, ard_eval, gram, chol_psd,
                       DimensionMismatchError, SingularMatrixError)

@@ -57,7 +57,7 @@ def cmd_gen_data(args):
     import numpy as np
     from .random_field import Grid2D, ExpCovSpec, kle_decompose, permeability
     from .darcy import SourceSpec, solve, restrict
-    from .rng import rng_for
+    from .rng import rng_for, GEN_DATA_STREAM
     from . import io
 
     if args.n < 1:
@@ -78,7 +78,7 @@ def cmd_gen_data(args):
     ux = np.empty((n, out_grid.n_cells))
     uy = np.empty((n, out_grid.n_cells))
     for i in range(n):
-        rng = rng_for(args.seed, i)
+        rng = rng_for(args.seed, GEN_DATA_STREAM, i)
         xi = np.clip(rng.uniform(size=args.kle), 1e-15, 1.0 - 1e-15)
         K[i] = permeability(kle, xi)
         sol = solve(grid, K[i], source)

@@ -157,7 +157,8 @@ def solve(grid: Grid2D, K, source=None) -> DarcySolution:
     b_red = b[1:]
     p = np.zeros(grid.n_cells)
     if grid.n_cells <= _DIRECT_SOLVE_LIMIT:
-        p[1:] = spla.splu(A_red).solve(b_red)
+        # the reduced matrix is SPD, so a symmetric fill-reducing ordering fits
+        p[1:] = spla.splu(A_red, permc_spec="MMD_AT_PLUS_A").solve(b_red)
     else:
         M = sp.diags(1.0 / A_red.diagonal())
         x, info = spla.cg(A_red, b_red, rtol=_CG_TOL, atol=0.0, M=M, maxiter=20000)

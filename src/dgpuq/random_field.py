@@ -1,10 +1,32 @@
 """Log-normal permeability fields via a truncated Karhunen-Loeve expansion.
 
-The underlying Gaussian field has an exponential (separable) covariance on
-the unit square.  The covariance operator is discretized at cell centers
-with uniform Nystrom weights (cell area); the retained eigenpairs give a
-basis of scaled eigenfields so that a standard-normal coefficient vector
-reproduces the truncated covariance.
+The underlying Gaussian field has an exponential covariance on the unit
+square, exp(-|dx|/lambda_x - |dy|/lambda_y), which is separable.  The
+covariance operator is discretized at cell centers with uniform Nystrom
+weights (cell area).  On the uniform grid, with flat index iy * nx + ix, the
+weighted operator factors as a Kronecker product,
+
+    area * C = s_g^2 * (C_y / ny) kron (C_x / nx),
+
+so its eigenpairs are products of the eigenpairs of two 1-D matrices
+(nx x nx and ny x ny) and no n_cells x n_cells matrix is ever formed.  The
+retained eigenpairs give a basis of scaled eigenfields so that a
+standard-normal coefficient vector reproduces the truncated covariance.
+
+Determinism: each 1-D eigenvector is signed so that its first entry is
+positive, hence every eigenfield is positive at cell 0.  Modes are ranked by
+a stable sort of the product eigenvalues, so exactly tied products keep the
+one with the lower y-mode index first.  On square grids with equal
+correlation lengths, modes (i, j) and (j, i) tie exactly; where the
+truncation cuts such a pair, the kept member is the one whose y-factor is
+the smoother 1-D mode.
+
+A basis from a dense eigensolver of the full matrix differs from this one
+in two ways only: inside tied eigenspaces, where the dense solver returns an
+arbitrary direction, and in the sign of some modes, because a
+largest-magnitude-entry-positive rule is decided by rounding between
+mirrored entries.  Dataset manifests store the eigenfields, so datasets
+written with the former dense basis still load and reproduce as written.
 """
 
 from __future__ import annotations
@@ -107,37 +129,45 @@ def exp_cov(xs1, xs2, spec: ExpCovSpec) -> float:
     return float(spec.s_g_sq * np.exp(-np.sum(d)))
 
 
-def _cov_matrix(centers: np.ndarray, spec: ExpCovSpec) -> np.ndarray:
-    lam = np.asarray(spec.lambdas, dtype=float)
-    dx = np.abs(centers[:, None, 0] - centers[None, :, 0]) / lam[0]
-    dy = np.abs(centers[:, None, 1] - centers[None, :, 1]) / lam[1]
-    return spec.s_g_sq * np.exp(-(dx + dy))
+def _axis_modes(n: int, lam: float):
+    """Eigenpairs of the 1-D weighted operator exp(-|x_a - x_b| / lam) / n.
+
+    Eigenvalues come nonincreasing and clipped at zero; each eigenvector
+    column is signed so that its first entry is positive.
+    """
+    xs = (np.arange(n) + 0.5) / n
+    C = np.exp(-np.abs(xs[:, None] - xs[None, :]) / lam)
+    vals, vecs = np.linalg.eigh(C / n)
+    vals, vecs = np.clip(vals[::-1], 0.0, None), vecs[:, ::-1]
+    return vals, vecs * np.where(vecs[0] < 0, -1.0, 1.0)
 
 
 def kle_decompose(grid: Grid2D, spec: ExpCovSpec, k_xi: int) -> KLExpansion:
-    """Dense eigendecomposition of the cell-center covariance matrix.
+    """Truncated KL basis from the Kronecker factors of the covariance.
 
     Nystrom discretization with uniform cell-area weights: eigenvalues are
-    those of ``area * C``; eigenfunctions are unit discrete-L2 normalized
-    and then scaled by sqrt(eigenvalue).
+    those of ``area * C = s_g^2 * (C_y / ny) kron (C_x / nx)``, i.e. the
+    products ``s_g^2 * a_y[j] * a_x[i]`` of the 1-D eigenvalues, with
+    eigenvector ``u_y[:, j] kron u_x[:, i]``.  Products are ranked with a
+    stable sort over (j, i) in y-mode-major order, so among exactly tied
+    eigenvalues the lower y-mode index j comes first; only the ``k_xi``
+    retained eigenfields are built.  Each 1-D eigenvector has a positive
+    first entry, so every eigenfield is positive at cell 0.  Eigenfunctions
+    are unit discrete-L2 normalized and then scaled by sqrt(eigenvalue).
     """
     if k_xi < 1 or k_xi > grid.n_cells:
         raise ValueError(f"k_xi must be in [1, {grid.n_cells}], got {k_xi}")
-    centers = grid.cell_centers()
-    C = _cov_matrix(centers, spec)
+    ax, ux = _axis_modes(grid.nx, spec.lambdas[0])
+    ay, uy = _axis_modes(grid.ny, spec.lambdas[1])
+    # the 1-D product is formed first so that mirrored pairs tie exactly
+    products = spec.s_g_sq * np.outer(ay, ax).ravel()
+    order = np.argsort(-products, kind="stable")[:k_xi]
+    j, i = np.divmod(order, grid.nx)
+    vals = products[order]
+    vecs = (uy[:, j].T[:, :, None] * ux[:, i].T[:, None, :]).reshape(k_xi, -1)
     area = grid.cell_area
-    # symmetric eigenproblem for the weighted operator; uniform weights keep it symmetric
-    vals, vecs = np.linalg.eigh(area * C)
-    order = np.argsort(vals)[::-1][:k_xi]
-    vals = np.clip(vals[order], 0.0, None)
-    vecs = vecs[:, order]
-    # deterministic sign: largest-magnitude entry positive
-    for k in range(k_xi):
-        j = np.argmax(np.abs(vecs[:, k]))
-        if vecs[j, k] < 0:
-            vecs[:, k] = -vecs[:, k]
     # psi_k = sqrt(eigval) * unit-norm eigenvector / sqrt(area)
-    fields = (np.sqrt(vals)[:, None] * vecs.T) / np.sqrt(area)
+    fields = (np.sqrt(vals)[:, None] * vecs) / np.sqrt(area)
     return KLExpansion(eigenvalues=vals, eigenfields=fields, mean=spec.mean,
                        grid=grid, spec=spec)
 

@@ -9,7 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["rng_for"]
+__all__ = ["rng_for", "GEN_DATA_STREAM", "MC_BASELINE_STREAM"]
+
+# First subkey of the per-sample streams of each command that draws model
+# inputs, so that ``gen-data`` and ``mc-baseline`` given the same seed never
+# draw the same inputs: sample i is ``rng_for(seed, <command's stream>, i)``.
+GEN_DATA_STREAM = 1
+MC_BASELINE_STREAM = 2
 
 
 def rng_for(seed: int, *subkeys: int) -> np.random.Generator:

@@ -22,7 +22,7 @@ import scipy.linalg
 from .kernels import gram, chol_psd, SingularMatrixError
 from .random_field import Grid2D, KLExpansion, permeability
 from .deepgp import DeepGPModel, predict_layer1, _layer_pred_cache
-from .rng import rng_for
+from .rng import rng_for, MC_BASELINE_STREAM
 
 __all__ = [
     "InputDistribution",
@@ -277,7 +277,8 @@ def mc_baseline(simulator, dist: InputDistribution, N: int, seed: int,
 
     ``simulator`` maps one permeability row to one output row.  Returns
     ``(mean, variance, pdfs)`` with the population-form variance and one
-    density estimate per requested location.
+    density estimate per requested location.  Sample ``i`` draws its inputs
+    from ``rng_for(seed, MC_BASELINE_STREAM, i)``.
     """
     if N < 2:
         raise ValueError("need at least two samples")
@@ -286,7 +287,7 @@ def mc_baseline(simulator, dist: InputDistribution, N: int, seed: int,
     sum_sq = None
     collected = [np.empty(N) for _ in pdf_cols]
     for i in range(N):
-        rng = rng_for(seed, i)
+        rng = rng_for(seed, MC_BASELINE_STREAM, i)
         xi = np.clip(rng.uniform(size=dist.k_xi), 1e-15, 1.0 - 1e-15)
         K = permeability(dist.kle, xi)
         try:

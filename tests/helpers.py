@@ -4,6 +4,7 @@ import numpy as np
 import scipy.linalg
 
 from dgpuq.kernels import gram
+from dgpuq.random_field import KLExpansion
 
 
 def central_diff(fun, x, eps=1e-5):
@@ -253,3 +254,33 @@ def loop_first_latent_grads(input_layer, X, C, cols, d_M1, d_s1):
     return {"log_tau0": g_log_tau, "log_b": g_log_b,
             "log_noise": g_log_noise, "mu_bar": d_mu_bar,
             "log_lam": d_log_lam}
+
+
+def dense_cov_matrix(centers, spec):
+    """Dense exponential covariance between every pair of cell centers."""
+    lam = np.asarray(spec.lambdas, dtype=float)
+    dx = np.abs(centers[:, None, 0] - centers[None, :, 0]) / lam[0]
+    dy = np.abs(centers[:, None, 1] - centers[None, :, 1]) / lam[1]
+    return spec.s_g_sq * np.exp(-(dx + dy))
+
+
+def dense_kle_decompose(grid, spec, k_xi):
+    """KL basis from a dense eigh of the n_cells x n_cells weighted covariance.
+
+    Small-grid oracle for ``random_field.kle_decompose``: the order inside a
+    tied eigenspace is LAPACK's, and each mode's largest-magnitude entry is
+    made positive.
+    """
+    C = dense_cov_matrix(grid.cell_centers(), spec)
+    area = grid.cell_area
+    vals, vecs = np.linalg.eigh(area * C)
+    order = np.argsort(vals)[::-1][:k_xi]
+    vals = np.clip(vals[order], 0.0, None)
+    vecs = vecs[:, order]
+    for k in range(k_xi):
+        j = np.argmax(np.abs(vecs[:, k]))
+        if vecs[j, k] < 0:
+            vecs[:, k] = -vecs[:, k]
+    fields = (np.sqrt(vals)[:, None] * vecs.T) / np.sqrt(area)
+    return KLExpansion(eigenvalues=vals, eigenfields=fields, mean=spec.mean,
+                       grid=grid, spec=spec)

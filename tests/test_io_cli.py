@@ -11,7 +11,7 @@ import pytest
 import dgpuq
 from dgpuq import io
 from dgpuq.deepgp import train_deep, predict
-from dgpuq.rng import rng_for
+from dgpuq.rng import rng_for, MC_BASELINE_STREAM
 
 
 def cli_env(**overrides):
@@ -154,6 +154,27 @@ class TestCli:
         for name in ("K.dgpm", "p.dgpm", "ux.dgpm", "uy.dgpm"):
             assert file_hash(a / name) == file_hash(b / name)
 
+    def test_gen_data_on_a_grid_that_solves_by_cg(self, tmp_path):
+        t0 = time.time()
+        res = run_cli("gen-data", "--n", "1", "--grid", "160", "--out-grid",
+                      "32", "--kle", "50", "--out", str(tmp_path / "fine"))
+        assert res.returncode == 0, res.stderr
+        assert time.time() - t0 < 10.0  # desk-scale smoke budget
+        assert io.read_matrix(tmp_path / "fine" / "p.dgpm").shape == (1, 1024)
+
+    def test_gen_data_and_mc_baseline_draw_different_inputs(self, tmp_path):
+        from dgpuq.uq import InputDistribution, mc_baseline
+        res = run_cli("gen-data", "--n", "1", "--grid", "16", "--out-grid",
+                      "8", "--kle", "10", "--seed", "0", "--out",
+                      str(tmp_path / "d"))
+        assert res.returncode == 0, res.stderr
+        info = io.load_kle_from_manifest(tmp_path / "d" / "manifest.json")
+        drawn = []
+        mc_baseline(lambda K: drawn.append(K) or K[:1],
+                    InputDistribution(kle=info["kle"]), N=2, seed=0)
+        K0 = io.read_matrix(tmp_path / "d" / "K.dgpm")[0]
+        assert not np.allclose(drawn[0], K0)
+
     def test_invalid_grid_combo_exits_2(self, tmp_path):
         res = run_cli("gen-data", "--n", "2", "--grid", "16", "--out-grid",
                       "7", "--out", str(tmp_path / "x"))
@@ -236,7 +257,7 @@ class TestCli:
         grid, og = info["grid"], info["out_grid"]
         acc = np.zeros(og.n_cells)
         for i in range(30):
-            rng = rng_for(9, i)
+            rng = rng_for(9, MC_BASELINE_STREAM, i)
             xi = np.clip(rng.uniform(size=info["kle"].k_xi), 1e-15, 1 - 1e-15)
             sol = solve(grid, permeability(info["kle"], xi), info["source"])
             acc += restrict(sol.pressure, grid.nx, grid.ny, og.nx, og.ny)
@@ -264,6 +285,26 @@ class TestCli:
         if not counts:
             pytest.skip("no OpenBLAS loaded; nothing to read the count from")
         assert counts == [1] * len(counts), res.stdout
+
+    @pytest.mark.parametrize("code, preset, warns", [
+        ("import numpy, dgpuq", False, True),
+        ("import dgpuq, numpy", False, False),
+        ("import numpy, dgpuq", True, False),
+    ], ids=["numpy_first", "dgpuq_first", "numpy_first_vars_preset"])
+    def test_dgp_threads_warns_when_it_cannot_take_effect(self, code, preset,
+                                                          warns):
+        env = cli_env(DGP_THREADS="1")
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+            if preset:
+                env[var] = "1"
+            else:
+                env.pop(var, None)
+        res = subprocess.run([sys.executable, "-W", "always", "-c", code],
+                             capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        assert ("RuntimeWarning" in res.stderr) == warns, res.stderr
+        assert ("DGP_THREADS" in res.stderr) == warns, res.stderr
 
 
 # imports the CLI module, then asks every loaded OpenBLAS for its own count

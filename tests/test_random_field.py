@@ -4,9 +4,9 @@ import pytest
 from dgpuq.random_field import (Grid2D, ExpCovSpec, kle_decompose,
                                 sample_log_field, permeability, exp_cov,
                                 std_normal_inv_cdf, std_normal_cdf,
-                                _cov_matrix)
+                                _axis_modes)
 from dgpuq.kernels import DimensionMismatchError
-from helpers import phi_inv_bisect
+from helpers import phi_inv_bisect, dense_cov_matrix, dense_kle_decompose
 
 # frozen from the scalar oracle: exp(-2)
 EXP_MINUS_TWO = 0.1353352832366127
@@ -35,7 +35,7 @@ class TestKleDecompose:
         grid = Grid2D(8, 8)
         kle = kle_decompose(grid, PAPER_COV, grid.n_cells)
         # oracle: weighted trace of the dense covariance matrix
-        C = _cov_matrix(grid.cell_centers(), PAPER_COV)
+        C = dense_cov_matrix(grid.cell_centers(), PAPER_COV)
         trace = grid.cell_area * np.trace(C)
         assert abs(kle.eigenvalues.sum() - trace) / trace < 1e-8
 
@@ -48,7 +48,7 @@ class TestKleDecompose:
         grid = Grid2D(8, 8)
         k_xi = 20
         kle = kle_decompose(grid, PAPER_COV, k_xi)
-        C = _cov_matrix(grid.cell_centers(), PAPER_COV)
+        C = dense_cov_matrix(grid.cell_centers(), PAPER_COV)
         recon_diag = np.sum(kle.eigenfields ** 2, axis=0)
         assert np.all(recon_diag <= np.diag(C) + 1e-8)
         full = kle_decompose(grid, PAPER_COV, grid.n_cells)
@@ -65,6 +65,88 @@ class TestKleDecompose:
     def test_k_too_large_rejected(self):
         with pytest.raises(ValueError):
             kle_decompose(Grid2D(4, 4), PAPER_COV, 17)
+
+
+ORACLE_CASES = {
+    "square": (Grid2D(8, 8), PAPER_COV),
+    "anisotropic": (Grid2D(12, 20), ExpCovSpec(s_g_sq=1.0, lambdas=(0.1, 0.3))),
+}
+
+
+def _sign_changes(v):
+    return int(np.sum(np.diff(np.sign(v)) != 0))
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+class TestKleAgainstDenseOracle:
+    def test_full_spectrum_eigenvalues(self, case):
+        grid, spec = ORACLE_CASES[case]
+        kle = kle_decompose(grid, spec, grid.n_cells)
+        dense = dense_kle_decompose(grid, spec, grid.n_cells)
+        rel = np.abs(kle.eigenvalues - dense.eigenvalues) / dense.eigenvalues
+        assert rel.max() <= 1e-12
+
+    def test_truncated_covariance_wherever_no_tie_is_cut(self, case):
+        grid, spec = ORACLE_CASES[case]
+        dense = dense_kle_decompose(grid, spec, grid.n_cells)
+        vals = dense.eigenvalues
+        checked = 0
+        for k in range(1, grid.n_cells + 1):
+            if k < grid.n_cells and vals[k - 1] - vals[k] <= 1e-10 * vals[0]:
+                continue
+            E = kle_decompose(grid, spec, k).eigenfields
+            Ed = dense.eigenfields[:k]
+            assert np.abs(E.T @ E - Ed.T @ Ed).max() <= 1e-12 * spec.s_g_sq
+            checked += 1
+        assert checked >= grid.n_cells // 2
+
+    def test_eigenfields_orthogonal_under_area_weighting(self, case):
+        grid, spec = ORACLE_CASES[case]
+        kle = kle_decompose(grid, spec, grid.n_cells)
+        gram = grid.cell_area * kle.eigenfields @ kle.eigenfields.T
+        err = np.abs(gram - np.diag(kle.eigenvalues)).max()
+        assert err <= 1e-12 * kle.eigenvalues[0]
+
+
+class TestKleTieBreakAndSign:
+    def test_cut_tie_keeps_the_lower_y_mode(self):
+        grid = Grid2D(8, 8)
+        dense = dense_kle_decompose(grid, PAPER_COV, grid.n_cells)
+        vals = dense.eigenvalues
+        k = next(k for k in range(1, grid.n_cells)
+                 if vals[k - 1] - vals[k] <= 1e-12 * vals[0])
+        kept = kle_decompose(grid, PAPER_COV, k).eigenfields[-1]
+        # the kept field lies in the dense tied eigenspace ...
+        tied = dense.eigenfields[np.abs(vals - vals[k - 1]) <= 1e-12 * vals[0]]
+        basis = np.linalg.qr(tied.T)[0]
+        assert np.linalg.norm(kept - basis @ (basis.T @ kept)) \
+            <= 1e-10 * np.linalg.norm(kept)
+        # ... and is a product whose y-factor is the smoother 1-D mode
+        u, s, vt = np.linalg.svd(grid.to_2d(kept))
+        assert s[1] <= 1e-10 * s[0]
+        assert _sign_changes(u[:, 0]) < _sign_changes(vt[0])
+
+    def test_cli_default_cut_at_64(self):
+        # k = 50 at 64^2 cuts the exactly tied pair of eigenvalues 50 and 51
+        grid = Grid2D(64, 64)
+        kle = kle_decompose(grid, PAPER_COV, 51)
+        assert kle.eigenvalues[49] == kle.eigenvalues[50]
+        kept = kle_decompose(grid, PAPER_COV, 50).eigenfields[-1]
+        np.testing.assert_array_equal(kept, kle.eigenfields[49])
+        u, s, vt = np.linalg.svd(grid.to_2d(kept))
+        assert _sign_changes(u[:, 0]) < _sign_changes(vt[0])
+        np.testing.assert_allclose(grid.to_2d(kle.eigenfields[50]),
+                                   grid.to_2d(kept).T, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 20, 64, 160])
+    def test_first_entry_of_every_axis_mode_is_positive_and_clear(self, n):
+        # the sign rule is well defined: no first entry is near zero
+        _, vecs = _axis_modes(n, 0.1)
+        assert np.all(vecs[0] >= 0.01 * np.abs(vecs).max(axis=0))
+
+    def test_every_eigenfield_positive_at_the_first_cell(self):
+        kle = kle_decompose(*ORACLE_CASES["anisotropic"], 240)
+        assert np.all(kle.eigenfields[:, 0] > 0)
 
 
 @pytest.fixture(scope="module")

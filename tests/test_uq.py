@@ -6,7 +6,7 @@ from dgpuq.deepgp import train_deep, predict
 from dgpuq.uq import (InputDistribution, sample_inputs, propagate_realization,
                       mean_estimate, var_estimate, uq_report, mc_baseline,
                       kde_curve)
-from dgpuq.rng import rng_for
+from dgpuq.rng import rng_for, MC_BASELINE_STREAM
 
 PAPER_COV = ExpCovSpec(s_g_sq=1.0, lambdas=(0.1, 0.1), mean=0.0)
 
@@ -201,7 +201,7 @@ class TestMcBaseline:
         mean, var, _ = mc_baseline(sim, dist8, N=N, seed=4)
         rows = []
         for i in range(N):
-            rng = rng_for(4, i)
+            rng = rng_for(4, MC_BASELINE_STREAM, i)
             xi = np.clip(rng.uniform(size=dist8.k_xi), 1e-15, 1 - 1e-15)
             from dgpuq.random_field import permeability
             rows.append(sim(permeability(dist8.kle, xi)))
