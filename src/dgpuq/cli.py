@@ -192,6 +192,10 @@ def cmd_uq(args):
     out_grid = Grid2D(*out_grid_dims)
     if out_grid.n_cells != model.Y.shape[1]:
         _fail_usage("model output dimension does not match the output grid")
+    n_cells = info["kle"].grid.n_cells
+    if n_cells != model.X.shape[1]:
+        _fail_usage(f"KLE manifest fields have {n_cells} cells, model expects "
+                    f"{model.X.shape[1]} input columns")
     pdf_at = _parse_locations(args.pdf_at) if args.pdf_at else None
     report = uq_report(model, InputDistribution(kle=info["kle"]),
                        n_prime=args.inner, n_repeats=args.repeats,

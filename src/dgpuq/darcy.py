@@ -5,7 +5,10 @@ averaging of the permeability at faces (the lowest-order mixed formulation
 on rectangles reduces to this scheme).  No-flux boundary conditions are
 natural: boundary faces simply carry zero flux.  The pure-Neumann system is
 regularized by pinning one pressure degree of freedom and the solution is
-shifted to zero area-weighted mean afterwards.
+shifted to zero area-weighted mean afterwards.  The reduced system is
+symmetric positive definite and is factored directly with ``splu`` at every
+grid size: on lognormal fields it was faster than Jacobi-preconditioned
+conjugate gradients at every grid measured, up to 320 x 320.
 """
 
 from __future__ import annotations
@@ -19,10 +22,6 @@ import scipy.sparse.linalg as spla
 from .random_field import Grid2D
 
 __all__ = ["SourceSpec", "DarcySolution", "source_term", "solve", "restrict"]
-
-# above this many cells, switch from direct factorization to conjugate gradients
-_DIRECT_SOLVE_LIMIT = 128 * 128
-_CG_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -113,6 +112,9 @@ def solve(grid: Grid2D, K, source=None) -> DarcySolution:
     Returns
     -------
     DarcySolution with cell-center pressure and velocities.
+
+    The pinned, reduced TPFA system is solved by sparse LU (``splu`` with
+    the ``MMD_AT_PLUS_A`` ordering) on every grid.
     """
     K = np.asarray(K, dtype=float).ravel()
     if K.shape[0] != grid.n_cells:
@@ -156,15 +158,8 @@ def solve(grid: Grid2D, K, source=None) -> DarcySolution:
     A_red = A[1:, 1:].tocsc()
     b_red = b[1:]
     p = np.zeros(grid.n_cells)
-    if grid.n_cells <= _DIRECT_SOLVE_LIMIT:
-        # the reduced matrix is SPD, so a symmetric fill-reducing ordering fits
-        p[1:] = spla.splu(A_red, permc_spec="MMD_AT_PLUS_A").solve(b_red)
-    else:
-        M = sp.diags(1.0 / A_red.diagonal())
-        x, info = spla.cg(A_red, b_red, rtol=_CG_TOL, atol=0.0, M=M, maxiter=20000)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"CG failed to converge (info={info})")
-        p[1:] = x
+    # the reduced matrix is SPD, so a symmetric fill-reducing ordering fits
+    p[1:] = spla.splu(A_red, permc_spec="MMD_AT_PLUS_A").solve(b_red)
 
     p -= np.mean(p)  # uniform cells: area-weighted mean == arithmetic mean
 

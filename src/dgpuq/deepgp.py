@@ -444,17 +444,18 @@ def predict_layer1(model: DeepGPModel, Xstar):
 
     The cached :class:`gp.GPModel` has targets M1 = C mu_bar (the first
     latent's means) and mean weights C^-1 M1 = mu_bar exactly, whatever
-    jitter the factorization of C needed.
+    jitter the factorization of C needed.  It keeps the training rows'
+    weighted norms (n values), not the scaled n x kappa inputs.
     """
     key = "layer1"
     if key not in model._pred_cache:
         il = model.input_layer
-        _, C = _input_cov(il, model.X)
-        L_C, _ = chol_psd(C)
+        Kx, norms = gram(model.X, model.X, il.kernel, return_norms=True)
+        L_C, _ = chol_psd(Kx + il.noise_var * np.eye(model.X.shape[0]))
         model._pred_cache[key] = gp_mod.GPModel(
             kernel=il.kernel, noise_var=il.noise_var, train_x=model.X,
             train_y=model.hidden_layers[0].latent.means, chol_cache=L_C,
-            alpha=il.mu_bar)
+            alpha=il.mu_bar, train_norms=norms)
     return gp_mod.predict(model._pred_cache[key], Xstar)
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .kernels import (ARDParams, RBFParams, gram, chol_psd, pairwise_sqdist,
-                      DimensionMismatchError)
+from .kernels import (ARDParams, RBFParams, gram, predictive_grams, chol_psd,
+                      pairwise_sqdist, DimensionMismatchError)
 from .optimize import ascend
 
 __all__ = ["GPModel", "build_model", "log_marginal", "log_marginal_grad", "fit", "predict"]
@@ -24,7 +24,12 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 @dataclass
 class GPModel:
-    """Exact-GP state: the Cholesky factor of K + noise*I and the mean weights."""
+    """Exact-GP state: the Cholesky factor of K + noise*I and the mean weights.
+
+    ``train_norms`` are the training rows' weighted norms sum_k w_k x_ik^2
+    from the pass that formed K, so that prediction scales only the test
+    inputs.
+    """
 
     kernel: ARDParams
     noise_var: float
@@ -32,25 +37,33 @@ class GPModel:
     train_y: np.ndarray   # (n, nu)
     chol_cache: np.ndarray  # lower factor of gram(X, X) + noise_var * I
     alpha: np.ndarray     # (n, nu) mean weights; the predictive mean is Ks^T alpha
+    train_norms: np.ndarray  # (n,) weighted row norms of train_x
 
     @property
     def n(self):
         return self.train_x.shape[0]
 
 
-def build_model(kernel: ARDParams, noise_var: float, X, Y) -> GPModel:
-    """Assemble a model, its factorization and alpha = (K + noise*I)^-1 Y."""
+def _build(kernel: ARDParams, noise_var: float, X, Y):
+    """:func:`build_model` that also returns the Gram matrix it formed."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if Y.shape[0] != X.shape[0]:
         raise DimensionMismatchError("training rows", X.shape[0], Y.shape[0])
     if not noise_var > 0:
         raise ValueError("noise_var must be positive")
-    Kn = gram(X, X, kernel) + noise_var * np.eye(X.shape[0])
-    L, _ = chol_psd(Kn)
-    return GPModel(kernel=kernel, noise_var=float(noise_var),
-                   train_x=X, train_y=Y, chol_cache=L,
-                   alpha=scipy.linalg.cho_solve((L, True), Y))
+    K, norms = gram(X, X, kernel, return_norms=True)
+    L, _ = chol_psd(K + noise_var * np.eye(X.shape[0]))
+    model = GPModel(kernel=kernel, noise_var=float(noise_var),
+                    train_x=X, train_y=Y, chol_cache=L,
+                    alpha=scipy.linalg.cho_solve((L, True), Y),
+                    train_norms=norms)
+    return model, K
+
+
+def build_model(kernel: ARDParams, noise_var: float, X, Y) -> GPModel:
+    """Assemble a model, its factorization and alpha = (K + noise*I)^-1 Y."""
+    return _build(kernel, noise_var, X, Y)[0]
 
 
 def log_marginal(model: GPModel) -> float:
@@ -80,16 +93,18 @@ def _hyper_grads(X, K, G, kernel: ARDParams, noise_var):
     return g_log_sigma, g_log_w, g_log_noise
 
 
-def log_marginal_grad(model: GPModel):
+def log_marginal_grad(model: GPModel, K=None):
     """Gradient of the log marginal w.r.t. (log tau0_sq, log b, log noise_var).
 
-    dL/dC = W / 2 with W = sum_j alpha_j alpha_j^T - nu * Kinv.
+    dL/dC = W / 2 with W = sum_j alpha_j alpha_j^T - nu * Kinv.  ``K`` is
+    the model's noise-free Gram matrix, formed here when not given.
     """
     X, L, alpha = model.train_x, model.chol_cache, model.alpha
     n, nu = alpha.shape
     Kinv = scipy.linalg.cho_solve((L, True), np.eye(n))
     W = alpha @ alpha.T - nu * Kinv
-    K = gram(X, X, model.kernel)
+    if K is None:
+        K = gram(X, X, model.kernel)
     return _hyper_grads(X, K, 0.5 * W, model.kernel, model.noise_var)
 
 
@@ -138,11 +153,11 @@ def fit(X, Y, init: ARDParams = None, noise_var=None, iters=100,
 
     def value_and_grad(theta, need_grad=True):
         try:
-            model = build_model(*_unpack_theta(theta), X, Y)
+            model, K = _build(*_unpack_theta(theta), X, Y)
             f = log_marginal(model)
             if not need_grad:
                 return f, None
-            gt, gb, gn = log_marginal_grad(model)
+            gt, gb, gn = log_marginal_grad(model, K)
         except (np.linalg.LinAlgError, FloatingPointError, ValueError):
             return -np.inf, None
         return f, np.concatenate([[gt], gb, [gn]])
@@ -159,13 +174,17 @@ def predict(model: GPModel, Xstar):
 
     The mean is Ks^T alpha; the covariance is solved through the cached
     Cholesky factor, shared by all output columns and symmetrized on return.
+    Both Gram matrices come from one scaling of Xstar and the cached
+    training norms (:func:`kernels.predictive_grams`): Kss is bit-identical
+    to ``gram(Xstar, Xstar)``, while Ks, and so the mean and covariance,
+    differ from ``gram(train_x, Xstar)`` in the last bits only.
     """
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
     if Xstar.shape[1] != model.train_x.shape[1]:
         raise DimensionMismatchError("predict columns",
                                      model.train_x.shape[1], Xstar.shape[1])
-    Ks = gram(model.train_x, Xstar, model.kernel)   # (n, n*)
-    Kss = gram(Xstar, Xstar, model.kernel)
+    Ks, Kss = predictive_grams(model.train_x, model.train_norms, Xstar,
+                               model.kernel)   # (n, n*), (n*, n*)
     mean = Ks.T @ model.alpha
     v = scipy.linalg.solve_triangular(model.chol_cache, Ks, lower=True)
     cov = Kss - v.T @ v

@@ -11,6 +11,13 @@ input layer's form ``tau0_sq * exp(-(x - x')^T B (x - x'))`` with diagonal
 it from ``(tau0_sq, b)``.  Scaling by 2 and by 1/2 is exact, so both
 parameterizations give bit-identical Gram matrices.
 
+Squared distances use the expanded form ``a_i + b_j - 2 (A w) B^T`` with the
+weighted row norms ``a_i = sum_k w_k A_ik^2``.  Each operand is scaled and
+reduced once: a self-Gram ``gram(X, X)`` reuses its row norms for both
+sides and can hand them to its caller (``return_norms``), and
+:func:`predictive_grams` takes a fixed training set's norms as given, so
+prediction scales only the test rows.
+
 All arrays are dense row-major float64.
 """
 
@@ -27,6 +34,7 @@ __all__ = [
     "ARDParams",
     "ard_eval",
     "gram",
+    "predictive_grams",
     "chol_psd",
     "pairwise_sqdist",
 ]
@@ -90,36 +98,97 @@ def ard_eval(h1, h2, p: ARDParams) -> float:
     return float(p.sigma_h_sq * np.exp(-0.5 * np.dot(d * p.weights, d)))
 
 
-def pairwise_sqdist(A, B, scale) -> np.ndarray:
-    """Weighted pairwise squared distances sum_k scale_k (A_ik - B_jk)^2.
+def _same_rows(A, B) -> bool:
+    """Whether A and B are views of the same data with the same layout."""
+    return A is B or (A.shape == B.shape and A.strides == B.strides
+                      and A.__array_interface__["data"][0]
+                      == B.__array_interface__["data"][0])
 
-    Computed via the expanded form for speed; clipped at zero to guard
-    against cancellation.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
+
+def _weighted(A, scale):
+    """``A * scale`` and the weighted row norms sum_k scale_k A_ik^2."""
     As = A * scale
-    aa = np.sum(As * A, axis=1)[:, None]
-    bb = np.sum((B * scale) * B, axis=1)[None, :]
-    sq = aa + bb - 2.0 * As @ B.T
+    return As, np.sum(As * A, axis=1)
+
+
+def _expanded_sqdist(aa, bb, cross):
+    """``aa_i + bb_j - 2 cross_ij``, clipped at zero against cancellation."""
+    sq = aa[:, None] + bb[None, :] - 2.0 * cross
     np.maximum(sq, 0.0, out=sq)
     return sq
 
 
-def gram(A, B, kernel: ARDParams) -> np.ndarray:
-    """Assemble the Gram matrix with entry (i, j) = k(A[i], B[j])."""
+def _sqdist_and_norms(A, B, scale, same):
+    """Expanded-form distances and A's weighted row norms, which serve as
+    B's when ``same``."""
+    As, aa = _weighted(A, scale)
+    bb = aa if same else _weighted(B, scale)[1]
+    return _expanded_sqdist(aa, bb, As @ B.T), aa
+
+
+def _symmetrized(sq):
+    # the expanded-form distances carry asymmetric roundoff; make the
+    # self-Gram exactly symmetric with unit diagonal distance zero
+    sq = 0.5 * (sq + sq.T)
+    np.fill_diagonal(sq, 0.0)
+    return sq
+
+
+def pairwise_sqdist(A, B, scale) -> np.ndarray:
+    """Weighted pairwise squared distances sum_k scale_k (A_ik - B_jk)^2.
+
+    Computed via the expanded form for speed; clipped at zero to guard
+    against cancellation.  When B is A the row norms are formed once.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    return _sqdist_and_norms(A, B, scale, _same_rows(A, B))[0]
+
+
+def gram(A, B, kernel: ARDParams, return_norms=False):
+    """Assemble the Gram matrix with entry (i, j) = k(A[i], B[j]).
+
+    A self-Gram (B the same array as A) is exactly symmetric with diagonal
+    ``sigma_h_sq``, and scales and reduces its operand once.  With
+    ``return_norms`` it returns ``(K, norms)``, the weighted row norms
+    sum_k w_k A_ik^2 of that pass, for :func:`predictive_grams`; that is
+    only defined for a self-Gram.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[1] != B.shape[1]:
         raise DimensionMismatchError("gram column counts", A.shape[1], B.shape[1])
     _check_len("gram vs kernel dim", A, kernel.dim)
-    # the expanded-form distances carry asymmetric roundoff; make the
-    # self-Gram exactly symmetric with unit diagonal distance zero
-    sq = pairwise_sqdist(A, B, kernel.weights)
-    if A.shape == B.shape and np.shares_memory(A, B):
-        sq = 0.5 * (sq + sq.T)
-        np.fill_diagonal(sq, 0.0)
-    return kernel.sigma_h_sq * np.exp(-0.5 * sq)
+    same = _same_rows(A, B)
+    if return_norms and not same:
+        raise ValueError("gram returns row norms only for a self-Gram")
+    sq, aa = _sqdist_and_norms(A, B, kernel.weights, same)
+    if same:
+        sq = _symmetrized(sq)
+    K = kernel.sigma_h_sq * np.exp(-0.5 * sq)
+    return (K, aa) if return_norms else K
+
+
+def predictive_grams(X, x_norms, Xstar, kernel: ARDParams):
+    """``(gram(X, Xstar), gram(Xstar, Xstar))`` with Xstar scaled once.
+
+    ``x_norms`` are the weighted row norms of the fixed rows X, as returned
+    by ``gram(X, X, kernel, return_norms=True)``.  The cross-Gram is one
+    product of the unscaled X with ``Xstar * w``, so it differs from
+    ``gram(X, Xstar)`` only in the association of x_ik w_k x*_jk, by last
+    bits; the test self-Gram is bit-identical to ``gram(Xstar, Xstar)``.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
+    if X.shape[1] != Xstar.shape[1]:
+        raise DimensionMismatchError("predictive_grams column counts",
+                                     X.shape[1], Xstar.shape[1])
+    _check_len("predictive_grams vs kernel dim", X, kernel.dim)
+    Xs_w, ss = _weighted(Xstar, kernel.weights)
+    Ks = kernel.sigma_h_sq * np.exp(
+        -0.5 * _expanded_sqdist(x_norms, ss, X @ Xs_w.T))
+    sq = _symmetrized(_expanded_sqdist(ss, ss, Xs_w @ Xstar.T))
+    return Ks, kernel.sigma_h_sq * np.exp(-0.5 * sq)
 
 
 def chol_psd(M, base_jitter=None):

@@ -172,11 +172,24 @@ def kle_decompose(grid: Grid2D, spec: ExpCovSpec, k_xi: int) -> KLExpansion:
                        grid=grid, spec=spec)
 
 
+def _coefficient_rows(name, kle: KLExpansion, c) -> np.ndarray:
+    """Coefficients as one flat vector, or as a 2-D block of rows."""
+    c = np.asarray(c, dtype=float)
+    if c.ndim != 2:
+        c = c.ravel()
+    if c.shape[-1] != kle.k_xi:
+        raise DimensionMismatchError(name, kle.k_xi, c.shape[-1])
+    return c
+
+
 def sample_log_field(kle: KLExpansion, w) -> np.ndarray:
-    """Evaluate mean + sum_k w_k psi_k at every cell center."""
-    w = np.asarray(w, dtype=float).ravel()
-    if w.shape[0] != kle.k_xi:
-        raise DimensionMismatchError("sample_log_field coefficients", kle.k_xi, w.shape[0])
+    """Evaluate mean + sum_k w_k psi_k at every cell center.
+
+    ``w`` is one coefficient vector, giving one flat field, or a 2-D block
+    with one coefficient vector per row, giving one field per row from a
+    single matrix product.
+    """
+    w = _coefficient_rows("sample_log_field coefficients", kle, w)
     return kle.mean + w @ kle.eigenfields
 
 
@@ -195,9 +208,11 @@ def std_normal_inv_cdf(u):
 
 
 def permeability(kle: KLExpansion, xi) -> np.ndarray:
-    """Permeability field exp{mean + sum_k PhiInv(xi_k) psi_k}, xi in (0,1)^k."""
-    xi = np.asarray(xi, dtype=float).ravel()
-    if xi.shape[0] != kle.k_xi:
-        raise DimensionMismatchError("permeability coefficients", kle.k_xi, xi.shape[0])
+    """Permeability field exp{mean + sum_k PhiInv(xi_k) psi_k}, xi in (0,1)^k.
+
+    A 2-D ``xi`` holds one coefficient vector per row and returns one field
+    per row, from one inverse CDF, one matrix product and one ``exp``.
+    """
+    xi = _coefficient_rows("permeability coefficients", kle, xi)
     w = std_normal_inv_cdf(xi)
     return np.exp(sample_log_field(kle, w))

@@ -80,13 +80,18 @@ class UQReport:
 
 
 def sample_inputs(dist: InputDistribution, n_prime: int, seed: int) -> np.ndarray:
-    """Draw permeability-field realizations, one per row."""
+    """Draw permeability-field realizations, one per row.
+
+    All rows come from one block call of :func:`permeability`: one inverse
+    normal CDF over the (n_prime, k_xi) uniforms, one matrix product with
+    the eigenfields and one ``exp``.
+    """
     if n_prime < 2:
         raise ValueError("need at least two input samples")
     rng = rng_for(seed)
     xi = rng.uniform(size=(n_prime, dist.k_xi))
     np.clip(xi, 1e-15, 1.0 - 1e-15, out=xi)
-    return np.vstack([permeability(dist.kle, row) for row in xi])
+    return permeability(dist.kle, xi)
 
 
 def _draw_gaussian(mean, cov, rng):

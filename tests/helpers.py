@@ -3,7 +3,7 @@
 import numpy as np
 import scipy.linalg
 
-from dgpuq.kernels import gram
+from dgpuq.kernels import ARDParams, gram
 from dgpuq.random_field import KLExpansion
 
 
@@ -52,6 +52,60 @@ def dense_gp_predict(K, Ks, Kss, noise_var, Y):
     mean = Ks.T @ Cinv @ Y
     cov = Kss - Ks.T @ Cinv @ Ks
     return mean, cov
+
+
+def ard_case(rng, kappa, spread):
+    """An ARD kernel and per-column input scales for the Gram oracles.
+
+    ``spread`` puts the weights on 1e-6..1e2 and scales column k by
+    1/sqrt(w_k kappa), so that every dimension adds O(1/kappa) to a
+    distance; otherwise the weights are O(1/kappa) on unit columns.
+    """
+    if spread:
+        w = np.logspace(-6.0, 2.0, kappa)
+        cols = 1.0 / np.sqrt(w * kappa)
+    else:
+        w = rng.uniform(0.2, 1.5, kappa) / kappa
+        cols = np.ones(kappa)
+    return ARDParams(sigma_h_sq=rng.uniform(0.5, 2.0), weights=w), cols
+
+
+def two_pass_sqdist(A, B, scale):
+    """Expanded-form weighted squared distances, each side's norms formed apart."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    As = A * scale
+    aa = np.sum(As * A, axis=1)[:, None]
+    bb = np.sum((B * scale) * B, axis=1)[None, :]
+    sq = aa + bb - 2.0 * As @ B.T
+    np.maximum(sq, 0.0, out=sq)
+    return sq
+
+
+def two_pass_gram(A, B, kernel):
+    """Gram matrix from :func:`two_pass_sqdist`, symmetrized when B is A."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    sq = two_pass_sqdist(A, B, kernel.weights)
+    if A.shape == B.shape and np.shares_memory(A, B):
+        sq = 0.5 * (sq + sq.T)
+        np.fill_diagonal(sq, 0.0)
+    return kernel.sigma_h_sq * np.exp(-0.5 * sq)
+
+
+def two_gram_predict(model, Xstar):
+    """Exact-GP predictive moments from gram(X, X*) and gram(X*, X*).
+
+    Each Gram matrix scales both of its operands, the training inputs
+    included; the covariance is solved through the model's Cholesky factor.
+    """
+    Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
+    Ks = two_pass_gram(model.train_x, Xstar, model.kernel)
+    Kss = two_pass_gram(Xstar, Xstar, model.kernel)
+    mean = Ks.T @ model.alpha
+    v = scipy.linalg.solve_triangular(model.chol_cache, Ks, lower=True)
+    cov = Kss - v.T @ v
+    return mean, 0.5 * (cov + cov.T)
 
 
 def erf_series(x, terms=80):

@@ -11,7 +11,7 @@ from dgpuq.deepgp import (DeepGPModel, InputLayer, elbo, elbo_grad_vector,
                           _input_cov, _first_latent_forward, _first_latent_grads)
 from dgpuq.rng import rng_for
 from helpers import (mc_phi_oracle, loop_phi_forward, loop_first_latent_forward,
-                     loop_first_latent_grads)
+                     loop_first_latent_grads, two_gram_predict)
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -219,6 +219,23 @@ class TestPredictLayer1:
         mean_b, cov_b = gp.predict(gpm, Xs)
         np.testing.assert_allclose(mean_a, mean_b, atol=1e-10)
         np.testing.assert_allclose(cov_a, cov_b, atol=1e-10)
+
+
+    def test_rebuilt_cache_reproduces_the_prediction(self):
+        model = tiny_model(seed=19)
+        Xs = np.random.default_rng(1).normal(size=(5, 2))
+        mean_a, cov_a = predict_layer1(model, Xs)
+        cached = model._pred_cache["layer1"]
+        # the cache keeps n weighted norms, not the scaled n x kappa inputs
+        assert cached.train_x is model.X
+        assert cached.train_norms.shape == (model.X.shape[0],)
+        mean_o, cov_o = two_gram_predict(cached, Xs)
+        assert rel_err(mean_a, mean_o) <= 1e-12
+        assert rel_err(cov_a, cov_o) <= 1e-12
+        model._pred_cache.clear()
+        mean_b, cov_b = predict_layer1(model, Xs)
+        np.testing.assert_array_equal(mean_a, mean_b)
+        np.testing.assert_array_equal(cov_a, cov_b)
 
 
 class TestPhiStatsAtTestPoints:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dgpuq import gp
 from dgpuq.kernels import RBFParams, gram, DimensionMismatchError
-from helpers import central_diff, dense_gp_logml, dense_gp_predict
+from helpers import (ard_case, central_diff, dense_gp_logml, dense_gp_predict,
+                     two_gram_predict)
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -153,3 +155,110 @@ class TestPredict:
         model = random_model(rng)
         with pytest.raises(DimensionMismatchError):
             gp.predict(model, np.zeros((2, 3)))
+
+    def test_column_check_comes_before_any_gram(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        model = random_model(rng)
+
+        def no_product(*args):
+            raise AssertionError("a Gram matrix was formed")
+
+        monkeypatch.setattr(gp, "predictive_grams", no_product)
+        with pytest.raises(DimensionMismatchError):
+            gp.predict(model, np.zeros((2, 3)))
+
+
+def weighted_model(rng, n, kappa, spread, offset=0.0):
+    """Model on rows from :func:`helpers.ard_case`, shifted by ``offset``."""
+    kern, cols = ard_case(rng, kappa, spread)
+    X = rng.normal(size=(n, kappa)) * cols + offset
+    return gp.build_model(kern, 0.05, X, rng.normal(size=(n, 3))), cols
+
+
+def rel_to_max(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+class TestPredictAgainstTwoGramOracle:
+    @pytest.mark.parametrize("n, kappa, n_star, spread",
+                             [(2, 1, 1, False), (30, 4, 7, False),
+                              (60, 50, 20, True), (120, 300, 40, True),
+                              (80, 200, 120, False)])
+    def test_matches_oracle(self, n, kappa, n_star, spread):
+        rng = np.random.default_rng(n + kappa + n_star)
+        model, cols = weighted_model(rng, n, kappa, spread)
+        Xs = rng.normal(size=(n_star, kappa)) * cols
+        mean, cov = gp.predict(model, Xs)
+        mean_or, cov_or = two_gram_predict(model, Xs)
+        assert rel_to_max(mean, mean_or) <= 1e-12
+        assert rel_to_max(cov, cov_or) <= 1e-12
+        np.testing.assert_array_equal(cov, cov.T)
+
+    @pytest.mark.parametrize("n, kappa, n_star", [(40, 8, 10), (50, 3, 5),
+                                                  (60, 20, 12)])
+    def test_offset_inputs_stay_within_expanded_form_rounding(self, n, kappa,
+                                                              n_star):
+        # at |x| ~ 1e3 the expanded form sum w (x^2 + x*^2 - 2 x x*) loses
+        # ~1e-9 relative whichever way x w x* is associated; bound both
+        # predictors' distance from direct differences by the summation
+        # error sigma^2 (kappa + 2) eps sum_k w_k (x_k^2 + x*_k^2), carried
+        # through the model's own factor to first order
+        rng = np.random.default_rng(kappa)
+        model, _ = weighted_model(rng, n, kappa, False, offset=1e3)
+        X, kern = model.train_x, model.kernel
+        Xs = rng.normal(size=(n_star, kappa)) + 1e3
+
+        def direct(A, B):
+            d = A[:, None, :] - B[None, :, :]
+            return kern.sigma_h_sq * np.exp(-0.5 * (d * d) @ kern.weights)
+
+        def rounding(A, B):
+            aa, bb = (A * A) @ kern.weights, (B * B) @ kern.weights
+            return (kern.sigma_h_sq * (kappa + 2) * np.finfo(float).eps
+                    * (aa[:, None] + bb[None, :]))
+
+        Linv = scipy.linalg.solve_triangular(model.chol_cache, np.eye(n),
+                                             lower=True)
+        Ks, Kss = direct(X, Xs), direct(Xs, Xs)
+        v = Linv @ Ks
+        mean_ref, cov_ref = Ks.T @ model.alpha, Kss - v.T @ v
+        B = rounding(X, Xs)
+        mean_tol = B.T @ np.abs(model.alpha)
+        cov_tol = rounding(Xs, Xs) + 2.0 * (np.abs(Linv) @ B).T @ np.abs(v)
+        for mean, cov in (gp.predict(model, Xs), two_gram_predict(model, Xs)):
+            assert np.all(np.abs(mean - mean_ref) <= mean_tol)
+            assert np.all(np.abs(cov - cov_ref) <= cov_tol)
+
+    def test_model_carries_the_self_gram_norms(self):
+        rng = np.random.default_rng(13)
+        model = random_model(rng, n=9, kappa=3)
+        _, norms = gram(model.train_x, model.train_x, model.kernel,
+                        return_norms=True)
+        np.testing.assert_array_equal(model.train_norms, norms)
+        assert model.train_norms.shape == (9,)
+
+
+class TestFitGramReuse:
+    def test_gradient_from_the_built_gram_is_bit_identical(self):
+        rng = np.random.default_rng(14)
+        X = rng.normal(size=(15, 3))
+        Y = rng.normal(size=(15, 2))
+        kern = RBFParams(tau0_sq=1.1, lengthscale_inv=rng.uniform(0.2, 1.5, 3))
+        model, K = gp._build(kern, 0.1, X, Y)
+        for a, b in zip(gp.log_marginal_grad(model, K),
+                        gp.log_marginal_grad(model)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_one_gram_per_evaluation(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        X = rng.normal(size=(12, 2))
+        Y = rng.normal(size=(12, 1))
+        calls = {"gram": 0, "chol_psd": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(gp, name), _n=name, **kwargs):
+                calls[_n] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(gp, name, counted)
+        gp.fit(X, Y, iters=8)
+        # every build factors one Gram; no gradient forms another
+        assert calls["gram"] == calls["chol_psd"] > 8

@@ -154,7 +154,7 @@ class TestCli:
         for name in ("K.dgpm", "p.dgpm", "ux.dgpm", "uy.dgpm"):
             assert file_hash(a / name) == file_hash(b / name)
 
-    def test_gen_data_on_a_grid_that_solves_by_cg(self, tmp_path):
+    def test_gen_data_on_a_160_by_160_grid(self, tmp_path):
         t0 = time.time()
         res = run_cli("gen-data", "--n", "1", "--grid", "160", "--out-grid",
                       "32", "--kle", "50", "--out", str(tmp_path / "fine"))
@@ -227,6 +227,26 @@ class TestCli:
                       str(tmp_path / "x.dgpm"), "--out", str(tmp_path / "p"))
         assert res.returncode == 2
         assert "input_layer.lam" in res.stderr
+
+    def test_uq_on_a_manifest_of_another_grid_exits_2(self, desk_dataset,
+                                                        tmp_path):
+        mdl = tmp_path / "mdl"
+        res = run_cli("train", "--data", str(desk_dataset), "--target", "p",
+                      "--layers", "1", "--dims", "2", "--inducing", "4",
+                      "--iters", "2", "--init-iters", "3", "--out", str(mdl))
+        assert res.returncode == 0, res.stderr
+        other = tmp_path / "other"
+        res = run_cli("gen-data", "--n", "1", "--grid", "32", "--out-grid",
+                      "8", "--kle", "10", "--out", str(other))
+        assert res.returncode == 0, res.stderr
+        res = run_cli("uq", "--model", str(mdl), "--kle-manifest",
+                      str(other / "manifest.json"), "--inner", "4",
+                      "--repeats", "2", "--out", str(tmp_path / "uq"))
+        assert res.returncode == 2
+        # named as a manifest/model mismatch, not as a failed realization
+        assert "KLE manifest" in res.stderr
+        assert "1024" in res.stderr and "256" in res.stderr
+        assert not (tmp_path / "uq").exists()
 
     def test_missing_dataset_exits_2(self, tmp_path):
         res = run_cli("train", "--data", str(tmp_path / "nope"),

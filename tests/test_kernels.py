@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgpuq.kernels import (RBFParams, ARDParams, ard_eval, gram,
-                           chol_psd, pairwise_sqdist, DimensionMismatchError,
-                           SingularMatrixError)
-from helpers import loop_gram
+                           predictive_grams, chol_psd, pairwise_sqdist,
+                           DimensionMismatchError, SingularMatrixError)
+from helpers import ard_case, loop_gram, two_pass_gram, two_pass_sqdist
 
 # frozen from the direct scalar oracle: exp(-0.5)
 EXP_HALF = 0.6065306597126334
@@ -118,6 +118,68 @@ class TestGram:
         B = A.copy()
         B[:, 1] = rng.normal(size=6) * 100.0
         assert np.array_equal(gram(A, A, p), gram(B, B, p))
+
+
+def spread_rows(rng, n, kappa, spread):
+    p, cols = ard_case(rng, kappa, spread)
+    return rng.normal(size=(n, kappa)) * cols, p
+
+
+SHAPES = [(1, 1, False), (9, 3, False), (40, 64, True), (25, 300, True)]
+
+
+class TestOnePassPerOperand:
+    @pytest.mark.parametrize("n, kappa, spread", SHAPES)
+    def test_self_gram_bit_identical_to_two_pass_oracle(self, n, kappa, spread):
+        X, p = spread_rows(np.random.default_rng(n + kappa), n, kappa, spread)
+        K, norms = gram(X, X, p, return_norms=True)
+        np.testing.assert_array_equal(K, two_pass_gram(X, X, p))
+        np.testing.assert_array_equal(gram(X, X, p), K)
+        np.testing.assert_array_equal(norms, np.sum((X * p.weights) * X, axis=1))
+        np.testing.assert_array_equal(np.diag(K), np.full(n, p.sigma_h_sq))
+
+    @pytest.mark.parametrize("n, kappa, spread", SHAPES)
+    def test_pairwise_sqdist_bit_identical_to_two_pass_oracle(self, n, kappa,
+                                                              spread):
+        rng = np.random.default_rng(n * kappa)
+        X, p = spread_rows(rng, n, kappa, spread)
+        B = rng.normal(size=(4, kappa))
+        np.testing.assert_array_equal(pairwise_sqdist(X, X, p.weights),
+                                      two_pass_sqdist(X, X, p.weights))
+        np.testing.assert_array_equal(pairwise_sqdist(X, B, p.weights),
+                                      two_pass_sqdist(X, B, p.weights))
+        np.testing.assert_array_equal(gram(X, B, p), two_pass_gram(X, B, p))
+
+    def test_norms_only_for_a_self_gram(self):
+        X = np.random.default_rng(4).normal(size=(5, 2))
+        p = ARDParams(sigma_h_sq=1.0, weights=np.array([1.0, 0.5]))
+        with pytest.raises(ValueError, match="self-Gram"):
+            gram(X, X.copy(), p, return_norms=True)
+        # an equal copy is not the same array: no symmetrization is implied
+        np.testing.assert_array_equal(gram(X, X.copy(), p),
+                                      two_pass_gram(X, X.copy(), p))
+
+
+class TestPredictiveGrams:
+    @pytest.mark.parametrize("n, kappa, spread", SHAPES)
+    def test_test_self_gram_bit_identical_to_gram(self, n, kappa, spread):
+        rng = np.random.default_rng(100 + n)
+        X, p = spread_rows(rng, n, kappa, spread)
+        Xs, _ = spread_rows(rng, 7, kappa, spread)
+        _, norms = gram(X, X, p, return_norms=True)
+        Ks, Kss = predictive_grams(X, norms, Xs, p)
+        np.testing.assert_array_equal(Kss, gram(Xs, Xs, p))
+        np.testing.assert_array_equal(Kss, Kss.T)
+        assert Ks.shape == (n, 7)
+        # only the association of x w x* differs from gram(X, Xs)
+        np.testing.assert_allclose(Ks, gram(X, Xs, p), rtol=0,
+                                   atol=1e-13 * p.sigma_h_sq)
+
+    def test_column_mismatch(self):
+        p = ARDParams(sigma_h_sq=1.0, weights=np.array([1.0, 1.0]))
+        X = np.zeros((3, 2))
+        with pytest.raises(DimensionMismatchError):
+            predictive_grams(X, np.zeros(3), np.zeros((2, 3)), p)
 
 
 class TestCholPsd:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.special
 
 from dgpuq.random_field import (Grid2D, ExpCovSpec, kle_decompose,
                                 sample_log_field, permeability, exp_cov,
@@ -233,6 +234,31 @@ class TestPermeability:
         xi[3] = 1.0
         with pytest.raises(ValueError):
             permeability(kle, xi)
+
+
+    def test_one_dimensional_call_is_unchanged(self, kle):
+        # the single-field formula, frozen: exp(mean + PhiInv(xi) @ psi)
+        xi = np.random.default_rng(4).uniform(0.01, 0.99, 10)
+        expected = np.exp(kle.mean + scipy.special.ndtri(xi) @ kle.eigenfields)
+        np.testing.assert_array_equal(permeability(kle, xi), expected)
+
+    def test_block_of_rows_matches_row_loop(self, kle):
+        xi = np.random.default_rng(5).uniform(0.01, 0.99, (7, 10))
+        K = permeability(kle, xi)
+        assert K.shape == (7, kle.grid.n_cells)
+        loop = np.vstack([permeability(kle, row) for row in xi])
+        np.testing.assert_allclose(K, loop, rtol=1e-13, atol=0)
+        w = scipy.special.ndtri(xi)
+        np.testing.assert_allclose(sample_log_field(kle, w),
+                                   np.vstack([sample_log_field(kle, r)
+                                              for r in w]),
+                                   rtol=0, atol=1e-13)
+
+    def test_block_column_mismatch(self, kle):
+        with pytest.raises(DimensionMismatchError):
+            permeability(kle, np.full((3, 9), 0.5))
+        with pytest.raises(DimensionMismatchError):
+            sample_log_field(kle, np.zeros((3, 11)))
 
 
 class TestStdNormalInvCdf:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dgpuq.random_field import Grid2D, ExpCovSpec, KLExpansion, kle_decompose
+from dgpuq.random_field import (Grid2D, ExpCovSpec, KLExpansion, kle_decompose,
+                                permeability)
 from dgpuq.deepgp import train_deep, predict
 from dgpuq.uq import (InputDistribution, sample_inputs, propagate_realization,
                       mean_estimate, var_estimate, uq_report, mc_baseline,
@@ -51,6 +52,16 @@ class TestSampleInputs:
         expected = np.exp(dist8.kle.mean + 0.5 * truncated_var)
         se = X[:, col].std() / np.sqrt(n)
         assert abs(X[:, col].mean() - expected) < 3 * se
+
+    @pytest.mark.parametrize("side, k_xi", [(8, 10), (32, 50)])
+    def test_matches_per_row_permeability_loop(self, side, k_xi):
+        dist = InputDistribution(kle=kle_decompose(Grid2D(side, side),
+                                                   PAPER_COV, k_xi))
+        X = sample_inputs(dist, 30, seed=21)
+        xi = np.clip(rng_for(21).uniform(size=(30, k_xi)), 1e-15, 1 - 1e-15)
+        loop = np.vstack([permeability(dist.kle, row) for row in xi])
+        np.testing.assert_allclose(X, loop, rtol=1e-13, atol=0)
+        np.testing.assert_array_equal(X, sample_inputs(dist, 30, seed=21))
 
     def test_needs_two_samples(self, dist8):
         with pytest.raises(ValueError):
