@@ -322,14 +322,15 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     import numpy as np
+    # LinAlgError subclasses ValueError, so it must be caught first
     try:
         args.func(args)
-    except (FileNotFoundError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (np.linalg.LinAlgError, FloatingPointError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (FileNotFoundError, ValueError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return 0
 
 

@@ -5,10 +5,15 @@ averaging of the permeability at faces (the lowest-order mixed formulation
 on rectangles reduces to this scheme).  No-flux boundary conditions are
 natural: boundary faces simply carry zero flux.  The pure-Neumann system is
 regularized by pinning one pressure degree of freedom and the solution is
-shifted to zero area-weighted mean afterwards.  The reduced system is
-symmetric positive definite and is factored directly with ``splu`` at every
-grid size: on lognormal fields it was faster than Jacobi-preconditioned
-conjugate gradients at every grid measured, up to 320 x 320.
+shifted to zero area-weighted mean afterwards.
+
+With cells numbered x-fastest, the pinned five-point matrix is SPD with
+bandwidth ``nx`` and is solved by banded Cholesky: O(n nx^2) time and
+(nx + 1) n memory for n cells.  Against SuperLU with a minimum-degree
+ordering (one solve, one BLAS thread, 2-core Xeon) it is about 4x faster
+at 32 x 32 and 2x at 64 x 64, and the two cross between 200 x 200 and
+256 x 256; at 320 x 320 the band takes 0.37 s and 263 MB against 0.27 s
+and about 69 MB of LU factors.
 """
 
 from __future__ import annotations
@@ -16,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .random_field import Grid2D
 
@@ -71,30 +75,26 @@ def _source_field(grid: Grid2D, spec: SourceSpec) -> np.ndarray:
 
 
 def _face_transmissibilities(K2d: np.ndarray, hx: float, hy: float):
-    # harmonic mean of K across each interior face, scaled by face area / distance
-    Kw = K2d[:, :-1]
-    Ke = K2d[:, 1:]
-    tx = (2.0 * Kw * Ke / (Kw + Ke)) * (hy / hx)   # (ny, nx-1) vertical faces
-    Ks = K2d[:-1, :]
-    Kn = K2d[1:, :]
-    ty = (2.0 * Ks * Kn / (Ks + Kn)) * (hx / hy)   # (ny-1, nx) horizontal faces
-    return tx, ty
+    """Transmissibility of every face: the harmonic mean of K across it,
+    scaled by face area / distance, and zero on the no-flux walls.
 
-
-def _face_fluxes(K2d: np.ndarray, p2d: np.ndarray, hx: float, hy: float):
-    """Darcy fluxes normal to every face, padded with the zero wall fluxes.
-
-    Returns ``(ux, uy)`` of shapes (ny, nx + 1) and (ny + 1, nx): column i
-    of ``ux`` is the face left of cell column i, row j of ``uy`` the face
-    below cell row j.
+    Returns ``(tw, ts)`` of shapes (ny, nx + 1) and (ny + 1, nx): column i
+    of ``tw`` is the face left of cell column i, row j of ``ts`` the face
+    below cell row j.  An overflow stays inf for ``solve`` to reject.
     """
-    ny, nx = K2d.shape
-    ux = np.zeros((ny, nx + 1))
-    ux[:, 1:-1] = -(2.0 * K2d[:, :-1] * K2d[:, 1:] / (K2d[:, :-1] + K2d[:, 1:])) \
-        * (p2d[:, 1:] - p2d[:, :-1]) / hx
-    uy = np.zeros((ny + 1, nx))
-    uy[1:-1, :] = -(2.0 * K2d[:-1, :] * K2d[1:, :] / (K2d[:-1, :] + K2d[1:, :])) \
-        * (p2d[1:, :] - p2d[:-1, :]) / hy
+    with np.errstate(over="ignore", invalid="ignore"):
+        Kw, Ke = K2d[:, :-1], K2d[:, 1:]
+        tx = (2.0 * Kw * Ke / (Kw + Ke)) * (hy / hx)
+        Ks, Kn = K2d[:-1, :], K2d[1:, :]
+        ty = (2.0 * Ks * Kn / (Ks + Kn)) * (hx / hy)
+    return np.pad(tx, ((0, 0), (1, 1))), np.pad(ty, ((1, 1), (0, 0)))
+
+
+def _face_fluxes(tw: np.ndarray, ts: np.ndarray, p2d: np.ndarray,
+                 hx: float, hy: float):
+    """Darcy fluxes normal to every face, laid out as ``tw`` and ``ts``."""
+    ux = -tw * np.diff(p2d, axis=1, prepend=0.0, append=0.0) / hy
+    uy = -ts * np.diff(p2d, axis=0, prepend=0.0, append=0.0) / hx
     return ux, uy
 
 
@@ -104,7 +104,7 @@ def solve(grid: Grid2D, K, source=None) -> DarcySolution:
     Parameters
     ----------
     grid : Grid2D
-    K : flat array of strictly positive cell permeabilities
+    K : flat array of finite, strictly positive cell permeabilities
     source : SourceSpec or flat array of cell-centered source values.
         Defaults to ``SourceSpec()``.  The source must integrate to zero for
         the pure-Neumann problem to be solvable.
@@ -113,14 +113,18 @@ def solve(grid: Grid2D, K, source=None) -> DarcySolution:
     -------
     DarcySolution with cell-center pressure and velocities.
 
-    The pinned, reduced TPFA system is solved by sparse LU (``splu`` with
-    the ``MMD_AT_PLUS_A`` ordering) on every grid.
+    The matrix goes straight into LAPACK's upper band array, shape
+    (nx + 1, n_cells): row ``nx`` holds the diagonal (each cell's summed face
+    transmissibilities), row ``nx - 1`` minus the face left of each cell and
+    row 0 minus the face below it.  Pinning p[0] drops band column 0;
+    ``dpbtrf`` and ``dpbtrs`` factor and solve, and a failure raises
+    ``np.linalg.LinAlgError`` naming the routine.
     """
     K = np.asarray(K, dtype=float).ravel()
     if K.shape[0] != grid.n_cells:
         raise ValueError(f"K has {K.shape[0]} cells, grid needs {grid.n_cells}")
-    if not np.all(K > 0):
-        raise ValueError("permeability must be strictly positive everywhere")
+    if not np.all(np.isfinite(K) & (K > 0)):
+        raise ValueError("permeability must be finite and strictly positive everywhere")
 
     if source is None:
         source = SourceSpec()
@@ -134,36 +138,28 @@ def solve(grid: Grid2D, K, source=None) -> DarcySolution:
     nx, ny = grid.nx, grid.ny
     hx, hy = 1.0 / nx, 1.0 / ny
     K2d = grid.to_2d(K)
-    tx, ty = _face_transmissibilities(K2d, hx, hy)
+    tw, ts = _face_transmissibilities(K2d, hx, hy)
+    if not (np.all(np.isfinite(tw)) and np.all(np.isfinite(ts))):
+        raise ValueError("face transmissibilities overflow: permeability too large")
 
-    idx = np.arange(grid.n_cells).reshape(ny, nx)
-    rows, cols, vals = [], [], []
+    ab = np.zeros((nx + 1, grid.n_cells), order="F")
+    ab[nx] = (tw[:, 1:] + tw[:, :-1] + ts[1:] + ts[:-1]).ravel()
+    ab[nx - 1] = -tw[:, :-1].ravel()
+    ab[0] = -ts[:-1].ravel()
 
-    def add_faces(t, cell_a, cell_b):
-        a, b, t = cell_a.ravel(), cell_b.ravel(), t.ravel()
-        rows.append(a), cols.append(b), vals.append(-t)
-        rows.append(b), cols.append(a), vals.append(-t)
-        rows.append(a), cols.append(a), vals.append(t)
-        rows.append(b), cols.append(b), vals.append(t)
-
-    add_faces(tx, idx[:, :-1], idx[:, 1:])
-    add_faces(ty, idx[:-1, :], idx[1:, :])
-
-    A = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.n_cells, grid.n_cells))
-    b = f * grid.cell_area
-
-    # pin p[0] = 0 to remove the constant nullspace, solve the reduced SPD system
-    A_red = A[1:, 1:].tocsc()
-    b_red = b[1:]
+    # pin p[0] = 0 to remove the constant nullspace: drop row and column 0
+    chol, info = dpbtrf(ab[:, 1:], overwrite_ab=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpbtrf failed on the TPFA band (info = {info})")
+    p_red, info = dpbtrs(chol, f[1:] * grid.cell_area)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpbtrs failed on the TPFA band (info = {info})")
     p = np.zeros(grid.n_cells)
-    # the reduced matrix is SPD, so a symmetric fill-reducing ordering fits
-    p[1:] = spla.splu(A_red, permc_spec="MMD_AT_PLUS_A").solve(b_red)
+    p[1:] = p_red.ravel()
 
     p -= np.mean(p)  # uniform cells: area-weighted mean == arithmetic mean
 
-    ux_pad, uy_pad = _face_fluxes(K2d, grid.to_2d(p), hx, hy)
+    ux_pad, uy_pad = _face_fluxes(tw, ts, grid.to_2d(p), hx, hy)
     vel_x = 0.5 * (ux_pad[:, :-1] + ux_pad[:, 1:])
     vel_y = 0.5 * (uy_pad[:-1, :] + uy_pad[1:, :])
 
@@ -176,7 +172,8 @@ def flux_divergence(sol: DarcySolution, K) -> np.ndarray:
     nx, ny = grid.nx, grid.ny
     hx, hy = 1.0 / nx, 1.0 / ny
     K2d = grid.to_2d(np.asarray(K, dtype=float).ravel())
-    ux_pad, uy_pad = _face_fluxes(K2d, grid.to_2d(sol.pressure), hx, hy)
+    ux_pad, uy_pad = _face_fluxes(*_face_transmissibilities(K2d, hx, hy),
+                                  grid.to_2d(sol.pressure), hx, hy)
     div = (ux_pad[:, 1:] - ux_pad[:, :-1]) / hx + (uy_pad[1:, :] - uy_pad[:-1, :]) / hy
     return div.ravel()
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from dgpuq.kernels import ARDParams, gram
 from dgpuq.random_field import KLExpansion
@@ -338,3 +340,32 @@ def dense_kle_decompose(grid, spec, k_xi):
     fields = (np.sqrt(vals)[:, None] * vecs.T) / np.sqrt(area)
     return KLExpansion(eigenvalues=vals, eigenfields=fields, mean=spec.mean,
                        grid=grid, spec=spec)
+
+
+def sparse_tpfa_pressure(grid, K, f):
+    """Zero-mean TPFA pressure from a COO-assembled matrix and sparse LU.
+
+    Oracle for ``darcy.solve``: the five-point matrix is built face by face
+    with its own harmonic means, p[0] is pinned by dropping row and column
+    0, and the reduced system is factored by ``splu``.
+    """
+    nx, ny = grid.nx, grid.ny
+    hx, hy = 1.0 / nx, 1.0 / ny
+    K2d = np.asarray(K, dtype=float).reshape(ny, nx)
+    idx = np.arange(grid.n_cells).reshape(ny, nx)
+    rows, cols, vals = [], [], []
+    for Ka, Kb, a, b, scale in (
+            (K2d[:, :-1], K2d[:, 1:], idx[:, :-1], idx[:, 1:], hy / hx),
+            (K2d[:-1, :], K2d[1:, :], idx[:-1, :], idx[1:, :], hx / hy)):
+        t = (2.0 * Ka * Kb / (Ka + Kb) * scale).ravel()
+        a, b = a.ravel(), b.ravel()
+        rows += [a, b, a, b]
+        cols += [b, a, a, b]
+        vals += [-t, -t, t, t]
+    A = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(grid.n_cells, grid.n_cells))
+    b = np.asarray(f, dtype=float).ravel() * grid.cell_area
+    p = np.zeros(grid.n_cells)
+    p[1:] = spla.splu(A[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b[1:])
+    return p - np.mean(p)

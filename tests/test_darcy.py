@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
+from dgpuq import cli, darcy
 from dgpuq.darcy import (SourceSpec, source_term, solve, restrict,
                          flux_divergence, _source_field)
 from dgpuq.random_field import Grid2D
+from helpers import sparse_tpfa_pressure
+
+
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
 def manufactured_error(N):
@@ -113,6 +119,57 @@ class TestSolve:
     def test_wrong_size_K_rejected(self):
         with pytest.raises(ValueError):
             solve(Grid2D(8, 8), np.ones(63), SourceSpec())
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_K_rejected(self, bad):
+        grid = Grid2D(8, 8)
+        K = np.ones(grid.n_cells)
+        K[9] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve(grid, K, SourceSpec())
+
+    def test_overflowing_transmissibility_rejected(self):
+        # finite cells whose harmonic-mean product 2 Kw Ke overflows
+        grid = Grid2D(8, 8)
+        K = np.ones(grid.n_cells)
+        K[9:11] = 1e300
+        with pytest.raises(ValueError, match="overflow"):
+            solve(grid, K, SourceSpec())
+
+
+class TestBandedCholesky:
+    @pytest.mark.parametrize("sigma", [0.8, 2.0])
+    @pytest.mark.parametrize("nx,ny", [(16, 16), (12, 7), (7, 12), (33, 20),
+                                       (2, 9), (9, 2)])
+    def test_matches_the_sparse_lu_oracle(self, nx, ny, sigma):
+        rng = np.random.default_rng(nx * 100 + ny)
+        grid = Grid2D(nx, ny)
+        K = np.exp(sigma * rng.standard_normal(grid.n_cells))
+        f = rng.standard_normal(grid.n_cells)
+        f -= f.mean()
+        sol = solve(grid, K, f)
+        assert rel_err(sol.pressure, sparse_tpfa_pressure(grid, K, f)) <= 1e-10
+
+    @pytest.mark.parametrize("nx,ny", [(12, 7), (33, 20)])
+    def test_transpose_symmetry_on_non_square_grids(self, nx, ny):
+        rng = np.random.default_rng(6)
+        grid, gridT = Grid2D(nx, ny), Grid2D(ny, nx)
+        K = np.exp(0.8 * rng.standard_normal(grid.n_cells))
+        spec = SourceSpec(width=0.25)
+        sol = solve(grid, K, spec)
+        solT = solve(gridT, grid.to_2d(K).T.ravel(), spec)
+        for a, b in ((solT.pressure, sol.pressure), (solT.vel_x, sol.vel_y),
+                     (solT.vel_y, sol.vel_x)):
+            assert rel_err(gridT.to_2d(a), grid.to_2d(b).T) <= 1e-10
+
+    def test_failed_factorization_raises_and_exits_3(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(darcy, "dpbtrf", lambda ab, **kw: (ab, 1))
+        grid = Grid2D(8, 8)
+        with pytest.raises(np.linalg.LinAlgError, match="dpbtrf"):
+            solve(grid, np.ones(grid.n_cells), SourceSpec())
+        code = cli.main(["gen-data", "--n", "1", "--grid", "8", "--out-grid",
+                         "4", "--kle", "4", "--out", str(tmp_path / "d")])
+        assert code == 3
 
 
 class TestRestrict:
