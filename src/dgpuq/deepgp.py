@@ -16,7 +16,11 @@ identities carry the first-latent forward and backward:
     S_j = W^-1 (I - H_j) W^-1,        C^-1 S_j = W H_j W^-1,
 
 so each column of the joint bound needs one Cholesky factor of B_j and
-its triangular inverse; C^-1 is never formed.
+its triangular inverse; C^-1 is never formed.  The gradient keeps those
+inverses, and C, in rectangular full packed storage (n(n+1)/2 values per
+triangle: 59 MB at n = 700, q1 = 30 instead of 118 MB) and unpacks one
+column at a time; its per-column backward is n^3 flops, two ``dsyrk``
+updates split by the sign of the diagonal weight.
 Training is two-phase: a greedy stack of GP-LVMs initializes every layer,
 then the joint bound (first-layer KL + collapsed layer terms + entropies)
 is refined by gradient ascent.  Prediction propagates Gaussian moments
@@ -28,7 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtri, dlauum
+from scipy.linalg.blas import daxpy, dsyr2k, dsyrk
+from scipy.linalg.lapack import dpotrf, dtrtri, dlauum, dtrttf, dtfttr
 
 from .kernels import ARDParams, gram, chol_psd, DimensionMismatchError
 from .gplvm import (LayerState, VariationalLatent, InducingSet, layer_bound,
@@ -89,9 +94,10 @@ class DeepGPModel:
 # ---------------------------------------------------------------------------
 
 def _input_cov(input_layer: InputLayer, X):
-    """Return (Kx, C): the input Gram matrix and Kx + noise_var * I."""
-    Kx = gram(X, X, input_layer.kernel)
-    return Kx, Kx + input_layer.noise_var * np.eye(X.shape[0])
+    """Return C = Kx + noise_var * I, formed in place on the input Gram."""
+    C = gram(X, X, input_layer.kernel)
+    C[np.diag_indices_from(C)] += input_layer.noise_var
+    return C
 
 
 def _lapack_checked(routine, *args, **kwargs):
@@ -102,28 +108,51 @@ def _lapack_checked(routine, *args, **kwargs):
     return out
 
 
-def _first_latent_forward(input_layer: InputLayer, C, need_full=False):
+# column block of the in-place mirror and of the dsyrk operands: bounds the
+# backward's per-column temporaries to n x _BLOCK values
+_BLOCK = 64
+
+
+def _mirror_lower(A):
+    """Copy the strict lower triangle of square A onto its upper, in place."""
+    n = A.shape[0]
+    for s in range(0, n, _BLOCK):
+        e = min(s + _BLOCK, n)
+        D = A[s:e, s:e]
+        D[...] = np.tril(D) + np.tril(D, -1).T
+        A[s:e, e:] = A[e:, s:e].T
+
+
+def _first_latent_forward(input_layer: InputLayer, X, need_full=False):
     """Moments of the first latent and the per-column KL to its prior.
 
-    Column j factors B_j = I + W C W = L L^T (W = diag(sqrt(lam_j))) and
-    inverts the factor; H_j = B_j^-1 = L^-T L^-1, so diag H_j is the column
-    sums of squares of L^-1 and diag S_j = (1 - diag H_j) / lam_j.  That
-    difference loses digits only where lam_i * C_ii is tiny (h_ii near 1);
-    the former form C_ii - ||(L^-1 W C)_i||^2 lost them where lam * C is
-    large.  The 1e-300 floor keeps log S finite either way.
+    C = Kx + noise_var * I is the input-layer prior covariance.  Column j
+    factors B_j = I + W C W = L L^T (W = diag(sqrt(lam_j))) and inverts the
+    factor; H_j = B_j^-1 = L^-T L^-1, so diag H_j is the column sums of
+    squares of L^-1 and diag S_j = (1 - diag H_j) / lam_j.  That difference
+    loses digits only where lam_i * C_ii is tiny (h_ii near 1); the former
+    form C_ii - ||(L^-1 W C)_i||^2 lost them where lam * C is large.  The
+    1e-300 floor keeps log S finite either way.  One n x n buffer holds B,
+    L and L^-1 in turn for every column.
 
-    Returns (M1, diag_S, kl, cols) where cols holds L^-1 (lower, Fortran
-    order) per column for the backward pass when ``need_full`` is set.
+    Returns (M1, diag_S, kl, packed).  With ``need_full``, packed is the
+    backward's cache (C, [L^-1 per column]), each triangle in LAPACK's
+    rectangular full packed format (``dtrttf``, lower): n(n+1)/2 values, so
+    the factors take 59 MB at n = 700, q1 = 30, half of full storage.  The
+    round trip through ``dtfttr`` is exact.  Otherwise packed is None.
     """
     n, q1 = input_layer.mu_bar.shape
+    C = _input_cov(input_layer, X)
     M1 = C @ input_layer.mu_bar
     diag_S = np.empty((n, q1))
     kl = 0.0
-    cols = [] if need_full else None
+    cols = []
+    B = np.empty_like(C)
     for j in range(q1):
         lam_j = input_layer.lam[:, j]
         w = np.sqrt(lam_j)
-        B = w[:, None] * C * w[None, :]
+        np.multiply(w[:, None], C, out=B)
+        B *= w[None, :]
         B[np.diag_indices_from(B)] += 1.0
         # B is symmetric and potrf reads one triangle: B.T is B in Fortran
         # order, factored in place without a copy
@@ -137,41 +166,82 @@ def _first_latent_forward(input_layer: InputLayer, C, need_full=False):
         kl += 0.5 * (float(input_layer.mu_bar[:, j] @ M1[:, j])
                      - float(lam_j @ dS) + logdet_B)
         if need_full:
-            cols.append(L_inv)
-    return M1, diag_S, kl, cols
+            cols.append(_lapack_checked(dtrttf, L_inv, uplo="L"))
+    if not need_full:
+        return M1, diag_S, kl, None
+    del B, L, L_inv     # freed before C is packed
+    return M1, diag_S, kl, (_lapack_checked(dtrttf, C.T, uplo="L"), cols)
 
 
-def _first_latent_grads(input_layer: InputLayer, X, Kx, C, cols, d_M1, d_s1):
+def _first_latent_grads(input_layer: InputLayer, X, packed, d_M1, d_s1):
     """Input-layer gradient block given d(value)/dM1 and d(value)/d diag S.
 
     The value is the layer terms that read M1 and diag S, minus the first
-    KL; ``cols`` comes from :func:`_first_latent_forward`, and its factors
-    are overwritten in place.  Per column, with e = d_s1 + lam/2 and
+    KL; ``packed`` comes from :func:`_first_latent_forward` and is
+    consumed: each factor is dropped once unpacked, so one column at a time
+    is held in full.  Per column, with e = d_s1 + lam/2 and
     S = W^-1 (I - H) W^-1:
 
         d lam = -(S o S) e,
         d C  += C^-1 S diag(e) S C^-1 - (C^-1 - C^-1 S C^-1) / 2
-              = W (H diag(e / lam) H - H / 2) W.
+              = K diag(e / lam^2) K - K / 2,      K = W H W.
+
+    H comes from the unpacked L^-1 by ``dlauum``.  K diag(e / lam^2) K is
+    two ``dsyrk`` updates, one over the columns with e > 0 and one over
+    those with e < 0: n^3 flops per column, half of one GEMM.  Every
+    column adds into the lower triangle of one n x n buffer, mirrored once
+    after the loop; only the symmetric part of d C enters the
+    hyperparameter gradient.  C is unpacked after the loop, when the
+    factors are gone.
     """
     il = input_layer
     n, q1 = il.mu_bar.shape
-    d_mu_bar = C @ (d_M1 - il.mu_bar)
+    C_rfp, cols = packed
     d_log_lam = np.empty((n, q1))
-    G_C = d_M1 @ il.mu_bar.T - 0.5 * il.mu_bar @ il.mu_bar.T
     diag = np.diag_indices(n)
+    G_C = None
+    P_buf = np.empty((_BLOCK, n))
     for j in range(q1):
+        H = _lapack_checked(dtfttr, n, cols[j], uplo="L")       # L^-1
+        cols[j] = None
+        if G_C is None:
+            # first allocated here, after the first packed factor is freed:
+            # d M1 mu_bar^T - mu_bar mu_bar^T / 2, symmetric part, lower
+            G_C = dsyr2k(0.5, d_M1, il.mu_bar, lower=1)
+            G_C = dsyrk(-0.5, il.mu_bar, beta=1.0, c=G_C, lower=1,
+                        overwrite_c=1)
         lam_j = il.lam[:, j]
         e_lam = (d_s1[:, j] + 0.5 * lam_j) / lam_j
-        H = _lapack_checked(dlauum, cols[j], lower=1, overwrite_c=1)
-        H = np.tril(H) + np.tril(H, -1).T
+        H = _lapack_checked(dlauum, H, lower=1, overwrite_c=1)
+        _mirror_lower(H)
         # (I - H) o (I - H): H o H off the diagonal, (1 - h_ii)^2 on it
-        SS = H * H
-        SS[diag] = (1.0 - H[diag]) ** 2
-        d_log_lam[:, j] = -(SS @ e_lam)
-        HeH = H @ (e_lam[:, None] * H)
-        HeH -= 0.5 * H
+        h = H[diag].copy()
+        H[diag] = 1.0 - h
+        d_log_lam[:, j] = -np.einsum("ij,ij,j->i", H, H, e_lam)
+        H[diag] = h
+        # K = W H W in place, then K diag(e / lam^2) K - K / 2 into G_C
         w = np.sqrt(lam_j)
-        G_C += w[:, None] * HeH * w[None, :]
+        K = H
+        K *= w[:, None]
+        K *= w[None, :]
+        daxpy(K.ravel(order="K"), G_C.ravel(order="K"), a=-0.5)
+        s = np.sqrt(np.abs(e_lam)) / w
+        for sign in (1.0, -1.0):
+            idx = np.flatnonzero(sign * e_lam > 0.0)
+            for c in range(0, idx.size, _BLOCK):
+                blk = idx[c:c + _BLOCK]
+                # mode="clip" writes into out; "raise" would buffer a copy
+                P = np.take(K.T, blk, axis=0, out=P_buf[:blk.size], mode="clip")
+                P *= s[blk, None]               # scaled columns blk of K
+                G_C = dsyrk(sign, P.T, beta=1.0, c=G_C, lower=1,
+                            overwrite_c=1)
+        del H, K    # freed before the next column is unpacked
+    _mirror_lower(G_C)
+    C = _lapack_checked(dtfttr, n, C_rfp, uplo="L")
+    _mirror_lower(C)
+    d_mu_bar = C @ (d_M1 - il.mu_bar)
+    Kx = C                          # in place: the input Gram C - noise_var I
+    Kx[diag] -= il.noise_var
     g_log_tau, g_log_b, g_log_noise = gp_mod._hyper_grads(X, Kx, G_C, il.kernel,
                                                           il.noise_var)
     return {"log_tau0": g_log_tau, "log_b": g_log_b,
@@ -184,12 +254,16 @@ def elbo(model: DeepGPModel) -> float:
     return _deep_value_and_grad(model, need_grad=False)[0]
 
 
-def _deep_value_and_grad(model: DeepGPModel, need_grad=True):
+def _deep_value_and_grad(model: DeepGPModel, need_grad=True, frozen_input=False):
+    """Joint bound and, with ``need_grad``, its gradient blocks.
+
+    With ``frozen_input`` the input-layer block is not computed (it is
+    None): neither the packed factors nor the first-latent backward.
+    """
     X, Y = model.X, model.Y
     G = model.n_latents
-    Kx, C = _input_cov(model.input_layer, X)
-    M1, diag_S1, kl1, cols = _first_latent_forward(model.input_layer, C,
-                                                   need_full=need_grad)
+    M1, diag_S1, kl1, packed = _first_latent_forward(
+        model.input_layer, X, need_full=need_grad and not frozen_input)
     model.hidden_layers[0].latent = VariationalLatent(means=M1, variances=diag_S1)
 
     value = -kl1
@@ -235,9 +309,11 @@ def _deep_value_and_grad(model: DeepGPModel, need_grad=True):
         })
 
     # input layer: chain through M1 = C mu_bar, diag S_j and the first KL
-    input_block = _first_latent_grads(model.input_layer, X, Kx, C, cols,
-                                      grads[0]["latent_means"],
-                                      grads[0]["latent_vars"])
+    input_block = None
+    if not frozen_input:
+        input_block = _first_latent_grads(model.input_layer, X, packed,
+                                          grads[0]["latent_means"],
+                                          grads[0]["latent_vars"])
     return value, {"input": input_block, "layers": layer_blocks,
                    "latents": latent_blocks}
 
@@ -262,7 +338,10 @@ def pack_params(model: DeepGPModel, frozen_input=False) -> np.ndarray:
 
 
 def unpack_params(model: DeepGPModel, x, frozen_input=False) -> DeepGPModel:
-    """Rebuild a model with parameters taken from the packed vector."""
+    """Rebuild a model with parameters taken from the packed vector.
+
+    Raises FloatingPointError when a log-parameter overflows ``exp``.
+    """
     i = 0
 
     def take(k):
@@ -271,30 +350,32 @@ def unpack_params(model: DeepGPModel, x, frozen_input=False) -> DeepGPModel:
         i += k
         return out
 
-    il = model.input_layer
-    if frozen_input:
-        new_il = il
-    else:
-        kern, nv = gp_mod._unpack_theta(take(il.kernel.dim + 2))
-        n, q1 = il.mu_bar.shape
-        mu_bar = take(n * q1).reshape(n, q1).copy()
-        lam = np.exp(take(n * q1)).reshape(n, q1)
-        new_il = InputLayer(kernel=kern, noise_var=nv, mu_bar=mu_bar, lam=lam)
-    new_layers = []
-    for layer in model.hidden_layers:
-        m, q = layer.inducing.inputs.shape
-        Z = take(m * q).reshape(m, q).copy()
-        sig = float(np.exp(take(1)[0]))
-        w = np.exp(take(q))
-        beta = float(np.exp(take(1)[0]))
-        new_layers.append(LayerState(
-            kernel=ARDParams(sigma_h_sq=sig, weights=w), beta=beta,
-            latent=layer.latent, inducing=InducingSet(inputs=Z)))
-    for t in range(1, model.n_latents):
-        n, q = model.hidden_layers[t].latent.means.shape
-        means = take(n * q).reshape(n, q).copy()
-        variances = np.exp(take(n * q)).reshape(n, q)
-        new_layers[t].latent = VariationalLatent(means=means, variances=variances)
+    with np.errstate(over="raise"):
+        il = model.input_layer
+        if frozen_input:
+            new_il = il
+        else:
+            kern, nv = gp_mod._unpack_theta(take(il.kernel.dim + 2))
+            n, q1 = il.mu_bar.shape
+            mu_bar = take(n * q1).reshape(n, q1).copy()
+            lam = np.exp(take(n * q1)).reshape(n, q1)
+            new_il = InputLayer(kernel=kern, noise_var=nv, mu_bar=mu_bar, lam=lam)
+        new_layers = []
+        for layer in model.hidden_layers:
+            m, q = layer.inducing.inputs.shape
+            Z = take(m * q).reshape(m, q).copy()
+            sig = float(np.exp(take(1)[0]))
+            w = np.exp(take(q))
+            beta = float(np.exp(take(1)[0]))
+            new_layers.append(LayerState(
+                kernel=ARDParams(sigma_h_sq=sig, weights=w), beta=beta,
+                latent=layer.latent, inducing=InducingSet(inputs=Z)))
+        for t in range(1, model.n_latents):
+            n, q = model.hidden_layers[t].latent.means.shape
+            means = take(n * q).reshape(n, q).copy()
+            variances = np.exp(take(n * q)).reshape(n, q)
+            new_layers[t].latent = VariationalLatent(means=means,
+                                                     variances=variances)
     if i != x.size:
         raise ValueError(f"parameter vector length mismatch: used {i} of {x.size}")
     return DeepGPModel(X=model.X, Y=model.Y, input_layer=new_il,
@@ -318,7 +399,7 @@ def _grad_to_vector(model: DeepGPModel, g, frozen_input=False) -> np.ndarray:
 
 def elbo_grad_vector(model: DeepGPModel, frozen_input=False) -> np.ndarray:
     """Gradient of :func:`elbo` in the packed parameterization."""
-    _, g = _deep_value_and_grad(model, need_grad=True)
+    _, g = _deep_value_and_grad(model, need_grad=True, frozen_input=frozen_input)
     return _grad_to_vector(model, g, frozen_input)
 
 
@@ -403,7 +484,8 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0, init_iters=150,
     def value_and_grad(x, need_grad=True):
         try:
             cand = unpack_params(model, x, frozen_input=frozen)
-            value, g = _deep_value_and_grad(cand, need_grad=need_grad)
+            value, g = _deep_value_and_grad(cand, need_grad=need_grad,
+                                            frozen_input=frozen)
         except (np.linalg.LinAlgError, FloatingPointError, ValueError):
             return -np.inf, None
         if not need_grad:

@@ -115,10 +115,14 @@ def _pack_theta(kernel: ARDParams, noise_var) -> np.ndarray:
 
 
 def _unpack_theta(theta):
-    """Inverse of :func:`_pack_theta`: returns (kernel, noise_var)."""
-    kernel = RBFParams(tau0_sq=float(np.exp(theta[0])),
-                       lengthscale_inv=np.exp(theta[1:-1]))
-    return kernel, float(np.exp(theta[-1]))
+    """Inverse of :func:`_pack_theta`: returns (kernel, noise_var).
+
+    An overflowing ``exp`` raises FloatingPointError.
+    """
+    with np.errstate(over="raise"):
+        kernel = RBFParams(tau0_sq=float(np.exp(theta[0])),
+                           lengthscale_inv=np.exp(theta[1:-1]))
+        return kernel, float(np.exp(theta[-1]))
 
 
 def _median_heuristic(X, max_points=200):

@@ -572,13 +572,15 @@ def _pack(mu_bar, lam, Z, kernel, beta):
 
 
 def _unpack(x, n, q, m):
+    """Inverse of :func:`_pack`; raises FloatingPointError if ``exp`` overflows."""
     i = 0
     mu_bar = x[i:i + n * q].reshape(n, q); i += n * q
-    lam = np.exp(x[i:i + n * q]).reshape(n, q); i += n * q
-    Z = x[i:i + m * q].reshape(m, q); i += m * q
-    sigma = float(np.exp(x[i])); i += 1
-    w = np.exp(x[i:i + q]); i += q
-    beta = float(np.exp(x[i]))
+    with np.errstate(over="raise"):
+        lam = np.exp(x[i:i + n * q]).reshape(n, q); i += n * q
+        Z = x[i:i + m * q].reshape(m, q); i += m * q
+        sigma = float(np.exp(x[i])); i += 1
+        w = np.exp(x[i:i + q]); i += q
+        beta = float(np.exp(x[i]))
     return mu_bar, lam, Z, ARDParams(sigma_h_sq=sigma, weights=w), beta
 
 

@@ -44,11 +44,15 @@ def write_matrix(path, arr):
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(f"{a.shape[0]} {a.shape[1]} f64le\n".encode("ascii"))
-        fh.write(a.tobytes(order="C"))
+        fh.write(a.data)
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a matrix container; raises ValueError on malformed files."""
+    """Read a matrix container; raises ValueError on malformed files.
+
+    The payload is read straight into the returned array, whose size the
+    header fixes once the file's remaining length has been checked.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
@@ -57,12 +61,16 @@ def read_matrix(path) -> np.ndarray:
         if len(header) != 3 or header[2] != "f64le":
             raise ValueError(f"{path}: bad header {header}")
         rows, cols = int(header[0]), int(header[1])
-        payload = fh.read()
-    expected = 8 * rows * cols
-    if len(payload) != expected:
-        raise ValueError(f"{path}: payload is {len(payload)} bytes, "
-                         f"expected {expected}")
-    return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        expected = 8 * rows * cols
+        if size != expected:
+            raise ValueError(f"{path}: payload is {size} bytes, "
+                             f"expected {expected}")
+        out = np.empty((rows, cols), dtype="<f8")
+        got = fh.readinto(out)
+    if got != expected:
+        raise ValueError(f"{path}: payload is {got} bytes, expected {expected}")
+    return out
 
 
 def _json_dump(path, doc):

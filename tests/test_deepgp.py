@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,26 +93,60 @@ class TestJointElboGradient:
         assert ours == pytest.approx(direct, abs=1e-10)
 
 
+def _d_s1_case(case, rng, lam):
+    """d(value)/d diag S whose e = (d_s1 + lam/2) / lam has a chosen sign."""
+    d = rng.normal(size=lam.shape)
+    if case == "positive":
+        return np.abs(d)
+    if case == "negative":
+        return -0.5 * lam - 0.1 - np.abs(d)
+    if case == "mixed_zeros":
+        d[::3] = -0.5 * lam[::3]       # e = 0 exactly on every third row
+    return d
+
+
 class TestFirstLatentMatrixForms:
+    @pytest.mark.parametrize("case", ["random", "positive", "negative",
+                                      "mixed_zeros"])
     @pytest.mark.parametrize("n,q1", [(5, 1), (25, 3), (120, 4)])
-    def test_matches_loop_oracle(self, n, q1):
+    def test_matches_loop_oracle(self, n, q1, case):
         rng = np.random.default_rng(100 + n)
         X = rng.normal(size=(n, 3))
         il = InputLayer(kernel=RBFParams(1.3, rng.uniform(0.2, 1.0, 3)),
                         noise_var=0.05, mu_bar=rng.normal(size=(n, q1)),
                         lam=np.exp(rng.uniform(-3.0, 3.0, (n, q1))))
         d_M1 = rng.normal(size=(n, q1))
-        d_s1 = rng.normal(size=(n, q1))
-        Kx, C = _input_cov(il, X)
-        M1, diag_S, kl, cols = _first_latent_forward(il, C, need_full=True)
+        d_s1 = _d_s1_case(case, rng, il.lam)
+        e = d_s1 + 0.5 * il.lam
+        if case == "positive":
+            assert np.all(e > 0)
+        elif case == "negative":
+            assert np.all(e < 0)
+        elif case == "mixed_zeros":
+            assert np.any(e == 0) and np.any(e > 0) and np.any(e < 0)
+        C = _input_cov(il, X)
+        M1, diag_S, kl, packed = _first_latent_forward(il, X, need_full=True)
         M1_or, diag_S_or, kl_or, cols_or = loop_first_latent_forward(il, C)
         assert rel_err(M1, M1_or) <= 1e-10
         assert rel_err(diag_S, diag_S_or) <= 1e-10
         assert rel_err(kl, kl_or) <= 1e-10
-        g = _first_latent_grads(il, X, Kx, C, cols, d_M1, d_s1)
+        g = _first_latent_grads(il, X, packed, d_M1, d_s1)
         g_or = loop_first_latent_grads(il, X, C, cols_or, d_M1, d_s1)
         for name in ("mu_bar", "log_lam", "log_tau0", "log_b", "log_noise"):
             assert rel_err(g[name], g_or[name]) <= 1e-10, name
+
+    def test_gradient_holds_packed_factors(self):
+        # full n x n factors for every column alone would take q1 n^2 doubles
+        n, q1 = 400, 12
+        model = tiny_model(seed=3, n=n, kappa=3, nu=2, dims=(q1,), m=5)
+        elbo_grad_vector(model)
+        tracemalloc.start()
+        try:
+            elbo_grad_vector(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * q1 * n * n * 8
 
 
 class TestTrainDeep:

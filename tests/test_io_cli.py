@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,11 +53,29 @@ class TestMatrixContainer:
         with pytest.raises(ValueError, match="magic"):
             io.read_matrix(path)
 
-    def test_truncated_payload_rejected(self, tmp_path):
-        path = tmp_path / "short.dgpm"
-        path.write_bytes(b"DGPM1\n2 2 f64le\n" + b"\x00" * 16)
-        with pytest.raises(ValueError, match="payload"):
+    @pytest.mark.parametrize("size", [16, 33], ids=["truncated", "trailing"])
+    def test_payload_of_wrong_length_rejected(self, tmp_path, size):
+        path = tmp_path / "odd.dgpm"
+        path.write_bytes(b"DGPM1\n2 2 f64le\n" + b"\x00" * size)
+        with pytest.raises(ValueError, match=f"payload is {size} bytes"):
             io.read_matrix(path)
+
+    def test_round_trip_holds_one_copy(self, tmp_path):
+        arr = np.random.default_rng(1).normal(size=(500, 400))
+        path = tmp_path / "big.dgpm"
+        tracemalloc.start()
+        try:
+            io.write_matrix(path, arr)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            back = io.read_matrix(path)
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert write_peak < 0.1 * arr.nbytes
+        assert read_peak < 1.1 * arr.nbytes
+        assert back.dtype == np.float64 and back.flags.writeable
+        assert np.array_equal(back, arr)
 
     def test_header_dtype_enforced(self, tmp_path):
         path = tmp_path / "odd.dgpm"
