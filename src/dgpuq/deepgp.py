@@ -21,6 +21,17 @@ inverses, and C, in rectangular full packed storage (n(n+1)/2 values per
 triangle: 59 MB at n = 700, q1 = 30 instead of 118 MB) and unpacks one
 column at a time; its per-column backward is n^3 flops, two ``dsyrk``
 updates split by the sign of the diagonal weight.
+
+The joint bound is split into a forward and a backward half.
+``_deep_forward`` evaluates it and keeps one layer cache per sparse layer
+plus, unless told not to pack, the packed first-latent factors;
+``_deep_backward`` consumes that state, dropping each layer cache once its
+gradient is taken.  :func:`elbo` is the forward without packing, and
+:func:`elbo_grad_vector` the forward with packing followed by the backward.
+:func:`train_deep` packs at every trial point, since any trial may be
+accepted, and hands the halves to :func:`optimize.cached_objective`, so the
+gradient at an accepted line-search trial reuses that trial's forward.
+
 Training is two-phase: a greedy stack of GP-LVMs initializes every layer,
 then the joint bound (first-layer KL + collapsed layer terms + entropies)
 is refined by gradient ascent.  Prediction propagates Gaussian moments
@@ -38,7 +49,7 @@ from scipy.linalg.lapack import dpotrf, dtrtri, dlauum, dtrttf, dtfttr
 from .kernels import ARDParams, gram, chol_psd, DimensionMismatchError
 from .gplvm import (LayerState, VariationalLatent, InducingSet, layer_bound,
                     layer_bound_grads, train_gplvm, _phi_forward)
-from .optimize import ascend
+from .optimize import ascend, cached_objective
 from . import gp as gp_mod
 from .rng import rng_for
 
@@ -251,19 +262,22 @@ def _first_latent_grads(input_layer: InputLayer, X, packed, d_M1, d_s1):
 
 def elbo(model: DeepGPModel) -> float:
     """Joint variational lower bound of the deep model."""
-    return _deep_value_and_grad(model, need_grad=False)[0]
+    return _deep_forward(model, pack=False)[0]
 
 
-def _deep_value_and_grad(model: DeepGPModel, need_grad=True, frozen_input=False):
-    """Joint bound and, with ``need_grad``, its gradient blocks.
+def _deep_forward(model: DeepGPModel, pack=True):
+    """Joint bound and the state its gradient reads: the forward half.
 
-    With ``frozen_input`` the input-layer block is not computed (it is
-    None): neither the packed factors nor the first-latent backward.
+    Sets ``model.hidden_layers[0].latent`` to the first latent's moments.
+    Returns ``(value, (model, caches, packed))`` with one layer cache per
+    sparse layer.  ``packed`` holds the first latent's packed factors when
+    ``pack`` is set; without them (None) :func:`_deep_backward` leaves the
+    input-layer block out, as a frozen input layer needs.
     """
     X, Y = model.X, model.Y
     G = model.n_latents
     M1, diag_S1, kl1, packed = _first_latent_forward(
-        model.input_layer, X, need_full=need_grad and not frozen_input)
+        model.input_layer, X, need_full=pack)
     model.hidden_layers[0].latent = VariationalLatent(means=M1, variances=diag_S1)
 
     value = -kl1
@@ -283,11 +297,22 @@ def _deep_value_and_grad(model: DeepGPModel, need_grad=True, frozen_input=False)
     for t in range(1, G):
         S = model.hidden_layers[t].latent.variances
         value += 0.5 * float(np.sum(np.log(S))) + 0.5 * S.size * (1.0 + LOG_2PI)
+    return value, (model, caches, packed)
 
-    if not need_grad:
-        return value, None
 
-    grads = [layer_bound_grads(c) for c in caches]
+def _deep_backward(state):
+    """Gradient blocks of the joint bound from :func:`_deep_forward`'s state.
+
+    The state is consumed: each layer cache (with its (n, m, m) T array) is
+    dropped as soon as its gradient is taken, so at most one is alive, and
+    all are gone before the packed first-latent factors are unpacked.
+    """
+    model, caches, packed = state
+    G = model.n_latents
+    grads = []
+    for t in range(G):
+        grads.append(layer_bound_grads(caches[t]))
+        caches[t] = None
 
     # free hidden latents: input of layer t, output of layer t-1, plus entropy
     latent_blocks = []
@@ -310,12 +335,12 @@ def _deep_value_and_grad(model: DeepGPModel, need_grad=True, frozen_input=False)
 
     # input layer: chain through M1 = C mu_bar, diag S_j and the first KL
     input_block = None
-    if not frozen_input:
-        input_block = _first_latent_grads(model.input_layer, X, packed,
+    if packed is not None:
+        input_block = _first_latent_grads(model.input_layer, model.X, packed,
                                           grads[0]["latent_means"],
                                           grads[0]["latent_vars"])
-    return value, {"input": input_block, "layers": layer_blocks,
-                   "latents": latent_blocks}
+    return {"input": input_block, "layers": layer_blocks,
+            "latents": latent_blocks}
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +408,11 @@ def unpack_params(model: DeepGPModel, x, frozen_input=False) -> DeepGPModel:
                        training_meta=model.training_meta)
 
 
-def _grad_to_vector(model: DeepGPModel, g, frozen_input=False) -> np.ndarray:
+def _grad_to_vector(g) -> np.ndarray:
+    """Flatten :func:`_deep_backward`'s blocks in :func:`pack_params` order."""
     parts = []
-    if not frozen_input:
-        gi = g["input"]
+    gi = g["input"]
+    if gi is not None:
         parts += [[gi["log_tau0"]], gi["log_b"], [gi["log_noise"]],
                   gi["mu_bar"].ravel(), gi["log_lam"].ravel()]
     for gl in g["layers"]:
@@ -399,8 +425,8 @@ def _grad_to_vector(model: DeepGPModel, g, frozen_input=False) -> np.ndarray:
 
 def elbo_grad_vector(model: DeepGPModel, frozen_input=False) -> np.ndarray:
     """Gradient of :func:`elbo` in the packed parameterization."""
-    _, g = _deep_value_and_grad(model, need_grad=True, frozen_input=frozen_input)
-    return _grad_to_vector(model, g, frozen_input)
+    state = _deep_forward(model, pack=not frozen_input)[1]
+    return _grad_to_vector(_deep_backward(state))
 
 
 # ---------------------------------------------------------------------------
@@ -481,21 +507,18 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0, init_iters=150,
                                                   "init_iters": int(init_iters)})
     frozen = bool(fix_latent_to_inputs)
 
-    def value_and_grad(x, need_grad=True):
-        try:
-            cand = unpack_params(model, x, frozen_input=frozen)
-            value, g = _deep_value_and_grad(cand, need_grad=need_grad,
-                                            frozen_input=frozen)
-        except (np.linalg.LinAlgError, FloatingPointError, ValueError):
-            return -np.inf, None
-        if not need_grad:
-            return value, None
-        return value, _grad_to_vector(cand, g, frozen_input=frozen)
+    def forward(x):
+        return _deep_forward(unpack_params(model, x, frozen_input=frozen),
+                             pack=not frozen)
+
+    def backward(state):
+        return _grad_to_vector(_deep_backward(state))
 
     x0 = pack_params(model, frozen_input=frozen)
-    x, trace = ascend(value_and_grad, x0, iters, callback=callback)
+    x, trace = ascend(cached_objective(forward, backward), x0, iters,
+                      callback=callback)
     trained = unpack_params(model, x, frozen_input=frozen)
-    _deep_value_and_grad(trained, need_grad=False)  # sync first-latent moments
+    _deep_forward(trained, pack=False)  # sync first-latent moments
     trained.training_meta.update({
         "elbo_trace": trace,
         "final_elbo": float(trace[-1]),

@@ -15,7 +15,7 @@ import scipy.linalg
 
 from .kernels import (ARDParams, RBFParams, gram, predictive_grams, chol_psd,
                       pairwise_sqdist, DimensionMismatchError)
-from .optimize import ascend
+from .optimize import ascend, cached_objective
 
 __all__ = ["GPModel", "build_model", "log_marginal", "log_marginal_grad", "fit", "predict"]
 
@@ -155,18 +155,16 @@ def fit(X, Y, init: ARDParams = None, noise_var=None, iters=100,
     if noise_var is None:
         noise_var = 0.01 * y_var
 
-    def value_and_grad(theta, need_grad=True):
-        try:
-            model, K = _build(*_unpack_theta(theta), X, Y)
-            f = log_marginal(model)
-            if not need_grad:
-                return f, None
-            gt, gb, gn = log_marginal_grad(model, K)
-        except (np.linalg.LinAlgError, FloatingPointError, ValueError):
-            return -np.inf, None
-        return f, np.concatenate([[gt], gb, [gn]])
+    def forward(theta):
+        model, K = _build(*_unpack_theta(theta), X, Y)
+        return log_marginal(model), (model, K)
 
-    theta, trace = ascend(value_and_grad, _pack_theta(init, noise_var), iters)
+    def backward(state):
+        gt, gb, gn = log_marginal_grad(*state)
+        return np.concatenate([[gt], gb, [gn]])
+
+    theta, trace = ascend(cached_objective(forward, backward),
+                          _pack_theta(init, noise_var), iters)
     model = build_model(*_unpack_theta(theta), X, Y)
     if return_trace:
         return model, trace

@@ -13,17 +13,25 @@ which have closed forms for the ARD kernel.  :func:`layer_bound` /
 gradients with respect to every input; :func:`elbo_layer` /
 :func:`elbo_grad` specialize them to the stand-alone GP-LVM with a
 standard-normal latent prior, and :func:`train_gplvm` optimizes that model.
+
+The GP-LVM objective is split into a forward and a backward half.
+``_elbo_forward`` evaluates the bound and returns the layer cache (the Phi
+statistics, the K_uu and A factors and their inverses); ``_elbo_backward``
+turns that cache into the gradient blocks.  :func:`elbo_grad` is the two
+composed, and :func:`train_gplvm` hands them to
+:func:`optimize.cached_objective`, so the gradient at an accepted
+line-search trial reuses that trial's forward.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .kernels import ARDParams, gram, DimensionMismatchError, SingularMatrixError
-from .optimize import ascend
+from .optimize import ascend, cached_objective
 from .rng import rng_for
 
 __all__ = [
@@ -483,21 +491,21 @@ def elbo_layer(state: LayerState, Y, include_kl=True) -> float:
     return value
 
 
-def _elbo_value_and_grad(state: LayerState, Y):
-    """One-forward-pass evaluation of the ELBO and its gradients."""
+def _elbo_forward(state: LayerState, Y):
+    """The ELBO and the layer cache its gradient reads: the forward half."""
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if state.reparam is None:
-        S = state.latent.variances
-        if np.any(S >= 1.0):
-            raise ValueError("cannot derive reparam: latent variances must be < 1")
-        state = replace(state, reparam=Reparam(mu_bar=state.latent.means.copy(),
-                                               lam=1.0 / S - 1.0))
+    if state.reparam is None and np.any(state.latent.variances >= 1.0):
+        raise ValueError("cannot derive reparam: latent variances must be < 1")
     _, cache = layer_bound(state.kernel, state.beta, state.latent,
                            state.inducing.inputs, Y, return_cache=True)
-    value = cache.value - latent_kl(state.latent)
+    return cache.value - latent_kl(state.latent), cache
+
+
+def _elbo_backward(cache: _LayerCache):
+    """ELBO gradient blocks from :func:`_elbo_forward`'s cache: the backward half."""
     g = layer_bound_grads(cache)
-    S = state.latent.variances
-    d_means = g["latent_means"] - state.latent.means        # KL: d/dmu = mu
+    mu, S = cache.means, cache.variances
+    d_means = g["latent_means"] - mu                        # KL: d/dmu = mu
     d_S = g["latent_vars"] - 0.5 * (1.0 - 1.0 / S)          # KL: d/dS
     out = {
         "mu_bar": d_means,
@@ -510,18 +518,18 @@ def _elbo_value_and_grad(state: LayerState, Y):
     for key, val in out.items():
         if not np.all(np.isfinite(val)):
             raise FloatingPointError(f"non-finite gradient in block '{key}'")
-    return value, out
+    return out
 
 
 def elbo_grad(state: LayerState, Y):
     """Analytic ELBO gradients in the (mu_bar, lam) parameterization.
 
     Returns a dict with blocks ``mu_bar, lam, Hu, sigma_h_sq, weights,
-    beta`` (raw-parameter gradients).  Requires ``state.reparam``; with the
-    standard-normal prior the latent moments are means = mu_bar and
-    variances = 1/(1 + lam).
+    beta`` (raw-parameter gradients).  Without ``state.reparam`` the latent
+    variances must be below 1; with the standard-normal prior the latent
+    moments are means = mu_bar and variances = 1/(1 + lam).
     """
-    return _elbo_value_and_grad(state, Y)[1]
+    return _elbo_backward(_elbo_forward(state, Y)[1])
 
 
 def recover_inducing_posterior(state: LayerState, Y) -> InducingSet:
@@ -609,18 +617,19 @@ def train_gplvm(Y, q, m, iters=200, seed=0):
     kern0 = ARDParams(sigma_h_sq=y_var, weights=np.ones(q))
     beta0 = 100.0 / y_var
 
-    def make_value_and_grad(freeze_beta):
-        def value_and_grad(x, need_grad=True):
-            try:
-                mu_bar, lam, Z, kern, beta = _unpack(x, n, q, m)
-                state = LayerState.from_reparam(kern, beta, Reparam(mu_bar, lam),
-                                                InducingSet(inputs=Z))
-                if not need_grad:
-                    return elbo_layer(state, Y), None
-                f, g = _elbo_value_and_grad(state, Y)
-            except (np.linalg.LinAlgError, FloatingPointError, ValueError):
-                return -np.inf, None
-            grad = np.concatenate([
+    def forward(x):
+        mu_bar, lam, Z, kern, beta = _unpack(x, n, q, m)
+        state = LayerState.from_reparam(kern, beta, Reparam(mu_bar, lam),
+                                        InducingSet(inputs=Z))
+        f, cache = _elbo_forward(state, Y)
+        return f, (cache, lam)
+
+    def make_backward(freeze_beta):
+        def backward(fwd):
+            cache, lam = fwd
+            kern, beta = cache.kernel, cache.beta
+            g = _elbo_backward(cache)
+            return np.concatenate([
                 g["mu_bar"].ravel(),
                 (g["lam"] * lam).ravel(),               # chain to log lam
                 g["Hu"].ravel(),
@@ -628,15 +637,15 @@ def train_gplvm(Y, q, m, iters=200, seed=0):
                 g["weights"] * kern.weights,
                 [0.0 if freeze_beta else g["beta"] * beta],
             ])
-            return f, grad
-        return value_and_grad
+        return backward
 
     # hold the noise precision for the first stretch so it cannot swallow
     # the signal before the latent space has organized
     x0 = _pack(mu0, lam0, Z0, kern0, beta0)
     warm = min(50, int(iters) // 3)
-    x, trace_a = ascend(make_value_and_grad(True), x0, warm)
-    x, trace_b = ascend(make_value_and_grad(False), x, int(iters) - warm)
+    x, trace_a = ascend(cached_objective(forward, make_backward(True)), x0, warm)
+    x, trace_b = ascend(cached_objective(forward, make_backward(False)), x,
+                        int(iters) - warm)
     trace = np.concatenate([trace_a, trace_b[1:]])
     mu_bar, lam, Z, kern, beta = _unpack(x, n, q, m)
     state = LayerState.from_reparam(kern, beta, Reparam(mu_bar, lam),

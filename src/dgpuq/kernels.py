@@ -105,10 +105,24 @@ def _same_rows(A, B) -> bool:
                       == B.__array_interface__["data"][0])
 
 
+# elements of the row block that the weighted norms reduce at a time
+_NORM_BLOCK = 1 << 16
+
+
 def _weighted(A, scale):
-    """``A * scale`` and the weighted row norms sum_k scale_k A_ik^2."""
+    """``A * scale`` and the weighted row norms sum_k scale_k A_ik^2.
+
+    The products ``As * A`` are formed and summed a block of rows at a time,
+    so the transient is _NORM_BLOCK values (or one row, if longer) instead
+    of a second copy of A; each row is still one ``np.sum``, so the norms
+    are bit-identical to reducing the whole product at once.
+    """
     As = A * scale
-    return As, np.sum(As * A, axis=1)
+    norms = np.empty(A.shape[0])
+    rows = max(1, _NORM_BLOCK // max(A.shape[1], 1))
+    for s in range(0, A.shape[0], rows):
+        np.sum(As[s:s + rows] * A[s:s + rows], axis=1, out=norms[s:s + rows])
+    return As, norms
 
 
 def _expanded_sqdist(aa, bb, cross):

@@ -3,13 +3,65 @@
 Shared by every trainer in the library.  Steps are only accepted when they
 satisfy a (weak) Armijo increase condition, so the recorded objective trace
 is nondecreasing.
+
+Each trainer writes its objective as two halves: ``forward(x) -> (f, state)``
+computes the value and keeps what the gradient needs (Gram matrices, their
+factors, the Phi statistics), and ``backward(state) -> g`` turns that state
+into the gradient.  :func:`cached_objective` joins them into the
+``value_and_grad(x, need_grad)`` callable that :func:`ascend` takes.  The
+line search evaluates trial points value-only and then asks for the gradient
+at the trial it accepts, so the callable keeps the last point's forward
+state: a gradient request at that same point runs only the backward.  Every
+accepted step thus costs one forward, not two, and the arithmetic, hence
+every value, gradient and trajectory, is the same as recomputing it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ascend"]
+__all__ = ["ascend", "cached_objective"]
+
+# failures of a trial point that mean "outside the feasible region": the
+# objective there is -inf and the line search shrinks its step
+_NUMERICAL_FAILURES = (np.linalg.LinAlgError, FloatingPointError, ValueError)
+
+
+def cached_objective(forward, backward):
+    """``value_and_grad(x, need_grad)`` built from a forward and a backward.
+
+    ``forward(x)`` returns ``(f, state)``; ``backward(state)`` returns the
+    gradient at the same x.  The callable keeps a copy of the last x, which
+    is what ``forward`` is given, with its f and state.  A gradient request
+    at an equal x passes the kept state to ``backward`` and lets go of it;
+    any other x drops the kept state before the new forward runs, so two
+    forward states are never alive at once.  A numerical failure in either
+    half (:data:`_NUMERICAL_FAILURES`) returns ``(-inf, None)``.
+    """
+    last = {}   # x, f and, until a backward takes it, state
+
+    def value_and_grad(x, need_grad=True):
+        reuse = ("x" in last and np.array_equal(x, last["x"])
+                 and ("state" in last or not need_grad))
+        if not reuse:
+            last.clear()    # the old state goes before the new forward runs
+            # the forward gets a private copy: its state may hold views of
+            # x, and the caller may change its array afterwards
+            x = np.array(x, dtype=float)
+            try:
+                f, state = forward(x)
+            except _NUMERICAL_FAILURES:
+                return -np.inf, None
+            last.update(x=x, f=f, state=state)
+            del state       # the kept copy is the only reference
+        if not need_grad:
+            return last["f"], None
+        try:
+            return last["f"], backward(last.pop("state"))
+        except _NUMERICAL_FAILURES:
+            return -np.inf, None
+
+    return value_and_grad
 
 
 def ascend(value_and_grad, x0, iters, step0=0.1, shrink=0.5, grow=1.3,
@@ -17,7 +69,9 @@ def ascend(value_and_grad, x0, iters, step0=0.1, shrink=0.5, grow=1.3,
     """Maximize ``f`` given ``value_and_grad(x, need_grad) -> (f, g or None)``.
 
     Line-search trial points are evaluated with ``need_grad=False`` so that
-    implementations can skip the expensive backward pass there.
+    implementations can skip the expensive backward pass there; the gradient
+    is then requested at the accepted trial point, which
+    :func:`cached_objective` serves from that trial's forward.
 
     Parameters
     ----------

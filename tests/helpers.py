@@ -6,6 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from dgpuq.kernels import ARDParams, gram
+from dgpuq.optimize import _NUMERICAL_FAILURES
 from dgpuq.random_field import KLExpansion
 
 
@@ -22,6 +23,21 @@ def central_diff(fun, x, eps=1e-5):
         xm[i] -= eps
         g[i] = (fun(xp) - fun(xm)) / (2.0 * eps)
     return g
+
+
+def recomputing_objective(forward, backward):
+    """``value_and_grad`` that runs ``forward`` afresh on every call.
+
+    The reference for :func:`dgpuq.optimize.cached_objective`: same halves,
+    same failure mapping, no state kept between calls.
+    """
+    def value_and_grad(x, need_grad=True):
+        try:
+            f, state = forward(np.array(x, dtype=float))
+            return f, (backward(state) if need_grad else None)
+        except _NUMERICAL_FAILURES:
+            return -np.inf, None
+    return value_and_grad
 
 
 def loop_gram(A, B, kfun):

@@ -1,9 +1,10 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from dgpuq import gp
+from dgpuq import deepgp, gp
 from dgpuq.kernels import RBFParams, ARDParams, gram, chol_psd
 from dgpuq.gplvm import (VariationalLatent, InducingSet, LayerState, layer_bound,
                          phi_stats)
@@ -91,6 +92,33 @@ class TestJointElboGradient:
         direct = sum(0.5 * np.log((2 * np.pi * np.e) ** q * np.prod(S[i]))
                      for i in range(n))
         assert ours == pytest.approx(direct, abs=1e-10)
+
+    @pytest.mark.parametrize("path", ["elbo_grad_vector", "train_deep"])
+    def test_backward_frees_each_layer_cache_after_use(self, monkeypatch, path):
+        # a layer cache holds an (n, m, m) array; only the one in use may live
+        seen = []
+        real_grads = deepgp.layer_bound_grads
+        real_first = deepgp._first_latent_grads
+
+        def layer_grads(cache):
+            assert all(ref() is None for ref in seen)
+            seen.append(weakref.ref(cache))
+            return real_grads(cache)
+
+        def first_latent_grads(*args):
+            assert seen and all(ref() is None for ref in seen)
+            return real_first(*args)
+
+        monkeypatch.setattr(deepgp, "layer_bound_grads", layer_grads)
+        monkeypatch.setattr(deepgp, "_first_latent_grads", first_latent_grads)
+        if path == "elbo_grad_vector":
+            elbo_grad_vector(tiny_model(seed=4, n=12, dims=(2, 2, 2), m=3))
+            assert len(seen) == 3
+        else:
+            X, Y, _, _ = benchmark_1d(seed=8, n=20)
+            train_deep(X, np.hstack([Y, Y ** 2]), dims=[2, 2],
+                       m_inducing=[6, 6], iters=3, seed=1, init_iters=10)
+            assert len(seen) >= 2
 
 
 def _d_s1_case(case, rng, lam):

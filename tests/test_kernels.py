@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,7 +127,9 @@ def spread_rows(rng, n, kappa, spread):
     return rng.normal(size=(n, kappa)) * cols, p
 
 
-SHAPES = [(1, 1, False), (9, 3, False), (40, 64, True), (25, 300, True)]
+# the last shape spans several of the row blocks that reduce the norms
+SHAPES = [(1, 1, False), (9, 3, False), (40, 64, True), (25, 300, True),
+          (70, 4096, True)]
 
 
 class TestOnePassPerOperand:
@@ -149,6 +153,20 @@ class TestOnePassPerOperand:
         np.testing.assert_array_equal(pairwise_sqdist(X, B, p.weights),
                                       two_pass_sqdist(X, B, p.weights))
         np.testing.assert_array_equal(gram(X, B, p), two_pass_gram(X, B, p))
+
+    def test_self_gram_holds_one_scaled_copy(self):
+        # the scaled operand is n x kappa; a second such temporary for the
+        # weighted norms would put the peak near 2 n kappa doubles
+        n, kappa = 300, 4096
+        X, p = spread_rows(np.random.default_rng(5), n, kappa, False)
+        gram(X, X, p)
+        tracemalloc.start()
+        try:
+            gram(X, X, p, return_norms=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * kappa * 8
 
     def test_norms_only_for_a_self_gram(self):
         X = np.random.default_rng(4).normal(size=(5, 2))
