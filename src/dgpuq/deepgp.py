@@ -31,6 +31,9 @@ gradient is taken.  :func:`elbo` is the forward without packing, and
 :func:`train_deep` packs at every trial point, since any trial may be
 accepted, and hands the halves to :func:`optimize.cached_objective`, so the
 gradient at an accepted line-search trial reuses that trial's forward.
+The parameter vector is laid out by one :class:`optimize.BlockSpec`
+(``_layout``); :func:`pack_params` and :func:`unpack_params` are its pack and
+unpack, and ``_deep_backward`` returns the gradient by block name.
 
 Training is two-phase: a greedy stack of GP-LVMs initializes every layer,
 then the joint bound (first-layer KL + collapsed layer terms + entropies)
@@ -49,7 +52,7 @@ from scipy.linalg.lapack import dpotrf, dtrtri, dlauum, dtrttf, dtfttr
 from .kernels import ARDParams, gram, chol_psd, DimensionMismatchError
 from .gplvm import (LayerState, VariationalLatent, InducingSet, layer_bound,
                     layer_bound_grads, train_gplvm, _phi_forward)
-from .optimize import ascend, cached_objective
+from .optimize import BlockSpec, ascend, cached_objective
 from . import gp as gp_mod
 from .rng import rng_for
 
@@ -73,7 +76,7 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 class InputLayer:
     """Exact-GP mapping from observed inputs to the first latent."""
 
-    kernel: ARDParams    # w = 2b, packed as log b (see gp._pack_theta)
+    kernel: ARDParams    # w = 2b, packed as log b (see gp._theta)
     noise_var: float
     mu_bar: np.ndarray   # (n, q1)
     lam: np.ndarray      # (n, q1), positive
@@ -255,9 +258,8 @@ def _first_latent_grads(input_layer: InputLayer, X, packed, d_M1, d_s1):
     Kx[diag] -= il.noise_var
     g_log_tau, g_log_b, g_log_noise = gp_mod._hyper_grads(X, Kx, G_C, il.kernel,
                                                           il.noise_var)
-    return {"log_tau0": g_log_tau, "log_b": g_log_b,
-            "log_noise": g_log_noise, "mu_bar": d_mu_bar,
-            "log_lam": d_log_lam}
+    return {"tau0_sq": g_log_tau, "b": g_log_b, "noise_var": g_log_noise,
+            "mu_bar": d_mu_bar, "lam": d_log_lam}
 
 
 def elbo(model: DeepGPModel) -> float:
@@ -301,11 +303,14 @@ def _deep_forward(model: DeepGPModel, pack=True):
 
 
 def _deep_backward(state):
-    """Gradient blocks of the joint bound from :func:`_deep_forward`'s state.
+    """Gradient of the joint bound from :func:`_deep_forward`'s state.
 
-    The state is consumed: each layer cache (with its (n, m, m) T array) is
-    dropped as soon as its gradient is taken, so at most one is alive, and
-    all are gone before the packed first-latent factors are unpacked.
+    Returns ``{block name: gradient}`` in :func:`_layout`'s stored
+    coordinates, without the input-layer blocks when the state holds no
+    packed factors.  The state is consumed: each layer cache (with its
+    (n, m, m) T array) is dropped as soon as its gradient is taken, so at
+    most one is alive, and all are gone before the packed first-latent
+    factors are unpacked.
     """
     model, caches, packed = state
     G = model.n_latents
@@ -314,119 +319,97 @@ def _deep_backward(state):
         grads.append(layer_bound_grads(caches[t]))
         caches[t] = None
 
+    out = {}
+    for t, layer in enumerate(model.hidden_layers):
+        g = grads[t]
+        out[f"Hu{t}"] = g["Hu"]
+        out[f"sigma_h_sq{t}"] = g["sigma_h_sq"] * layer.kernel.sigma_h_sq
+        out[f"weights{t}"] = g["weights"] * layer.kernel.weights
+        out[f"beta{t}"] = g["beta"] * layer.beta
     # free hidden latents: input of layer t, output of layer t-1, plus entropy
-    latent_blocks = []
     for t in range(1, G):
         S = model.hidden_layers[t].latent.variances
-        d_means = grads[t]["latent_means"] + grads[t - 1]["out_means"]
+        out[f"means{t}"] = grads[t]["latent_means"] + grads[t - 1]["out_means"]
         d_vars = grads[t]["latent_vars"] + grads[t - 1]["out_vars"] + 0.5 / S
-        latent_blocks.append({"means": d_means, "log_vars": d_vars * S})
-
-    layer_blocks = []
-    for t in range(G):
-        layer = model.hidden_layers[t]
-        g = grads[t]
-        layer_blocks.append({
-            "Hu": g["Hu"],
-            "log_sigma_h": g["sigma_h_sq"] * layer.kernel.sigma_h_sq,
-            "log_w": g["weights"] * layer.kernel.weights,
-            "log_beta": g["beta"] * layer.beta,
-        })
+        out[f"variances{t}"] = d_vars * S
 
     # input layer: chain through M1 = C mu_bar, diag S_j and the first KL
-    input_block = None
     if packed is not None:
-        input_block = _first_latent_grads(model.input_layer, model.X, packed,
-                                          grads[0]["latent_means"],
-                                          grads[0]["latent_vars"])
-    return {"input": input_block, "layers": layer_blocks,
-            "latents": latent_blocks}
+        out.update(_first_latent_grads(model.input_layer, model.X, packed,
+                                       grads[0]["latent_means"],
+                                       grads[0]["latent_vars"]))
+    return out
 
 
 # ---------------------------------------------------------------------------
-# Parameter vector packing (unconstrained optimization space)
+# Parameter vector (unconstrained optimization space)
 # ---------------------------------------------------------------------------
 
-def pack_params(model: DeepGPModel, frozen_input=False) -> np.ndarray:
+def _layout(model: DeepGPModel, frozen_input=False):
+    """``(spec, values)`` of the model's parameter vector.
+
+    The blocks are the input layer's theta, mu_bar and log lam (left out
+    when the input layer is frozen), then per sparse layer t its inducing
+    inputs and the logs of sigma_h_sq, the weights and beta, then the means
+    and log variances of each free latent t = 1..G-1.
+    """
     il = model.input_layer
-    parts = []
-    if not frozen_input:
-        parts += [gp_mod._pack_theta(il.kernel, il.noise_var), il.mu_bar.ravel(),
-                  np.log(il.lam).ravel()]
-    for layer in model.hidden_layers:
-        parts += [layer.inducing.inputs.ravel(), [np.log(layer.kernel.sigma_h_sq)],
-                  np.log(layer.kernel.weights), [np.log(layer.beta)]]
+    theta = gp_mod._theta(il.kernel, il.noise_var)
+    entries = [] if frozen_input else [(k, v, True) for k, v in theta.items()] + [
+        ("mu_bar", il.mu_bar, False), ("lam", il.lam, True)]
+    for t, layer in enumerate(model.hidden_layers):
+        entries += [(f"Hu{t}", layer.inducing.inputs, False),
+                    (f"sigma_h_sq{t}", layer.kernel.sigma_h_sq, True),
+                    (f"weights{t}", layer.kernel.weights, True),
+                    (f"beta{t}", layer.beta, True)]
     for t in range(1, model.n_latents):
         lat = model.hidden_layers[t].latent
-        parts += [lat.means.ravel(), np.log(lat.variances).ravel()]
-    return np.concatenate([np.asarray(p, dtype=float).ravel() for p in parts])
+        entries += [(f"means{t}", lat.means, False),
+                    (f"variances{t}", lat.variances, True)]
+    return (BlockSpec([(name, np.shape(v), log) for name, v, log in entries]),
+            {name: v for name, v, _ in entries})
+
+
+def _with_values(model: DeepGPModel, values) -> DeepGPModel:
+    """A new model holding ``values`` (from :func:`_layout`); a frozen input
+    layer, whose blocks are absent, is shared with ``model``."""
+    il = model.input_layer
+    if "mu_bar" in values:
+        kern, noise_var = gp_mod._from_theta(values)
+        il = InputLayer(kernel=kern, noise_var=noise_var,
+                        mu_bar=values["mu_bar"], lam=values["lam"])
+    layers = [LayerState(
+        kernel=ARDParams(sigma_h_sq=float(values[f"sigma_h_sq{t}"]),
+                         weights=values[f"weights{t}"]),
+        beta=float(values[f"beta{t}"]),
+        latent=layer.latent if t == 0 else VariationalLatent(
+            means=values[f"means{t}"], variances=values[f"variances{t}"]),
+        inducing=InducingSet(inputs=values[f"Hu{t}"]))
+        for t, layer in enumerate(model.hidden_layers)]
+    return DeepGPModel(X=model.X, Y=model.Y, input_layer=il,
+                       hidden_layers=layers, dims=list(model.dims),
+                       training_meta=model.training_meta)
+
+
+def pack_params(model: DeepGPModel, frozen_input=False) -> np.ndarray:
+    """The model's parameter vector in :func:`_layout`'s blocks."""
+    spec, values = _layout(model, frozen_input)
+    return spec.pack(values)
 
 
 def unpack_params(model: DeepGPModel, x, frozen_input=False) -> DeepGPModel:
     """Rebuild a model with parameters taken from the packed vector.
 
-    Raises FloatingPointError when a log-parameter overflows ``exp``.
+    Raises FloatingPointError when a log-parameter overflows ``exp`` and
+    ValueError when ``x`` has the wrong length.
     """
-    i = 0
-
-    def take(k):
-        nonlocal i
-        out = x[i:i + k]
-        i += k
-        return out
-
-    with np.errstate(over="raise"):
-        il = model.input_layer
-        if frozen_input:
-            new_il = il
-        else:
-            kern, nv = gp_mod._unpack_theta(take(il.kernel.dim + 2))
-            n, q1 = il.mu_bar.shape
-            mu_bar = take(n * q1).reshape(n, q1).copy()
-            lam = np.exp(take(n * q1)).reshape(n, q1)
-            new_il = InputLayer(kernel=kern, noise_var=nv, mu_bar=mu_bar, lam=lam)
-        new_layers = []
-        for layer in model.hidden_layers:
-            m, q = layer.inducing.inputs.shape
-            Z = take(m * q).reshape(m, q).copy()
-            sig = float(np.exp(take(1)[0]))
-            w = np.exp(take(q))
-            beta = float(np.exp(take(1)[0]))
-            new_layers.append(LayerState(
-                kernel=ARDParams(sigma_h_sq=sig, weights=w), beta=beta,
-                latent=layer.latent, inducing=InducingSet(inputs=Z)))
-        for t in range(1, model.n_latents):
-            n, q = model.hidden_layers[t].latent.means.shape
-            means = take(n * q).reshape(n, q).copy()
-            variances = np.exp(take(n * q)).reshape(n, q)
-            new_layers[t].latent = VariationalLatent(means=means,
-                                                     variances=variances)
-    if i != x.size:
-        raise ValueError(f"parameter vector length mismatch: used {i} of {x.size}")
-    return DeepGPModel(X=model.X, Y=model.Y, input_layer=new_il,
-                       hidden_layers=new_layers, dims=list(model.dims),
-                       training_meta=model.training_meta)
-
-
-def _grad_to_vector(g) -> np.ndarray:
-    """Flatten :func:`_deep_backward`'s blocks in :func:`pack_params` order."""
-    parts = []
-    gi = g["input"]
-    if gi is not None:
-        parts += [[gi["log_tau0"]], gi["log_b"], [gi["log_noise"]],
-                  gi["mu_bar"].ravel(), gi["log_lam"].ravel()]
-    for gl in g["layers"]:
-        parts += [gl["Hu"].ravel(), [gl["log_sigma_h"]], gl["log_w"],
-                  [gl["log_beta"]]]
-    for gt in g["latents"]:
-        parts += [gt["means"].ravel(), gt["log_vars"].ravel()]
-    return np.concatenate([np.asarray(p, dtype=float).ravel() for p in parts])
+    return _with_values(model, _layout(model, frozen_input)[0].unpack(x))
 
 
 def elbo_grad_vector(model: DeepGPModel, frozen_input=False) -> np.ndarray:
     """Gradient of :func:`elbo` in the packed parameterization."""
     state = _deep_forward(model, pack=not frozen_input)[1]
-    return _grad_to_vector(_deep_backward(state))
+    return _layout(model, frozen_input)[0].flatten(_deep_backward(state))
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +469,6 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0, init_iters=150,
     for t in range(1, G):
         layers[t].latent = VariationalLatent(means=latent_means[t + 1].copy(),
                                              variances=latent_vars[t + 1].copy())
-    # clear reparam fields: the deep parameterization replaces them
-    for layer in layers:
-        layer.reparam = None
 
     # input layer: exact-GP fit of X -> first latent means; the mean is
     # C mu_bar, so mu_bar is the fit's mean weights C^-1 M1
@@ -506,18 +486,18 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0, init_iters=150,
                                                   "iters": int(iters),
                                                   "init_iters": int(init_iters)})
     frozen = bool(fix_latent_to_inputs)
+    spec, values = _layout(model, frozen_input=frozen)
 
     def forward(x):
-        return _deep_forward(unpack_params(model, x, frozen_input=frozen),
+        return _deep_forward(_with_values(model, spec.unpack(x)),
                              pack=not frozen)
 
     def backward(state):
-        return _grad_to_vector(_deep_backward(state))
+        return spec.flatten(_deep_backward(state))
 
-    x0 = pack_params(model, frozen_input=frozen)
-    x, trace = ascend(cached_objective(forward, backward), x0, iters,
-                      callback=callback)
-    trained = unpack_params(model, x, frozen_input=frozen)
+    x, trace = ascend(cached_objective(forward, backward),
+                      spec.pack(values), iters, callback=callback)
+    trained = _with_values(model, spec.unpack(x))
     _deep_forward(trained, pack=False)  # sync first-latent moments
     trained.training_meta.update({
         "elbo_trace": trace,

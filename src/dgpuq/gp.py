@@ -15,7 +15,7 @@ import scipy.linalg
 
 from .kernels import (ARDParams, RBFParams, gram, predictive_grams, chol_psd,
                       pairwise_sqdist, DimensionMismatchError)
-from .optimize import ascend, cached_objective
+from .optimize import BlockSpec, ascend, cached_objective
 
 __all__ = ["GPModel", "build_model", "log_marginal", "log_marginal_grad", "fit", "predict"]
 
@@ -108,21 +108,18 @@ def log_marginal_grad(model: GPModel, K=None):
     return _hyper_grads(X, K, 0.5 * W, model.kernel, model.noise_var)
 
 
-def _pack_theta(kernel: ARDParams, noise_var) -> np.ndarray:
-    """theta = [log tau0_sq, log b, log noise_var] with b = w / 2."""
-    return np.concatenate([[np.log(kernel.sigma_h_sq)], np.log(0.5 * kernel.weights),
-                           [np.log(noise_var)]])
+def _theta(kernel: ARDParams, noise_var):
+    """The hyperparameters by block name, w = 2b; theta holds their logs,
+    [log tau0_sq, log b, log noise_var]."""
+    return {"tau0_sq": kernel.sigma_h_sq, "b": 0.5 * kernel.weights,
+            "noise_var": noise_var}
 
 
-def _unpack_theta(theta):
-    """Inverse of :func:`_pack_theta`: returns (kernel, noise_var).
-
-    An overflowing ``exp`` raises FloatingPointError.
-    """
-    with np.errstate(over="raise"):
-        kernel = RBFParams(tau0_sq=float(np.exp(theta[0])),
-                           lengthscale_inv=np.exp(theta[1:-1]))
-        return kernel, float(np.exp(theta[-1]))
+def _from_theta(values):
+    """(kernel, noise_var) from the values of :func:`_theta`."""
+    return (RBFParams(tau0_sq=float(values["tau0_sq"]),
+                      lengthscale_inv=values["b"]),
+            float(values["noise_var"]))
 
 
 def _median_heuristic(X, max_points=200):
@@ -155,17 +152,20 @@ def fit(X, Y, init: ARDParams = None, noise_var=None, iters=100,
     if noise_var is None:
         noise_var = 0.01 * y_var
 
+    theta0 = _theta(init, noise_var)
+    spec = BlockSpec([(name, np.shape(v), True) for name, v in theta0.items()])
+
     def forward(theta):
-        model, K = _build(*_unpack_theta(theta), X, Y)
+        model, K = _build(*_from_theta(spec.unpack(theta)), X, Y)
         return log_marginal(model), (model, K)
 
     def backward(state):
-        gt, gb, gn = log_marginal_grad(*state)
-        return np.concatenate([[gt], gb, [gn]])
+        return spec.flatten(dict(zip(("tau0_sq", "b", "noise_var"),
+                                     log_marginal_grad(*state))))
 
     theta, trace = ascend(cached_objective(forward, backward),
-                          _pack_theta(init, noise_var), iters)
-    model = build_model(*_unpack_theta(theta), X, Y)
+                          spec.pack(theta0), iters)
+    model = build_model(*_from_theta(spec.unpack(theta)), X, Y)
     if return_trace:
         return model, trace
     return model

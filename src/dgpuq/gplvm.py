@@ -20,7 +20,9 @@ statistics, the K_uu and A factors and their inverses); ``_elbo_backward``
 turns that cache into the gradient blocks.  :func:`elbo_grad` is the two
 composed, and :func:`train_gplvm` hands them to
 :func:`optimize.cached_objective`, so the gradient at an accepted
-line-search trial reuses that trial's forward.
+line-search trial reuses that trial's forward.  Its parameter vector is
+laid out by an :class:`optimize.BlockSpec` (``_spec``), in which the latent
+variances are 1/(1 + lam) and lam is stored as its log.
 """
 
 from __future__ import annotations
@@ -31,14 +33,13 @@ import numpy as np
 import scipy.linalg
 
 from .kernels import ARDParams, gram, DimensionMismatchError, SingularMatrixError
-from .optimize import ascend, cached_objective
+from .optimize import BlockSpec, ascend, cached_objective
 from .rng import rng_for
 
 __all__ = [
     "VariationalLatent",
     "InducingSet",
     "PhiStats",
-    "Reparam",
     "LayerState",
     "phi_stats",
     "layer_bound",
@@ -48,7 +49,6 @@ __all__ = [
     "elbo_grad",
     "train_gplvm",
     "effective_dims",
-    "recover_inducing_posterior",
 ]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -128,11 +128,9 @@ class VariationalLatent:
 
 @dataclass
 class InducingSet:
-    """Inducing inputs plus (optionally) the recovered posterior q(U)."""
+    """Inducing inputs of a sparse layer; q(U) is collapsed out of the bound."""
 
     inputs: np.ndarray                 # (m, q)
-    out_means: np.ndarray = None       # (m, nu)
-    out_cov: np.ndarray = None         # (m, m), symmetric PSD, shared by all nu columns
 
     def __post_init__(self):
         self.inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
@@ -154,22 +152,6 @@ class PhiStats:
 
 
 @dataclass
-class Reparam:
-    """Natural-style parameterization of the latent posterior.
-
-    With a standard-normal prior the latent moments are means = mu_bar and
-    variances = 1 / (1 + lam); ``lam`` must be positive.
-    """
-
-    mu_bar: np.ndarray  # (n, q)
-    lam: np.ndarray     # (n, q), positive
-
-    def latent(self) -> VariationalLatent:
-        return VariationalLatent(means=self.mu_bar.copy(),
-                                 variances=1.0 / (1.0 + self.lam))
-
-
-@dataclass
 class LayerState:
     """All state of one sparse variational layer."""
 
@@ -177,7 +159,6 @@ class LayerState:
     beta: float                      # noise precision (1 / noise variance)
     latent: VariationalLatent
     inducing: InducingSet
-    reparam: Reparam = None
 
     def __post_init__(self):
         if not self.beta > 0:
@@ -188,11 +169,6 @@ class LayerState:
         if self.inducing.inputs.shape[1] != self.latent.q:
             raise DimensionMismatchError("inducing inputs", self.latent.q,
                                          self.inducing.inputs.shape[1])
-
-    @classmethod
-    def from_reparam(cls, kernel, beta, reparam: Reparam, inducing: InducingSet):
-        return cls(kernel=kernel, beta=beta, latent=reparam.latent(),
-                   inducing=inducing, reparam=reparam)
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +470,6 @@ def elbo_layer(state: LayerState, Y, include_kl=True) -> float:
 def _elbo_forward(state: LayerState, Y):
     """The ELBO and the layer cache its gradient reads: the forward half."""
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if state.reparam is None and np.any(state.latent.variances >= 1.0):
-        raise ValueError("cannot derive reparam: latent variances must be < 1")
     _, cache = layer_bound(state.kernel, state.beta, state.latent,
                            state.inducing.inputs, Y, return_cache=True)
     return cache.value - latent_kl(state.latent), cache
@@ -525,23 +499,14 @@ def elbo_grad(state: LayerState, Y):
     """Analytic ELBO gradients in the (mu_bar, lam) parameterization.
 
     Returns a dict with blocks ``mu_bar, lam, Hu, sigma_h_sq, weights,
-    beta`` (raw-parameter gradients).  Without ``state.reparam`` the latent
-    variances must be below 1; with the standard-normal prior the latent
-    moments are means = mu_bar and variances = 1/(1 + lam).
+    beta`` (raw-parameter gradients).  With the standard-normal prior the
+    latent moments are means = mu_bar and variances = 1/(1 + lam), so the
+    latent variances must be below 1.
     """
+    if np.any(state.latent.variances >= 1.0):
+        raise ValueError("latent variances must be < 1 for the lam "
+                         "parameterization")
     return _elbo_backward(_elbo_forward(state, Y)[1])
-
-
-def recover_inducing_posterior(state: LayerState, Y) -> InducingSet:
-    """Explicit optimal q(U) moments implied by the collapsed bound."""
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    _, cache = layer_bound(state.kernel, state.beta, state.latent,
-                           state.inducing.inputs, Y, return_cache=True)
-    Sigma = cache.Kuu @ cache.A_inv @ cache.Kuu
-    Sigma = 0.5 * (Sigma + Sigma.T)
-    return InducingSet(inputs=state.inducing.inputs.copy(),
-                       out_means=state.beta * cache.Kuu @ cache.AinvM,
-                       out_cov=Sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -573,31 +538,31 @@ def _pca_latent(Y, q, rng):
     return scores
 
 
-def _pack(mu_bar, lam, Z, kernel, beta):
-    return np.concatenate([mu_bar.ravel(), np.log(lam).ravel(), Z.ravel(),
-                           [np.log(kernel.sigma_h_sq)], np.log(kernel.weights),
-                           [np.log(beta)]])
+def _spec(n, q, m) -> BlockSpec:
+    """The GP-LVM's blocks: latent means mu_bar and log lam, the inducing
+    inputs, and the logs of sigma_h_sq, the ARD weights and beta."""
+    return BlockSpec([("mu_bar", (n, q), False), ("lam", (n, q), True),
+                      ("Hu", (m, q), False), ("sigma_h_sq", (), True),
+                      ("weights", (q,), True), ("beta", (), True)])
 
 
-def _unpack(x, n, q, m):
-    """Inverse of :func:`_pack`; raises FloatingPointError if ``exp`` overflows."""
-    i = 0
-    mu_bar = x[i:i + n * q].reshape(n, q); i += n * q
-    with np.errstate(over="raise"):
-        lam = np.exp(x[i:i + n * q]).reshape(n, q); i += n * q
-        Z = x[i:i + m * q].reshape(m, q); i += m * q
-        sigma = float(np.exp(x[i])); i += 1
-        w = np.exp(x[i:i + q]); i += q
-        beta = float(np.exp(x[i]))
-    return mu_bar, lam, Z, ARDParams(sigma_h_sq=sigma, weights=w), beta
+def _layer_state(values) -> LayerState:
+    """The layer of :func:`_spec`'s values: latent variances 1/(1 + lam)."""
+    return LayerState(
+        kernel=ARDParams(sigma_h_sq=float(values["sigma_h_sq"]),
+                         weights=values["weights"]),
+        beta=float(values["beta"]),
+        latent=VariationalLatent(means=values["mu_bar"],
+                                 variances=1.0 / (1.0 + values["lam"])),
+        inducing=InducingSet(inputs=values["Hu"]))
 
 
 def train_gplvm(Y, q, m, iters=200, seed=0):
     """Train a Bayesian GP-LVM on data Y.
 
     Returns ``(state, trace)`` where ``state`` carries the optimized kernel,
-    noise precision, variational posterior q(H) and inducing set (with the
-    recovered q(U) moments), and ``trace`` is the nondecreasing ELBO history.
+    noise precision, variational posterior q(H) and inducing inputs, and
+    ``trace`` is the nondecreasing ELBO history.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n, nu = Y.shape
@@ -611,47 +576,37 @@ def train_gplvm(Y, q, m, iters=200, seed=0):
 
     rng = rng_for(seed)
     mu0 = _pca_latent(Y, q, rng)
-    lam0 = np.full((n, q), 9.0)          # latent variances start at 0.1
     idx = rng.choice(n, size=m, replace=False)
-    Z0 = mu0[np.sort(idx)].copy()
-    kern0 = ARDParams(sigma_h_sq=y_var, weights=np.ones(q))
-    beta0 = 100.0 / y_var
+    spec = _spec(n, q, m)
+    x0 = spec.pack({"mu_bar": mu0,
+                    "lam": np.full((n, q), 9.0),  # latent variances at 0.1
+                    "Hu": mu0[np.sort(idx)], "sigma_h_sq": y_var,
+                    "weights": np.ones(q), "beta": 100.0 / y_var})
 
     def forward(x):
-        mu_bar, lam, Z, kern, beta = _unpack(x, n, q, m)
-        state = LayerState.from_reparam(kern, beta, Reparam(mu_bar, lam),
-                                        InducingSet(inputs=Z))
-        f, cache = _elbo_forward(state, Y)
-        return f, (cache, lam)
+        values = spec.unpack(x)
+        f, cache = _elbo_forward(_layer_state(values), Y)
+        return f, (cache, values)
 
-    def make_backward(freeze_beta):
+    def make_backward(frozen):
         def backward(fwd):
-            cache, lam = fwd
-            kern, beta = cache.kernel, cache.beta
+            cache, values = fwd
             g = _elbo_backward(cache)
-            return np.concatenate([
-                g["mu_bar"].ravel(),
-                (g["lam"] * lam).ravel(),               # chain to log lam
-                g["Hu"].ravel(),
-                [g["sigma_h_sq"] * kern.sigma_h_sq],
-                g["weights"] * kern.weights,
-                [0.0 if freeze_beta else g["beta"] * beta],
-            ])
+            # chain to the stored log coordinates
+            return spec.flatten({name: g[name] * values[name] if log
+                                 else g[name] for name, _, log in spec.blocks},
+                                frozen)
         return backward
 
     # hold the noise precision for the first stretch so it cannot swallow
     # the signal before the latent space has organized
-    x0 = _pack(mu0, lam0, Z0, kern0, beta0)
     warm = min(50, int(iters) // 3)
-    x, trace_a = ascend(cached_objective(forward, make_backward(True)), x0, warm)
-    x, trace_b = ascend(cached_objective(forward, make_backward(False)), x,
+    x, trace_a = ascend(cached_objective(forward, make_backward({"beta"})),
+                        x0, warm)
+    x, trace_b = ascend(cached_objective(forward, make_backward(())), x,
                         int(iters) - warm)
     trace = np.concatenate([trace_a, trace_b[1:]])
-    mu_bar, lam, Z, kern, beta = _unpack(x, n, q, m)
-    state = LayerState.from_reparam(kern, beta, Reparam(mu_bar, lam),
-                                    InducingSet(inputs=Z))
-    state.inducing = recover_inducing_posterior(state, Y)
-    return state, trace
+    return _layer_state(spec.unpack(x)), trace
 
 
 def effective_dims(kernel: ARDParams, threshold_frac=0.01):

@@ -14,17 +14,60 @@ at the trial it accepts, so the callable keeps the last point's forward
 state: a gradient request at that same point runs only the backward.  Every
 accepted step thus costs one forward, not two, and the arithmetic, hence
 every value, gradient and trajectory, is the same as recomputing it.
+
+Every trainer lays out its parameter vector with one :class:`BlockSpec`.
+``pack`` takes the blocks' values by name, ``unpack`` returns them by name,
+and ``flatten`` lays out a gradient given by name in the stored coordinates,
+with zeros for the blocks a trainer holds fixed.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["ascend", "cached_objective"]
+__all__ = ["BlockSpec", "ascend", "cached_objective"]
 
 # failures of a trial point that mean "outside the feasible region": the
 # objective there is -inf and the line search shrinks its step
 _NUMERICAL_FAILURES = (np.linalg.LinAlgError, FloatingPointError, ValueError)
+
+
+class BlockSpec:
+    """Named blocks ``(name, shape, log)`` laid end to end in one vector; a
+    ``log`` block holds a positive value, stored as its log."""
+
+    def __init__(self, blocks):
+        self.blocks = [(name, tuple(shape), log) for name, shape, log in blocks]
+        self.size = sum(math.prod(shape) for _, shape, _ in self.blocks)
+
+    def pack(self, values):
+        """The vector of ``values[name]`` over the blocks."""
+        return np.concatenate([np.ravel(np.log(values[name]) if log
+                                        else values[name])
+                               for name, _, log in self.blocks], dtype=float)
+
+    def unpack(self, x):
+        """``{name: value}`` from a vector.  Raises ValueError on a vector of
+        the wrong length, FloatingPointError when an ``exp`` overflows."""
+        if np.shape(x) != (self.size,):
+            raise ValueError(f"parameter vector length {np.size(x)}, "
+                             f"expected {self.size}")
+        values, i = {}, 0
+        with np.errstate(over="raise"):
+            for name, shape, log in self.blocks:
+                block = x[i:i + math.prod(shape)].reshape(shape)
+                values[name] = np.exp(block) if log else block.copy()
+                i += block.size
+        return values
+
+    def flatten(self, grads, frozen=()):
+        """The vector of ``grads[name]`` (d/dlog for a log block), with
+        zeros for the blocks named in ``frozen``."""
+        return np.concatenate([np.zeros(math.prod(shape)) if name in frozen
+                               else np.ravel(grads[name])
+                               for name, shape, _ in self.blocks], dtype=float)
 
 
 def cached_objective(forward, backward):
@@ -71,7 +114,9 @@ def ascend(value_and_grad, x0, iters, step0=0.1, shrink=0.5, grow=1.3,
     Line-search trial points are evaluated with ``need_grad=False`` so that
     implementations can skip the expensive backward pass there; the gradient
     is then requested at the accepted trial point, which
-    :func:`cached_objective` serves from that trial's forward.
+    :func:`cached_objective` serves from that trial's forward.  When that
+    gradient fails (``g`` is None), the ascent stops at the accepted point
+    with the line search's value for it.
 
     Parameters
     ----------
@@ -100,20 +145,22 @@ def ascend(value_and_grad, x0, iters, step0=0.1, shrink=0.5, grow=1.3,
                 x_new = x + s * g
                 f_new, _ = value_and_grad(x_new, False)
                 if np.isfinite(f_new) and f_new >= f + armijo * s * gnorm_sq:
-                    return s, x_new
+                    return s, x_new, f_new
                 s *= shrink
-            return None, None
+            return None
 
-        step_acc, x_new = search(step)
-        if step_acc is None and step < step0:
+        accepted = search(step)
+        if accepted is None and step < step0:
             # the carried step may have shrunk past a rough patch; retry fresh
-            step_acc, x_new = search(step0)
-        if step_acc is None:
+            accepted = search(step0)
+        if accepted is None:
             break
-        x = x_new
-        f, g = value_and_grad(x, True)
+        step_acc, x, f = accepted
+        _, g = value_and_grad(x, True)
         trace.append(float(f))
         if callback is not None:
             callback(x, f)
+        if g is None:
+            break       # no gradient at the accepted point: stop there
         step = min(step_acc * grow, max_step)
     return x, np.asarray(trace)

@@ -5,7 +5,9 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from dgpuq.kernels import ARDParams, gram
+from dgpuq.deepgp import DeepGPModel, InputLayer
+from dgpuq.gplvm import InducingSet, LayerState, VariationalLatent
+from dgpuq.kernels import ARDParams, RBFParams, gram
 from dgpuq.optimize import _NUMERICAL_FAILURES
 from dgpuq.random_field import KLExpansion
 
@@ -38,6 +40,128 @@ def recomputing_objective(forward, backward):
         except _NUMERICAL_FAILURES:
             return -np.inf, None
     return value_and_grad
+
+
+# Hand-indexed parameter codecs: each trainer's vector layout written out
+# position by position, the reference for the optimize.BlockSpec layouts of
+# gp.fit, gplvm.train_gplvm and deepgp.train_deep.
+
+def hand_pack_theta(kernel, noise_var):
+    """theta = [log tau0_sq, log b, log noise_var] with b = w / 2."""
+    return np.concatenate([[np.log(kernel.sigma_h_sq)], np.log(0.5 * kernel.weights),
+                           [np.log(noise_var)]])
+
+
+def hand_unpack_theta(theta):
+    """Inverse of :func:`hand_pack_theta`: returns (kernel, noise_var)."""
+    with np.errstate(over="raise"):
+        kernel = RBFParams(tau0_sq=float(np.exp(theta[0])),
+                           lengthscale_inv=np.exp(theta[1:-1]))
+        return kernel, float(np.exp(theta[-1]))
+
+
+def hand_gplvm_pack(mu_bar, lam, Z, kernel, beta):
+    return np.concatenate([mu_bar.ravel(), np.log(lam).ravel(), Z.ravel(),
+                           [np.log(kernel.sigma_h_sq)], np.log(kernel.weights),
+                           [np.log(beta)]])
+
+
+def hand_gplvm_unpack(x, n, q, m):
+    """Inverse of :func:`hand_gplvm_pack`: (mu_bar, lam, Z, kernel, beta)."""
+    i = 0
+    mu_bar = x[i:i + n * q].reshape(n, q); i += n * q
+    with np.errstate(over="raise"):
+        lam = np.exp(x[i:i + n * q]).reshape(n, q); i += n * q
+        Z = x[i:i + m * q].reshape(m, q); i += m * q
+        sigma = float(np.exp(x[i])); i += 1
+        w = np.exp(x[i:i + q]); i += q
+        beta = float(np.exp(x[i]))
+    return mu_bar, lam, Z, ARDParams(sigma_h_sq=sigma, weights=w), beta
+
+
+def hand_gplvm_grad(g, lam, kernel, beta, freeze_beta):
+    """GP-LVM gradient vector from ``gplvm.elbo_grad``'s raw blocks."""
+    return np.concatenate([
+        g["mu_bar"].ravel(),
+        (g["lam"] * lam).ravel(),               # chain to log lam
+        g["Hu"].ravel(),
+        [g["sigma_h_sq"] * kernel.sigma_h_sq],
+        g["weights"] * kernel.weights,
+        [0.0 if freeze_beta else g["beta"] * beta],
+    ])
+
+
+def hand_pack_params(model, frozen_input=False):
+    il = model.input_layer
+    parts = []
+    if not frozen_input:
+        parts += [hand_pack_theta(il.kernel, il.noise_var), il.mu_bar.ravel(),
+                  np.log(il.lam).ravel()]
+    for layer in model.hidden_layers:
+        parts += [layer.inducing.inputs.ravel(), [np.log(layer.kernel.sigma_h_sq)],
+                  np.log(layer.kernel.weights), [np.log(layer.beta)]]
+    for t in range(1, model.n_latents):
+        lat = model.hidden_layers[t].latent
+        parts += [lat.means.ravel(), np.log(lat.variances).ravel()]
+    return np.concatenate([np.asarray(p, dtype=float).ravel() for p in parts])
+
+
+def hand_unpack_params(model, x, frozen_input=False):
+    """Inverse of :func:`hand_pack_params`: a new model."""
+    i = 0
+
+    def take(k):
+        nonlocal i
+        out = x[i:i + k]
+        i += k
+        return out
+
+    with np.errstate(over="raise"):
+        il = model.input_layer
+        if frozen_input:
+            new_il = il
+        else:
+            kern, nv = hand_unpack_theta(take(il.kernel.dim + 2))
+            n, q1 = il.mu_bar.shape
+            mu_bar = take(n * q1).reshape(n, q1).copy()
+            lam = np.exp(take(n * q1)).reshape(n, q1)
+            new_il = InputLayer(kernel=kern, noise_var=nv, mu_bar=mu_bar, lam=lam)
+        new_layers = []
+        for layer in model.hidden_layers:
+            m, q = layer.inducing.inputs.shape
+            Z = take(m * q).reshape(m, q).copy()
+            sig = float(np.exp(take(1)[0]))
+            w = np.exp(take(q))
+            beta = float(np.exp(take(1)[0]))
+            new_layers.append(LayerState(
+                kernel=ARDParams(sigma_h_sq=sig, weights=w), beta=beta,
+                latent=layer.latent, inducing=InducingSet(inputs=Z)))
+        for t in range(1, model.n_latents):
+            n, q = model.hidden_layers[t].latent.means.shape
+            means = take(n * q).reshape(n, q).copy()
+            variances = np.exp(take(n * q)).reshape(n, q)
+            new_layers[t].latent = VariationalLatent(means=means,
+                                                     variances=variances)
+    if i != x.size:
+        raise ValueError(f"parameter vector length mismatch: used {i} of {x.size}")
+    return DeepGPModel(X=model.X, Y=model.Y, input_layer=new_il,
+                       hidden_layers=new_layers, dims=list(model.dims),
+                       training_meta=model.training_meta)
+
+
+def hand_grad_vector(g, n_latents, frozen_input=False):
+    """Flatten a joint-bound gradient, given by block name, in
+    :func:`hand_pack_params` order."""
+    parts = []
+    if not frozen_input:
+        parts += [[g["tau0_sq"]], g["b"], [g["noise_var"]], g["mu_bar"].ravel(),
+                  g["lam"].ravel()]
+    for t in range(n_latents):
+        parts += [g[f"Hu{t}"].ravel(), [g[f"sigma_h_sq{t}"]], g[f"weights{t}"],
+                  [g[f"beta{t}"]]]
+    for t in range(1, n_latents):
+        parts += [g[f"means{t}"].ravel(), g[f"variances{t}"].ravel()]
+    return np.concatenate([np.asarray(p, dtype=float).ravel() for p in parts])
 
 
 def loop_gram(A, B, kfun):
@@ -293,7 +417,8 @@ def loop_first_latent_grads(input_layer, X, C, cols, d_M1, d_s1):
     """Input-layer gradient block given d(value)/dM1 and d(value)/d diag S.
 
     The value is the layer terms that read M1 and diag S, minus the first
-    KL; ``cols`` comes from :func:`loop_first_latent_forward`.
+    KL; ``cols`` comes from :func:`loop_first_latent_forward`.  Keyed by the
+    input layer's block names: d/dlog for tau0_sq, b, noise_var and lam.
     """
     il = input_layer
     n, q1 = il.mu_bar.shape
@@ -323,9 +448,8 @@ def loop_first_latent_grads(input_layer, X, C, cols, d_M1, d_s1):
     sq = X * X
     g_log_b = -0.5 * il.kernel.weights * (sq.T @ row + sq.T @ colsum - 2.0 * quad)
     g_log_noise = il.noise_var * float(np.trace(G_C))
-    return {"log_tau0": g_log_tau, "log_b": g_log_b,
-            "log_noise": g_log_noise, "mu_bar": d_mu_bar,
-            "log_lam": d_log_lam}
+    return {"tau0_sq": g_log_tau, "b": g_log_b, "noise_var": g_log_noise,
+            "mu_bar": d_mu_bar, "lam": d_log_lam}
 
 
 def dense_cov_matrix(centers, spec):

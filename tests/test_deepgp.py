@@ -160,7 +160,7 @@ class TestFirstLatentMatrixForms:
         assert rel_err(kl, kl_or) <= 1e-10
         g = _first_latent_grads(il, X, packed, d_M1, d_s1)
         g_or = loop_first_latent_grads(il, X, C, cols_or, d_M1, d_s1)
-        for name in ("mu_bar", "log_lam", "log_tau0", "log_b", "log_noise"):
+        for name in ("mu_bar", "lam", "tau0_sq", "b", "noise_var"):
             assert rel_err(g[name], g_or[name]) <= 1e-10, name
 
     def test_gradient_holds_packed_factors(self):

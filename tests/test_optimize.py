@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from dgpuq import deepgp, gp, gplvm
-from dgpuq.optimize import ascend, cached_objective
-from helpers import recomputing_objective
+from dgpuq.kernels import ARDParams
+from dgpuq.optimize import BlockSpec, ascend, cached_objective
+from dgpuq.rng import rng_for
+from helpers import (recomputing_objective, hand_pack_theta, hand_unpack_theta,
+                     hand_gplvm_pack, hand_gplvm_unpack, hand_gplvm_grad,
+                     hand_pack_params, hand_unpack_params, hand_grad_vector)
 
 
 class _State:
@@ -112,6 +116,23 @@ class TestCachedObjective:
         halves = {"forward": q.forward, "backward": q.backward, half: fail}
         vg = cached_objective(halves["forward"], halves["backward"])
         assert vg(np.array([1.0]), True) == (-np.inf, None)
+
+    def test_failed_gradient_at_an_accepted_point_stops_there(self):
+        q = Quadratic([1.0, -2.0, 0.5])
+        accepted = []
+
+        def backward(state):
+            if q.backwards == 1:            # the first accepted step
+                accepted.append(state.x)
+                raise FloatingPointError("non-finite gradient")
+            return q.backward(state)
+
+        x, trace = ascend(cached_objective(q.forward, backward), np.ones(3), 5)
+        assert np.all(np.isfinite(trace))
+        assert np.all(np.diff(trace) >= 0.0)
+        assert len(trace) == 2 and len(accepted) == 1
+        np.testing.assert_array_equal(x, accepted[0])
+        assert trace[-1] == q.fresh(x)[0]
 
     def test_programming_errors_propagate(self):
         def broken(x):
@@ -236,3 +257,139 @@ def test_trainer_gradient_after_a_changed_point_is_fresh(monkeypatch, name):
     f_ref, state = forward(x.copy())
     assert f == f_ref
     np.testing.assert_array_equal(g, backward(state))
+
+
+# ---------------------------------------------------------------------------
+# The block spec against the hand-indexed packers
+# ---------------------------------------------------------------------------
+
+def _capture_ascend(mp, module):
+    """Record each ``module.ascend`` call's x0 and objective."""
+    runs = []
+    real = module.ascend
+
+    def spied(value_and_grad, x0, *args, **kwargs):
+        runs.append((np.array(x0), value_and_grad))
+        return real(value_and_grad, x0, *args, **kwargs)
+
+    mp.setattr(module, "ascend", spied)
+    return runs
+
+
+def _model_params(model):
+    il = model.input_layer
+    out = [il.kernel.sigma_h_sq, il.kernel.weights, il.noise_var, il.mu_bar,
+           il.lam]
+    for layer in model.hidden_layers:
+        out += [layer.inducing.inputs, layer.kernel.sigma_h_sq,
+                layer.kernel.weights, layer.beta]
+    for layer in model.hidden_layers[1:]:
+        out += [layer.latent.means, layer.latent.variances]
+    return out
+
+
+def _gp_case(mp):
+    kern = ARDParams(1.3, np.array([0.4, 1.7]))
+    runs = _capture_ascend(mp, gp)
+    built = []                  # the (kernel, noise_var) of each forward
+    real_build = gp._build
+    mp.setattr(gp, "_build", lambda k, nv, *args: built.append((k, nv))
+               or real_build(k, nv, *args))
+    gp.fit(X, Y, init=kern, noise_var=0.05, iters=2)
+    x0, vg = runs[0]
+
+    def new(x):
+        g = vg(x, True)[1]
+        k, nv = built[-1]
+        return [k.sigma_h_sq, k.weights, nv], g
+
+    def hand(x):
+        k, nv = hand_unpack_theta(x)
+        grads = gp.log_marginal_grad(gp.build_model(k, nv, X, Y))
+        return [k.sigma_h_sq, k.weights, nv], np.concatenate(
+            [[grads[0]], grads[1], [grads[2]]])
+
+    return x0, hand_pack_theta(kern, 0.05), new, hand
+
+
+def _gplvm_case(mp, run):
+    n, (q, m), seed = Y.shape[0], (2, 8), 1
+    runs = _capture_ascend(mp, gplvm)
+    gplvm.train_gplvm(Y, q, m, iters=6, seed=seed)
+    x0, vg = runs[0][0], runs[run][1]
+    rng = rng_for(seed)
+    mu0 = gplvm._pca_latent(Y, q, rng)
+    Z0 = mu0[np.sort(rng.choice(n, size=m, replace=False))]
+    y_var = float(np.var(Y))
+
+    def new(x):
+        st = gplvm._layer_state(gplvm._spec(n, q, m).unpack(x))
+        return [st.latent.means, st.latent.variances, st.inducing.inputs,
+                st.kernel.sigma_h_sq, st.kernel.weights, st.beta], vg(x, True)[1]
+
+    def hand(x):
+        mu_bar, lam, Z, kern, beta = hand_gplvm_unpack(x, n, q, m)
+        st = gplvm.LayerState(kern, beta, gplvm.VariationalLatent(
+            mu_bar, 1.0 / (1.0 + lam)), gplvm.InducingSet(inputs=Z))
+        return ([mu_bar, 1.0 / (1.0 + lam), Z, kern.sigma_h_sq, kern.weights,
+                 beta], hand_gplvm_grad(gplvm.elbo_grad(st, Y), lam, kern, beta,
+                                        freeze_beta=run == 0))
+
+    return x0, hand_gplvm_pack(mu0, np.full((n, q), 9.0), Z0,
+                               ARDParams(y_var, np.ones(q)), 100.0 / y_var), new, hand
+
+
+def _deep_case(mp, frozen):
+    runs = _capture_ascend(mp, deepgp)
+    if frozen:
+        model = deepgp.train_deep(X[:, :1], Y, dims=[1], m_inducing=[6],
+                                  iters=2, seed=1, fix_latent_to_inputs=True)
+    else:
+        model = deepgp.train_deep(X, Y, dims=[2, 2], m_inducing=[6, 6],
+                                  iters=2, init_iters=6, seed=1)
+    vg = runs[0][1]
+
+    def new(x):
+        return (_model_params(deepgp.unpack_params(model, x, frozen)),
+                vg(x, True)[1])
+
+    def hand(x):
+        m = hand_unpack_params(model, x, frozen)
+        g = deepgp._deep_backward(deepgp._deep_forward(m, pack=not frozen)[1])
+        return _model_params(m), hand_grad_vector(g, m.n_latents, frozen)
+
+    return (deepgp.pack_params(model, frozen), hand_pack_params(model, frozen),
+            new, hand)
+
+
+SPEC_CASES = {
+    "gp_theta": _gp_case,
+    "gplvm_frozen_beta": lambda mp: _gplvm_case(mp, 0),
+    "gplvm": lambda mp: _gplvm_case(mp, 1),
+    "deep_two_layers": lambda mp: _deep_case(mp, False),
+    "deep_frozen_input": lambda mp: _deep_case(mp, True),
+}
+
+
+@pytest.mark.parametrize("case", list(SPEC_CASES))
+def test_spec_layout_matches_the_hand_packers(monkeypatch, case):
+    x, x_hand, new, hand = SPEC_CASES[case](monkeypatch)
+    assert np.array_equal(x, x_hand)
+    x = x + 1e-3 * np.random.default_rng(5).standard_normal(x.size)
+    params, grad = new(x)
+    params_hand, grad_hand = hand(x)
+    assert len(params) == len(params_hand)
+    for a, b in zip(params, params_hand):
+        assert np.array_equal(a, b)
+    assert np.array_equal(grad, grad_hand)
+
+
+def test_spec_unpack_rejects_a_bad_vector():
+    spec = BlockSpec([("a", (2, 3), False), ("b", (), True)])
+    x = spec.pack({"a": np.arange(6.0).reshape(2, 3), "b": 2.0})
+    np.testing.assert_array_equal(spec.unpack(x)["a"], np.arange(6.0).reshape(2, 3))
+    with pytest.raises(ValueError):
+        spec.unpack(x[:-1])
+    x[-1] = 800.0               # exp(800) overflows
+    with pytest.raises(FloatingPointError):
+        spec.unpack(x)
