@@ -22,18 +22,17 @@ if _os.environ.get("DGP_THREADS"):
     for _var in _vars:
         _os.environ[_var] = _threads
 
-from .kernels import (RBFParams, ARDParams, ard_eval, gram, chol_psd,
+from .kernels import (RBFParams, ARDParams, gram, chol_psd,
                       DimensionMismatchError, SingularMatrixError)
-from .random_field import (Grid2D, ExpCovSpec, KLExpansion, exp_cov,
-                           kle_decompose, sample_log_field, permeability,
-                           std_normal_inv_cdf, std_normal_cdf)
+from .random_field import (Grid2D, ExpCovSpec, KLExpansion, kle_decompose,
+                           sample_log_field, permeability, std_normal_inv_cdf)
 from .darcy import SourceSpec, DarcySolution, source_term, solve, restrict
 
 __all__ = [
-    "RBFParams", "ARDParams", "ard_eval", "gram", "chol_psd",
+    "RBFParams", "ARDParams", "gram", "chol_psd",
     "DimensionMismatchError", "SingularMatrixError",
-    "Grid2D", "ExpCovSpec", "KLExpansion", "exp_cov", "kle_decompose",
-    "sample_log_field", "permeability", "std_normal_inv_cdf", "std_normal_cdf",
+    "Grid2D", "ExpCovSpec", "KLExpansion", "kle_decompose",
+    "sample_log_field", "permeability", "std_normal_inv_cdf",
     "SourceSpec", "DarcySolution", "source_term", "solve", "restrict",
     "__version__",
 ]

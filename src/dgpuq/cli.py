@@ -3,7 +3,8 @@
 DGP_THREADS, which caps the linear-algebra thread pools, takes effect on
 import of the package (see ``dgpuq/__init__.py``).
 
-Exit codes: 0 success, 2 usage or validation error, 3 numeric failure.
+Exit codes: 0 success, 2 usage or validation error, 3 numeric failure
+(LinAlgError, FloatingPointError, OverflowError, RuntimeError).
 """
 
 from __future__ import annotations
@@ -199,8 +200,7 @@ def cmd_uq(args):
     pdf_at = _parse_locations(args.pdf_at) if args.pdf_at else None
     report = uq_report(model, InputDistribution(kle=info["kle"]),
                        n_prime=args.inner, n_repeats=args.repeats,
-                       seed=args.seed, pdf_at=pdf_at, out_grid=out_grid,
-                       smooth=args.smooth)
+                       seed=args.seed, pdf_at=pdf_at, out_grid=out_grid)
     os.makedirs(args.out, exist_ok=True)
     io.write_matrix(os.path.join(args.out, "mean_of_mean.dgpm"),
                     report.mean_of_mean[None, :])
@@ -212,7 +212,6 @@ def cmd_uq(args):
                     report.errorbar_variance[None, :])
     doc = {"format": "dgpuq-uq-v1", "n_inner": report.n_inner,
            "n_repeats": report.n_repeats, "seed": args.seed,
-           "smooth": args.smooth,
            "pdfs": _write_pdfs(args.out, report.pdf_points),
            "fields": {"mean_of_mean": "mean_of_mean.dgpm",
                       "mean_of_variance": "mean_of_variance.dgpm",
@@ -302,7 +301,6 @@ def build_parser():
     u.add_argument("--inner", type=int, default=120)
     u.add_argument("--repeats", type=int, default=100)
     u.add_argument("--pdf-at", default=None)
-    u.add_argument("--smooth", choices=("none", "noise"), default="none")
     u.add_argument("--seed", type=int, default=0)
     u.add_argument("--out", required=True)
     u.set_defaults(func=cmd_uq)
@@ -325,7 +323,8 @@ def main(argv=None):
     # LinAlgError subclasses ValueError, so it must be caught first
     try:
         args.func(args)
-    except (np.linalg.LinAlgError, FloatingPointError, RuntimeError) as exc:
+    except (np.linalg.LinAlgError, FloatingPointError, OverflowError,
+            RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (FileNotFoundError, ValueError, KeyError) as exc:

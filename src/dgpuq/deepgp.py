@@ -23,8 +23,10 @@ column at a time; its per-column backward is n^3 flops, two ``dsyrk``
 updates split by the sign of the diagonal weight.
 
 The joint bound is split into a forward and a backward half.
-``_deep_forward`` evaluates it and keeps one layer cache per sparse layer
-plus, unless told not to pack, the packed first-latent factors;
+``_deep_forward`` evaluates it, reading the first latent's moments from
+:func:`_first_latent_forward` and writing nothing to the model, and keeps
+one layer cache per sparse layer plus, unless told not to pack, the packed
+first-latent factors;
 ``_deep_backward`` consumes that state, dropping each layer cache once its
 gradient is taken.  :func:`elbo` is the forward without packing, and
 :func:`elbo_grad_vector` the forward with packing followed by the backward.
@@ -88,6 +90,13 @@ class DeepGPModel:
 
     ``hidden_layers[t]`` maps latent t+1 to latent t+2 (the last one maps
     to the observed outputs); its ``latent`` field holds q of its input.
+    The joint bound computes layer 0's input latent from the input layer
+    and ignores the stored one; :func:`train_deep` stores those moments in
+    the model it returns, and :func:`predict` reads them.
+
+    ``_pred_cache`` holds the prediction caches, filled lazily on first use
+    and never invalidated: a caller who assigns a field afterwards must
+    clear it.
     """
 
     X: np.ndarray
@@ -270,8 +279,9 @@ def elbo(model: DeepGPModel) -> float:
 def _deep_forward(model: DeepGPModel, pack=True):
     """Joint bound and the state its gradient reads: the forward half.
 
-    Sets ``model.hidden_layers[0].latent`` to the first latent's moments.
-    Returns ``(value, (model, caches, packed))`` with one layer cache per
+    Layer 0's input latent is the first latent's moments, built here;
+    ``model`` is left unchanged.  Returns
+    ``(value, (model, caches, packed))`` with one layer cache per
     sparse layer.  ``packed`` holds the first latent's packed factors when
     ``pack`` is set; without them (None) :func:`_deep_backward` leaves the
     input-layer block out, as a frozen input layer needs.
@@ -280,18 +290,18 @@ def _deep_forward(model: DeepGPModel, pack=True):
     G = model.n_latents
     M1, diag_S1, kl1, packed = _first_latent_forward(
         model.input_layer, X, need_full=pack)
-    model.hidden_layers[0].latent = VariationalLatent(means=M1, variances=diag_S1)
+    first = VariationalLatent(means=M1, variances=diag_S1)
 
     value = -kl1
     caches = []
-    for t in range(G):
-        layer = model.hidden_layers[t]
+    for t, layer in enumerate(model.hidden_layers):
         if t < G - 1:
             nxt = model.hidden_layers[t + 1].latent
             out_means, out_vars = nxt.means, nxt.variances
         else:
             out_means, out_vars = Y, None
-        v, cache = layer_bound(layer.kernel, layer.beta, layer.latent,
+        v, cache = layer_bound(layer.kernel, layer.beta,
+                               first if t == 0 else layer.latent,
                                layer.inducing.inputs, out_means, out_vars,
                                return_cache=True)
         value += v
@@ -391,25 +401,24 @@ def _with_values(model: DeepGPModel, values) -> DeepGPModel:
                        training_meta=model.training_meta)
 
 
-def pack_params(model: DeepGPModel, frozen_input=False) -> np.ndarray:
+def pack_params(model: DeepGPModel) -> np.ndarray:
     """The model's parameter vector in :func:`_layout`'s blocks."""
-    spec, values = _layout(model, frozen_input)
+    spec, values = _layout(model)
     return spec.pack(values)
 
 
-def unpack_params(model: DeepGPModel, x, frozen_input=False) -> DeepGPModel:
+def unpack_params(model: DeepGPModel, x) -> DeepGPModel:
     """Rebuild a model with parameters taken from the packed vector.
 
     Raises FloatingPointError when a log-parameter overflows ``exp`` and
     ValueError when ``x`` has the wrong length.
     """
-    return _with_values(model, _layout(model, frozen_input)[0].unpack(x))
+    return _with_values(model, _layout(model)[0].unpack(x))
 
 
-def elbo_grad_vector(model: DeepGPModel, frozen_input=False) -> np.ndarray:
+def elbo_grad_vector(model: DeepGPModel) -> np.ndarray:
     """Gradient of :func:`elbo` in the packed parameterization."""
-    state = _deep_forward(model, pack=not frozen_input)[1]
-    return _layout(model, frozen_input)[0].flatten(_deep_backward(state))
+    return _layout(model)[0].flatten(_deep_backward(_deep_forward(model)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +426,7 @@ def elbo_grad_vector(model: DeepGPModel, frozen_input=False) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def train_deep(X, Y, dims, m_inducing, iters=100, seed=0, init_iters=150,
-               fix_latent_to_inputs=False, callback=None) -> DeepGPModel:
+               fix_latent_to_inputs=False) -> DeepGPModel:
     """Train a deep GP by greedy GP-LVM stacking plus joint refinement.
 
     Parameters
@@ -496,9 +505,11 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0, init_iters=150,
         return spec.flatten(_deep_backward(state))
 
     x, trace = ascend(cached_objective(forward, backward),
-                      spec.pack(values), iters, callback=callback)
+                      spec.pack(values), iters)
     trained = _with_values(model, spec.unpack(x))
-    _deep_forward(trained, pack=False)  # sync first-latent moments
+    M1, diag_S1, _, _ = _first_latent_forward(trained.input_layer, X)
+    trained.hidden_layers[0].latent = VariationalLatent(means=M1,
+                                                        variances=diag_S1)
     trained.training_meta.update({
         "elbo_trace": trace,
         "final_elbo": float(trace[-1]),

@@ -8,10 +8,10 @@ leaving a bound that depends on the kernel expectations
 
     phi0 = E[tr K_ff],   Phi1 = E[K_fu],   Phi2 = E[K_uf K_fu],
 
-which have closed forms for the ARD kernel.  :func:`layer_bound` /
-:func:`layer_bound_grads` implement the collapsed bound and its exact
-gradients with respect to every input; :func:`elbo_layer` /
-:func:`elbo_grad` specialize them to the stand-alone GP-LVM with a
+which have closed forms for the ARD kernel (``_phi_forward``).
+:func:`layer_bound` / :func:`layer_bound_grads` implement the collapsed
+bound and its exact gradients with respect to every input; subtracting
+:func:`latent_kl` specializes them to the stand-alone GP-LVM with a
 standard-normal latent prior, and :func:`train_gplvm` optimizes that model.
 
 The GP-LVM objective is split into a forward and a backward half.
@@ -39,13 +39,10 @@ from .rng import rng_for
 __all__ = [
     "VariationalLatent",
     "InducingSet",
-    "PhiStats",
     "LayerState",
-    "phi_stats",
     "layer_bound",
     "layer_bound_grads",
     "latent_kl",
-    "elbo_layer",
     "elbo_grad",
     "train_gplvm",
     "effective_dims",
@@ -142,15 +139,6 @@ class InducingSet:
         return self.inputs.shape[0]
 
 
-@dataclass(frozen=True)
-class PhiStats:
-    """Kernel expectations under the latent distribution."""
-
-    phi0: float          # E[tr K_ff] = n * sigma_h_sq
-    phi1: np.ndarray     # (n, m)
-    phi2: np.ndarray     # (m, m), symmetric PSD
-
-
 @dataclass
 class LayerState:
     """All state of one sparse variational layer."""
@@ -231,19 +219,6 @@ def _phi_forward(kernel: ARDParams, means, variances, Z):
     T = np.exp(log2, out=log2).reshape(n, m, m)
     phi2 = T.sum(axis=0)
     return n * kernel.sigma_h_sq, np.exp(log1, out=log1), T, 0.5 * (phi2 + phi2.T)
-
-
-def phi_stats(kernel: ARDParams, latent: VariationalLatent, Hu) -> PhiStats:
-    """Closed-form Phi quantities for the ARD kernel, at training or test rows."""
-    Hu = np.atleast_2d(np.asarray(Hu, dtype=float))
-    if Hu.shape[1] != latent.q:
-        raise DimensionMismatchError("phi_stats inducing inputs", latent.q,
-                                     Hu.shape[1])
-    if kernel.dim != latent.q:
-        raise DimensionMismatchError("phi_stats kernel weights", latent.q,
-                                     kernel.dim)
-    phi0, phi1, _, phi2 = _phi_forward(kernel, latent.means, latent.variances, Hu)
-    return PhiStats(phi0=phi0, phi1=phi1, phi2=phi2)
 
 
 def _phi_backward(kernel, means, variances, Z, phi1, T, W1, W2, w_phi0):
@@ -450,21 +425,6 @@ def latent_kl(latent: VariationalLatent) -> float:
     """KL(q(H) || N(0, I)) for a factorized Gaussian."""
     mu, S = latent.means, latent.variances
     return float(0.5 * np.sum(mu * mu + S - np.log(S)) - 0.5 * mu.size)
-
-
-def elbo_layer(state: LayerState, Y, include_kl=True) -> float:
-    """GP-LVM evidence lower bound: collapsed data term minus latent KL.
-
-    ``include_kl=False`` returns the data term alone, which is the quantity
-    that becomes tight against the exact GP log marginal when the latent
-    variances vanish and the inducing set equals the latent means.
-    """
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    value = layer_bound(state.kernel, state.beta, state.latent,
-                        state.inducing.inputs, Y)
-    if include_kl:
-        value -= latent_kl(state.latent)
-    return value
 
 
 def _elbo_forward(state: LayerState, Y):

@@ -32,7 +32,6 @@ __all__ = [
     "SingularMatrixError",
     "RBFParams",
     "ARDParams",
-    "ard_eval",
     "gram",
     "predictive_grams",
     "chol_psd",
@@ -85,17 +84,6 @@ def RBFParams(tau0_sq, lengthscale_inv) -> ARDParams:
 def _check_len(name, vec, expected):
     if vec.shape[-1] != expected:
         raise DimensionMismatchError(name, expected, vec.shape[-1])
-
-
-def ard_eval(h1, h2, p: ARDParams) -> float:
-    """Evaluate the ARD kernel at a single pair of points."""
-    h1 = np.asarray(h1, dtype=float).ravel()
-    h2 = np.asarray(h2, dtype=float).ravel()
-    if h1.shape[0] != h2.shape[0]:
-        raise DimensionMismatchError("ard_eval inputs", h1.shape[0], h2.shape[0])
-    _check_len("ard_eval weights", h1, p.dim)
-    d = h1 - h2
-    return float(p.sigma_h_sq * np.exp(-0.5 * np.dot(d * p.weights, d)))
 
 
 def _same_rows(A, B) -> bool:

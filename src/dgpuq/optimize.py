@@ -30,8 +30,10 @@ import numpy as np
 __all__ = ["BlockSpec", "ascend", "cached_objective"]
 
 # failures of a trial point that mean "outside the feasible region": the
-# objective there is -inf and the line search shrinks its step
-_NUMERICAL_FAILURES = (np.linalg.LinAlgError, FloatingPointError, ValueError)
+# objective there is -inf and the line search shrinks its step.
+# OverflowError is a Python float overflowing, e.g. ``beta ** 2``
+_NUMERICAL_FAILURES = (np.linalg.LinAlgError, FloatingPointError, ValueError,
+                       OverflowError)
 
 
 class BlockSpec:
@@ -108,7 +110,7 @@ def cached_objective(forward, backward):
 
 
 def ascend(value_and_grad, x0, iters, step0=0.1, shrink=0.5, grow=1.3,
-           max_step=1e3, min_step=1e-14, armijo=1e-4, callback=None):
+           max_step=1e3, min_step=1e-14, armijo=1e-4):
     """Maximize ``f`` given ``value_and_grad(x, need_grad) -> (f, g or None)``.
 
     Line-search trial points are evaluated with ``need_grad=False`` so that
@@ -158,8 +160,6 @@ def ascend(value_and_grad, x0, iters, step0=0.1, shrink=0.5, grow=1.3,
         step_acc, x, f = accepted
         _, g = value_and_grad(x, True)
         trace.append(float(f))
-        if callback is not None:
-            callback(x, f)
         if g is None:
             break       # no gradient at the accepted point: stop there
         step = min(step_acc * grow, max_step)

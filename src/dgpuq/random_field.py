@@ -42,12 +42,10 @@ __all__ = [
     "Grid2D",
     "ExpCovSpec",
     "KLExpansion",
-    "exp_cov",
     "kle_decompose",
     "sample_log_field",
     "permeability",
     "std_normal_inv_cdf",
-    "std_normal_cdf",
 ]
 
 
@@ -121,14 +119,6 @@ class KLExpansion:
         return self.eigenvalues.shape[0]
 
 
-def exp_cov(xs1, xs2, spec: ExpCovSpec) -> float:
-    """Exponential covariance between two spatial points."""
-    xs1 = np.asarray(xs1, dtype=float)
-    xs2 = np.asarray(xs2, dtype=float)
-    d = np.abs(xs1 - xs2) / np.asarray(spec.lambdas, dtype=float)
-    return float(spec.s_g_sq * np.exp(-np.sum(d)))
-
-
 def _axis_modes(n: int, lam: float):
     """Eigenpairs of the 1-D weighted operator exp(-|x_a - x_b| / lam) / n.
 
@@ -191,11 +181,6 @@ def sample_log_field(kle: KLExpansion, w) -> np.ndarray:
     """
     w = _coefficient_rows("sample_log_field coefficients", kle, w)
     return kle.mean + w @ kle.eigenfields
-
-
-def std_normal_cdf(x):
-    """Standard normal CDF."""
-    return scipy.special.ndtr(x)
 
 
 def std_normal_inv_cdf(u):

@@ -9,13 +9,16 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["rng_for", "GEN_DATA_STREAM", "MC_BASELINE_STREAM"]
+__all__ = ["rng_for", "GEN_DATA_STREAM", "MC_BASELINE_STREAM", "UQ_STREAM"]
 
-# First subkey of the per-sample streams of each command that draws model
-# inputs, so that ``gen-data`` and ``mc-baseline`` given the same seed never
-# draw the same inputs: sample i is ``rng_for(seed, <command's stream>, i)``.
+# First subkey of the streams of each command that draws model inputs, so
+# that ``gen-data``, ``mc-baseline`` and ``uq`` given the same seed never
+# draw the same inputs: sample i is ``rng_for(seed, <command's stream>, i)``,
+# and ``uq`` repeat j draws its inputs from ``rng_for(seed, UQ_STREAM, j, 0)``
+# and its posterior realization from ``rng_for(seed, UQ_STREAM, j, 1)``.
 GEN_DATA_STREAM = 1
 MC_BASELINE_STREAM = 2
+UQ_STREAM = 3
 
 
 def rng_for(seed: int, *subkeys: int) -> np.random.Generator:

@@ -17,12 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .kernels import gram, chol_psd, SingularMatrixError
 from .random_field import Grid2D, KLExpansion, permeability
 from .deepgp import DeepGPModel, predict_layer1, _layer_pred_cache
-from .rng import rng_for, MC_BASELINE_STREAM
+from .rng import rng_for, MC_BASELINE_STREAM, UQ_STREAM
 
 __all__ = [
     "InputDistribution",
@@ -45,11 +44,6 @@ class InputDistribution:
     """Uniform coefficients mapped through the KL basis to permeability fields."""
 
     kle: KLExpansion
-    kind: str = "kle-uniform"
-
-    def __post_init__(self):
-        if self.kind != "kle-uniform":
-            raise ValueError(f"unsupported input distribution kind: {self.kind}")
 
     @property
     def k_xi(self):
@@ -79,8 +73,10 @@ class UQReport:
     pdf_points: list = field(default_factory=list)
 
 
-def sample_inputs(dist: InputDistribution, n_prime: int, seed: int) -> np.ndarray:
-    """Draw permeability-field realizations, one per row.
+def sample_inputs(dist: InputDistribution, n_prime: int, seed: int,
+                  *subkeys: int) -> np.ndarray:
+    """Draw permeability-field realizations, one per row, from the stream
+    ``rng_for(seed, *subkeys)``.
 
     All rows come from one block call of :func:`permeability`: one inverse
     normal CDF over the (n_prime, k_xi) uniforms, one matrix product with
@@ -88,7 +84,7 @@ def sample_inputs(dist: InputDistribution, n_prime: int, seed: int) -> np.ndarra
     """
     if n_prime < 2:
         raise ValueError("need at least two input samples")
-    rng = rng_for(seed)
+    rng = rng_for(seed, *subkeys)
     xi = rng.uniform(size=(n_prime, dist.k_xi))
     np.clip(xi, 1e-15, 1.0 - 1e-15, out=xi)
     return permeability(dist.kle, xi)
@@ -112,19 +108,14 @@ def _draw_gaussian(mean, cov, rng):
 
 
 def propagate_realization(model: DeepGPModel, Xprime, seed: int,
-                          smooth: str = "none") -> np.ndarray:
-    """One posterior realization of the full stack evaluated at Xprime.
-
-    ``smooth="noise"`` re-fits each layer's drawn data through a conditioning
-    step that includes the layer noise, which shrinks the draws toward the
-    layer mean; the default noise-free conditioning leaves them unchanged.
+                          *subkeys: int) -> np.ndarray:
+    """One posterior realization of the full stack evaluated at Xprime,
+    drawn from the stream ``rng_for(seed, *subkeys)``.
 
     Returns the final-layer function values, shape (n', output dim).
     """
-    if smooth not in ("none", "noise"):
-        raise ValueError("smooth must be 'none' or 'noise'")
     Xprime = np.atleast_2d(np.asarray(Xprime, dtype=float))
-    rng = rng_for(seed)
+    rng = rng_for(seed, *subkeys)
     try:
         mean1, cov1 = predict_layer1(model, Xprime)
     except np.linalg.LinAlgError as exc:
@@ -139,12 +130,7 @@ def propagate_realization(model: DeepGPModel, Xprime, seed: int,
             Kss = gram(values, values, kern)
             cov = Kss - Ksu @ cache["Dmat"] @ Ksu.T
             cov = 0.5 * (cov + cov.T)
-            drawn = _draw_gaussian(mean, cov, rng)
-            if smooth == "noise":
-                Kn = Kss + (1.0 / cache["beta"]) * np.eye(Kss.shape[0])
-                L, _ = chol_psd(Kn)
-                drawn = Kss @ scipy.linalg.cho_solve((L, True), drawn)
-            values = drawn
+            values = _draw_gaussian(mean, cov, rng)
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
                 f"layer {t + 2} propagation failed: {exc}") from exc
@@ -229,14 +215,15 @@ def _pdf_estimate(loc, col, sample_sets) -> PdfEstimate:
 
 
 def uq_report(model: DeepGPModel, dist: InputDistribution, n_prime: int,
-              n_repeats: int, seed: int, pdf_at=None, out_grid: Grid2D = None,
-              smooth: str = "none") -> UQReport:
+              n_repeats: int, seed: int, pdf_at=None,
+              out_grid: Grid2D = None) -> UQReport:
     """Repeat the sampling/propagation process and aggregate the statistics.
 
     Each repeat draws a fresh input sample and a fresh posterior
-    realization.  Error bars are two standard errors of the across-repeat
-    average (they shrink like 1/sqrt(n_repeats)); the PDF bands are two
-    plain standard deviations across repeats.
+    realization, repeat j from ``rng_for(seed, UQ_STREAM, j, 0)`` and
+    ``rng_for(seed, UQ_STREAM, j, 1)``.  Error bars are two standard errors
+    of the across-repeat average (they shrink like 1/sqrt(n_repeats)); the
+    PDF bands are two plain standard deviations across repeats.
     """
     if n_repeats < 2:
         raise ValueError("need at least two repeats")
@@ -244,10 +231,8 @@ def uq_report(model: DeepGPModel, dist: InputDistribution, n_prime: int,
     pdf_cols = _pdf_columns(pdf_at, out_grid) if pdf_at else []
     pdf_values = [[] for _ in pdf_cols]
     for j in range(n_repeats):
-        Xp = sample_inputs(dist, n_prime, seed=_derived_seed(seed, j, 0))
-        realization = propagate_realization(model, Xp,
-                                            seed=_derived_seed(seed, j, 1),
-                                            smooth=smooth)
+        Xp = sample_inputs(dist, n_prime, seed, UQ_STREAM, j, 0)
+        realization = propagate_realization(model, Xp, seed, UQ_STREAM, j, 1)
         means.append(mean_estimate(realization))
         variances.append(var_estimate(realization))
         for i, (_, col) in enumerate(pdf_cols):
@@ -266,14 +251,6 @@ def uq_report(model: DeepGPModel, dist: InputDistribution, n_prime: int,
     report.pdf_points = [_pdf_estimate(loc, col, pdf_values[i])
                          for i, (loc, col) in enumerate(pdf_cols)]
     return report
-
-
-def _derived_seed(seed, *key):
-    # flatten the hierarchy into one integer stream id for rng_for
-    out = int(seed)
-    for k in key:
-        out = out * 1000003 + int(k) + 1
-    return out & 0x7FFFFFFFFFFFFFFF
 
 
 def mc_baseline(simulator, dist: InputDistribution, N: int, seed: int,

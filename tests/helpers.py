@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 
 from dgpuq.deepgp import DeepGPModel, InputLayer
 from dgpuq.gplvm import InducingSet, LayerState, VariationalLatent
-from dgpuq.kernels import ARDParams, RBFParams, gram
+from dgpuq.kernels import ARDParams, RBFParams, DimensionMismatchError, gram
 from dgpuq.optimize import _NUMERICAL_FAILURES
 from dgpuq.random_field import KLExpansion
 
@@ -162,6 +162,18 @@ def hand_grad_vector(g, n_latents, frozen_input=False):
     for t in range(1, n_latents):
         parts += [g[f"means{t}"].ravel(), g[f"variances{t}"].ravel()]
     return np.concatenate([np.asarray(p, dtype=float).ravel() for p in parts])
+
+
+def ard_eval(h1, h2, p):
+    """The ARD kernel at a single pair of points: the scalar oracle."""
+    h1 = np.asarray(h1, dtype=float).ravel()
+    h2 = np.asarray(h2, dtype=float).ravel()
+    if h1.shape[0] != h2.shape[0]:
+        raise DimensionMismatchError("ard_eval inputs", h1.shape[0], h2.shape[0])
+    if h1.shape[0] != p.dim:
+        raise DimensionMismatchError("ard_eval weights", p.dim, h1.shape[0])
+    d = h1 - h2
+    return float(p.sigma_h_sq * np.exp(-0.5 * np.dot(d * p.weights, d)))
 
 
 def loop_gram(A, B, kfun):

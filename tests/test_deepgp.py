@@ -7,7 +7,7 @@ import pytest
 from dgpuq import deepgp, gp
 from dgpuq.kernels import RBFParams, ARDParams, gram, chol_psd
 from dgpuq.gplvm import (VariationalLatent, InducingSet, LayerState, layer_bound,
-                         phi_stats)
+                         _phi_forward)
 from dgpuq.deepgp import (DeepGPModel, InputLayer, elbo, elbo_grad_vector,
                           pack_params, unpack_params, train_deep,
                           predict_layer1, propagate, predict, _layer_pred_cache,
@@ -39,6 +39,14 @@ def tiny_model(seed=7, n=10, kappa=2, nu=2, dims=(2, 2), m=3):
         q_prev = q_out
     return DeepGPModel(X=X, Y=Y, input_layer=il, hidden_layers=layers,
                        dims=list(dims))
+
+
+def set_first_latent(model):
+    """Store the first latent's moments as layer 0's input latent, as
+    train_deep does for the model it returns."""
+    M1, diag_S, _, _ = _first_latent_forward(model.input_layer, model.X)
+    model.hidden_layers[0].latent = VariationalLatent(M1, diag_S)
+    return model
 
 
 def benchmark_1d(seed=42, n=50):
@@ -119,6 +127,22 @@ class TestJointElboGradient:
             train_deep(X, np.hstack([Y, Y ** 2]), dims=[2, 2],
                        m_inducing=[6, 6], iters=3, seed=1, init_iters=10)
             assert len(seen) >= 2
+
+    def test_bound_leaves_the_model_unchanged(self):
+        model = tiny_model(seed=29)
+        predict(model, model.X[:3])          # fills the prediction caches
+        latent = model.hidden_layers[0].latent
+        means, variances = latent.means, latent.variances
+        copies = means.copy(), variances.copy()
+        caches = dict(model._pred_cache)
+        elbo(model)
+        elbo_grad_vector(model)
+        assert model.hidden_layers[0].latent is latent
+        assert latent.means is means and latent.variances is variances
+        np.testing.assert_array_equal(means, copies[0])
+        np.testing.assert_array_equal(variances, copies[1])
+        assert model._pred_cache.keys() == caches.keys()
+        assert all(model._pred_cache[k] is v for k, v in caches.items())
 
 
 def _d_s1_case(case, rng, lam):
@@ -220,6 +244,15 @@ class TestTrainDeep:
         assert mean.shape == (5, 4)
         assert np.all(var > 0)
 
+    def test_first_latent_holds_the_input_layer_moments(self):
+        X, Y, _, _ = benchmark_1d(seed=8, n=20)
+        model = train_deep(X, np.hstack([Y, Y ** 2]), dims=[2, 2],
+                           m_inducing=[6, 6], iters=3, seed=1, init_iters=10)
+        M1, diag_S = _first_latent_forward(model.input_layer, model.X)[:2]
+        latent = model.hidden_layers[0].latent
+        assert np.array_equal(latent.means, M1)
+        assert np.array_equal(latent.variances, diag_S)
+
     def test_input_validation(self):
         X = np.zeros((5, 2))
         Y = np.ones((5, 3))
@@ -308,17 +341,16 @@ class TestPhiStatsAtTestPoints:
         kern = ARDParams(1.4, rng.uniform(0.3, 2.0, 2))
         means = rng.normal(size=(5, 2))
         Z = rng.normal(size=(3, 2))
-        qh = VariationalLatent(means, np.full((5, 2), 1e-300))
-        st = phi_stats(kern, qh, Z)
-        np.testing.assert_allclose(st.phi1.T, gram(means, Z, kern).T, atol=1e-10)
+        _, phi1, _, _ = _phi_forward(kern, means, np.full((5, 2), 1e-300), Z)
+        np.testing.assert_allclose(phi1.T, gram(means, Z, kern).T, atol=1e-10)
 
     def test_phi0_counts_test_points(self):
         rng = np.random.default_rng(18)
         kern = ARDParams(2.5, np.ones(2))
-        qh = VariationalLatent(rng.normal(size=(7, 2)),
-                               rng.uniform(0.1, 1.0, (7, 2)))
-        st = phi_stats(kern, qh, rng.normal(size=(4, 2)))
-        assert st.phi0 == pytest.approx(7 * 2.5, abs=0)
+        phi0, _, _, _ = _phi_forward(kern, rng.normal(size=(7, 2)),
+                                     rng.uniform(0.1, 1.0, (7, 2)),
+                                     rng.normal(size=(4, 2)))
+        assert phi0 == pytest.approx(7 * 2.5, abs=0)
 
     def test_matches_monte_carlo(self):
         rng = np.random.default_rng(19)
@@ -326,21 +358,20 @@ class TestPhiStatsAtTestPoints:
         means = rng.normal(size=(2, 1))
         variances = rng.uniform(0.3, 0.9, (2, 1))
         Z = rng.normal(size=(2, 1))
-        st = phi_stats(kern, VariationalLatent(means, variances), Z)
+        _, phi1, _, phi2 = _phi_forward(kern, means, variances, Z)
         phi1_mc, se1, phi2_rows, se2 = mc_phi_oracle(kernel=kern, means=means,
                                                      variances=variances, Z=Z,
                                                      n_samples=200000, seed=23)
-        assert np.all(np.abs(st.phi1 - phi1_mc) < 3 * se1 + 1e-12)
+        assert np.all(np.abs(phi1 - phi1_mc) < 3 * se1 + 1e-12)
         se2_tot = np.sqrt((se2 ** 2).sum(axis=0))
-        assert np.all(np.abs(st.phi2 - phi2_rows.sum(axis=0)) < 3 * se2_tot + 1e-12)
+        assert np.all(np.abs(phi2 - phi2_rows.sum(axis=0)) < 3 * se2_tot + 1e-12)
 
 
 class TestPropagate:
     def test_deterministic_input_matches_sparse_predictor_oracle(self):
-        model = tiny_model(seed=21)
+        model = set_first_latent(tiny_model(seed=21))
         t = 1
         layer = model.hidden_layers[t]
-        elbo(model)  # sync first-latent moments
         rng = np.random.default_rng(1)
         Hstar = rng.normal(size=(4, 2))
         mean, var = propagate(model, t, (Hstar, np.full((4, 2), 1e-300)))
@@ -366,8 +397,8 @@ class TestPropagate:
         np.testing.assert_allclose(var, var_or, atol=1e-8)
 
     def test_matrix_moments_match_einsum_forms(self):
-        model = tiny_model(seed=23, n=12, nu=9, dims=(3, 2), m=6)
-        elbo(model)
+        model = set_first_latent(tiny_model(seed=23, n=12, nu=9, dims=(3, 2),
+                                            m=6))
         rng = np.random.default_rng(4)
         means = rng.normal(size=(8, 3))
         variances = rng.uniform(0.01, 1.5, (8, 3))
@@ -390,8 +421,7 @@ class TestPropagate:
             variances = var_or + 1e-3
 
     def test_random_propagations_finite_nonnegative(self):
-        model = tiny_model(seed=25)
-        elbo(model)
+        model = set_first_latent(tiny_model(seed=25))
         rng = np.random.default_rng(2)
         for _ in range(100):
             means = rng.normal(size=(3, 2))
@@ -408,8 +438,7 @@ class TestPropagate:
         # inducing midpoints.  Violations are recorded; only gross ones
         # (suggesting a sign error) fail, and the wide-input limit must hit
         # its closed form sigma_h^2 + 1/beta exactly.
-        model = tiny_model(seed=27)
-        elbo(model)
+        model = set_first_latent(tiny_model(seed=27))
         layer = model.hidden_layers[0]
         scale = layer.kernel.sigma_h_sq + 1.0 / layer.beta
         rng = np.random.default_rng(3)

@@ -232,6 +232,28 @@ class TestCli:
         assert np.all(eb >= 0)
         assert (uqd / "pdf_0.csv").exists()
 
+    def test_train_whose_trial_beta_overflows_does_not_crash(self, tmp_path):
+        # a joint-phase line-search trial takes beta past 1.3e154, where the
+        # Python float beta ** 2 of the layer bound raises OverflowError
+        data = tmp_path / "d"
+        res = run_cli("gen-data", "--n", "150", "--grid", "32", "--out-grid",
+                      "16", "--seed", "11", "--out", str(data))
+        assert res.returncode == 0, res.stderr
+        res = run_cli("train", "--data", str(data), "--layers", "1", "--dims",
+                      "8", "--inducing", "30", "--iters", "5", "--init-iters",
+                      "10", "--seed", "3", "--out", str(tmp_path / "m"))
+        assert res.returncode in (0, 3), res.stderr
+
+    def test_overflow_in_a_command_exits_3(self, monkeypatch, tmp_path):
+        from dgpuq import cli
+
+        def overflow(args):
+            raise OverflowError("Numerical result out of range")
+
+        monkeypatch.setattr(cli, "cmd_predict", overflow)
+        assert cli.main(["predict", "--model", "m", "--inputs", "x",
+                         "--out", str(tmp_path)]) == 3
+
     def test_train_layer_mismatch_exits_2(self, desk_dataset, tmp_path):
         res = run_cli("train", "--data", str(desk_dataset), "--layers", "3",
                       "--dims", "3,3", "--inducing", "8,8",

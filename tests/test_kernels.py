@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgpuq.kernels import (RBFParams, ARDParams, ard_eval, gram,
-                           predictive_grams, chol_psd, pairwise_sqdist,
-                           DimensionMismatchError, SingularMatrixError)
-from helpers import ard_case, loop_gram, two_pass_gram, two_pass_sqdist
+from dgpuq.kernels import (RBFParams, ARDParams, gram, predictive_grams,
+                           chol_psd, pairwise_sqdist, DimensionMismatchError,
+                           SingularMatrixError)
+from helpers import ard_case, ard_eval, loop_gram, two_pass_gram, two_pass_sqdist
 
 # frozen from the direct scalar oracle: exp(-0.5)
 EXP_HALF = 0.6065306597126334

@@ -3,11 +3,12 @@ import pytest
 
 from dgpuq.random_field import (Grid2D, ExpCovSpec, KLExpansion, kle_decompose,
                                 permeability)
+from dgpuq import uq
 from dgpuq.deepgp import train_deep, predict
 from dgpuq.uq import (InputDistribution, sample_inputs, propagate_realization,
                       mean_estimate, var_estimate, uq_report, mc_baseline,
                       kde_curve)
-from dgpuq.rng import rng_for, MC_BASELINE_STREAM
+from dgpuq.rng import rng_for, MC_BASELINE_STREAM, UQ_STREAM
 
 PAPER_COV = ExpCovSpec(s_g_sq=1.0, lambdas=(0.1, 0.1), mean=0.0)
 
@@ -16,6 +17,19 @@ PAPER_COV = ExpCovSpec(s_g_sq=1.0, lambdas=(0.1, 0.1), mean=0.0)
 def dist8():
     kle = kle_decompose(Grid2D(8, 8), PAPER_COV, 10)
     return InputDistribution(kle=kle)
+
+
+@pytest.fixture
+def stream_keys(monkeypatch):
+    """The arguments of every ``rng_for`` call made inside ``dgpuq.uq``."""
+    keys = []
+
+    def spied(*args):
+        keys.append(args)
+        return rng_for(*args)
+
+    monkeypatch.setattr(uq, "rng_for", spied)
+    return keys
 
 
 @pytest.fixture(scope="module")
@@ -116,10 +130,15 @@ class TestPropagateRealization:
         se = draws.std(axis=0) / np.sqrt(200)
         assert np.all(np.abs(emp - mean) < 3 * se + 1e-9)
 
-    def test_smooth_flag_validated(self, small_model, dist8):
-        Xp = sample_inputs(dist8, 4, seed=17)
-        with pytest.raises(ValueError):
-            propagate_realization(small_model, Xp, seed=0, smooth="huh")
+    def test_without_subkeys_the_stream_is_the_seed_alone(self, small_model,
+                                                          dist8, stream_keys):
+        Xp = sample_inputs(dist8, 4, 17)
+        r = propagate_realization(small_model, Xp, 3)
+        assert stream_keys == [(17,), (3,)]
+        np.testing.assert_array_equal(Xp, sample_inputs(dist8, 4, seed=17))
+        np.testing.assert_array_equal(r, propagate_realization(small_model, Xp,
+                                                               seed=3))
+        assert not np.array_equal(Xp, sample_inputs(dist8, 4, 17, UQ_STREAM))
 
 
 class TestEstimators:
@@ -190,6 +209,12 @@ class TestUqReport:
         with pytest.raises(ValueError):
             uq_report(small_model, dist8, n_prime=10, n_repeats=3, seed=9,
                       pdf_at=[(0.9, 0.1)], out_grid=None)
+
+    def test_repeat_streams_derive_from_the_uq_stream(self, small_model, dist8,
+                                                      stream_keys):
+        uq_report(small_model, dist8, n_prime=5, n_repeats=3, seed=11)
+        assert stream_keys == [(11, UQ_STREAM, j, k)
+                               for j in range(3) for k in (0, 1)]
 
     def test_repeats_validated(self, small_model, dist8):
         with pytest.raises(ValueError):
