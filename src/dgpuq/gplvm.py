@@ -211,10 +211,15 @@ def _phi_forward(kernel: ARDParams, means, variances, Z):
     n, m = means.shape[0], Z.shape[0]
     mu, Zc, gam, a, rho, b, zbar, delta = _phi_terms(kernel, means, variances, Z)
     log_s2 = np.log(kernel.sigma_h_sq)
+    # a mean far out (a trial step) overflows mu^2: raise, so the line
+    # search rejects the trial, rather than warn and carry -inf along
+    with np.errstate(over="raise"):
+        quad1 = np.sum(a * mu * mu + np.log(gam), axis=1)
+        quad2 = np.sum(b * mu * mu + 0.5 * np.log(rho), axis=1)
     log1 = (a * mu) @ Zc.T - (0.5 * a) @ (Zc * Zc).T
-    log1 += (log_s2 - 0.5 * np.sum(a * mu * mu + np.log(gam), axis=1))[:, None]
+    log1 += (log_s2 - 0.5 * quad1)[:, None]
     log2 = np.hstack([2.0 * b * mu, -b]) @ np.hstack([zbar, zbar * zbar]).T
-    log2 += (2.0 * log_s2 - np.sum(b * mu * mu + 0.5 * np.log(rho), axis=1))[:, None]
+    log2 += (2.0 * log_s2 - quad2)[:, None]
     log2 -= 0.25 * ((delta * delta) @ kernel.weights)
     T = np.exp(log2, out=log2).reshape(n, m, m)
     phi2 = T.sum(axis=0)

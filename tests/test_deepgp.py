@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from dgpuq import deepgp, gp
 from dgpuq.kernels import RBFParams, ARDParams, gram, chol_psd
@@ -11,7 +12,8 @@ from dgpuq.gplvm import (VariationalLatent, InducingSet, LayerState, layer_bound
 from dgpuq.deepgp import (DeepGPModel, InputLayer, elbo, elbo_grad_vector,
                           pack_params, unpack_params, train_deep,
                           predict_layer1, propagate, predict, _layer_pred_cache,
-                          _input_cov, _first_latent_forward, _first_latent_grads)
+                          _input_cov, _first_latent_forward, _first_latent_grads,
+                          _tri_inv_lower, _TRI_LEAF)
 from dgpuq.rng import rng_for
 from helpers import (mc_phi_oracle, loop_phi_forward, loop_first_latent_forward,
                      loop_first_latent_grads, two_gram_predict)
@@ -91,6 +93,21 @@ class TestJointElboGradient:
         rel = np.abs(g - fd) / (np.abs(fd) + 1e-8)
         assert rel.max() < 1e-4
 
+    def test_directional_finite_differences_above_the_leaf(self):
+        # n > 2 leaves: the first latent's inverse recurses twice
+        n = 2 * _TRI_LEAF + 3
+        model = tiny_model(seed=11, n=n, dims=(2,), m=4)
+        x0 = pack_params(model)
+        g = elbo_grad_vector(model)
+        eps = 1e-5
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            d = rng.normal(size=x0.size)
+            d /= np.linalg.norm(d)
+            fd = (elbo(unpack_params(model, x0 + eps * d))
+                  - elbo(unpack_params(model, x0 - eps * d))) / (2 * eps)
+            assert abs(g @ d - fd) / (abs(fd) + 1e-8) < 1e-4
+
     def test_entropy_terms_match_direct_gaussian_entropy(self):
         model = tiny_model(seed=3)
         S = model.hidden_layers[1].latent.variances
@@ -157,10 +174,35 @@ def _d_s1_case(case, rng, lam):
     return d
 
 
+class TestTriInvLower:
+    @pytest.mark.parametrize("n", [1, _TRI_LEAF, _TRI_LEAF + 1,
+                                   2 * _TRI_LEAF + 3, 700])
+    def test_matches_dtrtri(self, n):
+        # Cholesky factors of B_j = I + W C W as the first latent forms them
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 3))
+        il = InputLayer(kernel=RBFParams(1.3, rng.uniform(0.2, 1.0, 3)),
+                        noise_var=0.05, mu_bar=np.zeros((n, 1)),
+                        lam=np.exp(rng.uniform(-6.0, 6.0, (n, 1))))
+        w = np.sqrt(il.lam[:, 0])
+        B = w[:, None] * _input_cov(il, X) * w[None, :]
+        B[np.diag_indices_from(B)] += 1.0
+        L, info = dpotrf(B, lower=1)
+        assert info == 0
+        ref, info = dtrtri(L, lower=1)
+        assert info == 0
+        buf = np.asfortranarray(L)
+        out = _tri_inv_lower(buf)
+        assert out is buf
+        assert np.linalg.norm(buf - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert not np.any(np.triu(buf, 1))
+
+
 class TestFirstLatentMatrixForms:
     @pytest.mark.parametrize("case", ["random", "positive", "negative",
                                       "mixed_zeros"])
-    @pytest.mark.parametrize("n,q1", [(5, 1), (25, 3), (120, 4)])
+    @pytest.mark.parametrize("n,q1", [(5, 1), (25, 3), (120, 4),
+                                      (2 * _TRI_LEAF + 3, 2)])
     def test_matches_loop_oracle(self, n, q1, case):
         rng = np.random.default_rng(100 + n)
         X = rng.normal(size=(n, 3))

@@ -66,6 +66,12 @@ class TestPhiStats:
             assert np.array_equal(phi2, phi2.T)
             assert np.linalg.eigvalsh(phi2).min() > -1e-10
 
+    def test_overflowing_means_raise(self):
+        # mu^2 overflows past 1.8e308: a trial point the line search rejects
+        with pytest.raises(FloatingPointError):
+            _phi_forward(ARDParams(1.0, np.ones(2)), np.full((3, 2), 1e160),
+                         np.full((3, 2), 0.5), np.zeros((2, 2)))
+
 
 def max_rel_err(a, b):
     """Largest entrywise difference relative to the largest oracle entry."""
