@@ -63,6 +63,8 @@ def cmd_gen_data(args):
 
     if args.n < 1:
         _fail_usage("--n must be at least 1")
+    if args.out_grid < 1:
+        _fail_usage("--out-grid must be at least 1")
     if args.grid % args.out_grid:
         _fail_usage("--grid must be divisible by --out-grid")
     grid = Grid2D(args.grid, args.grid)

@@ -29,11 +29,12 @@ updates split by the sign of the diagonal weight.
 The joint bound is split into a forward and a backward half.
 ``_deep_forward`` evaluates it, reading the first latent's moments from
 :func:`_first_latent_forward` and writing nothing to the model, and keeps
-one layer cache per sparse layer plus, unless told not to pack, the packed
+one layer cache per sparse layer plus, when asked to pack, the packed
 first-latent factors;
 ``_deep_backward`` consumes that state, dropping each layer cache once its
-gradient is taken.  :func:`elbo` is the forward without packing, and
-:func:`elbo_grad_vector` the forward with packing followed by the backward.
+gradient is taken.  :func:`elbo` is the forward without packing, which only
+a value needs, and :func:`elbo_grad_vector` the forward with packing
+followed by the backward.
 :func:`train_deep` packs at every trial point, since any trial may be
 accepted, and hands the halves to :func:`optimize.cached_objective`, so the
 gradient at an accepted line-search trial reuses that trial's forward.
@@ -60,7 +61,6 @@ from .gplvm import (LayerState, VariationalLatent, InducingSet, layer_bound,
                     layer_bound_grads, train_gplvm, _phi_forward)
 from .optimize import BlockSpec, ascend, cached_objective
 from . import gp as gp_mod
-from .rng import rng_for
 
 __all__ = [
     "InputLayer",
@@ -121,10 +121,11 @@ class DeepGPModel:
 # ---------------------------------------------------------------------------
 
 def _input_cov(input_layer: InputLayer, X):
-    """Return C = Kx + noise_var * I, formed in place on the input Gram."""
-    C = gram(X, X, input_layer.kernel)
+    """``(C, norms)``: C = Kx + noise_var * I, formed in place on the input
+    Gram, and the weighted row norms of X from the pass that formed Kx."""
+    C, norms = gram(X, X, input_layer.kernel, return_norms=True)
     C[np.diag_indices_from(C)] += input_layer.noise_var
-    return C
+    return C, norms
 
 
 def _lapack_checked(routine, *args, **kwargs):
@@ -207,7 +208,7 @@ def _first_latent_forward(input_layer: InputLayer, X, need_full=False):
     round trip through ``dtfttr`` is exact.  Otherwise packed is None.
     """
     n, q1 = input_layer.mu_bar.shape
-    C = _input_cov(input_layer, X)
+    C = _input_cov(input_layer, X)[0]
     M1 = C @ input_layer.mu_bar
     diag_S = np.empty((n, q1))
     kl = 0.0
@@ -325,8 +326,8 @@ def _deep_forward(model: DeepGPModel, pack=True):
     ``model`` is left unchanged.  Returns
     ``(value, (model, caches, packed))`` with one layer cache per
     sparse layer.  ``packed`` holds the first latent's packed factors when
-    ``pack`` is set; without them (None) :func:`_deep_backward` leaves the
-    input-layer block out, as a frozen input layer needs.
+    ``pack`` is set, which :func:`_deep_backward` needs, and is None
+    otherwise.
     """
     X, Y = model.X, model.Y
     G = model.n_latents
@@ -344,8 +345,7 @@ def _deep_forward(model: DeepGPModel, pack=True):
             out_means, out_vars = Y, None
         v, cache = layer_bound(layer.kernel, layer.beta,
                                first if t == 0 else layer.latent,
-                               layer.inducing.inputs, out_means, out_vars,
-                               return_cache=True)
+                               layer.inducing.inputs, out_means, out_vars)
         value += v
         caches.append(cache)
     for t in range(1, G):
@@ -358,11 +358,10 @@ def _deep_backward(state):
     """Gradient of the joint bound from :func:`_deep_forward`'s state.
 
     Returns ``{block name: gradient}`` in :func:`_layout`'s stored
-    coordinates, without the input-layer blocks when the state holds no
-    packed factors.  The state is consumed: each layer cache (with its
-    (n, m, m) T array) is dropped as soon as its gradient is taken, so at
-    most one is alive, and all are gone before the packed first-latent
-    factors are unpacked.
+    coordinates; the state must come from a forward with ``pack`` set.  The
+    state is consumed: each layer cache (with its (n, m, m) T array) is
+    dropped as soon as its gradient is taken, so at most one is alive, and
+    all are gone before the packed first-latent factors are unpacked.
     """
     model, caches, packed = state
     G = model.n_latents
@@ -386,10 +385,9 @@ def _deep_backward(state):
         out[f"variances{t}"] = d_vars * S
 
     # input layer: chain through M1 = C mu_bar, diag S_j and the first KL
-    if packed is not None:
-        out.update(_first_latent_grads(model.input_layer, model.X, packed,
-                                       grads[0]["latent_means"],
-                                       grads[0]["latent_vars"]))
+    out.update(_first_latent_grads(model.input_layer, model.X, packed,
+                                   grads[0]["latent_means"],
+                                   grads[0]["latent_vars"]))
     return out
 
 
@@ -397,17 +395,17 @@ def _deep_backward(state):
 # Parameter vector (unconstrained optimization space)
 # ---------------------------------------------------------------------------
 
-def _layout(model: DeepGPModel, frozen_input=False):
+def _layout(model: DeepGPModel):
     """``(spec, values)`` of the model's parameter vector.
 
-    The blocks are the input layer's theta, mu_bar and log lam (left out
-    when the input layer is frozen), then per sparse layer t its inducing
-    inputs and the logs of sigma_h_sq, the weights and beta, then the means
-    and log variances of each free latent t = 1..G-1.
+    The blocks are the input layer's theta, mu_bar and log lam, then per
+    sparse layer t its inducing inputs and the logs of sigma_h_sq, the
+    weights and beta, then the means and log variances of each free latent
+    t = 1..G-1.
     """
     il = model.input_layer
     theta = gp_mod._theta(il.kernel, il.noise_var)
-    entries = [] if frozen_input else [(k, v, True) for k, v in theta.items()] + [
+    entries = [(k, v, True) for k, v in theta.items()] + [
         ("mu_bar", il.mu_bar, False), ("lam", il.lam, True)]
     for t, layer in enumerate(model.hidden_layers):
         entries += [(f"Hu{t}", layer.inducing.inputs, False),
@@ -423,13 +421,10 @@ def _layout(model: DeepGPModel, frozen_input=False):
 
 
 def _with_values(model: DeepGPModel, values) -> DeepGPModel:
-    """A new model holding ``values`` (from :func:`_layout`); a frozen input
-    layer, whose blocks are absent, is shared with ``model``."""
-    il = model.input_layer
-    if "mu_bar" in values:
-        kern, noise_var = gp_mod._from_theta(values)
-        il = InputLayer(kernel=kern, noise_var=noise_var,
-                        mu_bar=values["mu_bar"], lam=values["lam"])
+    """A new model holding ``values`` (from :func:`_layout`)."""
+    kern, noise_var = gp_mod._from_theta(values)
+    il = InputLayer(kernel=kern, noise_var=noise_var, mu_bar=values["mu_bar"],
+                    lam=values["lam"])
     layers = [LayerState(
         kernel=ARDParams(sigma_h_sq=float(values[f"sigma_h_sq{t}"]),
                          weights=values[f"weights{t}"]),
@@ -467,8 +462,8 @@ def elbo_grad_vector(model: DeepGPModel) -> np.ndarray:
 # Training
 # ---------------------------------------------------------------------------
 
-def train_deep(X, Y, dims, m_inducing, iters=100, seed=0, init_iters=150,
-               fix_latent_to_inputs=False) -> DeepGPModel:
+def train_deep(X, Y, dims, m_inducing, iters=100, seed=0,
+               init_iters=150) -> DeepGPModel:
     """Train a deep GP by greedy GP-LVM stacking plus joint refinement.
 
     Parameters
@@ -477,9 +472,6 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0, init_iters=150,
     m_inducing : inducing counts, one per sparse layer.
     iters : accepted steps of the joint phase.
     init_iters : accepted steps for each greedy GP-LVM fit.
-    fix_latent_to_inputs : clamp the first latent to X with tiny variances
-        and freeze the input layer (requires G = 1 and q_1 = X.shape[1]);
-        the joint phase then trains the output mapping only.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -494,8 +486,6 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0, init_iters=150,
         raise ValueError("m_inducing must have one entry per layer")
     if float(np.var(Y)) <= 0.0:
         raise ValueError("Y has zero variance; nothing to model")
-    if fix_latent_to_inputs and (G != 1 or dims[0] != X.shape[1]):
-        raise ValueError("fix_latent_to_inputs requires G = 1 and q1 = input dim")
 
     # greedy stack: GP-LVM on Y gives the last latent, then work backwards
     init_traces = []
@@ -504,12 +494,8 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0, init_iters=150,
     latent_vars = [None] * (G + 1)
     data = Y
     for t in range(G - 1, -1, -1):
-        if fix_latent_to_inputs:
-            state = _sparse_layer_on_fixed_inputs(X, Y, m_inducing[0], seed)
-            trace = np.array([])
-        else:
-            state, trace = train_gplvm(data, dims[t], m_inducing[t],
-                                       iters=init_iters, seed=seed + 101 * t)
+        state, trace = train_gplvm(data, dims[t], m_inducing[t],
+                                   iters=init_iters, seed=seed + 101 * t)
         init_traces.append(trace)
         layers[t] = state
         latent_means[t + 1] = state.latent.means
@@ -523,25 +509,19 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0, init_iters=150,
 
     # input layer: exact-GP fit of X -> first latent means; the mean is
     # C mu_bar, so mu_bar is the fit's mean weights C^-1 M1
-    if fix_latent_to_inputs:
-        M1, S1 = X.copy(), np.full_like(X, 1e-9)
-    else:
-        M1, S1 = latent_means[1], latent_vars[1]
-    gpm = gp_mod.fit(X, M1, iters=min(init_iters, 60))
+    gpm = gp_mod.fit(X, latent_means[1], iters=min(init_iters, 60))
     input_layer = InputLayer(kernel=gpm.kernel, noise_var=gpm.noise_var,
                              mu_bar=gpm.alpha,
-                             lam=1.0 / np.clip(S1, 1e-12, None))
+                             lam=1.0 / np.clip(latent_vars[1], 1e-12, None))
 
     model = DeepGPModel(X=X, Y=Y, input_layer=input_layer, hidden_layers=layers,
                         dims=dims, training_meta={"seed": int(seed),
                                                   "iters": int(iters),
                                                   "init_iters": int(init_iters)})
-    frozen = bool(fix_latent_to_inputs)
-    spec, values = _layout(model, frozen_input=frozen)
+    spec, values = _layout(model)
 
     def forward(x):
-        return _deep_forward(_with_values(model, spec.unpack(x)),
-                             pack=not frozen)
+        return _deep_forward(_with_values(model, spec.unpack(x)))
 
     def backward(state):
         return spec.flatten(_deep_backward(state))
@@ -560,19 +540,6 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0, init_iters=150,
     return trained
 
 
-def _sparse_layer_on_fixed_inputs(X, Y, m, seed) -> LayerState:
-    """Sparse output layer whose latent is clamped to the observed inputs."""
-    n, q = X.shape
-    latent = VariationalLatent(means=X.copy(), variances=np.full((n, q), 1e-9))
-    rng = rng_for(seed, 7)
-    idx = np.sort(rng.choice(n, size=min(m, n), replace=False))
-    y_var = float(np.var(Y))
-    span = np.maximum(X.max(axis=0) - X.min(axis=0), 1e-3)
-    kern = ARDParams(sigma_h_sq=y_var, weights=2.0 / span ** 2)
-    return LayerState(kernel=kern, beta=100.0 / y_var, latent=latent,
-                      inducing=InducingSet(inputs=X[idx].copy()))
-
-
 # ---------------------------------------------------------------------------
 # Prediction
 # ---------------------------------------------------------------------------
@@ -588,8 +555,8 @@ def predict_layer1(model: DeepGPModel, Xstar):
     key = "layer1"
     if key not in model._pred_cache:
         il = model.input_layer
-        Kx, norms = gram(model.X, model.X, il.kernel, return_norms=True)
-        L_C, _ = chol_psd(Kx + il.noise_var * np.eye(model.X.shape[0]))
+        C, norms = _input_cov(il, model.X)
+        L_C, _ = chol_psd(C)
         model._pred_cache[key] = gp_mod.GPModel(
             kernel=il.kernel, noise_var=il.noise_var, train_x=model.X,
             train_y=model.hidden_layers[0].latent.means, chol_cache=L_C,
@@ -607,8 +574,7 @@ def _layer_pred_cache(model: DeepGPModel, t):
     else:
         out_means = model.Y
     _, cache = layer_bound(layer.kernel, layer.beta, layer.latent,
-                           layer.inducing.inputs, out_means,
-                           return_cache=True)
+                           layer.inducing.inputs, out_means)
     V = layer.beta * cache.AinvM                     # (m, nu)
     Dmat = cache.Kuu_inv - cache.A_inv               # PSD: posterior shrinkage
     entry = {"V": V, "Dmat": Dmat, "Z": layer.inducing.inputs,

@@ -138,12 +138,12 @@ def _median_heuristic(X, max_points=200):
     return np.full(X.shape[1], 1.0 / med)
 
 
-def fit(X, Y, init: ARDParams = None, noise_var=None, iters=100,
-        return_trace=False):
+def fit(X, Y, iters=100):
     """Maximize the log marginal over hyperparameters in log space.
 
-    Returns the refitted model (and the objective trace when asked); the
-    trace is nondecreasing by construction of the line search.
+    The ascent starts from signal variance var(Y), the median-heuristic
+    inverse scales and noise variance 0.01 var(Y).  Returns the refitted
+    model.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -152,12 +152,8 @@ def fit(X, Y, init: ARDParams = None, noise_var=None, iters=100,
     y_var = float(np.var(Y))
     if y_var == 0.0:
         y_var = 1.0
-    if init is None:
-        init = RBFParams(tau0_sq=y_var, lengthscale_inv=_median_heuristic(X))
-    if noise_var is None:
-        noise_var = 0.01 * y_var
-
-    theta0 = _theta(init, noise_var)
+    init = RBFParams(tau0_sq=y_var, lengthscale_inv=_median_heuristic(X))
+    theta0 = _theta(init, 0.01 * y_var)
     spec = BlockSpec([(name, np.shape(v), True) for name, v in theta0.items()])
 
     def forward(theta):
@@ -168,12 +164,9 @@ def fit(X, Y, init: ARDParams = None, noise_var=None, iters=100,
         return spec.flatten(dict(zip(("tau0_sq", "b", "noise_var"),
                                      log_marginal_grad(*state))))
 
-    theta, trace = ascend(cached_objective(forward, backward),
-                          spec.pack(theta0), iters)
-    model = build_model(*_from_theta(spec.unpack(theta)), X, Y)
-    if return_trace:
-        return model, trace
-    return model
+    theta, _ = ascend(cached_objective(forward, backward), spec.pack(theta0),
+                      iters)
+    return build_model(*_from_theta(spec.unpack(theta)), X, Y)
 
 
 def predict(model: GPModel, Xstar):

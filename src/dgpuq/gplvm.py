@@ -303,8 +303,9 @@ class _LayerCache:
 
 
 def layer_bound(kernel: ARDParams, beta: float, latent: VariationalLatent,
-                Hu, out_means, out_vars=None, return_cache=False):
-    """Collapsed variational bound of one sparse layer.
+                Hu, out_means, out_vars=None):
+    """Collapsed variational bound of one sparse layer and the cache that
+    :func:`layer_bound_grads` and the layer's predictor read.
 
     ``out_means`` are the layer outputs (observed data, or the means of the
     next latent); ``out_vars`` are their variances when the outputs are
@@ -314,7 +315,10 @@ def layer_bound(kernel: ARDParams, beta: float, latent: VariationalLatent,
         - beta/2 (||out_means||^2 + sum out_vars + nu*phi0)
         + beta*nu/2 tr(Kuu^-1 Phi2) + beta^2/2 tr(M^T A^-1 M)
 
-    with A = Kuu + beta*Phi2 and M = Phi1^T out_means.
+    with A = Kuu + beta*Phi2 and M = Phi1^T out_means.  Returns
+    ``(value, cache)``.  Raises LinAlgError when the whitened inner matrix
+    I + beta * Lk^-1 Phi2 Lk^-T is not numerically positive definite, which
+    roundoff in Phi2 can bring about at a very large beta.
     """
     Hu = np.atleast_2d(np.asarray(Hu, dtype=float))
     out_means = np.atleast_2d(np.asarray(out_means, dtype=float))
@@ -333,16 +337,7 @@ def layer_bound(kernel: ARDParams, beta: float, latent: VariationalLatent,
     P2w = 0.5 * (P2w + P2w.T)
     Aw = beta * P2w
     Aw[np.diag_indices_from(Aw)] += 1.0
-    try:
-        L_Aw = np.linalg.cholesky(Aw)
-    except np.linalg.LinAlgError:
-        # beta large enough to promote roundoff negatives in P2w past the
-        # unit floor; clip to the PSD cone and retry
-        evals, vecs = np.linalg.eigh(P2w)
-        P2w = (vecs * np.clip(evals, 0.0, None)[None, :]) @ vecs.T
-        Aw = beta * P2w
-        Aw[np.diag_indices_from(Aw)] += 1.0
-        L_Aw = np.linalg.cholesky(Aw)
+    L_Aw = np.linalg.cholesky(Aw)
     Lk_inv = scipy.linalg.solve_triangular(L_K, np.eye(m), lower=True)
     Aw_inv = scipy.linalg.cho_solve((L_Aw, True), np.eye(m))
     Kuu_inv = Lk_inv.T @ Lk_inv
@@ -361,8 +356,6 @@ def layer_bound(kernel: ARDParams, beta: float, latent: VariationalLatent,
              - 0.5 * beta * (sum_sq + sum_vars + nu * phi0)
              + 0.5 * beta * nu * float(np.trace(P2w))
              + 0.5 * beta ** 2 * float(np.sum(Mw * AwinvMw)))
-    if not return_cache:
-        return value
     cache = _LayerCache(kernel=kernel, beta=beta, means=latent.means,
                         variances=latent.variances, Z=Hu, out_means=out_means,
                         out_vars=out_vars, phi1=phi1, T=T, phi2=phi2, Kuu=Kuu,
@@ -436,7 +429,7 @@ def _elbo_forward(state: LayerState, Y):
     """The ELBO and the layer cache its gradient reads: the forward half."""
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     _, cache = layer_bound(state.kernel, state.beta, state.latent,
-                           state.inducing.inputs, Y, return_cache=True)
+                           state.inducing.inputs, Y)
     return cache.value - latent_kl(state.latent), cache
 
 

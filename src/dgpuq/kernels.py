@@ -193,12 +193,12 @@ def predictive_grams(X, x_norms, Xstar, kernel: ARDParams):
     return Ks, kernel.sigma_h_sq * np.exp(-0.5 * sq)
 
 
-def chol_psd(M, base_jitter=None):
+def chol_psd(M):
     """Lower Cholesky factor of ``M + jitter * I`` with escalating jitter.
 
     The jitter is the smallest value in ``{0, base, base*10, ..., base*1e6}``
-    for which the factorization succeeds.  ``base_jitter`` defaults to
-    ``1e-6 * mean(diag(M))``.
+    for which the factorization succeeds, with ``base = 1e-6 * mean(diag(M))``
+    (the mean absolute diagonal when that mean is not positive).
 
     Returns
     -------
@@ -218,14 +218,13 @@ def chol_psd(M, base_jitter=None):
     if not np.allclose(M, M.T, rtol=0.0, atol=1e-10 * max(scale, 1.0)):
         raise ValueError("chol_psd input is not symmetric within 1e-10 relative")
     M = 0.5 * (M + M.T)
-    if base_jitter is None:
-        mean_diag = float(np.mean(np.diag(M))) if M.size else 0.0
-        if mean_diag > 0:
-            base_jitter = 1e-6 * mean_diag
-        else:
-            # roundoff-scale or indefinite input: scale from magnitudes
-            mag = float(np.mean(np.abs(np.diag(M)))) if M.size else 0.0
-            base_jitter = 1e-6 * mag if mag > 0 else 1e-6
+    mean_diag = float(np.mean(np.diag(M))) if M.size else 0.0
+    if mean_diag > 0:
+        base_jitter = 1e-6 * mean_diag
+    else:
+        # roundoff-scale or indefinite input: scale from magnitudes
+        mag = float(np.mean(np.abs(np.diag(M)))) if M.size else 0.0
+        base_jitter = 1e-6 * mag if mag > 0 else 1e-6
     n = M.shape[0]
     eye = np.eye(n)
     for level in [0.0] + [base_jitter * 10.0 ** k for k in range(7)]:

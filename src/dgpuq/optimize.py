@@ -1,8 +1,12 @@
 """Full-batch gradient ascent with backtracking line search.
 
 Shared by every trainer in the library.  Steps are only accepted when they
-satisfy a (weak) Armijo increase condition, so the recorded objective trace
-is nondecreasing.
+satisfy a (weak) Armijo increase condition with constant ``ARMIJO``, so the
+recorded objective trace is nondecreasing.  The first step tried is
+``STEP0``; a rejected trial is scaled by ``SHRINK`` until it falls below
+``MIN_STEP``, and an accepted step, scaled by ``GROW`` and capped at
+``MAX_STEP``, is the next iteration's first trial.  Every trainer uses these
+constants.
 
 Each trainer writes its objective as two halves: ``forward(x) -> (f, state)``
 computes the value and keeps what the gradient needs (Gram matrices, their
@@ -34,6 +38,14 @@ __all__ = ["BlockSpec", "ascend", "cached_objective"]
 # OverflowError is a Python float overflowing, e.g. ``beta ** 2``
 _NUMERICAL_FAILURES = (np.linalg.LinAlgError, FloatingPointError, ValueError,
                        OverflowError)
+
+# line-search constants of :func:`ascend`
+STEP0 = 0.1
+SHRINK = 0.5
+GROW = 1.3
+MAX_STEP = 1e3
+MIN_STEP = 1e-14
+ARMIJO = 1e-4
 
 
 class BlockSpec:
@@ -109,8 +121,7 @@ def cached_objective(forward, backward):
     return value_and_grad
 
 
-def ascend(value_and_grad, x0, iters, step0=0.1, shrink=0.5, grow=1.3,
-           max_step=1e3, min_step=1e-14, armijo=1e-4):
+def ascend(value_and_grad, x0, iters):
     """Maximize ``f`` given ``value_and_grad(x, need_grad) -> (f, g or None)``.
 
     Line-search trial points are evaluated with ``need_grad=False`` so that
@@ -124,7 +135,6 @@ def ascend(value_and_grad, x0, iters, step0=0.1, shrink=0.5, grow=1.3,
     ----------
     x0 : initial parameter vector (1-D float array).
     iters : maximum number of accepted steps.
-    step0 : initial step size; adapted multiplicatively between iterations.
 
     Returns
     -------
@@ -136,25 +146,25 @@ def ascend(value_and_grad, x0, iters, step0=0.1, shrink=0.5, grow=1.3,
     if not np.isfinite(f):
         raise FloatingPointError("objective not finite at the initial point")
     trace = [float(f)]
-    step = float(step0)
+    step = STEP0
     for _ in range(int(iters)):
         gnorm_sq = float(np.dot(g, g))
         if gnorm_sq == 0.0:
             break
 
         def search(s):
-            while s >= min_step:
+            while s >= MIN_STEP:
                 x_new = x + s * g
                 f_new, _ = value_and_grad(x_new, False)
-                if np.isfinite(f_new) and f_new >= f + armijo * s * gnorm_sq:
+                if np.isfinite(f_new) and f_new >= f + ARMIJO * s * gnorm_sq:
                     return s, x_new, f_new
-                s *= shrink
+                s *= SHRINK
             return None
 
         accepted = search(step)
-        if accepted is None and step < step0:
+        if accepted is None and step < STEP0:
             # the carried step may have shrunk past a rough patch; retry fresh
-            accepted = search(step0)
+            accepted = search(STEP0)
         if accepted is None:
             break
         step_acc, x, f = accepted
@@ -162,5 +172,5 @@ def ascend(value_and_grad, x0, iters, step0=0.1, shrink=0.5, grow=1.3,
         trace.append(float(f))
         if g is None:
             break       # no gradient at the accepted point: stop there
-        step = min(step_acc * grow, max_step)
+        step = min(step_acc * GROW, MAX_STEP)
     return x, np.asarray(trace)

@@ -188,6 +188,8 @@ def _pdf_columns(pdf_at, out_grid: Grid2D):
         if out_grid is None:
             raise ValueError("pdf locations given as coordinates need out_grid")
         x, y = float(loc[0]), float(loc[1])
+        if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+            raise ValueError(f"pdf location ({x}, {y}) lies outside [0, 1]^2")
         ix = min(int(x * out_grid.nx), out_grid.nx - 1)
         iy = min(int(y * out_grid.ny), out_grid.ny - 1)
         cols.append(((x, y), iy * out_grid.nx + ix))

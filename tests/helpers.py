@@ -91,12 +91,10 @@ def hand_gplvm_grad(g, lam, kernel, beta, freeze_beta):
     ])
 
 
-def hand_pack_params(model, frozen_input=False):
+def hand_pack_params(model):
     il = model.input_layer
-    parts = []
-    if not frozen_input:
-        parts += [hand_pack_theta(il.kernel, il.noise_var), il.mu_bar.ravel(),
-                  np.log(il.lam).ravel()]
+    parts = [hand_pack_theta(il.kernel, il.noise_var), il.mu_bar.ravel(),
+             np.log(il.lam).ravel()]
     for layer in model.hidden_layers:
         parts += [layer.inducing.inputs.ravel(), [np.log(layer.kernel.sigma_h_sq)],
                   np.log(layer.kernel.weights), [np.log(layer.beta)]]
@@ -106,7 +104,7 @@ def hand_pack_params(model, frozen_input=False):
     return np.concatenate([np.asarray(p, dtype=float).ravel() for p in parts])
 
 
-def hand_unpack_params(model, x, frozen_input=False):
+def hand_unpack_params(model, x):
     """Inverse of :func:`hand_pack_params`: a new model."""
     i = 0
 
@@ -118,14 +116,11 @@ def hand_unpack_params(model, x, frozen_input=False):
 
     with np.errstate(over="raise"):
         il = model.input_layer
-        if frozen_input:
-            new_il = il
-        else:
-            kern, nv = hand_unpack_theta(take(il.kernel.dim + 2))
-            n, q1 = il.mu_bar.shape
-            mu_bar = take(n * q1).reshape(n, q1).copy()
-            lam = np.exp(take(n * q1)).reshape(n, q1)
-            new_il = InputLayer(kernel=kern, noise_var=nv, mu_bar=mu_bar, lam=lam)
+        kern, nv = hand_unpack_theta(take(il.kernel.dim + 2))
+        n, q1 = il.mu_bar.shape
+        mu_bar = take(n * q1).reshape(n, q1).copy()
+        lam = np.exp(take(n * q1)).reshape(n, q1)
+        new_il = InputLayer(kernel=kern, noise_var=nv, mu_bar=mu_bar, lam=lam)
         new_layers = []
         for layer in model.hidden_layers:
             m, q = layer.inducing.inputs.shape
@@ -149,13 +144,11 @@ def hand_unpack_params(model, x, frozen_input=False):
                        training_meta=model.training_meta)
 
 
-def hand_grad_vector(g, n_latents, frozen_input=False):
+def hand_grad_vector(g, n_latents):
     """Flatten a joint-bound gradient, given by block name, in
     :func:`hand_pack_params` order."""
-    parts = []
-    if not frozen_input:
-        parts += [[g["tau0_sq"]], g["b"], [g["noise_var"]], g["mu_bar"].ravel(),
-                  g["lam"].ravel()]
+    parts = [[g["tau0_sq"]], g["b"], [g["noise_var"]], g["mu_bar"].ravel(),
+             g["lam"].ravel()]
     for t in range(n_latents):
         parts += [g[f"Hu{t}"].ravel(), [g[f"sigma_h_sq{t}"]], g[f"weights{t}"],
                   [g[f"beta{t}"]]]

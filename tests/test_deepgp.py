@@ -185,7 +185,7 @@ class TestTriInvLower:
                         noise_var=0.05, mu_bar=np.zeros((n, 1)),
                         lam=np.exp(rng.uniform(-6.0, 6.0, (n, 1))))
         w = np.sqrt(il.lam[:, 0])
-        B = w[:, None] * _input_cov(il, X) * w[None, :]
+        B = w[:, None] * _input_cov(il, X)[0] * w[None, :]
         B[np.diag_indices_from(B)] += 1.0
         L, info = dpotrf(B, lower=1)
         assert info == 0
@@ -218,7 +218,7 @@ class TestFirstLatentMatrixForms:
             assert np.all(e < 0)
         elif case == "mixed_zeros":
             assert np.any(e == 0) and np.any(e > 0) and np.any(e < 0)
-        C = _input_cov(il, X)
+        C = _input_cov(il, X)[0]
         M1, diag_S, kl, packed = _first_latent_forward(il, X, need_full=True)
         M1_or, diag_S_or, kl_or, cols_or = loop_first_latent_forward(il, C)
         assert rel_err(M1, M1_or) <= 1e-10
@@ -249,8 +249,7 @@ class TestTrainDeep:
         gpm = gp.fit(X, Y, iters=150)
         mu_gp, _ = gp.predict(gpm, Xte)
         rmse_gp = float(np.sqrt(np.mean((mu_gp - Yte) ** 2)))
-        model = train_deep(X, Y, dims=[1], m_inducing=[50], iters=300, seed=0,
-                           fix_latent_to_inputs=True)
+        model = train_deep(X, Y, dims=[1], m_inducing=[50], iters=300, seed=0)
         mu_d, _ = predict(model, Xte)
         rmse_d = float(np.sqrt(np.mean((mu_d - Yte) ** 2)))
         assert rmse_d <= 1.1 * rmse_gp
@@ -421,8 +420,7 @@ class TestPropagate:
         # direct sparse-GP oracle from the collapsed optimal q(U)
         out_means = model.Y
         _, cache = layer_bound(layer.kernel, layer.beta, layer.latent,
-                               layer.inducing.inputs, out_means,
-                               return_cache=True)
+                               layer.inducing.inputs, out_means)
         Z = layer.inducing.inputs
         Ksu = gram(Hstar, Z, layer.kernel)
         V = layer.beta * cache.AinvM
@@ -505,8 +503,7 @@ class TestPropagate:
 class TestPredict:
     def test_training_fit_correlation_on_benchmark(self):
         X, Y, _, _ = benchmark_1d(seed=31)
-        model = train_deep(X, Y, dims=[1], m_inducing=[25], iters=150, seed=3,
-                           fix_latent_to_inputs=True)
+        model = train_deep(X, Y, dims=[1], m_inducing=[25], iters=150, seed=3)
         mean, var = predict(model, X)
         r = np.corrcoef(mean.ravel(), Y.ravel())[0, 1]
         assert r > 0.95

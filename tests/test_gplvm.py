@@ -127,7 +127,7 @@ class TestElboLayer:
                              1.0 / beta, mu, Y)
         exact = gp.log_marginal(gpm)
         lat = VariationalLatent(mu, np.full((n, q), 1e-12))
-        bound = layer_bound(kern, beta, lat, mu.copy(), Y)
+        bound, _ = layer_bound(kern, beta, lat, mu.copy(), Y)
         assert bound == pytest.approx(exact, abs=1e-6)
 
     def test_sparse_bound_below_exact_marginal(self):
@@ -142,7 +142,7 @@ class TestElboLayer:
         exact = gp.log_marginal(gpm)
         for m in (2, 5, 10):
             lat = VariationalLatent(mu, np.full((n, q), 1e-12))
-            assert layer_bound(kern, beta, lat, mu[:m].copy(), Y) <= exact + 1e-8
+            assert layer_bound(kern, beta, lat, mu[:m].copy(), Y)[0] <= exact + 1e-8
 
     def test_invariant_under_joint_permutation(self):
         rng = np.random.default_rng(5)
@@ -155,6 +155,19 @@ class TestElboLayer:
         st2 = LayerState(kernel=st.kernel, beta=st.beta, latent=lat,
                          inducing=st.inducing)
         assert a == pytest.approx(_elbo_forward(st2, Y[perm])[0], abs=1e-9)
+
+    def test_indefinite_inner_matrix_raises(self):
+        # equal latent rows make the whitened Phi2 rank one; roundoff leaves
+        # eigenvalues near -1e-9 in its null space, which beta = 1e12 turns
+        # into about -1e3 in I + beta * P2w
+        n, q = 6, 2
+        lat = VariationalLatent(np.tile([0.3, -0.2], (n, 1)),
+                                np.full((n, q), 1e-9))
+        g = np.linspace(-1.0, 1.0, 4)
+        Z = np.array([[a, b] for a in g for b in g])
+        Y = np.random.default_rng(0).normal(size=(n, 2))
+        with pytest.raises(np.linalg.LinAlgError):
+            layer_bound(ARDParams(1e3, np.ones(q)), 1e12, lat, Z, Y)
 
 
 class TestElboGrad:

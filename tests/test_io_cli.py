@@ -199,6 +199,22 @@ class TestCli:
                       "7", "--out", str(tmp_path / "x"))
         assert res.returncode == 2
 
+    def test_zero_output_grid_exits_2(self, tmp_path):
+        res = run_cli("gen-data", "--n", "2", "--grid", "16", "--out-grid",
+                      "0", "--out", str(tmp_path / "x"))
+        assert res.returncode == 2
+        assert "--out-grid" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_mc_baseline_pdf_location_outside_the_domain_exits_2(
+            self, desk_dataset, tmp_path):
+        res = run_cli("mc-baseline", "--kle-manifest",
+                      str(desk_dataset / "manifest.json"), "--n", "4",
+                      "--pdf-at", "0.5,0.5;1.7,0.2", "--out", str(tmp_path / "mc"))
+        assert res.returncode == 2
+        assert "(1.7, 0.2)" in res.stderr
+        assert not (tmp_path / "mc").exists()
+
     def test_full_pipeline_and_reload_determinism(self, desk_dataset, tmp_path):
         mdl = tmp_path / "mdl"
         res = run_cli("train", "--data", str(desk_dataset), "--target", "p",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dgpuq import deepgp, gp, gplvm
-from dgpuq.kernels import ARDParams
+from dgpuq.kernels import ARDParams, RBFParams
 from dgpuq.optimize import BlockSpec, ascend, cached_objective
 from dgpuq.rng import rng_for
 from helpers import (recomputing_objective, hand_pack_theta, hand_unpack_theta,
@@ -289,13 +289,14 @@ def _model_params(model):
 
 
 def _gp_case(mp):
-    kern = ARDParams(1.3, np.array([0.4, 1.7]))
+    y_var = float(np.var(Y))     # fit's start: median heuristic, 1 % noise
+    kern = RBFParams(y_var, gp._median_heuristic(X))
     runs = _capture_ascend(mp, gp)
     built = []                  # the (kernel, noise_var) of each forward
     real_build = gp._build
     mp.setattr(gp, "_build", lambda k, nv, *args: built.append((k, nv))
                or real_build(k, nv, *args))
-    gp.fit(X, Y, init=kern, noise_var=0.05, iters=2)
+    gp.fit(X, Y, iters=2)
     x0, vg = runs[0]
 
     def new(x):
@@ -309,7 +310,7 @@ def _gp_case(mp):
         return [k.sigma_h_sq, k.weights, nv], np.concatenate(
             [[grads[0]], grads[1], [grads[2]]])
 
-    return x0, hand_pack_theta(kern, 0.05), new, hand
+    return x0, hand_pack_theta(kern, 0.01 * y_var), new, hand
 
 
 def _gplvm_case(mp, run):
@@ -339,38 +340,29 @@ def _gplvm_case(mp, run):
                                ARDParams(y_var, np.ones(q)), 100.0 / y_var), new, hand
 
 
-def _deep_case(mp, frozen):
+def _deep_case(mp):
     runs = _capture_ascend(mp, deepgp)
-    if frozen:      # the public codec lays out a free input layer only
-        model = deepgp.train_deep(X[:, :1], Y, dims=[1], m_inducing=[6],
-                                  iters=2, seed=1, fix_latent_to_inputs=True)
-        spec, values = deepgp._layout(model, frozen_input=True)
-        x0 = spec.pack(values)
-        unpack = lambda x: deepgp._with_values(model, spec.unpack(x))
-    else:
-        model = deepgp.train_deep(X, Y, dims=[2, 2], m_inducing=[6, 6],
-                                  iters=2, init_iters=6, seed=1)
-        x0 = deepgp.pack_params(model)
-        unpack = lambda x: deepgp.unpack_params(model, x)
+    model = deepgp.train_deep(X, Y, dims=[2, 2], m_inducing=[6, 6],
+                              iters=2, init_iters=6, seed=1)
+    x0 = deepgp.pack_params(model)
     vg = runs[0][1]
 
     def new(x):
-        return _model_params(unpack(x)), vg(x, True)[1]
+        return _model_params(deepgp.unpack_params(model, x)), vg(x, True)[1]
 
     def hand(x):
-        m = hand_unpack_params(model, x, frozen)
-        g = deepgp._deep_backward(deepgp._deep_forward(m, pack=not frozen)[1])
-        return _model_params(m), hand_grad_vector(g, m.n_latents, frozen)
+        m = hand_unpack_params(model, x)
+        g = deepgp._deep_backward(deepgp._deep_forward(m)[1])
+        return _model_params(m), hand_grad_vector(g, m.n_latents)
 
-    return x0, hand_pack_params(model, frozen), new, hand
+    return x0, hand_pack_params(model), new, hand
 
 
 SPEC_CASES = {
     "gp_theta": _gp_case,
     "gplvm_frozen_beta": lambda mp: _gplvm_case(mp, 0),
     "gplvm": lambda mp: _gplvm_case(mp, 1),
-    "deep_two_layers": lambda mp: _deep_case(mp, False),
-    "deep_frozen_input": lambda mp: _deep_case(mp, True),
+    "deep_two_layers": _deep_case,
 }
 
 

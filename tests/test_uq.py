@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,14 @@ class TestUqReport:
         with pytest.raises(ValueError):
             uq_report(small_model, dist8, n_prime=10, n_repeats=3, seed=9,
                       pdf_at=[(0.9, 0.1)], out_grid=None)
+
+    @pytest.mark.parametrize("loc", [(-0.5, 0.5), (1.7, 0.2)])
+    def test_locations_outside_the_unit_square_rejected(self, small_model,
+                                                         dist8, loc):
+        # on a 16 x 16 grid these used to wrap to columns 120 and 63
+        with pytest.raises(ValueError, match=re.escape(str(loc))):
+            uq_report(small_model, dist8, n_prime=10, n_repeats=3, seed=9,
+                      pdf_at=[(0.5, 0.5), loc], out_grid=Grid2D(16, 16))
 
     def test_repeat_streams_derive_from_the_uq_stream(self, small_model, dist8,
                                                       stream_keys):
