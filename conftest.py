@@ -1,14 +1,14 @@
 """Pytest set-up shared by ``tests/`` and ``bench/``.
 
 The suite's matrices are small, so BLAS threads cost more than they give:
-one thread unless ``DGP_THREADS`` is already set.  The cap takes effect when
-``dgpuq`` is imported, and thread pools are sized when the linear-algebra
-libraries load, so the package is imported here, before any test module
-imports numpy.
+each standard thread variable is set to one unless it is already set.
+Thread pools are sized when the linear-algebra libraries load, so this runs
+before any test module imports numpy, and the subprocesses the tests start
+inherit the same variables.
 """
 
 import os
 
-os.environ.setdefault("DGP_THREADS", "1")
-
-import dgpuq  # noqa: E402,F401
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")

@@ -1,7 +1,10 @@
 """Command-line front end: generate -> train -> predict -> uq -> baseline.
 
-DGP_THREADS, which caps the linear-algebra thread pools, takes effect on
-import of the package (see ``dgpuq/__init__.py``).
+The linear-algebra thread pools are sized by the standard variables
+OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and
+NUMEXPR_NUM_THREADS, which must be set before Python starts.  Each command
+imports numpy and the modules it needs when it runs, so ``--help`` and
+argument errors load no numpy.
 
 Exit codes: 0 success, 2 usage or validation error, 3 numeric failure
 (LinAlgError, FloatingPointError, OverflowError, RuntimeError).

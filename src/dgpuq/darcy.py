@@ -98,16 +98,16 @@ def _face_fluxes(tw: np.ndarray, ts: np.ndarray, p2d: np.ndarray,
     return ux, uy
 
 
-def solve(grid: Grid2D, K, source=None) -> DarcySolution:
+def solve(grid: Grid2D, K, source) -> DarcySolution:
     """Solve -div(K grad p) = f with no-flux walls and zero-mean pressure.
 
     Parameters
     ----------
     grid : Grid2D
     K : flat array of finite, strictly positive cell permeabilities
-    source : SourceSpec or flat array of cell-centered source values.
-        Defaults to ``SourceSpec()``.  The source must integrate to zero for
-        the pure-Neumann problem to be solvable.
+    source : SourceSpec, or flat array of cell-centered source values.  The
+        source must integrate to zero for the pure-Neumann problem to be
+        solvable.
 
     Returns
     -------
@@ -126,8 +126,6 @@ def solve(grid: Grid2D, K, source=None) -> DarcySolution:
     if not np.all(np.isfinite(K) & (K > 0)):
         raise ValueError("permeability must be finite and strictly positive everywhere")
 
-    if source is None:
-        source = SourceSpec()
     if isinstance(source, SourceSpec):
         f = _source_field(grid, source)
     else:

@@ -56,6 +56,7 @@ import numpy as np
 from scipy.linalg.blas import daxpy, dsyr2k, dsyrk, dtrmm
 from scipy.linalg.lapack import dpotrf, dtrtri, dlauum, dtrttf, dtfttr
 
+from .gp import LOG_2PI
 from .kernels import ARDParams, gram, chol_psd, DimensionMismatchError
 from .gplvm import (LayerState, VariationalLatent, InducingSet, layer_bound,
                     layer_bound_grads, train_gplvm, _phi_forward)
@@ -74,8 +75,6 @@ __all__ = [
     "propagate",
     "predict",
 ]
-
-LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass
@@ -487,32 +486,22 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0,
     if float(np.var(Y)) <= 0.0:
         raise ValueError("Y has zero variance; nothing to model")
 
-    # greedy stack: GP-LVM on Y gives the last latent, then work backwards
-    init_traces = []
+    # greedy stack: GP-LVM on Y gives the last latent, then work backwards;
+    # each layer keeps its GP-LVM latent as its input latent
     layers = [None] * G
-    latent_means = [None] * (G + 1)    # index i holds q(h_i) moments, 1-based
-    latent_vars = [None] * (G + 1)
     data = Y
     for t in range(G - 1, -1, -1):
-        state, trace = train_gplvm(data, dims[t], m_inducing[t],
+        layers[t], _ = train_gplvm(data, dims[t], m_inducing[t],
                                    iters=init_iters, seed=seed + 101 * t)
-        init_traces.append(trace)
-        layers[t] = state
-        latent_means[t + 1] = state.latent.means
-        latent_vars[t + 1] = state.latent.variances
-        data = state.latent.means
-
-    # hidden layers' free latent moments (inputs of layers 1..G-1)
-    for t in range(1, G):
-        layers[t].latent = VariationalLatent(means=latent_means[t + 1].copy(),
-                                             variances=latent_vars[t + 1].copy())
+        data = layers[t].latent.means
 
     # input layer: exact-GP fit of X -> first latent means; the mean is
     # C mu_bar, so mu_bar is the fit's mean weights C^-1 M1
-    gpm = gp_mod.fit(X, latent_means[1], iters=min(init_iters, 60))
+    first = layers[0].latent
+    gpm = gp_mod.fit(X, first.means, iters=min(init_iters, 60))
     input_layer = InputLayer(kernel=gpm.kernel, noise_var=gpm.noise_var,
                              mu_bar=gpm.alpha,
-                             lam=1.0 / np.clip(latent_vars[1], 1e-12, None))
+                             lam=1.0 / np.clip(first.variances, 1e-12, None))
 
     model = DeepGPModel(X=X, Y=Y, input_layer=input_layer, hidden_layers=layers,
                         dims=dims, training_meta={"seed": int(seed),
@@ -535,7 +524,6 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0,
     trained.training_meta.update({
         "elbo_trace": trace,
         "final_elbo": float(trace[-1]),
-        "init_traces": init_traces,
     })
     return trained
 

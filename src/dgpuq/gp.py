@@ -39,10 +39,6 @@ class GPModel:
     alpha: np.ndarray     # (n, nu) mean weights; the predictive mean is Ks^T alpha
     train_norms: np.ndarray  # (n,) weighted row norms of train_x
 
-    @property
-    def n(self):
-        return self.train_x.shape[0]
-
 
 def _build(kernel: ARDParams, noise_var: float, X, Y):
     """:func:`build_model` that also returns the Gram matrix it formed."""

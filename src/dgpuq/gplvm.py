@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .gp import LOG_2PI
 from .kernels import ARDParams, gram, DimensionMismatchError, SingularMatrixError
 from .optimize import BlockSpec, ascend, cached_objective
 from .rng import rng_for
@@ -47,8 +48,6 @@ __all__ = [
     "train_gplvm",
     "effective_dims",
 ]
-
-LOG_2PI = float(np.log(2.0 * np.pi))
 
 # relative diagonal added to K_uu; scales with the signal variance so that
 # gradients in log(sigma_h_sq) stay exact
@@ -133,10 +132,6 @@ class InducingSet:
         self.inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
         if self.inputs.shape[0] < 1:
             raise ValueError("need at least one inducing point")
-
-    @property
-    def m(self):
-        return self.inputs.shape[0]
 
 
 @dataclass

@@ -145,8 +145,6 @@ def _jsonable_meta(meta):
     for k, v in meta.items():
         if isinstance(v, np.ndarray):
             out[k] = [float(x) for x in np.ravel(v)]
-        elif isinstance(v, (list, tuple)) and all(isinstance(x, np.ndarray) for x in v):
-            continue  # per-phase traces stay in memory only
         elif isinstance(v, (int, float, str, bool, list, dict)) or v is None:
             out[k] = v
         else:
@@ -263,16 +261,13 @@ def load_kle_from_manifest(manifest_path):
     base = os.path.dirname(path)
     grid = Grid2D(*doc["grid"])
     out_grid = Grid2D(*doc["out_grid"])
-    cov = ExpCovSpec(s_g_sq=doc["cov"]["s_g_sq"],
-                     lambdas=tuple(doc["cov"]["lambdas"]),
-                     mean=doc["cov"]["mean"])
     kle = KLExpansion(
         eigenvalues=read_matrix(os.path.join(base, doc["kle"]["eigenvalues"])).ravel(),
         eigenfields=read_matrix(os.path.join(base, doc["kle"]["eigenfields"])),
-        mean=cov.mean, grid=grid, spec=cov)
+        mean=doc["cov"]["mean"], grid=grid)
     source = SourceSpec(rate=doc["source"]["rate"], width=doc["source"]["width"])
-    return {"grid": grid, "out_grid": out_grid, "cov": cov, "kle": kle,
-            "source": source, "doc": doc, "base": base}
+    return {"grid": grid, "out_grid": out_grid, "kle": kle, "source": source,
+            "doc": doc}
 
 
 def write_csv(path, header, rows):

@@ -31,7 +31,7 @@ written with the former dense basis still load and reproduce as written.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.special
@@ -112,7 +112,6 @@ class KLExpansion:
     eigenfields: np.ndarray          # (k_xi, nx*ny)
     mean: float
     grid: Grid2D
-    spec: ExpCovSpec = field(default=None)
 
     @property
     def k_xi(self) -> int:
@@ -159,7 +158,7 @@ def kle_decompose(grid: Grid2D, spec: ExpCovSpec, k_xi: int) -> KLExpansion:
     # psi_k = sqrt(eigval) * unit-norm eigenvector / sqrt(area)
     fields = (np.sqrt(vals)[:, None] * vecs) / np.sqrt(area)
     return KLExpansion(eigenvalues=vals, eigenfields=fields, mean=spec.mean,
-                       grid=grid, spec=spec)
+                       grid=grid)
 
 
 def _coefficient_rows(name, kle: KLExpansion, c) -> np.ndarray:

@@ -196,6 +196,14 @@ def _pdf_columns(pdf_at, out_grid: Grid2D):
     return cols
 
 
+def _check_pdf_columns(pdf_cols, width):
+    """Raise ValueError naming the first PDF whose column is not in [0, width)."""
+    for loc, col in pdf_cols:
+        if not 0 <= col < width:
+            raise ValueError(f"pdf location {loc} selects output column {col}, "
+                             f"outside the {width} output columns")
+
+
 def _pdf_estimate(loc, col, sample_sets) -> PdfEstimate:
     """Mean KDE of one output column over repeated sample sets.
 
@@ -231,6 +239,7 @@ def uq_report(model: DeepGPModel, dist: InputDistribution, n_prime: int,
         raise ValueError("need at least two repeats")
     means, variances = [], []
     pdf_cols = _pdf_columns(pdf_at, out_grid) if pdf_at else []
+    _check_pdf_columns(pdf_cols, model.Y.shape[1])
     pdf_values = [[] for _ in pdf_cols]
     for j in range(n_repeats):
         Xp = sample_inputs(dist, n_prime, seed, UQ_STREAM, j, 0)
@@ -261,8 +270,9 @@ def mc_baseline(simulator, dist: InputDistribution, N: int, seed: int,
 
     ``simulator`` maps one permeability row to one output row.  Returns
     ``(mean, variance, pdfs)`` with the population-form variance and one
-    density estimate per requested location.  Sample ``i`` draws its inputs
-    from ``rng_for(seed, MC_BASELINE_STREAM, i)``.
+    density estimate per requested location; a location outside the
+    output raises ValueError once the first sample gives the output width.
+    Sample ``i`` draws its inputs from ``rng_for(seed, MC_BASELINE_STREAM, i)``.
     """
     if N < 2:
         raise ValueError("need at least two samples")
@@ -279,6 +289,7 @@ def mc_baseline(simulator, dist: InputDistribution, N: int, seed: int,
         except Exception as exc:
             raise RuntimeError(f"simulator failed at sample {i}: {exc}") from exc
         if sum_y is None:
+            _check_pdf_columns(pdf_cols, y.size)
             sum_y = np.zeros_like(y)
             sum_sq = np.zeros_like(y)
         sum_y += y

@@ -484,7 +484,7 @@ def dense_kle_decompose(grid, spec, k_xi):
             vecs[:, k] = -vecs[:, k]
     fields = (np.sqrt(vals)[:, None] * vecs.T) / np.sqrt(area)
     return KLExpansion(eigenvalues=vals, eigenfields=fields, mean=spec.mean,
-                       grid=grid, spec=spec)
+                       grid=grid)
 
 
 def sparse_tpfa_pressure(grid, K, f):

@@ -340,54 +340,43 @@ class TestCli:
             acc += restrict(sol.pressure, grid.nx, grid.ny, og.nx, og.ny)
         assert np.abs(mean - acc / 30).max() < 1e-12
 
-    def test_dgp_threads_env_respected(self, desk_dataset, tmp_path):
+    @pytest.mark.parametrize("module", ["dgpuq", "dgpuq.cli"])
+    def test_import_has_no_side_effects(self, module):
         env = cli_env(DGP_THREADS="1")
-        res = subprocess.run(
-            [sys.executable, "-m", "dgpuq.cli", "mc-baseline",
-             "--kle-manifest", str(desk_dataset / "manifest.json"),
-             "--n", "2", "--seed", "1", "--out", str(tmp_path / "mt")],
-            capture_output=True, text=True, env=env)
+        for var in BLAS_THREAD_VARS:
+            env.pop(var, None)
+        code = ("import json, os, sys\n"
+                "before = dict(os.environ)\n"
+                f"import {module}\n"
+                "print(json.dumps({'environ_unchanged': dict(os.environ) == before,"
+                " 'numpy_loaded': 'numpy' in sys.modules}))\n")
+        res = subprocess.run([sys.executable, "-W", "always", "-c", code],
+                             capture_output=True, text=True, env=env)
         assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+        assert json.loads(res.stdout) == {"environ_unchanged": True,
+                                          "numpy_loaded": False}
 
-    def test_dgp_threads_caps_blas_on_package_import(self):
+    def test_suite_pins_blas_to_one_thread(self):
         if not os.path.exists("/proc/self/maps"):
             pytest.skip("needs /proc/self/maps to find the loaded BLAS")
-        env = cli_env(DGP_THREADS="1")
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
-            env.pop(var, None)
         res = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE],
-                             capture_output=True, text=True, env=env)
+                             capture_output=True, text=True, env=cli_env())
         assert res.returncode == 0, res.stderr
         counts = [int(line.split()[-1]) for line in res.stdout.splitlines()]
         if not counts:
             pytest.skip("no OpenBLAS loaded; nothing to read the count from")
         assert counts == [1] * len(counts), res.stdout
 
-    @pytest.mark.parametrize("code, preset, warns", [
-        ("import numpy, dgpuq", False, True),
-        ("import dgpuq, numpy", False, False),
-        ("import numpy, dgpuq", True, False),
-    ], ids=["numpy_first", "dgpuq_first", "numpy_first_vars_preset"])
-    def test_dgp_threads_warns_when_it_cannot_take_effect(self, code, preset,
-                                                          warns):
-        env = cli_env(DGP_THREADS="1")
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            if preset:
-                env[var] = "1"
-            else:
-                env.pop(var, None)
-        res = subprocess.run([sys.executable, "-W", "always", "-c", code],
-                             capture_output=True, text=True, env=env)
-        assert res.returncode == 0, res.stderr
-        assert ("RuntimeWarning" in res.stderr) == warns, res.stderr
-        assert ("DGP_THREADS" in res.stderr) == warns, res.stderr
 
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
-# imports the CLI module, then asks every loaded OpenBLAS for its own count
+# loads numpy's and scipy's BLAS, then asks every loaded OpenBLAS for its
+# own count
 BLAS_THREADS_PROBE = """
 import ctypes, os
-import dgpuq.cli
+import numpy, scipy.linalg
 getters = ("openblas_get_num_threads", "openblas_get_num_threads64_",
            "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_")
 with open("/proc/self/maps") as fh:

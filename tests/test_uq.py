@@ -226,6 +226,18 @@ class TestUqReport:
         assert stream_keys == [(11, UQ_STREAM, j, k)
                                for j in range(3) for k in (0, 1)]
 
+    @pytest.mark.parametrize("entry, label", [(2, ('col', 2)),
+                                              ((0.9, 0.9), (0.9, 0.9))],
+                             ids=["column", "location"])
+    def test_pdf_column_out_of_range_rejected(self, small_model, dist8,
+                                              stream_keys, entry, label):
+        # the model has two output columns, (0.9, 0.9) is column 15 of the
+        # 4 x 4 grid; no repeat may run
+        with pytest.raises(ValueError, match=re.escape(str(label))):
+            uq_report(small_model, dist8, n_prime=10, n_repeats=3, seed=9,
+                      pdf_at=[entry], out_grid=Grid2D(4, 4))
+        assert stream_keys == []
+
     def test_repeats_validated(self, small_model, dist8):
         with pytest.raises(ValueError):
             uq_report(small_model, dist8, n_prime=10, n_repeats=1, seed=0)
@@ -262,6 +274,18 @@ class TestMcBaseline:
         assert len(pdfs) == 1
         mass = np.trapezoid(pdfs[0].mean_density, pdfs[0].abscissae)
         assert abs(mass - 1.0) < 1e-3
+
+    @pytest.mark.parametrize("col", [-1, 7])
+    def test_pdf_column_out_of_range_rejected(self, dist8, col):
+        runs = []
+
+        def sim(K):
+            runs.append(1)
+            return K[:3]
+
+        with pytest.raises(ValueError, match=rf"\('col', {col}\)"):
+            mc_baseline(sim, dist8, N=5, seed=0, pdf_at=[col])
+        assert len(runs) == 1
 
     def test_simulator_failure_reports_index(self, dist8):
         def bad(K):
