@@ -19,6 +19,9 @@ import sys
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
+# dataset target name -> the DarcySolution field it restricts
+FIELDS = {"p": "pressure", "ux": "vel_x", "uy": "vel_y"}
+
 
 def _fail_usage(msg):
     print(f"error: {msg}", file=sys.stderr)
@@ -53,13 +56,27 @@ def _parse_locations(text):
     return locs
 
 
+def _write_fields(out_dir, arrays):
+    """Write each array to ``<name>.dgpm`` in ``out_dir`` (a 1-D array as one
+    row); return the name -> file map."""
+    from . import io
+
+    os.makedirs(out_dir, exist_ok=True)
+    files = {}
+    for name, arr in arrays.items():
+        files[name] = f"{name}.dgpm"
+        io.write_matrix(os.path.join(out_dir, files[name]), arr)
+    return files
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(args):
     import numpy as np
-    from .random_field import Grid2D, ExpCovSpec, kle_decompose, permeability
+    from .random_field import (Grid2D, ExpCovSpec, kle_decompose,
+                               sample_permeability)
     from .darcy import SourceSpec, solve, restrict
     from .rng import rng_for, GEN_DATA_STREAM
     from . import io
@@ -79,32 +96,19 @@ def cmd_gen_data(args):
 
     kle = kle_decompose(grid, cov, args.kle)
     n = args.n
-    K = np.empty((n, grid.n_cells))
-    p = np.empty((n, out_grid.n_cells))
-    ux = np.empty((n, out_grid.n_cells))
-    uy = np.empty((n, out_grid.n_cells))
+    data = {"K": np.empty((n, grid.n_cells))}
+    data.update((name, np.empty((n, out_grid.n_cells))) for name in FIELDS)
     for i in range(n):
         rng = rng_for(args.seed, GEN_DATA_STREAM, i)
-        xi = np.clip(rng.uniform(size=args.kle), 1e-15, 1.0 - 1e-15)
-        K[i] = permeability(kle, xi)
-        sol = solve(grid, K[i], source)
-        p[i] = restrict(sol.pressure, grid.nx, grid.ny, out_grid.nx, out_grid.ny)
-        ux[i] = restrict(sol.vel_x, grid.nx, grid.ny, out_grid.nx, out_grid.ny)
-        uy[i] = restrict(sol.vel_y, grid.nx, grid.ny, out_grid.nx, out_grid.ny)
+        data["K"][i] = sample_permeability(kle, rng)
+        sol = solve(grid, data["K"][i], source)
+        for name, field in FIELDS.items():
+            data[name][i] = restrict(getattr(sol, field), grid.nx, grid.ny,
+                                     out_grid.nx, out_grid.ny)
 
-    os.makedirs(args.out, exist_ok=True)
-    files = {}
-    for name, arr in (("K", K), ("p", p), ("ux", ux), ("uy", uy)):
-        fname = f"{name}.dgpm"
-        io.write_matrix(os.path.join(args.out, fname), arr)
-        files[name] = fname
     io.write_dataset_manifest(
         args.out, grid=grid, out_grid=out_grid, cov=cov, kle=kle, source=source,
-        n=n, seed=args.seed, files=files,
-        flags={"n": args.n, "grid": args.grid, "out_grid": args.out_grid,
-               "kle": args.kle, "lambda": args.lam, "sg": args.sg,
-               "mean": args.mean, "rate": args.rate, "width": args.width,
-               "seed": args.seed})
+        n=n, seed=args.seed, files=_write_fields(args.out, data))
     print(f"wrote dataset ({n} samples, {grid.nx}x{grid.ny} -> "
           f"{out_grid.nx}x{out_grid.ny}) to {args.out}")
 
@@ -206,23 +210,14 @@ def cmd_uq(args):
     report = uq_report(model, InputDistribution(kle=info["kle"]),
                        n_prime=args.inner, n_repeats=args.repeats,
                        seed=args.seed, pdf_at=pdf_at, out_grid=out_grid)
-    os.makedirs(args.out, exist_ok=True)
-    io.write_matrix(os.path.join(args.out, "mean_of_mean.dgpm"),
-                    report.mean_of_mean[None, :])
-    io.write_matrix(os.path.join(args.out, "mean_of_variance.dgpm"),
-                    report.mean_of_variance[None, :])
-    io.write_matrix(os.path.join(args.out, "errorbar_mean.dgpm"),
-                    report.errorbar_mean[None, :])
-    io.write_matrix(os.path.join(args.out, "errorbar_variance.dgpm"),
-                    report.errorbar_variance[None, :])
+    fields = _write_fields(args.out, {
+        name: getattr(report, name) for name in
+        ("mean_of_mean", "mean_of_variance", "errorbar_mean",
+         "errorbar_variance")})
     doc = {"format": "dgpuq-uq-v1", "n_inner": report.n_inner,
            "n_repeats": report.n_repeats, "seed": args.seed,
            "pdfs": _write_pdfs(args.out, report.pdf_points),
-           "fields": {"mean_of_mean": "mean_of_mean.dgpm",
-                      "mean_of_variance": "mean_of_variance.dgpm",
-                      "errorbar_mean": "errorbar_mean.dgpm",
-                      "errorbar_variance": "errorbar_variance.dgpm"},
-           "out_grid": out_grid_dims}
+           "fields": fields, "out_grid": out_grid_dims}
     io._json_dump(os.path.join(args.out, "report.json"), doc)
     print(f"wrote UQ report ({args.inner} inner x {args.repeats} repeats) "
           f"to {args.out}")
@@ -238,22 +233,17 @@ def cmd_mc_baseline(args):
     target = args.target
 
     def simulator(K):
-        sol = solve(grid, K, source)
-        fields = {"p": sol.pressure, "ux": sol.vel_x, "uy": sol.vel_y}
-        return restrict(fields[target], grid.nx, grid.ny,
-                        out_grid.nx, out_grid.ny)
+        return restrict(getattr(solve(grid, K, source), FIELDS[target]),
+                        grid.nx, grid.ny, out_grid.nx, out_grid.ny)
 
     pdf_at = _parse_locations(args.pdf_at) if args.pdf_at else None
     mean, var, pdfs = mc_baseline(simulator, InputDistribution(kle=info["kle"]),
                                   N=args.n, seed=args.seed, pdf_at=pdf_at,
                                   out_grid=out_grid)
-    os.makedirs(args.out, exist_ok=True)
-    io.write_matrix(os.path.join(args.out, "mean.dgpm"), mean[None, :])
-    io.write_matrix(os.path.join(args.out, "variance.dgpm"), var[None, :])
+    fields = _write_fields(args.out, {"mean": mean, "variance": var})
     doc = {"format": "dgpuq-mc-v1", "n": args.n, "seed": args.seed,
            "target": target, "pdfs": _write_pdfs(args.out, pdfs),
-           "fields": {"mean": "mean.dgpm", "variance": "variance.dgpm"},
-           "out_grid": [out_grid.nx, out_grid.ny]}
+           "fields": fields, "out_grid": [out_grid.nx, out_grid.ny]}
     io._json_dump(os.path.join(args.out, "report.json"), doc)
     print(f"wrote plain-MC baseline ({args.n} runs of {target}) to {args.out}")
 
@@ -284,7 +274,7 @@ def build_parser():
 
     t = sub.add_parser("train", help="train a deep GP on a dataset target")
     t.add_argument("--data", required=True)
-    t.add_argument("--target", choices=("p", "ux", "uy"), default="p")
+    t.add_argument("--target", choices=tuple(FIELDS), default="p")
     t.add_argument("--layers", type=int, default=2)
     t.add_argument("--dims", default="30,30")
     t.add_argument("--inducing", default="50,50")
@@ -313,7 +303,7 @@ def build_parser():
     b = sub.add_parser("mc-baseline", help="plain Monte Carlo over the solver")
     b.add_argument("--kle-manifest", required=True)
     b.add_argument("--n", type=int, default=10000)
-    b.add_argument("--target", choices=("p", "ux", "uy"), default="p")
+    b.add_argument("--target", choices=tuple(FIELDS), default="p")
     b.add_argument("--pdf-at", default=None)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", required=True)

@@ -30,14 +30,19 @@ __all__ = ["SourceSpec", "DarcySolution", "source_term", "solve", "restrict"]
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Square injection/production wells in opposite corners."""
+    """Square injection/production wells in opposite corners.
+
+    A width above one half would overlap the squares, and the source would
+    no longer integrate to zero.
+    """
 
     rate: float = 10.0
     width: float = 1.0 / 8.0
 
     def __post_init__(self):
-        if not 0 < self.width < 1:
-            raise ValueError("well width must lie in (0, 1)")
+        if not 0 < self.width <= 0.5:
+            raise ValueError("well width must lie in (0, 0.5] so the wells "
+                             "do not overlap")
         if not self.rate > 0:
             raise ValueError("well rate must be positive")
 
@@ -52,26 +57,17 @@ class DarcySolution:
     grid: Grid2D
 
 
-def source_term(xs, spec: SourceSpec) -> float:
-    """Well source at a point: -rate in the corner square near (0,0),
-    +rate near (1,1), zero elsewhere."""
-    x, y = float(xs[0]), float(xs[1])
+def source_term(xs, spec: SourceSpec):
+    """Well source at points of shape (..., 2): -rate in the corner square
+    near (0,0), +rate near (1,1), zero elsewhere.  A single point gives a
+    float, an array of points an array of shape (...)."""
+    xs = np.asarray(xs, dtype=float)
+    x, y = xs[..., 0], xs[..., 1]
     half = 0.5 * spec.width
-    if abs(x - half) < half and abs(y - half) < half:
-        return -spec.rate
-    if abs(x - 1.0 + half) < half and abs(y - 1.0 + half) < half:
-        return spec.rate
-    return 0.0
-
-
-def _source_field(grid: Grid2D, spec: SourceSpec) -> np.ndarray:
-    centers = grid.cell_centers()
-    half = 0.5 * spec.width
-    x, y = centers[:, 0], centers[:, 1]
-    f = np.zeros(grid.n_cells)
-    f[(np.abs(x - half) < half) & (np.abs(y - half) < half)] = -spec.rate
-    f[(np.abs(x - 1 + half) < half) & (np.abs(y - 1 + half) < half)] = spec.rate
-    return f
+    near_0 = (np.abs(x - half) < half) & (np.abs(y - half) < half)
+    near_1 = (np.abs(x - 1.0 + half) < half) & (np.abs(y - 1.0 + half) < half)
+    f = np.where(near_0, -spec.rate, np.where(near_1, spec.rate, 0.0))
+    return float(f) if f.ndim == 0 else f
 
 
 def _face_transmissibilities(K2d: np.ndarray, hx: float, hy: float):
@@ -107,7 +103,7 @@ def solve(grid: Grid2D, K, source) -> DarcySolution:
     K : flat array of finite, strictly positive cell permeabilities
     source : SourceSpec, or flat array of cell-centered source values.  The
         source must integrate to zero for the pure-Neumann problem to be
-        solvable.
+        solvable: ``|sum f| > 1e-12 * sum |f|`` raises ValueError.
 
     Returns
     -------
@@ -127,11 +123,15 @@ def solve(grid: Grid2D, K, source) -> DarcySolution:
         raise ValueError("permeability must be finite and strictly positive everywhere")
 
     if isinstance(source, SourceSpec):
-        f = _source_field(grid, source)
+        f = source_term(grid.cell_centers(), source)
     else:
         f = np.asarray(source, dtype=float).ravel()
         if f.shape[0] != grid.n_cells:
             raise ValueError("source field size does not match grid")
+    total = float(np.sum(f))
+    if abs(total) > 1e-12 * np.sum(np.abs(f)):
+        raise ValueError(f"source sums to {total:.6g}, not zero: the no-flux "
+                         "problem has no solution")
 
     nx, ny = grid.nx, grid.ny
     hx, hy = 1.0 / nx, 1.0 / ny

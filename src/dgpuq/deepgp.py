@@ -571,14 +571,13 @@ def _layer_pred_cache(model: DeepGPModel, t):
     return entry
 
 
-def propagate(model: DeepGPModel, layer_index: int, qh_prev_star,
-              include_noise=True):
+def propagate(model: DeepGPModel, layer_index: int, qh_prev_star):
     """Push Gaussian moments through hidden layer ``layer_index``.
 
     ``qh_prev_star`` is ``(means, variances)`` of the layer input at the
     test points (factorized per point and dimension).  Returns the
-    factorized moments of the layer output, including the layer noise
-    variance when ``include_noise`` is set.
+    factorized moments of the layer output, the variance including the
+    layer noise 1/beta.
     """
     means, variances = qh_prev_star
     means = np.atleast_2d(np.asarray(means, dtype=float))
@@ -595,9 +594,7 @@ def propagate(model: DeepGPModel, layer_index: int, qh_prev_star,
     proj = mean * mean
     var = kern.sigma_h_sq - tr_term[:, None] + quad - proj
     np.maximum(var, 0.0, out=var)
-    if include_noise:
-        var = var + 1.0 / cache["beta"]
-    return mean, var
+    return mean, var + 1.0 / cache["beta"]
 
 
 def predict(model: DeepGPModel, Xstar):

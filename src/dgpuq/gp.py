@@ -94,18 +94,16 @@ def _hyper_grads(X, K, G, kernel: ARDParams, noise_var):
     return g_log_sigma, g_log_w, g_log_noise
 
 
-def log_marginal_grad(model: GPModel, K=None):
+def log_marginal_grad(model: GPModel, K):
     """Gradient of the log marginal w.r.t. (log tau0_sq, log b, log noise_var).
 
     dL/dC = W / 2 with W = sum_j alpha_j alpha_j^T - nu * Kinv.  ``K`` is
-    the model's noise-free Gram matrix, formed here when not given.
+    the model's noise-free Gram matrix.
     """
     X, L, alpha = model.train_x, model.chol_cache, model.alpha
     n, nu = alpha.shape
     Kinv = scipy.linalg.cho_solve((L, True), np.eye(n))
     W = alpha @ alpha.T - nu * Kinv
-    if K is None:
-        K = gram(X, X, model.kernel)
     return _hyper_grads(X, K, 0.5 * W, model.kernel, model.noise_var)
 
 

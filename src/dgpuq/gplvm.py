@@ -17,9 +17,8 @@ standard-normal latent prior, and :func:`train_gplvm` optimizes that model.
 The GP-LVM objective is split into a forward and a backward half.
 ``_elbo_forward`` evaluates the bound and returns the layer cache (the Phi
 statistics, the K_uu and A factors and their inverses); ``_elbo_backward``
-turns that cache into the gradient blocks.  :func:`elbo_grad` is the two
-composed, and :func:`train_gplvm` hands them to
-:func:`optimize.cached_objective`, so the gradient at an accepted
+turns that cache into the gradient blocks.  :func:`train_gplvm` hands them
+to :func:`optimize.cached_objective`, so the gradient at an accepted
 line-search trial reuses that trial's forward.  Its parameter vector is
 laid out by an :class:`optimize.BlockSpec` (``_spec``), in which the latent
 variances are 1/(1 + lam) and lam is stored as its log.
@@ -44,7 +43,6 @@ __all__ = [
     "layer_bound",
     "layer_bound_grads",
     "latent_kl",
-    "elbo_grad",
     "train_gplvm",
     "effective_dims",
 ]
@@ -434,7 +432,7 @@ def _elbo_backward(cache: _LayerCache):
     mu, S = cache.means, cache.variances
     d_means = g["latent_means"] - mu                        # KL: d/dmu = mu
     d_S = g["latent_vars"] - 0.5 * (1.0 - 1.0 / S)          # KL: d/dS
-    out = {
+    return {
         "mu_bar": d_means,
         "lam": -S * S * d_S,
         "Hu": g["Hu"],
@@ -442,24 +440,6 @@ def _elbo_backward(cache: _LayerCache):
         "weights": g["weights"],
         "beta": g["beta"],
     }
-    for key, val in out.items():
-        if not np.all(np.isfinite(val)):
-            raise FloatingPointError(f"non-finite gradient in block '{key}'")
-    return out
-
-
-def elbo_grad(state: LayerState, Y):
-    """Analytic ELBO gradients in the (mu_bar, lam) parameterization.
-
-    Returns a dict with blocks ``mu_bar, lam, Hu, sigma_h_sq, weights,
-    beta`` (raw-parameter gradients).  With the standard-normal prior the
-    latent moments are means = mu_bar and variances = 1/(1 + lam), so the
-    latent variances must be below 1.
-    """
-    if np.any(state.latent.variances >= 1.0):
-        raise ValueError("latent variances must be < 1 for the lam "
-                         "parameterization")
-    return _elbo_backward(_elbo_forward(state, Y)[1])
 
 
 # ---------------------------------------------------------------------------

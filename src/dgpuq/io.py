@@ -223,8 +223,7 @@ def _check_model_shapes(path, X, Y, il, layers, dims):
 
 def write_dataset_manifest(out_dir, *, grid: Grid2D, out_grid: Grid2D,
                            cov: ExpCovSpec, kle: KLExpansion,
-                           source: SourceSpec, n: int, seed: int, files: dict,
-                           flags: dict):
+                           source: SourceSpec, n: int, seed: int, files: dict):
     os.makedirs(out_dir, exist_ok=True)
     write_matrix(os.path.join(out_dir, "kle_eigenvalues.dgpm"),
                  kle.eigenvalues[None, :])
@@ -243,7 +242,6 @@ def write_dataset_manifest(out_dir, *, grid: Grid2D, out_grid: Grid2D,
                 "eigenfields": "kle_eigenfields.dgpm"},
         "source": {"rate": source.rate, "width": source.width},
         "files": files,
-        "flags": flags,
     }
     path = os.path.join(out_dir, "manifest.json")
     _json_dump(path, doc)

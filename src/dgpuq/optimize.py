@@ -93,7 +93,8 @@ def cached_objective(forward, backward):
     at an equal x passes the kept state to ``backward`` and lets go of it;
     any other x drops the kept state before the new forward runs, so two
     forward states are never alive at once.  A numerical failure in either
-    half (:data:`_NUMERICAL_FAILURES`) returns ``(-inf, None)``.
+    half (:data:`_NUMERICAL_FAILURES`) or a gradient with a non-finite
+    entry returns ``(-inf, None)``.
     """
     last = {}   # x, f and, until a backward takes it, state
 
@@ -114,9 +115,12 @@ def cached_objective(forward, backward):
         if not need_grad:
             return last["f"], None
         try:
-            return last["f"], backward(last.pop("state"))
+            g = backward(last.pop("state"))
         except _NUMERICAL_FAILURES:
             return -np.inf, None
+        if not np.all(np.isfinite(g)):
+            return -np.inf, None
+        return last["f"], g
 
     return value_and_grad
 

@@ -45,6 +45,7 @@ __all__ = [
     "kle_decompose",
     "sample_log_field",
     "permeability",
+    "sample_permeability",
     "std_normal_inv_cdf",
 ]
 
@@ -200,3 +201,15 @@ def permeability(kle: KLExpansion, xi) -> np.ndarray:
     xi = _coefficient_rows("permeability coefficients", kle, xi)
     w = std_normal_inv_cdf(xi)
     return np.exp(sample_log_field(kle, w))
+
+
+def sample_permeability(kle: KLExpansion, rng, rows=None) -> np.ndarray:
+    """Permeability from KL coefficients drawn uniform on (0, 1) by ``rng``.
+
+    The uniforms are clipped away from 0 and 1 so that the inverse normal
+    CDF stays finite.  ``rows=None`` draws one coefficient vector and
+    returns one flat field; an integer draws that many and returns one field
+    per row.
+    """
+    xi = rng.uniform(size=kle.k_xi if rows is None else (rows, kle.k_xi))
+    return permeability(kle, np.clip(xi, 1e-15, 1.0 - 1e-15))

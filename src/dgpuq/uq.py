@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import gram, chol_psd, SingularMatrixError
-from .random_field import Grid2D, KLExpansion, permeability
+from .kernels import gram, chol_psd
+from .random_field import Grid2D, KLExpansion, sample_permeability
 from .deepgp import DeepGPModel, predict_layer1, _layer_pred_cache
 from .rng import rng_for, MC_BASELINE_STREAM, UQ_STREAM
 
@@ -29,8 +29,6 @@ __all__ = [
     "UQReport",
     "sample_inputs",
     "propagate_realization",
-    "mean_estimate",
-    "var_estimate",
     "uq_report",
     "mc_baseline",
     "kde_curve",
@@ -44,10 +42,6 @@ class InputDistribution:
     """Uniform coefficients mapped through the KL basis to permeability fields."""
 
     kle: KLExpansion
-
-    @property
-    def k_xi(self):
-        return self.kle.k_xi
 
 
 @dataclass(frozen=True)
@@ -78,32 +72,26 @@ def sample_inputs(dist: InputDistribution, n_prime: int, seed: int,
     """Draw permeability-field realizations, one per row, from the stream
     ``rng_for(seed, *subkeys)``.
 
-    All rows come from one block call of :func:`permeability`: one inverse
-    normal CDF over the (n_prime, k_xi) uniforms, one matrix product with
-    the eigenfields and one ``exp``.
+    All rows come from one block call of
+    :func:`random_field.sample_permeability`: one inverse normal CDF over
+    the (n_prime, k_xi) uniforms, one matrix product with the eigenfields
+    and one ``exp``.
     """
     if n_prime < 2:
         raise ValueError("need at least two input samples")
-    rng = rng_for(seed, *subkeys)
-    xi = rng.uniform(size=(n_prime, dist.k_xi))
-    np.clip(xi, 1e-15, 1.0 - 1e-15, out=xi)
-    return permeability(dist.kle, xi)
+    return sample_permeability(dist.kle, rng_for(seed, *subkeys), n_prime)
 
 
 def _draw_gaussian(mean, cov, rng):
     """Joint draw of one column set: mean (n, d) + chol(cov) @ N(0,1).
 
-    Near-degenerate covariances (roundoff-negative eigenvalues) fall back
-    to drawing from the positive part of the spectrum.
+    A covariance that ``chol_psd`` cannot factor even at its largest jitter
+    raises its ``SingularMatrixError``.
     """
     z = rng.standard_normal(mean.shape)
     if np.max(np.abs(cov)) == 0.0:
         return mean.copy()
-    try:
-        L, _ = chol_psd(cov)
-    except SingularMatrixError:
-        evals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
-        L = vecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]
+    L, _ = chol_psd(cov)
     return mean + L @ z
 
 
@@ -117,10 +105,9 @@ def propagate_realization(model: DeepGPModel, Xprime, seed: int,
     Xprime = np.atleast_2d(np.asarray(Xprime, dtype=float))
     rng = rng_for(seed, *subkeys)
     try:
-        mean1, cov1 = predict_layer1(model, Xprime)
+        values = _draw_gaussian(*predict_layer1(model, Xprime), rng)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"layer 1 propagation failed: {exc}") from exc
-    values = _draw_gaussian(mean1, cov1, rng)
     for t in range(model.n_latents):
         cache = _layer_pred_cache(model, t)
         kern, Z = cache["kernel"], cache["Z"]
@@ -135,22 +122,6 @@ def propagate_realization(model: DeepGPModel, Xprime, seed: int,
             raise np.linalg.LinAlgError(
                 f"layer {t + 2} propagation failed: {exc}") from exc
     return values
-
-
-def mean_estimate(realization) -> np.ndarray:
-    """Monte Carlo mean over the realization rows, per output coordinate."""
-    r = np.atleast_2d(np.asarray(realization, dtype=float))
-    return r.sum(axis=0) / r.shape[0]
-
-
-def var_estimate(realization) -> np.ndarray:
-    """Population-form Monte Carlo variance over the realization rows."""
-    r = np.atleast_2d(np.asarray(realization, dtype=float))
-    if r.shape[0] < 2:
-        raise ValueError("variance estimate needs at least two rows")
-    e = mean_estimate(r)
-    d = r - e
-    return (d * d).sum(axis=0) / r.shape[0]
 
 
 def _silverman_bandwidth(x) -> float:
@@ -231,9 +202,11 @@ def uq_report(model: DeepGPModel, dist: InputDistribution, n_prime: int,
 
     Each repeat draws a fresh input sample and a fresh posterior
     realization, repeat j from ``rng_for(seed, UQ_STREAM, j, 0)`` and
-    ``rng_for(seed, UQ_STREAM, j, 1)``.  Error bars are two standard errors
-    of the across-repeat average (they shrink like 1/sqrt(n_repeats)); the
-    PDF bands are two plain standard deviations across repeats.
+    ``rng_for(seed, UQ_STREAM, j, 1)``, and gives the realization's mean
+    and population-form variance (divisor n_prime).  Error bars are two
+    standard errors of the across-repeat average (they shrink like
+    1/sqrt(n_repeats)); the PDF bands are two plain standard deviations
+    across repeats.
     """
     if n_repeats < 2:
         raise ValueError("need at least two repeats")
@@ -244,8 +217,8 @@ def uq_report(model: DeepGPModel, dist: InputDistribution, n_prime: int,
     for j in range(n_repeats):
         Xp = sample_inputs(dist, n_prime, seed, UQ_STREAM, j, 0)
         realization = propagate_realization(model, Xp, seed, UQ_STREAM, j, 1)
-        means.append(mean_estimate(realization))
-        variances.append(var_estimate(realization))
+        means.append(realization.mean(axis=0))
+        variances.append(realization.var(axis=0))
         for i, (_, col) in enumerate(pdf_cols):
             pdf_values[i].append(realization[:, col].copy())
     means = np.asarray(means)
@@ -281,9 +254,7 @@ def mc_baseline(simulator, dist: InputDistribution, N: int, seed: int,
     sum_sq = None
     collected = [np.empty(N) for _ in pdf_cols]
     for i in range(N):
-        rng = rng_for(seed, MC_BASELINE_STREAM, i)
-        xi = np.clip(rng.uniform(size=dist.k_xi), 1e-15, 1.0 - 1e-15)
-        K = permeability(dist.kle, xi)
+        K = sample_permeability(dist.kle, rng_for(seed, MC_BASELINE_STREAM, i))
         try:
             y = np.asarray(simulator(K), dtype=float).ravel()
         except Exception as exc:

@@ -36,9 +36,12 @@ def recomputing_objective(forward, backward):
     def value_and_grad(x, need_grad=True):
         try:
             f, state = forward(np.array(x, dtype=float))
-            return f, (backward(state) if need_grad else None)
+            g = backward(state) if need_grad else None
         except _NUMERICAL_FAILURES:
             return -np.inf, None
+        if g is not None and not np.all(np.isfinite(g)):
+            return -np.inf, None
+        return f, g
     return value_and_grad
 
 
@@ -80,7 +83,7 @@ def hand_gplvm_unpack(x, n, q, m):
 
 
 def hand_gplvm_grad(g, lam, kernel, beta, freeze_beta):
-    """GP-LVM gradient vector from ``gplvm.elbo_grad``'s raw blocks."""
+    """GP-LVM gradient vector from ``gplvm._elbo_backward``'s raw blocks."""
     return np.concatenate([
         g["mu_bar"].ravel(),
         (g["lam"] * lam).ravel(),               # chain to log lam

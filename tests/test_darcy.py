@@ -3,7 +3,7 @@ import pytest
 
 from dgpuq import cli, darcy
 from dgpuq.darcy import (SourceSpec, source_term, solve, restrict,
-                         flux_divergence, _source_field)
+                         flux_divergence)
 from dgpuq.random_field import Grid2D
 from helpers import sparse_tpfa_pressure
 
@@ -34,14 +34,30 @@ class TestSourceTerm:
 
     def test_wells_balance_on_grid(self):
         for N in (16, 32, 64):
-            f = _source_field(Grid2D(N, N), SourceSpec())
+            f = source_term(Grid2D(N, N).cell_centers(), SourceSpec())
             assert f.sum() == 0.0
+
+    def test_array_of_points_matches_point_by_point(self):
+        spec = SourceSpec(rate=3.0, width=0.5)
+        pts = Grid2D(12, 10).cell_centers()
+        f = source_term(pts, spec)
+        assert f.shape == (120,)
+        np.testing.assert_array_equal(f, [source_term(p, spec) for p in pts])
+        assert source_term(pts.reshape(10, 12, 2), spec).shape == (10, 12)
+        assert f.sum() == 0.0 and np.count_nonzero(f) == 60
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SourceSpec(rate=10, width=1.5)
         with pytest.raises(ValueError):
             SourceSpec(rate=-1, width=0.1)
+
+    def test_overlapping_wells_rejected(self):
+        # above one half the squares overlap: on 16 x 16 at width 0.6 the
+        # source summed to 160
+        with pytest.raises(ValueError, match="overlap"):
+            SourceSpec(width=0.6)
+        SourceSpec(width=0.5)
 
 
 class TestSolve:
@@ -74,7 +90,7 @@ class TestSolve:
         spec = SourceSpec()
         sol = solve(grid, K, spec)
         div = flux_divergence(sol, K)
-        assert np.abs(div - _source_field(grid, spec)).max() < 1e-8
+        assert np.abs(div - source_term(grid.cell_centers(), spec)).max() < 1e-8
 
     def test_conservation_identity_on_a_132_by_132_grid(self):
         rng = np.random.default_rng(1)
@@ -83,7 +99,7 @@ class TestSolve:
         spec = SourceSpec()
         sol = solve(grid, K, spec)
         div = flux_divergence(sol, K)
-        assert np.abs(div - _source_field(grid, spec)).max() < 1e-8
+        assert np.abs(div - source_term(grid.cell_centers(), spec)).max() < 1e-8
 
     def test_permutation_symmetry(self):
         rng = np.random.default_rng(2)
@@ -127,6 +143,18 @@ class TestSolve:
         K[9] = bad
         with pytest.raises(ValueError, match="finite"):
             solve(grid, K, SourceSpec())
+
+    def test_source_that_does_not_sum_to_zero_rejected(self):
+        grid = Grid2D(8, 8)
+        with pytest.raises(ValueError, match="not zero"):
+            solve(grid, np.ones(grid.n_cells), np.ones(grid.n_cells))
+
+    def test_gen_data_with_overlapping_wells_exits_2(self, tmp_path):
+        code = cli.main(["gen-data", "--n", "1", "--grid", "8", "--out-grid",
+                         "4", "--kle", "4", "--width", "0.6",
+                         "--out", str(tmp_path / "d")])
+        assert code == 2
+        assert not (tmp_path / "d").exists()
 
     def test_overflowing_transmissibility_rejected(self):
         # finite cells whose harmonic-mean product 2 Kw Ke overflows

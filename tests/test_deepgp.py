@@ -443,8 +443,7 @@ class TestPropagate:
         means = rng.normal(size=(8, 3))
         variances = rng.uniform(0.01, 1.5, (8, 3))
         for t in range(model.n_latents):
-            mean, var = propagate(model, t, (means, variances),
-                                  include_noise=False)
+            mean, var = propagate(model, t, (means, variances))
             cache = _layer_pred_cache(model, t)
             V, Dmat, kern = cache["V"], cache["Dmat"], cache["kernel"]
             _, phi1, T, _ = loop_phi_forward(kern, means, variances, cache["Z"])
@@ -452,7 +451,7 @@ class TestPropagate:
             quad = np.einsum("tkl,kj,lj->tj", T, V, V)
             mean_or = phi1 @ V
             var_or = np.maximum(kern.sigma_h_sq - tr_term[:, None] + quad
-                                - mean_or * mean_or, 0.0)
+                                - mean_or * mean_or, 0.0) + 1.0 / cache["beta"]
             np.testing.assert_allclose(mean, mean_or, rtol=1e-12,
                                        atol=1e-12 * np.abs(mean_or).max())
             np.testing.assert_allclose(var, var_or, rtol=1e-12,

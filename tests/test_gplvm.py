@@ -4,12 +4,18 @@ import pytest
 from dgpuq import gp
 from dgpuq.kernels import ARDParams, RBFParams, gram
 from dgpuq.gplvm import (VariationalLatent, InducingSet, LayerState,
-                         layer_bound, layer_bound_grads, latent_kl, elbo_grad,
+                         layer_bound, layer_bound_grads, latent_kl,
                          train_gplvm, effective_dims, _phi_forward,
-                         _phi_backward, _elbo_forward, _spec, _layer_state)
+                         _phi_backward, _elbo_forward, _elbo_backward, _spec,
+                         _layer_state)
 from helpers import (central_diff, mc_phi_oracle, loop_phi_forward,
                      loop_phi_backward)
 from dgpuq.rng import rng_for
+
+
+def elbo_grad(state, Y):
+    """The ELBO gradient blocks: the backward half on the forward's cache."""
+    return _elbo_backward(_elbo_forward(state, Y)[1])
 
 
 def random_state(rng, n=6, q=2, m=3):
@@ -189,12 +195,6 @@ class TestElboGrad:
             fd = central_diff(lambda v: build(name, v[0]),
                               np.array([v0[name]]))[0]
             assert abs(g[name] - fd) / (abs(fd) + 1e-8) < 1e-4, name
-
-    def test_variances_of_one_rejected(self):
-        st, _ = random_state(np.random.default_rng(9))
-        st.latent.variances[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            elbo_grad(st, np.zeros((6, 2)))
 
     def test_stationarity_at_converged_optimum(self):
         # drive a small instance to an actual optimum, then the analytic

@@ -157,6 +157,9 @@ class TestCli:
     def test_gen_data_outputs(self, desk_dataset):
         doc = json.loads((desk_dataset / "manifest.json").read_text())
         assert doc["n"] == 10
+        assert doc["files"] == {name: f"{name}.dgpm"
+                                for name in ("K", "p", "ux", "uy")}
+        assert "flags" not in doc
         K = io.read_matrix(desk_dataset / "K.dgpm")
         p = io.read_matrix(desk_dataset / "p.dgpm")
         assert K.shape == (10, 256)
@@ -245,7 +248,11 @@ class TestCli:
                       "--out", str(uqd))
         assert res.returncode == 0, res.stderr
         eb = io.read_matrix(uqd / "errorbar_mean.dgpm")
-        assert np.all(eb >= 0)
+        assert eb.shape == (1, 64) and np.all(eb >= 0)
+        doc = json.loads((uqd / "report.json").read_text())
+        assert doc["fields"] == {name: f"{name}.dgpm" for name in (
+            "mean_of_mean", "mean_of_variance", "errorbar_mean",
+            "errorbar_variance")}
         assert (uqd / "pdf_0.csv").exists()
 
     def test_train_whose_trial_beta_overflows_does_not_crash(self, tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dgpuq import deepgp, gp, gplvm
-from dgpuq.kernels import ARDParams, RBFParams
+from dgpuq.kernels import ARDParams, RBFParams, gram
 from dgpuq.optimize import BlockSpec, ascend, cached_objective
 from dgpuq.rng import rng_for
 from helpers import (recomputing_objective, hand_pack_theta, hand_unpack_theta,
@@ -116,6 +116,14 @@ class TestCachedObjective:
         halves = {"forward": q.forward, "backward": q.backward, half: fail}
         vg = cached_objective(halves["forward"], halves["backward"])
         assert vg(np.array([1.0]), True) == (-np.inf, None)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_is_minus_inf(self, bad):
+        q = Quadratic([0.0])
+        vg = cached_objective(q.forward, lambda state: np.array([bad]))
+        assert vg(np.array([1.0]), True) == (-np.inf, None)
+        # the value alone is still served
+        assert vg(np.array([1.0]), False) == (-1.0, None)
 
     def test_failed_gradient_at_an_accepted_point_stops_there(self):
         q = Quadratic([1.0, -2.0, 0.5])
@@ -306,7 +314,8 @@ def _gp_case(mp):
 
     def hand(x):
         k, nv = hand_unpack_theta(x)
-        grads = gp.log_marginal_grad(gp.build_model(k, nv, X, Y))
+        grads = gp.log_marginal_grad(gp.build_model(k, nv, X, Y),
+                                     gram(X, X, k))
         return [k.sigma_h_sq, k.weights, nv], np.concatenate(
             [[grads[0]], grads[1], [grads[2]]])
 
@@ -333,8 +342,9 @@ def _gplvm_case(mp, run):
         st = gplvm.LayerState(kern, beta, gplvm.VariationalLatent(
             mu_bar, 1.0 / (1.0 + lam)), gplvm.InducingSet(inputs=Z))
         return ([mu_bar, 1.0 / (1.0 + lam), Z, kern.sigma_h_sq, kern.weights,
-                 beta], hand_gplvm_grad(gplvm.elbo_grad(st, Y), lam, kern, beta,
-                                        freeze_beta=run == 0))
+                 beta], hand_gplvm_grad(
+                    gplvm._elbo_backward(gplvm._elbo_forward(st, Y)[1]), lam,
+                    kern, beta, freeze_beta=run == 0))
 
     return x0, hand_gplvm_pack(mu0, np.full((n, q), 9.0), Z0,
                                ARDParams(y_var, np.ones(q)), 100.0 / y_var), new, hand

@@ -4,7 +4,8 @@ import scipy.special
 
 from dgpuq.random_field import (Grid2D, ExpCovSpec, kle_decompose,
                                 sample_log_field, permeability,
-                                std_normal_inv_cdf, _axis_modes)
+                                sample_permeability, std_normal_inv_cdf,
+                                _axis_modes)
 from dgpuq.kernels import DimensionMismatchError
 from helpers import phi_inv_bisect, dense_cov_matrix, dense_kle_decompose
 
@@ -242,6 +243,32 @@ class TestPermeability:
             permeability(kle, np.full((3, 9), 0.5))
         with pytest.raises(DimensionMismatchError):
             sample_log_field(kle, np.zeros((3, 11)))
+
+
+class _EdgeUniforms:
+    """A generator stand-in whose uniforms alternate 0 and 1."""
+
+    def uniform(self, size):
+        return np.arange(np.prod(size)).reshape(size) % 2.0
+
+
+class TestSamplePermeability:
+    def test_one_field_and_a_block_of_fields(self, kle10):
+        xi = np.clip(np.random.default_rng(6).uniform(size=10), 1e-15,
+                     1 - 1e-15)
+        np.testing.assert_array_equal(
+            sample_permeability(kle10, np.random.default_rng(6)),
+            permeability(kle10, xi))
+        xi = np.clip(np.random.default_rng(7).uniform(size=(4, 10)), 1e-15,
+                     1 - 1e-15)
+        K = sample_permeability(kle10, np.random.default_rng(7), rows=4)
+        assert K.shape == (4, kle10.grid.n_cells)
+        np.testing.assert_array_equal(K, permeability(kle10, xi))
+
+    def test_uniforms_at_the_ends_are_clipped(self, kle10):
+        # 0 and 1 would send the inverse normal CDF to -inf and +inf
+        K = sample_permeability(kle10, _EdgeUniforms(), rows=3)
+        assert np.all(np.isfinite(K)) and np.all(K > 0)
 
 
 class TestStdNormalInvCdf:

@@ -7,9 +7,9 @@ from dgpuq.random_field import (Grid2D, ExpCovSpec, KLExpansion, kle_decompose,
                                 permeability)
 from dgpuq import uq
 from dgpuq.deepgp import train_deep, predict
+from dgpuq.kernels import SingularMatrixError
 from dgpuq.uq import (InputDistribution, sample_inputs, propagate_realization,
-                      mean_estimate, var_estimate, uq_report, mc_baseline,
-                      kde_curve)
+                      uq_report, mc_baseline, kde_curve)
 from dgpuq.rng import rng_for, MC_BASELINE_STREAM, UQ_STREAM
 
 PAPER_COV = ExpCovSpec(s_g_sq=1.0, lambdas=(0.1, 0.1), mean=0.0)
@@ -123,6 +123,21 @@ class TestPropagateRealization:
             r = propagate_realization(model, X, seed=seed)
             assert np.abs(r - mean).max() < 1e-6
 
+    def test_indefinite_covariance_raises(self):
+        # chol_psd's largest jitter, the mean absolute diagonal 5.5, cannot
+        # lift the -10; the draw must not go on from a clipped spectrum
+        with pytest.raises(SingularMatrixError):
+            uq._draw_gaussian(np.zeros((2, 1)), np.diag([1.0, -10.0]),
+                              rng_for(0))
+
+    def test_failed_first_layer_draw_names_the_layer(self, small_model, dist8,
+                                                     monkeypatch):
+        monkeypatch.setattr(uq, "predict_layer1", lambda model, X: (
+            np.zeros((2, 2)), np.diag([1.0, -10.0])))
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="layer 1 propagation failed"):
+            propagate_realization(small_model, sample_inputs(dist8, 2, 1), 0)
+
     def test_realization_mean_matches_predict_mean(self, small_model, dist8):
         Xp = sample_inputs(dist8, 6, seed=13)
         mean, _ = predict(small_model, Xp)
@@ -141,44 +156,6 @@ class TestPropagateRealization:
         np.testing.assert_array_equal(r, propagate_realization(small_model, Xp,
                                                                seed=3))
         assert not np.array_equal(Xp, sample_inputs(dist8, 4, 17, UQ_STREAM))
-
-
-class TestEstimators:
-    def test_mean_constant(self):
-        r = np.full((7, 3), 2.5)
-        np.testing.assert_array_equal(mean_estimate(r), [2.5, 2.5, 2.5])
-
-    def test_mean_matches_loop_oracle(self):
-        rng = np.random.default_rng(0)
-        r = rng.normal(size=(13, 4))
-        oracle = np.array([sum(r[i, j] for i in range(13)) / 13
-                           for j in range(4)])
-        assert np.abs(mean_estimate(r) - oracle).max() < 1e-12
-
-    def test_mean_linearity(self):
-        rng = np.random.default_rng(1)
-        r = rng.normal(size=(9, 2))
-        np.testing.assert_allclose(mean_estimate(3.0 * r),
-                                   3.0 * mean_estimate(r), atol=1e-14)
-
-    def test_var_constant_is_zero(self):
-        assert np.all(var_estimate(np.full((5, 2), 1.3)) == 0.0)
-
-    def test_var_two_point_hand_value(self):
-        # population variance of {0, 2} is 1
-        assert var_estimate(np.array([[0.0], [2.0]]))[0] == 1.0
-
-    def test_var_matches_loop_oracle(self):
-        rng = np.random.default_rng(2)
-        r = rng.normal(size=(11, 3))
-        e = mean_estimate(r)
-        oracle = np.array([sum((r[i, j] - e[j]) ** 2 for i in range(11)) / 11
-                           for j in range(3)])
-        assert np.abs(var_estimate(r) - oracle).max() < 1e-12
-
-    def test_var_needs_two_rows(self):
-        with pytest.raises(ValueError):
-            var_estimate(np.ones((1, 3)))
 
 
 class TestUqReport:
@@ -238,6 +215,18 @@ class TestUqReport:
                       pdf_at=[entry], out_grid=Grid2D(4, 4))
         assert stream_keys == []
 
+    def test_moments_are_population_form(self, small_model, dist8,
+                                         monkeypatch):
+        # every repeat sees the realization {0, 2}: mean 1, variance 1 with
+        # divisor n' (the n' - 1 form would give 2), and no spread
+        monkeypatch.setattr(uq, "propagate_realization",
+                            lambda *args: np.array([[0.0], [2.0]]))
+        rep = uq_report(small_model, dist8, n_prime=2, n_repeats=3, seed=0)
+        assert rep.mean_of_mean.tolist() == [1.0]
+        assert rep.mean_of_variance.tolist() == [1.0]
+        assert rep.errorbar_mean.tolist() == [0.0]
+        assert rep.errorbar_variance.tolist() == [0.0]
+
     def test_repeats_validated(self, small_model, dist8):
         with pytest.raises(ValueError):
             uq_report(small_model, dist8, n_prime=10, n_repeats=1, seed=0)
@@ -260,7 +249,7 @@ class TestMcBaseline:
         rows = []
         for i in range(N):
             rng = rng_for(4, MC_BASELINE_STREAM, i)
-            xi = np.clip(rng.uniform(size=dist8.k_xi), 1e-15, 1 - 1e-15)
+            xi = np.clip(rng.uniform(size=dist8.kle.k_xi), 1e-15, 1 - 1e-15)
             from dgpuq.random_field import permeability
             rows.append(sim(permeability(dist8.kle, xi)))
         oracle = np.sum(rows, axis=0) / N
