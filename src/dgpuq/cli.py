@@ -6,8 +6,9 @@ NUMEXPR_NUM_THREADS, which must be set before Python starts.  Each command
 imports numpy and the modules it needs when it runs, so ``--help`` and
 argument errors load no numpy.
 
-Exit codes: 0 success, 2 usage or validation error, 3 numeric failure
-(LinAlgError, FloatingPointError, OverflowError, RuntimeError).
+Exit codes: 0 success, 2 usage or validation error, 3 numeric failure:
+one of ``optimize._NUMERICAL_FAILURES`` (the line search's rule) or the
+``RuntimeError`` of a failed ``mc-baseline`` simulator run.
 """
 
 from __future__ import annotations
@@ -314,12 +315,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    import numpy as np
+    from .optimize import _NUMERICAL_FAILURES
     # LinAlgError subclasses ValueError, so it must be caught first
     try:
         args.func(args)
-    except (np.linalg.LinAlgError, FloatingPointError, OverflowError,
-            RuntimeError) as exc:
+    except (*_NUMERICAL_FAILURES, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (FileNotFoundError, ValueError, KeyError) as exc:

@@ -446,8 +446,8 @@ def pack_params(model: DeepGPModel) -> np.ndarray:
 def unpack_params(model: DeepGPModel, x) -> DeepGPModel:
     """Rebuild a model with parameters taken from the packed vector.
 
-    Raises FloatingPointError when a log-parameter overflows ``exp`` and
-    ValueError when ``x`` has the wrong length.
+    Raises FloatingPointError when a log-parameter's ``exp`` overflows or
+    gives 0.0, and ValueError when ``x`` has the wrong length.
     """
     return _with_values(model, _layout(model)[0].unpack(x))
 

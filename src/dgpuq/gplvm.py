@@ -32,7 +32,7 @@ import numpy as np
 import scipy.linalg
 
 from .gp import LOG_2PI
-from .kernels import ARDParams, gram, DimensionMismatchError, SingularMatrixError
+from .kernels import ARDParams, gram, DimensionMismatchError
 from .optimize import BlockSpec, ascend, cached_objective
 from .rng import rng_for
 
@@ -56,6 +56,10 @@ KUU_JITTER = 1e-10
 # cancellations in roundoff
 RCOND_FLOOR = 1e-8
 
+# a latent coordinate is retained when its ARD weight is at least this
+# fraction of the largest (:func:`effective_dims`)
+RETAIN_FRAC = 0.01
+
 
 def _chol_conditioned(M, base_jitter):
     """Cholesky of ``M + jit*I`` with jit sized from the actual spectrum.
@@ -68,7 +72,8 @@ def _chol_conditioned(M, base_jitter):
     Returns ``(L, M + jit*I, djit_dM)``; the last entry is the derivative
     of the jitter w.r.t. the matrix when the spectral branch is active,
     else None.  Chaining it keeps the analytic gradients consistent with
-    the regularized objective.
+    the regularized objective.  Raises LinAlgError when ``M + jit*I`` is
+    still not numerically positive definite.
     """
     evals, vecs = np.linalg.eigh(M)
     lam_min, lam_max = float(evals[0]), float(evals[-1])
@@ -85,14 +90,8 @@ def _chol_conditioned(M, base_jitter):
         v_hi = vecs[:, -1]
         djit = (RCOND_FLOOR * np.outer(v_hi, v_hi)
                 - (vecs * wts[None, :]) @ vecs.T)
-    eye = np.eye(M.shape[0])
-    for _ in range(8):
-        try:
-            Mj = M + jit * eye
-            return np.linalg.cholesky(Mj), Mj, djit
-        except np.linalg.LinAlgError:
-            jit = max(jit * 10.0, 1e-300)
-    raise SingularMatrixError("matrix remained singular under jitter escalation")
+    Mj = M + jit * np.eye(M.shape[0])
+    return np.linalg.cholesky(Mj), Mj, djit
 
 
 @dataclass
@@ -204,19 +203,21 @@ def _phi_forward(kernel: ARDParams, means, variances, Z):
     n, m = means.shape[0], Z.shape[0]
     mu, Zc, gam, a, rho, b, zbar, delta = _phi_terms(kernel, means, variances, Z)
     log_s2 = np.log(kernel.sigma_h_sq)
-    # a mean far out (a trial step) overflows mu^2: raise, so the line
-    # search rejects the trial, rather than warn and carry -inf along
+    # a mean far out or a huge signal variance (a trial step) overflows
+    # mu^2 or an exp: raise, so the line search rejects the trial, rather
+    # than warn and carry inf along
     with np.errstate(over="raise"):
         quad1 = np.sum(a * mu * mu + np.log(gam), axis=1)
         quad2 = np.sum(b * mu * mu + 0.5 * np.log(rho), axis=1)
-    log1 = (a * mu) @ Zc.T - (0.5 * a) @ (Zc * Zc).T
-    log1 += (log_s2 - 0.5 * quad1)[:, None]
-    log2 = np.hstack([2.0 * b * mu, -b]) @ np.hstack([zbar, zbar * zbar]).T
-    log2 += (2.0 * log_s2 - quad2)[:, None]
-    log2 -= 0.25 * ((delta * delta) @ kernel.weights)
-    T = np.exp(log2, out=log2).reshape(n, m, m)
+        log1 = (a * mu) @ Zc.T - (0.5 * a) @ (Zc * Zc).T
+        log1 += (log_s2 - 0.5 * quad1)[:, None]
+        log2 = np.hstack([2.0 * b * mu, -b]) @ np.hstack([zbar, zbar * zbar]).T
+        log2 += (2.0 * log_s2 - quad2)[:, None]
+        log2 -= 0.25 * ((delta * delta) @ kernel.weights)
+        T = np.exp(log2, out=log2).reshape(n, m, m)
+        phi1 = np.exp(log1, out=log1)
     phi2 = T.sum(axis=0)
-    return n * kernel.sigma_h_sq, np.exp(log1, out=log1), T, 0.5 * (phi2 + phi2.T)
+    return n * kernel.sigma_h_sq, phi1, T, 0.5 * (phi2 + phi2.T)
 
 
 def _phi_backward(kernel, means, variances, Z, phi1, T, W1, W2, w_phi0):
@@ -542,12 +543,8 @@ def train_gplvm(Y, q, m, iters=200, seed=0):
     return _layer_state(spec.unpack(x)), trace
 
 
-def effective_dims(kernel: ARDParams, threshold_frac=0.01):
-    """Indices of latent coordinates whose ARD weight clears the threshold."""
-    if not 0.0 < threshold_frac < 1.0:
-        raise ValueError("threshold_frac must lie in (0, 1)")
+def effective_dims(kernel: ARDParams):
+    """Indices of latent coordinates whose ARD weight is at least
+    RETAIN_FRAC of the largest."""
     w = kernel.weights
-    w_max = float(np.max(w))
-    if w_max <= 0.0:
-        raise ValueError("all ARD weights are zero")
-    return sorted(int(k) for k in np.nonzero(w >= threshold_frac * w_max)[0])
+    return np.flatnonzero(w >= RETAIN_FRAC * w.max()).tolist()

@@ -35,9 +35,10 @@ __all__ = ["BlockSpec", "ascend", "cached_objective"]
 
 # failures of a trial point that mean "outside the feasible region": the
 # objective there is -inf and the line search shrinks its step.
-# OverflowError is a Python float overflowing, e.g. ``beta ** 2``
-_NUMERICAL_FAILURES = (np.linalg.LinAlgError, FloatingPointError, ValueError,
-                       OverflowError)
+# OverflowError is a Python float overflowing, e.g. ``beta ** 2``.  A
+# ValueError is bad input or a programming error and propagates; the CLI
+# maps this same tuple to its numeric-failure exit code
+_NUMERICAL_FAILURES = (np.linalg.LinAlgError, FloatingPointError, OverflowError)
 
 # line-search constants of :func:`ascend`
 STEP0 = 0.1
@@ -64,7 +65,8 @@ class BlockSpec:
 
     def unpack(self, x):
         """``{name: value}`` from a vector.  Raises ValueError on a vector of
-        the wrong length, FloatingPointError when an ``exp`` overflows."""
+        the wrong length, FloatingPointError when an ``exp`` overflows or
+        gives 0.0."""
         if np.shape(x) != (self.size,):
             raise ValueError(f"parameter vector length {np.size(x)}, "
                              f"expected {self.size}")
@@ -72,7 +74,10 @@ class BlockSpec:
         with np.errstate(over="raise"):
             for name, shape, log in self.blocks:
                 block = x[i:i + math.prod(shape)].reshape(shape)
-                values[name] = np.exp(block) if log else block.copy()
+                value = np.exp(block) if log else block.copy()
+                if log and not np.all(value > 0.0):
+                    raise FloatingPointError(f"exp of block {name!r} gives 0.0")
+                values[name] = value
                 i += block.size
         return values
 

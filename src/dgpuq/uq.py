@@ -245,30 +245,23 @@ def mc_baseline(simulator, dist: InputDistribution, N: int, seed: int,
     ``(mean, variance, pdfs)`` with the population-form variance and one
     density estimate per requested location; a location outside the
     output raises ValueError once the first sample gives the output width.
+    All N output rows are kept (N * width * 8 bytes) for numpy's two-pass
+    moments, which do not cancel on outputs far from zero mean.
     Sample ``i`` draws its inputs from ``rng_for(seed, MC_BASELINE_STREAM, i)``.
     """
     if N < 2:
         raise ValueError("need at least two samples")
     pdf_cols = _pdf_columns(pdf_at, out_grid) if pdf_at else []
-    sum_y = None
-    sum_sq = None
-    collected = [np.empty(N) for _ in pdf_cols]
+    Y = None
     for i in range(N):
         K = sample_permeability(dist.kle, rng_for(seed, MC_BASELINE_STREAM, i))
         try:
             y = np.asarray(simulator(K), dtype=float).ravel()
         except Exception as exc:
             raise RuntimeError(f"simulator failed at sample {i}: {exc}") from exc
-        if sum_y is None:
+        if Y is None:
             _check_pdf_columns(pdf_cols, y.size)
-            sum_y = np.zeros_like(y)
-            sum_sq = np.zeros_like(y)
-        sum_y += y
-        sum_sq += y * y
-        for c, (_, col) in enumerate(pdf_cols):
-            collected[c][i] = y[col]
-    mean = sum_y / N
-    variance = np.clip(sum_sq / N - mean * mean, 0.0, None)
-    pdfs = [_pdf_estimate(loc, col, [collected[c]])
-            for c, (loc, col) in enumerate(pdf_cols)]
-    return mean, variance, pdfs
+            Y = np.empty((N, y.size))
+        Y[i] = y
+    pdfs = [_pdf_estimate(loc, col, [Y[:, col]]) for loc, col in pdf_cols]
+    return Y.mean(axis=0), Y.var(axis=0), pdfs

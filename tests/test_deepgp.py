@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dpotrf, dtrtri
 
-from dgpuq import deepgp, gp
+from dgpuq import cli, deepgp, gp, io
 from dgpuq.kernels import RBFParams, ARDParams, gram, chol_psd
 from dgpuq.gplvm import (VariationalLatent, InducingSet, LayerState, layer_bound,
                          _phi_forward)
@@ -284,6 +284,24 @@ class TestTrainDeep:
         mean, var = predict(model, X[:5])
         assert mean.shape == (5, 4)
         assert np.all(var > 0)
+
+    def test_output_layer_bound_stays_below_its_ceiling(self, tmp_path):
+        # every observed entry has density at most sqrt(beta / 2 pi), so
+        # the output layer's collapsed bound is at most nu*n/2*log(beta/2pi);
+        # a clipped inverse once took this centred 40 + 10 fit to 5.4e15
+        assert cli.main(["gen-data", "--n", "150", "--grid", "32",
+                         "--out-grid", "16", "--kle", "50", "--seed", "11",
+                         "--out", str(tmp_path)]) == 0
+        X = io.read_matrix(tmp_path / "K.dgpm")
+        Y = io.read_matrix(tmp_path / "p.dgpm")
+        model = train_deep(X, Y - Y.mean(axis=0), dims=[8, 8],
+                           m_inducing=[30, 30], init_iters=40, iters=10, seed=3)
+        out = model.hidden_layers[-1]
+        value, _ = layer_bound(out.kernel, out.beta, out.latent,
+                               out.inducing.inputs, model.Y)
+        n, nu = model.Y.shape
+        assert np.isfinite(value)
+        assert value <= 0.5 * nu * n * (np.log(out.beta) - LOG_2PI)
 
     def test_first_latent_holds_the_input_layer_moments(self):
         X, Y, _, _ = benchmark_1d(seed=8, n=20)

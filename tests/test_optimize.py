@@ -106,7 +106,7 @@ class TestCachedObjective:
 
     @pytest.mark.parametrize("half", ["forward", "backward"])
     @pytest.mark.parametrize("exc", [np.linalg.LinAlgError, FloatingPointError,
-                                     ValueError, OverflowError])
+                                     OverflowError])
     def test_numerical_failure_is_minus_inf(self, half, exc):
         q = Quadratic([0.0])
 
@@ -149,6 +149,19 @@ class TestCachedObjective:
         vg = cached_objective(broken, None)
         with pytest.raises(TypeError):
             vg(np.array([1.0]), False)
+
+    @pytest.mark.parametrize("half", ["forward", "backward"])
+    def test_value_error_propagates(self, half):
+        # bad input or a shape bug, not a trial outside the feasible region
+        q = Quadratic([0.0])
+
+        def fail(*args):
+            raise ValueError("operands could not be broadcast together")
+
+        halves = {"forward": q.forward, "backward": q.backward, half: fail}
+        vg = cached_objective(halves["forward"], halves["backward"])
+        with pytest.raises(ValueError, match="broadcast"):
+            vg(np.array([1.0]), True)
 
 
 # ---------------------------------------------------------------------------
@@ -398,3 +411,9 @@ def test_spec_unpack_rejects_a_bad_vector():
     x[-1] = 800.0               # exp(800) overflows
     with pytest.raises(FloatingPointError):
         spec.unpack(x)
+
+
+def test_spec_unpack_rejects_an_exp_that_gives_zero():
+    # exp(-800) underflows to 0.0, which no log block can hold
+    with pytest.raises(FloatingPointError):
+        BlockSpec([("beta", (), True)]).unpack(np.array([-800.0]))

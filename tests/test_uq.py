@@ -255,6 +255,19 @@ class TestMcBaseline:
         oracle = np.sum(rows, axis=0) / N
         assert np.abs(mean - oracle).max() < 1e-12
 
+    def test_variance_of_offset_outputs_matches_numpy(self, dist8):
+        # a mean far above the spread: sum(y^2)/N - mean^2 cancels there
+        sim = lambda K: 1e4 + 1e-3 * np.log(K[:3])
+        N = 200
+        _, var, _ = mc_baseline(sim, dist8, N=N, seed=0)
+        rows = []
+        for i in range(N):
+            rng = rng_for(0, MC_BASELINE_STREAM, i)
+            xi = np.clip(rng.uniform(size=dist8.kle.k_xi), 1e-15, 1 - 1e-15)
+            rows.append(sim(permeability(dist8.kle, xi)))
+        oracle = np.var(rows, axis=0)
+        assert np.all(np.abs(var - oracle) <= 1e-12 * oracle)
+
     def test_minimal_run_and_pdf(self, dist8):
         mean, var, pdfs = mc_baseline(lambda K: K[:3], dist8, N=50, seed=5,
                                       pdf_at=[1])
