@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpbtrf
 
 from dgpuq import cli, darcy
 from dgpuq.darcy import (SourceSpec, source_term, solve, restrict,
@@ -168,7 +169,7 @@ class TestSolve:
 class TestBandedCholesky:
     @pytest.mark.parametrize("sigma", [0.8, 2.0])
     @pytest.mark.parametrize("nx,ny", [(16, 16), (12, 7), (7, 12), (33, 20),
-                                       (2, 9), (9, 2)])
+                                       (2, 9), (9, 2), (5, 5), (9, 7)])
     def test_matches_the_sparse_lu_oracle(self, nx, ny, sigma):
         rng = np.random.default_rng(nx * 100 + ny)
         grid = Grid2D(nx, ny)
@@ -177,6 +178,25 @@ class TestBandedCholesky:
         f -= f.mean()
         sol = solve(grid, K, f)
         assert rel_err(sol.pressure, sparse_tpfa_pressure(grid, K, f)) <= 1e-10
+
+    @pytest.mark.parametrize("nx,ny", [(8, 8), (7, 9), (2, 9)])
+    def test_factors_only_the_black_cells(self, monkeypatch, nx, ny):
+        bands = []
+
+        def spy(ab, **kw):
+            bands.append(ab.shape)
+            return dpbtrf(ab, **kw)
+
+        monkeypatch.setattr(darcy, "dpbtrf", spy)
+        grid = Grid2D(nx, ny)
+        f = np.random.default_rng(8).standard_normal(grid.n_cells)
+        solve(grid, np.ones(grid.n_cells), f - f.mean())
+        assert bands == [(nx + 1, grid.n_cells // 2)]
+
+    def test_cached_layout_and_well_source_are_read_only(self):
+        grid = Grid2D(8, 8)
+        assert not darcy._well_source(grid, SourceSpec()).flags.writeable
+        assert not any(a.flags.writeable for a in darcy._red_black(grid))
 
     @pytest.mark.parametrize("nx,ny", [(12, 7), (33, 20)])
     def test_transpose_symmetry_on_non_square_grids(self, nx, ny):
@@ -198,6 +218,38 @@ class TestBandedCholesky:
         code = cli.main(["gen-data", "--n", "1", "--grid", "8", "--out-grid",
                          "4", "--kle", "4", "--out", str(tmp_path / "d")])
         assert code == 3
+
+
+class TestExtremeContrast:
+    # on an 8 x 8 grid cell 9 is red (ix + iy = 2) and cell 10 black
+
+    @pytest.mark.parametrize("cell", [9, 10])
+    def test_subnormal_permeability_solves_without_a_warning(self, cell):
+        grid = Grid2D(8, 8)
+        K = np.ones(grid.n_cells)
+        K[cell] = 5e-324
+        spec = SourceSpec()
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            sol = solve(grid, K, spec)
+        assert np.all(np.isfinite(sol.pressure))
+        div = flux_divergence(sol, K)
+        assert np.abs(div - source_term(grid.cell_centers(), spec)).max() < 1e-8
+
+    @pytest.mark.parametrize("value", [1e-300, 1e150])
+    @pytest.mark.parametrize("cell", [9, 10])
+    def test_matches_the_sparse_lu_oracle(self, cell, value):
+        grid = Grid2D(8, 8)
+        K = np.ones(grid.n_cells)
+        K[cell] = value
+        f = source_term(grid.cell_centers(), SourceSpec())
+        assert rel_err(solve(grid, K, f).pressure,
+                       sparse_tpfa_pressure(grid, K, f)) <= 1e-10
+
+    def test_cells_with_no_conducting_face_raise(self):
+        # every harmonic-mean product 2 Kw Ke underflows to zero
+        grid = Grid2D(8, 8)
+        with pytest.raises(np.linalg.LinAlgError):
+            solve(grid, np.full(grid.n_cells, 1e-170), SourceSpec())
 
 
 class TestRestrict:
