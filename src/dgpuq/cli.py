@@ -6,9 +6,9 @@ NUMEXPR_NUM_THREADS, which must be set before Python starts.  Each command
 imports numpy and the modules it needs when it runs, so ``--help`` and
 argument errors load no numpy.
 
-Exit codes: 0 success, 2 usage or validation error, 3 numeric failure:
-one of ``optimize._NUMERICAL_FAILURES`` (the line search's rule) or the
-``RuntimeError`` of a failed ``mc-baseline`` simulator run.
+Exit codes: 0 success, 2 usage or validation error (``ValueError``,
+``FileNotFoundError``, ``KeyError``), 3 numeric failure (one of
+``optimize._NUMERICAL_FAILURES``).  Any other exception propagates.
 """
 
 from __future__ import annotations
@@ -24,18 +24,13 @@ EXIT_NUMERIC = 3
 FIELDS = {"p": "pressure", "ux": "vel_x", "uy": "vel_y"}
 
 
-def _fail_usage(msg):
-    print(f"error: {msg}", file=sys.stderr)
-    raise SystemExit(EXIT_USAGE)
-
-
 def _parse_dims(text):
     try:
         dims = [int(t) for t in text.split(",") if t.strip() != ""]
     except ValueError:
-        _fail_usage(f"cannot parse dimension list {text!r}")
+        raise ValueError(f"cannot parse dimension list {text!r}") from None
     if not dims or any(d < 1 for d in dims):
-        _fail_usage(f"dimension list must be positive integers, got {text!r}")
+        raise ValueError(f"dimension list must be positive integers, got {text!r}")
     return dims
 
 
@@ -47,13 +42,13 @@ def _parse_locations(text):
             continue
         bits = part.split(",")
         if len(bits) != 2:
-            _fail_usage(f"location {part!r} is not 'x,y'")
+            raise ValueError(f"location {part!r} is not 'x,y'")
         try:
             locs.append((float(bits[0]), float(bits[1])))
         except ValueError:
-            _fail_usage(f"location {part!r} is not numeric")
+            raise ValueError(f"location {part!r} is not numeric") from None
     if not locs:
-        _fail_usage("no locations parsed")
+        raise ValueError("no locations parsed")
     return locs
 
 
@@ -83,15 +78,15 @@ def cmd_gen_data(args):
     from . import io
 
     if args.n < 1:
-        _fail_usage("--n must be at least 1")
+        raise ValueError("--n must be at least 1")
     if args.out_grid < 1:
-        _fail_usage("--out-grid must be at least 1")
+        raise ValueError("--out-grid must be at least 1")
     if args.grid % args.out_grid:
-        _fail_usage("--grid must be divisible by --out-grid")
+        raise ValueError("--grid must be divisible by --out-grid")
     grid = Grid2D(args.grid, args.grid)
     out_grid = Grid2D(args.out_grid, args.out_grid)
     if args.kle > grid.n_cells:
-        _fail_usage("--kle exceeds the number of grid cells")
+        raise ValueError("--kle exceeds the number of grid cells")
     cov = ExpCovSpec(s_g_sq=args.sg, lambdas=(args.lam, args.lam), mean=args.mean)
     source = SourceSpec(rate=args.rate, width=args.width)
 
@@ -121,17 +116,17 @@ def cmd_train(args):
 
     manifest = os.path.join(args.data, "manifest.json")
     if not os.path.exists(manifest):
-        _fail_usage(f"no dataset manifest at {manifest}")
+        raise ValueError(f"no dataset manifest at {manifest}")
     info = io.load_kle_from_manifest(manifest)
     doc = info["doc"]
     if args.target not in doc["files"]:
-        _fail_usage(f"--target must be one of {sorted(doc['files'])}")
+        raise ValueError(f"--target must be one of {sorted(doc['files'])}")
     dims = _parse_dims(args.dims)
     inducing = _parse_dims(args.inducing)
     if args.layers != len(dims):
-        _fail_usage(f"--layers {args.layers} does not match --dims {args.dims}")
+        raise ValueError(f"--layers {args.layers} does not match --dims {args.dims}")
     if len(inducing) != len(dims):
-        _fail_usage("--inducing must have one entry per layer")
+        raise ValueError("--inducing must have one entry per layer")
 
     X = io.read_matrix(os.path.join(args.data, doc["files"]["K"]))
     Y = io.read_matrix(os.path.join(args.data, doc["files"][args.target]))
@@ -166,8 +161,8 @@ def cmd_predict(args):
     model = io.load_model(args.model)
     Xstar = io.read_matrix(args.inputs)
     if Xstar.shape[1] != model.X.shape[1]:
-        _fail_usage(f"inputs have {Xstar.shape[1]} columns, model expects "
-                    f"{model.X.shape[1]}")
+        raise ValueError(f"inputs have {Xstar.shape[1]} columns, model "
+                         f"expects {model.X.shape[1]}")
     mean, var = predict(model, Xstar)
     os.makedirs(args.out, exist_ok=True)
     io.write_matrix(os.path.join(args.out, "mean.dgpm"), mean)
@@ -202,11 +197,11 @@ def cmd_uq(args):
     out_grid_dims = model.training_meta.get("output_grid") or info["doc"]["out_grid"]
     out_grid = Grid2D(*out_grid_dims)
     if out_grid.n_cells != model.Y.shape[1]:
-        _fail_usage("model output dimension does not match the output grid")
+        raise ValueError("model output dimension does not match the output grid")
     n_cells = info["kle"].grid.n_cells
     if n_cells != model.X.shape[1]:
-        _fail_usage(f"KLE manifest fields have {n_cells} cells, model expects "
-                    f"{model.X.shape[1]} input columns")
+        raise ValueError(f"KLE manifest fields have {n_cells} cells, model "
+                         f"expects {model.X.shape[1]} input columns")
     pdf_at = _parse_locations(args.pdf_at) if args.pdf_at else None
     report = uq_report(model, InputDistribution(kle=info["kle"]),
                        n_prime=args.inner, n_repeats=args.repeats,
@@ -319,7 +314,7 @@ def main(argv=None):
     # LinAlgError subclasses ValueError, so it must be caught first
     try:
         args.func(args)
-    except (*_NUMERICAL_FAILURES, RuntimeError) as exc:
+    except _NUMERICAL_FAILURES as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (FileNotFoundError, ValueError, KeyError) as exc:

@@ -98,11 +98,12 @@ def _face_transmissibilities(K2d: np.ndarray, hx: float, hy: float):
 
 def _face_fluxes(tw: np.ndarray, ts: np.ndarray, p2d: np.ndarray,
                  hx: float, hy: float):
-    """Darcy fluxes normal to every face, laid out as ``tw`` and ``ts``."""
+    """Darcy fluxes normal to every face, laid out as ``tw`` and ``ts``, and
+    their divergence in each cell, shape (ny, nx)."""
     ux, uy = np.zeros_like(tw), np.zeros_like(ts)
     ux[:, 1:-1] = tw[:, 1:-1] * (p2d[:, :-1] - p2d[:, 1:]) / hy
     uy[1:-1] = ts[1:-1] * (p2d[:-1] - p2d[1:]) / hx
-    return ux, uy
+    return ux, uy, (ux[:, 1:] - ux[:, :-1]) / hx + (uy[1:] - uy[:-1]) / hy
 
 
 class _RedBlack(NamedTuple):
@@ -201,7 +202,11 @@ def solve(grid: Grid2D, K, source) -> DarcySolution:
     The elimination is written with the ratios t / d_r, which lie in
     [0, 1]: 1 / d_r itself overflows for a subnormal d_r.  A red cell with
     no conducting face (d_r = 0) makes the matrix singular and raises
-    ``LinAlgError``.
+    ``LinAlgError``, and so does a flux divergence that misses f by more
+    than 1e-6 max|f|: faces that underflow to 0 can cut off a group of
+    cells, and ``dpbtrf`` may still succeed on rounding.  A cut-off group
+    whose own sources sum to zero still solves, at an arbitrary pressure
+    level inside it.
     """
     K = np.asarray(K, dtype=float).ravel()
     if K.shape[0] != grid.n_cells:
@@ -272,7 +277,10 @@ def solve(grid: Grid2D, K, source) -> DarcySolution:
 
     p -= np.mean(p)  # uniform cells: area-weighted mean == arithmetic mean
 
-    ux_pad, uy_pad = _face_fluxes(tw, ts, grid.to_2d(p), hx, hy)
+    ux_pad, uy_pad, div = _face_fluxes(tw, ts, grid.to_2d(p), hx, hy)
+    miss = np.max(np.abs(div - grid.to_2d(f)))
+    if not miss <= 1e-6 * np.max(np.abs(f)):
+        raise np.linalg.LinAlgError(f"TPFA solve misses the source by {miss:.3g}")
     vel_x = 0.5 * (ux_pad[:, :-1] + ux_pad[:, 1:])
     vel_y = 0.5 * (uy_pad[:-1, :] + uy_pad[1:, :])
 
@@ -285,10 +293,8 @@ def flux_divergence(sol: DarcySolution, K) -> np.ndarray:
     nx, ny = grid.nx, grid.ny
     hx, hy = 1.0 / nx, 1.0 / ny
     K2d = grid.to_2d(np.asarray(K, dtype=float).ravel())
-    ux_pad, uy_pad = _face_fluxes(*_face_transmissibilities(K2d, hx, hy),
-                                  grid.to_2d(sol.pressure), hx, hy)
-    div = (ux_pad[:, 1:] - ux_pad[:, :-1]) / hx + (uy_pad[1:, :] - uy_pad[:-1, :]) / hy
-    return div.ravel()
+    return _face_fluxes(*_face_transmissibilities(K2d, hx, hy),
+                        grid.to_2d(sol.pressure), hx, hy)[2].ravel()
 
 
 def restrict(field, nx: int, ny: int, out_nx: int, out_ny: int) -> np.ndarray:

@@ -212,9 +212,6 @@ def _check_model_shapes(path, X, Y, il, layers, dims):
         expect(f"layers[{t}].latent_means", layer.latent.means.shape, (n, q))
         expect(f"layers[{t}].latent_variances", layer.latent.variances.shape,
                (n, q))
-        expect(f"layers[{t}].inducing_inputs columns",
-               layer.inducing.inputs.shape[1:], (q,))
-        expect(f"layers[{t}].weights", layer.kernel.weights.shape, (q,))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ import numpy as np
 
 __all__ = [
     "DimensionMismatchError",
-    "SingularMatrixError",
     "RBFParams",
     "ARDParams",
     "gram",
@@ -47,10 +46,6 @@ class DimensionMismatchError(ValueError):
         self.expected = expected
         self.got = got
         super().__init__(f"{what}: expected length {expected}, got {got}")
-
-
-class SingularMatrixError(np.linalg.LinAlgError):
-    """Cholesky failed even at the maximum jitter level."""
 
 
 @dataclass(frozen=True)
@@ -206,7 +201,7 @@ def chol_psd(M):
 
     Raises
     ------
-    SingularMatrixError
+    np.linalg.LinAlgError
         If the factorization still fails at the largest jitter.
     ValueError
         If ``M`` is not symmetric to 1e-10 relative tolerance.
@@ -233,5 +228,5 @@ def chol_psd(M):
             return L, level
         except np.linalg.LinAlgError:
             continue
-    raise SingularMatrixError(
+    raise np.linalg.LinAlgError(
         f"matrix not factorizable at maximum jitter {base_jitter * 1e6:.3e}")

@@ -21,6 +21,7 @@ import numpy as np
 from .kernels import gram, chol_psd
 from .random_field import Grid2D, KLExpansion, sample_permeability
 from .deepgp import DeepGPModel, predict_layer1, _layer_pred_cache
+from .optimize import _NUMERICAL_FAILURES
 from .rng import rng_for, MC_BASELINE_STREAM, UQ_STREAM
 
 __all__ = [
@@ -86,7 +87,7 @@ def _draw_gaussian(mean, cov, rng):
     """Joint draw of one column set: mean (n, d) + chol(cov) @ N(0,1).
 
     A covariance that ``chol_psd`` cannot factor even at its largest jitter
-    raises its ``SingularMatrixError``.
+    raises ``np.linalg.LinAlgError``.
     """
     z = rng.standard_normal(mean.shape)
     if np.max(np.abs(cov)) == 0.0:
@@ -248,6 +249,8 @@ def mc_baseline(simulator, dist: InputDistribution, N: int, seed: int,
     All N output rows are kept (N * width * 8 bytes) for numpy's two-pass
     moments, which do not cancel on outputs far from zero mean.
     Sample ``i`` draws its inputs from ``rng_for(seed, MC_BASELINE_STREAM, i)``.
+    A simulator's numerical failure (``optimize._NUMERICAL_FAILURES``) is
+    re-raised as its own type naming the sample; any other propagates.
     """
     if N < 2:
         raise ValueError("need at least two samples")
@@ -257,8 +260,8 @@ def mc_baseline(simulator, dist: InputDistribution, N: int, seed: int,
         K = sample_permeability(dist.kle, rng_for(seed, MC_BASELINE_STREAM, i))
         try:
             y = np.asarray(simulator(K), dtype=float).ravel()
-        except Exception as exc:
-            raise RuntimeError(f"simulator failed at sample {i}: {exc}") from exc
+        except _NUMERICAL_FAILURES as exc:
+            raise type(exc)(f"simulator failed at sample {i}: {exc}") from exc
         if Y is None:
             _check_pdf_columns(pdf_cols, y.size)
             Y = np.empty((N, y.size))

@@ -251,6 +251,16 @@ class TestExtremeContrast:
         with pytest.raises(np.linalg.LinAlgError):
             solve(grid, np.full(grid.n_cells, 1e-170), SourceSpec())
 
+    def test_cut_off_well_raises(self):
+        # both faces of the injection cell 0 underflow to zero: the pinned
+        # matrix is singular, yet dpbtrf succeeds on rounding
+        grid = Grid2D(8, 8)
+        K = np.ones(grid.n_cells)
+        K[[0, 1, 8]] = 1e-170
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="misses the source by 10"):
+            solve(grid, K, SourceSpec())
+
 
 class TestRestrict:
     def test_constant_field_unchanged(self):

@@ -277,6 +277,32 @@ class TestCli:
         assert cli.main(["predict", "--model", "m", "--inputs", "x",
                          "--out", str(tmp_path)]) == 3
 
+    def test_runtime_error_in_a_command_propagates(self, monkeypatch,
+                                                   tmp_path):
+        from dgpuq import cli
+
+        def broken(args):
+            raise RuntimeError("not a numerical failure")
+
+        monkeypatch.setattr(cli, "cmd_predict", broken)
+        with pytest.raises(RuntimeError, match="not a numerical failure"):
+            cli.main(["predict", "--model", "m", "--inputs", "x",
+                      "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-data", "--n", "0", "--out", "{tmp}/x"],
+        ["gen-data", "--grid", "16", "--out-grid", "7", "--out", "{tmp}/x"],
+        ["train", "--data", "{tmp}/nope", "--out", "{tmp}/m"],
+        ["mc-baseline", "--kle-manifest", "{data}/manifest.json",
+         "--pdf-at", "0.5", "--out", "{tmp}/mc"],
+    ])
+    def test_usage_error_returns_2_in_process(self, desk_dataset, tmp_path,
+                                              capsys, argv):
+        from dgpuq import cli
+        argv = [a.format(data=desk_dataset, tmp=tmp_path) for a in argv]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_train_layer_mismatch_exits_2(self, desk_dataset, tmp_path):
         res = run_cli("train", "--data", str(desk_dataset), "--layers", "3",
                       "--dims", "3,3", "--inducing", "8,8",

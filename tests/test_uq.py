@@ -7,7 +7,6 @@ from dgpuq.random_field import (Grid2D, ExpCovSpec, KLExpansion, kle_decompose,
                                 permeability)
 from dgpuq import uq
 from dgpuq.deepgp import train_deep, predict
-from dgpuq.kernels import SingularMatrixError
 from dgpuq.uq import (InputDistribution, sample_inputs, propagate_realization,
                       uq_report, mc_baseline, kde_curve)
 from dgpuq.rng import rng_for, MC_BASELINE_STREAM, UQ_STREAM
@@ -126,7 +125,7 @@ class TestPropagateRealization:
     def test_indefinite_covariance_raises(self):
         # chol_psd's largest jitter, the mean absolute diagonal 5.5, cannot
         # lift the -10; the draw must not go on from a clipped spectrum
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(np.linalg.LinAlgError):
             uq._draw_gaussian(np.zeros((2, 1)), np.diag([1.0, -10.0]),
                               rng_for(0))
 
@@ -291,8 +290,14 @@ class TestMcBaseline:
 
     def test_simulator_failure_reports_index(self, dist8):
         def bad(K):
-            raise RuntimeError("boom")
-        with pytest.raises(RuntimeError, match="sample 0"):
+            raise np.linalg.LinAlgError("boom")
+        with pytest.raises(np.linalg.LinAlgError, match="sample 0: boom"):
+            mc_baseline(bad, dist8, N=3, seed=0)
+
+    def test_simulator_bug_propagates_unwrapped(self, dist8):
+        def bad(K):
+            raise TypeError("boom")
+        with pytest.raises(TypeError, match="^boom$"):
             mc_baseline(bad, dist8, N=3, seed=0)
 
 
