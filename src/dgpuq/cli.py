@@ -6,8 +6,8 @@ NUMEXPR_NUM_THREADS, which must be set before Python starts.  Each command
 imports numpy and the modules it needs when it runs, so ``--help`` and
 argument errors load no numpy.
 
-Exit codes: 0 success, 2 usage or validation error (``ValueError``,
-``FileNotFoundError``, ``KeyError``), 3 numeric failure (one of
+Exit codes: 0 success, 2 usage or validation error (``ValueError`` or
+``FileNotFoundError``), 3 numeric failure (one of
 ``optimize._NUMERICAL_FAILURES``).  Any other exception propagates.
 """
 
@@ -52,19 +52,6 @@ def _parse_locations(text):
     return locs
 
 
-def _write_fields(out_dir, arrays):
-    """Write each array to ``<name>.dgpm`` in ``out_dir`` (a 1-D array as one
-    row); return the name -> file map."""
-    from . import io
-
-    os.makedirs(out_dir, exist_ok=True)
-    files = {}
-    for name, arr in arrays.items():
-        files[name] = f"{name}.dgpm"
-        io.write_matrix(os.path.join(out_dir, files[name]), arr)
-    return files
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -104,7 +91,7 @@ def cmd_gen_data(args):
 
     io.write_dataset_manifest(
         args.out, grid=grid, out_grid=out_grid, cov=cov, kle=kle, source=source,
-        n=n, seed=args.seed, files=_write_fields(args.out, data))
+        seed=args.seed, fields=data)
     print(f"wrote dataset ({n} samples, {grid.nx}x{grid.ny} -> "
           f"{out_grid.nx}x{out_grid.ny}) to {args.out}")
 
@@ -114,13 +101,10 @@ def cmd_train(args):
     from .gplvm import effective_dims
     from . import io
 
-    manifest = os.path.join(args.data, "manifest.json")
-    if not os.path.exists(manifest):
-        raise ValueError(f"no dataset manifest at {manifest}")
-    info = io.load_kle_from_manifest(manifest)
-    doc = info["doc"]
-    if args.target not in doc["files"]:
-        raise ValueError(f"--target must be one of {sorted(doc['files'])}")
+    info = io.load_kle_from_manifest(args.data)
+    files = info["files"]
+    if args.target not in files:
+        raise ValueError(f"--target must be one of {sorted(files)}")
     dims = _parse_dims(args.dims)
     inducing = _parse_dims(args.inducing)
     if args.layers != len(dims):
@@ -128,26 +112,17 @@ def cmd_train(args):
     if len(inducing) != len(dims):
         raise ValueError("--inducing must have one entry per layer")
 
-    X = io.read_matrix(os.path.join(args.data, doc["files"]["K"]))
-    Y = io.read_matrix(os.path.join(args.data, doc["files"][args.target]))
+    X = io.read_matrix(files["K"])
+    Y = io.read_matrix(files[args.target])
     model = train_deep(X, Y, dims=dims, m_inducing=inducing, iters=args.iters,
                        init_iters=args.init_iters, seed=args.seed)
 
-    os.makedirs(args.out, exist_ok=True)
-    trace = model.training_meta["elbo_trace"]
-    io.write_csv(os.path.join(args.out, "elbo_trace.csv"), ["iter", "elbo"],
-                 [(i, float(v)) for i, v in enumerate(trace)])
-    rows = []
-    for t, layer in enumerate(model.hidden_layers):
-        for k, w in enumerate(layer.kernel.weights):
-            rows.append((t + 1, k, float(w)))
-    io.write_csv(os.path.join(args.out, "ard_weights.csv"),
-                 ["layer", "dim", "weight"], rows)
+    io.write_training_tables(args.out, model)
     retained = {f"layer{t + 1}": effective_dims(layer.kernel)
                 for t, layer in enumerate(model.hidden_layers)}
     io.save_model(args.out, model, extra_meta={
         "target": args.target, "dataset": os.path.abspath(args.data),
-        "output_grid": doc["out_grid"], "input_grid": doc["grid"],
+        "output_grid": info["out_grid"], "input_grid": info["grid"],
         "retained_dims": {k: list(map(int, v)) for k, v in retained.items()},
     })
     print(f"trained model on {args.target} "
@@ -164,27 +139,8 @@ def cmd_predict(args):
         raise ValueError(f"inputs have {Xstar.shape[1]} columns, model "
                          f"expects {model.X.shape[1]}")
     mean, var = predict(model, Xstar)
-    os.makedirs(args.out, exist_ok=True)
-    io.write_matrix(os.path.join(args.out, "mean.dgpm"), mean)
-    io.write_matrix(os.path.join(args.out, "variance.dgpm"), var)
+    io.write_fields(args.out, {"mean": mean, "variance": var})
     print(f"wrote predictions for {Xstar.shape[0]} inputs to {args.out}")
-
-
-def _write_pdfs(out_dir, pdfs):
-    """Write each density estimate to pdf_<i>.csv; return the manifest entries."""
-    import numpy as np
-    from . import io
-
-    entries = []
-    for i, pdf in enumerate(pdfs):
-        fname = f"pdf_{i}.csv"
-        rows = np.column_stack([pdf.abscissae, pdf.mean_density, pdf.lower,
-                                pdf.upper]).tolist()
-        io.write_csv(os.path.join(out_dir, fname),
-                     ["x", "mean", "lower", "upper"], rows)
-        entries.append({"location": list(pdf.location), "column": pdf.column,
-                        "file": fname})
-    return entries
 
 
 def cmd_uq(args):
@@ -194,8 +150,8 @@ def cmd_uq(args):
 
     model = io.load_model(args.model)
     info = io.load_kle_from_manifest(args.kle_manifest)
-    out_grid_dims = model.training_meta.get("output_grid") or info["doc"]["out_grid"]
-    out_grid = Grid2D(*out_grid_dims)
+    out_grid_dims = model.training_meta.get("output_grid")
+    out_grid = Grid2D(*out_grid_dims) if out_grid_dims else info["out_grid"]
     if out_grid.n_cells != model.Y.shape[1]:
         raise ValueError("model output dimension does not match the output grid")
     n_cells = info["kle"].grid.n_cells
@@ -206,15 +162,15 @@ def cmd_uq(args):
     report = uq_report(model, InputDistribution(kle=info["kle"]),
                        n_prime=args.inner, n_repeats=args.repeats,
                        seed=args.seed, pdf_at=pdf_at, out_grid=out_grid)
-    fields = _write_fields(args.out, {
-        name: getattr(report, name) for name in
-        ("mean_of_mean", "mean_of_variance", "errorbar_mean",
-         "errorbar_variance")})
-    doc = {"format": "dgpuq-uq-v1", "n_inner": report.n_inner,
-           "n_repeats": report.n_repeats, "seed": args.seed,
-           "pdfs": _write_pdfs(args.out, report.pdf_points),
-           "fields": fields, "out_grid": out_grid_dims}
-    io._json_dump(os.path.join(args.out, "report.json"), doc)
+    io.write_report(
+        args.out,
+        {"format": io.UQ_REPORT_FORMAT, "n_inner": report.n_inner,
+         "n_repeats": report.n_repeats, "seed": args.seed,
+         "out_grid": out_grid},
+        {name: getattr(report, name) for name in
+         ("mean_of_mean", "mean_of_variance", "errorbar_mean",
+          "errorbar_variance")},
+        report.pdf_points)
     print(f"wrote UQ report ({args.inner} inner x {args.repeats} repeats) "
           f"to {args.out}")
 
@@ -236,11 +192,11 @@ def cmd_mc_baseline(args):
     mean, var, pdfs = mc_baseline(simulator, InputDistribution(kle=info["kle"]),
                                   N=args.n, seed=args.seed, pdf_at=pdf_at,
                                   out_grid=out_grid)
-    fields = _write_fields(args.out, {"mean": mean, "variance": var})
-    doc = {"format": "dgpuq-mc-v1", "n": args.n, "seed": args.seed,
-           "target": target, "pdfs": _write_pdfs(args.out, pdfs),
-           "fields": fields, "out_grid": [out_grid.nx, out_grid.ny]}
-    io._json_dump(os.path.join(args.out, "report.json"), doc)
+    io.write_report(
+        args.out,
+        {"format": io.MC_REPORT_FORMAT, "n": args.n, "seed": args.seed,
+         "target": target, "out_grid": out_grid},
+        {"mean": mean, "variance": var}, pdfs)
     print(f"wrote plain-MC baseline ({args.n} runs of {target}) to {args.out}")
 
 
@@ -317,7 +273,7 @@ def main(argv=None):
     except _NUMERICAL_FAILURES as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (FileNotFoundError, ValueError, KeyError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return 0

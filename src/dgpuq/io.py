@@ -1,10 +1,11 @@
-"""File formats: binary matrix containers, model files, dataset manifests.
+"""File formats: this module alone reads and writes every JSON document and
+decides the layout of every output directory.
 
 The matrix container is the universal exchange format: a one-line magic,
 one ASCII header line ``rows cols f64le`` and a row-major little-endian
-float64 payload.  Writes and reads round-trip bit-exactly.  Model and
-dataset manifests are JSON documents whose array fields are named
-references to sibling containers.
+float64 payload.  Writes and reads round-trip bit-exactly.  Model files,
+dataset manifests and reports are JSON documents whose array fields are
+named references to sibling containers.
 """
 
 from __future__ import annotations
@@ -28,12 +29,17 @@ __all__ = [
     "load_model",
     "write_dataset_manifest",
     "load_kle_from_manifest",
+    "write_fields",
+    "write_training_tables",
+    "write_report",
     "write_csv",
 ]
 
 MAGIC = b"DGPM1\n"
 MODEL_FORMAT = "dgpuq-model-v1"
 DATASET_FORMAT = "dgpuq-dataset-v1"
+UQ_REPORT_FORMAT = "dgpuq-uq-v1"
+MC_REPORT_FORMAT = "dgpuq-mc-v1"
 
 
 def write_matrix(path, arr):
@@ -73,20 +79,48 @@ def read_matrix(path) -> np.ndarray:
     return out
 
 
+def _jsonable(obj):
+    """The JSON form of what json cannot write itself: a grid as [nx, ny],
+    an array as a flat list of floats and anything else as its str."""
+    if isinstance(obj, Grid2D):
+        return [obj.nx, obj.ny]
+    if isinstance(obj, np.ndarray):
+        return [float(x) for x in np.ravel(obj)]
+    return str(obj)
+
+
 def _json_dump(path, doc):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, default=_jsonable)
         fh.write("\n")
 
 
-def _json_load(path):
+def _read_document(path, name, fmt):
+    """Read the ``fmt`` JSON document at ``path`` (``path/name`` for a
+    directory); return its path and a reader, ``field("layers.0.beta")`` for
+    ``doc["layers"][0]["beta"]``.  Invalid JSON, another format or an absent
+    field is a ValueError naming the file (and the field)."""
+    if os.path.isdir(path):
+        path = os.path.join(path, name)
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise ValueError(f"{path}: not a {fmt} document")
 
+    def field(dotted):
+        value = doc
+        for key in dotted.split("."):
+            try:
+                value = value[int(key) if isinstance(value, list) else key]
+            except (KeyError, IndexError, TypeError, ValueError):
+                raise ValueError(f"{path}: missing field {dotted!r}") from None
+        return value
 
-# ---------------------------------------------------------------------------
-# Model persistence
-# ---------------------------------------------------------------------------
+    return path, field
+
 
 def save_model(out_dir, model: DeepGPModel, extra_meta=None):
     """Persist a trained model as model.json plus sibling containers."""
@@ -117,10 +151,8 @@ def save_model(out_dir, model: DeepGPModel, extra_meta=None):
             },
         },
         "layers": [],
-        "training": _jsonable_meta(model.training_meta),
+        "training": dict(model.training_meta, **(extra_meta or {})),
     }
-    if extra_meta:
-        doc["training"].update(_jsonable_meta(extra_meta))
     for t, layer in enumerate(model.hidden_layers):
         doc["layers"].append({
             "sigma_h_sq": float(layer.kernel.sigma_h_sq),
@@ -140,56 +172,38 @@ def save_model(out_dir, model: DeepGPModel, extra_meta=None):
     return os.path.join(out_dir, "model.json")
 
 
-def _jsonable_meta(meta):
-    out = {}
-    for k, v in meta.items():
-        if isinstance(v, np.ndarray):
-            out[k] = [float(x) for x in np.ravel(v)]
-        elif isinstance(v, (int, float, str, bool, list, dict)) or v is None:
-            out[k] = v
-        else:
-            out[k] = str(v)
-    return out
-
-
 def load_model(model_dir) -> DeepGPModel:
     """Reload a persisted model; reloaded predictions are bit-identical."""
-    path = model_dir
-    if os.path.isdir(path):
-        path = os.path.join(path, "model.json")
-    doc = _json_load(path)
-    if doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"{path}: not a model file (format {doc.get('format')!r})")
+    path, field = _read_document(model_dir, "model.json", MODEL_FORMAT)
     base = os.path.dirname(path)
 
     def get(name):
-        return read_matrix(os.path.join(base, name))
+        return read_matrix(os.path.join(base, field(name)))
 
-    X = get(doc["data"]["X"])
-    Y = get(doc["data"]["Y"])
-    il_doc = doc["input_layer"]
+    X = get("data.X")
+    Y = get("data.Y")
     il = InputLayer(
-        kernel=RBFParams(tau0_sq=il_doc["tau0_sq"],
-                         lengthscale_inv=get(il_doc["arrays"]["lengthscale_inv"]).ravel()),
-        noise_var=il_doc["noise_var"],
-        mu_bar=get(il_doc["arrays"]["mu_bar"]),
-        lam=get(il_doc["arrays"]["lam"]),
+        kernel=RBFParams(tau0_sq=field("input_layer.tau0_sq"),
+                         lengthscale_inv=get("input_layer.arrays.lengthscale_inv").ravel()),
+        noise_var=field("input_layer.noise_var"),
+        mu_bar=get("input_layer.arrays.mu_bar"),
+        lam=get("input_layer.arrays.lam"),
     )
     layers = []
-    for l_doc in doc["layers"]:
-        arrays = l_doc["arrays"]
+    for t in range(len(field("layers"))):
+        at = f"layers.{t}."
         layers.append(LayerState(
-            kernel=ARDParams(sigma_h_sq=l_doc["sigma_h_sq"],
-                             weights=get(arrays["weights"]).ravel()),
-            beta=l_doc["beta"],
-            latent=VariationalLatent(means=get(arrays["latent_means"]),
-                                     variances=get(arrays["latent_variances"])),
-            inducing=InducingSet(inputs=get(arrays["inducing_inputs"])),
+            kernel=ARDParams(sigma_h_sq=field(at + "sigma_h_sq"),
+                             weights=get(at + "arrays.weights").ravel()),
+            beta=field(at + "beta"),
+            latent=VariationalLatent(means=get(at + "arrays.latent_means"),
+                                     variances=get(at + "arrays.latent_variances")),
+            inducing=InducingSet(inputs=get(at + "arrays.inducing_inputs")),
         ))
-    dims = [int(d) for d in doc["dims"]]
+    dims = [int(d) for d in field("dims")]
     _check_model_shapes(path, X, Y, il, layers, dims)
     return DeepGPModel(X=X, Y=Y, input_layer=il, hidden_layers=layers,
-                       dims=dims, training_meta=doc.get("training", {}))
+                       dims=dims, training_meta=field("training"))
 
 
 def _check_model_shapes(path, X, Y, il, layers, dims):
@@ -208,35 +222,42 @@ def _check_model_shapes(path, X, Y, il, layers, dims):
     expect("input_layer.lam", il.lam.shape, (n, dims[0]))
     expect("input_layer.lengthscale_inv", il.kernel.weights.shape,
            X.shape[1:])
+    # a latent's variances are checked against its means on construction
     for t, (layer, q) in enumerate(zip(layers, dims)):
-        expect(f"layers[{t}].latent_means", layer.latent.means.shape, (n, q))
-        expect(f"layers[{t}].latent_variances", layer.latent.variances.shape,
-               (n, q))
+        expect(f"layers.{t}.latent_means", layer.latent.means.shape, (n, q))
 
 
-# ---------------------------------------------------------------------------
-# Dataset manifest and KLE persistence
-# ---------------------------------------------------------------------------
+def write_fields(out_dir, arrays):
+    """Write each array to ``<name>.dgpm`` in ``out_dir`` (a 1-D array as one
+    row); return the name -> file map."""
+    os.makedirs(out_dir, exist_ok=True)
+    files = {}
+    for name, arr in arrays.items():
+        files[name] = f"{name}.dgpm"
+        write_matrix(os.path.join(out_dir, files[name]), arr)
+    return files
+
 
 def write_dataset_manifest(out_dir, *, grid: Grid2D, out_grid: Grid2D,
                            cov: ExpCovSpec, kle: KLExpansion,
-                           source: SourceSpec, n: int, seed: int, files: dict):
-    os.makedirs(out_dir, exist_ok=True)
-    write_matrix(os.path.join(out_dir, "kle_eigenvalues.dgpm"),
-                 kle.eigenvalues[None, :])
-    write_matrix(os.path.join(out_dir, "kle_eigenfields.dgpm"), kle.eigenfields)
+                           source: SourceSpec, seed: int, fields: dict):
+    """Write a dataset: each field array (one sample a row, ``K`` the
+    permeabilities) to ``<name>.dgpm``, the KL expansion and manifest.json."""
+    files = write_fields(out_dir, fields)
+    kle_files = write_fields(out_dir, {"kle_eigenvalues": kle.eigenvalues,
+                                       "kle_eigenfields": kle.eigenfields})
     doc = {
         "format": DATASET_FORMAT,
         "version": __version__,
-        "n": int(n),
+        "n": len(fields["K"]),
         "seed": int(seed),
-        "grid": [grid.nx, grid.ny],
-        "out_grid": [out_grid.nx, out_grid.ny],
+        "grid": grid,
+        "out_grid": out_grid,
         "cov": {"s_g_sq": cov.s_g_sq, "lambdas": list(cov.lambdas),
                 "mean": cov.mean},
         "kle": {"k_xi": int(kle.k_xi),
-                "eigenvalues": "kle_eigenvalues.dgpm",
-                "eigenfields": "kle_eigenfields.dgpm"},
+                "eigenvalues": kle_files["kle_eigenvalues"],
+                "eigenfields": kle_files["kle_eigenfields"]},
         "source": {"rate": source.rate, "width": source.width},
         "files": files,
     }
@@ -246,23 +267,55 @@ def write_dataset_manifest(out_dir, *, grid: Grid2D, out_grid: Grid2D,
 
 
 def load_kle_from_manifest(manifest_path):
-    """Rebuild the KL expansion and problem geometry from a dataset manifest."""
-    path = manifest_path
-    if os.path.isdir(path):
-        path = os.path.join(path, "manifest.json")
-    doc = _json_load(path)
-    if doc.get("format") != DATASET_FORMAT:
-        raise ValueError(f"{path}: not a dataset manifest")
+    """Rebuild a dataset's ``grid``, ``out_grid``, ``kle`` and ``source``
+    from its manifest; ``files`` maps each stored field name (``K`` always
+    among them) to its container's path."""
+    path, field = _read_document(manifest_path, "manifest.json",
+                                 DATASET_FORMAT)
     base = os.path.dirname(path)
-    grid = Grid2D(*doc["grid"])
-    out_grid = Grid2D(*doc["out_grid"])
+    field("files.K")
+    grid = Grid2D(*field("grid"))
     kle = KLExpansion(
-        eigenvalues=read_matrix(os.path.join(base, doc["kle"]["eigenvalues"])).ravel(),
-        eigenfields=read_matrix(os.path.join(base, doc["kle"]["eigenfields"])),
-        mean=doc["cov"]["mean"], grid=grid)
-    source = SourceSpec(rate=doc["source"]["rate"], width=doc["source"]["width"])
-    return {"grid": grid, "out_grid": out_grid, "kle": kle, "source": source,
-            "doc": doc}
+        eigenvalues=read_matrix(os.path.join(base, field("kle.eigenvalues"))).ravel(),
+        eigenfields=read_matrix(os.path.join(base, field("kle.eigenfields"))),
+        mean=field("cov.mean"), grid=grid)
+    return {"grid": grid, "out_grid": Grid2D(*field("out_grid")), "kle": kle,
+            "source": SourceSpec(rate=field("source.rate"),
+                                 width=field("source.width")),
+            "files": {name: os.path.join(base, f)
+                      for name, f in field("files").items()}}
+
+
+def write_training_tables(out_dir, model: DeepGPModel):
+    """Write the ELBO trace to elbo_trace.csv and each hidden layer's ARD
+    weights (layers counted from 1) to ard_weights.csv."""
+    os.makedirs(out_dir, exist_ok=True)
+    write_csv(os.path.join(out_dir, "elbo_trace.csv"), ["iter", "elbo"],
+              [(i, float(v)) for i, v in
+               enumerate(model.training_meta["elbo_trace"])])
+    write_csv(os.path.join(out_dir, "ard_weights.csv"),
+              ["layer", "dim", "weight"],
+              [(t + 1, k, float(w))
+               for t, layer in enumerate(model.hidden_layers)
+               for k, w in enumerate(layer.kernel.weights)])
+
+
+def write_report(out_dir, meta, fields, pdfs):
+    """Write a UQ or plain-MC report: each field array to ``<name>.dgpm``,
+    each density estimate to ``pdf_<i>.csv`` and report.json, which holds
+    ``meta`` and names both."""
+    doc = dict(meta, fields=write_fields(out_dir, fields), pdfs=[])
+    for i, pdf in enumerate(pdfs):
+        fname = f"pdf_{i}.csv"
+        rows = np.column_stack([pdf.abscissae, pdf.mean_density, pdf.lower,
+                                pdf.upper]).tolist()
+        write_csv(os.path.join(out_dir, fname),
+                  ["x", "mean", "lower", "upper"], rows)
+        doc["pdfs"].append({"location": list(pdf.location),
+                            "column": pdf.column, "file": fname})
+    path = os.path.join(out_dir, "report.json")
+    _json_dump(path, doc)
+    return path
 
 
 def write_csv(path, header, rows):

@@ -189,20 +189,19 @@ def predictive_grams(X, x_norms, Xstar, kernel: ARDParams):
 
 
 def chol_psd(M):
-    """Lower Cholesky factor of ``M + jitter * I`` with escalating jitter.
-
-    The jitter is the smallest value in ``{0, base, base*10, ..., base*1e6}``
-    for which the factorization succeeds, with ``base = 1e-6 * mean(diag(M))``
-    (the mean absolute diagonal when that mean is not positive).
+    """Lower Cholesky factor of ``M``, or of ``M + jitter * I`` with the one
+    jitter ``1e-6 * mean(diag(M))`` when the exact factorization fails.
 
     Returns
     -------
-    (L, jitter) : lower-triangular factor and the jitter actually applied.
+    (L, jitter) : lower-triangular factor and the jitter applied (0 or the
+        one value above).
 
     Raises
     ------
     np.linalg.LinAlgError
-        If the factorization still fails at the largest jitter.
+        If the jittered factorization fails too, or at once when the exact
+        one fails and the mean diagonal is not positive.
     ValueError
         If ``M`` is not symmetric to 1e-10 relative tolerance.
     """
@@ -213,20 +212,11 @@ def chol_psd(M):
     if not np.allclose(M, M.T, rtol=0.0, atol=1e-10 * max(scale, 1.0)):
         raise ValueError("chol_psd input is not symmetric within 1e-10 relative")
     M = 0.5 * (M + M.T)
-    mean_diag = float(np.mean(np.diag(M))) if M.size else 0.0
-    if mean_diag > 0:
-        base_jitter = 1e-6 * mean_diag
-    else:
-        # roundoff-scale or indefinite input: scale from magnitudes
-        mag = float(np.mean(np.abs(np.diag(M)))) if M.size else 0.0
-        base_jitter = 1e-6 * mag if mag > 0 else 1e-6
-    n = M.shape[0]
-    eye = np.eye(n)
-    for level in [0.0] + [base_jitter * 10.0 ** k for k in range(7)]:
-        try:
-            L = np.linalg.cholesky(M + level * eye if level else M)
-            return L, level
-        except np.linalg.LinAlgError:
-            continue
-    raise np.linalg.LinAlgError(
-        f"matrix not factorizable at maximum jitter {base_jitter * 1e6:.3e}")
+    try:
+        return np.linalg.cholesky(M), 0.0
+    except np.linalg.LinAlgError:
+        jitter = 1e-6 * float(np.mean(np.diag(M)))
+    if not jitter > 0:
+        raise np.linalg.LinAlgError("matrix not factorizable and its mean "
+                                    "diagonal is not positive")
+    return np.linalg.cholesky(M + jitter * np.eye(M.shape[0])), jitter

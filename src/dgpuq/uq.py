@@ -86,7 +86,7 @@ def sample_inputs(dist: InputDistribution, n_prime: int, seed: int,
 def _draw_gaussian(mean, cov, rng):
     """Joint draw of one column set: mean (n, d) + chol(cov) @ N(0,1).
 
-    A covariance that ``chol_psd`` cannot factor even at its largest jitter
+    A covariance that ``chol_psd`` cannot factor even with its jitter
     raises ``np.linalg.LinAlgError``.
     """
     z = rng.standard_normal(mean.shape)

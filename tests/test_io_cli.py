@@ -130,6 +130,22 @@ class TestModelPersistence:
         with pytest.raises(ValueError):
             io.load_model(tmp_path)
 
+    @pytest.mark.parametrize("field", ["input_layer.tau0_sq",
+                                       "layers.0.beta"])
+    def test_missing_field_named_with_its_path(self, tmp_path, field):
+        save_tiny_model(tmp_path / "m")
+        path = tmp_path / "m" / "model.json"
+        doc = json.loads(path.read_text())
+        *parents, last = [int(k) if k.isdigit() else k
+                          for k in field.split(".")]
+        entry = doc
+        for key in parents:
+            entry = entry[key]
+        del entry[last]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"missing field '{field}'"):
+            io.load_model(tmp_path / "m")
+
 
 class TestCsv:
     def test_float_round_trip(self, tmp_path):
@@ -289,6 +305,56 @@ class TestCli:
             cli.main(["predict", "--model", "m", "--inputs", "x",
                       "--out", str(tmp_path)])
 
+    def test_key_error_in_a_command_propagates(self, monkeypatch, tmp_path):
+        from dgpuq import cli
+
+        def broken(args):
+            return {}["not a usage error"]
+
+        monkeypatch.setattr(cli, "cmd_predict", broken)
+        with pytest.raises(KeyError, match="not a usage error"):
+            cli.main(["predict", "--model", "m", "--inputs", "x",
+                      "--out", str(tmp_path)])
+
+    def test_predict_on_a_model_without_dims_names_file_and_field(
+            self, tmp_path, capsys):
+        from dgpuq import cli
+        save_tiny_model(tmp_path / "m")
+        path = tmp_path / "m" / "model.json"
+        doc = json.loads(path.read_text())
+        del doc["dims"]
+        path.write_text(json.dumps(doc))
+        io.write_matrix(tmp_path / "x.dgpm", np.zeros((4, 2)))
+        assert cli.main(["predict", "--model", str(tmp_path / "m"),
+                         "--inputs", str(tmp_path / "x.dgpm"),
+                         "--out", str(tmp_path / "p")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "'dims'" in err
+        assert not (tmp_path / "p").exists()
+
+    def test_train_on_a_manifest_without_inputs_names_files_k(
+            self, desk_dataset, tmp_path, capsys):
+        from dgpuq import cli
+        doc = json.loads((desk_dataset / "manifest.json").read_text())
+        del doc["files"]["K"]
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        assert cli.main(["train", "--data", str(tmp_path),
+                         "--out", str(tmp_path / "m")]) == 2
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and "'files.K'" in err
+
+    def test_truncated_model_json_names_the_file(self, tmp_path, capsys):
+        from dgpuq import cli
+        save_tiny_model(tmp_path / "m")
+        path = tmp_path / "m" / "model.json"
+        text = path.read_text()
+        path.write_text(text[:len(text) // 2])
+        assert cli.main(["predict", "--model", str(tmp_path / "m"),
+                         "--inputs", str(tmp_path / "x.dgpm"),
+                         "--out", str(tmp_path / "p")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "not valid JSON" in err
+
     @pytest.mark.parametrize("argv", [
         ["gen-data", "--n", "0", "--out", "{tmp}/x"],
         ["gen-data", "--grid", "16", "--out-grid", "7", "--out", "{tmp}/x"],
@@ -400,6 +466,39 @@ class TestCli:
         if not counts:
             pytest.skip("no OpenBLAS loaded; nothing to read the count from")
         assert counts == [1] * len(counts), res.stdout
+
+
+class TestOneOwnerOfFormats:
+    """Only ``io`` reads or writes JSON, and no module reaches into io's
+    private helpers, so every on-disk layout has a single owner."""
+
+    def test_only_io_touches_json_or_io_internals(self):
+        import ast
+        src = os.path.dirname(dgpuq.__file__)
+        offences = []
+        for name in sorted(os.listdir(src)):
+            if not name.endswith(".py") or name == "io.py":
+                continue
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    bad = [a.name for a in node.names
+                           if a.name.split(".")[0] == "json"]
+                elif isinstance(node, ast.ImportFrom):
+                    mod = "." * node.level + (node.module or "")
+                    bad = ([mod] if mod.split(".")[0] == "json" else
+                           [a.name for a in node.names
+                            if mod in (".io", "dgpuq.io")
+                            and a.name.startswith("_")])
+                elif (isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id == "io" and node.attr.startswith("_")):
+                    bad = [f"io.{node.attr}"]
+                else:
+                    bad = []
+                offences += [f"{name}:{node.lineno}: {b}" for b in bad]
+        assert offences == []
 
 
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",

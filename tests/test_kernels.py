@@ -229,6 +229,12 @@ class TestCholPsd:
         with pytest.raises(np.linalg.LinAlgError):
             chol_psd(np.array([[-1.0, 0.0], [0.0, -1.0]]))
 
+    def test_one_jitter_and_no_larger(self):
+        # the base jitter 1e-6 * mean(diag) = 5e-7 cannot lift the -2e-6;
+        # ten times that jitter could, but there is no second try
+        with pytest.raises(np.linalg.LinAlgError):
+            chol_psd(np.diag([1.0, -2e-6]))
+
     def test_gram_plus_jitter_always_factorizes(self):
         rng = np.random.default_rng(5)
         for trial in range(20):

@@ -123,8 +123,8 @@ class TestPropagateRealization:
             assert np.abs(r - mean).max() < 1e-6
 
     def test_indefinite_covariance_raises(self):
-        # chol_psd's largest jitter, the mean absolute diagonal 5.5, cannot
-        # lift the -10; the draw must not go on from a clipped spectrum
+        # the mean diagonal -4.5 is not positive, so chol_psd raises without
+        # a jitter; the draw must not go on from a clipped spectrum
         with pytest.raises(np.linalg.LinAlgError):
             uq._draw_gaussian(np.zeros((2, 1)), np.diag([1.0, -10.0]),
                               rng_for(0))
