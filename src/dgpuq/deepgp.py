@@ -54,12 +54,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.blas import daxpy, dsyr2k, dsyrk, dtrmm
-from scipy.linalg.lapack import dpotrf, dtrtri, dlauum, dtrttf, dtfttr
+from scipy.linalg.lapack import dpotrf, dtrtri, dtrtrs, dlauum, dtrttf, dtfttr
 
 from .gp import LOG_2PI
 from .kernels import ARDParams, gram, chol_psd, DimensionMismatchError
 from .gplvm import (LayerState, VariationalLatent, InducingSet, layer_bound,
-                    layer_bound_grads, train_gplvm, _phi_forward)
+                    layer_bound_grads, train_gplvm, _phi_forward, _pairs,
+                    _pair_weights)
 from .optimize import BlockSpec, ascend, cached_objective
 from . import gp as gp_mod
 
@@ -358,7 +359,7 @@ def _deep_backward(state):
 
     Returns ``{block name: gradient}`` in :func:`_layout`'s stored
     coordinates; the state must come from a forward with ``pack`` set.  The
-    state is consumed: each layer cache (with its (n, m, m) T array) is
+    state is consumed: each layer cache (with its (n, P) T array) is
     dropped as soon as its gradient is taken, so at most one is alive, and
     all are gone before the packed first-latent factors are unpacked.
     """
@@ -532,13 +533,13 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0,
 # Prediction
 # ---------------------------------------------------------------------------
 
-def predict_layer1(model: DeepGPModel, Xstar):
-    """Exact-GP predictive moments of the first latent at new inputs.
+def _layer1_gp(model: DeepGPModel) -> gp_mod.GPModel:
+    """The exact GP of the first latent, built on first use and cached.
 
-    The cached :class:`gp.GPModel` has targets M1 = C mu_bar (the first
-    latent's means) and mean weights C^-1 M1 = mu_bar exactly, whatever
-    jitter the factorization of C needed.  It keeps the training rows'
-    weighted norms (n values), not the scaled n x kappa inputs.
+    It has targets M1 = C mu_bar (the first latent's means) and mean
+    weights C^-1 M1 = mu_bar exactly, whatever jitter the factorization of
+    C needed.  It keeps the training rows' weighted norms (n values), not
+    the scaled n x kappa inputs.
     """
     key = "layer1"
     if key not in model._pred_cache:
@@ -549,7 +550,15 @@ def predict_layer1(model: DeepGPModel, Xstar):
             kernel=il.kernel, noise_var=il.noise_var, train_x=model.X,
             train_y=model.hidden_layers[0].latent.means, chol_cache=L_C,
             alpha=il.mu_bar, train_norms=norms)
-    return gp_mod.predict(model._pred_cache[key], Xstar)
+    return model._pred_cache[key]
+
+
+def predict_layer1(model: DeepGPModel, Xstar):
+    """Exact-GP predictive mean and joint (n*, n*) covariance of the first
+    latent at new inputs, shared by its q1 columns: what a joint draw
+    (:func:`uq.propagate_realization`) needs.  :func:`predict` reads only
+    the marginal variances and never forms this covariance."""
+    return gp_mod.predict(_layer1_gp(model), Xstar)
 
 
 def _layer_pred_cache(model: DeepGPModel, t):
@@ -565,7 +574,16 @@ def _layer_pred_cache(model: DeepGPModel, t):
                            layer.inducing.inputs, out_means)
     V = layer.beta * cache.AinvM                     # (m, nu)
     Dmat = cache.Kuu_inv - cache.A_inv               # PSD: posterior shrinkage
-    entry = {"V": V, "Dmat": Dmat, "Z": layer.inducing.inputs,
+    # Dmat = Lk^-T (I - Aw^-1) Lk^-1 = B B^T with B = Lk^-T Q diag(1 - 1/a)^1/2
+    # for Aw = Q diag(a) Q^T: a joint draw subtracts (Ksu B)(Ksu B)^T from
+    # Kss, which stays positive semi-definite to rounding.  Kss - Ksu Dmat Kus
+    # lost that by up to 1.5e-3 of its mean diagonal on a layer with
+    # sigma_h_sq = 1.5e8, beyond chol_psd's jitter
+    a, Q = np.linalg.eigh(cache.Aw)
+    B = _lapack_checked(dtrtrs, cache.L_K,
+                        Q * np.sqrt(np.clip(1.0 - 1.0 / a, 0.0, None)),
+                        lower=1, trans=1)
+    entry = {"V": V, "Dmat": Dmat, "B": B, "Z": layer.inducing.inputs,
              "kernel": layer.kernel, "beta": layer.beta}
     model._pred_cache[key] = entry
     return entry
@@ -577,7 +595,9 @@ def propagate(model: DeepGPModel, layer_index: int, qh_prev_star):
     ``qh_prev_star`` is ``(means, variances)`` of the layer input at the
     test points (factorized per point and dimension).  Returns the
     factorized moments of the layer output, the variance including the
-    layer noise 1/beta.
+    layer noise 1/beta: the marginal of each point, never a covariance
+    across points.  The quadratic terms contract the (n*, P) pair form of
+    the Phi2 terms with the pair weights of Dmat and of V V^T per column.
     """
     means, variances = qh_prev_star
     means = np.atleast_2d(np.asarray(means, dtype=float))
@@ -586,11 +606,15 @@ def propagate(model: DeepGPModel, layer_index: int, qh_prev_star):
     kern, V, Dmat = cache["kernel"], cache["V"], cache["Dmat"]
     _, phi1, T, _ = _phi_forward(kern, means, np.clip(variances, 1e-300, None),
                                  cache["Z"])
-    n_star, m = phi1.shape
-    Tf = T.reshape(n_star, m * m)
+    m = phi1.shape[1]
+    # the pair form of V V^T per output column: 2 V_k V_l off the diagonal
+    kk, ll = _pairs(m)
+    VV = V[kk]
+    VV *= V[ll]
+    VV[m:] *= 2.0
     mean = phi1 @ V                                             # (n*, nu)
-    tr_term = Tf @ Dmat.ravel()                                 # <T_t, Dmat>
-    quad = Tf @ (V[:, None, :] * V[None, :, :]).reshape(m * m, -1)  # V'T_t V
+    tr_term = T @ _pair_weights(Dmat)                           # <T_t, Dmat>
+    quad = T @ VV                                               # V'T_t V
     proj = mean * mean
     var = kern.sigma_h_sq - tr_term[:, None] + quad - proj
     np.maximum(var, 0.0, out=var)
@@ -598,14 +622,17 @@ def propagate(model: DeepGPModel, layer_index: int, qh_prev_star):
 
 
 def predict(model: DeepGPModel, Xstar):
-    """Predictive mean and variance of the outputs at new inputs.
+    """Predictive mean and marginal variance of the outputs at new inputs.
 
     Chains the exact first-layer predictive with moment propagation through
-    every sparse layer; deterministic given the model (no sampling).
+    every sparse layer; deterministic given the model (no sampling).  The
+    moments are factorized per point and dimension, so the first layer
+    gives only its marginal variances (:func:`gp.predict_marginal`); the
+    joint covariance is :func:`predict_layer1`'s.
     """
-    mean1, cov1 = predict_layer1(model, Xstar)
+    mean1, var1 = gp_mod.predict_marginal(_layer1_gp(model), Xstar)
     q1 = mean1.shape[1]
-    v1 = np.clip(np.diag(cov1), 0.0, None) + model.input_layer.noise_var
+    v1 = np.clip(var1, 0.0, None) + model.input_layer.noise_var
     moments = (mean1, np.repeat(v1[:, None], q1, axis=1))
     for t in range(model.n_latents):
         moments = propagate(model, t, moments)

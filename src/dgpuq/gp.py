@@ -13,11 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .kernels import (ARDParams, RBFParams, gram, predictive_grams, chol_psd,
-                      pairwise_sqdist, DimensionMismatchError)
+from .kernels import (ARDParams, RBFParams, gram, predictive_grams, cross_gram,
+                      chol_psd, pairwise_sqdist, DimensionMismatchError)
 from .optimize import BlockSpec, ascend, cached_objective
 
-__all__ = ["GPModel", "build_model", "log_marginal", "log_marginal_grad", "fit", "predict"]
+__all__ = ["GPModel", "build_model", "log_marginal", "log_marginal_grad", "fit",
+           "predict", "predict_marginal"]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -163,24 +164,51 @@ def fit(X, Y, iters=100):
     return build_model(*_from_theta(spec.unpack(theta)), X, Y)
 
 
-def predict(model: GPModel, Xstar):
-    """Predictive mean (n*, nu) and covariance (n*, n*) at test inputs.
-
-    The mean is Ks^T alpha; the covariance is solved through the cached
-    Cholesky factor, shared by all output columns and symmetrized on return.
-    Both Gram matrices come from one scaling of Xstar and the cached
-    training norms (:func:`kernels.predictive_grams`): Kss is bit-identical
-    to ``gram(Xstar, Xstar)``, while Ks, and so the mean and covariance,
-    differ from ``gram(train_x, Xstar)`` in the last bits only.
-    """
+def _test_inputs(model: GPModel, Xstar):
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
     if Xstar.shape[1] != model.train_x.shape[1]:
         raise DimensionMismatchError("predict columns",
                                      model.train_x.shape[1], Xstar.shape[1])
+    return Xstar
+
+
+def _mean_and_solve(model: GPModel, Ks):
+    """The predictive mean Ks^T alpha and v = L^-1 Ks through the cached
+    factor, shared by all output columns."""
+    return (Ks.T @ model.alpha,
+            scipy.linalg.solve_triangular(model.chol_cache, Ks, lower=True))
+
+
+def predict(model: GPModel, Xstar):
+    """Predictive mean (n*, nu) and joint covariance (n*, n*) at test inputs.
+
+    The mean is Ks^T alpha and the covariance Kss - v^T v with
+    v = L^-1 Ks, symmetrized on return.  Both Gram matrices come from one
+    scaling of Xstar and the cached training norms
+    (:func:`kernels.predictive_grams`): Kss is bit-identical to
+    ``gram(Xstar, Xstar)``, while Ks, and so the mean and covariance, differ
+    from ``gram(train_x, Xstar)`` in the last bits only.  A caller that
+    needs only the marginal variances uses :func:`predict_marginal`.
+    """
+    Xstar = _test_inputs(model, Xstar)
     Ks, Kss = predictive_grams(model.train_x, model.train_norms, Xstar,
                                model.kernel)   # (n, n*), (n*, n*)
-    mean = Ks.T @ model.alpha
-    v = scipy.linalg.solve_triangular(model.chol_cache, Ks, lower=True)
+    mean, v = _mean_and_solve(model, Ks)
     cov = Kss - v.T @ v
     cov = 0.5 * (cov + cov.T)
     return mean, cov
+
+
+def predict_marginal(model: GPModel, Xstar):
+    """Predictive mean (n*, nu) and marginal variances (n*,) at test inputs.
+
+    :func:`predict`'s mean and the diagonal of its covariance,
+    sigma_h_sq - sum_i v_i^2 per column of v = L^-1 Ks, from the same
+    cross-Gram and solve; no n* x n* array is formed.  The variances agree
+    with ``np.diag`` of :func:`predict`'s covariance to rounding, which
+    near a training input is large relative to the small difference.
+    """
+    Xstar = _test_inputs(model, Xstar)
+    mean, v = _mean_and_solve(model, cross_gram(
+        model.train_x, model.train_norms, Xstar, model.kernel))
+    return mean, model.kernel.sigma_h_sq - np.einsum("ij,ij->j", v, v)

@@ -8,7 +8,15 @@ leaving a bound that depends on the kernel expectations
 
     phi0 = E[tr K_ff],   Phi1 = E[K_fu],   Phi2 = E[K_uf K_fu],
 
-which have closed forms for the ARD kernel (``_phi_forward``).
+which have closed forms for the ARD kernel (``_phi_forward``).  Phi2 is
+the sum over rows i of per-row terms T_i, each symmetric in the inducing
+pair (k, l), so the forward forms, exponentiates and stores only the
+P = m(m+1)/2 distinct pairs k <= l (``_pairs``): T is an (n, P) array, and
+this one layout serves the bound's cache, the backward and the moment
+propagation of :mod:`dgpuq.deepgp`.  A weight W on Phi2 meets T through its
+pair form (``_pair_weights``): W_kk on a diagonal pair and W_kl + W_lk off
+it.  Sums per inducing point unpack one m x m (or m x m x q) array per
+layer, which is cheap next to the n x P work.
 :func:`layer_bound` / :func:`layer_bound_grads` implement the collapsed
 bound and its exact gradients with respect to every input; subtracting
 :func:`latent_kl` specializes them to the stand-alone GP-LVM with a
@@ -26,6 +34,7 @@ variances are 1/(1 + lam) and lam is stored as its log.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,38 +164,70 @@ class LayerState:
 # Phi statistics (closed forms for the ARD kernel) and their gradients
 # ---------------------------------------------------------------------------
 
-def _pair_design(Z):
-    """(m*m, q) pair designs zbar = (z_k + z_l)/2, delta = z_k - z_l; row k*m+l."""
-    q = Z.shape[1]
-    return ((0.5 * (Z[:, None, :] + Z[None, :, :])).reshape(-1, q),
-            (Z[:, None, :] - Z[None, :, :]).reshape(-1, q))
+@functools.lru_cache(maxsize=8)
+def _pairs(m):
+    """Indices (k, l) of the m(m+1)/2 distinct inducing pairs: the m
+    diagonal pairs (k, k) first, then every k < l in row-major order.
+    Cached per m and read-only."""
+    iu, ju = np.triu_indices(m, 1)
+    diag = np.arange(m)
+    kk, ll = np.concatenate([diag, iu]), np.concatenate([diag, ju])
+    kk.flags.writeable = ll.flags.writeable = False
+    return kk, ll
 
 
-def _pair_sums(M, delta):
-    """``sum_l M[k,l] delta_kl`` (m, q) and ``sum_kl M[k,l] delta_kl^2`` (q,)."""
-    m = M.shape[0]
-    return (np.einsum("kl,klj->kj", M, delta.reshape(m, m, -1)),
-            M.ravel() @ (delta * delta))
+def _pair_weights(W):
+    """The pair form of an m x m weight: W_kk on a diagonal pair and
+    W_kl + W_lk on an off-diagonal one, so that ``T @ _pair_weights(W)`` is
+    sum_kl W_kl T_kl for T symmetric in (k, l)."""
+    m = W.shape[0]
+    kk, ll = _pairs(m)
+    w = W[kk, ll] + W[ll, kk]
+    w[:m] *= 0.5                      # exact: halves W_kk + W_kk
+    return w
+
+
+def _unpack_pairs(v, m):
+    """The array (m, m, ...) symmetric in its first two axes whose entries
+    (k, l) and (l, k) are v[p] for the pair p = (k, l) of :func:`_pairs`."""
+    kk, ll = _pairs(m)
+    out = np.empty((m, m) + v.shape[1:])
+    out[kk, ll] = v
+    out[ll, kk] = v
+    return out
+
+
+def _pair_sums(M, Z):
+    """``sum_l M[k,l] (z_k - z_l)`` (m, q) and ``sum_kl M[k,l] (z_k - z_l)^2``
+    (q,) for an m x m weight M."""
+    delta = Z[:, None, :] - Z[None, :, :]
+    return (np.einsum("kl,klj->kj", M, delta),
+            M.ravel() @ (delta * delta).reshape(M.size, -1))
 
 
 def _phi_terms(kernel: ARDParams, means, variances, Z):
     """(mu, Zc, gam, a, rho, b, zbar, delta) for the Phi forward and backward:
     means and Z shifted by the mean of Z, gam = w*S + 1, a = w/gam,
-    rho = 2*w*S + 1, b = w/rho, and the pair design of the centred Z."""
+    rho = 2*w*S + 1, b = w/rho, and the (P, q) pair designs
+    zbar = (z_k + z_l)/2, delta = z_k - z_l of the centred Z over the pairs
+    of :func:`_pairs`."""
     w = kernel.weights
     centre = Z.mean(axis=0)
+    Zc = Z - centre
+    kk, ll = _pairs(Z.shape[0])
     gam, rho = w * variances + 1.0, 2.0 * w * variances + 1.0
-    return ((means - centre, Z - centre, gam, w / gam, rho, w / rho)
-            + _pair_design(Z - centre))
+    return (means - centre, Zc, gam, w / gam, rho, w / rho,
+            0.5 * (Zc[kk] + Zc[ll]), Zc[kk] - Zc[ll])
 
 
 def _phi_forward(kernel: ARDParams, means, variances, Z):
-    """Return (phi0, Phi1, T, Phi2) where T[i] is the i-th term of Phi2.
+    """Return (phi0, Phi1, T, Phi2) where T[:, p] is the per-point term of
+    Phi2 at the inducing pair p of :func:`_pairs`.
 
     With the coefficients of :func:`_phi_terms`, the ARD closed forms are
 
         log Phi1[i,k] = log s2 + sum_j [-a (mu - z_k)^2 / 2 - log(gam) / 2]
-        log T[i,k,l]  = 2 log s2 + sum_j [-w delta_kl^2 / 4 - b (mu - zbar_kl)^2
+        log T[i,kl]   = 2 log s2 + sum_j [-w delta_kl^2 / 4 - b (mu - zbar_kl)^2
                                           - log(rho) / 2]
 
     and expanding the squares turns each sum over j into matrix products:
@@ -198,7 +239,8 @@ def _phi_forward(kernel: ARDParams, means, variances, Z):
     depend on mu and Z only through differences, so both are first shifted
     by the mean of Z: the expanded squares then scale with the spread of
     the points, not with their distance from the origin, and do not cancel.
-    T keeps its (n, m, m) layout; nothing of size n*m*m*q is formed.
+    T is symmetric in (k, l), so only the P = m(m+1)/2 distinct pairs are
+    formed: T is (n, P), and Phi2 = sum_i T[i] unpacked, exactly symmetric.
     """
     n, m = means.shape[0], Z.shape[0]
     mu, Zc, gam, a, rho, b, zbar, delta = _phi_terms(kernel, means, variances, Z)
@@ -214,34 +256,36 @@ def _phi_forward(kernel: ARDParams, means, variances, Z):
         log2 = np.hstack([2.0 * b * mu, -b]) @ np.hstack([zbar, zbar * zbar]).T
         log2 += (2.0 * log_s2 - quad2)[:, None]
         log2 -= 0.25 * ((delta * delta) @ kernel.weights)
-        T = np.exp(log2, out=log2).reshape(n, m, m)
+        T = np.exp(log2, out=log2)
         phi1 = np.exp(log1, out=log1)
-    phi2 = T.sum(axis=0)
-    return n * kernel.sigma_h_sq, phi1, T, 0.5 * (phi2 + phi2.T)
+    return n * kernel.sigma_h_sq, phi1, T, _unpack_pairs(T.sum(axis=0), m)
 
 
 def _phi_backward(kernel, means, variances, Z, phi1, T, W1, W2, w_phi0):
     """Accumulate gradients of w_phi0*phi0 + <W1, Phi1> + <W2, Phi2>.
 
     Returns raw-parameter gradients for latent means/variances, inducing
-    inputs, sigma_h_sq and the ARD weights.
+    inputs, sigma_h_sq and the ARD weights.  ``T`` is the (n, P) pair form
+    of :func:`_phi_forward`; W2 is any m x m weight.
 
     The exponents of :func:`_phi_forward` are quadratic in (mu - z_k) and
-    (mu - zbar_kl), so every reduction of P1 = W1*Phi1 (n, m) and
-    Q = W2*T (n, m*m) is a contraction against the same centred design
-    matrices (p = 0, 1, 2):
+    (mu - zbar_kl), so every reduction of P1 = W1*Phi1 (n, m) and of
+    Q = w2*T (n, P), with w2 the pair weights of W2 (:func:`_pair_weights`),
+    is a contraction against the same centred design matrices (p = 0, 1, 2):
 
         sum_k P1 (mu - z_k)^p        from  P1 @ [1, Z, Z^2]
-        sum_kl Q (mu - zbar_kl)^p    from  T @ (W2 * [zbar, zbar^2, 1])
-        sum_il Q (mu - zbar_kl)/rho  from  T^T @ [mu/rho, 1/rho]   (d Z)
-        sum_l (sum_i Q) delta_kl^p   from  :func:`_pair_sums`
+        sum_kl Q (mu - zbar_kl)^p    from  T @ (w2 * [zbar, zbar^2, 1])
+        sum_i T (mu - zbar_kl)/rho   from  T^T @ [mu/rho, 1/rho]      (d Z)
 
-    W2 rides on the design matrices, so Q itself is never formed.
+    w2 rides on the design matrices, so Q itself is never formed.  The
+    inducing-point gradient sums each pair's terms over its partners l; it
+    unpacks the (P, q) pair sums over i to (m, m, q) and weights them by
+    W2 + W2^T, a cost of m^2 q next to the n P q of the contractions.
     """
     n, q = means.shape
     m = Z.shape[0]
     w = kernel.weights
-    mu, Zc, gam, a, rho, b, zbar, delta = _phi_terms(kernel, means, variances, Z)
+    mu, Zc, gam, a, rho, b, zbar, _ = _phi_terms(kernel, means, variances, Z)
     # Phi1: r1 = sum_k P1, mu*r1 - PZ = sum_k P1 (mu - z_k), s2 = ... (mu - z_k)^2
     P1 = W1 * phi1
     r1 = P1.sum(axis=1)[:, None]
@@ -252,19 +296,22 @@ def _phi_backward(kernel, means, variances, Z, phi1, T, W1, W2, w_phi0):
     d_w = -0.5 * np.sum(s2 / gam ** 2 + variances * r1 / gam, axis=0)
     d_Z = P1.T @ (a * mu) - Zc * (P1.T @ a)
     # Phi2: the same three sums over the pairs (k, l), weighted by Q
-    Tf = T.reshape(n, m * m)
-    w2 = W2.reshape(-1, 1)
-    QD = Tf @ (w2 * np.hstack([zbar, zbar * zbar, np.ones_like(w2)]))
+    w2 = _pair_weights(W2)[:, None]
+    QD = T @ (w2 * np.hstack([zbar, zbar * zbar, np.ones_like(w2)]))
     QZ, QZ2, r2 = QD[:, :q], QD[:, q:2 * q], QD[:, 2 * q:]
     t2 = mu * (mu * r2 - 2.0 * QZ) + QZ2
     d_means -= 2.0 * b * (mu * r2 - QZ)
     d_vars += b * (2.0 * b * t2 - r2)
-    pair_delta, pair_delta2 = _pair_sums(W2 * T.sum(axis=0), delta)
-    d_w -= np.sum(t2 / rho ** 2 + variances * r2 / rho, axis=0) + 0.25 * pair_delta2
-    # both slots of the symmetric pair contribute to each inducing point
-    R = w2 * (Tf.T @ np.hstack([mu / rho, 1.0 / rho]))
-    pair_md = (R[:, :q] - zbar * R[:, q:]).reshape(m, m, q).sum(axis=1)
-    d_Z += w * (2.0 * pair_md - pair_delta)
+    # d T_kl / d z_k = w sum_i T_ikl [(mu_i - zbar_kl)/rho_i - delta_kl / 2],
+    # and the pair enters <W2, Phi2> with weight W_kl + W_lk
+    W2s = W2 + W2.T
+    pair_delta, pair_delta2 = _pair_sums(
+        W2s * _unpack_pairs(T.sum(axis=0), m), Zc)
+    d_w -= (np.sum(t2 / rho ** 2 + variances * r2 / rho, axis=0)
+            + 0.125 * pair_delta2)
+    R = T.T @ np.hstack([mu / rho, 1.0 / rho])
+    pair_md = _unpack_pairs(R[:, :q] - zbar * R[:, q:], m)
+    d_Z += w * (np.einsum("kl,klj->kj", W2s, pair_md) - 0.5 * pair_delta)
     d_sigma = (np.sum(P1) + 2.0 * np.sum(r2)) / kernel.sigma_h_sq + n * w_phi0
     return {"latent_means": d_means, "latent_vars": d_vars, "Hu": d_Z,
             "sigma_h_sq": d_sigma, "weights": d_w}
@@ -284,9 +331,11 @@ class _LayerCache:
     out_means: np.ndarray
     out_vars: np.ndarray      # or None
     phi1: np.ndarray
-    T: np.ndarray
+    T: np.ndarray             # (n, P): Phi2's terms over the pairs of _pairs
     phi2: np.ndarray
     Kuu: np.ndarray
+    L_K: np.ndarray           # lower factor of Kuu
+    Aw: np.ndarray            # I + beta Lk^-1 Phi2 Lk^-T
     Kuu_gram: np.ndarray
     Kuu_inv: np.ndarray
     A_inv: np.ndarray
@@ -353,8 +402,8 @@ def layer_bound(kernel: ARDParams, beta: float, latent: VariationalLatent,
     cache = _LayerCache(kernel=kernel, beta=beta, means=latent.means,
                         variances=latent.variances, Z=Hu, out_means=out_means,
                         out_vars=out_vars, phi1=phi1, T=T, phi2=phi2, Kuu=Kuu,
-                        Kuu_gram=Kuu_gram, Kuu_inv=Kuu_inv, A_inv=A_inv, M=M,
-                        AinvM=AinvM, djit=djit, value=value)
+                        L_K=L_K, Aw=Aw, Kuu_gram=Kuu_gram, Kuu_inv=Kuu_inv,
+                        A_inv=A_inv, M=M, AinvM=AinvM, djit=djit, value=value)
     return value, cache
 
 
@@ -385,8 +434,7 @@ def layer_bound_grads(cache: _LayerCache):
     # jitter's own derivative so gradients stay consistent with the value
     WK = 0.5 * (W_Kuu + W_Kuu.T)
     E = WK if cache.djit is None else WK + float(np.trace(WK)) * cache.djit
-    pair_delta, pair_delta2 = _pair_sums(E * cache.Kuu_gram,
-                                         _pair_design(cache.Z)[1])
+    pair_delta, pair_delta2 = _pair_sums(E * cache.Kuu_gram, cache.Z)
     g["Hu"] -= 2.0 * kern.weights * pair_delta
     g["weights"] -= 0.5 * pair_delta2
     g["sigma_h_sq"] += float(np.sum(WK * cache.Kuu)) / kern.sigma_h_sq

@@ -95,11 +95,30 @@ def _json_dump(path, doc):
         fh.write("\n")
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# the JSON type a field must have, by the name an error gives it
+_KINDS = {
+    "a number": lambda v: _is_int(v) or isinstance(v, float),
+    "an integer list": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    "an integer pair": lambda v: (isinstance(v, list) and len(v) == 2
+                                  and all(map(_is_int, v))),
+    "a string": lambda v: isinstance(v, str),
+    "a list": lambda v: isinstance(v, list),
+    "an object": lambda v: isinstance(v, dict),
+}
+
+
 def _read_document(path, name, fmt):
     """Read the ``fmt`` JSON document at ``path`` (``path/name`` for a
-    directory); return its path and a reader, ``field("layers.0.beta")`` for
-    ``doc["layers"][0]["beta"]``.  Invalid JSON, another format or an absent
-    field is a ValueError naming the file (and the field)."""
+    directory); return its path, a reader, ``field("layers.0.beta",
+    "a number")`` for ``doc["layers"][0]["beta"]``, which must have that
+    :data:`_KINDS` type, and ``matrix(dotted)``, the container whose file
+    name that string field holds, beside the document.  Invalid JSON,
+    another format, or an absent or wrong-typed field is a ValueError
+    naming the file (and the field)."""
     if os.path.isdir(path):
         path = os.path.join(path, name)
     with open(path, "r", encoding="utf-8") as fh:
@@ -110,16 +129,23 @@ def _read_document(path, name, fmt):
     if not isinstance(doc, dict) or doc.get("format") != fmt:
         raise ValueError(f"{path}: not a {fmt} document")
 
-    def field(dotted):
+    def field(dotted, kind):
         value = doc
         for key in dotted.split("."):
             try:
                 value = value[int(key) if isinstance(value, list) else key]
             except (KeyError, IndexError, TypeError, ValueError):
                 raise ValueError(f"{path}: missing field {dotted!r}") from None
+        if not _KINDS[kind](value):
+            raise ValueError(f"{path}: field {dotted!r} must be {kind}, got "
+                             f"{json.dumps(value)[:60]}")
         return value
 
-    return path, field
+    def matrix(dotted):
+        return read_matrix(os.path.join(os.path.dirname(path),
+                                        field(dotted, "a string")))
+
+    return path, field, matrix
 
 
 def save_model(out_dir, model: DeepGPModel, extra_meta=None):
@@ -174,36 +200,31 @@ def save_model(out_dir, model: DeepGPModel, extra_meta=None):
 
 def load_model(model_dir) -> DeepGPModel:
     """Reload a persisted model; reloaded predictions are bit-identical."""
-    path, field = _read_document(model_dir, "model.json", MODEL_FORMAT)
-    base = os.path.dirname(path)
-
-    def get(name):
-        return read_matrix(os.path.join(base, field(name)))
-
+    path, field, get = _read_document(model_dir, "model.json", MODEL_FORMAT)
     X = get("data.X")
     Y = get("data.Y")
     il = InputLayer(
-        kernel=RBFParams(tau0_sq=field("input_layer.tau0_sq"),
+        kernel=RBFParams(tau0_sq=field("input_layer.tau0_sq", "a number"),
                          lengthscale_inv=get("input_layer.arrays.lengthscale_inv").ravel()),
-        noise_var=field("input_layer.noise_var"),
+        noise_var=field("input_layer.noise_var", "a number"),
         mu_bar=get("input_layer.arrays.mu_bar"),
         lam=get("input_layer.arrays.lam"),
     )
     layers = []
-    for t in range(len(field("layers"))):
+    for t in range(len(field("layers", "a list"))):
         at = f"layers.{t}."
         layers.append(LayerState(
-            kernel=ARDParams(sigma_h_sq=field(at + "sigma_h_sq"),
+            kernel=ARDParams(sigma_h_sq=field(at + "sigma_h_sq", "a number"),
                              weights=get(at + "arrays.weights").ravel()),
-            beta=field(at + "beta"),
+            beta=field(at + "beta", "a number"),
             latent=VariationalLatent(means=get(at + "arrays.latent_means"),
                                      variances=get(at + "arrays.latent_variances")),
             inducing=InducingSet(inputs=get(at + "arrays.inducing_inputs")),
         ))
-    dims = [int(d) for d in field("dims")]
+    dims = field("dims", "an integer list")
     _check_model_shapes(path, X, Y, il, layers, dims)
     return DeepGPModel(X=X, Y=Y, input_layer=il, hidden_layers=layers,
-                       dims=dims, training_meta=field("training"))
+                       dims=dims, training_meta=field("training", "an object"))
 
 
 def _check_model_shapes(path, X, Y, il, layers, dims):
@@ -270,20 +291,22 @@ def load_kle_from_manifest(manifest_path):
     """Rebuild a dataset's ``grid``, ``out_grid``, ``kle`` and ``source``
     from its manifest; ``files`` maps each stored field name (``K`` always
     among them) to its container's path."""
-    path, field = _read_document(manifest_path, "manifest.json",
-                                 DATASET_FORMAT)
+    path, field, get = _read_document(manifest_path, "manifest.json",
+                                      DATASET_FORMAT)
     base = os.path.dirname(path)
-    field("files.K")
-    grid = Grid2D(*field("grid"))
-    kle = KLExpansion(
-        eigenvalues=read_matrix(os.path.join(base, field("kle.eigenvalues"))).ravel(),
-        eigenfields=read_matrix(os.path.join(base, field("kle.eigenfields"))),
-        mean=field("cov.mean"), grid=grid)
-    return {"grid": grid, "out_grid": Grid2D(*field("out_grid")), "kle": kle,
-            "source": SourceSpec(rate=field("source.rate"),
-                                 width=field("source.width")),
-            "files": {name: os.path.join(base, f)
-                      for name, f in field("files").items()}}
+    field("files.K", "a string")
+    grid = Grid2D(*field("grid", "an integer pair"))
+    kle = KLExpansion(eigenvalues=get("kle.eigenvalues").ravel(),
+                      eigenfields=get("kle.eigenfields"),
+                      mean=field("cov.mean", "a number"), grid=grid)
+    return {"grid": grid,
+            "out_grid": Grid2D(*field("out_grid", "an integer pair")),
+            "kle": kle,
+            "source": SourceSpec(rate=field("source.rate", "a number"),
+                                 width=field("source.width", "a number")),
+            "files": {name: os.path.join(base,
+                                         field(f"files.{name}", "a string"))
+                      for name in field("files", "an object")}}
 
 
 def write_training_tables(out_dir, model: DeepGPModel):

@@ -115,8 +115,8 @@ def propagate_realization(model: DeepGPModel, Xprime, seed: int,
         try:
             Ksu = gram(values, Z, kern)
             mean = Ksu @ cache["V"]
-            Kss = gram(values, values, kern)
-            cov = Kss - Ksu @ cache["Dmat"] @ Ksu.T
+            U = Ksu @ cache["B"]                # Ksu Dmat Kus = U U^T
+            cov = gram(values, values, kern) - U @ U.T
             cov = 0.5 * (cov + cov.T)
             values = _draw_gaussian(mean, cov, rng)
         except np.linalg.LinAlgError as exc:

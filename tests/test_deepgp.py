@@ -518,6 +518,37 @@ class TestPropagate:
 
 
 class TestPredict:
+    def test_marginal_variance_is_the_joint_diagonal(self):
+        model = set_first_latent(tiny_model(seed=29))
+        # test inputs away from the training rows, where sigma^2 - |v|^2
+        # does not cancel
+        Xs = np.random.default_rng(2).normal(size=(15, 2)) + 3.0
+        mean, cov = predict_layer1(model, Xs)
+        mean_m, var = gp.predict_marginal(model._pred_cache["layer1"], Xs)
+        np.testing.assert_array_equal(mean_m, mean)
+        sigma2 = model.input_layer.kernel.sigma_h_sq
+        assert np.abs(var - np.diag(cov)).max() <= 1e-12 * sigma2
+        # and predict chains those marginals through the sparse layers
+        v1 = np.diag(cov) + model.input_layer.noise_var
+        moments = (mean, np.repeat(v1[:, None], mean.shape[1], axis=1))
+        for t in range(model.n_latents):
+            moments = propagate(model, t, moments)
+        for got, want in zip(predict(model, Xs), moments):
+            assert rel_err(got, want) <= 1e-12
+
+    def test_never_forms_a_test_by_test_array(self):
+        n_star = 1500
+        model = set_first_latent(tiny_model(seed=31))
+        Xs = np.random.default_rng(3).normal(size=(n_star, 2))
+        predict(model, Xs[:5])          # builds the prediction caches
+        tracemalloc.start()
+        try:
+            predict(model, Xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * n_star * n_star * 8
+
     def test_training_fit_correlation_on_benchmark(self):
         X, Y, _, _ = benchmark_1d(seed=31)
         model = train_deep(X, Y, dims=[1], m_inducing=[25], iters=150, seed=3)

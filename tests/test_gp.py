@@ -180,6 +180,18 @@ class TestPredict:
             gp.predict(model, np.zeros((2, 3)))
 
 
+    def test_marginal_column_check_comes_before_any_gram(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        model = random_model(rng)
+
+        def no_product(*args):
+            raise AssertionError("a Gram matrix was formed")
+
+        monkeypatch.setattr(gp, "cross_gram", no_product)
+        with pytest.raises(DimensionMismatchError):
+            gp.predict_marginal(model, np.zeros((2, 3)))
+
+
 def weighted_model(rng, n, kappa, spread, offset=0.0):
     """Model on rows from :func:`helpers.ard_case`, shifted by ``offset``."""
     kern, cols = ard_case(rng, kappa, spread)

@@ -5,7 +5,7 @@ from dgpuq import gp
 from dgpuq.kernels import ARDParams, RBFParams, gram
 from dgpuq.gplvm import (VariationalLatent, InducingSet, LayerState,
                          layer_bound, layer_bound_grads, latent_kl,
-                         train_gplvm, effective_dims, _phi_forward,
+                         train_gplvm, effective_dims, _pairs, _phi_forward,
                          _phi_backward, _elbo_forward, _elbo_backward, _spec,
                          _layer_state)
 from helpers import (central_diff, mc_phi_oracle, loop_phi_forward,
@@ -110,7 +110,10 @@ class TestPhiMatrixForms:
         Z = rng.normal(size=(m, q)) + offset
         got = _phi_forward(kern, means, variances, Z)
         want = loop_phi_forward(kern, means, variances, Z)
-        for a, b in zip(got, want):
+        # T holds the distinct pairs k <= l only
+        kk, ll = _pairs(m)
+        want_pairs = (want[0], want[1], want[2][:, kk, ll], want[3])
+        for a, b in zip(got, want_pairs):
             assert max_rel_err(a, b) <= 1e-12
         W1 = rng.normal(size=(n, m))
         W2 = rng.normal(size=(m, m))
@@ -121,6 +124,33 @@ class TestPhiMatrixForms:
         assert g.keys() == g_loop.keys()
         for key in g:
             assert max_rel_err(g[key], g_loop[key]) <= 1e-12, key
+
+
+    def test_phi2_is_exactly_symmetric(self):
+        rng = np.random.default_rng(8)
+        n, q, m = 30, 4, 9
+        kern = ARDParams(1.3, rng.uniform(0.1, 2.0, q))
+        _, _, T, phi2 = _phi_forward(kern, rng.normal(size=(n, q)),
+                                     rng.uniform(0.05, 1.5, (n, q)),
+                                     rng.normal(size=(m, q)))
+        assert T.shape == (n, m * (m + 1) // 2)
+        np.testing.assert_array_equal(phi2, phi2.T)
+
+    def test_backward_reads_the_symmetric_part_of_the_weight(self):
+        # <W2, Phi2> = <(W2 + W2^T) / 2, Phi2> for any W2, as Phi2 is symmetric
+        rng = np.random.default_rng(9)
+        n, q, m = 20, 3, 6
+        kern = ARDParams(0.9, rng.uniform(0.1, 2.0, q))
+        means = rng.normal(size=(n, q))
+        variances = rng.uniform(0.05, 1.5, (n, q))
+        Z = rng.normal(size=(m, q))
+        _, phi1, T, _ = _phi_forward(kern, means, variances, Z)
+        W1, W2 = rng.normal(size=(n, m)), rng.normal(size=(m, m))
+        g = _phi_backward(kern, means, variances, Z, phi1, T, W1, W2, 0.3)
+        g_sym = _phi_backward(kern, means, variances, Z, phi1, T, W1,
+                              0.5 * (W2 + W2.T), 0.3)
+        for key in g:
+            assert max_rel_err(g[key], g_sym[key]) <= 1e-13, key
 
 
 class TestElboLayer:

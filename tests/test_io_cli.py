@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -342,6 +343,45 @@ class TestCli:
                          "--out", str(tmp_path / "m")]) == 2
         err = capsys.readouterr().err
         assert "manifest.json" in err and "'files.K'" in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("dims", [None]), ("input_layer.tau0_sq", "x"),
+        ("layers.0.beta", [1.0]), ("training", 3)])
+    def test_predict_on_a_wrong_typed_field_names_file_and_field(
+            self, tmp_path, capsys, field, value):
+        from dgpuq import cli
+        save_tiny_model(tmp_path / "m")
+        path = tmp_path / "m" / "model.json"
+        doc = json.loads(path.read_text())
+        *parents, last = [int(k) if k.isdigit() else k
+                          for k in field.split(".")]
+        entry = doc
+        for key in parents:
+            entry = entry[key]
+        entry[last] = value
+        path.write_text(json.dumps(doc))
+        io.write_matrix(tmp_path / "x.dgpm", np.zeros((4, 2)))
+        assert cli.main(["predict", "--model", str(tmp_path / "m"),
+                         "--inputs", str(tmp_path / "x.dgpm"),
+                         "--out", str(tmp_path / "p")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and f"field '{field}' must be" in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("grid", [32]), ("files", {"K": 7}),
+        ("source", {"rate": None, "width": 0.125})])
+    def test_train_on_a_wrong_typed_manifest_field_exits_2(
+            self, desk_dataset, tmp_path, capsys, field, value):
+        from dgpuq import cli
+        data = tmp_path / "d"
+        shutil.copytree(desk_dataset, data)
+        doc = json.loads((data / "manifest.json").read_text())
+        doc[field] = value
+        (data / "manifest.json").write_text(json.dumps(doc))
+        assert cli.main(["train", "--data", str(data),
+                         "--out", str(tmp_path / "m")]) == 2
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and f"field '{field}" in err
 
     def test_truncated_model_json_names_the_file(self, tmp_path, capsys):
         from dgpuq import cli

@@ -229,6 +229,21 @@ class TestCholPsd:
         with pytest.raises(np.linalg.LinAlgError):
             chol_psd(np.array([[-1.0, 0.0], [0.0, -1.0]]))
 
+    def test_indefinite_matrix_raises(self):
+        # eigenvalues -1 and 3: the exact factor and the jittered one both fail
+        with pytest.raises(np.linalg.LinAlgError):
+            chol_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_factor_is_lower_triangular_and_matches_numpy(self):
+        rng = np.random.default_rng(6)
+        A = rng.normal(size=(9, 9))
+        M = A @ A.T + np.eye(9)
+        L, jitter = chol_psd(M)
+        assert jitter == 0.0
+        np.testing.assert_array_equal(np.triu(L, 1), 0.0)
+        np.testing.assert_allclose(L, np.linalg.cholesky(M), rtol=0,
+                                   atol=1e-13 * np.abs(L).max())
+
     def test_one_jitter_and_no_larger(self):
         # the base jitter 1e-6 * mean(diag) = 5e-7 cannot lift the -2e-6;
         # ten times that jitter could, but there is no second try

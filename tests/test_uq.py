@@ -129,6 +129,37 @@ class TestPropagateRealization:
             uq._draw_gaussian(np.zeros((2, 1)), np.diag([1.0, -10.0]),
                               rng_for(0))
 
+    def test_draw_from_a_near_degenerate_layer_factorizes(self, monkeypatch):
+        # sigma_h_sq = 1.5e8 with lengthscales near 30, as a short training
+        # run can leave a layer: its conditional covariance is ~1e-7 of
+        # sigma_h_sq, and forming it through the explicit Kuu^-1 - A^-1
+        # lost positive definiteness by more than chol_psd's jitter
+        from dgpuq.kernels import ARDParams, RBFParams
+        from dgpuq.gplvm import VariationalLatent, InducingSet, LayerState
+        from dgpuq.deepgp import DeepGPModel, InputLayer
+
+        rng = np.random.default_rng(0)
+        n, q, nu = 24, 2, 16
+        Z = np.array([[0.1, 0.5], [-0.5, 0.5], [0.1, -0.2], [1.7, -0.3],
+                      [-1.6, 0.0]])
+        layer = LayerState(
+            kernel=ARDParams(1.5e8, np.array([1.6e-3, 7.7e-4])), beta=0.024,
+            latent=VariationalLatent(rng.uniform(-0.5, 1.0, (n, q)),
+                                     np.full((n, q), 0.1)),
+            inducing=InducingSet(Z))
+        il = InputLayer(kernel=RBFParams(1.0, np.ones(1)), noise_var=0.1,
+                        mu_bar=rng.normal(size=(n, q)), lam=np.ones((n, q)))
+        model = DeepGPModel(X=rng.normal(size=(n, 1)),
+                            Y=0.1 * rng.normal(size=(n, nu)), input_layer=il,
+                            hidden_layers=[layer], dims=[q])
+        for k in range(10):
+            H = rng.uniform(-0.5, 1.0, (8, q))
+            # a zero first-layer covariance: the draw is H itself
+            monkeypatch.setattr(uq, "predict_layer1",
+                                lambda model, X: (H, np.zeros((8, 8))))
+            r = propagate_realization(model, np.zeros((8, 1)), seed=k)
+            assert r.shape == (8, nu) and np.all(np.isfinite(r))
+
     def test_failed_first_layer_draw_names_the_layer(self, small_model, dist8,
                                                      monkeypatch):
         monkeypatch.setattr(uq, "predict_layer1", lambda model, X: (
