@@ -57,7 +57,8 @@ from scipy.linalg.blas import daxpy, dsyr2k, dsyrk, dtrmm
 from scipy.linalg.lapack import dpotrf, dtrtri, dtrtrs, dlauum, dtrttf, dtfttr
 
 from .gp import LOG_2PI
-from .kernels import ARDParams, gram, chol_psd, DimensionMismatchError
+from .kernels import (ARDParams, gram, chol_psd, DimensionMismatchError,
+                      _mirror_lower)
 from .gplvm import (LayerState, VariationalLatent, InducingSet, layer_bound,
                     layer_bound_grads, train_gplvm, _phi_forward, _pairs,
                     _pair_weights)
@@ -136,19 +137,9 @@ def _lapack_checked(routine, *args, **kwargs):
     return out
 
 
-# column block of the in-place mirror and of the dsyrk operands: bounds the
-# backward's per-column temporaries to n x _BLOCK values
+# column block of the dsyrk operands: bounds the backward's per-column
+# temporaries to n x _BLOCK values
 _BLOCK = 64
-
-
-def _mirror_lower(A):
-    """Copy the strict lower triangle of square A onto its upper, in place."""
-    n = A.shape[0]
-    for s in range(0, n, _BLOCK):
-        e = min(s + _BLOCK, n)
-        D = A[s:e, s:e]
-        D[...] = np.tril(D) + np.tril(D, -1).T
-        A[s:e, e:] = A[e:, s:e].T
 
 
 # largest block that _tri_inv_lower hands to dtrtri.  At n = 700 on one

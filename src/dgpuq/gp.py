@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .kernels import (ARDParams, RBFParams, gram, predictive_grams, cross_gram,
-                      chol_psd, pairwise_sqdist, DimensionMismatchError)
+                      chol_psd, downdate, pairwise_sqdist, DimensionMismatchError)
 from .optimize import BlockSpec, ascend, cached_objective
 
 __all__ = ["GPModel", "build_model", "log_marginal", "log_marginal_grad", "fit",
@@ -183,7 +183,8 @@ def predict(model: GPModel, Xstar):
     """Predictive mean (n*, nu) and joint covariance (n*, n*) at test inputs.
 
     The mean is Ks^T alpha and the covariance Kss - v^T v with
-    v = L^-1 Ks, symmetrized on return.  Both Gram matrices come from one
+    v = L^-1 Ks, one ``dsyrk`` update of Kss that is exactly symmetric
+    (:func:`kernels.downdate`).  Both Gram matrices come from one
     scaling of Xstar and the cached training norms
     (:func:`kernels.predictive_grams`): Kss is bit-identical to
     ``gram(Xstar, Xstar)``, while Ks, and so the mean and covariance, differ
@@ -194,9 +195,7 @@ def predict(model: GPModel, Xstar):
     Ks, Kss = predictive_grams(model.train_x, model.train_norms, Xstar,
                                model.kernel)   # (n, n*), (n*, n*)
     mean, v = _mean_and_solve(model, Ks)
-    cov = Kss - v.T @ v
-    cov = 0.5 * (cov + cov.T)
-    return mean, cov
+    return mean, downdate(Kss, v.T)
 
 
 def predict_marginal(model: GPModel, Xstar):

@@ -11,12 +11,17 @@ input layer's form ``tau0_sq * exp(-(x - x')^T B (x - x'))`` with diagonal
 it from ``(tau0_sq, b)``.  Scaling by 2 and by 1/2 is exact, so both
 parameterizations give bit-identical Gram matrices.
 
-Squared distances use the expanded form ``a_i + b_j - 2 (A w) B^T`` with the
-weighted row norms ``a_i = sum_k w_k A_ik^2``.  Each operand is scaled and
-reduced once: a self-Gram ``gram(X, X)`` reuses its row norms for both
-sides and can hand them to its caller (``return_norms``), and
-:func:`predictive_grams` and :func:`cross_gram` take a fixed training set's
-norms as given, so prediction scales only the test rows.
+Squared distances use the expanded form ``a_i + b_j - 2 (A w) B^T`` with
+the weighted row norms ``a_i = sum_k w_k A_ik^2``.  A self-Gram
+``gram(X, X)`` (and ``pairwise_sqdist(X, X)``) forms its norms once and its
+product as one ``dsyrk`` on the rows scaled by ``sqrt(w)``: half the flops
+of a general product, and the lower triangle it fills is mirrored, so the
+result is exactly symmetric with a zero distance diagonal.  It can hand its
+norms to its caller (``return_norms``), and :func:`predictive_grams` and
+:func:`cross_gram` take a fixed training set's norms as given, so
+prediction scales only the test rows.  :func:`chol_psd` checks symmetry in
+the pass that symmetrizes, and :func:`downdate` forms a posterior
+covariance ``K - V V^T`` as one exactly symmetric ``dsyrk`` update.
 
 All arrays are dense row-major float64.
 """
@@ -27,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dsyrk
 
 __all__ = [
     "DimensionMismatchError",
@@ -37,6 +43,7 @@ __all__ = [
     "cross_gram",
     "chol_psd",
     "pairwise_sqdist",
+    "downdate",
 ]
 
 
@@ -94,20 +101,38 @@ def _same_rows(A, B) -> bool:
 _NORM_BLOCK = 1 << 16
 
 
-def _weighted(A, scale):
-    """``A * scale`` and the weighted row norms sum_k scale_k A_ik^2.
+def _norms(A, scale):
+    """The weighted row norms sum_k scale_k A_ik^2.
 
-    The products ``As * A`` are formed and summed a block of rows at a time,
-    so the transient is _NORM_BLOCK values (or one row, if longer) instead
-    of a second copy of A; each row is still one ``np.sum``, so the norms
-    are bit-identical to reducing the whole product at once.
+    The products ``(A * scale) * A`` are formed and summed a block of rows
+    at a time, so the transient is _NORM_BLOCK values (or one row, if
+    longer) instead of a copy of A; each row is still one ``np.sum``, so
+    the norms are bit-identical to reducing the whole product at once.
     """
-    As = A * scale
     norms = np.empty(A.shape[0])
     rows = max(1, _NORM_BLOCK // max(A.shape[1], 1))
     for s in range(0, A.shape[0], rows):
-        np.sum(As[s:s + rows] * A[s:s + rows], axis=1, out=norms[s:s + rows])
-    return As, norms
+        blk = A[s:s + rows]
+        prod = blk * scale
+        prod *= blk
+        np.sum(prod, axis=1, out=norms[s:s + rows])
+    return norms
+
+
+# rows of the diagonal block that _mirror_lower and _symmetric_part sweep,
+# and the strict upper triangle of such a block
+_SYM_BLOCK = 64
+_BLOCK_UPPER = ~np.tri(_SYM_BLOCK, dtype=bool)
+
+
+def _mirror_lower(A):
+    """Copy the strict lower triangle of square A onto its upper, in place."""
+    n = A.shape[0]
+    for s in range(0, n, _SYM_BLOCK):
+        e = min(s + _SYM_BLOCK, n)
+        D = A[s:e, s:e]
+        np.copyto(D, D.T, where=_BLOCK_UPPER[:e - s, :e - s])
+        A[s:e, e:] = A[e:, s:e].T
 
 
 def _expanded_sqdist(aa, bb, cross):
@@ -117,27 +142,42 @@ def _expanded_sqdist(aa, bb, cross):
     return sq
 
 
-def _sqdist_and_norms(A, B, scale, same):
-    """Expanded-form distances and A's weighted row norms, which serve as
-    B's when ``same``."""
-    As, aa = _weighted(A, scale)
-    bb = aa if same else _weighted(B, scale)[1]
-    return _expanded_sqdist(aa, bb, As @ B.T), aa
+def _syrk_sqdist(Ah, norms):
+    """Self distances of the rows whose ``sqrt(w)``-scaled copy is ``Ah``.
 
-
-def _symmetrized(sq):
-    # the expanded-form distances carry asymmetric roundoff; make the
-    # self-Gram exactly symmetric with unit diagonal distance zero
-    sq = 0.5 * (sq + sq.T)
+    One ``dsyrk`` forms ``-2 Ah Ah^T`` in the lower triangle, half the flops
+    of a general product; ``Ah.T`` is its Fortran-ordered operand, so it is
+    not copied.  The row norms are added, the result clipped at zero and
+    the triangle mirrored, and the diagonal is set to zero: the distances
+    are exactly symmetric.
+    """
+    if not len(Ah):               # dsyrk rejects an empty output
+        return np.zeros((0, 0))
+    sq = dsyrk(-2.0, Ah.T, trans=1, lower=1)
+    sq += norms[:, None] + norms[None, :]
+    np.maximum(sq, 0.0, out=sq)
+    _mirror_lower(sq)
     np.fill_diagonal(sq, 0.0)
-    return sq
+    return sq.T            # the Fortran-ordered result read row-major
+
+
+def _sqdist_and_norms(A, B, scale, same):
+    """Weighted distances and A's weighted row norms, which serve as B's
+    when ``same``: then through :func:`_syrk_sqdist`, else the expanded
+    form with one general product."""
+    aa = _norms(A, scale)
+    if same:
+        return _syrk_sqdist(A * np.sqrt(scale), aa), aa
+    return _expanded_sqdist(aa, _norms(B, scale), (A * scale) @ B.T), aa
 
 
 def pairwise_sqdist(A, B, scale) -> np.ndarray:
     """Weighted pairwise squared distances sum_k scale_k (A_ik - B_jk)^2.
 
     Computed via the expanded form for speed; clipped at zero to guard
-    against cancellation.  When B is A the row norms are formed once.
+    against cancellation.  When B is A the row norms are formed once and
+    the product is one ``dsyrk``: the result is exactly symmetric with a
+    zero diagonal.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -148,10 +188,10 @@ def gram(A, B, kernel: ARDParams, return_norms=False):
     """Assemble the Gram matrix with entry (i, j) = k(A[i], B[j]).
 
     A self-Gram (B the same array as A) is exactly symmetric with diagonal
-    ``sigma_h_sq``, and scales and reduces its operand once.  With
-    ``return_norms`` it returns ``(K, norms)``, the weighted row norms
-    sum_k w_k A_ik^2 of that pass, for :func:`predictive_grams`; that is
-    only defined for a self-Gram.
+    ``sigma_h_sq``: its distances are one ``dsyrk`` on the rows scaled by
+    ``sqrt(w)``, mirrored.  With ``return_norms`` it returns ``(K, norms)``,
+    the weighted row norms sum_k w_k A_ik^2, for :func:`predictive_grams`;
+    that is only defined for a self-Gram.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -162,61 +202,101 @@ def gram(A, B, kernel: ARDParams, return_norms=False):
     if return_norms and not same:
         raise ValueError("gram returns row norms only for a self-Gram")
     sq, aa = _sqdist_and_norms(A, B, kernel.weights, same)
-    if same:
-        sq = _symmetrized(sq)
     K = kernel.sigma_h_sq * np.exp(-0.5 * sq)
     return (K, aa) if return_norms else K
 
 
 def _predictive_operands(X, Xstar, kernel: ARDParams):
-    """X and Xstar as checked 2-D arrays, and ``(Xstar * w, its norms)``."""
+    """X as a checked 2-D array, ``Xstar * sqrt(w)`` and Xstar's norms."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
     if X.shape[1] != Xstar.shape[1]:
         raise DimensionMismatchError("predictive_grams column counts",
                                      X.shape[1], Xstar.shape[1])
     _check_len("predictive_grams vs kernel dim", X, kernel.dim)
-    return X, Xstar, _weighted(Xstar, kernel.weights)
+    return (X, Xstar * np.sqrt(kernel.weights),
+            _norms(Xstar, kernel.weights))
 
 
-def _cross(X, x_norms, Xs_w, ss, kernel: ARDParams):
+def _cross(X, x_norms, Xh, ss, kernel: ARDParams):
+    """The cross-Gram against the test rows ``Xh = Xstar * sqrt(w)``, which
+    it scales by ``sqrt(w)`` once more, in place, as the product operand."""
+    Xh *= np.sqrt(kernel.weights)
     return kernel.sigma_h_sq * np.exp(
-        -0.5 * _expanded_sqdist(x_norms, ss, X @ Xs_w.T))
+        -0.5 * _expanded_sqdist(x_norms, ss, X @ Xh.T))
 
 
 def cross_gram(X, x_norms, Xstar, kernel: ARDParams):
     """The cross-Gram of :func:`predictive_grams` alone, without the test
     self-Gram: for a caller that needs only its diagonal, sigma_h_sq."""
-    X, _, (Xs_w, ss) = _predictive_operands(X, Xstar, kernel)
-    return _cross(X, x_norms, Xs_w, ss, kernel)
+    X, Xh, ss = _predictive_operands(X, Xstar, kernel)
+    return _cross(X, x_norms, Xh, ss, kernel)
 
 
 def predictive_grams(X, x_norms, Xstar, kernel: ARDParams):
-    """``(gram(X, Xstar), gram(Xstar, Xstar))`` with Xstar scaled once.
+    """``(gram(X, Xstar), gram(Xstar, Xstar))`` with Xstar copied once.
 
     ``x_norms`` are the weighted row norms of the fixed rows X, as returned
-    by ``gram(X, X, kernel, return_norms=True)``.  The cross-Gram is one
-    product of the unscaled X with ``Xstar * w``, so it differs from
-    ``gram(X, Xstar)`` only in the association of x_ik w_k x*_jk, by last
-    bits; the test self-Gram is bit-identical to ``gram(Xstar, Xstar)``.
+    by ``gram(X, X, kernel, return_norms=True)``.  Xstar is copied once,
+    as ``Xstar * sqrt(w)``, and its norms are formed once.  That copy is
+    the ``dsyrk`` operand of the test self-Gram, which is bit-identical to
+    ``gram(Xstar, Xstar)``, and is then scaled by ``sqrt(w)`` again in
+    place.  The cross-Gram is one product of the unscaled X with it, so it
+    differs from ``gram(X, Xstar)`` only in the association of
+    x_ik w_k x*_jk, by last bits.
     """
-    X, Xstar, (Xs_w, ss) = _predictive_operands(X, Xstar, kernel)
-    sq = _symmetrized(_expanded_sqdist(ss, ss, Xs_w @ Xstar.T))
-    return (_cross(X, x_norms, Xs_w, ss, kernel),
-            kernel.sigma_h_sq * np.exp(-0.5 * sq))
+    X, Xh, ss = _predictive_operands(X, Xstar, kernel)
+    Kss = kernel.sigma_h_sq * np.exp(-0.5 * _syrk_sqdist(Xh, ss))
+    return _cross(X, x_norms, Xh, ss, kernel), Kss
+
+
+def downdate(K, V):
+    """``K - V V^T`` for a symmetric row-major K, formed in K's memory.
+
+    One ``dsyrk`` update of the lower triangle, mirrored: the result is
+    exactly symmetric, and V V^T is never formed on its own.
+    """
+    if not len(K):                # dsyrk rejects an empty output
+        return K
+    C = dsyrk(-1.0, V.T, trans=1, beta=1.0, c=K.T, lower=1, overwrite_c=1)
+    _mirror_lower(C)
+    return C.T
 
 
 def _cholesky(M):
     # LAPACK's dpotrf through scipy: half the time of np.linalg.cholesky at
     # n = 700 on one BLAS thread (7.1-7.5 ms against 14-15 ms), level at
-    # n <= 200.  The upper triangle is zeroed; NaN cannot reach it, as it
-    # fails chol_psd's symmetry check
+    # n <= 200.  The upper triangle is zeroed; chol_psd lets no NaN or inf
+    # reach it
     return scipy.linalg.cholesky(M, lower=True, check_finite=False)
+
+
+def _symmetric_part(M):
+    """``(S, max|M - M^T|)``: S is 0.5 (M + M^T) on and below the diagonal,
+    all that dpotrf reads, and only partly filled above it.
+
+    A panel of rows and the matching panel of columns are read together,
+    left of the diagonal only, so the asymmetry comes from the pass that
+    forms S, with transients of _SYM_BLOCK rows.
+    """
+    n = M.shape[0]
+    S = np.zeros((n, n))
+    asym = 0.0
+    for s in range(0, n, _SYM_BLOCK):
+        e = min(s + _SYM_BLOCK, n)
+        rows, cols, out = M[s:e, :e], M[:e, s:e].T, S[s:e, :e]
+        np.subtract(rows, cols, out=out)
+        asym = max(asym, float(np.max(out)), -float(np.min(out)))
+        np.add(rows, cols, out=out)
+        out *= 0.5
+    return S, asym
 
 
 def chol_psd(M):
     """Lower Cholesky factor of ``M``, or of ``M + jitter * I`` with the one
     jitter ``1e-6 * mean(diag(M))`` when the exact factorization fails.
+
+    ``M`` is symmetrized, 0.5 (M + M^T), in the same pass that checks it.
 
     Returns
     -------
@@ -229,15 +309,18 @@ def chol_psd(M):
         If the jittered factorization fails too, or at once when the exact
         one fails and the mean diagonal is not positive.
     ValueError
-        If ``M`` is not symmetric to 1e-10 relative tolerance.
+        If ``M`` has a NaN or infinite entry, or is not symmetric within
+        max|M - M^T| <= 1e-10 max(max|M|, 1).
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"chol_psd needs a square matrix, got shape {M.shape}")
-    scale = np.max(np.abs(M)) if M.size else 0.0
-    if not np.allclose(M, M.T, rtol=0.0, atol=1e-10 * max(scale, 1.0)):
+    scale = max(float(np.max(M)), -float(np.min(M))) if M.size else 0.0
+    if not np.isfinite(scale):       # np.max and np.min carry a NaN through
+        raise ValueError("chol_psd input has a NaN or infinite entry")
+    M, asym = _symmetric_part(M)
+    if not asym <= 1e-10 * max(scale, 1.0):
         raise ValueError("chol_psd input is not symmetric within 1e-10 relative")
-    M = 0.5 * (M + M.T)
     try:
         return _cholesky(M), 0.0
     except np.linalg.LinAlgError:
@@ -245,4 +328,5 @@ def chol_psd(M):
     if not jitter > 0:
         raise np.linalg.LinAlgError("matrix not factorizable and its mean "
                                     "diagonal is not positive")
-    return _cholesky(M + jitter * np.eye(M.shape[0])), jitter
+    M[np.diag_indices_from(M)] += jitter
+    return _cholesky(M), jitter

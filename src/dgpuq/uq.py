@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import gram, chol_psd
+from .kernels import gram, chol_psd, downdate
 from .random_field import Grid2D, KLExpansion, sample_permeability
 from .deepgp import DeepGPModel, predict_layer1, _layer_pred_cache
 from .optimize import _NUMERICAL_FAILURES
@@ -90,7 +90,7 @@ def _draw_gaussian(mean, cov, rng):
     raises ``np.linalg.LinAlgError``.
     """
     z = rng.standard_normal(mean.shape)
-    if np.max(np.abs(cov)) == 0.0:
+    if not cov.any():                   # a deterministic draw: nothing to factor
         return mean.copy()
     L, _ = chol_psd(cov)
     return mean + L @ z
@@ -116,9 +116,8 @@ def propagate_realization(model: DeepGPModel, Xprime, seed: int,
             Ksu = gram(values, Z, kern)
             mean = Ksu @ cache["V"]
             U = Ksu @ cache["B"]                # Ksu Dmat Kus = U U^T
-            cov = gram(values, values, kern) - U @ U.T
-            cov = 0.5 * (cov + cov.T)
-            values = _draw_gaussian(mean, cov, rng)
+            values = _draw_gaussian(
+                mean, downdate(gram(values, values, kern), U), rng)
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
                 f"layer {t + 2} propagation failed: {exc}") from exc

@@ -221,25 +221,44 @@ def ard_case(rng, kappa, spread):
 
 
 def two_pass_sqdist(A, B, scale):
-    """Expanded-form weighted squared distances, each side's norms formed apart."""
+    """Expanded-form weighted squared distances, each side's norms formed apart.
+
+    When B is A the product is (A sqrt(w)) (A sqrt(w))^T, which numpy forms
+    with syrk itself; its lower triangle is mirrored and the diagonal set to
+    zero.  Otherwise it is the general product (A w) B^T.
+    """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    As = A * scale
-    aa = np.sum(As * A, axis=1)[:, None]
+    aa = np.sum((A * scale) * A, axis=1)[:, None]
     bb = np.sum((B * scale) * B, axis=1)[None, :]
-    sq = aa + bb - 2.0 * As @ B.T
+    same = A.shape == B.shape and np.shares_memory(A, B)
+    if same:
+        Ah = A * np.sqrt(scale)
+        sq = aa + bb - 2.0 * (Ah @ Ah.T)
+    else:
+        sq = aa + bb - 2.0 * (A * scale) @ B.T
     np.maximum(sq, 0.0, out=sq)
+    if same:
+        sq = np.tril(sq) + np.tril(sq, -1).T
+        np.fill_diagonal(sq, 0.0)
     return sq
 
 
 def two_pass_gram(A, B, kernel):
-    """Gram matrix from :func:`two_pass_sqdist`, symmetrized when B is A."""
+    """Gram matrix from :func:`two_pass_sqdist`."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    sq = two_pass_sqdist(A, B, kernel.weights)
-    if A.shape == B.shape and np.shares_memory(A, B):
-        sq = 0.5 * (sq + sq.T)
-        np.fill_diagonal(sq, 0.0)
+    return kernel.sigma_h_sq * np.exp(-0.5 * two_pass_sqdist(A, B, kernel.weights))
+
+
+def gemm_self_gram(A, kernel):
+    """Self-Gram from the general product (A w) A^T with both triangles
+    averaged and a zero distance diagonal: a reference to a tolerance for
+    the ``dsyrk`` form, whose rounding differs."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    sq = two_pass_sqdist(A, A.copy(), kernel.weights)
+    sq = 0.5 * (sq + sq.T)
+    np.fill_diagonal(sq, 0.0)
     return kernel.sigma_h_sq * np.exp(-0.5 * sq)
 
 

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgpuq.kernels import (RBFParams, ARDParams, gram, predictive_grams,
-                           chol_psd, pairwise_sqdist, DimensionMismatchError)
-from helpers import ard_case, ard_eval, loop_gram, two_pass_gram, two_pass_sqdist
+                           chol_psd, downdate, pairwise_sqdist,
+                           DimensionMismatchError)
+from helpers import (ard_case, ard_eval, gemm_self_gram, loop_gram, two_pass_gram,
+                     two_pass_sqdist)
 
 # frozen from the direct scalar oracle: exp(-0.5)
 EXP_HALF = 0.6065306597126334
@@ -112,6 +114,44 @@ class TestGram:
         with pytest.raises(DimensionMismatchError):
             gram(np.zeros((2, 2)), np.zeros((2, 3)), p)
 
+    def test_no_rows_give_an_empty_gram_silently(self, capfd):
+        # BLAS reports an empty dsyrk output as an illegal argument
+        p = ARDParams(sigma_h_sq=1.0, weights=np.ones(3))
+        X = np.zeros((0, 3))
+        assert gram(X, X, p).shape == (0, 0)
+        A = np.ones((2, 3))
+        _, norms = gram(A, A, p, return_norms=True)
+        Ks, Kss = predictive_grams(A, norms, X, p)
+        assert Ks.shape == (2, 0) and Kss.shape == (0, 0)
+        assert downdate(Kss, Ks.T).shape == (0, 0)
+        assert capfd.readouterr() == ("", "")
+
+    def test_matches_double_loop_oracle_at_input_layer_width(self):
+        X, p = spread_rows(np.random.default_rng(8), 70, 4096, True)
+        expected = loop_gram(X, X, lambda a, b: ard_eval(a, b, p))
+        np.testing.assert_allclose(gram(X, X, p), expected, rtol=0,
+                                   atol=1e-12 * p.sigma_h_sq)
+
+    @given(st.integers(1, 40), st.integers(1, 64), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_self_gram_is_exactly_symmetric_and_bounded(self, n, kappa, spread,
+                                                        seed):
+        rng = np.random.default_rng(seed)
+        X, p = spread_rows(rng, n, kappa, spread)
+        if kappa > 1:
+            w = p.weights.copy()
+            w[rng.integers(kappa)] = 0.0
+            p = ARDParams(sigma_h_sq=p.sigma_h_sq, weights=w)
+        K = gram(X, X, p)
+        assert np.array_equal(K, K.T)
+        np.testing.assert_array_equal(np.diag(K), np.full(n, p.sigma_h_sq))
+        assert np.all(K > 0.0) and np.all(K <= p.sigma_h_sq)
+        # a zero-weight column is scaled to zero before the product
+        moved = X.copy()
+        moved[:, p.weights == 0.0] = rng.normal(size=(n, 1)) * 100.0
+        assert np.array_equal(gram(moved, moved, p), K)
+
     def test_ard_irrelevance_property(self):
         rng = np.random.default_rng(3)
         A = rng.normal(size=(6, 3))
@@ -140,6 +180,12 @@ class TestOnePassPerOperand:
         np.testing.assert_array_equal(gram(X, X, p), K)
         np.testing.assert_array_equal(norms, np.sum((X * p.weights) * X, axis=1))
         np.testing.assert_array_equal(np.diag(K), np.full(n, p.sigma_h_sq))
+
+    @pytest.mark.parametrize("n, kappa, spread", SHAPES)
+    def test_self_gram_within_rounding_of_the_gemm_form(self, n, kappa, spread):
+        X, p = spread_rows(np.random.default_rng(n + kappa), n, kappa, spread)
+        np.testing.assert_allclose(gram(X, X, p), gemm_self_gram(X, p), rtol=0,
+                                   atol=1e-13 * p.sigma_h_sq)
 
     @pytest.mark.parametrize("n, kappa, spread", SHAPES)
     def test_pairwise_sqdist_bit_identical_to_two_pass_oracle(self, n, kappa,
@@ -223,6 +269,24 @@ class TestCholPsd:
     def test_asymmetric_rejected(self):
         M = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ValueError):
+            chol_psd(M)
+
+    def test_asymmetry_at_the_tolerance(self):
+        # max|M - M^T| <= 1e-10 max(max|M|, 1), in a row panel past the first
+        M = np.eye(150) * 4.0
+        M[130, 20] += 4e-10
+        chol_psd(M)
+        M[130, 20] += 1e-11
+        with pytest.raises(ValueError, match="symmetric"):
+            chol_psd(M)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (70, 3)])
+    def test_non_finite_entry_rejected(self, bad, where):
+        M = np.eye(80)
+        M[where] = bad
+        M[where[::-1]] = bad       # symmetric: only the value is wrong
+        with pytest.raises(ValueError, match="NaN or infinite"):
             chol_psd(M)
 
     def test_hopeless_matrix_raises(self):
