@@ -130,11 +130,16 @@ def cmd_train(args):
 
 
 def cmd_predict(args):
+    import numpy as np
     from .deepgp import predict
     from . import io
 
     model = io.load_model(args.model)
     Xstar = io.read_matrix(args.inputs)
+    bad = ~np.isfinite(Xstar).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{args.inputs}: row {int(np.argmax(bad))} has a "
+                         "non-finite entry")
     if Xstar.shape[1] != model.X.shape[1]:
         raise ValueError(f"inputs have {Xstar.shape[1]} columns, model "
                          f"expects {model.X.shape[1]}")

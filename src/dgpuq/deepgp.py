@@ -74,6 +74,8 @@ __all__ = [
     "pack_params",
     "unpack_params",
     "predict_layer1",
+    "prediction_factors",
+    "install_prediction_factors",
     "propagate",
     "predict",
 ]
@@ -99,9 +101,11 @@ class DeepGPModel:
     and ignores the stored one; :func:`train_deep` stores those moments in
     the model it returns, and :func:`predict` reads them.
 
-    ``_pred_cache`` holds the prediction caches, filled lazily on first use
-    and never invalidated: a caller who assigns a field afterwards must
-    clear it.
+    ``_pred_cache`` holds the prediction caches.  A model built in memory
+    fills it lazily on first use; :func:`io.load_model` fills it from the
+    saved factors (:func:`install_prediction_factors`), so a loaded model
+    rebuilds none.  It is never invalidated: a caller who assigns a field
+    afterwards must clear it.
     """
 
     X: np.ndarray
@@ -524,23 +528,28 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0,
 # Prediction
 # ---------------------------------------------------------------------------
 
+def _layer1_entry(model: DeepGPModel, L_C, norms) -> gp_mod.GPModel:
+    """The first latent's exact GP from the lower factor of C and the
+    training rows' weighted norms.  It has targets M1 = C mu_bar (the first
+    latent's means) and mean weights C^-1 M1 = mu_bar exactly, whatever
+    jitter the factorization of C needed."""
+    il = model.input_layer
+    return gp_mod.GPModel(
+        kernel=il.kernel, noise_var=il.noise_var, train_x=model.X,
+        train_y=model.hidden_layers[0].latent.means, chol_cache=L_C,
+        alpha=il.mu_bar, train_norms=norms)
+
+
 def _layer1_gp(model: DeepGPModel) -> gp_mod.GPModel:
     """The exact GP of the first latent, built on first use and cached.
 
-    It has targets M1 = C mu_bar (the first latent's means) and mean
-    weights C^-1 M1 = mu_bar exactly, whatever jitter the factorization of
-    C needed.  It keeps the training rows' weighted norms (n values), not
-    the scaled n x kappa inputs.
+    It keeps the training rows' weighted norms (n values), not the scaled
+    n x kappa inputs.
     """
     key = "layer1"
     if key not in model._pred_cache:
-        il = model.input_layer
-        C, norms = _input_cov(il, model.X)
-        L_C, _ = chol_psd(C)
-        model._pred_cache[key] = gp_mod.GPModel(
-            kernel=il.kernel, noise_var=il.noise_var, train_x=model.X,
-            train_y=model.hidden_layers[0].latent.means, chol_cache=L_C,
-            alpha=il.mu_bar, train_norms=norms)
+        C, norms = _input_cov(model.input_layer, model.X)
+        model._pred_cache[key] = _layer1_entry(model, chol_psd(C)[0], norms)
     return model._pred_cache[key]
 
 
@@ -552,17 +561,25 @@ def predict_layer1(model: DeepGPModel, Xstar):
     return gp_mod.predict(_layer1_gp(model), Xstar)
 
 
+def _layer_entry(layer: LayerState, V, Dmat, B):
+    return {"V": V, "Dmat": Dmat, "B": B, "Z": layer.inducing.inputs,
+            "kernel": layer.kernel, "beta": layer.beta}
+
+
+def _layer_outputs(model: DeepGPModel, t):
+    """The means that sparse layer t maps to: the next latent's, or Y."""
+    if t < model.n_latents - 1:
+        return model.hidden_layers[t + 1].latent.means
+    return model.Y
+
+
 def _layer_pred_cache(model: DeepGPModel, t):
     key = ("layer", t)
     if key in model._pred_cache:
         return model._pred_cache[key]
     layer = model.hidden_layers[t]
-    if t < model.n_latents - 1:
-        out_means = model.hidden_layers[t + 1].latent.means
-    else:
-        out_means = model.Y
     _, cache = layer_bound(layer.kernel, layer.beta, layer.latent,
-                           layer.inducing.inputs, out_means)
+                           layer.inducing.inputs, _layer_outputs(model, t))
     V = layer.beta * cache.AinvM                     # (m, nu)
     Dmat = cache.Kuu_inv - cache.A_inv               # PSD: posterior shrinkage
     # Dmat = Lk^-T (I - Aw^-1) Lk^-1 = B B^T with B = Lk^-T Q diag(1 - 1/a)^1/2
@@ -574,10 +591,62 @@ def _layer_pred_cache(model: DeepGPModel, t):
     B = _lapack_checked(dtrtrs, cache.L_K,
                         Q * np.sqrt(np.clip(1.0 - 1.0 / a, 0.0, None)),
                         lower=1, trans=1)
-    entry = {"V": V, "Dmat": Dmat, "B": B, "Z": layer.inducing.inputs,
-             "kernel": layer.kernel, "beta": layer.beta}
-    model._pred_cache[key] = entry
-    return entry
+    model._pred_cache[key] = _layer_entry(layer, V, Dmat, B)
+    return model._pred_cache[key]
+
+
+def _factor_shapes(model: DeepGPModel):
+    """``{name: shape}`` of :func:`prediction_factors`' arrays."""
+    n = model.X.shape[0]
+    shapes = {"input_chol": (n, n), "input_norms": (1, n)}
+    for t, layer in enumerate(model.hidden_layers):
+        m = layer.inducing.inputs.shape[0]
+        shapes.update({f"layer{t}_V": (m, _layer_outputs(model, t).shape[1]),
+                       f"layer{t}_Dmat": (m, m), f"layer{t}_B": (m, m)})
+    return shapes
+
+
+def prediction_factors(model: DeepGPModel) -> dict:
+    """The arrays :func:`predict` and :func:`predict_layer1` read besides
+    the parameters, by name, built on first use: the first latent's lower
+    Cholesky factor of C (``input_chol``, n x n) and its training rows'
+    weighted norms (``input_norms``, 1 x n), then per sparse layer t the
+    mean weights ``layer{t}_V`` (m x nu), ``layer{t}_Dmat`` (m x m) and its
+    factor ``layer{t}_B`` (Dmat = B B^T).  They depend on the parameters
+    alone, so a model saved with them (:func:`io.save_model`) predicts
+    without rebuilding them (:func:`install_prediction_factors`)."""
+    gpm = _layer1_gp(model)
+    factors = {"input_chol": gpm.chol_cache,
+               "input_norms": gpm.train_norms[None, :]}
+    for t in range(model.n_latents):
+        entry = _layer_pred_cache(model, t)
+        factors.update((f"layer{t}_{k}", entry[k]) for k in ("V", "Dmat", "B"))
+    return factors
+
+
+def install_prediction_factors(model: DeepGPModel, factors):
+    """Fill ``model._pred_cache`` from :func:`prediction_factors`' arrays,
+    so that prediction forms no Gram over the training inputs, no Cholesky
+    factor of C and no layer bound.  A missing, unknown or wrong-shaped
+    array is a ValueError naming it."""
+    shapes = _factor_shapes(model)
+    for name in sorted(shapes.keys() | factors.keys()):
+        if name not in factors:
+            raise ValueError(f"prediction factor {name!r} is missing")
+        if name not in shapes:
+            raise ValueError(f"unknown prediction factor {name!r}")
+        got = np.shape(factors[name])
+        if got != shapes[name]:
+            raise ValueError(f"prediction factor {name!r} has shape {got}, "
+                             f"expected {shapes[name]}")
+    # in Fortran order, like chol_psd's factor, so that solve_triangular
+    # makes the same trtrs call on it
+    model._pred_cache["layer1"] = _layer1_entry(
+        model, np.asfortranarray(factors["input_chol"]),
+        factors["input_norms"].ravel())
+    for t, layer in enumerate(model.hidden_layers):
+        model._pred_cache[("layer", t)] = _layer_entry(
+            layer, *(factors[f"layer{t}_{k}"] for k in ("V", "Dmat", "B")))
 
 
 def propagate(model: DeepGPModel, layer_index: int, qh_prev_star):

@@ -6,12 +6,24 @@ one ASCII header line ``rows cols f64le`` and a row-major little-endian
 float64 payload.  Writes and reads round-trip bit-exactly.  Model files,
 dataset manifests and reports are JSON documents whose array fields are
 named references to sibling containers.
+
+A ``dgpuq-model-v2`` model.json names the parameter containers and holds
+the scalar parameters, and its ``prediction`` block names the prediction
+factors (:func:`deepgp.prediction_factors`: the first latent's Cholesky
+factor of C and row norms, and each sparse layer's V, Dmat and B), which
+depend on the parameters alone and are written once, at save.  A loaded
+model predicts from them and rebuilds none.  The block's ``digest`` is a
+SHA-256 over every container's payload and every scalar parameter, so a
+file edited after saving is rejected on load.  A ``dgpuq-model-v1``
+directory, which holds no factors, must be retrained.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import re
 
 import numpy as np
 
@@ -20,7 +32,8 @@ from .kernels import RBFParams, ARDParams
 from .random_field import Grid2D, ExpCovSpec, KLExpansion
 from .darcy import SourceSpec
 from .gplvm import LayerState, VariationalLatent, InducingSet
-from .deepgp import DeepGPModel, InputLayer
+from .deepgp import (DeepGPModel, InputLayer, prediction_factors,
+                     install_prediction_factors)
 
 __all__ = [
     "write_matrix",
@@ -36,14 +49,17 @@ __all__ = [
 ]
 
 MAGIC = b"DGPM1\n"
-MODEL_FORMAT = "dgpuq-model-v1"
+# the header line: two decimal counts and the payload's type
+_HEADER = re.compile(rb"(\d+) (\d+) f64le\n")
+MODEL_FORMAT = "dgpuq-model-v2"
 DATASET_FORMAT = "dgpuq-dataset-v1"
 UQ_REPORT_FORMAT = "dgpuq-uq-v1"
 MC_REPORT_FORMAT = "dgpuq-mc-v1"
 
 
 def write_matrix(path, arr):
-    """Write a 2-D float64 array as a matrix container."""
+    """Write a 2-D float64 array as a matrix container; return the
+    little-endian row-major array whose bytes are the payload."""
     a = np.ascontiguousarray(np.atleast_2d(np.asarray(arr, dtype="<f8")))
     if a.ndim != 2:
         raise ValueError(f"matrix container holds 2-D arrays, got shape {a.shape}")
@@ -51,6 +67,7 @@ def write_matrix(path, arr):
         fh.write(MAGIC)
         fh.write(f"{a.shape[0]} {a.shape[1]} f64le\n".encode("ascii"))
         fh.write(a.data)
+    return a
 
 
 def read_matrix(path) -> np.ndarray:
@@ -63,10 +80,12 @@ def read_matrix(path) -> np.ndarray:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
-        header = fh.readline().decode("ascii").split()
-        if len(header) != 3 or header[2] != "f64le":
-            raise ValueError(f"{path}: bad header {header}")
-        rows, cols = int(header[0]), int(header[1])
+        header = fh.readline()
+        counts = _HEADER.fullmatch(header)
+        if counts is None:
+            raise ValueError(f"{path}: bad header {header[:60]!r}, expected "
+                             "'<rows> <cols> f64le'")
+        rows, cols = int(counts[1]), int(counts[2])
         size = os.fstat(fh.fileno()).st_size - fh.tell()
         expected = 8 * rows * cols
         if size != expected:
@@ -148,13 +167,37 @@ def _read_document(path, name, fmt):
     return path, field, matrix
 
 
-def save_model(out_dir, model: DeepGPModel, extra_meta=None):
-    """Persist a trained model as model.json plus sibling containers."""
-    os.makedirs(out_dir, exist_ok=True)
+def _model_digest(values):
+    """SHA-256, in hex, over ``{dotted field: value}``: each field's name
+    and its value as little-endian float64, in name order."""
+    h = hashlib.sha256()
+    for name in sorted(values):
+        h.update(name.encode("ascii") + b"\0")
+        h.update(np.ascontiguousarray(values[name], dtype="<f8"))
+    return h.hexdigest()
 
-    def put(name, arr):
-        write_matrix(os.path.join(out_dir, name), arr)
+
+def save_model(out_dir, model: DeepGPModel, extra_meta=None):
+    """Persist a model as model.json plus sibling containers.
+
+    Besides the parameters the directory holds the prediction factors
+    (:func:`deepgp.prediction_factors`, built here if the model has not
+    yet predicted), one ``pred_<name>.dgpm`` each, named in the
+    ``prediction`` block beside the :func:`_model_digest` of every
+    container written and every scalar parameter.
+    """
+    # built first: a model that cannot be factored writes no file
+    factors = prediction_factors(model)
+    os.makedirs(out_dir, exist_ok=True)
+    stored = {}
+
+    def put(key, name, arr):
+        stored[key] = write_matrix(os.path.join(out_dir, name), arr)
         return name
+
+    def number(key, value):
+        stored[key] = float(value)
+        return stored[key]
 
     il = model.input_layer
     doc = {
@@ -162,90 +205,136 @@ def save_model(out_dir, model: DeepGPModel, extra_meta=None):
         "version": __version__,
         "dims": [int(d) for d in model.dims],
         "data": {
-            "X": put("train_x.dgpm", model.X),
-            "Y": put("train_y.dgpm", model.Y),
+            "X": put("data.X", "train_x.dgpm", model.X),
+            "Y": put("data.Y", "train_y.dgpm", model.Y),
         },
         "input_layer": {
             # the file keeps the (tau0_sq, b) form of the ARD kernel, w = 2b
-            "tau0_sq": float(il.kernel.sigma_h_sq),
-            "noise_var": float(il.noise_var),
+            "tau0_sq": number("input_layer.tau0_sq", il.kernel.sigma_h_sq),
+            "noise_var": number("input_layer.noise_var", il.noise_var),
             "arrays": {
-                "lengthscale_inv": put("input_lengthscale_inv.dgpm",
+                "lengthscale_inv": put("input_layer.lengthscale_inv",
+                                       "input_lengthscale_inv.dgpm",
                                        0.5 * il.kernel.weights[None, :]),
-                "mu_bar": put("input_mu_bar.dgpm", il.mu_bar),
-                "lam": put("input_lam.dgpm", il.lam),
+                "mu_bar": put("input_layer.mu_bar", "input_mu_bar.dgpm",
+                              il.mu_bar),
+                "lam": put("input_layer.lam", "input_lam.dgpm", il.lam),
             },
         },
         "layers": [],
         "training": dict(model.training_meta, **(extra_meta or {})),
     }
     for t, layer in enumerate(model.hidden_layers):
+        at = f"layers.{t}."
         doc["layers"].append({
-            "sigma_h_sq": float(layer.kernel.sigma_h_sq),
-            "beta": float(layer.beta),
+            "sigma_h_sq": number(at + "sigma_h_sq", layer.kernel.sigma_h_sq),
+            "beta": number(at + "beta", layer.beta),
             "arrays": {
-                "weights": put(f"layer{t}_weights.dgpm",
+                "weights": put(at + "weights", f"layer{t}_weights.dgpm",
                                layer.kernel.weights[None, :]),
-                "inducing_inputs": put(f"layer{t}_inducing.dgpm",
+                "inducing_inputs": put(at + "inducing_inputs",
+                                       f"layer{t}_inducing.dgpm",
                                        layer.inducing.inputs),
-                "latent_means": put(f"layer{t}_latent_means.dgpm",
+                "latent_means": put(at + "latent_means",
+                                    f"layer{t}_latent_means.dgpm",
                                     layer.latent.means),
-                "latent_variances": put(f"layer{t}_latent_vars.dgpm",
+                "latent_variances": put(at + "latent_variances",
+                                        f"layer{t}_latent_vars.dgpm",
                                         layer.latent.variances),
             },
         })
+    arrays = {name: put(f"prediction.{name}", f"pred_{name}.dgpm", arr)
+              for name, arr in factors.items()}
+    doc["prediction"] = {"digest": _model_digest(stored), "arrays": arrays}
     _json_dump(os.path.join(out_dir, "model.json"), doc)
     return os.path.join(out_dir, "model.json")
 
 
 def load_model(model_dir) -> DeepGPModel:
-    """Reload a persisted model; reloaded predictions are bit-identical."""
+    """Reload a persisted model, prediction factors included, so that it
+    predicts bit-identically to the saved one without rebuilding them.
+
+    Every field is type-checked and every parameter array shape-checked
+    before any parameter object is built; then the digest must match the
+    containers and scalars as read, so a file edited after saving is a
+    ValueError naming model.json, not a stale prediction.
+    """
     path, field, get = _read_document(model_dir, "model.json", MODEL_FORMAT)
-    X = get("data.X")
-    Y = get("data.Y")
+    dims = field("dims", "an integer list")
+    training = field("training", "an object")
+    if "output_grid" in training:
+        field("training.output_grid", "an integer pair")
+    stored = {key: field(key, "a number") for key in
+              ("input_layer.tau0_sq", "input_layer.noise_var")}
+    stored.update({"data.X": get("data.X"), "data.Y": get("data.Y")})
+    for key in ("lengthscale_inv", "mu_bar", "lam"):
+        stored[f"input_layer.{key}"] = get(f"input_layer.arrays.{key}")
+    n_layers = len(field("layers", "a list"))
+    for t in range(n_layers):
+        at = f"layers.{t}."
+        for key in ("sigma_h_sq", "beta"):
+            stored[at + key] = field(at + key, "a number")
+        for key in ("weights", "inducing_inputs", "latent_means",
+                    "latent_variances"):
+            stored[at + key] = get(at + "arrays." + key)
+    factors = {name: get(f"prediction.arrays.{name}")
+               for name in field("prediction.arrays", "an object")}
+    stored.update((f"prediction.{name}", arr) for name, arr in factors.items())
+    _check_model_shapes(path, stored, n_layers, dims)
+    if _model_digest(stored) != field("prediction.digest", "a string"):
+        raise ValueError(f"{path}: field 'prediction.digest' does not match "
+                         "the arrays and numbers read: a file changed after "
+                         "the model was saved")
+
     il = InputLayer(
-        kernel=RBFParams(tau0_sq=field("input_layer.tau0_sq", "a number"),
-                         lengthscale_inv=get("input_layer.arrays.lengthscale_inv").ravel()),
-        noise_var=field("input_layer.noise_var", "a number"),
-        mu_bar=get("input_layer.arrays.mu_bar"),
-        lam=get("input_layer.arrays.lam"),
-    )
+        kernel=RBFParams(tau0_sq=stored["input_layer.tau0_sq"],
+                         lengthscale_inv=stored["input_layer.lengthscale_inv"].ravel()),
+        noise_var=stored["input_layer.noise_var"],
+        mu_bar=stored["input_layer.mu_bar"], lam=stored["input_layer.lam"])
     layers = []
-    for t in range(len(field("layers", "a list"))):
+    for t in range(n_layers):
         at = f"layers.{t}."
         layers.append(LayerState(
-            kernel=ARDParams(sigma_h_sq=field(at + "sigma_h_sq", "a number"),
-                             weights=get(at + "arrays.weights").ravel()),
-            beta=field(at + "beta", "a number"),
-            latent=VariationalLatent(means=get(at + "arrays.latent_means"),
-                                     variances=get(at + "arrays.latent_variances")),
-            inducing=InducingSet(inputs=get(at + "arrays.inducing_inputs")),
+            kernel=ARDParams(sigma_h_sq=stored[at + "sigma_h_sq"],
+                             weights=stored[at + "weights"].ravel()),
+            beta=stored[at + "beta"],
+            latent=VariationalLatent(means=stored[at + "latent_means"],
+                                     variances=stored[at + "latent_variances"]),
+            inducing=InducingSet(inputs=stored[at + "inducing_inputs"]),
         ))
-    dims = field("dims", "an integer list")
-    _check_model_shapes(path, X, Y, il, layers, dims)
-    return DeepGPModel(X=X, Y=Y, input_layer=il, hidden_layers=layers,
-                       dims=dims, training_meta=field("training", "an object"))
+    model = DeepGPModel(X=stored["data.X"], Y=stored["data.Y"], input_layer=il,
+                        hidden_layers=layers, dims=dims, training_meta=training)
+    try:
+        install_prediction_factors(model, factors)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return model
 
 
-def _check_model_shapes(path, X, Y, il, layers, dims):
-    """Raise ValueError naming the first field whose shape disagrees."""
+def _check_model_shapes(path, stored, n_layers, dims):
+    """Raise ValueError naming the first parameter array whose shape
+    disagrees with X's and the dims."""
 
-    def expect(field, got, want):
-        if tuple(got) != tuple(want):
-            raise ValueError(f"{path}: {field} has shape {tuple(got)}, "
-                             f"expected {tuple(want)}")
+    def expect(field, want):
+        got = stored[field].shape
+        if got != want:
+            raise ValueError(f"{path}: {field} has shape {got}, "
+                             f"expected {want}")
 
-    n = X.shape[0]
-    expect("data.Y rows", Y.shape[:1], (n,))
-    if not dims or len(layers) != len(dims):
-        raise ValueError(f"{path}: {len(layers)} layers for {len(dims)} dims")
-    expect("input_layer.mu_bar", il.mu_bar.shape, (n, dims[0]))
-    expect("input_layer.lam", il.lam.shape, (n, dims[0]))
-    expect("input_layer.lengthscale_inv", il.kernel.weights.shape,
-           X.shape[1:])
-    # a latent's variances are checked against its means on construction
-    for t, (layer, q) in enumerate(zip(layers, dims)):
-        expect(f"layers.{t}.latent_means", layer.latent.means.shape, (n, q))
+    n, kappa = stored["data.X"].shape
+    expect("data.Y", (n, stored["data.Y"].shape[1]))
+    if not dims or n_layers != len(dims):
+        raise ValueError(f"{path}: {n_layers} layers for {len(dims)} dims")
+    expect("input_layer.mu_bar", (n, dims[0]))
+    expect("input_layer.lam", (n, dims[0]))
+    expect("input_layer.lengthscale_inv", (1, kappa))
+    for t, q in enumerate(dims):
+        at = f"layers.{t}."
+        expect(at + "weights", (1, q))
+        expect(at + "inducing_inputs",
+               (stored[at + "inducing_inputs"].shape[0], q))
+        expect(at + "latent_means", (n, q))
+        expect(at + "latent_variances", (n, q))
 
 
 def write_fields(out_dir, arrays):

@@ -549,6 +549,38 @@ class TestPredict:
             tracemalloc.stop()
         assert peak < 0.25 * n_star * n_star * 8
 
+    def test_installed_factors_predict_bit_identically(self):
+        model = set_first_latent(tiny_model(seed=37, dims=(2, 3)))
+        Xs = np.random.default_rng(5).normal(size=(6, 2))
+        factors = deepgp.prediction_factors(model)
+        assert set(factors) == {"input_chol", "input_norms", "layer0_V",
+                                "layer0_Dmat", "layer0_B", "layer1_V",
+                                "layer1_Dmat", "layer1_B"}
+        mean_a, var_a = predict(model, Xs)
+        fresh = DeepGPModel(X=model.X, Y=model.Y, input_layer=model.input_layer,
+                            hidden_layers=model.hidden_layers, dims=model.dims)
+        # copies in C order, as a matrix container reads them back
+        deepgp.install_prediction_factors(
+            fresh, {k: np.ascontiguousarray(v) for k, v in factors.items()})
+        mean_b, var_b = predict(fresh, Xs)
+        np.testing.assert_array_equal(mean_a, mean_b)
+        np.testing.assert_array_equal(var_a, var_b)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda f: f.pop("layer1_B"), "'layer1_B' is missing"),
+        (lambda f: f.update(layer2_V=np.ones((3, 2))), "unknown .* 'layer2_V'"),
+        (lambda f: f.update(input_norms=np.ones((10, 1))),
+         r"'input_norms' has shape \(10, 1\), expected \(1, 10\)")])
+    def test_install_names_a_wrong_factor(self, edit, message):
+        model = tiny_model(seed=37)
+        factors = dict(deepgp.prediction_factors(model))
+        edit(factors)
+        fresh = DeepGPModel(X=model.X, Y=model.Y, input_layer=model.input_layer,
+                            hidden_layers=model.hidden_layers, dims=model.dims)
+        with pytest.raises(ValueError, match=message):
+            deepgp.install_prediction_factors(fresh, factors)
+        assert fresh._pred_cache == {}
+
     def test_training_fit_correlation_on_benchmark(self):
         X, Y, _, _ = benchmark_1d(seed=31)
         model = train_deep(X, Y, dims=[1], m_inducing=[25], iters=150, seed=3)

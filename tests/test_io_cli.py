@@ -84,6 +84,16 @@ class TestMatrixContainer:
         with pytest.raises(ValueError, match="header"):
             io.read_matrix(path)
 
+    @pytest.mark.parametrize("header", [b"a b f64le\n", b"2 \xff2 f64le\n",
+                                        b"-1 2 f64le\n"],
+                             ids=["non-numeric", "non-ascii", "negative"])
+    def test_malformed_header_names_the_file(self, tmp_path, header):
+        path = tmp_path / "odd.dgpm"
+        path.write_bytes(b"DGPM1\n" + header + b"\x00" * 32)
+        with pytest.raises(ValueError) as info:
+            io.read_matrix(path)
+        assert str(info.value).startswith(f"{path}: bad header")
+
 
 def save_tiny_model(out_dir):
     rng = rng_for(78)
@@ -113,18 +123,59 @@ class TestModelPersistence:
     def test_model_file_schema(self, tmp_path):
         save_tiny_model(tmp_path / "m")
         doc = json.loads((tmp_path / "m" / "model.json").read_text())
-        assert doc["format"] == "dgpuq-model-v1"
+        assert doc["format"] == "dgpuq-model-v2"
         for name in doc["data"].values():
             assert (tmp_path / "m" / name).exists()
         for layer in doc["layers"]:
             for name in layer["arrays"].values():
                 assert (tmp_path / "m" / name).exists()
+        for name in doc["prediction"]["arrays"].values():
+            assert (tmp_path / "m" / name).exists()
 
-    def test_wrong_shape_array_rejected(self, tmp_path):
+    # the tiny model: n = 12 rows, one 2-dim layer with 6 inducing inputs
+    @pytest.mark.parametrize("name, shape, field", [
+        ("input_lam.dgpm", (3, 5), "input_layer.lam"),
+        ("layer0_weights.dgpm", (1, 1), "layers.0.weights"),
+        ("layer0_inducing.dgpm", (6, 1), "layers.0.inducing_inputs"),
+        ("layer0_latent_vars.dgpm", (12, 1), "layers.0.latent_variances")],
+        ids=["input_layer.lam", "layers.0.weights", "layers.0.inducing_inputs",
+             "layers.0.latent_variances"])
+    def test_wrong_shape_array_rejected(self, tmp_path, name, shape, field):
         save_tiny_model(tmp_path / "m")
-        io.write_matrix(tmp_path / "m" / "input_lam.dgpm", np.ones((3, 5)))
-        with pytest.raises(ValueError, match="input_layer.lam"):
+        io.write_matrix(tmp_path / "m" / name, np.ones(shape))
+        with pytest.raises(ValueError) as info:
             io.load_model(tmp_path / "m")
+        assert str(info.value).startswith(
+            f"{tmp_path / 'm' / 'model.json'}: {field} has shape {shape}")
+
+    def test_loaded_model_rebuilds_no_prediction_factor(self, tmp_path,
+                                                        monkeypatch):
+        from dgpuq import deepgp, gp, gplvm, kernels, uq
+        save_tiny_model(tmp_path / "m")
+        model = io.load_model(tmp_path / "m")
+        n = model.X.shape[0]
+        calls = []
+
+        def spy(name, original):
+            def wrapped(*args, **kwargs):
+                calls.append((name, args))
+                return original(*args, **kwargs)
+            return wrapped
+
+        for name in ("gram", "chol_psd", "layer_bound"):
+            for module in (kernels, gp, gplvm, deepgp, uq):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name,
+                                        spy(name, getattr(module, name)))
+        Xs = rng_for(79).uniform(0, 1, (5, 2))
+        predict(model, Xs)
+        uq.propagate_realization(model, Xs, 3)
+        assert calls, "the spies saw no call at all"
+        assert not [c for c in calls if c[0] == "layer_bound"]
+        assert not [c for c in calls if c[0] == "gram"
+                    and any(a is model.X for a in c[1][:2])]
+        assert not [c for c in calls if c[0] == "chol_psd"
+                    and np.shape(c[1][0]) == (n, n)]
 
     def test_non_model_json_rejected(self, tmp_path):
         (tmp_path / "model.json").write_text(json.dumps({"format": "x"}))
@@ -146,6 +197,54 @@ class TestModelPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"missing field '{field}'"):
             io.load_model(tmp_path / "m")
+
+
+def edit_model_json(model_dir, field, value):
+    """Set the dotted ``field`` of model_dir's model.json to ``value``;
+    return the document's path."""
+    path = model_dir / "model.json"
+    doc = json.loads(path.read_text())
+    *parents, last = [int(k) if k.isdigit() else k for k in field.split(".")]
+    entry = doc
+    for key in parents:
+        entry = entry[key]
+    entry[last] = value(entry[last]) if callable(value) else value
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestModelDigest:
+    def predict_exit(self, model_dir, tmp_path):
+        from dgpuq import cli
+        io.write_matrix(tmp_path / "x.dgpm", np.zeros((4, 2)))
+        return cli.main(["predict", "--model", str(model_dir),
+                         "--inputs", str(tmp_path / "x.dgpm"),
+                         "--out", str(tmp_path / "p")])
+
+    def test_beta_edited_after_save_exits_2(self, tmp_path, capsys):
+        save_tiny_model(tmp_path / "m")
+        path = edit_model_json(tmp_path / "m", "layers.0.beta",
+                               lambda beta: 2.0 * beta)
+        assert self.predict_exit(tmp_path / "m", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "'prediction.digest'" in err
+        assert not (tmp_path / "p").exists()
+
+    def test_container_rewritten_after_save_exits_2(self, tmp_path, capsys):
+        save_tiny_model(tmp_path / "m")
+        mu_bar = tmp_path / "m" / "input_mu_bar.dgpm"
+        io.write_matrix(mu_bar, io.read_matrix(mu_bar) + 1e-12)
+        assert self.predict_exit(tmp_path / "m", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "m" / "model.json") in err
+        assert "'prediction.digest'" in err
+
+    def test_v1_model_exits_2_naming_v2(self, tmp_path, capsys):
+        save_tiny_model(tmp_path / "m")
+        path = edit_model_json(tmp_path / "m", "format", "dgpuq-model-v1")
+        assert self.predict_exit(tmp_path / "m", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "dgpuq-model-v2" in err
 
 
 class TestCsv:
@@ -346,20 +445,13 @@ class TestCli:
 
     @pytest.mark.parametrize("field, value", [
         ("dims", [None]), ("input_layer.tau0_sq", "x"),
-        ("layers.0.beta", [1.0]), ("training", 3)])
+        ("layers.0.beta", [1.0]), ("training", 3),
+        ("training.output_grid", "x"), ("training.output_grid", [64])])
     def test_predict_on_a_wrong_typed_field_names_file_and_field(
             self, tmp_path, capsys, field, value):
         from dgpuq import cli
         save_tiny_model(tmp_path / "m")
-        path = tmp_path / "m" / "model.json"
-        doc = json.loads(path.read_text())
-        *parents, last = [int(k) if k.isdigit() else k
-                          for k in field.split(".")]
-        entry = doc
-        for key in parents:
-            entry = entry[key]
-        entry[last] = value
-        path.write_text(json.dumps(doc))
+        path = edit_model_json(tmp_path / "m", field, value)
         io.write_matrix(tmp_path / "x.dgpm", np.zeros((4, 2)))
         assert cli.main(["predict", "--model", str(tmp_path / "m"),
                          "--inputs", str(tmp_path / "x.dgpm"),
@@ -423,6 +515,22 @@ class TestCli:
                       str(tmp_path / "x.dgpm"), "--out", str(tmp_path / "p"))
         assert res.returncode == 2
         assert "input_layer.lam" in res.stderr
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_predict_on_a_non_finite_input_names_file_and_row(
+            self, tmp_path, capsys, bad):
+        from dgpuq import cli
+        save_tiny_model(tmp_path / "m")
+        X = np.zeros((4, 2))
+        X[2, 1] = bad
+        io.write_matrix(tmp_path / "x.dgpm", X)
+        assert cli.main(["predict", "--model", str(tmp_path / "m"),
+                         "--inputs", str(tmp_path / "x.dgpm"),
+                         "--out", str(tmp_path / "p")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {tmp_path / 'x.dgpm'}: row 2 has a "
+                       "non-finite entry\n")
+        assert not (tmp_path / "p").exists()
 
     def test_uq_on_a_manifest_of_another_grid_exits_2(self, desk_dataset,
                                                         tmp_path):
