@@ -101,6 +101,10 @@ def cmd_train(args):
     from .gplvm import effective_dims
     from . import io
 
+    for flag, value in (("--iters", args.iters),
+                        ("--init-iters", args.init_iters)):
+        if value < 0:
+            raise ValueError(f"{flag} must be at least 0, got {value}")
     info = io.load_kle_from_manifest(args.data)
     files = info["files"]
     if args.target not in files:

@@ -101,11 +101,13 @@ class DeepGPModel:
     and ignores the stored one; :func:`train_deep` stores those moments in
     the model it returns, and :func:`predict` reads them.
 
-    ``_pred_cache`` holds the prediction caches.  A model built in memory
-    fills it lazily on first use; :func:`io.load_model` fills it from the
-    saved factors (:func:`install_prediction_factors`), so a loaded model
-    rebuilds none.  It is never invalidated: a caller who assigns a field
-    afterwards must clear it.
+    ``_pred_cache`` is the named prediction factors
+    (:func:`prediction_factors`), empty or complete, never partly built.
+    A model built in memory builds them all on first use;
+    :func:`io.load_model` fills them from the saved arrays
+    (:func:`install_prediction_factors`), so a loaded model rebuilds none.
+    They are never invalidated: a caller who changes a parameter
+    afterwards must clear the cache.
     """
 
     X: np.ndarray
@@ -528,44 +530,6 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0,
 # Prediction
 # ---------------------------------------------------------------------------
 
-def _layer1_entry(model: DeepGPModel, L_C, norms) -> gp_mod.GPModel:
-    """The first latent's exact GP from the lower factor of C and the
-    training rows' weighted norms.  It has targets M1 = C mu_bar (the first
-    latent's means) and mean weights C^-1 M1 = mu_bar exactly, whatever
-    jitter the factorization of C needed."""
-    il = model.input_layer
-    return gp_mod.GPModel(
-        kernel=il.kernel, noise_var=il.noise_var, train_x=model.X,
-        train_y=model.hidden_layers[0].latent.means, chol_cache=L_C,
-        alpha=il.mu_bar, train_norms=norms)
-
-
-def _layer1_gp(model: DeepGPModel) -> gp_mod.GPModel:
-    """The exact GP of the first latent, built on first use and cached.
-
-    It keeps the training rows' weighted norms (n values), not the scaled
-    n x kappa inputs.
-    """
-    key = "layer1"
-    if key not in model._pred_cache:
-        C, norms = _input_cov(model.input_layer, model.X)
-        model._pred_cache[key] = _layer1_entry(model, chol_psd(C)[0], norms)
-    return model._pred_cache[key]
-
-
-def predict_layer1(model: DeepGPModel, Xstar):
-    """Exact-GP predictive mean and joint (n*, n*) covariance of the first
-    latent at new inputs, shared by its q1 columns: what a joint draw
-    (:func:`uq.propagate_realization`) needs.  :func:`predict` reads only
-    the marginal variances and never forms this covariance."""
-    return gp_mod.predict(_layer1_gp(model), Xstar)
-
-
-def _layer_entry(layer: LayerState, V, Dmat, B):
-    return {"V": V, "Dmat": Dmat, "B": B, "Z": layer.inducing.inputs,
-            "kernel": layer.kernel, "beta": layer.beta}
-
-
 def _layer_outputs(model: DeepGPModel, t):
     """The means that sparse layer t maps to: the next latent's, or Y."""
     if t < model.n_latents - 1:
@@ -573,10 +537,8 @@ def _layer_outputs(model: DeepGPModel, t):
     return model.Y
 
 
-def _layer_pred_cache(model: DeepGPModel, t):
-    key = ("layer", t)
-    if key in model._pred_cache:
-        return model._pred_cache[key]
+def _layer_factors(model: DeepGPModel, t):
+    """Sparse layer t's named factors V, Dmat and B from one layer bound."""
     layer = model.hidden_layers[t]
     _, cache = layer_bound(layer.kernel, layer.beta, layer.latent,
                            layer.inducing.inputs, _layer_outputs(model, t))
@@ -591,8 +553,7 @@ def _layer_pred_cache(model: DeepGPModel, t):
     B = _lapack_checked(dtrtrs, cache.L_K,
                         Q * np.sqrt(np.clip(1.0 - 1.0 / a, 0.0, None)),
                         lower=1, trans=1)
-    model._pred_cache[key] = _layer_entry(layer, V, Dmat, B)
-    return model._pred_cache[key]
+    return {f"layer{t}_V": V, f"layer{t}_Dmat": Dmat, f"layer{t}_B": B}
 
 
 def _factor_shapes(model: DeepGPModel):
@@ -608,27 +569,33 @@ def _factor_shapes(model: DeepGPModel):
 
 def prediction_factors(model: DeepGPModel) -> dict:
     """The arrays :func:`predict` and :func:`predict_layer1` read besides
-    the parameters, by name, built on first use: the first latent's lower
-    Cholesky factor of C (``input_chol``, n x n) and its training rows'
-    weighted norms (``input_norms``, 1 x n), then per sparse layer t the
-    mean weights ``layer{t}_V`` (m x nu), ``layer{t}_Dmat`` (m x m) and its
-    factor ``layer{t}_B`` (Dmat = B B^T).  They depend on the parameters
-    alone, so a model saved with them (:func:`io.save_model`) predicts
-    without rebuilding them (:func:`install_prediction_factors`)."""
-    gpm = _layer1_gp(model)
-    factors = {"input_chol": gpm.chol_cache,
-               "input_norms": gpm.train_norms[None, :]}
+    the parameters, by name: the first latent's lower Cholesky factor of C
+    (``input_chol``, n x n) and its training rows' weighted norms
+    (``input_norms``, 1 x n), then per sparse layer t the mean weights
+    ``layer{t}_V`` (m x nu), ``layer{t}_Dmat`` (m x m) and its factor
+    ``layer{t}_B`` (Dmat = B B^T).
+
+    They are ``model._pred_cache`` itself, empty or complete: a non-empty
+    cache is returned as it is, and a build stores its factors only once
+    all are built, so one that raises leaves the cache empty.  They depend
+    on the parameters alone, so a saved model (:func:`io.save_model`)
+    keeps them (:func:`install_prediction_factors`), and a caller who
+    changes a parameter must clear the cache."""
+    if model._pred_cache:
+        return model._pred_cache
+    C, norms = _input_cov(model.input_layer, model.X)
+    factors = {"input_chol": chol_psd(C)[0], "input_norms": norms[None, :]}
     for t in range(model.n_latents):
-        entry = _layer_pred_cache(model, t)
-        factors.update((f"layer{t}_{k}", entry[k]) for k in ("V", "Dmat", "B"))
-    return factors
+        factors.update(_layer_factors(model, t))
+    model._pred_cache.update(factors)
+    return model._pred_cache
 
 
 def install_prediction_factors(model: DeepGPModel, factors):
     """Fill ``model._pred_cache`` from :func:`prediction_factors`' arrays,
     so that prediction forms no Gram over the training inputs, no Cholesky
     factor of C and no layer bound.  A missing, unknown or wrong-shaped
-    array is a ValueError naming it."""
+    array is a ValueError naming it, and leaves the cache as it was."""
     shapes = _factor_shapes(model)
     for name in sorted(shapes.keys() | factors.keys()):
         if name not in factors:
@@ -639,14 +606,32 @@ def install_prediction_factors(model: DeepGPModel, factors):
         if got != shapes[name]:
             raise ValueError(f"prediction factor {name!r} has shape {got}, "
                              f"expected {shapes[name]}")
-    # in Fortran order, like chol_psd's factor, so that solve_triangular
-    # makes the same trtrs call on it
-    model._pred_cache["layer1"] = _layer1_entry(
-        model, np.asfortranarray(factors["input_chol"]),
-        factors["input_norms"].ravel())
-    for t, layer in enumerate(model.hidden_layers):
-        model._pred_cache[("layer", t)] = _layer_entry(
-            layer, *(factors[f"layer{t}_{k}"] for k in ("V", "Dmat", "B")))
+    # input_chol in Fortran order, like chol_psd's factor, so that
+    # solve_triangular makes the same trtrs call on it
+    model._pred_cache.update(
+        factors, input_chol=np.asfortranarray(factors["input_chol"]))
+
+
+def _layer1_gp(model: DeepGPModel) -> gp_mod.GPModel:
+    """The first latent's exact GP over the prediction factors: targets
+    M1 = C mu_bar (the first latent's means) and mean weights
+    C^-1 M1 = mu_bar exactly, whatever jitter the factorization of C
+    needed, and the training rows' n weighted norms, not scaled inputs."""
+    factors = prediction_factors(model)
+    il = model.input_layer
+    return gp_mod.GPModel(
+        kernel=il.kernel, noise_var=il.noise_var, train_x=model.X,
+        train_y=model.hidden_layers[0].latent.means,
+        chol_cache=factors["input_chol"], alpha=il.mu_bar,
+        train_norms=factors["input_norms"].ravel())
+
+
+def predict_layer1(model: DeepGPModel, Xstar):
+    """Exact-GP predictive mean and joint (n*, n*) covariance of the first
+    latent at new inputs, shared by its q1 columns: what a joint draw
+    (:func:`uq.propagate_realization`) needs.  :func:`predict` reads only
+    the marginal variances and never forms this covariance."""
+    return gp_mod.predict(_layer1_gp(model), Xstar)
 
 
 def propagate(model: DeepGPModel, layer_index: int, qh_prev_star):
@@ -662,10 +647,12 @@ def propagate(model: DeepGPModel, layer_index: int, qh_prev_star):
     means, variances = qh_prev_star
     means = np.atleast_2d(np.asarray(means, dtype=float))
     variances = np.atleast_2d(np.asarray(variances, dtype=float))
-    cache = _layer_pred_cache(model, layer_index)
-    kern, V, Dmat = cache["kernel"], cache["V"], cache["Dmat"]
+    factors = prediction_factors(model)
+    layer = model.hidden_layers[layer_index]
+    kern, at = layer.kernel, f"layer{layer_index}_"
+    V, Dmat = factors[at + "V"], factors[at + "Dmat"]
     _, phi1, T, _ = _phi_forward(kern, means, np.clip(variances, 1e-300, None),
-                                 cache["Z"])
+                                 layer.inducing.inputs)
     m = phi1.shape[1]
     # the pair form of V V^T per output column: 2 V_k V_l off the diagonal
     kk, ll = _pairs(m)
@@ -678,7 +665,7 @@ def propagate(model: DeepGPModel, layer_index: int, qh_prev_star):
     proj = mean * mean
     var = kern.sigma_h_sq - tr_term[:, None] + quad - proj
     np.maximum(var, 0.0, out=var)
-    return mean, var + 1.0 / cache["beta"]
+    return mean, var + 1.0 / layer.beta
 
 
 def predict(model: DeepGPModel, Xstar):

@@ -11,10 +11,12 @@ A ``dgpuq-model-v2`` model.json names the parameter containers and holds
 the scalar parameters, and its ``prediction`` block names the prediction
 factors (:func:`deepgp.prediction_factors`: the first latent's Cholesky
 factor of C and row norms, and each sparse layer's V, Dmat and B), which
-depend on the parameters alone and are written once, at save.  A loaded
-model predicts from them and rebuilds none.  The block's ``digest`` is a
-SHA-256 over every container's payload and every scalar parameter, so a
-file edited after saving is rejected on load.  A ``dgpuq-model-v1``
+depend on the parameters alone and are written once, at save.  They are
+the model's ``_pred_cache``, empty or complete: a loaded model holds all
+of them and rebuilds none, and one whose parameter changes must clear
+it.  The block's ``digest`` is a SHA-256 over every container's payload
+and every scalar parameter, so a file edited after saving is rejected on
+load.  A ``dgpuq-model-v1``
 directory, which holds no factors, must be retrained.
 """
 
@@ -181,10 +183,12 @@ def save_model(out_dir, model: DeepGPModel, extra_meta=None):
     """Persist a model as model.json plus sibling containers.
 
     Besides the parameters the directory holds the prediction factors
-    (:func:`deepgp.prediction_factors`, built here if the model has not
-    yet predicted), one ``pred_<name>.dgpm`` each, named in the
-    ``prediction`` block beside the :func:`_model_digest` of every
-    container written and every scalar parameter.
+    (:func:`deepgp.prediction_factors`: the model's ``_pred_cache``, all
+    built here if it is empty, written as it is otherwise, so a caller who
+    changed a parameter must clear it first), one ``pred_<name>.dgpm``
+    each, named in the ``prediction`` block beside the
+    :func:`_model_digest` of every container written and every scalar
+    parameter.
     """
     # built first: a model that cannot be factored writes no file
     factors = prediction_factors(model)

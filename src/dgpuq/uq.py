@@ -20,7 +20,7 @@ import numpy as np
 
 from .kernels import gram, chol_psd, downdate
 from .random_field import Grid2D, KLExpansion, sample_permeability
-from .deepgp import DeepGPModel, predict_layer1, _layer_pred_cache
+from .deepgp import DeepGPModel, predict_layer1, prediction_factors
 from .optimize import _NUMERICAL_FAILURES
 from .rng import rng_for, MC_BASELINE_STREAM, UQ_STREAM
 
@@ -105,19 +105,18 @@ def propagate_realization(model: DeepGPModel, Xprime, seed: int,
     """
     Xprime = np.atleast_2d(np.asarray(Xprime, dtype=float))
     rng = rng_for(seed, *subkeys)
+    factors = prediction_factors(model)
     try:
         values = _draw_gaussian(*predict_layer1(model, Xprime), rng)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"layer 1 propagation failed: {exc}") from exc
-    for t in range(model.n_latents):
-        cache = _layer_pred_cache(model, t)
-        kern, Z = cache["kernel"], cache["Z"]
+    for t, layer in enumerate(model.hidden_layers):
         try:
-            Ksu = gram(values, Z, kern)
-            mean = Ksu @ cache["V"]
-            U = Ksu @ cache["B"]                # Ksu Dmat Kus = U U^T
+            Ksu = gram(values, layer.inducing.inputs, layer.kernel)
+            mean = Ksu @ factors[f"layer{t}_V"]
+            U = Ksu @ factors[f"layer{t}_B"]    # Ksu Dmat Kus = U U^T
             values = _draw_gaussian(
-                mean, downdate(gram(values, values, kern), U), rng)
+                mean, downdate(gram(values, values, layer.kernel), U), rng)
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
                 f"layer {t + 2} propagation failed: {exc}") from exc

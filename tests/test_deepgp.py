@@ -11,7 +11,7 @@ from dgpuq.gplvm import (VariationalLatent, InducingSet, LayerState, layer_bound
                          _phi_forward)
 from dgpuq.deepgp import (DeepGPModel, InputLayer, elbo, elbo_grad_vector,
                           pack_params, unpack_params, train_deep,
-                          predict_layer1, propagate, predict, _layer_pred_cache,
+                          predict_layer1, propagate, predict, _layer1_gp,
                           _input_cov, _first_latent_forward, _first_latent_grads,
                           _tri_inv_lower, _TRI_LEAF)
 from dgpuq.rng import rng_for
@@ -381,7 +381,7 @@ class TestPredictLayer1:
         model = tiny_model(seed=19)
         Xs = np.random.default_rng(1).normal(size=(5, 2))
         mean_a, cov_a = predict_layer1(model, Xs)
-        cached = model._pred_cache["layer1"]
+        cached = _layer1_gp(model)
         # the cache keeps n weighted norms, not the scaled n x kappa inputs
         assert cached.train_x is model.X
         assert cached.train_norms.shape == (model.X.shape[0],)
@@ -462,14 +462,17 @@ class TestPropagate:
         variances = rng.uniform(0.01, 1.5, (8, 3))
         for t in range(model.n_latents):
             mean, var = propagate(model, t, (means, variances))
-            cache = _layer_pred_cache(model, t)
-            V, Dmat, kern = cache["V"], cache["Dmat"], cache["kernel"]
-            _, phi1, T, _ = loop_phi_forward(kern, means, variances, cache["Z"])
+            factors = deepgp.prediction_factors(model)
+            V, Dmat = factors[f"layer{t}_V"], factors[f"layer{t}_Dmat"]
+            layer = model.hidden_layers[t]
+            kern = layer.kernel
+            _, phi1, T, _ = loop_phi_forward(kern, means, variances,
+                                             layer.inducing.inputs)
             tr_term = np.einsum("tkl,kl->t", T, Dmat)
             quad = np.einsum("tkl,kj,lj->tj", T, V, V)
             mean_or = phi1 @ V
             var_or = np.maximum(kern.sigma_h_sq - tr_term[:, None] + quad
-                                - mean_or * mean_or, 0.0) + 1.0 / cache["beta"]
+                                - mean_or * mean_or, 0.0) + 1.0 / layer.beta
             np.testing.assert_allclose(mean, mean_or, rtol=1e-12,
                                        atol=1e-12 * np.abs(mean_or).max())
             np.testing.assert_allclose(var, var_or, rtol=1e-12,
@@ -524,7 +527,7 @@ class TestPredict:
         # does not cancel
         Xs = np.random.default_rng(2).normal(size=(15, 2)) + 3.0
         mean, cov = predict_layer1(model, Xs)
-        mean_m, var = gp.predict_marginal(model._pred_cache["layer1"], Xs)
+        mean_m, var = gp.predict_marginal(_layer1_gp(model), Xs)
         np.testing.assert_array_equal(mean_m, mean)
         sigma2 = model.input_layer.kernel.sigma_h_sq
         assert np.abs(var - np.diag(cov)).max() <= 1e-12 * sigma2
@@ -565,6 +568,22 @@ class TestPredict:
         mean_b, var_b = predict(fresh, Xs)
         np.testing.assert_array_equal(mean_a, mean_b)
         np.testing.assert_array_equal(var_a, var_b)
+
+    def test_a_failed_build_leaves_no_factor(self, monkeypatch):
+        model = set_first_latent(tiny_model(seed=41, dims=(2, 3)))
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("layer 1 is not factorable")
+            return layer_bound(*args, **kwargs)
+
+        monkeypatch.setattr(deepgp, "layer_bound", failing)
+        with pytest.raises(np.linalg.LinAlgError, match="not factorable"):
+            predict(model, model.X[:3])
+        assert len(calls) == 2
+        assert model._pred_cache == {}
 
     @pytest.mark.parametrize("edit, message", [
         (lambda f: f.pop("layer1_B"), "'layer1_B' is missing"),

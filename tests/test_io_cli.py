@@ -120,6 +120,22 @@ class TestModelPersistence:
         assert np.array_equal(mean0, mean1)
         assert np.array_equal(var0, var1)
 
+    def test_reload_reproduces_realizations_bitwise(self, tmp_path):
+        from dgpuq.uq import propagate_realization
+        rng = rng_for(81)
+        X = rng.uniform(0, 1, (14, 2))
+        Y = np.column_stack([np.cos(2 * X[:, 0]), X[:, 0] - X[:, 1]])
+        model = train_deep(X, Y, dims=[2, 2], m_inducing=[5, 5], iters=4,
+                           seed=2, init_iters=15)
+        Xs = rng.uniform(0, 1, (7, 2))
+        draw0 = propagate_realization(model, Xs, 5, 1, 2)
+        io.save_model(tmp_path / "mdl", model)
+        back = io.load_model(tmp_path / "mdl")
+        # the loaded factors, not a rebuild, feed the draw
+        assert back._pred_cache["input_chol"].flags.f_contiguous
+        draw1 = propagate_realization(back, Xs, 5, 1, 2)
+        assert np.array_equal(draw0, draw1)
+
     def test_model_file_schema(self, tmp_path):
         save_tiny_model(tmp_path / "m")
         doc = json.loads((tmp_path / "m" / "model.json").read_text())
@@ -501,6 +517,30 @@ class TestCli:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("iters, init_iters, flag", [
+        ("-3", "-2", "--iters"), ("5", "-2", "--init-iters"),
+        ("-1", "0", "--iters")])
+    def test_train_with_a_negative_iteration_count_names_the_flag(
+            self, desk_dataset, tmp_path, capsys, iters, init_iters, flag):
+        from dgpuq import cli
+        code = cli.main(["train", "--data", str(desk_dataset), "--dims", "2,2",
+                         "--inducing", "4,4", "--iters", iters,
+                         "--init-iters", init_iters,
+                         "--out", str(tmp_path / "m")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} must be")
+        assert not (tmp_path / "m").exists()
+
+    def test_train_with_zero_iterations_keeps_the_greedy_init(
+            self, desk_dataset, tmp_path, capsys):
+        from dgpuq import cli
+        code = cli.main(["train", "--data", str(desk_dataset), "--dims", "2,2",
+                         "--inducing", "4,4", "--iters", "0",
+                         "--init-iters", "0", "--out", str(tmp_path / "m")])
+        assert code == 0, capsys.readouterr().err
+        doc = json.loads((tmp_path / "m" / "model.json").read_text())
+        assert len(doc["training"]["elbo_trace"]) == 1
+
     def test_train_layer_mismatch_exits_2(self, desk_dataset, tmp_path):
         res = run_cli("train", "--data", str(desk_dataset), "--layers", "3",
                       "--dims", "3,3", "--inducing", "8,8",
@@ -616,36 +656,69 @@ class TestCli:
         assert counts == [1] * len(counts), res.stdout
 
 
+def source_nodes(owner):
+    """``(file name, node)`` for every syntax node of every package module
+    but ``owner``."""
+    import ast
+    src = os.path.dirname(dgpuq.__file__)
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == owner:
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            yield name, node
+
+
+def private_names_from(module, node):
+    """The private names of ``module`` that an import or attribute node
+    reaches for."""
+    import ast
+    if isinstance(node, ast.ImportFrom):
+        mod = "." * node.level + (node.module or "")
+        return [a.name for a in node.names
+                if mod in ("." + module, "dgpuq." + module)
+                and a.name.startswith("_")]
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == module and node.attr.startswith("_")):
+        return [f"{module}.{node.attr}"]
+    return []
+
+
 class TestOneOwnerOfFormats:
     """Only ``io`` reads or writes JSON, and no module reaches into io's
     private helpers, so every on-disk layout has a single owner."""
 
     def test_only_io_touches_json_or_io_internals(self):
         import ast
-        src = os.path.dirname(dgpuq.__file__)
         offences = []
-        for name in sorted(os.listdir(src)):
-            if not name.endswith(".py") or name == "io.py":
-                continue
-            with open(os.path.join(src, name), encoding="utf-8") as fh:
-                tree = ast.parse(fh.read(), filename=name)
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Import):
-                    bad = [a.name for a in node.names
-                           if a.name.split(".")[0] == "json"]
-                elif isinstance(node, ast.ImportFrom):
-                    mod = "." * node.level + (node.module or "")
-                    bad = ([mod] if mod.split(".")[0] == "json" else
-                           [a.name for a in node.names
-                            if mod in (".io", "dgpuq.io")
-                            and a.name.startswith("_")])
-                elif (isinstance(node, ast.Attribute)
-                      and isinstance(node.value, ast.Name)
-                      and node.value.id == "io" and node.attr.startswith("_")):
-                    bad = [f"io.{node.attr}"]
-                else:
-                    bad = []
-                offences += [f"{name}:{node.lineno}: {b}" for b in bad]
+        for name, node in source_nodes("io.py"):
+            if isinstance(node, ast.Import):
+                bad = [a.name for a in node.names
+                       if a.name.split(".")[0] == "json"]
+            elif (isinstance(node, ast.ImportFrom)
+                  and (node.module or "").split(".")[0] == "json"
+                  and not node.level):
+                bad = [node.module]
+            else:
+                bad = private_names_from("io", node)
+            offences += [f"{name}:{node.lineno}: {b}" for b in bad]
+        assert offences == []
+
+
+class TestOneOwnerOfPredictionState:
+    """Only ``deepgp`` names ``_pred_cache`` or its own private names, so
+    the prediction factors have a single owner and a single layout."""
+
+    def test_only_deepgp_touches_the_prediction_cache(self):
+        import ast
+        offences = []
+        for name, node in source_nodes("deepgp.py"):
+            bad = private_names_from("deepgp", node)
+            if (isinstance(node, ast.Attribute) and node.attr == "_pred_cache"
+                    or isinstance(node, ast.Name) and node.id == "_pred_cache"):
+                bad.append("_pred_cache")
+            offences += [f"{name}:{node.lineno}: {b}" for b in bad]
         assert offences == []
 
 
