@@ -66,8 +66,9 @@ def cmd_gen_data(args):
 
     if args.n < 1:
         raise ValueError("--n must be at least 1")
-    if args.out_grid < 1:
-        raise ValueError("--out-grid must be at least 1")
+    for flag, value in (("--grid", args.grid), ("--out-grid", args.out_grid)):
+        if value < 2:
+            raise ValueError(f"{flag} must be at least 2, got {value}")
     if args.grid % args.out_grid:
         raise ValueError("--grid must be divisible by --out-grid")
     grid = Grid2D(args.grid, args.grid)
@@ -111,7 +112,7 @@ def cmd_train(args):
         raise ValueError(f"--target must be one of {sorted(files)}")
     dims = _parse_dims(args.dims)
     inducing = _parse_dims(args.inducing)
-    if args.layers != len(dims):
+    if args.layers not in (None, len(dims)):
         raise ValueError(f"--layers {args.layers} does not match --dims {args.dims}")
     if len(inducing) != len(dims):
         raise ValueError("--inducing must have one entry per layer")
@@ -236,7 +237,7 @@ def build_parser():
     t = sub.add_parser("train", help="train a deep GP on a dataset target")
     t.add_argument("--data", required=True)
     t.add_argument("--target", choices=tuple(FIELDS), default="p")
-    t.add_argument("--layers", type=int, default=2)
+    t.add_argument("--layers", type=int, help="default: one per --dims entry")
     t.add_argument("--dims", default="30,30")
     t.add_argument("--inducing", default="50,50")
     t.add_argument("--iters", type=int, default=50)

@@ -44,8 +44,9 @@ unpack, and ``_deep_backward`` returns the gradient by block name.
 
 Training is two-phase: a greedy stack of GP-LVMs initializes every layer,
 then the joint bound (first-layer KL + collapsed layer terms + entropies)
-is refined by gradient ascent.  Prediction propagates Gaussian moments
-layer to layer using the test-point kernel expectations.
+is refined by gradient ascent; :func:`gp.fit` only starts the input layer.
+Prediction reads the model's own factors (:func:`prediction_factors`) and
+propagates Gaussian moments layer to layer by test-point kernel expectations.
 """
 
 from __future__ import annotations
@@ -53,12 +54,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.linalg.blas import daxpy, dsyr2k, dsyrk, dtrmm
 from scipy.linalg.lapack import dpotrf, dtrtri, dtrtrs, dlauum, dtrttf, dtfttr
 
 from .gp import LOG_2PI
-from .kernels import (ARDParams, gram, chol_psd, DimensionMismatchError,
-                      _mirror_lower)
+from .kernels import (ARDParams, gram, predictive_grams, cross_gram, chol_psd,
+                      downdate, DimensionMismatchError, _mirror_lower)
 from .gplvm import (LayerState, VariationalLatent, InducingSet, layer_bound,
                     layer_bound_grads, train_gplvm, _phi_forward, _pairs,
                     _pair_weights)
@@ -612,18 +614,21 @@ def install_prediction_factors(model: DeepGPModel, factors):
         factors, input_chol=np.asfortranarray(factors["input_chol"]))
 
 
-def _layer1_gp(model: DeepGPModel) -> gp_mod.GPModel:
-    """The first latent's exact GP over the prediction factors: targets
-    M1 = C mu_bar (the first latent's means) and mean weights
-    C^-1 M1 = mu_bar exactly, whatever jitter the factorization of C
-    needed, and the training rows' n weighted norms, not scaled inputs."""
-    factors = prediction_factors(model)
-    il = model.input_layer
-    return gp_mod.GPModel(
-        kernel=il.kernel, noise_var=il.noise_var, train_x=model.X,
-        train_y=model.hidden_layers[0].latent.means,
-        chol_cache=factors["input_chol"], alpha=il.mu_bar,
-        train_norms=factors["input_norms"].ravel())
+def _test_inputs(model: DeepGPModel, Xstar):
+    """Xstar as a 2-D float array, its columns checked before the
+    prediction factors are built, and the factors."""
+    Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
+    if Xstar.shape[1] != model.X.shape[1]:
+        raise DimensionMismatchError("predict columns", model.X.shape[1],
+                                     Xstar.shape[1])
+    return Xstar, prediction_factors(model)
+
+
+def _layer1_mean_and_solve(model: DeepGPModel, factors, Ks):
+    """The first latent's predictive mean Ks^T mu_bar and v = L^-1 Ks for
+    the cross-Gram Ks (Rasmussen & Williams 2006, Algorithm 2.1)."""
+    return (Ks.T @ model.input_layer.mu_bar,
+            solve_triangular(factors["input_chol"], Ks, lower=True))
 
 
 def predict_layer1(model: DeepGPModel, Xstar):
@@ -631,7 +636,11 @@ def predict_layer1(model: DeepGPModel, Xstar):
     latent at new inputs, shared by its q1 columns: what a joint draw
     (:func:`uq.propagate_realization`) needs.  :func:`predict` reads only
     the marginal variances and never forms this covariance."""
-    return gp_mod.predict(_layer1_gp(model), Xstar)
+    Xstar, factors = _test_inputs(model, Xstar)
+    Ks, Kss = predictive_grams(model.X, factors["input_norms"].ravel(), Xstar,
+                               model.input_layer.kernel)
+    mean, v = _layer1_mean_and_solve(model, factors, Ks)
+    return mean, downdate(Kss, v.T)
 
 
 def propagate(model: DeepGPModel, layer_index: int, qh_prev_star):
@@ -674,12 +683,16 @@ def predict(model: DeepGPModel, Xstar):
     Chains the exact first-layer predictive with moment propagation through
     every sparse layer; deterministic given the model (no sampling).  The
     moments are factorized per point and dimension, so the first layer
-    gives only its marginal variances (:func:`gp.predict_marginal`); the
-    joint covariance is :func:`predict_layer1`'s.
+    gives only its marginal variances, which agree with the diagonal of
+    :func:`predict_layer1`'s joint covariance to rounding.
     """
-    mean1, var1 = gp_mod.predict_marginal(_layer1_gp(model), Xstar)
+    Xstar, factors = _test_inputs(model, Xstar)
+    il = model.input_layer
+    mean1, v = _layer1_mean_and_solve(model, factors, cross_gram(
+        model.X, factors["input_norms"].ravel(), Xstar, il.kernel))
+    var1 = il.kernel.sigma_h_sq - np.einsum("ij,ij->j", v, v)
     q1 = mean1.shape[1]
-    v1 = np.clip(var1, 0.0, None) + model.input_layer.noise_var
+    v1 = np.clip(var1, 0.0, None) + il.noise_var
     moments = (mean1, np.repeat(v1[:, None], q1, axis=1))
     for t in range(model.n_latents):
         moments = propagate(model, t, moments)

@@ -1,9 +1,10 @@
-"""Exact (dense) Gaussian process regression with a zero mean function.
+"""Exact (dense) Gaussian process regression with a zero mean: the fit only.
 
-Used as the first layer of the deep model (the mapping from observed
-inputs) and as the oracle baseline that the variational layers are tested
-against.  Output columns are independent and share one ARD kernel with
-w = 2b, fitted in theta = [log tau0_sq, log b, log noise_var].
+Output columns are independent and share one ARD kernel with w = 2b,
+fitted in theta = [log tau0_sq, log b, log noise_var].
+:func:`deepgp.train_deep` fits the first latent on the inputs here to start
+its input layer, whose backward reuses :func:`_hyper_grads`; the deep model
+predicts from its own factors (:func:`deepgp.predict_layer1`).
 """
 
 from __future__ import annotations
@@ -13,24 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .kernels import (ARDParams, RBFParams, gram, predictive_grams, cross_gram,
-                      chol_psd, downdate, pairwise_sqdist, DimensionMismatchError)
+from .kernels import (ARDParams, RBFParams, gram, chol_psd, pairwise_sqdist,
+                      DimensionMismatchError)
 from .optimize import BlockSpec, ascend, cached_objective
 
-__all__ = ["GPModel", "build_model", "log_marginal", "log_marginal_grad", "fit",
-           "predict", "predict_marginal"]
+__all__ = ["GPModel", "build_model", "log_marginal", "log_marginal_grad", "fit"]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass
 class GPModel:
-    """Exact-GP state: the Cholesky factor of K + noise*I and the mean weights.
-
-    ``train_norms`` are the training rows' weighted norms sum_k w_k x_ik^2
-    from the pass that formed K, so that prediction scales only the test
-    inputs.
-    """
+    """Exact-GP state: the Cholesky factor of K + noise*I and the mean weights."""
 
     kernel: ARDParams
     noise_var: float
@@ -38,7 +33,6 @@ class GPModel:
     train_y: np.ndarray   # (n, nu)
     chol_cache: np.ndarray  # lower factor of gram(X, X) + noise_var * I
     alpha: np.ndarray     # (n, nu) mean weights; the predictive mean is Ks^T alpha
-    train_norms: np.ndarray  # (n,) weighted row norms of train_x
 
 
 def _build(kernel: ARDParams, noise_var: float, X, Y):
@@ -49,12 +43,11 @@ def _build(kernel: ARDParams, noise_var: float, X, Y):
         raise DimensionMismatchError("training rows", X.shape[0], Y.shape[0])
     if not noise_var > 0:
         raise ValueError("noise_var must be positive")
-    K, norms = gram(X, X, kernel, return_norms=True)
+    K = gram(X, X, kernel)
     L, _ = chol_psd(K + noise_var * np.eye(X.shape[0]))
     model = GPModel(kernel=kernel, noise_var=float(noise_var),
                     train_x=X, train_y=Y, chol_cache=L,
-                    alpha=scipy.linalg.cho_solve((L, True), Y),
-                    train_norms=norms)
+                    alpha=scipy.linalg.cho_solve((L, True), Y))
     return model, K
 
 
@@ -162,52 +155,3 @@ def fit(X, Y, iters=100):
     theta, _ = ascend(cached_objective(forward, backward), spec.pack(theta0),
                       iters)
     return build_model(*_from_theta(spec.unpack(theta)), X, Y)
-
-
-def _test_inputs(model: GPModel, Xstar):
-    Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
-    if Xstar.shape[1] != model.train_x.shape[1]:
-        raise DimensionMismatchError("predict columns",
-                                     model.train_x.shape[1], Xstar.shape[1])
-    return Xstar
-
-
-def _mean_and_solve(model: GPModel, Ks):
-    """The predictive mean Ks^T alpha and v = L^-1 Ks through the cached
-    factor, shared by all output columns."""
-    return (Ks.T @ model.alpha,
-            scipy.linalg.solve_triangular(model.chol_cache, Ks, lower=True))
-
-
-def predict(model: GPModel, Xstar):
-    """Predictive mean (n*, nu) and joint covariance (n*, n*) at test inputs.
-
-    The mean is Ks^T alpha and the covariance Kss - v^T v with
-    v = L^-1 Ks, one ``dsyrk`` update of Kss that is exactly symmetric
-    (:func:`kernels.downdate`).  Both Gram matrices come from one
-    scaling of Xstar and the cached training norms
-    (:func:`kernels.predictive_grams`): Kss is bit-identical to
-    ``gram(Xstar, Xstar)``, while Ks, and so the mean and covariance, differ
-    from ``gram(train_x, Xstar)`` in the last bits only.  A caller that
-    needs only the marginal variances uses :func:`predict_marginal`.
-    """
-    Xstar = _test_inputs(model, Xstar)
-    Ks, Kss = predictive_grams(model.train_x, model.train_norms, Xstar,
-                               model.kernel)   # (n, n*), (n*, n*)
-    mean, v = _mean_and_solve(model, Ks)
-    return mean, downdate(Kss, v.T)
-
-
-def predict_marginal(model: GPModel, Xstar):
-    """Predictive mean (n*, nu) and marginal variances (n*,) at test inputs.
-
-    :func:`predict`'s mean and the diagonal of its covariance,
-    sigma_h_sq - sum_i v_i^2 per column of v = L^-1 Ks, from the same
-    cross-Gram and solve; no n* x n* array is formed.  The variances agree
-    with ``np.diag`` of :func:`predict`'s covariance to rounding, which
-    near a training input is large relative to the small difference.
-    """
-    Xstar = _test_inputs(model, Xstar)
-    mean, v = _mean_and_solve(model, cross_gram(
-        model.train_x, model.train_norms, Xstar, model.kernel))
-    return mean, model.kernel.sigma_h_sq - np.einsum("ij,ij->j", v, v)

@@ -17,11 +17,12 @@ the weighted row norms ``a_i = sum_k w_k A_ik^2``.  A self-Gram
 product as one ``dsyrk`` on the rows scaled by ``sqrt(w)``: half the flops
 of a general product, and the lower triangle it fills is mirrored, so the
 result is exactly symmetric with a zero distance diagonal.  It can hand its
-norms to its caller (``return_norms``), and :func:`predictive_grams` and
-:func:`cross_gram` take a fixed training set's norms as given, so
-prediction scales only the test rows.  :func:`chol_psd` checks symmetry in
-the pass that symmetrizes, and :func:`downdate` forms a posterior
-covariance ``K - V V^T`` as one exactly symmetric ``dsyrk`` update.
+norms to its caller (``return_norms``), and :func:`predictive_grams` (joint)
+and :func:`cross_gram` (marginal) take a fixed training set's norms as
+given, so the deep model's first latent (:mod:`dgpuq.deepgp`) predicts by
+scaling only the test rows.  :func:`chol_psd` checks symmetry in the pass
+that symmetrizes, and :func:`downdate` forms a posterior covariance
+``K - V V^T`` as one exactly symmetric ``dsyrk`` update.
 
 All arrays are dense row-major float64.
 """
@@ -211,9 +212,9 @@ def _predictive_operands(X, Xstar, kernel: ARDParams):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
     if X.shape[1] != Xstar.shape[1]:
-        raise DimensionMismatchError("predictive_grams column counts",
-                                     X.shape[1], Xstar.shape[1])
-    _check_len("predictive_grams vs kernel dim", X, kernel.dim)
+        raise DimensionMismatchError("test input columns", X.shape[1],
+                                     Xstar.shape[1])
+    _check_len("training input columns vs kernel dim", X, kernel.dim)
     return (X, Xstar * np.sqrt(kernel.weights),
             _norms(Xstar, kernel.weights))
 

@@ -103,13 +103,14 @@ def propagate_realization(model: DeepGPModel, Xprime, seed: int,
 
     Returns the final-layer function values, shape (n', output dim).
     """
-    Xprime = np.atleast_2d(np.asarray(Xprime, dtype=float))
     rng = rng_for(seed, *subkeys)
+    mean, cov = predict_layer1(model, Xprime)
     factors = prediction_factors(model)
     try:
-        values = _draw_gaussian(*predict_layer1(model, Xprime), rng)
+        values = _draw_gaussian(mean, cov, rng)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"layer 1 propagation failed: {exc}") from exc
+    del mean, cov       # freed before the sparse layers' draws
     for t, layer in enumerate(model.hidden_layers):
         try:
             Ksu = gram(values, layer.inducing.inputs, layer.kernel)

@@ -262,17 +262,18 @@ def gemm_self_gram(A, kernel):
     return kernel.sigma_h_sq * np.exp(-0.5 * sq)
 
 
-def two_gram_predict(model, Xstar):
+def two_gram_predict(X, kernel, L, alpha, Xstar):
     """Exact-GP predictive moments from gram(X, X*) and gram(X*, X*).
 
     Each Gram matrix scales both of its operands, the training inputs
-    included; the covariance is solved through the model's Cholesky factor.
+    included; the mean is Ks^T alpha and the covariance is solved through
+    the lower Cholesky factor L of K + noise*I.
     """
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
-    Ks = two_pass_gram(model.train_x, Xstar, model.kernel)
-    Kss = two_pass_gram(Xstar, Xstar, model.kernel)
-    mean = Ks.T @ model.alpha
-    v = scipy.linalg.solve_triangular(model.chol_cache, Ks, lower=True)
+    Ks = two_pass_gram(X, Xstar, kernel)
+    Kss = two_pass_gram(Xstar, Xstar, kernel)
+    mean = Ks.T @ alpha
+    v = scipy.linalg.solve_triangular(L, Ks, lower=True)
     cov = Kss - v.T @ v
     return mean, 0.5 * (cov + cov.T)
 

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dpotrf, dtrtri
 
-from dgpuq import cli, deepgp, gp, io
-from dgpuq.kernels import RBFParams, ARDParams, gram, chol_psd
+from dgpuq import cli, deepgp, gp, io, uq
+from dgpuq.kernels import (RBFParams, ARDParams, gram, chol_psd,
+                           DimensionMismatchError)
 from dgpuq.gplvm import (VariationalLatent, InducingSet, LayerState, layer_bound,
                          _phi_forward)
 from dgpuq.deepgp import (DeepGPModel, InputLayer, elbo, elbo_grad_vector,
                           pack_params, unpack_params, train_deep,
-                          predict_layer1, propagate, predict, _layer1_gp,
+                          predict_layer1, propagate, predict,
                           _input_cov, _first_latent_forward, _first_latent_grads,
                           _tri_inv_lower, _TRI_LEAF)
 from dgpuq.rng import rng_for
@@ -247,7 +248,8 @@ class TestTrainDeep:
     def test_degenerate_single_layer_matches_exact_gp(self):
         X, Y, Xte, Yte = benchmark_1d()
         gpm = gp.fit(X, Y, iters=150)
-        mu_gp, _ = gp.predict(gpm, Xte)
+        mu_gp, _ = two_gram_predict(gpm.train_x, gpm.kernel, gpm.chol_cache,
+                                    gpm.alpha, Xte)
         rmse_gp = float(np.sqrt(np.mean((mu_gp - Yte) ** 2)))
         model = train_deep(X, Y, dims=[1], m_inducing=[50], iters=300, seed=0)
         mu_d, _ = predict(model, Xte)
@@ -372,7 +374,8 @@ class TestPredictLayer1:
         rng = np.random.default_rng(0)
         Xs = rng.normal(size=(6, 2))
         mean_a, cov_a = predict_layer1(model, Xs)
-        mean_b, cov_b = gp.predict(gpm, Xs)
+        mean_b, cov_b = two_gram_predict(model.X, il.kernel, gpm.chol_cache,
+                                         gpm.alpha, Xs)
         np.testing.assert_allclose(mean_a, mean_b, atol=1e-10)
         np.testing.assert_allclose(cov_a, cov_b, atol=1e-10)
 
@@ -381,11 +384,12 @@ class TestPredictLayer1:
         model = tiny_model(seed=19)
         Xs = np.random.default_rng(1).normal(size=(5, 2))
         mean_a, cov_a = predict_layer1(model, Xs)
-        cached = _layer1_gp(model)
+        factors = deepgp.prediction_factors(model)
         # the cache keeps n weighted norms, not the scaled n x kappa inputs
-        assert cached.train_x is model.X
-        assert cached.train_norms.shape == (model.X.shape[0],)
-        mean_o, cov_o = two_gram_predict(cached, Xs)
+        assert factors["input_norms"].shape == (1, model.X.shape[0])
+        mean_o, cov_o = two_gram_predict(model.X, model.input_layer.kernel,
+                                         factors["input_chol"],
+                                         model.input_layer.mu_bar, Xs)
         assert rel_err(mean_a, mean_o) <= 1e-12
         assert rel_err(cov_a, cov_o) <= 1e-12
         model._pred_cache.clear()
@@ -527,12 +531,15 @@ class TestPredict:
         # does not cancel
         Xs = np.random.default_rng(2).normal(size=(15, 2)) + 3.0
         mean, cov = predict_layer1(model, Xs)
-        mean_m, var = gp.predict_marginal(_layer1_gp(model), Xs)
+        # predict's first layer alone: the same model with no sparse layer
+        first = DeepGPModel(X=model.X, Y=model.Y, input_layer=model.input_layer,
+                            hidden_layers=[], dims=model.dims[:1])
+        mean_m, var_m = predict(first, Xs)
         np.testing.assert_array_equal(mean_m, mean)
         sigma2 = model.input_layer.kernel.sigma_h_sq
-        assert np.abs(var - np.diag(cov)).max() <= 1e-12 * sigma2
-        # and predict chains those marginals through the sparse layers
         v1 = np.diag(cov) + model.input_layer.noise_var
+        assert np.abs(var_m - v1[:, None]).max() <= 1e-12 * sigma2
+        # and predict chains those marginals through the sparse layers
         moments = (mean, np.repeat(v1[:, None], mean.shape[1], axis=1))
         for t in range(model.n_latents):
             moments = propagate(model, t, moments)
@@ -568,6 +575,30 @@ class TestPredict:
         mean_b, var_b = predict(fresh, Xs)
         np.testing.assert_array_equal(mean_a, mean_b)
         np.testing.assert_array_equal(var_a, var_b)
+
+    @pytest.mark.parametrize("call", [
+        lambda model, X: predict(model, X),
+        lambda model, X: predict_layer1(model, X),
+        lambda model, X: uq.propagate_realization(model, X, 0)],
+        ids=["predict", "predict_layer1", "propagate_realization"])
+    def test_column_check_comes_before_any_factor(self, monkeypatch, call):
+        model = set_first_latent(tiny_model(seed=43))
+        calls = []
+
+        def spy(name, real):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return counted
+
+        for name in ("chol_psd", "layer_bound"):
+            monkeypatch.setattr(deepgp, name, spy(name, getattr(deepgp, name)))
+        with pytest.raises(DimensionMismatchError, match="predict columns"):
+            call(model, np.zeros((3, 5)))
+        assert calls == []
+        assert model._pred_cache == {}
+        predict(model, model.X[:3])         # the spies do see a build
+        assert calls == ["chol_psd", "layer_bound", "layer_bound"]
 
     def test_a_failed_build_leaves_no_factor(self, monkeypatch):
         model = set_first_latent(tiny_model(seed=41, dims=(2, 3)))

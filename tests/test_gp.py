@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dgpuq import gp
+from dgpuq import deepgp, gp
+from dgpuq.deepgp import DeepGPModel, InputLayer, predict_layer1
 from dgpuq.kernels import RBFParams, gram, DimensionMismatchError
 from helpers import (ard_case, central_diff, dense_gp_logml, dense_gp_predict,
                      two_gram_predict)
@@ -16,6 +17,28 @@ def random_model(rng, n=5, kappa=2, nu=2, noise=0.3):
     kern = RBFParams(tau0_sq=rng.uniform(0.5, 2.0),
                      lengthscale_inv=rng.uniform(0.2, 1.5, kappa))
     return gp.build_model(kern, noise, X, Y)
+
+
+def as_deep(model):
+    """The fitted GP ``model`` as a deep model with no sparse layer: its
+    first latent has mean weights mu_bar = alpha, so
+    :func:`deepgp.predict_layer1` is the GP's predictive."""
+    il = InputLayer(kernel=model.kernel, noise_var=model.noise_var,
+                    mu_bar=model.alpha, lam=np.ones_like(model.alpha))
+    return DeepGPModel(X=model.train_x, Y=model.train_y, input_layer=il,
+                       hidden_layers=[], dims=[model.alpha.shape[1]])
+
+
+def joint_predict(model, Xstar):
+    """The fitted GP's predictive mean and joint covariance, as the deep
+    model's first latent gives them."""
+    return predict_layer1(as_deep(model), Xstar)
+
+
+def oracle_predict(model, Xstar):
+    """:func:`helpers.two_gram_predict` over the fitted GP's own factor."""
+    return two_gram_predict(model.train_x, model.kernel, model.chol_cache,
+                            model.alpha, Xstar)
 
 
 class TestLogMarginal:
@@ -105,13 +128,18 @@ class TestFit:
 
 
 class TestPredict:
+    """Exact-GP prediction is the deep model's first latent
+    (:func:`deepgp.predict_layer1` for the joint covariance,
+    :func:`deepgp.predict` for the marginals); a fitted GP is that latent
+    of a model with no sparse layer."""
+
     def test_interpolation_limit(self):
         rng = np.random.default_rng(6)
         X = rng.uniform(0, 1, (8, 1))
         Y = np.cos(X)
         kern = RBFParams(tau0_sq=1.0, lengthscale_inv=np.array([2.0]))
         model = gp.build_model(kern, 1e-12, X, Y)
-        mean, cov = gp.predict(model, X[3:4])
+        mean, cov = joint_predict(model, X[3:4])
         assert abs(mean[0, 0] - Y[3, 0]) < 1e-6
         assert cov[0, 0] < 1e-6
 
@@ -121,7 +149,7 @@ class TestPredict:
         Y = rng.normal(size=(8, 1))
         kern = RBFParams(tau0_sq=1.7, lengthscale_inv=np.array([1.0]))
         model = gp.build_model(kern, 0.1, X, Y)
-        mean, cov = gp.predict(model, [[50.0]])
+        mean, cov = joint_predict(model, [[50.0]])
         assert abs(mean[0, 0]) < 1e-6
         assert cov[0, 0] == pytest.approx(1.7, abs=1e-6)
 
@@ -132,7 +160,7 @@ class TestPredict:
         kern = RBFParams(tau0_sq=1.0, lengthscale_inv=np.array([1.5]))
         model = gp.build_model(kern, 0.2, X, Y)
         Xs = rng.uniform(0, 1, (4, 1))
-        mean, cov = gp.predict(model, Xs)
+        mean, cov = joint_predict(model, Xs)
         K = gram(X, X, kern)
         Ks = gram(X, Xs, kern)
         Kss = gram(Xs, Xs, kern)
@@ -145,7 +173,7 @@ class TestPredict:
         for n in (5, 12, 20):
             model = random_model(rng, n=n, kappa=2, nu=2)
             Xs = rng.normal(size=(6, 2))
-            mean, cov = gp.predict(model, Xs)
+            mean, cov = joint_predict(model, Xs)
             K = gram(model.train_x, model.train_x, model.kernel)
             Ks = gram(model.train_x, Xs, model.kernel)
             Kss = gram(Xs, Xs, model.kernel)
@@ -158,7 +186,7 @@ class TestPredict:
         rng = np.random.default_rng(10)
         model = random_model(rng, n=12, kappa=2, nu=1, noise=0.05)
         Xs = rng.normal(size=(30, 2)) * 2.0
-        _, cov = gp.predict(model, Xs)
+        _, cov = joint_predict(model, Xs)
         bound = model.kernel.sigma_h_sq + model.noise_var
         assert np.all(np.diag(cov) <= bound + 1e-10)
 
@@ -166,7 +194,7 @@ class TestPredict:
         rng = np.random.default_rng(11)
         model = random_model(rng)
         with pytest.raises(DimensionMismatchError):
-            gp.predict(model, np.zeros((2, 3)))
+            joint_predict(model, np.zeros((2, 3)))
 
     def test_column_check_comes_before_any_gram(self, monkeypatch):
         rng = np.random.default_rng(12)
@@ -175,10 +203,9 @@ class TestPredict:
         def no_product(*args):
             raise AssertionError("a Gram matrix was formed")
 
-        monkeypatch.setattr(gp, "predictive_grams", no_product)
+        monkeypatch.setattr(deepgp, "predictive_grams", no_product)
         with pytest.raises(DimensionMismatchError):
-            gp.predict(model, np.zeros((2, 3)))
-
+            joint_predict(model, np.zeros((2, 3)))
 
     def test_marginal_column_check_comes_before_any_gram(self, monkeypatch):
         rng = np.random.default_rng(14)
@@ -187,9 +214,9 @@ class TestPredict:
         def no_product(*args):
             raise AssertionError("a Gram matrix was formed")
 
-        monkeypatch.setattr(gp, "cross_gram", no_product)
+        monkeypatch.setattr(deepgp, "cross_gram", no_product)
         with pytest.raises(DimensionMismatchError):
-            gp.predict_marginal(model, np.zeros((2, 3)))
+            deepgp.predict(as_deep(model), np.zeros((2, 3)))
 
 
 def weighted_model(rng, n, kappa, spread, offset=0.0):
@@ -212,8 +239,8 @@ class TestPredictAgainstTwoGramOracle:
         rng = np.random.default_rng(n + kappa + n_star)
         model, cols = weighted_model(rng, n, kappa, spread)
         Xs = rng.normal(size=(n_star, kappa)) * cols
-        mean, cov = gp.predict(model, Xs)
-        mean_or, cov_or = two_gram_predict(model, Xs)
+        mean, cov = joint_predict(model, Xs)
+        mean_or, cov_or = oracle_predict(model, Xs)
         assert rel_to_max(mean, mean_or) <= 1e-12
         assert rel_to_max(cov, cov_or) <= 1e-12
         np.testing.assert_array_equal(cov, cov.T)
@@ -249,7 +276,7 @@ class TestPredictAgainstTwoGramOracle:
         B = rounding(X, Xs)
         mean_tol = B.T @ np.abs(model.alpha)
         cov_tol = rounding(Xs, Xs) + 2.0 * (np.abs(Linv) @ B).T @ np.abs(v)
-        for mean, cov in (gp.predict(model, Xs), two_gram_predict(model, Xs)):
+        for mean, cov in (joint_predict(model, Xs), oracle_predict(model, Xs)):
             assert np.all(np.abs(mean - mean_ref) <= mean_tol)
             assert np.all(np.abs(cov - cov_ref) <= cov_tol)
 
@@ -258,8 +285,9 @@ class TestPredictAgainstTwoGramOracle:
         model = random_model(rng, n=9, kappa=3)
         _, norms = gram(model.train_x, model.train_x, model.kernel,
                         return_norms=True)
-        np.testing.assert_array_equal(model.train_norms, norms)
-        assert model.train_norms.shape == (9,)
+        carried = deepgp.prediction_factors(as_deep(model))["input_norms"]
+        np.testing.assert_array_equal(carried, norms[None, :])
+        assert carried.shape == (1, 9)
 
 
 class TestFitGramReuse:

@@ -341,6 +341,20 @@ class TestCli:
         assert "--out-grid" in res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("args, flag, value", [
+        (["--out-grid", "1"], "--out-grid", 1),
+        (["--grid", "1", "--out-grid", "1"], "--grid", 1),
+        (["--grid", "16", "--out-grid", "0"], "--out-grid", 0)])
+    def test_gen_data_grid_below_two_names_its_flag(self, tmp_path, capsys,
+                                                     args, flag, value):
+        from dgpuq import cli
+        code = cli.main(["gen-data", "--n", "2", *args,
+                         "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} must be at least 2, got {value}\n")
+        assert not (tmp_path / "x").exists()
+
     def test_mc_baseline_pdf_location_outside_the_domain_exits_2(
             self, desk_dataset, tmp_path):
         res = run_cli("mc-baseline", "--kle-manifest",
@@ -541,6 +555,22 @@ class TestCli:
         doc = json.loads((tmp_path / "m" / "model.json").read_text())
         assert len(doc["training"]["elbo_trace"]) == 1
 
+    def test_train_takes_its_layer_count_from_dims(self, desk_dataset,
+                                                   tmp_path, capsys):
+        from dgpuq import cli
+        code = cli.main(["train", "--data", str(desk_dataset), "--dims", "3",
+                         "--inducing", "8", "--iters", "2", "--init-iters", "3",
+                         "--out", str(tmp_path / "m")])
+        assert code == 0, capsys.readouterr().err
+        doc = json.loads((tmp_path / "m" / "model.json").read_text())
+        assert len(doc["layers"]) == 1
+        code = cli.main(["train", "--data", str(desk_dataset), "--layers", "3",
+                         "--dims", "3", "--inducing", "8",
+                         "--out", str(tmp_path / "m3")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --layers 3 does not match --dims 3\n")
+
     def test_train_layer_mismatch_exits_2(self, desk_dataset, tmp_path):
         res = run_cli("train", "--data", str(desk_dataset), "--layers", "3",
                       "--dims", "3,3", "--inducing", "8,8",
@@ -720,6 +750,22 @@ class TestOneOwnerOfPredictionState:
                 bad.append("_pred_cache")
             offences += [f"{name}:{node.lineno}: {b}" for b in bad]
         assert offences == []
+
+
+class TestPublicNames:
+    """Every name in a module's ``__all__`` is defined there: the benchmark
+    tracer (``bench/tracing.py``) fetches each one with ``getattr``."""
+
+    def test_every_exported_name_is_defined(self):
+        import importlib
+        import pkgutil
+        missing = []
+        for info in pkgutil.iter_modules(dgpuq.__path__):
+            mod = importlib.import_module(f"dgpuq.{info.name}")
+            missing += [f"{info.name}.{name}"
+                        for name in getattr(mod, "__all__", ())
+                        if not hasattr(mod, name)]
+        assert missing == []
 
 
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
