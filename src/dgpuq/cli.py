@@ -34,6 +34,14 @@ def _parse_dims(text):
     return dims
 
 
+def _check_at_least(*checks):
+    """Raise ValueError naming the first ``(flag, value, low)`` whose value
+    is below low."""
+    for flag, value, low in checks:
+        if value < low:
+            raise ValueError(f"{flag} must be at least {low}, got {value}")
+
+
 def _parse_locations(text):
     locs = []
     for part in text.split(";"):
@@ -64,17 +72,15 @@ def cmd_gen_data(args):
     from .rng import rng_for, GEN_DATA_STREAM
     from . import io
 
-    if args.n < 1:
-        raise ValueError("--n must be at least 1")
-    for flag, value in (("--grid", args.grid), ("--out-grid", args.out_grid)):
-        if value < 2:
-            raise ValueError(f"{flag} must be at least 2, got {value}")
+    _check_at_least(("--n", args.n, 1), ("--grid", args.grid, 2),
+                    ("--out-grid", args.out_grid, 2), ("--kle", args.kle, 1),
+                    ("--seed", args.seed, 0))
     if args.grid % args.out_grid:
         raise ValueError("--grid must be divisible by --out-grid")
     grid = Grid2D(args.grid, args.grid)
     out_grid = Grid2D(args.out_grid, args.out_grid)
     if args.kle > grid.n_cells:
-        raise ValueError("--kle exceeds the number of grid cells")
+        raise ValueError(f"--kle must be at most {grid.n_cells}, got {args.kle}")
     cov = ExpCovSpec(s_g_sq=args.sg, lambdas=(args.lam, args.lam), mean=args.mean)
     source = SourceSpec(rate=args.rate, width=args.width)
 
@@ -102,10 +108,8 @@ def cmd_train(args):
     from .gplvm import effective_dims
     from . import io
 
-    for flag, value in (("--iters", args.iters),
-                        ("--init-iters", args.init_iters)):
-        if value < 0:
-            raise ValueError(f"{flag} must be at least 0, got {value}")
+    _check_at_least(("--iters", args.iters, 0),
+                    ("--init-iters", args.init_iters, 0), ("--seed", args.seed, 0))
     info = io.load_kle_from_manifest(args.data)
     files = info["files"]
     if args.target not in files:
@@ -158,6 +162,8 @@ def cmd_uq(args):
     from .uq import InputDistribution, uq_report
     from . import io
 
+    _check_at_least(("--inner", args.inner, 2), ("--repeats", args.repeats, 2),
+                    ("--seed", args.seed, 0))
     model = io.load_model(args.model)
     info = io.load_kle_from_manifest(args.kle_manifest)
     out_grid_dims = model.training_meta.get("output_grid")
@@ -190,6 +196,7 @@ def cmd_mc_baseline(args):
     from .uq import InputDistribution, mc_baseline
     from . import io
 
+    _check_at_least(("--n", args.n, 2), ("--seed", args.seed, 0))
     info = io.load_kle_from_manifest(args.kle_manifest)
     grid, out_grid, source = info["grid"], info["out_grid"], info["source"]
     target = args.target

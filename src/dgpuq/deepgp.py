@@ -41,6 +41,8 @@ gradient at an accepted line-search trial reuses that trial's forward.
 The parameter vector is laid out by one :class:`optimize.BlockSpec`
 (``_layout``); :func:`pack_params` and :func:`unpack_params` are its pack and
 unpack, and ``_deep_backward`` returns the gradient by block name.
+:func:`model_arrays` names everything a model holds, those blocks among
+them, and :func:`model_from_arrays` rebuilds the model from that.
 
 Training is two-phase: a greedy stack of GP-LVMs initializes every layer,
 then the joint bound (first-layer KL + collapsed layer terms + entropies)
@@ -77,7 +79,8 @@ __all__ = [
     "unpack_params",
     "predict_layer1",
     "prediction_factors",
-    "install_prediction_factors",
+    "model_arrays",
+    "model_from_arrays",
     "propagate",
     "predict",
 ]
@@ -105,9 +108,9 @@ class DeepGPModel:
 
     ``_pred_cache`` is the named prediction factors
     (:func:`prediction_factors`), empty or complete, never partly built.
-    A model built in memory builds them all on first use;
-    :func:`io.load_model` fills them from the saved arrays
-    (:func:`install_prediction_factors`), so a loaded model rebuilds none.
+    A model built in memory builds them all on first use; one built by
+    :func:`model_from_arrays` (as :func:`io.load_model` builds it) holds
+    them all, so it rebuilds none.
     They are never invalidated: a caller who changes a parameter
     afterwards must clear the cache.
     """
@@ -419,8 +422,9 @@ def _layout(model: DeepGPModel):
             {name: v for name, v, _ in entries})
 
 
-def _with_values(model: DeepGPModel, values) -> DeepGPModel:
-    """A new model holding ``values`` (from :func:`_layout`)."""
+def _from_values(values, dims, training_meta) -> DeepGPModel:
+    """The model holding ``values``: :func:`_layout`'s blocks plus ``X``,
+    ``Y`` and layer 0's stored latent ``means0``, ``variances0``."""
     kern, noise_var = gp_mod._from_theta(values)
     il = InputLayer(kernel=kern, noise_var=noise_var, mu_bar=values["mu_bar"],
                     lam=values["lam"])
@@ -428,13 +432,21 @@ def _with_values(model: DeepGPModel, values) -> DeepGPModel:
         kernel=ARDParams(sigma_h_sq=float(values[f"sigma_h_sq{t}"]),
                          weights=values[f"weights{t}"]),
         beta=float(values[f"beta{t}"]),
-        latent=layer.latent if t == 0 else VariationalLatent(
-            means=values[f"means{t}"], variances=values[f"variances{t}"]),
+        latent=VariationalLatent(means=values[f"means{t}"],
+                                 variances=values[f"variances{t}"]),
         inducing=InducingSet(inputs=values[f"Hu{t}"]))
-        for t, layer in enumerate(model.hidden_layers)]
-    return DeepGPModel(X=model.X, Y=model.Y, input_layer=il,
-                       hidden_layers=layers, dims=list(model.dims),
-                       training_meta=model.training_meta)
+        for t in range(len(dims))]
+    return DeepGPModel(X=values["X"], Y=values["Y"], input_layer=il,
+                       hidden_layers=layers, dims=list(dims),
+                       training_meta=training_meta)
+
+
+def _with_values(model: DeepGPModel, values) -> DeepGPModel:
+    """A new model holding ``values`` (from :func:`_layout`)."""
+    first = model.hidden_layers[0].latent
+    return _from_values(dict(values, X=model.X, Y=model.Y, means0=first.means,
+                             variances0=first.variances),
+                        model.dims, model.training_meta)
 
 
 def pack_params(model: DeepGPModel) -> np.ndarray:
@@ -532,18 +544,14 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0,
 # Prediction
 # ---------------------------------------------------------------------------
 
-def _layer_outputs(model: DeepGPModel, t):
-    """The means that sparse layer t maps to: the next latent's, or Y."""
-    if t < model.n_latents - 1:
-        return model.hidden_layers[t + 1].latent.means
-    return model.Y
-
-
 def _layer_factors(model: DeepGPModel, t):
     """Sparse layer t's named factors V, Dmat and B from one layer bound."""
     layer = model.hidden_layers[t]
+    # the means that the layer maps to: the next latent's, or Y
+    outputs = (model.hidden_layers[t + 1].latent.means
+               if t < model.n_latents - 1 else model.Y)
     _, cache = layer_bound(layer.kernel, layer.beta, layer.latent,
-                           layer.inducing.inputs, _layer_outputs(model, t))
+                           layer.inducing.inputs, outputs)
     V = layer.beta * cache.AinvM                     # (m, nu)
     Dmat = cache.Kuu_inv - cache.A_inv               # PSD: posterior shrinkage
     # Dmat = Lk^-T (I - Aw^-1) Lk^-1 = B B^T with B = Lk^-T Q diag(1 - 1/a)^1/2
@@ -558,17 +566,6 @@ def _layer_factors(model: DeepGPModel, t):
     return {f"layer{t}_V": V, f"layer{t}_Dmat": Dmat, f"layer{t}_B": B}
 
 
-def _factor_shapes(model: DeepGPModel):
-    """``{name: shape}`` of :func:`prediction_factors`' arrays."""
-    n = model.X.shape[0]
-    shapes = {"input_chol": (n, n), "input_norms": (1, n)}
-    for t, layer in enumerate(model.hidden_layers):
-        m = layer.inducing.inputs.shape[0]
-        shapes.update({f"layer{t}_V": (m, _layer_outputs(model, t).shape[1]),
-                       f"layer{t}_Dmat": (m, m), f"layer{t}_B": (m, m)})
-    return shapes
-
-
 def prediction_factors(model: DeepGPModel) -> dict:
     """The arrays :func:`predict` and :func:`predict_layer1` read besides
     the parameters, by name: the first latent's lower Cholesky factor of C
@@ -580,9 +577,9 @@ def prediction_factors(model: DeepGPModel) -> dict:
     They are ``model._pred_cache`` itself, empty or complete: a non-empty
     cache is returned as it is, and a build stores its factors only once
     all are built, so one that raises leaves the cache empty.  They depend
-    on the parameters alone, so a saved model (:func:`io.save_model`)
-    keeps them (:func:`install_prediction_factors`), and a caller who
-    changes a parameter must clear the cache."""
+    on the parameters alone, so :func:`model_arrays` names them beside
+    the parameters, :func:`model_from_arrays` installs them, and a caller
+    who changes a parameter must clear the cache."""
     if model._pred_cache:
         return model._pred_cache
     C, norms = _input_cov(model.input_layer, model.X)
@@ -593,25 +590,71 @@ def prediction_factors(model: DeepGPModel) -> dict:
     return model._pred_cache
 
 
-def install_prediction_factors(model: DeepGPModel, factors):
-    """Fill ``model._pred_cache`` from :func:`prediction_factors`' arrays,
-    so that prediction forms no Gram over the training inputs, no Cholesky
-    factor of C and no layer bound.  A missing, unknown or wrong-shaped
-    array is a ValueError naming it, and leaves the cache as it was."""
-    shapes = _factor_shapes(model)
-    for name in sorted(shapes.keys() | factors.keys()):
-        if name not in factors:
-            raise ValueError(f"prediction factor {name!r} is missing")
-        if name not in shapes:
-            raise ValueError(f"unknown prediction factor {name!r}")
-        got = np.shape(factors[name])
-        if got != shapes[name]:
-            raise ValueError(f"prediction factor {name!r} has shape {got}, "
-                             f"expected {shapes[name]}")
+def _array_shapes(dims):
+    """``(params, factors)``, each ``{name: shape}``: the table of
+    :func:`model_arrays` for latent dims ``dims``.  A str axis is a size
+    fixed by the first array that has it: n and kappa by X, nu by Y and
+    m{t}, sparse layer t's inducing count, by ``Hu{t}``."""
+    q1 = dims[0]
+    params = {"X": ("n", "kappa"), "Y": ("n", "nu"), "tau0_sq": (),
+              "b": ("kappa",), "noise_var": (), "mu_bar": ("n", q1),
+              "lam": ("n", q1)}
+    factors = {"input_chol": ("n", "n"), "input_norms": (1, "n")}
+    for t, (q, q_out) in enumerate(zip(dims, list(dims[1:]) + ["nu"])):
+        m = f"m{t}"
+        params.update({f"Hu{t}": (m, q), f"sigma_h_sq{t}": (),
+                       f"weights{t}": (q,), f"beta{t}": (),
+                       f"means{t}": ("n", q), f"variances{t}": ("n", q)})
+        factors.update({f"layer{t}_V": (m, q_out), f"layer{t}_Dmat": (m, m),
+                        f"layer{t}_B": (m, m)})
+    return params, factors
+
+
+def model_arrays(model: DeepGPModel) -> dict:
+    """Everything the model holds, by name: X and Y, :func:`_layout`'s
+    blocks (a scalar as a 0-d value), layer 0's stored latent (``means0``,
+    ``variances0``) and the :func:`prediction_factors`, built here if the
+    cache is empty.  :func:`model_from_arrays` rebuilds the model."""
+    first = model.hidden_layers[0].latent
+    return {"X": model.X, "Y": model.Y, **_layout(model)[1],
+            "means0": first.means, "variances0": first.variances,
+            **prediction_factors(model)}
+
+
+def model_from_arrays(arrays, dims, training_meta=None) -> DeepGPModel:
+    """The model whose :func:`model_arrays` are ``arrays``.  Its prediction
+    factors are installed, so it predicts bit-identically to the model they
+    came from and rebuilds none.  Every name and shape is checked first
+    against :func:`_array_shapes`: a missing, unknown or wrong-shaped array
+    is a ValueError naming it.  A 1-D block may arrive as one row."""
+    if not dims:
+        raise ValueError("a model needs at least one latent dimension")
+    params, factors = _array_shapes(dims)
+    shapes = {**params, **factors}
+    for name in sorted(shapes.keys() ^ arrays.keys()):
+        raise ValueError(f"model array {name!r} is missing" if name in shapes
+                         else f"unknown model array {name!r}")
+    sizes, values = {}, {}
+    for name, want in shapes.items():
+        arr, got = arrays[name], np.shape(arrays[name])
+        if len(want) == 1 and len(got) == 2 and got[0] == 1:
+            arr, got = arr[0], got[1:]
+        if len(got) == len(want):
+            for axis, size in zip(want, got):
+                if isinstance(axis, str):
+                    sizes.setdefault(axis, size)
+        expected = tuple(sizes.get(a, a) for a in want)
+        if got != expected:
+            raise ValueError(f"model array {name!r} has shape "
+                             f"{np.shape(arrays[name])}, expected {expected}")
+        values[name] = arr
+    model = _from_values(values, dims, training_meta or {})
     # input_chol in Fortran order, like chol_psd's factor, so that
     # solve_triangular makes the same trtrs call on it
     model._pred_cache.update(
-        factors, input_chol=np.asfortranarray(factors["input_chol"]))
+        {name: values[name] for name in factors},
+        input_chol=np.asfortranarray(values["input_chol"]))
+    return model
 
 
 def _test_inputs(model: DeepGPModel, Xstar):

@@ -7,17 +7,17 @@ float64 payload.  Writes and reads round-trip bit-exactly.  Model files,
 dataset manifests and reports are JSON documents whose array fields are
 named references to sibling containers.
 
-A ``dgpuq-model-v2`` model.json names the parameter containers and holds
-the scalar parameters, and its ``prediction`` block names the prediction
-factors (:func:`deepgp.prediction_factors`: the first latent's Cholesky
-factor of C and row norms, and each sparse layer's V, Dmat and B), which
-depend on the parameters alone and are written once, at save.  They are
-the model's ``_pred_cache``, empty or complete: a loaded model holds all
-of them and rebuilds none, and one whose parameter changes must clear
-it.  The block's ``digest`` is a SHA-256 over every container's payload
-and every scalar parameter, so a file edited after saving is rejected on
-load.  A ``dgpuq-model-v1``
-directory, which holds no factors, must be retrained.
+A ``dgpuq-model-v3`` model.json holds ``dims``, ``training``, ``numbers``
+(the scalar parameters), ``arrays`` (each other array's name and its
+``<name>.dgpm`` container) and ``digest``.  The names are
+:func:`deepgp.model_arrays`' own: the training data, the parameters, layer
+0's stored latent and the prediction factors, which depend on the
+parameters alone and are written once, at save.  Loading checks every
+name and shape (:func:`deepgp.model_from_arrays`) and then the digest, a
+SHA-256 over every number and every container's payload, so a file edited
+after saving is rejected; the loaded model holds all the factors and
+rebuilds none.  A ``dgpuq-model-v1`` or ``-v2`` directory must be
+retrained.
 """
 
 from __future__ import annotations
@@ -30,12 +30,9 @@ import re
 import numpy as np
 
 from . import __version__
-from .kernels import RBFParams, ARDParams
 from .random_field import Grid2D, ExpCovSpec, KLExpansion
 from .darcy import SourceSpec
-from .gplvm import LayerState, VariationalLatent, InducingSet
-from .deepgp import (DeepGPModel, InputLayer, prediction_factors,
-                     install_prediction_factors)
+from .deepgp import DeepGPModel, model_arrays, model_from_arrays
 
 __all__ = [
     "write_matrix",
@@ -53,7 +50,7 @@ __all__ = [
 MAGIC = b"DGPM1\n"
 # the header line: two decimal counts and the payload's type
 _HEADER = re.compile(rb"(\d+) (\d+) f64le\n")
-MODEL_FORMAT = "dgpuq-model-v2"
+MODEL_FORMAT = "dgpuq-model-v3"
 DATASET_FORMAT = "dgpuq-dataset-v1"
 UQ_REPORT_FORMAT = "dgpuq-uq-v1"
 MC_REPORT_FORMAT = "dgpuq-mc-v1"
@@ -127,15 +124,14 @@ _KINDS = {
     "an integer pair": lambda v: (isinstance(v, list) and len(v) == 2
                                   and all(map(_is_int, v))),
     "a string": lambda v: isinstance(v, str),
-    "a list": lambda v: isinstance(v, list),
     "an object": lambda v: isinstance(v, dict),
 }
 
 
 def _read_document(path, name, fmt):
     """Read the ``fmt`` JSON document at ``path`` (``path/name`` for a
-    directory); return its path, a reader, ``field("layers.0.beta",
-    "a number")`` for ``doc["layers"][0]["beta"]``, which must have that
+    directory); return its path, a reader, ``field("numbers.beta0",
+    "a number")`` for ``doc["numbers"]["beta0"]``, which must have that
     :data:`_KINDS` type, and ``matrix(dotted)``, the container whose file
     name that string field holds, beside the document.  Invalid JSON,
     another format, or an absent or wrong-typed field is a ValueError
@@ -154,8 +150,8 @@ def _read_document(path, name, fmt):
         value = doc
         for key in dotted.split("."):
             try:
-                value = value[int(key) if isinstance(value, list) else key]
-            except (KeyError, IndexError, TypeError, ValueError):
+                value = value[key]
+            except (KeyError, TypeError):
                 raise ValueError(f"{path}: missing field {dotted!r}") from None
         if not _KINDS[kind](value):
             raise ValueError(f"{path}: field {dotted!r} must be {kind}, got "
@@ -170,8 +166,8 @@ def _read_document(path, name, fmt):
 
 
 def _model_digest(values):
-    """SHA-256, in hex, over ``{dotted field: value}``: each field's name
-    and its value as little-endian float64, in name order."""
+    """SHA-256, in hex, over ``{name: value}``: each name and its value as
+    little-endian float64, in name order."""
     h = hashlib.sha256()
     for name in sorted(values):
         h.update(name.encode("ascii") + b"\0")
@@ -180,76 +176,26 @@ def _model_digest(values):
 
 
 def save_model(out_dir, model: DeepGPModel, extra_meta=None):
-    """Persist a model as model.json plus sibling containers.
+    """Persist a model as model.json plus one container per array of
+    :func:`deepgp.model_arrays`, the scalars among them in ``numbers``.
 
-    Besides the parameters the directory holds the prediction factors
-    (:func:`deepgp.prediction_factors`: the model's ``_pred_cache``, all
-    built here if it is empty, written as it is otherwise, so a caller who
-    changed a parameter must clear it first), one ``pred_<name>.dgpm``
-    each, named in the ``prediction`` block beside the
-    :func:`_model_digest` of every container written and every scalar
-    parameter.
+    The prediction factors are the model's ``_pred_cache``: all built here
+    if it is empty and written as they are otherwise, so a caller who
+    changed a parameter must clear it first.
     """
     # built first: a model that cannot be factored writes no file
-    factors = prediction_factors(model)
-    os.makedirs(out_dir, exist_ok=True)
-    stored = {}
-
-    def put(key, name, arr):
-        stored[key] = write_matrix(os.path.join(out_dir, name), arr)
-        return name
-
-    def number(key, value):
-        stored[key] = float(value)
-        return stored[key]
-
-    il = model.input_layer
+    arrays = model_arrays(model)
     doc = {
         "format": MODEL_FORMAT,
         "version": __version__,
         "dims": [int(d) for d in model.dims],
-        "data": {
-            "X": put("data.X", "train_x.dgpm", model.X),
-            "Y": put("data.Y", "train_y.dgpm", model.Y),
-        },
-        "input_layer": {
-            # the file keeps the (tau0_sq, b) form of the ARD kernel, w = 2b
-            "tau0_sq": number("input_layer.tau0_sq", il.kernel.sigma_h_sq),
-            "noise_var": number("input_layer.noise_var", il.noise_var),
-            "arrays": {
-                "lengthscale_inv": put("input_layer.lengthscale_inv",
-                                       "input_lengthscale_inv.dgpm",
-                                       0.5 * il.kernel.weights[None, :]),
-                "mu_bar": put("input_layer.mu_bar", "input_mu_bar.dgpm",
-                              il.mu_bar),
-                "lam": put("input_layer.lam", "input_lam.dgpm", il.lam),
-            },
-        },
-        "layers": [],
         "training": dict(model.training_meta, **(extra_meta or {})),
+        "numbers": {name: float(v) for name, v in arrays.items()
+                    if np.ndim(v) == 0},
+        "arrays": write_fields(out_dir, {name: v for name, v in arrays.items()
+                                         if np.ndim(v) > 0}),
+        "digest": _model_digest(arrays),
     }
-    for t, layer in enumerate(model.hidden_layers):
-        at = f"layers.{t}."
-        doc["layers"].append({
-            "sigma_h_sq": number(at + "sigma_h_sq", layer.kernel.sigma_h_sq),
-            "beta": number(at + "beta", layer.beta),
-            "arrays": {
-                "weights": put(at + "weights", f"layer{t}_weights.dgpm",
-                               layer.kernel.weights[None, :]),
-                "inducing_inputs": put(at + "inducing_inputs",
-                                       f"layer{t}_inducing.dgpm",
-                                       layer.inducing.inputs),
-                "latent_means": put(at + "latent_means",
-                                    f"layer{t}_latent_means.dgpm",
-                                    layer.latent.means),
-                "latent_variances": put(at + "latent_variances",
-                                        f"layer{t}_latent_vars.dgpm",
-                                        layer.latent.variances),
-            },
-        })
-    arrays = {name: put(f"prediction.{name}", f"pred_{name}.dgpm", arr)
-              for name, arr in factors.items()}
-    doc["prediction"] = {"digest": _model_digest(stored), "arrays": arrays}
     _json_dump(os.path.join(out_dir, "model.json"), doc)
     return os.path.join(out_dir, "model.json")
 
@@ -258,9 +204,9 @@ def load_model(model_dir) -> DeepGPModel:
     """Reload a persisted model, prediction factors included, so that it
     predicts bit-identically to the saved one without rebuilding them.
 
-    Every field is type-checked and every parameter array shape-checked
-    before any parameter object is built; then the digest must match the
-    containers and scalars as read, so a file edited after saving is a
+    Every field is type-checked and every array's name and shape checked
+    (:func:`deepgp.model_from_arrays`); then the digest must match the
+    containers and numbers as read, so a file edited after saving is a
     ValueError naming model.json, not a stale prediction.
     """
     path, field, get = _read_document(model_dir, "model.json", MODEL_FORMAT)
@@ -268,77 +214,20 @@ def load_model(model_dir) -> DeepGPModel:
     training = field("training", "an object")
     if "output_grid" in training:
         field("training.output_grid", "an integer pair")
-    stored = {key: field(key, "a number") for key in
-              ("input_layer.tau0_sq", "input_layer.noise_var")}
-    stored.update({"data.X": get("data.X"), "data.Y": get("data.Y")})
-    for key in ("lengthscale_inv", "mu_bar", "lam"):
-        stored[f"input_layer.{key}"] = get(f"input_layer.arrays.{key}")
-    n_layers = len(field("layers", "a list"))
-    for t in range(n_layers):
-        at = f"layers.{t}."
-        for key in ("sigma_h_sq", "beta"):
-            stored[at + key] = field(at + key, "a number")
-        for key in ("weights", "inducing_inputs", "latent_means",
-                    "latent_variances"):
-            stored[at + key] = get(at + "arrays." + key)
-    factors = {name: get(f"prediction.arrays.{name}")
-               for name in field("prediction.arrays", "an object")}
-    stored.update((f"prediction.{name}", arr) for name, arr in factors.items())
-    _check_model_shapes(path, stored, n_layers, dims)
-    if _model_digest(stored) != field("prediction.digest", "a string"):
-        raise ValueError(f"{path}: field 'prediction.digest' does not match "
-                         "the arrays and numbers read: a file changed after "
-                         "the model was saved")
-
-    il = InputLayer(
-        kernel=RBFParams(tau0_sq=stored["input_layer.tau0_sq"],
-                         lengthscale_inv=stored["input_layer.lengthscale_inv"].ravel()),
-        noise_var=stored["input_layer.noise_var"],
-        mu_bar=stored["input_layer.mu_bar"], lam=stored["input_layer.lam"])
-    layers = []
-    for t in range(n_layers):
-        at = f"layers.{t}."
-        layers.append(LayerState(
-            kernel=ARDParams(sigma_h_sq=stored[at + "sigma_h_sq"],
-                             weights=stored[at + "weights"].ravel()),
-            beta=stored[at + "beta"],
-            latent=VariationalLatent(means=stored[at + "latent_means"],
-                                     variances=stored[at + "latent_variances"]),
-            inducing=InducingSet(inputs=stored[at + "inducing_inputs"]),
-        ))
-    model = DeepGPModel(X=stored["data.X"], Y=stored["data.Y"], input_layer=il,
-                        hidden_layers=layers, dims=dims, training_meta=training)
+    arrays = {name: field(f"numbers.{name}", "a number")
+              for name in field("numbers", "an object")}
+    arrays.update((name, get(f"arrays.{name}"))
+                  for name in field("arrays", "an object"))
+    digest = field("digest", "a string")
     try:
-        install_prediction_factors(model, factors)
+        model = model_from_arrays(arrays, dims, training)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if _model_digest(arrays) != digest:
+        raise ValueError(f"{path}: field 'digest' does not match the arrays "
+                         "and numbers read: a file changed after the model "
+                         "was saved")
     return model
-
-
-def _check_model_shapes(path, stored, n_layers, dims):
-    """Raise ValueError naming the first parameter array whose shape
-    disagrees with X's and the dims."""
-
-    def expect(field, want):
-        got = stored[field].shape
-        if got != want:
-            raise ValueError(f"{path}: {field} has shape {got}, "
-                             f"expected {want}")
-
-    n, kappa = stored["data.X"].shape
-    expect("data.Y", (n, stored["data.Y"].shape[1]))
-    if not dims or n_layers != len(dims):
-        raise ValueError(f"{path}: {n_layers} layers for {len(dims)} dims")
-    expect("input_layer.mu_bar", (n, dims[0]))
-    expect("input_layer.lam", (n, dims[0]))
-    expect("input_layer.lengthscale_inv", (1, kappa))
-    for t, q in enumerate(dims):
-        at = f"layers.{t}."
-        expect(at + "weights", (1, q))
-        expect(at + "inducing_inputs",
-               (stored[at + "inducing_inputs"].shape[0], q))
-        expect(at + "latent_means", (n, q))
-        expect(at + "latent_variances", (n, q))
 
 
 def write_fields(out_dir, arrays):

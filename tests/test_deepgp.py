@@ -567,11 +567,11 @@ class TestPredict:
                                 "layer0_Dmat", "layer0_B", "layer1_V",
                                 "layer1_Dmat", "layer1_B"}
         mean_a, var_a = predict(model, Xs)
-        fresh = DeepGPModel(X=model.X, Y=model.Y, input_layer=model.input_layer,
-                            hidden_layers=model.hidden_layers, dims=model.dims)
         # copies in C order, as a matrix container reads them back
-        deepgp.install_prediction_factors(
-            fresh, {k: np.ascontiguousarray(v) for k, v in factors.items()})
+        fresh = deepgp.model_from_arrays(
+            {k: np.array(v, order="C")
+             for k, v in deepgp.model_arrays(model).items()}, model.dims)
+        assert fresh._pred_cache["input_chol"].flags.f_contiguous
         mean_b, var_b = predict(fresh, Xs)
         np.testing.assert_array_equal(mean_a, mean_b)
         np.testing.assert_array_equal(var_a, var_b)
@@ -620,16 +620,25 @@ class TestPredict:
         (lambda f: f.pop("layer1_B"), "'layer1_B' is missing"),
         (lambda f: f.update(layer2_V=np.ones((3, 2))), "unknown .* 'layer2_V'"),
         (lambda f: f.update(input_norms=np.ones((10, 1))),
-         r"'input_norms' has shape \(10, 1\), expected \(1, 10\)")])
+         r"'input_norms' has shape \(10, 1\), expected \(1, 10\)"),
+        (lambda f: f.update(X=np.ones(10)),
+         r"'X' has shape \(10,\), expected \('n', 'kappa'\)"),
+        (lambda f: f.update(Y=np.ones((9, 2))),
+         r"'Y' has shape \(9, 2\), expected \(10, 2\)"),
+        (lambda f: f.update(b=np.ones((2, 2))),
+         r"'b' has shape \(2, 2\), expected \(2,\)"),
+        (lambda f: f.update(tau0_sq=np.ones(1)),
+         r"'tau0_sq' has shape \(1,\), expected \(\)"),
+        (lambda f: f.update(layer1_V=np.ones((3, 3))),
+         r"'layer1_V' has shape \(3, 3\), expected \(3, 2\)")])
     def test_install_names_a_wrong_factor(self, edit, message):
         model = tiny_model(seed=37)
-        factors = dict(deepgp.prediction_factors(model))
-        edit(factors)
-        fresh = DeepGPModel(X=model.X, Y=model.Y, input_layer=model.input_layer,
-                            hidden_layers=model.hidden_layers, dims=model.dims)
+        arrays = deepgp.model_arrays(model)
+        cached = dict(model._pred_cache)
+        edit(arrays)
         with pytest.raises(ValueError, match=message):
-            deepgp.install_prediction_factors(fresh, factors)
-        assert fresh._pred_cache == {}
+            deepgp.model_from_arrays(arrays, model.dims)
+        assert model._pred_cache == cached
 
     def test_training_fit_correlation_on_benchmark(self):
         X, Y, _, _ = benchmark_1d(seed=31)
@@ -638,3 +647,45 @@ class TestPredict:
         r = np.corrcoef(mean.ravel(), Y.ravel())[0, 1]
         assert r > 0.95
         assert np.all(var > 0)
+
+
+class TestModelArrays:
+    @pytest.mark.parametrize("dims", [(2,), (2, 3), (2, 3, 2)],
+                             ids=["1-layer", "2-layer", "3-layer"])
+    def test_round_trip_is_exact(self, dims):
+        model = set_first_latent(tiny_model(seed=53, dims=dims))
+        arrays = deepgp.model_arrays(model)
+        back = deepgp.model_from_arrays(arrays, model.dims)
+        again = deepgp.model_arrays(back)
+        assert again.keys() == arrays.keys()
+        for name, value in arrays.items():
+            assert np.array_equal(again[name], value), name
+        Xs = np.random.default_rng(9).normal(size=(6, 2))
+        for got, want in zip(predict(back, Xs), predict(model, Xs)):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(
+            uq.propagate_realization(back, Xs, 4),
+            uq.propagate_realization(model, Xs, 4))
+
+    def test_one_row_block_is_taken_as_one_dimensional(self):
+        model = tiny_model(seed=59)
+        arrays = deepgp.model_arrays(model)
+        rows = dict(arrays, b=arrays["b"][None, :],
+                    weights1=arrays["weights1"][None, :])
+        back = deepgp.model_from_arrays(rows, model.dims)
+        np.testing.assert_array_equal(back.input_layer.kernel.weights,
+                                      model.input_layer.kernel.weights)
+        np.testing.assert_array_equal(back.hidden_layers[1].kernel.weights,
+                                      model.hidden_layers[1].kernel.weights)
+
+    def test_dims_fix_the_layer_count(self):
+        model = tiny_model(seed=67, dims=(2, 3))
+        arrays = deepgp.model_arrays(model)
+        with pytest.raises(ValueError, match="model array 'Hu1' is missing"):
+            deepgp.model_from_arrays(
+                {k: v for k, v in arrays.items() if not k.endswith("1")
+                 and not k.startswith("layer1")}, model.dims)
+        with pytest.raises(ValueError, match="unknown model array 'Hu1'"):
+            deepgp.model_from_arrays(arrays, model.dims[:1])
+        with pytest.raises(ValueError, match="at least one latent"):
+            deepgp.model_from_arrays(arrays, [])

@@ -139,21 +139,32 @@ class TestModelPersistence:
     def test_model_file_schema(self, tmp_path):
         save_tiny_model(tmp_path / "m")
         doc = json.loads((tmp_path / "m" / "model.json").read_text())
-        assert doc["format"] == "dgpuq-model-v2"
-        for name in doc["data"].values():
-            assert (tmp_path / "m" / name).exists()
-        for layer in doc["layers"]:
-            for name in layer["arrays"].values():
-                assert (tmp_path / "m" / name).exists()
-        for name in doc["prediction"]["arrays"].values():
+        assert doc["format"] == "dgpuq-model-v3"
+        for name in doc["arrays"].values():
             assert (tmp_path / "m" / name).exists()
 
-    # the tiny model: n = 12 rows, one 2-dim layer with 6 inducing inputs
+    def test_cli_saved_model_holds_exactly_its_arrays(self, desk_dataset,
+                                                       tmp_path):
+        from dgpuq import cli
+        from dgpuq.deepgp import model_arrays
+        mdl = tmp_path / "m"
+        assert cli.main(["train", "--data", str(desk_dataset), "--dims", "2,2",
+                         "--inducing", "4,4", "--iters", "2",
+                         "--init-iters", "3", "--out", str(mdl)]) == 0
+        arrays = model_arrays(io.load_model(mdl))
+        doc = json.loads((mdl / "model.json").read_text())
+        assert doc["numbers"].keys() | doc["arrays"].keys() == arrays.keys()
+        assert sorted(os.listdir(mdl)) == sorted(
+            [f"{name}.dgpm" for name, v in arrays.items() if np.ndim(v)]
+            + ["model.json", "elbo_trace.csv", "ard_weights.csv"])
+
+    # the tiny model: n = 12 rows, one 2-dim layer with 6 inducing inputs;
+    # the ids name each array by where the model holds it
     @pytest.mark.parametrize("name, shape, field", [
-        ("input_lam.dgpm", (3, 5), "input_layer.lam"),
-        ("layer0_weights.dgpm", (1, 1), "layers.0.weights"),
-        ("layer0_inducing.dgpm", (6, 1), "layers.0.inducing_inputs"),
-        ("layer0_latent_vars.dgpm", (12, 1), "layers.0.latent_variances")],
+        ("lam.dgpm", (3, 5), "lam"),
+        ("weights0.dgpm", (1, 1), "weights0"),
+        ("Hu0.dgpm", (6, 1), "Hu0"),
+        ("variances0.dgpm", (12, 1), "variances0")],
         ids=["input_layer.lam", "layers.0.weights", "layers.0.inducing_inputs",
              "layers.0.latent_variances"])
     def test_wrong_shape_array_rejected(self, tmp_path, name, shape, field):
@@ -162,7 +173,8 @@ class TestModelPersistence:
         with pytest.raises(ValueError) as info:
             io.load_model(tmp_path / "m")
         assert str(info.value).startswith(
-            f"{tmp_path / 'm' / 'model.json'}: {field} has shape {shape}")
+            f"{tmp_path / 'm' / 'model.json'}: model array '{field}' has "
+            f"shape {shape}")
 
     def test_loaded_model_rebuilds_no_prediction_factor(self, tmp_path,
                                                         monkeypatch):
@@ -198,9 +210,13 @@ class TestModelPersistence:
         with pytest.raises(ValueError):
             io.load_model(tmp_path)
 
-    @pytest.mark.parametrize("field", ["input_layer.tau0_sq",
-                                       "layers.0.beta"])
-    def test_missing_field_named_with_its_path(self, tmp_path, field):
+    @pytest.mark.parametrize("field, message", [
+        ("numbers.tau0_sq", "model array 'tau0_sq' is missing"),
+        ("numbers.beta0", "model array 'beta0' is missing"),
+        ("digest", "missing field 'digest'")],
+        ids=["input_layer.tau0_sq", "layers.0.beta", "digest"])
+    def test_missing_field_named_with_its_path(self, tmp_path, field,
+                                               message):
         save_tiny_model(tmp_path / "m")
         path = tmp_path / "m" / "model.json"
         doc = json.loads(path.read_text())
@@ -211,8 +227,9 @@ class TestModelPersistence:
             entry = entry[key]
         del entry[last]
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=f"missing field '{field}'"):
+        with pytest.raises(ValueError, match=message) as info:
             io.load_model(tmp_path / "m")
+        assert str(info.value).startswith(f"{path}: ")
 
 
 def edit_model_json(model_dir, field, value):
@@ -239,28 +256,29 @@ class TestModelDigest:
 
     def test_beta_edited_after_save_exits_2(self, tmp_path, capsys):
         save_tiny_model(tmp_path / "m")
-        path = edit_model_json(tmp_path / "m", "layers.0.beta",
+        path = edit_model_json(tmp_path / "m", "numbers.beta0",
                                lambda beta: 2.0 * beta)
         assert self.predict_exit(tmp_path / "m", tmp_path) == 2
         err = capsys.readouterr().err
-        assert str(path) in err and "'prediction.digest'" in err
+        assert str(path) in err and "field 'digest'" in err
         assert not (tmp_path / "p").exists()
 
     def test_container_rewritten_after_save_exits_2(self, tmp_path, capsys):
         save_tiny_model(tmp_path / "m")
-        mu_bar = tmp_path / "m" / "input_mu_bar.dgpm"
+        mu_bar = tmp_path / "m" / "mu_bar.dgpm"
         io.write_matrix(mu_bar, io.read_matrix(mu_bar) + 1e-12)
         assert self.predict_exit(tmp_path / "m", tmp_path) == 2
         err = capsys.readouterr().err
         assert str(tmp_path / "m" / "model.json") in err
-        assert "'prediction.digest'" in err
+        assert "field 'digest'" in err
 
-    def test_v1_model_exits_2_naming_v2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("fmt", ["dgpuq-model-v1", "dgpuq-model-v2"])
+    def test_old_model_exits_2_naming_v3(self, tmp_path, capsys, fmt):
         save_tiny_model(tmp_path / "m")
-        path = edit_model_json(tmp_path / "m", "format", "dgpuq-model-v1")
+        path = edit_model_json(tmp_path / "m", "format", fmt)
         assert self.predict_exit(tmp_path / "m", tmp_path) == 2
         err = capsys.readouterr().err
-        assert str(path) in err and "dgpuq-model-v2" in err
+        assert str(path) in err and "dgpuq-model-v3" in err
 
 
 class TestCsv:
@@ -353,6 +371,35 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: {flag} must be at least 2, got {value}\n")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gen-data", "--kle", "0"], "--kle must be at least 1, got 0"),
+        (["gen-data", "--grid", "8", "--out-grid", "4", "--kle", "65"],
+         "--kle must be at most 64, got 65"),
+        (["gen-data", "--seed", "-1"], "--seed must be at least 0, got -1"),
+        (["train", "--data", "{tmp}/nope", "--seed", "-1"],
+         "--seed must be at least 0, got -1"),
+        (["uq", "--model", "{tmp}/nope", "--kle-manifest", "{tmp}/nope",
+          "--inner", "1"], "--inner must be at least 2, got 1"),
+        (["uq", "--model", "{tmp}/nope", "--kle-manifest", "{tmp}/nope",
+          "--repeats", "1"], "--repeats must be at least 2, got 1"),
+        (["uq", "--model", "{tmp}/nope", "--kle-manifest", "{tmp}/nope",
+          "--seed", "-2"], "--seed must be at least 0, got -2"),
+        (["mc-baseline", "--kle-manifest", "{tmp}/nope", "--n", "1"],
+         "--n must be at least 2, got 1"),
+        (["mc-baseline", "--kle-manifest", "{tmp}/nope", "--seed", "-1"],
+         "--seed must be at least 0, got -1")],
+        ids=["gen-data-kle", "gen-data-kle-cells", "gen-data-seed",
+             "train-seed", "uq-inner", "uq-repeats", "uq-seed", "mc-n",
+             "mc-seed"])
+    def test_count_or_seed_below_its_floor_names_its_flag(
+            self, tmp_path, capsys, argv, message):
+        # the files named do not exist: the flag is checked before any read
+        from dgpuq import cli
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert cli.main([*argv, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "x").exists()
 
     def test_mc_baseline_pdf_location_outside_the_domain_exits_2(
@@ -474,8 +521,10 @@ class TestCli:
         assert "manifest.json" in err and "'files.K'" in err
 
     @pytest.mark.parametrize("field, value", [
-        ("dims", [None]), ("input_layer.tau0_sq", "x"),
-        ("layers.0.beta", [1.0]), ("training", 3),
+        ("dims", [None]),
+        pytest.param("numbers.tau0_sq", "x", id="input_layer.tau0_sq-x"),
+        pytest.param("numbers.beta0", [1.0], id="layers.0.beta-value2"),
+        ("training", 3),
         ("training.output_grid", "x"), ("training.output_grid", [64])])
     def test_predict_on_a_wrong_typed_field_names_file_and_field(
             self, tmp_path, capsys, field, value):
@@ -563,7 +612,7 @@ class TestCli:
                          "--out", str(tmp_path / "m")])
         assert code == 0, capsys.readouterr().err
         doc = json.loads((tmp_path / "m" / "model.json").read_text())
-        assert len(doc["layers"]) == 1
+        assert doc["dims"] == [3]
         code = cli.main(["train", "--data", str(desk_dataset), "--layers", "3",
                          "--dims", "3", "--inducing", "8",
                          "--out", str(tmp_path / "m3")])
@@ -579,12 +628,12 @@ class TestCli:
 
     def test_predict_on_wrong_shape_model_exits_2(self, tmp_path):
         save_tiny_model(tmp_path / "m")
-        io.write_matrix(tmp_path / "m" / "input_lam.dgpm", np.ones((3, 5)))
+        io.write_matrix(tmp_path / "m" / "lam.dgpm", np.ones((3, 5)))
         io.write_matrix(tmp_path / "x.dgpm", np.zeros((4, 2)))
         res = run_cli("predict", "--model", str(tmp_path / "m"), "--inputs",
                       str(tmp_path / "x.dgpm"), "--out", str(tmp_path / "p"))
         assert res.returncode == 2
-        assert "input_layer.lam" in res.stderr
+        assert "model array 'lam'" in res.stderr
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_predict_on_a_non_finite_input_names_file_and_row(
@@ -686,13 +735,13 @@ class TestCli:
         assert counts == [1] * len(counts), res.stdout
 
 
-def source_nodes(owner):
+def source_nodes(*owners):
     """``(file name, node)`` for every syntax node of every package module
-    but ``owner``."""
+    but the ``owners``."""
     import ast
     src = os.path.dirname(dgpuq.__file__)
     for name in sorted(os.listdir(src)):
-        if not name.endswith(".py") or name == owner:
+        if not name.endswith(".py") or name in owners:
             continue
         with open(os.path.join(src, name), encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), filename=name)
@@ -749,6 +798,26 @@ class TestOneOwnerOfPredictionState:
                     or isinstance(node, ast.Name) and node.id == "_pred_cache"):
                 bad.append("_pred_cache")
             offences += [f"{name}:{node.lineno}: {b}" for b in bad]
+        assert offences == []
+
+
+class TestOneOwnerOfModelState:
+    """Only ``deepgp`` and ``gplvm`` build the model's parts, so what a
+    model holds is laid out once: every other module goes through
+    ``deepgp.model_arrays`` and ``deepgp.model_from_arrays``."""
+
+    def test_only_deepgp_and_gplvm_build_model_parts(self):
+        import ast
+        parts = {"DeepGPModel", "InputLayer", "LayerState",
+                 "VariationalLatent", "InducingSet"}
+        offences = []
+        for name, node in source_nodes("deepgp.py", "gplvm.py"):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                called = fn.id if isinstance(fn, ast.Name) else getattr(
+                    fn, "attr", None)
+                if called in parts:
+                    offences.append(f"{name}:{node.lineno}: {called}")
         assert offences == []
 
 
