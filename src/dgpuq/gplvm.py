@@ -40,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .gp import LOG_2PI
 from .kernels import ARDParams, gram, DimensionMismatchError
 from .optimize import BlockSpec, ascend, cached_objective
 from .rng import rng_for
@@ -55,6 +54,8 @@ __all__ = [
     "train_gplvm",
     "effective_dims",
 ]
+
+LOG_2PI = float(np.log(2.0 * np.pi))
 
 # relative diagonal added to K_uu; scales with the signal variance so that
 # gradients in log(sigma_h_sq) stay exact

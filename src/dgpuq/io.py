@@ -200,11 +200,36 @@ def save_model(out_dir, model: DeepGPModel, extra_meta=None):
     return os.path.join(out_dir, "model.json")
 
 
+class _ReadOnUse(dict):
+    """A model's numbers by name, and its containers, each read from its file
+    when first looked up: ``keys()`` names both from the start, iteration
+    only what is held.  :func:`deepgp.model_from_arrays` checks every name
+    before it looks one up, and looks up all, so a stray name opens no
+    file.  ``failed`` is the error of a read that failed, which names its
+    own file."""
+
+    def __init__(self, numbers, files, read):
+        super().__init__(numbers)
+        self._files, self._read, self.failed = files, read, None
+
+    def keys(self):
+        return super().keys() | self._files.keys()
+
+    def __missing__(self, name):
+        try:
+            value = self[name] = self._read(f"arrays.{name}")
+        except ValueError as exc:
+            self.failed = exc
+            raise
+        return value
+
+
 def load_model(model_dir) -> DeepGPModel:
     """Reload a persisted model, prediction factors included, so that it
     predicts bit-identically to the saved one without rebuilding them.
 
-    Every field is type-checked and every array's name and shape checked
+    Every field is type-checked, every array's name checked before any
+    container is read, and every shape checked
     (:func:`deepgp.model_from_arrays`); then the digest must match the
     containers and numbers as read, so a file edited after saving is a
     ValueError naming model.json, not a stale prediction.
@@ -214,14 +239,15 @@ def load_model(model_dir) -> DeepGPModel:
     training = field("training", "an object")
     if "output_grid" in training:
         field("training.output_grid", "an integer pair")
-    arrays = {name: field(f"numbers.{name}", "a number")
-              for name in field("numbers", "an object")}
-    arrays.update((name, get(f"arrays.{name}"))
-                  for name in field("arrays", "an object"))
+    arrays = _ReadOnUse({name: field(f"numbers.{name}", "a number")
+                         for name in field("numbers", "an object")},
+                        field("arrays", "an object"), get)
     digest = field("digest", "a string")
     try:
         model = model_from_arrays(arrays, dims, training)
     except ValueError as exc:
+        if exc is arrays.failed:
+            raise
         raise ValueError(f"{path}: {exc}") from None
     if _model_digest(arrays) != digest:
         raise ValueError(f"{path}: field 'digest' does not match the arrays "

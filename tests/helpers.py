@@ -7,7 +7,8 @@ import scipy.sparse.linalg as spla
 
 from dgpuq.deepgp import DeepGPModel, InputLayer
 from dgpuq.gplvm import InducingSet, LayerState, VariationalLatent
-from dgpuq.kernels import ARDParams, RBFParams, DimensionMismatchError, gram
+from dgpuq.kernels import (ARDParams, RBFParams, DimensionMismatchError, gram,
+                           chol_psd)
 from dgpuq.optimize import _NUMERICAL_FAILURES
 from dgpuq.random_field import KLExpansion
 
@@ -47,7 +48,8 @@ def recomputing_objective(forward, backward):
 
 # Hand-indexed parameter codecs: each trainer's vector layout written out
 # position by position, the reference for the optimize.BlockSpec layouts of
-# gp.fit, gplvm.train_gplvm and deepgp.train_deep.
+# the input layer's fit (deepgp._input_fit), gplvm.train_gplvm and
+# deepgp.train_deep.
 
 def hand_pack_theta(kernel, noise_var):
     """theta = [log tau0_sq, log b, log noise_var] with b = w / 2."""
@@ -194,6 +196,24 @@ def dense_gp_logml(K, noise_var, Y):
         y = Y[:, j]
         total += -0.5 * (y @ Cinv @ y + logdet + n * np.log(2 * np.pi))
     return total
+
+
+def exact_gp_chol(X, kernel, noise_var):
+    """Lower Cholesky factor of C = gram(X, X) + noise_var I."""
+    return chol_psd(gram(X, X, kernel) + noise_var * np.eye(X.shape[0]))[0]
+
+
+def exact_gp_model(kernel, noise_var, X, Y):
+    """The deep model with no sparse layer whose first latent is the exact
+    GP of Y on X: its input layer has mean weights mu_bar = C^-1 Y, so
+    :func:`dgpuq.deepgp.predict_layer1` is that GP's predictive."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    mu_bar = scipy.linalg.cho_solve((exact_gp_chol(X, kernel, noise_var), True), Y)
+    il = InputLayer(kernel=kernel, noise_var=noise_var, mu_bar=mu_bar,
+                    lam=np.ones_like(mu_bar))
+    return DeepGPModel(X=X, Y=Y, input_layer=il, hidden_layers=[],
+                       dims=[Y.shape[1]])
 
 
 def dense_gp_predict(K, Ks, Kss, noise_var, Y):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dpotrf, dtrtri
 
-from dgpuq import cli, deepgp, gp, io, uq
+from dgpuq import cli, deepgp, io, uq
 from dgpuq.kernels import (RBFParams, ARDParams, gram, chol_psd,
                            DimensionMismatchError)
 from dgpuq.gplvm import (VariationalLatent, InducingSet, LayerState, layer_bound,
@@ -17,7 +17,8 @@ from dgpuq.deepgp import (DeepGPModel, InputLayer, elbo, elbo_grad_vector,
                           _tri_inv_lower, _TRI_LEAF)
 from dgpuq.rng import rng_for
 from helpers import (mc_phi_oracle, loop_phi_forward, loop_first_latent_forward,
-                     loop_first_latent_grads, two_gram_predict)
+                     loop_first_latent_grads, two_gram_predict, exact_gp_chol,
+                     exact_gp_model)
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -247,9 +248,10 @@ class TestFirstLatentMatrixForms:
 class TestTrainDeep:
     def test_degenerate_single_layer_matches_exact_gp(self):
         X, Y, Xte, Yte = benchmark_1d()
-        gpm = gp.fit(X, Y, iters=150)
-        mu_gp, _ = two_gram_predict(gpm.train_x, gpm.kernel, gpm.chol_cache,
-                                    gpm.alpha, Xte)
+        kern, noise_var, _ = deepgp._input_fit(X, Y, 150)
+        gpm = exact_gp_model(kern, noise_var, X, Y)
+        mu_gp, _ = two_gram_predict(X, kern, exact_gp_chol(X, kern, noise_var),
+                                    gpm.input_layer.mu_bar, Xte)
         rmse_gp = float(np.sqrt(np.mean((mu_gp - Yte) ** 2)))
         model = train_deep(X, Y, dims=[1], m_inducing=[50], iters=300, seed=0)
         mu_d, _ = predict(model, Xte)
@@ -370,12 +372,13 @@ class TestPredictLayer1:
         il = model.input_layer
         C = gram(model.X, model.X, il.kernel) + il.noise_var * np.eye(10)
         M1 = C @ il.mu_bar
-        gpm = gp.build_model(il.kernel, il.noise_var, model.X, M1)
+        gpm = exact_gp_model(il.kernel, il.noise_var, model.X, M1)
         rng = np.random.default_rng(0)
         Xs = rng.normal(size=(6, 2))
         mean_a, cov_a = predict_layer1(model, Xs)
-        mean_b, cov_b = two_gram_predict(model.X, il.kernel, gpm.chol_cache,
-                                         gpm.alpha, Xs)
+        mean_b, cov_b = two_gram_predict(
+            model.X, il.kernel, exact_gp_chol(model.X, il.kernel, il.noise_var),
+            gpm.input_layer.mu_bar, Xs)
         np.testing.assert_allclose(mean_a, mean_b, atol=1e-10)
         np.testing.assert_allclose(cov_a, cov_b, atol=1e-10)
 

@@ -1,87 +1,90 @@
+"""The exact-GP input layer of :mod:`dgpuq.deepgp`: the fit that starts it
+(``_input_fit`` and its forward and backward halves) and the first latent's
+predictive, read from a model whose first latent is an exact GP."""
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from dgpuq import deepgp, gp
-from dgpuq.deepgp import DeepGPModel, InputLayer, predict_layer1
+from dgpuq import deepgp
+from dgpuq.deepgp import predict_layer1
 from dgpuq.kernels import RBFParams, gram, DimensionMismatchError
 from helpers import (ard_case, central_diff, dense_gp_logml, dense_gp_predict,
-                     two_gram_predict)
+                     exact_gp_chol, exact_gp_model, two_gram_predict)
 
 LOG_2PI = np.log(2.0 * np.pi)
 
 
-def random_model(rng, n=5, kappa=2, nu=2, noise=0.3):
+def random_case(rng, n=5, kappa=2, nu=2, noise=0.3):
+    """(kernel, noise_var, X, Y) of a random exact GP."""
     X = rng.normal(size=(n, kappa))
     Y = rng.normal(size=(n, nu))
     kern = RBFParams(tau0_sq=rng.uniform(0.5, 2.0),
                      lengthscale_inv=rng.uniform(0.2, 1.5, kappa))
-    return gp.build_model(kern, noise, X, Y)
+    return kern, noise, X, Y
 
 
-def as_deep(model):
-    """The fitted GP ``model`` as a deep model with no sparse layer: its
-    first latent has mean weights mu_bar = alpha, so
-    :func:`deepgp.predict_layer1` is the GP's predictive."""
-    il = InputLayer(kernel=model.kernel, noise_var=model.noise_var,
-                    mu_bar=model.alpha, lam=np.ones_like(model.alpha))
-    return DeepGPModel(X=model.train_x, Y=model.train_y, input_layer=il,
-                       hidden_layers=[], dims=[model.alpha.shape[1]])
+def random_model(rng, **kwargs):
+    return exact_gp_model(*random_case(rng, **kwargs))
 
 
-def joint_predict(model, Xstar):
-    """The fitted GP's predictive mean and joint covariance, as the deep
-    model's first latent gives them."""
-    return predict_layer1(as_deep(model), Xstar)
+def log_marginal(kern, noise_var, X, Y):
+    return deepgp._input_fit_forward(kern, noise_var, np.asarray(X, float),
+                                     np.asarray(Y, float))[0]
+
+
+def log_marginal_grad(kern, noise_var, X, Y):
+    """The fit's gradient as [d log tau0_sq, d log b, d log noise_var]."""
+    g = deepgp._input_fit_backward(
+        deepgp._input_fit_forward(kern, noise_var, X, Y)[1])
+    return np.concatenate([[g["tau0_sq"]], g["b"], [g["noise_var"]]])
 
 
 def oracle_predict(model, Xstar):
-    """:func:`helpers.two_gram_predict` over the fitted GP's own factor."""
-    return two_gram_predict(model.train_x, model.kernel, model.chol_cache,
-                            model.alpha, Xstar)
+    """:func:`helpers.two_gram_predict` over the exact GP's own factor."""
+    il = model.input_layer
+    return two_gram_predict(model.X, il.kernel,
+                            exact_gp_chol(model.X, il.kernel, il.noise_var),
+                            il.mu_bar, Xstar)
 
 
 class TestLogMarginal:
     def test_single_point_unit_variance(self):
         # k(x,x) + noise = 0.5 + 0.5 = 1, y = 0 -> -log(2 pi)/2 per column
         kern = RBFParams(tau0_sq=0.5, lengthscale_inv=np.array([1.0]))
-        model = gp.build_model(kern, 0.5, [[0.0]], [[0.0, 0.0, 0.0]])
-        assert gp.log_marginal(model) == pytest.approx(-1.5 * LOG_2PI, abs=1e-12)
+        assert (log_marginal(kern, 0.5, [[0.0]], [[0.0, 0.0, 0.0]])
+                == pytest.approx(-1.5 * LOG_2PI, abs=1e-12))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(6, 2))
         Y = rng.normal(size=(6, 3))
         kern = RBFParams(tau0_sq=1.2, lengthscale_inv=np.array([0.5, 1.1]))
-        a = gp.log_marginal(gp.build_model(kern, 0.2, X, Y))
+        a = log_marginal(kern, 0.2, X, Y)
         perm = rng.permutation(6)
-        b = gp.log_marginal(gp.build_model(kern, 0.2, X[perm], Y[perm]))
+        b = log_marginal(kern, 0.2, X[perm], Y[perm])
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_matches_textbook_formula_n3(self):
         rng = np.random.default_rng(1)
-        model = random_model(rng, n=3, kappa=2, nu=2)
-        K = gram(model.train_x, model.train_x, model.kernel)
-        expected = dense_gp_logml(K, model.noise_var, model.train_y)
-        assert gp.log_marginal(model) == pytest.approx(expected, abs=1e-10)
+        kern, noise, X, Y = random_case(rng, n=3, kappa=2, nu=2)
+        expected = dense_gp_logml(gram(X, X, kern), noise, Y)
+        assert log_marginal(kern, noise, X, Y) == pytest.approx(expected,
+                                                                abs=1e-10)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(2)
-        model = random_model(rng, n=7, kappa=2, nu=2)
-        gt, gb, gn = gp.log_marginal_grad(
-            model, gram(model.train_x, model.train_x, model.kernel))
-        g = np.concatenate([[gt], gb, [gn]])
+        kern0, noise, X, Y = random_case(rng, n=7, kappa=2, nu=2)
+        g = log_marginal_grad(kern0, noise, X, Y)
 
         def fun(theta):
             kern = RBFParams(tau0_sq=np.exp(theta[0]),
                              lengthscale_inv=np.exp(theta[1:3]))
-            m = gp.build_model(kern, float(np.exp(theta[3])),
-                               model.train_x, model.train_y)
-            return gp.log_marginal(m)
+            return log_marginal(kern, float(np.exp(theta[3])), X, Y)
 
-        theta0 = np.concatenate([[np.log(model.kernel.sigma_h_sq)],
-                                 np.log(0.5 * model.kernel.weights),
-                                 [np.log(model.noise_var)]])
+        theta0 = np.concatenate([[np.log(kern0.sigma_h_sq)],
+                                 np.log(0.5 * kern0.weights),
+                                 [np.log(noise)]])
         fd = central_diff(fun, theta0)
         rel = np.abs(g - fd) / (np.abs(fd) + 1e-8)
         assert rel.max() < 1e-4
@@ -92,16 +95,16 @@ class TestFit:
         rng = np.random.default_rng(3)
         X = np.linspace(0, 1, 40)[:, None]
         Y = np.sin(2 * np.pi * X)
-        model = gp.fit(X, Y, iters=250)
-        assert model.noise_var < 1e-3 * np.var(Y)
+        _, noise_var, _ = deepgp._input_fit(X, Y, 250)
+        assert noise_var < 1e-3 * np.var(Y)
 
     def test_output_scale_doubling_scales_signal_variance(self):
         rng = np.random.default_rng(4)
         X = rng.uniform(0, 1, (30, 1))
         Y = np.sin(2 * np.pi * X) + 0.05 * rng.standard_normal((30, 1))
-        m1 = gp.fit(X, Y, iters=150)
-        m2 = gp.fit(X, 2.0 * Y, iters=150)
-        ratio = m2.kernel.sigma_h_sq / m1.kernel.sigma_h_sq
+        k1 = deepgp._input_fit(X, Y, 150)[0]
+        k2 = deepgp._input_fit(X, 2.0 * Y, 150)[0]
+        ratio = k2.sigma_h_sq / k1.sigma_h_sq
         assert 2.0 <= ratio <= 6.0
 
     def test_objective_trace_nondecreasing(self, monkeypatch):
@@ -109,37 +112,38 @@ class TestFit:
         X = rng.uniform(0, 1, (20, 1))
         Y = np.sin(2 * np.pi * X) + 0.1 * rng.standard_normal((20, 1))
         traces = []
-        real = gp.ascend
+        real = deepgp.ascend
 
         def spied(*args):
             x, trace = real(*args)
             traces.append(trace)
             return x, trace
 
-        monkeypatch.setattr(gp, "ascend", spied)
-        gp.fit(X, Y, iters=60)
+        monkeypatch.setattr(deepgp, "ascend", spied)
+        deepgp._input_fit(X, Y, 60)
         (trace,) = traces
         assert trace.size > 1
         assert np.all(np.diff(trace) >= -1e-9)
 
     def test_needs_two_points(self):
-        with pytest.raises(ValueError):
-            gp.fit(np.zeros((1, 1)), np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="two training points"):
+            deepgp.train_deep(np.zeros((1, 1)), [[0.0, 1.0]], dims=[1],
+                              m_inducing=[1])
 
 
 class TestPredict:
     """Exact-GP prediction is the deep model's first latent
     (:func:`deepgp.predict_layer1` for the joint covariance,
-    :func:`deepgp.predict` for the marginals); a fitted GP is that latent
-    of a model with no sparse layer."""
+    :func:`deepgp.predict` for the marginals), here of a model with no
+    sparse layer."""
 
     def test_interpolation_limit(self):
         rng = np.random.default_rng(6)
         X = rng.uniform(0, 1, (8, 1))
         Y = np.cos(X)
         kern = RBFParams(tau0_sq=1.0, lengthscale_inv=np.array([2.0]))
-        model = gp.build_model(kern, 1e-12, X, Y)
-        mean, cov = joint_predict(model, X[3:4])
+        model = exact_gp_model(kern, 1e-12, X, Y)
+        mean, cov = predict_layer1(model, X[3:4])
         assert abs(mean[0, 0] - Y[3, 0]) < 1e-6
         assert cov[0, 0] < 1e-6
 
@@ -148,8 +152,8 @@ class TestPredict:
         X = rng.uniform(0, 1, (8, 1))
         Y = rng.normal(size=(8, 1))
         kern = RBFParams(tau0_sq=1.7, lengthscale_inv=np.array([1.0]))
-        model = gp.build_model(kern, 0.1, X, Y)
-        mean, cov = joint_predict(model, [[50.0]])
+        model = exact_gp_model(kern, 0.1, X, Y)
+        mean, cov = predict_layer1(model, [[50.0]])
         assert abs(mean[0, 0]) < 1e-6
         assert cov[0, 0] == pytest.approx(1.7, abs=1e-6)
 
@@ -158,9 +162,9 @@ class TestPredict:
         X = rng.uniform(0, 1, (3, 1))
         Y = rng.normal(size=(3, 1))
         kern = RBFParams(tau0_sq=1.0, lengthscale_inv=np.array([1.5]))
-        model = gp.build_model(kern, 0.2, X, Y)
+        model = exact_gp_model(kern, 0.2, X, Y)
         Xs = rng.uniform(0, 1, (4, 1))
-        mean, cov = joint_predict(model, Xs)
+        mean, cov = predict_layer1(model, Xs)
         K = gram(X, X, kern)
         Ks = gram(X, Xs, kern)
         Kss = gram(Xs, Xs, kern)
@@ -173,12 +177,12 @@ class TestPredict:
         for n in (5, 12, 20):
             model = random_model(rng, n=n, kappa=2, nu=2)
             Xs = rng.normal(size=(6, 2))
-            mean, cov = joint_predict(model, Xs)
-            K = gram(model.train_x, model.train_x, model.kernel)
-            Ks = gram(model.train_x, Xs, model.kernel)
-            Kss = gram(Xs, Xs, model.kernel)
-            m_or, c_or = dense_gp_predict(K, Ks, Kss, model.noise_var,
-                                          model.train_y)
+            mean, cov = predict_layer1(model, Xs)
+            il = model.input_layer
+            K = gram(model.X, model.X, il.kernel)
+            Ks = gram(model.X, Xs, il.kernel)
+            Kss = gram(Xs, Xs, il.kernel)
+            m_or, c_or = dense_gp_predict(K, Ks, Kss, il.noise_var, model.Y)
             np.testing.assert_allclose(mean, m_or, atol=1e-8)
             np.testing.assert_allclose(cov, c_or, atol=1e-8)
 
@@ -186,15 +190,16 @@ class TestPredict:
         rng = np.random.default_rng(10)
         model = random_model(rng, n=12, kappa=2, nu=1, noise=0.05)
         Xs = rng.normal(size=(30, 2)) * 2.0
-        _, cov = joint_predict(model, Xs)
-        bound = model.kernel.sigma_h_sq + model.noise_var
+        _, cov = predict_layer1(model, Xs)
+        bound = (model.input_layer.kernel.sigma_h_sq
+                 + model.input_layer.noise_var)
         assert np.all(np.diag(cov) <= bound + 1e-10)
 
     def test_column_mismatch(self):
         rng = np.random.default_rng(11)
         model = random_model(rng)
         with pytest.raises(DimensionMismatchError):
-            joint_predict(model, np.zeros((2, 3)))
+            predict_layer1(model, np.zeros((2, 3)))
 
     def test_column_check_comes_before_any_gram(self, monkeypatch):
         rng = np.random.default_rng(12)
@@ -205,7 +210,7 @@ class TestPredict:
 
         monkeypatch.setattr(deepgp, "predictive_grams", no_product)
         with pytest.raises(DimensionMismatchError):
-            joint_predict(model, np.zeros((2, 3)))
+            predict_layer1(model, np.zeros((2, 3)))
 
     def test_marginal_column_check_comes_before_any_gram(self, monkeypatch):
         rng = np.random.default_rng(14)
@@ -216,14 +221,14 @@ class TestPredict:
 
         monkeypatch.setattr(deepgp, "cross_gram", no_product)
         with pytest.raises(DimensionMismatchError):
-            deepgp.predict(as_deep(model), np.zeros((2, 3)))
+            deepgp.predict(model, np.zeros((2, 3)))
 
 
 def weighted_model(rng, n, kappa, spread, offset=0.0):
     """Model on rows from :func:`helpers.ard_case`, shifted by ``offset``."""
     kern, cols = ard_case(rng, kappa, spread)
     X = rng.normal(size=(n, kappa)) * cols + offset
-    return gp.build_model(kern, 0.05, X, rng.normal(size=(n, 3))), cols
+    return exact_gp_model(kern, 0.05, X, rng.normal(size=(n, 3))), cols
 
 
 def rel_to_max(a, b):
@@ -239,7 +244,7 @@ class TestPredictAgainstTwoGramOracle:
         rng = np.random.default_rng(n + kappa + n_star)
         model, cols = weighted_model(rng, n, kappa, spread)
         Xs = rng.normal(size=(n_star, kappa)) * cols
-        mean, cov = joint_predict(model, Xs)
+        mean, cov = predict_layer1(model, Xs)
         mean_or, cov_or = oracle_predict(model, Xs)
         assert rel_to_max(mean, mean_or) <= 1e-12
         assert rel_to_max(cov, cov_or) <= 1e-12
@@ -256,7 +261,8 @@ class TestPredictAgainstTwoGramOracle:
         # through the model's own factor to first order
         rng = np.random.default_rng(kappa)
         model, _ = weighted_model(rng, n, kappa, False, offset=1e3)
-        X, kern = model.train_x, model.kernel
+        X, kern = model.X, model.input_layer.kernel
+        alpha = model.input_layer.mu_bar
         Xs = rng.normal(size=(n_star, kappa)) + 1e3
 
         def direct(A, B):
@@ -268,24 +274,25 @@ class TestPredictAgainstTwoGramOracle:
             return (kern.sigma_h_sq * (kappa + 2) * np.finfo(float).eps
                     * (aa[:, None] + bb[None, :]))
 
-        Linv = scipy.linalg.solve_triangular(model.chol_cache, np.eye(n),
-                                             lower=True)
+        Linv = scipy.linalg.solve_triangular(
+            exact_gp_chol(X, kern, model.input_layer.noise_var), np.eye(n),
+            lower=True)
         Ks, Kss = direct(X, Xs), direct(Xs, Xs)
         v = Linv @ Ks
-        mean_ref, cov_ref = Ks.T @ model.alpha, Kss - v.T @ v
+        mean_ref, cov_ref = Ks.T @ alpha, Kss - v.T @ v
         B = rounding(X, Xs)
-        mean_tol = B.T @ np.abs(model.alpha)
+        mean_tol = B.T @ np.abs(alpha)
         cov_tol = rounding(Xs, Xs) + 2.0 * (np.abs(Linv) @ B).T @ np.abs(v)
-        for mean, cov in (joint_predict(model, Xs), oracle_predict(model, Xs)):
+        for mean, cov in (predict_layer1(model, Xs), oracle_predict(model, Xs)):
             assert np.all(np.abs(mean - mean_ref) <= mean_tol)
             assert np.all(np.abs(cov - cov_ref) <= cov_tol)
 
     def test_model_carries_the_self_gram_norms(self):
         rng = np.random.default_rng(13)
         model = random_model(rng, n=9, kappa=3)
-        _, norms = gram(model.train_x, model.train_x, model.kernel,
+        _, norms = gram(model.X, model.X, model.input_layer.kernel,
                         return_norms=True)
-        carried = deepgp.prediction_factors(as_deep(model))["input_norms"]
+        carried = deepgp.prediction_factors(model)["input_norms"]
         np.testing.assert_array_equal(carried, norms[None, :])
         assert carried.shape == (1, 9)
 
@@ -296,10 +303,12 @@ class TestFitGramReuse:
         X = rng.normal(size=(15, 3))
         Y = rng.normal(size=(15, 2))
         kern = RBFParams(tau0_sq=1.1, lengthscale_inv=rng.uniform(0.2, 1.5, 3))
-        model, K = gp._build(kern, 0.1, X, Y)
-        for a, b in zip(gp.log_marginal_grad(model, K),
-                        gp.log_marginal_grad(model, gram(X, X, model.kernel))):
-            np.testing.assert_array_equal(a, b)
+        state = deepgp._input_fit_forward(kern, 0.1, X, Y)[1]
+        fresh = state[:3] + (gram(X, X, kern),) + state[4:]
+        a = deepgp._input_fit_backward(state)
+        b = deepgp._input_fit_backward(fresh)
+        for name in a:
+            np.testing.assert_array_equal(a[name], b[name])
 
     def test_one_gram_per_evaluation(self, monkeypatch):
         rng = np.random.default_rng(15)
@@ -307,10 +316,10 @@ class TestFitGramReuse:
         Y = rng.normal(size=(12, 1))
         calls = {"gram": 0, "chol_psd": 0}
         for name in calls:
-            def counted(*args, _f=getattr(gp, name), _n=name, **kwargs):
+            def counted(*args, _f=getattr(deepgp, name), _n=name, **kwargs):
                 calls[_n] += 1
                 return _f(*args, **kwargs)
-            monkeypatch.setattr(gp, name, counted)
-        gp.fit(X, Y, iters=8)
+            monkeypatch.setattr(deepgp, name, counted)
+        deepgp._input_fit(X, Y, 8)
         # every build factors one Gram; no gradient forms another
         assert calls["gram"] == calls["chol_psd"] > 8

@@ -178,7 +178,7 @@ class TestModelPersistence:
 
     def test_loaded_model_rebuilds_no_prediction_factor(self, tmp_path,
                                                         monkeypatch):
-        from dgpuq import deepgp, gp, gplvm, kernels, uq
+        from dgpuq import deepgp, gplvm, kernels, uq
         save_tiny_model(tmp_path / "m")
         model = io.load_model(tmp_path / "m")
         n = model.X.shape[0]
@@ -191,7 +191,7 @@ class TestModelPersistence:
             return wrapped
 
         for name in ("gram", "chol_psd", "layer_bound"):
-            for module in (kernels, gp, gplvm, deepgp, uq):
+            for module in (kernels, gplvm, deepgp, uq):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name,
                                         spy(name, getattr(module, name)))
@@ -634,6 +634,30 @@ class TestCli:
                       str(tmp_path / "x.dgpm"), "--out", str(tmp_path / "p"))
         assert res.returncode == 2
         assert "model array 'lam'" in res.stderr
+
+    def test_predict_names_a_stray_array_before_reading_any(self, tmp_path,
+                                                            capsys):
+        from dgpuq import cli
+        save_tiny_model(tmp_path / "m")
+        path = edit_model_json(tmp_path / "m", "arrays.junk", "missing.dgpm")
+        io.write_matrix(tmp_path / "x.dgpm", np.zeros((4, 2)))
+        assert cli.main(["predict", "--model", str(tmp_path / "m"),
+                         "--inputs", str(tmp_path / "x.dgpm"),
+                         "--out", str(tmp_path / "p")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: unknown model array 'junk'\n")
+
+    def test_predict_on_a_broken_container_names_that_file(self, tmp_path,
+                                                           capsys):
+        from dgpuq import cli
+        save_tiny_model(tmp_path / "m")
+        (tmp_path / "m" / "lam.dgpm").write_bytes(b"not a container\n")
+        io.write_matrix(tmp_path / "x.dgpm", np.zeros((4, 2)))
+        assert cli.main(["predict", "--model", str(tmp_path / "m"),
+                         "--inputs", str(tmp_path / "x.dgpm"),
+                         "--out", str(tmp_path / "p")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {tmp_path / 'm' / 'lam.dgpm'}: bad magic")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_predict_on_a_non_finite_input_names_file_and_row(

@@ -5,8 +5,8 @@ import weakref
 import numpy as np
 import pytest
 
-from dgpuq import deepgp, gp, gplvm
-from dgpuq.kernels import ARDParams, RBFParams, gram
+from dgpuq import deepgp, gplvm
+from dgpuq.kernels import ARDParams, RBFParams
 from dgpuq.optimize import BlockSpec, ascend, cached_objective
 from dgpuq.rng import rng_for
 from helpers import (recomputing_objective, hand_pack_theta, hand_unpack_theta,
@@ -173,13 +173,15 @@ X = _rng.uniform(0.0, 1.0, (24, 2))
 Y = np.column_stack([np.sin(2.0 * np.pi * X[:, 0]), X[:, 0] * X[:, 1],
                      np.cos(np.pi * X[:, 1])]) + 0.05 * _rng.standard_normal((24, 3))
 
-# module whose ascend runs the objective, the function that marks one
-# forward of that objective, and a small training run
+# module whose ascend runs the objective, the functions each of which marks
+# one forward of an objective that ascend runs, and a small training run;
+# train_deep runs two ascents, the input layer's fit and the joint phase
 TRAINERS = {
-    "gp": (gp, "_build", lambda: gp.fit(X, Y, iters=25)),
-    "gplvm": (gplvm, "layer_bound",
+    "gp": (deepgp, ("_input_fit_forward",),
+           lambda: deepgp._input_fit(X, Y, 25)),
+    "gplvm": (gplvm, ("layer_bound",),
               lambda: gplvm.train_gplvm(Y, 2, 8, iters=30, seed=1)),
-    "deepgp": (deepgp, "_first_latent_forward",
+    "deepgp": (deepgp, ("_input_fit_forward", "_first_latent_forward"),
                lambda: deepgp.train_deep(X, Y, dims=[2, 2], m_inducing=[8, 8],
                                          iters=12, init_iters=20, seed=1)),
 }
@@ -234,15 +236,14 @@ def test_trajectory_matches_recomputing_reference(monkeypatch, name):
 
 @pytest.mark.parametrize("name", list(TRAINERS))
 def test_one_forward_per_value_evaluation(monkeypatch, name):
-    module, forward_name, train = TRAINERS[name]
+    module, forward_names, train = TRAINERS[name]
     forwards = [0]
-    real_forward = getattr(module, forward_name)
+    for forward_name in forward_names:
+        def counted_forward(*args, _real=getattr(module, forward_name), **kwargs):
+            forwards[0] += 1
+            return _real(*args, **kwargs)
 
-    def counted_forward(*args, **kwargs):
-        forwards[0] += 1
-        return real_forward(*args, **kwargs)
-
-    monkeypatch.setattr(module, forward_name, counted_forward)
+        monkeypatch.setattr(module, forward_name, counted_forward)
     runs = _spy_ascend(monkeypatch, module, forwards)
     train()
     assert runs
@@ -311,13 +312,14 @@ def _model_params(model):
 
 def _gp_case(mp):
     y_var = float(np.var(Y))     # fit's start: median heuristic, 1 % noise
-    kern = RBFParams(y_var, gp._median_heuristic(X))
-    runs = _capture_ascend(mp, gp)
+    kern = RBFParams(y_var, deepgp._median_heuristic(X))
+    runs = _capture_ascend(mp, deepgp)
     built = []                  # the (kernel, noise_var) of each forward
-    real_build = gp._build
-    mp.setattr(gp, "_build", lambda k, nv, *args: built.append((k, nv))
-               or real_build(k, nv, *args))
-    gp.fit(X, Y, iters=2)
+    real_forward = deepgp._input_fit_forward
+    mp.setattr(deepgp, "_input_fit_forward",
+               lambda k, nv, *args: built.append((k, nv))
+               or real_forward(k, nv, *args))
+    deepgp._input_fit(X, Y, 2)
     x0, vg = runs[0]
 
     def new(x):
@@ -327,10 +329,9 @@ def _gp_case(mp):
 
     def hand(x):
         k, nv = hand_unpack_theta(x)
-        grads = gp.log_marginal_grad(gp.build_model(k, nv, X, Y),
-                                     gram(X, X, k))
+        g = deepgp._input_fit_backward(real_forward(k, nv, X, Y)[1])
         return [k.sigma_h_sq, k.weights, nv], np.concatenate(
-            [[grads[0]], grads[1], [grads[2]]])
+            [[g["tau0_sq"]], g["b"], [g["noise_var"]]])
 
     return x0, hand_pack_theta(kern, 0.01 * y_var), new, hand
 
@@ -368,7 +369,7 @@ def _deep_case(mp):
     model = deepgp.train_deep(X, Y, dims=[2, 2], m_inducing=[6, 6],
                               iters=2, init_iters=6, seed=1)
     x0 = deepgp.pack_params(model)
-    vg = runs[0][1]
+    vg = runs[-1][1]            # the joint phase, after the input layer's fit
 
     def new(x):
         return _model_params(deepgp.unpack_params(model, x)), vg(x, True)[1]
