@@ -70,6 +70,7 @@ def cmd_gen_data(args):
                                sample_permeability)
     from .darcy import SourceSpec, solve, restrict
     from .rng import rng_for, GEN_DATA_STREAM
+    from .uq import _simulate
     from . import io
 
     _check_at_least(("--n", args.n, 1), ("--grid", args.grid, 2),
@@ -91,7 +92,7 @@ def cmd_gen_data(args):
     for i in range(n):
         rng = rng_for(args.seed, GEN_DATA_STREAM, i)
         data["K"][i] = sample_permeability(kle, rng)
-        sol = solve(grid, data["K"][i], source)
+        sol = _simulate(i, solve, grid, data["K"][i], source)
         for name, field in FIELDS.items():
             data[name][i] = restrict(getattr(sol, field), grid.nx, grid.ny,
                                      out_grid.nx, out_grid.ny)

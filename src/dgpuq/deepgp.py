@@ -758,32 +758,51 @@ def model_from_arrays(arrays, dims, training_meta=None) -> DeepGPModel:
 
 
 def _test_inputs(model: DeepGPModel, Xstar):
-    """Xstar as a 2-D float array, its columns checked before the
-    prediction factors are built, and the factors."""
+    """Xstar as a float array of at least two dimensions, its columns (last
+    axis) checked before the prediction factors are built, and the
+    factors."""
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
-    if Xstar.shape[1] != model.X.shape[1]:
+    if Xstar.shape[-1] != model.X.shape[1]:
         raise DimensionMismatchError("predict columns", model.X.shape[1],
-                                     Xstar.shape[1])
+                                     Xstar.shape[-1])
     return Xstar, prediction_factors(model)
-
-
-def _layer1_mean_and_solve(model: DeepGPModel, factors, Ks):
-    """The first latent's predictive mean Ks^T mu_bar and v = L^-1 Ks for
-    the cross-Gram Ks (Rasmussen & Williams 2006, Algorithm 2.1)."""
-    return (Ks.T @ model.input_layer.mu_bar,
-            solve_triangular(factors["input_chol"], Ks, lower=True))
 
 
 def predict_layer1(model: DeepGPModel, Xstar):
     """Exact-GP predictive mean and joint (n*, n*) covariance of the first
     latent at new inputs, shared by its q1 columns: what a joint draw
     (:func:`uq.propagate_realization`) needs.  :func:`predict` reads only
-    the marginal variances and never forms this covariance."""
+    the marginal variances and never forms this covariance.
+
+    Xstar is one set of inputs, (n*, kappa), or a stack of s sets,
+    (s, n*, kappa), which gives a stack of means (s, n*, q1) and of
+    covariances (s, n*, n*), each set's joint on its own.  A stack forms
+    one cross-Gram and one triangular solve over all s n* rows, so the n
+    training rows are read once for the stack, and each set's mean
+    product, test self-Gram and downdate on its own rows.  Each set's
+    result comes from the operations of a call on that set alone; the
+    longer BLAS products may round it differently only where the kernel
+    tiles them by the row count (see :mod:`dgpuq.uq`).
+    """
+    if np.ndim(Xstar) > 3:
+        raise ValueError(f"test inputs have shape {np.shape(Xstar)}: expected"
+                         " one set (n*, kappa) or a stack (s, n*, kappa)")
     Xstar, factors = _test_inputs(model, Xstar)
-    Ks, Kss = predictive_grams(model.X, factors["input_norms"].ravel(), Xstar,
+    sets = Xstar.reshape(-1, *Xstar.shape[-2:])
+    Ks, Kss = predictive_grams(model.X, factors["input_norms"].ravel(), sets,
                                model.input_layer.kernel)
-    mean, v = _layer1_mean_and_solve(model, factors, Ks)
-    return mean, downdate(Kss, v.T)
+    # v = L^-1 Ks and mean Ks^T mu_bar (Rasmussen & Williams 2006,
+    # Algorithm 2.1).  The mean is a product per set: a stacked product
+    # only q1 columns wide rounds by its row count on OpenBLAS's AVX-512
+    # kernels, and per set it costs n q1 flops a row, against n kappa
+    v = solve_triangular(factors["input_chol"], Ks, lower=True)
+    n_star, means = sets.shape[1], []
+    for k, K in enumerate(Kss):
+        cols = slice(k * n_star, (k + 1) * n_star)
+        means.append(Ks[:, cols].T @ model.input_layer.mu_bar)
+        downdate(K, v[:, cols].T)          # in K's memory
+    means = np.stack(means)
+    return (means, Kss) if Xstar.ndim == 3 else (means[0], Kss[0])
 
 
 def propagate(model: DeepGPModel, layer_index: int, qh_prev_star):
@@ -831,8 +850,9 @@ def predict(model: DeepGPModel, Xstar):
     """
     Xstar, factors = _test_inputs(model, Xstar)
     il = model.input_layer
-    mean1, v = _layer1_mean_and_solve(model, factors, cross_gram(
-        model.X, factors["input_norms"].ravel(), Xstar, il.kernel))
+    Ks = cross_gram(model.X, factors["input_norms"].ravel(), Xstar, il.kernel)
+    mean1 = Ks.T @ il.mu_bar
+    v = solve_triangular(factors["input_chol"], Ks, lower=True)
     var1 = il.kernel.sigma_h_sq - np.einsum("ij,ij->j", v, v)
     q1 = mean1.shape[1]
     v1 = np.clip(var1, 0.0, None) + il.noise_var

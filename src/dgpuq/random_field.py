@@ -180,7 +180,9 @@ def sample_log_field(kle: KLExpansion, w) -> np.ndarray:
     single matrix product.
     """
     w = _coefficient_rows("sample_log_field coefficients", kle, w)
-    return kle.mean + w @ kle.eigenfields
+    field = w @ kle.eigenfields
+    field += kle.mean
+    return field
 
 
 def std_normal_inv_cdf(u):
@@ -196,20 +198,28 @@ def permeability(kle: KLExpansion, xi) -> np.ndarray:
     """Permeability field exp{mean + sum_k PhiInv(xi_k) psi_k}, xi in (0,1)^k.
 
     A 2-D ``xi`` holds one coefficient vector per row and returns one field
-    per row, from one inverse CDF, one matrix product and one ``exp``.
+    per row, from one inverse CDF, one matrix product and one ``exp``.  The
+    product's buffer takes the mean and the ``exp`` in place, so the fields
+    are the only field-sized array made.
     """
     xi = _coefficient_rows("permeability coefficients", kle, xi)
     w = std_normal_inv_cdf(xi)
-    return np.exp(sample_log_field(kle, w))
+    field = sample_log_field(kle, w)
+    return np.exp(field, out=field)
 
 
 def sample_permeability(kle: KLExpansion, rng, rows=None) -> np.ndarray:
     """Permeability from KL coefficients drawn uniform on (0, 1) by ``rng``.
 
-    The uniforms are clipped away from 0 and 1 so that the inverse normal
-    CDF stays finite.  ``rows=None`` draws one coefficient vector and
-    returns one flat field; an integer draws that many and returns one field
-    per row.
+    ``rows=None`` draws one coefficient vector and returns one flat field;
+    an integer draws that many and returns one field per row.
     """
+    return permeability(kle, _uniform_coefficients(kle, rng, rows))
+
+
+def _uniform_coefficients(kle: KLExpansion, rng, rows=None) -> np.ndarray:
+    """The coefficients :func:`sample_permeability` draws: uniform on
+    (0, 1), clipped away from 0 and 1 so that the inverse normal CDF stays
+    finite; one vector, or ``rows`` of them."""
     xi = rng.uniform(size=kle.k_xi if rows is None else (rows, kle.k_xi))
-    return permeability(kle, np.clip(xi, 1e-15, 1.0 - 1e-15))
+    return np.clip(xi, 1e-15, 1.0 - 1e-15)

@@ -10,6 +10,20 @@ whole process gives samples of the Monte Carlo mean/variance estimators,
 from which the mean-of-mean, mean-of-variance, error bars and pointwise
 density estimates are assembled.  A plain Monte Carlo loop over the actual
 simulator provides the ground-truth reference.
+
+:func:`uq_report` runs its repeats in blocks of max(1, n // n'), n the
+model's training rows, so a block never holds more input rows than the
+model's own X.  A block shares one permeability call and one first-latent
+cross-Gram and triangular solve, so the n x kappa training rows are read
+once per block, not per repeat; each repeat keeps its own streams and
+every other step.  The outputs are those of a loop of
+:func:`sample_inputs` and :func:`propagate_realization`, bit for bit
+wherever the BLAS kernel rounds a column of a product the same whatever
+the product's width.  OpenBLAS's AVX-512 kernels do at n' = 120, the
+paper's and the ``uq`` command's default (blocks of 2 to 10 sets of 4096
+cells, and 4 sets of 1024).  At many other n' (100, say), and in products
+small enough for their small-matrix path, they do not, and the outputs
+move by rounding.
 """
 
 from __future__ import annotations
@@ -19,7 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import gram, chol_psd, downdate
-from .random_field import Grid2D, KLExpansion, sample_permeability
+from .random_field import (Grid2D, KLExpansion, permeability,
+                           sample_permeability, _uniform_coefficients)
 from .deepgp import DeepGPModel, predict_layer1, prediction_factors
 from .optimize import _NUMERICAL_FAILURES
 from .rng import rng_for, MC_BASELINE_STREAM, UQ_STREAM
@@ -78,9 +93,13 @@ def sample_inputs(dist: InputDistribution, n_prime: int, seed: int,
     the (n_prime, k_xi) uniforms, one matrix product with the eigenfields
     and one ``exp``.
     """
+    _check_inner(n_prime)
+    return sample_permeability(dist.kle, rng_for(seed, *subkeys), n_prime)
+
+
+def _check_inner(n_prime):
     if n_prime < 2:
         raise ValueError("need at least two input samples")
-    return sample_permeability(dist.kle, rng_for(seed, *subkeys), n_prime)
 
 
 def _draw_gaussian(mean, cov, rng):
@@ -101,16 +120,23 @@ def propagate_realization(model: DeepGPModel, Xprime, seed: int,
     """One posterior realization of the full stack evaluated at Xprime,
     drawn from the stream ``rng_for(seed, *subkeys)``.
 
-    Returns the final-layer function values, shape (n', output dim).
+    Returns the final-layer function values, shape (n', output dim).  It is
+    one repeat of :func:`uq_report`: the first latent's joint predictive
+    (:func:`deepgp.predict_layer1`) on one set, then :func:`_realization`.
     """
     rng = rng_for(seed, *subkeys)
-    mean, cov = predict_layer1(model, Xprime)
+    return _realization(model, *predict_layer1(model, Xprime), rng)
+
+
+def _realization(model: DeepGPModel, mean, cov, rng) -> np.ndarray:
+    """A realization drawn by ``rng`` from the first latent's joint
+    predictive ``(mean, cov)`` at n' inputs, then through every sparse
+    layer: the final-layer values, shape (n', output dim)."""
     factors = prediction_factors(model)
     try:
         values = _draw_gaussian(mean, cov, rng)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"layer 1 propagation failed: {exc}") from exc
-    del mean, cov       # freed before the sparse layers' draws
     for t, layer in enumerate(model.hidden_layers):
         try:
             Ksu = gram(values, layer.inducing.inputs, layer.kernel)
@@ -207,20 +233,39 @@ def uq_report(model: DeepGPModel, dist: InputDistribution, n_prime: int,
     standard errors of the across-repeat average (they shrink like
     1/sqrt(n_repeats)); the PDF bands are two plain standard deviations
     across repeats.
+
+    The repeats run in blocks of max(1, n // n_prime), n the rows of
+    ``model.X``, which bounds a block's inputs by the model's own.  A block
+    makes one :func:`random_field.permeability` call from its repeats'
+    coefficients, each drawn from the repeat's own stream, and one stacked
+    :func:`deepgp.predict_layer1`; each repeat then draws its own
+    realization (:func:`_realization`).  The streams and outputs are
+    those of a per-repeat loop, bit for bit where the BLAS kernel allows
+    (see the module docstring).
     """
     if n_repeats < 2:
         raise ValueError("need at least two repeats")
     means, variances = [], []
     pdf_cols = _pdf_columns(pdf_at, out_grid) if pdf_at else []
     _check_pdf_columns(pdf_cols, model.Y.shape[1])
+    _check_inner(n_prime)
     pdf_values = [[] for _ in pdf_cols]
-    for j in range(n_repeats):
-        Xp = sample_inputs(dist, n_prime, seed, UQ_STREAM, j, 0)
-        realization = propagate_realization(model, Xp, seed, UQ_STREAM, j, 1)
-        means.append(realization.mean(axis=0))
-        variances.append(realization.var(axis=0))
-        for i, (_, col) in enumerate(pdf_cols):
-            pdf_values[i].append(realization[:, col].copy())
+    block = max(1, model.X.shape[0] // n_prime)
+    for start in range(0, n_repeats, block):
+        xi, rngs = [], []
+        for j in range(start, min(start + block, n_repeats)):
+            xi.append(_uniform_coefficients(
+                dist.kle, rng_for(seed, UQ_STREAM, j, 0), n_prime))
+            rngs.append(rng_for(seed, UQ_STREAM, j, 1))
+        Xp = permeability(dist.kle, np.concatenate(xi))
+        mean1, cov1 = predict_layer1(model,
+                                     Xp.reshape(len(rngs), n_prime, -1))
+        for mean, cov, rng in zip(mean1, cov1, rngs):
+            realization = _realization(model, mean, cov, rng)
+            means.append(realization.mean(axis=0))
+            variances.append(realization.var(axis=0))
+            for i, (_, col) in enumerate(pdf_cols):
+                pdf_values[i].append(realization[:, col].copy())
     means = np.asarray(means)
     variances = np.asarray(variances)
     root_n = np.sqrt(n_repeats)
@@ -237,6 +282,16 @@ def uq_report(model: DeepGPModel, dist: InputDistribution, n_prime: int,
     return report
 
 
+def _simulate(i, simulator, *args):
+    """``simulator(*args)`` for sample ``i``: a numerical failure
+    (``optimize._NUMERICAL_FAILURES``) is re-raised as its own type naming
+    the sample; any other propagates."""
+    try:
+        return simulator(*args)
+    except _NUMERICAL_FAILURES as exc:
+        raise type(exc)(f"simulator failed at sample {i}: {exc}") from exc
+
+
 def mc_baseline(simulator, dist: InputDistribution, N: int, seed: int,
                 pdf_at=None, out_grid: Grid2D = None):
     """Plain Monte Carlo over the actual simulator: the ground truth.
@@ -247,9 +302,9 @@ def mc_baseline(simulator, dist: InputDistribution, N: int, seed: int,
     output raises ValueError once the first sample gives the output width.
     All N output rows are kept (N * width * 8 bytes) for numpy's two-pass
     moments, which do not cancel on outputs far from zero mean.
-    Sample ``i`` draws its inputs from ``rng_for(seed, MC_BASELINE_STREAM, i)``.
-    A simulator's numerical failure (``optimize._NUMERICAL_FAILURES``) is
-    re-raised as its own type naming the sample; any other propagates.
+    Sample ``i`` draws its inputs from ``rng_for(seed, MC_BASELINE_STREAM, i)``
+    and runs the simulator through :func:`_simulate`: a numerical failure
+    names the sample, any other exception propagates.
     """
     if N < 2:
         raise ValueError("need at least two samples")
@@ -257,10 +312,7 @@ def mc_baseline(simulator, dist: InputDistribution, N: int, seed: int,
     Y = None
     for i in range(N):
         K = sample_permeability(dist.kle, rng_for(seed, MC_BASELINE_STREAM, i))
-        try:
-            y = np.asarray(simulator(K), dtype=float).ravel()
-        except _NUMERICAL_FAILURES as exc:
-            raise type(exc)(f"simulator failed at sample {i}: {exc}") from exc
+        y = np.asarray(_simulate(i, simulator, K), dtype=float).ravel()
         if Y is None:
             _check_pdf_columns(pdf_cols, y.size)
             Y = np.empty((N, y.size))

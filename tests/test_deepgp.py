@@ -383,6 +383,26 @@ class TestPredictLayer1:
         np.testing.assert_allclose(cov_a, cov_b, atol=1e-10)
 
 
+    def test_stacked_sets_match_lone_calls(self):
+        # 1024 input columns put the cross-Gram and the solve on OpenBLAS's
+        # blocked kernels, which round a column the same in a stacked
+        # product as alone
+        rng = np.random.default_rng(23)
+        model = tiny_model(seed=23, n=96, kappa=1024)
+        model.input_layer.kernel = RBFParams(1.2,
+                                             rng.uniform(0.5, 1.5, 1024) / 1024)
+        Xs = rng.normal(size=(3, 30, 1024))
+        mean, cov = predict_layer1(model, Xs)
+        assert mean.shape == (3, 30, 2) and cov.shape == (3, 30, 30)
+        for k in range(3):
+            mean_k, cov_k = predict_layer1(model, Xs[k])
+            np.testing.assert_array_equal(mean[k], mean_k)
+            np.testing.assert_array_equal(cov[k], cov_k)
+
+    def test_inputs_above_three_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="a stack"):
+            predict_layer1(tiny_model(), np.zeros((2, 2, 3, 2)))
+
     def test_rebuilt_cache_reproduces_the_prediction(self):
         model = tiny_model(seed=19)
         Xs = np.random.default_rng(1).normal(size=(5, 2))
@@ -582,8 +602,10 @@ class TestPredict:
     @pytest.mark.parametrize("call", [
         lambda model, X: predict(model, X),
         lambda model, X: predict_layer1(model, X),
+        lambda model, X: predict_layer1(model, np.stack([X, X])),
         lambda model, X: uq.propagate_realization(model, X, 0)],
-        ids=["predict", "predict_layer1", "propagate_realization"])
+        ids=["predict", "predict_layer1", "predict_layer1_stacked",
+             "propagate_realization"])
     def test_column_check_comes_before_any_factor(self, monkeypatch, call):
         model = set_first_latent(tiny_model(seed=43))
         calls = []

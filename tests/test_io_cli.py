@@ -460,6 +460,24 @@ class TestCli:
                       "10", "--seed", "3", "--out", str(tmp_path / "m"))
         assert res.returncode in (0, 3), res.stderr
 
+    def test_gen_data_solver_failure_names_the_sample(self, monkeypatch,
+                                                     tmp_path, capsys):
+        from dgpuq import cli, darcy
+        real, calls = darcy.solve, []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("band is not positive definite")
+            return real(*args)
+
+        monkeypatch.setattr(darcy, "solve", failing)
+        assert cli.main(["gen-data", "--n", "4", "--grid", "8", "--out-grid",
+                         "4", "--kle", "5", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: simulator failed at sample 2: band is not "
+            "positive definite\n")
+
     def test_overflow_in_a_command_exits_3(self, monkeypatch, tmp_path):
         from dgpuq import cli
 

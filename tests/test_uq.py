@@ -6,7 +6,7 @@ import pytest
 from dgpuq.random_field import (Grid2D, ExpCovSpec, KLExpansion, kle_decompose,
                                 permeability)
 from dgpuq import uq
-from dgpuq.deepgp import train_deep, predict
+from dgpuq.deepgp import train_deep, predict, predict_layer1
 from dgpuq.uq import (InputDistribution, sample_inputs, propagate_realization,
                       uq_report, mc_baseline, kde_curve)
 from dgpuq.rng import rng_for, MC_BASELINE_STREAM, UQ_STREAM
@@ -43,6 +43,23 @@ def small_model(dist8):
     Y = np.column_stack([X.mean(axis=1), np.log(X).std(axis=1)])
     return train_deep(X, Y, dims=[2], m_inducing=[15], iters=40, seed=2,
                       init_iters=60)
+
+
+@pytest.fixture(scope="module")
+def dist32():
+    return InputDistribution(kle=kle_decompose(Grid2D(32, 32), PAPER_COV, 10))
+
+
+@pytest.fixture(scope="module")
+def mid_model(dist32):
+    """A surrogate on n = 96 fields of 1024 cells.  Its first-layer
+    products are large enough for OpenBLAS's blocked kernels, which round a
+    column the same in a stacked product as alone; on small_model's 64
+    cells its AVX-512 small-matrix kernels do not."""
+    X = sample_inputs(dist32, 96, seed=500)
+    Y = np.column_stack([X.mean(axis=1), np.log(X).std(axis=1)])
+    return train_deep(X, Y, dims=[2], m_inducing=[15], iters=10, seed=2,
+                      init_iters=20)
 
 
 class TestSampleInputs:
@@ -249,13 +266,51 @@ class TestUqReport:
                                          monkeypatch):
         # every repeat sees the realization {0, 2}: mean 1, variance 1 with
         # divisor n' (the n' - 1 form would give 2), and no spread
-        monkeypatch.setattr(uq, "propagate_realization",
+        monkeypatch.setattr(uq, "_realization",
                             lambda *args: np.array([[0.0], [2.0]]))
         rep = uq_report(small_model, dist8, n_prime=2, n_repeats=3, seed=0)
         assert rep.mean_of_mean.tolist() == [1.0]
         assert rep.mean_of_variance.tolist() == [1.0]
         assert rep.errorbar_mean.tolist() == [0.0]
         assert rep.errorbar_variance.tolist() == [0.0]
+
+    def test_blocks_match_the_per_repeat_loop(self, mid_model, dist32):
+        # n = 96 and n' = 30 give blocks of 3, 3 and 1 repeats
+        n_prime, n_repeats, seed = 30, 7, 6
+        rep = uq_report(mid_model, dist32, n_prime, n_repeats, seed,
+                        pdf_at=[1, 0])
+        loop = [propagate_realization(
+                    mid_model,
+                    sample_inputs(dist32, n_prime, seed, UQ_STREAM, j, 0),
+                    seed, UQ_STREAM, j, 1)
+                for j in range(n_repeats)]
+        means = np.asarray([r.mean(axis=0) for r in loop])
+        variances = np.asarray([r.var(axis=0) for r in loop])
+        root_n = np.sqrt(n_repeats)
+        expect = {"mean_of_mean": means.mean(axis=0),
+                  "mean_of_variance": variances.mean(axis=0),
+                  "errorbar_mean": 2.0 * means.std(axis=0) / root_n,
+                  "errorbar_variance": 2.0 * variances.std(axis=0) / root_n}
+        for name, value in expect.items():
+            assert np.array_equal(getattr(rep, name), value), name
+        assert [pdf.column for pdf in rep.pdf_points] == [1, 0]
+        for pdf in rep.pdf_points:
+            ref = uq._pdf_estimate(pdf.location, pdf.column,
+                                   [r[:, pdf.column] for r in loop])
+            for name in ("abscissae", "mean_density", "lower", "upper"):
+                assert np.array_equal(getattr(pdf, name), getattr(ref, name))
+
+    def test_one_first_layer_call_per_block(self, mid_model, dist32,
+                                            monkeypatch):
+        shapes = []
+
+        def spied(model, X):
+            shapes.append(np.shape(X))
+            return predict_layer1(model, X)
+
+        monkeypatch.setattr(uq, "predict_layer1", spied)
+        uq_report(mid_model, dist32, n_prime=30, n_repeats=7, seed=6)
+        assert shapes == [(3, 30, 1024), (3, 30, 1024), (1, 30, 1024)]
 
     def test_repeats_validated(self, small_model, dist8):
         with pytest.raises(ValueError):
