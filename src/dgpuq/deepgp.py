@@ -46,9 +46,11 @@ them, and :func:`model_from_arrays` rebuilds the model from that.
 
 Training is two-phase: a greedy stack of GP-LVMs initializes every layer,
 then the joint bound (first-layer KL + collapsed layer terms + entropies)
-is refined by gradient ascent; an exact-GP fit of the first latent's means
-on X, in halves ``_input_fit_forward``/``_input_fit_backward``, starts the
-input layer.
+is refined by gradient ascent, the one objective that fits every
+parameter.  The input layer starts in closed form from the greedy first
+latent's means M: signal variance v = var(M) (1 when that is 0), the
+median-heuristic inverse scales, noise variance v / 100 and mu_bar = C^-1 M,
+the exact-GP mean weights.
 Prediction reads the model's own factors (:func:`prediction_factors`) and
 propagates Gaussian moments layer to layer by test-point kernel expectations.
 """
@@ -91,7 +93,7 @@ __all__ = [
 class InputLayer:
     """Exact-GP mapping from observed inputs to the first latent."""
 
-    kernel: ARDParams    # w = 2b, packed as log b (see _theta)
+    kernel: ARDParams    # w = 2b, packed as log b (see _layout)
     noise_var: float
     mu_bar: np.ndarray   # (n, q1)
     lam: np.ndarray      # (n, q1), positive
@@ -244,16 +246,14 @@ def _first_latent_forward(input_layer: InputLayer, X, need_full=False):
 
 def _hyper_grads(X, K, G, kernel: ARDParams, noise_var):
     """dL/dlog sigma_h_sq, dL/dlog w and dL/dlog noise_var from G = dL/dC,
-    by :func:`_theta`'s block names.
+    by :func:`_layout`'s block names, for :func:`_first_latent_grads`.
 
     C = K + noise_var * I with K = gram(X, X, kernel); dL/dlog w equals
     dL/dlog b for w = 2b.  With P = G o K it needs, per input dimension k,
     the quadratic form x_k^T P x_k, whose n^2 kappa work is one GEMM, P X,
     and a column-wise dot product with X.  At n = 700, kappa = 4096 on one
     BLAS thread that takes 77-85 ms against 111-139 ms for the same
-    contraction as one three-operand ``einsum``.  Both gradients of the
-    input layer come here: the joint bound's (:func:`_first_latent_grads`)
-    and the fit's (:func:`_input_fit_backward`).
+    contraction as one three-operand ``einsum``.
     """
     P = G * K
     g_log_sigma = float(np.sum(P))
@@ -420,32 +420,19 @@ def _deep_backward(state):
 # Parameter vector (unconstrained optimization space)
 # ---------------------------------------------------------------------------
 
-def _theta(kernel: ARDParams, noise_var):
-    """The input layer's hyperparameters by block name, w = 2b; the
-    parameter vector holds their logs, [log tau0_sq, log b, log noise_var]."""
-    return {"tau0_sq": kernel.sigma_h_sq, "b": 0.5 * kernel.weights,
-            "noise_var": noise_var}
-
-
-def _from_theta(values):
-    """(kernel, noise_var) from the values of :func:`_theta`."""
-    return (RBFParams(tau0_sq=float(values["tau0_sq"]),
-                      lengthscale_inv=values["b"]),
-            float(values["noise_var"]))
-
-
 def _layout(model: DeepGPModel):
     """``(spec, values)`` of the model's parameter vector.
 
-    The blocks are the input layer's theta, mu_bar and log lam, then per
-    sparse layer t its inducing inputs and the logs of sigma_h_sq, the
-    weights and beta, then the means and log variances of each free latent
-    t = 1..G-1.
+    The blocks are the logs of the input layer's tau0_sq, b (w = 2b) and
+    noise_var, its mu_bar and log lam, then per sparse layer t its inducing
+    inputs and the logs of sigma_h_sq, the weights and beta, then the means
+    and log variances of each free latent t = 1..G-1.
     """
     il = model.input_layer
-    theta = _theta(il.kernel, il.noise_var)
-    entries = [(k, v, True) for k, v in theta.items()] + [
-        ("mu_bar", il.mu_bar, False), ("lam", il.lam, True)]
+    entries = [("tau0_sq", il.kernel.sigma_h_sq, True),
+               ("b", 0.5 * il.kernel.weights, True),
+               ("noise_var", il.noise_var, True),
+               ("mu_bar", il.mu_bar, False), ("lam", il.lam, True)]
     for t, layer in enumerate(model.hidden_layers):
         entries += [(f"Hu{t}", layer.inducing.inputs, False),
                     (f"sigma_h_sq{t}", layer.kernel.sigma_h_sq, True),
@@ -462,9 +449,10 @@ def _layout(model: DeepGPModel):
 def _from_values(values, dims, training_meta) -> DeepGPModel:
     """The model holding ``values``: :func:`_layout`'s blocks plus ``X``,
     ``Y`` and layer 0's stored latent ``means0``, ``variances0``."""
-    kern, noise_var = _from_theta(values)
-    il = InputLayer(kernel=kern, noise_var=noise_var, mu_bar=values["mu_bar"],
-                    lam=values["lam"])
+    il = InputLayer(kernel=RBFParams(tau0_sq=float(values["tau0_sq"]),
+                                     lengthscale_inv=values["b"]),
+                    noise_var=float(values["noise_var"]),
+                    mu_bar=values["mu_bar"], lam=values["lam"])
     layers = [LayerState(
         kernel=ARDParams(sigma_h_sq=float(values[f"sigma_h_sq{t}"]),
                          weights=values[f"weights{t}"]),
@@ -521,54 +509,6 @@ def _median_heuristic(X, max_points=200):
     return np.full(X.shape[1], 1.0 / med)
 
 
-def _input_fit_forward(kernel: ARDParams, noise_var, X, M):
-    """Sum over the columns m_j of M of log N(m_j | 0, C), C = K + noise_var I
-    with K = gram(X, X, kernel), and the state its gradient reads: the
-    forward half of the input layer's fit.  The state is (kernel, noise_var,
-    X, K, L, alpha), with L the lower factor of C and alpha = C^-1 M."""
-    K = gram(X, X, kernel)
-    L, _ = chol_psd(K + noise_var * np.eye(X.shape[0]))
-    n, nu = M.shape
-    z = solve_triangular(L, M, lower=True)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    value = float(-0.5 * np.sum(z * z) - 0.5 * nu * (logdet + n * LOG_2PI))
-    return value, (kernel, noise_var, X, K, L, cho_solve((L, True), M))
-
-
-def _input_fit_backward(state):
-    """The fit's gradient by :func:`_theta`'s block names from
-    :func:`_input_fit_forward`'s state, by dL/dC = W / 2 with
-    W = alpha alpha^T - nu C^-1: the backward half."""
-    kernel, noise_var, X, K, L, alpha = state
-    n, nu = alpha.shape
-    W = alpha @ alpha.T - nu * cho_solve((L, True), np.eye(n))
-    return _hyper_grads(X, K, 0.5 * W, kernel, noise_var)
-
-
-def _input_fit(X, M, iters):
-    """``(kernel, noise_var, C^-1 M)`` of the exact GP of M on X, its
-    hyperparameters ascended in log space for ``iters`` accepted steps from
-    signal variance var(M) (1.0 when that is 0), the median-heuristic
-    inverse scales and noise variance 0.01 var(M)."""
-    m_var = float(np.var(M))
-    if m_var == 0.0:
-        m_var = 1.0
-    init = RBFParams(tau0_sq=m_var, lengthscale_inv=_median_heuristic(X))
-    theta0 = _theta(init, 0.01 * m_var)
-    spec = BlockSpec([(name, np.shape(v), True) for name, v in theta0.items()])
-
-    def forward(theta):
-        return _input_fit_forward(*_from_theta(spec.unpack(theta)), X, M)
-
-    def backward(state):
-        return spec.flatten(_input_fit_backward(state))
-
-    theta, _ = ascend(cached_objective(forward, backward), spec.pack(theta0),
-                      iters)
-    kernel, noise_var, _, _, _, alpha = forward(theta)[1]
-    return kernel, noise_var, alpha
-
-
 def train_deep(X, Y, dims, m_inducing, iters=100, seed=0,
                init_iters=150) -> DeepGPModel:
     """Train a deep GP by greedy GP-LVM stacking plus joint refinement.
@@ -578,8 +518,7 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0,
     dims : latent dimensions q_1..q_G (outermost first).
     m_inducing : inducing counts, one per sparse layer.
     iters : accepted steps of the joint phase.
-    init_iters : accepted steps for each greedy GP-LVM fit; the input
-        layer's exact-GP fit takes at most 60.
+    init_iters : accepted steps for each greedy GP-LVM fit.
 
     X needs at least two rows.
     """
@@ -608,11 +547,17 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0,
                                    iters=init_iters, seed=seed + 101 * t)
         data = layers[t].latent.means
 
-    # input layer: exact-GP fit of X -> first latent means; the mean is
-    # C mu_bar, so mu_bar is the fit's mean weights C^-1 M1
+    # input layer: the exact GP of X -> first latent means M at a closed-form
+    # start, fitted by the joint phase alone; its mean is C mu_bar, so mu_bar
+    # is the exact-GP mean weights C^-1 M
     first = layers[0].latent
-    kernel, noise_var, mu_bar = _input_fit(X, first.means, min(init_iters, 60))
-    input_layer = InputLayer(kernel=kernel, noise_var=noise_var, mu_bar=mu_bar,
+    m_var = float(np.var(first.means)) or 1.0
+    kernel = RBFParams(tau0_sq=m_var, lengthscale_inv=_median_heuristic(X))
+    C = gram(X, X, kernel)
+    C[np.diag_indices_from(C)] += 0.01 * m_var
+    mu_bar = cho_solve((chol_psd(C)[0], True), first.means)
+    input_layer = InputLayer(kernel=kernel, noise_var=0.01 * m_var,
+                             mu_bar=mu_bar,
                              lam=1.0 / np.clip(first.variances, 1e-12, None))
 
     model = DeepGPModel(X=X, Y=Y, input_layer=input_layer, hidden_layers=layers,

@@ -48,8 +48,7 @@ def recomputing_objective(forward, backward):
 
 # Hand-indexed parameter codecs: each trainer's vector layout written out
 # position by position, the reference for the optimize.BlockSpec layouts of
-# the input layer's fit (deepgp._input_fit), gplvm.train_gplvm and
-# deepgp.train_deep.
+# gplvm.train_gplvm and deepgp.train_deep.
 
 def hand_pack_theta(kernel, noise_var):
     """theta = [log tau0_sq, log b, log noise_var] with b = w / 2."""

@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.optimize
+import scipy.spatial.distance
 from scipy.linalg.lapack import dpotrf, dtrtri
 
 from dgpuq import cli, deepgp, io, uq
@@ -18,7 +20,7 @@ from dgpuq.deepgp import (DeepGPModel, InputLayer, elbo, elbo_grad_vector,
 from dgpuq.rng import rng_for
 from helpers import (mc_phi_oracle, loop_phi_forward, loop_first_latent_forward,
                      loop_first_latent_grads, two_gram_predict, exact_gp_chol,
-                     exact_gp_model)
+                     exact_gp_model, dense_gp_logml)
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -60,6 +62,28 @@ def benchmark_1d(seed=42, n=50):
     Xte = rng_for(seed + 1).uniform(0, 1, (80, 1))
     Yte = np.sin(2 * np.pi * Xte) + 0.1 * rng_for(seed + 2).standard_normal((80, 1))
     return X, Y, Xte, Yte
+
+
+def exact_gp_fit(X, Y):
+    """(kernel, noise_var) of the exact GP of Y on X: log tau0_sq, log b and
+    log noise_var maximize :func:`helpers.dense_gp_logml` by L-BFGS-B, from
+    signal variance var(Y), the median-heuristic inverse scales and noise
+    variance var(Y) / 100."""
+    def unpack(theta):
+        return (RBFParams(tau0_sq=np.exp(theta[0]),
+                          lengthscale_inv=np.exp(theta[1:-1])),
+                float(np.exp(theta[-1])))
+
+    def neg_logml(theta):
+        kern, noise_var = unpack(theta)
+        return -dense_gp_logml(gram(X, X, kern), noise_var, Y)
+
+    y_var = float(np.var(Y))
+    med = np.median(scipy.spatial.distance.pdist(X, "sqeuclidean"))
+    theta0 = np.log(np.concatenate([[y_var], np.full(X.shape[1], 1.0 / med),
+                                    [0.01 * y_var]]))
+    return unpack(scipy.optimize.minimize(neg_logml, theta0,
+                                          method="L-BFGS-B").x)
 
 
 def wide_lam_model():
@@ -248,7 +272,7 @@ class TestFirstLatentMatrixForms:
 class TestTrainDeep:
     def test_degenerate_single_layer_matches_exact_gp(self):
         X, Y, Xte, Yte = benchmark_1d()
-        kern, noise_var, _ = deepgp._input_fit(X, Y, 150)
+        kern, noise_var = exact_gp_fit(X, Y)
         gpm = exact_gp_model(kern, noise_var, X, Y)
         mu_gp, _ = two_gram_predict(X, kern, exact_gp_chol(X, kern, noise_var),
                                     gpm.input_layer.mu_bar, Xte)
@@ -257,6 +281,56 @@ class TestTrainDeep:
         mu_d, _ = predict(model, Xte)
         rmse_d = float(np.sqrt(np.mean((mu_d - Yte) ** 2)))
         assert rmse_d <= 1.1 * rmse_gp
+
+    def test_needs_two_points(self):
+        with pytest.raises(ValueError, match="two training points"):
+            train_deep(np.zeros((1, 1)), [[0.0, 1.0]], dims=[1],
+                       m_inducing=[1])
+
+    def test_joint_phase_is_the_only_ascent(self, monkeypatch):
+        calls = []
+        real = deepgp.ascend
+
+        def spied(value_and_grad, x0, iters):
+            calls.append(np.array(x0))
+            return real(value_and_grad, x0, iters)
+
+        monkeypatch.setattr(deepgp, "ascend", spied)
+        X, Y, _, _ = benchmark_1d(seed=5, n=20)
+        model = train_deep(X, Y, dims=[1], m_inducing=[8], iters=3, seed=1,
+                           init_iters=5)
+        (x0,) = calls
+        assert x0.size == pack_params(model).size
+
+    def test_input_layer_starts_in_closed_form(self, monkeypatch):
+        greedy = []
+        real = deepgp.train_gplvm
+
+        def spied(*args, **kwargs):
+            layer, trace = real(*args, **kwargs)
+            greedy.append(layer.latent)
+            return layer, trace
+
+        monkeypatch.setattr(deepgp, "train_gplvm", spied)
+        rng = rng_for(9)
+        X = rng.uniform(0, 1, (30, 2))
+        Y = np.column_stack([np.sin(2 * np.pi * X[:, 0]), X[:, 0] * X[:, 1],
+                             np.cos(np.pi * X[:, 1])])
+        il = train_deep(X, Y, dims=[2, 2], m_inducing=[8, 8], iters=0,
+                        seed=1, init_iters=5).input_layer
+        first = greedy[-1]          # layer 0 is fitted last
+        M = first.means
+        m_var = float(np.var(M))
+        d = X[:, None, :] - X[None, :, :]
+        sq = np.sum(d * d, axis=-1)
+        b = np.full(2, 1.0 / np.median(sq[np.triu_indices(30, k=1)]))
+        kern = RBFParams(tau0_sq=m_var, lengthscale_inv=b)
+        C = gram(X, X, kern) + 0.01 * m_var * np.eye(30)
+        assert rel_err(il.kernel.sigma_h_sq, m_var) <= 1e-12
+        assert rel_err(il.kernel.weights, 2.0 * b) <= 1e-12
+        assert rel_err(il.noise_var, 0.01 * m_var) <= 1e-12
+        assert rel_err(il.mu_bar, np.linalg.solve(C, M)) <= 1e-12
+        assert rel_err(il.lam, 1.0 / first.variances) <= 1e-12
 
     def test_elbo_trace_monotone_and_improving(self):
         X, Y, _, _ = benchmark_1d(seed=5, n=30)

@@ -1,5 +1,4 @@
-"""The exact-GP input layer of :mod:`dgpuq.deepgp`: the fit that starts it
-(``_input_fit`` and its forward and backward halves) and the first latent's
+"""The exact-GP input layer of :mod:`dgpuq.deepgp`: the first latent's
 predictive, read from a model whose first latent is an exact GP."""
 
 import numpy as np
@@ -9,10 +8,8 @@ import scipy.linalg
 from dgpuq import deepgp
 from dgpuq.deepgp import predict_layer1
 from dgpuq.kernels import RBFParams, gram, DimensionMismatchError
-from helpers import (ard_case, central_diff, dense_gp_logml, dense_gp_predict,
-                     exact_gp_chol, exact_gp_model, two_gram_predict)
-
-LOG_2PI = np.log(2.0 * np.pi)
+from helpers import (ard_case, dense_gp_predict, exact_gp_chol,
+                     exact_gp_model, two_gram_predict)
 
 
 def random_case(rng, n=5, kappa=2, nu=2, noise=0.3):
@@ -28,107 +25,12 @@ def random_model(rng, **kwargs):
     return exact_gp_model(*random_case(rng, **kwargs))
 
 
-def log_marginal(kern, noise_var, X, Y):
-    return deepgp._input_fit_forward(kern, noise_var, np.asarray(X, float),
-                                     np.asarray(Y, float))[0]
-
-
-def log_marginal_grad(kern, noise_var, X, Y):
-    """The fit's gradient as [d log tau0_sq, d log b, d log noise_var]."""
-    g = deepgp._input_fit_backward(
-        deepgp._input_fit_forward(kern, noise_var, X, Y)[1])
-    return np.concatenate([[g["tau0_sq"]], g["b"], [g["noise_var"]]])
-
-
 def oracle_predict(model, Xstar):
     """:func:`helpers.two_gram_predict` over the exact GP's own factor."""
     il = model.input_layer
     return two_gram_predict(model.X, il.kernel,
                             exact_gp_chol(model.X, il.kernel, il.noise_var),
                             il.mu_bar, Xstar)
-
-
-class TestLogMarginal:
-    def test_single_point_unit_variance(self):
-        # k(x,x) + noise = 0.5 + 0.5 = 1, y = 0 -> -log(2 pi)/2 per column
-        kern = RBFParams(tau0_sq=0.5, lengthscale_inv=np.array([1.0]))
-        assert (log_marginal(kern, 0.5, [[0.0]], [[0.0, 0.0, 0.0]])
-                == pytest.approx(-1.5 * LOG_2PI, abs=1e-12))
-
-    def test_permutation_invariance(self):
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(6, 2))
-        Y = rng.normal(size=(6, 3))
-        kern = RBFParams(tau0_sq=1.2, lengthscale_inv=np.array([0.5, 1.1]))
-        a = log_marginal(kern, 0.2, X, Y)
-        perm = rng.permutation(6)
-        b = log_marginal(kern, 0.2, X[perm], Y[perm])
-        assert a == pytest.approx(b, abs=1e-9)
-
-    def test_matches_textbook_formula_n3(self):
-        rng = np.random.default_rng(1)
-        kern, noise, X, Y = random_case(rng, n=3, kappa=2, nu=2)
-        expected = dense_gp_logml(gram(X, X, kern), noise, Y)
-        assert log_marginal(kern, noise, X, Y) == pytest.approx(expected,
-                                                                abs=1e-10)
-
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(2)
-        kern0, noise, X, Y = random_case(rng, n=7, kappa=2, nu=2)
-        g = log_marginal_grad(kern0, noise, X, Y)
-
-        def fun(theta):
-            kern = RBFParams(tau0_sq=np.exp(theta[0]),
-                             lengthscale_inv=np.exp(theta[1:3]))
-            return log_marginal(kern, float(np.exp(theta[3])), X, Y)
-
-        theta0 = np.concatenate([[np.log(kern0.sigma_h_sq)],
-                                 np.log(0.5 * kern0.weights),
-                                 [np.log(noise)]])
-        fd = central_diff(fun, theta0)
-        rel = np.abs(g - fd) / (np.abs(fd) + 1e-8)
-        assert rel.max() < 1e-4
-
-
-class TestFit:
-    def test_noise_free_data_drives_noise_down(self):
-        rng = np.random.default_rng(3)
-        X = np.linspace(0, 1, 40)[:, None]
-        Y = np.sin(2 * np.pi * X)
-        _, noise_var, _ = deepgp._input_fit(X, Y, 250)
-        assert noise_var < 1e-3 * np.var(Y)
-
-    def test_output_scale_doubling_scales_signal_variance(self):
-        rng = np.random.default_rng(4)
-        X = rng.uniform(0, 1, (30, 1))
-        Y = np.sin(2 * np.pi * X) + 0.05 * rng.standard_normal((30, 1))
-        k1 = deepgp._input_fit(X, Y, 150)[0]
-        k2 = deepgp._input_fit(X, 2.0 * Y, 150)[0]
-        ratio = k2.sigma_h_sq / k1.sigma_h_sq
-        assert 2.0 <= ratio <= 6.0
-
-    def test_objective_trace_nondecreasing(self, monkeypatch):
-        rng = np.random.default_rng(5)
-        X = rng.uniform(0, 1, (20, 1))
-        Y = np.sin(2 * np.pi * X) + 0.1 * rng.standard_normal((20, 1))
-        traces = []
-        real = deepgp.ascend
-
-        def spied(*args):
-            x, trace = real(*args)
-            traces.append(trace)
-            return x, trace
-
-        monkeypatch.setattr(deepgp, "ascend", spied)
-        deepgp._input_fit(X, Y, 60)
-        (trace,) = traces
-        assert trace.size > 1
-        assert np.all(np.diff(trace) >= -1e-9)
-
-    def test_needs_two_points(self):
-        with pytest.raises(ValueError, match="two training points"):
-            deepgp.train_deep(np.zeros((1, 1)), [[0.0, 1.0]], dims=[1],
-                              m_inducing=[1])
 
 
 class TestPredict:
@@ -295,31 +197,3 @@ class TestPredictAgainstTwoGramOracle:
         carried = deepgp.prediction_factors(model)["input_norms"]
         np.testing.assert_array_equal(carried, norms[None, :])
         assert carried.shape == (1, 9)
-
-
-class TestFitGramReuse:
-    def test_gradient_from_the_built_gram_is_bit_identical(self):
-        rng = np.random.default_rng(14)
-        X = rng.normal(size=(15, 3))
-        Y = rng.normal(size=(15, 2))
-        kern = RBFParams(tau0_sq=1.1, lengthscale_inv=rng.uniform(0.2, 1.5, 3))
-        state = deepgp._input_fit_forward(kern, 0.1, X, Y)[1]
-        fresh = state[:3] + (gram(X, X, kern),) + state[4:]
-        a = deepgp._input_fit_backward(state)
-        b = deepgp._input_fit_backward(fresh)
-        for name in a:
-            np.testing.assert_array_equal(a[name], b[name])
-
-    def test_one_gram_per_evaluation(self, monkeypatch):
-        rng = np.random.default_rng(15)
-        X = rng.normal(size=(12, 2))
-        Y = rng.normal(size=(12, 1))
-        calls = {"gram": 0, "chol_psd": 0}
-        for name in calls:
-            def counted(*args, _f=getattr(deepgp, name), _n=name, **kwargs):
-                calls[_n] += 1
-                return _f(*args, **kwargs)
-            monkeypatch.setattr(deepgp, name, counted)
-        deepgp._input_fit(X, Y, 8)
-        # every build factors one Gram; no gradient forms another
-        assert calls["gram"] == calls["chol_psd"] > 8

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from dgpuq import deepgp, gplvm
-from dgpuq.kernels import ARDParams, RBFParams
+from dgpuq.kernels import ARDParams
 from dgpuq.optimize import BlockSpec, ascend, cached_objective
 from dgpuq.rng import rng_for
-from helpers import (recomputing_objective, hand_pack_theta, hand_unpack_theta,
-                     hand_gplvm_pack, hand_gplvm_unpack, hand_gplvm_grad,
-                     hand_pack_params, hand_unpack_params, hand_grad_vector)
+from helpers import (recomputing_objective, hand_gplvm_pack, hand_gplvm_unpack,
+                     hand_gplvm_grad, hand_pack_params, hand_unpack_params,
+                     hand_grad_vector)
 
 
 class _State:
@@ -175,13 +175,12 @@ Y = np.column_stack([np.sin(2.0 * np.pi * X[:, 0]), X[:, 0] * X[:, 1],
 
 # module whose ascend runs the objective, the functions each of which marks
 # one forward of an objective that ascend runs, and a small training run;
-# train_deep runs two ascents, the input layer's fit and the joint phase
+# deepgp.ascend runs only train_deep's joint phase: its greedy GP-LVM fits
+# ascend through gplvm.ascend
 TRAINERS = {
-    "gp": (deepgp, ("_input_fit_forward",),
-           lambda: deepgp._input_fit(X, Y, 25)),
     "gplvm": (gplvm, ("layer_bound",),
               lambda: gplvm.train_gplvm(Y, 2, 8, iters=30, seed=1)),
-    "deepgp": (deepgp, ("_input_fit_forward", "_first_latent_forward"),
+    "deepgp": (deepgp, ("_first_latent_forward",),
                lambda: deepgp.train_deep(X, Y, dims=[2, 2], m_inducing=[8, 8],
                                          iters=12, init_iters=20, seed=1)),
 }
@@ -310,32 +309,6 @@ def _model_params(model):
     return out
 
 
-def _gp_case(mp):
-    y_var = float(np.var(Y))     # fit's start: median heuristic, 1 % noise
-    kern = RBFParams(y_var, deepgp._median_heuristic(X))
-    runs = _capture_ascend(mp, deepgp)
-    built = []                  # the (kernel, noise_var) of each forward
-    real_forward = deepgp._input_fit_forward
-    mp.setattr(deepgp, "_input_fit_forward",
-               lambda k, nv, *args: built.append((k, nv))
-               or real_forward(k, nv, *args))
-    deepgp._input_fit(X, Y, 2)
-    x0, vg = runs[0]
-
-    def new(x):
-        g = vg(x, True)[1]
-        k, nv = built[-1]
-        return [k.sigma_h_sq, k.weights, nv], g
-
-    def hand(x):
-        k, nv = hand_unpack_theta(x)
-        g = deepgp._input_fit_backward(real_forward(k, nv, X, Y)[1])
-        return [k.sigma_h_sq, k.weights, nv], np.concatenate(
-            [[g["tau0_sq"]], g["b"], [g["noise_var"]]])
-
-    return x0, hand_pack_theta(kern, 0.01 * y_var), new, hand
-
-
 def _gplvm_case(mp, run):
     n, (q, m), seed = Y.shape[0], (2, 8), 1
     runs = _capture_ascend(mp, gplvm)
@@ -369,7 +342,7 @@ def _deep_case(mp):
     model = deepgp.train_deep(X, Y, dims=[2, 2], m_inducing=[6, 6],
                               iters=2, init_iters=6, seed=1)
     x0 = deepgp.pack_params(model)
-    vg = runs[-1][1]            # the joint phase, after the input layer's fit
+    (_, vg), = runs             # the joint phase
 
     def new(x):
         return _model_params(deepgp.unpack_params(model, x)), vg(x, True)[1]
@@ -383,7 +356,6 @@ def _deep_case(mp):
 
 
 SPEC_CASES = {
-    "gp_theta": _gp_case,
     "gplvm_frozen_beta": lambda mp: _gplvm_case(mp, 0),
     "gplvm": lambda mp: _gplvm_case(mp, 1),
     "deep_two_layers": _deep_case,
