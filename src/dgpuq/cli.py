@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 usage or validation error (``ValueError`` or
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -24,13 +25,15 @@ EXIT_NUMERIC = 3
 FIELDS = {"p": "pressure", "ux": "vel_x", "uy": "vel_y"}
 
 
-def _parse_dims(text):
+def _parse_dims(flag, text):
+    """``flag``'s value ``text`` as a list of positive integers."""
     try:
         dims = [int(t) for t in text.split(",") if t.strip() != ""]
     except ValueError:
-        raise ValueError(f"cannot parse dimension list {text!r}") from None
+        dims = []
     if not dims or any(d < 1 for d in dims):
-        raise ValueError(f"dimension list must be positive integers, got {text!r}")
+        raise ValueError(f"{flag} must be a comma-separated list of positive "
+                         f"integers, got {text!r}")
     return dims
 
 
@@ -115,8 +118,8 @@ def cmd_train(args):
     files = info["files"]
     if args.target not in files:
         raise ValueError(f"--target must be one of {sorted(files)}")
-    dims = _parse_dims(args.dims)
-    inducing = _parse_dims(args.inducing)
+    dims = _parse_dims("--dims", args.dims)
+    inducing = _parse_dims("--inducing", args.inducing)
     if args.layers not in (None, len(dims)):
         raise ValueError(f"--layers {args.layers} does not match --dims {args.dims}")
     if len(inducing) != len(dims):
@@ -222,7 +225,9 @@ def cmd_mc_baseline(args):
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """Every command's parser, built once; :func:`main` runs ``cmd_<name>``."""
     p = argparse.ArgumentParser(prog="dgpuq",
                                 description="Deep-GP surrogates and UQ for "
                                             "Darcy flow")
@@ -240,7 +245,6 @@ def build_parser():
     g.add_argument("--width", type=float, default=0.125)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_gen_data)
 
     t = sub.add_parser("train", help="train a deep GP on a dataset target")
     t.add_argument("--data", required=True)
@@ -252,13 +256,11 @@ def build_parser():
     t.add_argument("--init-iters", type=int, default=150)
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--out", required=True)
-    t.set_defaults(func=cmd_train)
 
     pr = sub.add_parser("predict", help="predict with a trained model")
     pr.add_argument("--model", required=True)
     pr.add_argument("--inputs", required=True)
     pr.add_argument("--out", required=True)
-    pr.set_defaults(func=cmd_predict)
 
     u = sub.add_parser("uq", help="uncertainty propagation report")
     u.add_argument("--model", required=True)
@@ -268,7 +270,6 @@ def build_parser():
     u.add_argument("--pdf-at", default=None)
     u.add_argument("--seed", type=int, default=0)
     u.add_argument("--out", required=True)
-    u.set_defaults(func=cmd_uq)
 
     b = sub.add_parser("mc-baseline", help="plain Monte Carlo over the solver")
     b.add_argument("--kle-manifest", required=True)
@@ -277,17 +278,15 @@ def build_parser():
     b.add_argument("--pdf-at", default=None)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", required=True)
-    b.set_defaults(func=cmd_mc_baseline)
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     from .optimize import _NUMERICAL_FAILURES
     # LinAlgError subclasses ValueError, so it must be caught first
     try:
-        args.func(args)
+        globals()["cmd_" + args.command.replace("-", "_")](args)
     except _NUMERICAL_FAILURES as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -83,6 +83,7 @@ __all__ = [
     "predict_layer1",
     "prediction_factors",
     "model_arrays",
+    "check_model_array_names",
     "model_from_arrays",
     "propagate",
     "predict",
@@ -635,11 +636,16 @@ def prediction_factors(model: DeepGPModel) -> dict:
     return model._pred_cache
 
 
-def _array_shapes(dims):
+def check_model_array_names(names, dims):
     """``(params, factors)``, each ``{name: shape}``: the table of
-    :func:`model_arrays` for latent dims ``dims``.  A str axis is a size
-    fixed by the first array that has it: n and kappa by X, nu by Y and
-    m{t}, sparse layer t's inducing count, by ``Hu{t}``."""
+    :func:`model_arrays` for latent dims ``dims``, once ``names`` are
+    exactly its names; empty ``dims``, a missing or an unknown name is a
+    ValueError naming it.  A str axis is a size fixed by the first array
+    that has it: n and kappa by X, nu by Y and m{t}, sparse layer t's
+    inducing count, by ``Hu{t}``.  A loader calls it before it reads any
+    array."""
+    if not dims:
+        raise ValueError("a model needs at least one latent dimension")
     q1 = dims[0]
     params = {"X": ("n", "kappa"), "Y": ("n", "nu"), "tau0_sq": (),
               "b": ("kappa",), "noise_var": (), "mu_bar": ("n", q1),
@@ -652,6 +658,10 @@ def _array_shapes(dims):
                        f"means{t}": ("n", q), f"variances{t}": ("n", q)})
         factors.update({f"layer{t}_V": (m, q_out), f"layer{t}_Dmat": (m, m),
                         f"layer{t}_B": (m, m)})
+    shapes = params.keys() | factors.keys()
+    for name in sorted(shapes ^ set(names)):
+        raise ValueError(f"model array {name!r} is missing" if name in shapes
+                         else f"unknown model array {name!r}")
     return params, factors
 
 
@@ -669,16 +679,12 @@ def model_arrays(model: DeepGPModel) -> dict:
 def model_from_arrays(arrays, dims, training_meta=None) -> DeepGPModel:
     """The model whose :func:`model_arrays` are ``arrays``.  Its prediction
     factors are installed, so it predicts bit-identically to the model they
-    came from and rebuilds none.  Every name and shape is checked first
-    against :func:`_array_shapes`: a missing, unknown or wrong-shaped array
-    is a ValueError naming it.  A 1-D block may arrive as one row."""
-    if not dims:
-        raise ValueError("a model needs at least one latent dimension")
-    params, factors = _array_shapes(dims)
+    came from and rebuilds none.  Every name, then every shape, is checked
+    against :func:`check_model_array_names`' table: a missing, unknown or
+    wrong-shaped array is a ValueError naming it.  A 1-D block may arrive
+    as one row."""
+    params, factors = check_model_array_names(arrays, dims)
     shapes = {**params, **factors}
-    for name in sorted(shapes.keys() ^ arrays.keys()):
-        raise ValueError(f"model array {name!r} is missing" if name in shapes
-                         else f"unknown model array {name!r}")
     sizes, values = {}, {}
     for name, want in shapes.items():
         arr, got = arrays[name], np.shape(arrays[name])

@@ -13,11 +13,12 @@ A ``dgpuq-model-v3`` model.json holds ``dims``, ``training``, ``numbers``
 :func:`deepgp.model_arrays`' own: the training data, the parameters, layer
 0's stored latent and the prediction factors, which depend on the
 parameters alone and are written once, at save.  Loading checks every
-name and shape (:func:`deepgp.model_from_arrays`) and then the digest, a
-SHA-256 over every number and every container's payload, so a file edited
-after saving is rejected; the loaded model holds all the factors and
-rebuilds none.  A ``dgpuq-model-v1`` or ``-v2`` directory must be
-retrained.
+name (:func:`deepgp.check_model_array_names`) before it reads any
+container, then reads every container, checks every shape
+(:func:`deepgp.model_from_arrays`) and then the digest, a SHA-256 over
+every number and every container's payload, so a file edited after saving
+is rejected; the loaded model holds all the factors and rebuilds none.  A
+``dgpuq-model-v1`` or ``-v2`` directory must be retrained.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ import numpy as np
 from . import __version__
 from .random_field import Grid2D, ExpCovSpec, KLExpansion
 from .darcy import SourceSpec
-from .deepgp import DeepGPModel, model_arrays, model_from_arrays
+from .deepgp import (DeepGPModel, check_model_array_names, model_arrays,
+                     model_from_arrays)
 
 __all__ = [
     "write_matrix",
@@ -200,38 +202,14 @@ def save_model(out_dir, model: DeepGPModel, extra_meta=None):
     return os.path.join(out_dir, "model.json")
 
 
-class _ReadOnUse(dict):
-    """A model's numbers by name, and its containers, each read from its file
-    when first looked up: ``keys()`` names both from the start, iteration
-    only what is held.  :func:`deepgp.model_from_arrays` checks every name
-    before it looks one up, and looks up all, so a stray name opens no
-    file.  ``failed`` is the error of a read that failed, which names its
-    own file."""
-
-    def __init__(self, numbers, files, read):
-        super().__init__(numbers)
-        self._files, self._read, self.failed = files, read, None
-
-    def keys(self):
-        return super().keys() | self._files.keys()
-
-    def __missing__(self, name):
-        try:
-            value = self[name] = self._read(f"arrays.{name}")
-        except ValueError as exc:
-            self.failed = exc
-            raise
-        return value
-
-
 def load_model(model_dir) -> DeepGPModel:
     """Reload a persisted model, prediction factors included, so that it
     predicts bit-identically to the saved one without rebuilding them.
 
-    Every field is type-checked, every array's name checked before any
-    container is read, and every shape checked
-    (:func:`deepgp.model_from_arrays`); then the digest must match the
-    containers and numbers as read, so a file edited after saving is a
+    Every field is type-checked and every array's name checked before any
+    container is read, and a container that cannot be read is a ValueError
+    naming its file.  Then every shape is checked and the digest must match
+    the containers and numbers as read, so a file edited after saving is a
     ValueError naming model.json, not a stale prediction.
     """
     path, field, get = _read_document(model_dir, "model.json", MODEL_FORMAT)
@@ -239,15 +217,18 @@ def load_model(model_dir) -> DeepGPModel:
     training = field("training", "an object")
     if "output_grid" in training:
         field("training.output_grid", "an integer pair")
-    arrays = _ReadOnUse({name: field(f"numbers.{name}", "a number")
-                         for name in field("numbers", "an object")},
-                        field("arrays", "an object"), get)
+    numbers = {name: field(f"numbers.{name}", "a number")
+               for name in field("numbers", "an object")}
+    files = field("arrays", "an object")
     digest = field("digest", "a string")
+    try:
+        check_model_array_names(numbers.keys() | files.keys(), dims)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    arrays = {name: get(f"arrays.{name}") for name in files} | numbers
     try:
         model = model_from_arrays(arrays, dims, training)
     except ValueError as exc:
-        if exc is arrays.failed:
-            raise
         raise ValueError(f"{path}: {exc}") from None
     if _model_digest(arrays) != digest:
         raise ValueError(f"{path}: field 'digest' does not match the arrays "

@@ -150,6 +150,10 @@ class TestSolve:
         with pytest.raises(ValueError, match="not zero"):
             solve(grid, np.ones(grid.n_cells), np.ones(grid.n_cells))
 
+    def test_source_field_of_wrong_size_rejected(self):
+        with pytest.raises(ValueError, match="source field size"):
+            solve(Grid2D(8, 8), np.ones(64), np.zeros(63))
+
     def test_gen_data_with_overlapping_wells_exits_2(self, tmp_path):
         code = cli.main(["gen-data", "--n", "1", "--grid", "8", "--out-grid",
                          "4", "--kle", "4", "--width", "0.6",

@@ -287,6 +287,16 @@ class TestTrainDeep:
             train_deep(np.zeros((1, 1)), [[0.0, 1.0]], dims=[1],
                        m_inducing=[1])
 
+    @pytest.mark.parametrize("Y, dims, error, message", [
+        pytest.param(np.ones((3, 2)), [1], DimensionMismatchError,
+                     "training rows: expected length 4, got 3",
+                     id="row-mismatch"),
+        pytest.param(np.ones((4, 2)), [], ValueError,
+                     "at least one latent layer", id="no-layer")])
+    def test_bad_training_set_raises_naming_it(self, Y, dims, error, message):
+        with pytest.raises(error, match=message):
+            train_deep(np.zeros((4, 1)), Y, dims=dims, m_inducing=[2])
+
     def test_joint_phase_is_the_only_ascent(self, monkeypatch):
         calls = []
         real = deepgp.ascend

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dgpuq.kernels import ARDParams, gram
+from dgpuq.kernels import ARDParams, DimensionMismatchError, gram
 from dgpuq.gplvm import (VariationalLatent, InducingSet, LayerState,
                          layer_bound, layer_bound_grads, latent_kl,
                          train_gplvm, effective_dims, _pairs, _phi_forward,
@@ -311,6 +311,48 @@ class TestTrainGplvm:
     def test_degenerate_targets_rejected(self):
         with pytest.raises(ValueError):
             train_gplvm(np.ones((10, 4)), q=2, m=5, iters=10, seed=0)
+
+
+def layer_parts(n=4, q=2, m=3):
+    """A valid sparse layer's parts, keyword by keyword."""
+    return dict(kernel=ARDParams(1.0, np.ones(q)), beta=2.0,
+                latent=VariationalLatent(np.zeros((n, q)), np.ones((n, q))),
+                inducing=InducingSet(np.zeros((m, q))))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda: VariationalLatent(np.zeros((3, 2)), np.ones((3, 1))),
+                 DimensionMismatchError, r"latent variances: expected length "
+                 r"\(3, 2\), got \(3, 1\)", id="latent-shapes"),
+    pytest.param(lambda: VariationalLatent(np.zeros((2, 2)),
+                                           [[1.0, 0.0], [1.0, 1.0]]),
+                 ValueError, "latent variances must be strictly positive",
+                 id="latent-variance-zero"),
+    pytest.param(lambda: InducingSet(np.zeros((0, 2))), ValueError,
+                 "at least one inducing point", id="no-inducing-point"),
+    pytest.param(lambda: LayerState(**dict(layer_parts(), beta=0.0)),
+                 ValueError, "beta must be positive", id="beta-zero"),
+    pytest.param(lambda: LayerState(**dict(
+                     layer_parts(), kernel=ARDParams(1.0, np.ones(3)))),
+                 DimensionMismatchError,
+                 "kernel weights: expected length 2, got 3",
+                 id="kernel-weights"),
+    pytest.param(lambda: LayerState(**dict(
+                     layer_parts(), inducing=InducingSet(np.zeros((3, 1))))),
+                 DimensionMismatchError,
+                 "inducing inputs: expected length 2, got 1",
+                 id="inducing-columns"),
+    pytest.param(lambda: train_gplvm(np.eye(5, 3), q=4, m=2), ValueError,
+                 r"1 <= q <= 3, got 4", id="q-above-outputs"),
+    pytest.param(lambda: train_gplvm(np.eye(5, 3), q=0, m=2), ValueError,
+                 r"1 <= q <= 3, got 0", id="q-zero"),
+    pytest.param(lambda: train_gplvm(np.eye(5, 3), q=2, m=6), ValueError,
+                 r"1 <= m <= 5, got 6", id="m-above-rows"),
+    pytest.param(lambda: train_gplvm(np.eye(5, 3), q=2, m=0), ValueError,
+                 r"1 <= m <= 5, got 0", id="m-zero")])
+def test_bad_layer_part_or_size_raises_naming_it(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 class TestEffectiveDims:

@@ -78,6 +78,12 @@ class TestMatrixContainer:
         assert back.dtype == np.float64 and back.flags.writeable
         assert np.array_equal(back, arr)
 
+    def test_three_dimensional_array_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=r"2-D arrays, got shape "
+                                             r"\(2, 3, 4\)"):
+            io.write_matrix(tmp_path / "a.dgpm", np.zeros((2, 3, 4)))
+        assert not (tmp_path / "a.dgpm").exists()
+
     def test_header_dtype_enforced(self, tmp_path):
         path = tmp_path / "odd.dgpm"
         path.write_bytes(b"DGPM1\n2 2 f32le\n" + b"\x00" * 16)
@@ -95,13 +101,13 @@ class TestMatrixContainer:
         assert str(info.value).startswith(f"{path}: bad header")
 
 
-def save_tiny_model(out_dir):
+def save_tiny_model(out_dir, outputs=3, **extra_meta):
     rng = rng_for(78)
     X = rng.uniform(0, 1, (12, 2))
-    Y = rng.normal(size=(12, 3))
+    Y = rng.normal(size=(12, outputs))
     model = train_deep(X, Y, dims=[2], m_inducing=[6], iters=5, seed=1,
                        init_iters=20)
-    io.save_model(out_dir, model)
+    io.save_model(out_dir, model, extra_meta)
 
 
 class TestModelPersistence:
@@ -301,6 +307,25 @@ def desk_dataset(tmp_path_factory):
     assert res.returncode == 0, res.stderr
     assert time.time() - t0 < 10.0  # desk-scale smoke budget
     return out
+
+
+MC_ARGV = ["mc-baseline", "--kle-manifest", "{data}/manifest.json"]
+TRAIN_ARGV = ["train", "--data", "{data}"]
+UQ_ARGV = ["uq", "--model", "{tmp}/m", "--kle-manifest", "{data}/manifest.json",
+           "--inner", "2", "--repeats", "2"]
+
+
+def copy_without(out_dir, data, name):
+    """Copy the dataset to out_dir/d, its manifest without ``files.<name>``."""
+    shutil.copytree(data, out_dir / "d")
+    doc = json.loads((data / "manifest.json").read_text())
+    del doc["files"][name]
+    (out_dir / "d" / "manifest.json").write_text(json.dumps(doc))
+
+
+def tiny_model_and_three_columns(out_dir, data):
+    save_tiny_model(out_dir / "m")
+    io.write_matrix(out_dir / "x3.dgpm", np.zeros((4, 3)))
 
 
 class TestCli:
@@ -511,6 +536,22 @@ class TestCli:
             cli.main(["predict", "--model", "m", "--inputs", "x",
                       "--out", str(tmp_path)])
 
+    def test_two_calls_build_one_parser(self, monkeypatch, tmp_path):
+        import argparse
+        from dgpuq import cli
+        parsers, real = [], argparse.ArgumentParser.parse_args
+
+        def spy(self, *args, **kwargs):
+            parsers.append(self)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        monkeypatch.setattr(cli, "cmd_predict", lambda args: None)
+        for _ in range(2):
+            assert cli.main(["predict", "--model", "m", "--inputs", "x",
+                             "--out", str(tmp_path)]) == 0
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+
     def test_predict_on_a_model_without_dims_names_file_and_field(
             self, tmp_path, capsys):
         from dgpuq import cli
@@ -643,6 +684,46 @@ class TestCli:
                       "--dims", "3,3", "--inducing", "8,8",
                       "--out", str(tmp_path / "m2"))
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("argv, setup, message", [
+        pytest.param(MC_ARGV + ["--pdf-at", "0.5,x"], None,
+                     "location '0.5,x' is not numeric",
+                     id="pdf-at-not-numeric"),
+        pytest.param(MC_ARGV + ["--pdf-at", ";"], None, "no locations parsed",
+                     id="pdf-at-empty"),
+        pytest.param(["train", "--data", "{tmp}/d", "--target", "ux"],
+                     lambda tmp, data: copy_without(tmp, data, "ux"),
+                     "--target must be one of ['K', 'p', 'uy']",
+                     id="target-not-in-manifest"),
+        pytest.param(TRAIN_ARGV + ["--dims", "2,2", "--inducing", "4"], None,
+                     "--inducing must have one entry per layer",
+                     id="inducing-count"),
+        pytest.param(TRAIN_ARGV + ["--inducing", "0,5"], None,
+                     "--inducing must be a comma-separated list of positive "
+                     "integers, got '0,5'", id="inducing-not-positive"),
+        pytest.param(TRAIN_ARGV + ["--dims", "2,x"], None,
+                     "--dims must be a comma-separated list of positive "
+                     "integers, got '2,x'", id="dims-not-integers"),
+        pytest.param(["predict", "--model", "{tmp}/m", "--inputs",
+                      "{tmp}/x3.dgpm"], tiny_model_and_three_columns,
+                     "inputs have 3 columns, model expects 2",
+                     id="predict-columns"),
+        pytest.param(UQ_ARGV, lambda tmp, data: save_tiny_model(tmp / "m"),
+                     "model output dimension does not match the output grid",
+                     id="uq-output-grid"),
+        pytest.param(UQ_ARGV, lambda tmp, data: save_tiny_model(
+                         tmp / "m", outputs=4, output_grid=[2, 2]),
+                     "KLE manifest fields have 256 cells, model expects 2 "
+                     "input columns", id="uq-input-cells")])
+    def test_bad_input_exits_2_naming_it(self, desk_dataset, tmp_path,
+                                         capsys, argv, setup, message):
+        from dgpuq import cli
+        if setup is not None:
+            setup(tmp_path, desk_dataset)
+        argv = [a.format(data=desk_dataset, tmp=tmp_path) for a in argv]
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_predict_on_wrong_shape_model_exits_2(self, tmp_path):
         save_tiny_model(tmp_path / "m")

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from dgpuq import deepgp, gplvm
+from dgpuq import deepgp, gplvm, optimize
 from dgpuq.kernels import ARDParams
 from dgpuq.optimize import BlockSpec, ascend, cached_objective
 from dgpuq.rng import rng_for
@@ -390,3 +390,61 @@ def test_spec_unpack_rejects_an_exp_that_gives_zero():
     # exp(-800) underflows to 0.0, which no log block can hold
     with pytest.raises(FloatingPointError):
         BlockSpec([("beta", (), True)]).unpack(np.array([-800.0]))
+
+
+class Logged:
+    """A hand-built ``value_and_grad`` over ``fn(x) -> (f, g)`` that logs
+    each call's point and ``need_grad``."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, []
+
+    def __call__(self, x, need_grad):
+        self.calls.append((np.array(x), need_grad))
+        f, g = self.fn(x)
+        return f, (g if need_grad else None)
+
+    def counts(self):
+        """(value-only evaluations, gradient evaluations)."""
+        grads = sum(need for _, need in self.calls)
+        return len(self.calls) - grads, grads
+
+
+class TestAscendStops:
+    """The rules that end an ascent, on hand-built objectives."""
+
+    @pytest.mark.parametrize("bad", [-np.inf, np.nan])
+    def test_non_finite_start_raises(self, bad):
+        vg = Logged(lambda x: (bad, None))
+        with pytest.raises(FloatingPointError, match="initial point"):
+            ascend(vg, np.zeros(2), 5)
+        assert vg.counts() == (0, 1)
+
+    def test_zero_gradient_stops_at_the_start(self):
+        c = np.array([1.0, -2.0])
+        vg = Logged(lambda x: (-float(np.sum((x - c) ** 2)), -2.0 * (x - c)))
+        x, trace = ascend(vg, c, 5)
+        np.testing.assert_array_equal(x, c)
+        np.testing.assert_array_equal(trace, [0.0])
+        assert vg.counts() == (0, 1)
+
+    def test_no_armijo_step_stops_at_the_last_accepted_point(self):
+        # a tent with its peak at 0.1: the first trial, STEP0 along g = 1,
+        # lands on the peak; every later trial falls on the far slope
+        assert optimize.STEP0 == 0.1
+        vg = Logged(lambda x: (float(x[0]), np.ones(1)) if x[0] <= 0.1
+                    else (0.2 - float(x[0]), -np.ones(1)))
+        x, trace = ascend(vg, np.zeros(1), 5)
+        np.testing.assert_array_equal(x, [0.1])
+        np.testing.assert_array_equal(trace, [0.0, 0.1])
+        assert np.all(np.diff(trace) >= 0.0)
+        # the carried step (STEP0 grown once) halves until it is below
+        # MIN_STEP; none of those trials is retried from STEP0
+        steps, s = [], optimize.STEP0 * optimize.GROW
+        while s >= optimize.MIN_STEP:
+            steps.append(s)
+            s *= optimize.SHRINK
+        trials = [x[0] for x, need in vg.calls[3:]]
+        assert trials == [0.1 + s for s in steps]
+        assert vg.counts() == (1 + len(steps), 2)
+        assert len(steps) == 44

@@ -295,6 +295,19 @@ class TestStdNormalInvCdf:
                 std_normal_inv_cdf(bad)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    pytest.param(dict(s_g_sq=0.0), "s_g_sq must be positive", id="s_g_sq-zero"),
+    pytest.param(dict(s_g_sq=float("nan")), "s_g_sq must be positive",
+                 id="s_g_sq-nan"),
+    pytest.param(dict(lambdas=(0.1,)), "lambdas must be two positive",
+                 id="one-lambda"),
+    pytest.param(dict(lambdas=(0.1, -0.1)), "lambdas must be two positive",
+                 id="negative-lambda")])
+def test_bad_covariance_spec_raises_naming_it(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        ExpCovSpec(**kwargs)
+
+
 class TestGrid2D:
     def test_cell_centers_convention(self):
         g = Grid2D(4, 2)

@@ -99,6 +99,13 @@ class TestSampleInputs:
         with pytest.raises(ValueError):
             sample_inputs(dist8, 1, seed=0)
 
+    def test_mc_baseline_needs_two_samples(self, dist8):
+        def simulator(K):
+            raise AssertionError("no sample runs")
+
+        with pytest.raises(ValueError, match="at least two samples"):
+            mc_baseline(simulator, dist8, N=1, seed=0)
+
 
 class TestPropagateRealization:
     def test_two_seeds_differ(self, small_model, dist8):
