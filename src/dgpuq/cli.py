@@ -69,11 +69,10 @@ def _parse_locations(text):
 
 def cmd_gen_data(args):
     import numpy as np
-    from .random_field import (Grid2D, ExpCovSpec, kle_decompose,
-                               sample_permeability)
+    from .random_field import Grid2D, ExpCovSpec, kle_decompose
     from .darcy import SourceSpec, solve, restrict
-    from .rng import rng_for, GEN_DATA_STREAM
-    from .uq import _simulate
+    from .rng import GEN_DATA_STREAM
+    from .uq import _simulate_blocks
     from . import io
 
     _check_at_least(("--n", args.n, 1), ("--grid", args.grid, 2),
@@ -88,17 +87,23 @@ def cmd_gen_data(args):
     cov = ExpCovSpec(s_g_sq=args.sg, lambdas=(args.lam, args.lam), mean=args.mean)
     source = SourceSpec(rate=args.rate, width=args.width)
 
+    def simulator(K):
+        """A block of fields to its restricted targets, (rows, 3, out cells)."""
+        sol = solve(grid, K, source)
+        return np.stack([restrict(getattr(sol, field), grid.nx, grid.ny,
+                                  out_grid.nx, out_grid.ny)
+                         for field in FIELDS.values()], axis=1)
+
     kle = kle_decompose(grid, cov, args.kle)
     n = args.n
     data = {"K": np.empty((n, grid.n_cells))}
     data.update((name, np.empty((n, out_grid.n_cells))) for name in FIELDS)
-    for i in range(n):
-        rng = rng_for(args.seed, GEN_DATA_STREAM, i)
-        data["K"][i] = sample_permeability(kle, rng)
-        sol = _simulate(i, solve, grid, data["K"][i], source)
-        for name, field in FIELDS.items():
-            data[name][i] = restrict(getattr(sol, field), grid.nx, grid.ny,
-                                     out_grid.nx, out_grid.ny)
+    for start, K, Y in _simulate_blocks(simulator, kle, n, args.seed,
+                                        GEN_DATA_STREAM):
+        rows = slice(start, start + len(K))
+        data["K"][rows] = K
+        for j, name in enumerate(FIELDS):
+            data[name][rows] = Y[:, j]
 
     io.write_dataset_manifest(
         args.out, grid=grid, out_grid=out_grid, cov=cov, kle=kle, source=source,
@@ -206,6 +211,7 @@ def cmd_mc_baseline(args):
     target = args.target
 
     def simulator(K):
+        """A block of fields to its restricted target, (rows, out cells)."""
         return restrict(getattr(solve(grid, K, source), FIELDS[target]),
                         grid.nx, grid.ny, out_grid.nx, out_grid.ny)
 

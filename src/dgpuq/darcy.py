@@ -20,6 +20,34 @@ of the pinned matrix with a minimum-degree ordering (one BLAS thread, 2-core
 Xeon) a whole solve is 3-6x faster at 32 x 32 and 64 x 64 and about 2x from
 128 x 128 to 256 x 256; at 320 x 320 the two are level, 0.39-0.47 s and
 131 MB of band against 0.44-0.49 s and about 69 MB of LU factors.
+
+:func:`solve` takes one permeability field or a stack of them, one per row,
+with one source for the whole stack; a single field is a stack of one.  The
+Schur stencil and the condensed right-hand side are built on the black
+cells only, for the whole stack at once: each black cell's faces and the
+ratios t / d_r of the red cells around it are gathered through index arrays
+cached per grid (``_red_black``).  Each row then gets its own ``dpbtrf`` and
+``dpbtrs`` in one band buffer, zeroed between rows, and the red-cell
+recovery, the mean shift, the flux check and the velocities run over the
+whole stack.  Row r of a stack's solution is the solve of field r alone,
+bit for bit.
+
+On small grids a solve is mostly interpreter work around ``dpbtrf``, and a
+stack shares that work among its rows.  Time per field against rows per
+stack, as a fraction of the former one-field solve that built the stencil
+on every cell (one BLAS thread, 2-core Xeon, s_g^2 = 1, two runs):
+
+    grid         1 row      2          4          8          16
+    16 x 16      0.91-0.92  0.62-0.63  0.43       0.31-0.32  0.26-0.27
+    32 x 32      0.90-0.93  0.73-0.79  0.66-0.69  0.61-0.64  0.75-0.77
+    64 x 64      0.93-0.97  0.90-0.93  0.90-0.92  1.06-1.07  1.03-1.05
+    91 x 91      0.98-1.08  0.94-1.05  0.98-1.09  1.08-1.12  1.09-1.12
+    128 x 128    0.94-0.97  0.93-0.97  0.96-1.06  0.97-1.18  1.02-1.21
+
+Past 2^13 cells per stack the time per field stops falling and then rises,
+so callers that solve many fields (``gen-data`` and ``uq.mc_baseline``)
+stack ``max(1, STACK_CELLS // n_cells)`` of them: 8 at 32 x 32, 2 at
+64 x 64 and one from 91 x 91 up.
 """
 
 from __future__ import annotations
@@ -34,6 +62,10 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from .random_field import Grid2D
 
 __all__ = ["SourceSpec", "DarcySolution", "source_term", "solve", "restrict"]
+
+# cells per stack for callers that solve many fields: max(1, STACK_CELLS //
+# n_cells) rows (the module docstring's table)
+STACK_CELLS = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -82,47 +114,71 @@ def _face_transmissibilities(K2d: np.ndarray, hx: float, hy: float):
     """Transmissibility of every face: the harmonic mean of K across it,
     scaled by face area / distance, and zero on the no-flux walls.
 
-    Returns ``(tw, ts)`` of shapes (ny, nx + 1) and (ny + 1, nx): column i
-    of ``tw`` is the face left of cell column i, row j of ``ts`` the face
-    below cell row j.  An overflow stays inf for ``solve`` to reject.
+    ``K2d`` has shape (..., ny, nx).  Returns ``(faces, tw, ts)``: ``faces``,
+    shape (..., ny (nx + 1) + (ny + 1) nx), holds every face, and ``tw`` and
+    ``ts`` are views of it of shapes (..., ny, nx + 1) and (..., ny + 1, nx):
+    column i of ``tw`` is the face left of cell column i, row j of ``ts``
+    the face below cell row j.  An overflow stays inf for ``solve`` to
+    reject.
     """
-    ny, nx = K2d.shape
-    tw, ts = np.zeros((ny, nx + 1)), np.zeros((ny + 1, nx))
+    *stack, ny, nx = K2d.shape
+    n_x = ny * (nx + 1)
+    faces = np.zeros((*stack, n_x + (ny + 1) * nx))
+    tw = faces[..., :n_x].reshape(*stack, ny, nx + 1)
+    ts = faces[..., n_x:].reshape(*stack, ny + 1, nx)
     with np.errstate(over="ignore", invalid="ignore"):
-        Kw, Ke = K2d[:, :-1], K2d[:, 1:]
-        tw[:, 1:-1] = (2.0 * Kw * Ke / (Kw + Ke)) * (hy / hx)
-        Ks, Kn = K2d[:-1, :], K2d[1:, :]
-        ts[1:-1] = (2.0 * Ks * Kn / (Ks + Kn)) * (hx / hy)
-    return tw, ts
+        Kw, Ke = K2d[..., :-1], K2d[..., 1:]
+        tw[..., 1:-1] = (2.0 * Kw * Ke / (Kw + Ke)) * (hy / hx)
+        Ks, Kn = K2d[..., :-1, :], K2d[..., 1:, :]
+        ts[..., 1:-1, :] = (2.0 * Ks * Kn / (Ks + Kn)) * (hx / hy)
+    return faces, tw, ts
 
 
 def _face_fluxes(tw: np.ndarray, ts: np.ndarray, p2d: np.ndarray,
                  hx: float, hy: float):
     """Darcy fluxes normal to every face, laid out as ``tw`` and ``ts``, and
-    their divergence in each cell, shape (ny, nx)."""
+    their divergence in each cell, shape (..., ny, nx)."""
     ux, uy = np.zeros_like(tw), np.zeros_like(ts)
-    ux[:, 1:-1] = tw[:, 1:-1] * (p2d[:, :-1] - p2d[:, 1:]) / hy
-    uy[1:-1] = ts[1:-1] * (p2d[:-1] - p2d[1:]) / hx
-    return ux, uy, (ux[:, 1:] - ux[:, :-1]) / hx + (uy[1:] - uy[:-1]) / hy
+    ux[..., 1:-1] = tw[..., 1:-1] * (p2d[..., :-1] - p2d[..., 1:]) / hy
+    uy[..., 1:-1, :] = ts[..., 1:-1, :] * (p2d[..., :-1, :] - p2d[..., 1:, :]) / hx
+    div = ((ux[..., 1:] - ux[..., :-1]) / hx
+           + (uy[..., 1:, :] - uy[..., :-1, :]) / hy)
+    return ux, uy, div
 
 
 class _RedBlack(NamedTuple):
-    """Index layout of the red-black elimination on one grid.
+    """Gathers of the red-black elimination on one grid.
 
-    ``*_pad`` arrays are positions in the flat (ny + 2, nx + 2) grid with one
-    cell of padding all round.  Every array is read-only.
+    Faces are positions in ``_face_transmissibilities``' ``faces``.  The
+    red cells' ratios t / d_r sit in a (4, n_red + 1) array per stack row,
+    W, E, S, N faces by eliminated red cell, whose last column is zero and
+    stands in for any cell that is not eliminated.  Every array is
+    read-only.
     """
 
-    red: np.ndarray        # the eliminated cells: every red cell but cell 0
-    red_pad: np.ndarray
-    red_nbrs: np.ndarray   # (4, n_red) padded positions of the W, E, S, N neighbours
-    black: np.ndarray      # row-major: band column k holds black cell black[k]
-    black_pad: np.ndarray
-    band_rows: np.ndarray  # (5, n_black) lower-band position of each _STENCIL
-    band_cols: np.ndarray  # entry; a missing neighbour goes to the spare
-                           # column n_black
+    red: np.ndarray           # the eliminated cells: every red cell but cell 0
+    red_faces: np.ndarray     # (4, n_red) their W, E, S, N faces
+    red_nbrs: np.ndarray      # (4, n_red) black index of their W, E, S, N
+                              # neighbours; n_black for a wall
+    black: np.ndarray         # row-major: band column k holds black cell black[k]
+    black_faces: np.ndarray   # (4, n_black) their W, E, S, N faces
+    black_nbrs: np.ndarray    # (4, n_black) their W, E, S, N neighbour cells;
+                              # n_cells for a wall
+    black_ratios: np.ndarray  # (10, n_black) flat position in the ratios of
+                              # each _RATIOS entry
+    band: np.ndarray          # (5, n_black) flat position of each _STENCIL
+                              # entry in a row's (n_black + 1, nx + 1) band
+                              # buffer; a missing neighbour goes to the spare
+                              # row n_black
 
 
+# (dx, dy) of the W, E, S, N neighbours, in the order of their faces
+_NBRS = ((-1, 0), (1, 0), (0, -1), (0, 1))
+W, E, S, N = range(4)
+# (face, neighbour) of each red-cell ratio the Schur stencil reads at a black
+# cell: qE[W] is the ratio on the east face of the cell west of it
+_RATIOS = ((E, W), (W, E), (N, S), (S, N), (W, W), (S, S), (S, W), (W, S),
+           (S, E), (E, S))
 # (dx, dy) from a black cell to itself and to the four black cells before it
 # in row-major order that the red elimination couples it to
 _STENCIL = ((0, 0), (-2, 0), (0, -2), (-1, -1), (1, -1))
@@ -130,27 +186,40 @@ _STENCIL = ((0, 0), (-2, 0), (0, -2), (-1, -1), (1, -1))
 
 @functools.lru_cache(maxsize=8)
 def _red_black(grid: Grid2D) -> _RedBlack:
-    nx, ny = grid.nx, grid.ny
-    iy, ix = np.divmod(np.arange(grid.n_cells), nx)
+    nx, ny, n = grid.nx, grid.ny, grid.n_cells
+    iy, ix = np.divmod(np.arange(n), nx)
     is_red = (ix + iy) % 2 == 0
     red, black = np.flatnonzero(is_red)[1:], np.flatnonzero(~is_red)
-    pad = (iy + 1) * (nx + 2) + ix + 1
-    steps = np.array([[-1], [1], [-(nx + 2)], [nx + 2]])
+    n_red, n_black = red.size, black.size
 
-    n_black = black.size
+    west = iy * (nx + 1) + ix
+    south = ny * (nx + 1) + iy * nx + ix
+    faces = np.array([west, west + 1, south, south + nx])
+    nbrs = np.array([np.where((0 <= ix + dx) & (ix + dx < nx)
+                              & (0 <= iy + dy) & (iy + dy < ny),
+                              (iy + dy) * nx + ix + dx, n)
+                     for dx, dy in _NBRS])
+    # red and black index of every cell, and of the wall at index n
+    red_of, black_of = np.full(n + 1, n_red), np.full(n + 1, n_black)
+    red_of[red], black_of[black] = np.arange(n_red), np.arange(n_black)
+    black_ratios = np.array([face * (n_red + 1) + red_of[nbrs[nbr, black]]
+                             for face, nbr in _RATIOS])
+
     k = np.arange(n_black)
     k_of = np.full((ny + 4, nx + 4), -1)  # black index, padded by two cells
     k_of[iy[black] + 2, ix[black] + 2] = k
-    rows, cols = [], []
+    band = []
     for dx, dy in _STENCIL:
         k_nbr = k_of[iy[black] + 2 + dy, ix[black] + 2 + dx]
         there = k_nbr >= 0
-        rows.append(np.where(there, k - k_nbr, 0))
-        cols.append(np.where(there, k_nbr, n_black))
+        # row k - k', column k' of the lower band, stored transposed
+        band.append(np.where(there, k_nbr * (nx + 1) + k - k_nbr,
+                             n_black * (nx + 1)))
 
-    layout = _RedBlack(red=red, red_pad=pad[red], red_nbrs=pad[red] + steps,
-                       black=black, black_pad=pad[black],
-                       band_rows=np.array(rows), band_cols=np.array(cols))
+    layout = _RedBlack(red=red, red_faces=faces[:, red],
+                       red_nbrs=black_of[nbrs[:, red]], black=black,
+                       black_faces=faces[:, black], black_nbrs=nbrs[:, black],
+                       black_ratios=black_ratios, band=np.array(band))
     for a in layout:
         a.flags.writeable = False
     return layout
@@ -178,14 +247,19 @@ def solve(grid: Grid2D, K, source) -> DarcySolution:
     Parameters
     ----------
     grid : Grid2D
-    K : flat array of finite, strictly positive cell permeabilities
-    source : SourceSpec, or flat array of cell-centered source values.  The
-        source must integrate to zero for the pure-Neumann problem to be
-        solvable: ``|sum f| > 1e-12 * sum |f|`` raises ValueError.
+    K : finite, strictly positive cell permeabilities: one flat field of
+        shape (n_cells,), or a stack of fields of shape (s, n_cells), one
+        per row
+    source : SourceSpec, or flat array of cell-centered source values,
+        shared by every row.  The source must integrate to zero for the
+        pure-Neumann problem to be solvable: ``|sum f| > 1e-12 * sum |f|``
+        raises ValueError.
 
     Returns
     -------
-    DarcySolution with cell-center pressure and velocities.
+    DarcySolution with cell-center pressure and velocities, each of K's
+    shape.  Row r of a stack's solution is bit for bit the solve of row r
+    alone.
 
     Cells are red where ix + iy is even, black where it is odd; the pinned
     cell 0 is red.  A red cell r couples only to black cells, with diagonal
@@ -196,12 +270,14 @@ def solve(grid: Grid2D, K, source) -> DarcySolution:
     numbered row-major S has bandwidth ``nx`` and goes straight into
     LAPACK's lower band array, shape (nx + 1, floor(n_cells / 2)): the
     diagonal in row 0, and the entry coupling black cell k to an earlier
-    one k' at row k - k', column k'.  ``dpbtrf`` and ``dpbtrs`` factor and
-    solve in lower storage, about 5 % faster than in upper storage at
-    64 x 64 and 25 % at 128 x 128 (one BLAS thread), and a failure raises
-    ``np.linalg.LinAlgError`` naming the routine.  Each red pressure
-    then follows from its black neighbours, p_r = (a f_r + sum t p_b) / d_r
-    with a the cell area.
+    one k' at row k - k', column k'.  The stencil and the condensed
+    right-hand side are built on the black cells only, for the whole stack
+    at once, from the per-grid gathers of ``_red_black``.  Each row then
+    gets its own ``dpbtrf`` and ``dpbtrs``, which factor and solve in lower
+    storage, about 5 % faster than in upper storage at 64 x 64 and 25 % at
+    128 x 128 (one BLAS thread); a failure raises ``np.linalg.LinAlgError``
+    naming the routine.  Each red pressure then follows from its black
+    neighbours, p_r = (a f_r + sum t p_b) / d_r with a the cell area.
 
     The elimination is written with the ratios t / d_r, which lie in
     [0, 1]: 1 / d_r itself overflows for a subnormal d_r.  A red cell with
@@ -210,11 +286,16 @@ def solve(grid: Grid2D, K, source) -> DarcySolution:
     than 1e-6 max|f|: faces that underflow to 0 can cut off a group of
     cells, and ``dpbtrf`` may still succeed on rounding.  A cut-off group
     whose own sources sum to zero still solves, at an arbitrary pressure
-    level inside it.
+    level inside it.  In a stack these checks cover every row, and the
+    error does not say which row failed: solve the rows one at a time to
+    find it.
     """
-    K = np.asarray(K, dtype=float).ravel()
-    if K.shape[0] != grid.n_cells:
-        raise ValueError(f"K has {K.shape[0]} cells, grid needs {grid.n_cells}")
+    K = np.asarray(K, dtype=float)
+    if K.ndim not in (1, 2) or K.size == 0:
+        raise ValueError("K must be one flat field or a stack of them, one "
+                         f"per row; got shape {K.shape}")
+    if K.shape[-1] != grid.n_cells:
+        raise ValueError(f"K has {K.shape[-1]} cells, grid needs {grid.n_cells}")
     if not np.all(np.isfinite(K) & (K > 0)):
         raise ValueError("permeability must be finite and strictly positive everywhere")
 
@@ -228,84 +309,97 @@ def solve(grid: Grid2D, K, source) -> DarcySolution:
 
     nx, ny, n = grid.nx, grid.ny, grid.n_cells
     hx, hy = 1.0 / nx, 1.0 / ny
-    tw, ts = _face_transmissibilities(grid.to_2d(K), hx, hy)
-    if not (np.all(np.isfinite(tw)) and np.all(np.isfinite(ts))):
+    Ks = K.reshape(-1, ny, nx)
+    s = Ks.shape[0]
+    faces, tw, ts = _face_transmissibilities(Ks, hx, hy)
+    if not np.all(np.isfinite(faces)):
         raise ValueError("face transmissibilities overflow: permeability too large")
 
     rb = _red_black(grid)
-    t = np.stack([tw[:, :-1], tw[:, 1:], ts[:-1], ts[1:]])  # W, E, S, N faces
-    d = t.sum(axis=0)
-    d_red = d.ravel()[rb.red]
+    n_red, n_black = rb.red.size, rb.black.size
+    t_red = np.take(faces, rb.red_faces, axis=1)        # (s, 4, n_red)
+    d_red = t_red[:, W] + t_red[:, E] + t_red[:, S] + t_red[:, N]
     if not (d_red > 0).all():
         raise np.linalg.LinAlgError("the TPFA matrix is singular: a red cell "
                                     "has no conducting face")
-    # q: each face's t / d_r at the eliminated red cells, zero elsewhere
-    q_red = np.take(t.reshape(4, n), rb.red, axis=1) / d_red
-    q = np.zeros((4, (ny + 2) * (nx + 2)))
-    q[:, rb.red_pad] = q_red
-    qW, qE, qS, qN = q.reshape(4, ny + 2, nx + 2)
-    tW, tE, tS, tN = t
+    ratios = np.zeros((s, 4, n_red + 1))
+    q_red = np.divide(t_red, d_red[:, None], out=ratios[..., :n_red])
 
-    # every cell's neighbours in the padded arrays
-    mid, west, east = np.s_[1:-1, 1:-1], np.s_[1:-1, :-2], np.s_[1:-1, 2:]
-    south, north = np.s_[:-2, 1:-1], np.s_[2:, 1:-1]
-    fa = np.zeros((ny + 2, nx + 2))
-    fa[mid] = grid.to_2d(f) * grid.cell_area
-    # the _STENCIL entries of S and the condensed right-hand side; they are
-    # computed on every cell and kept on the black ones
-    S_and_rhs = np.take(np.stack([
-        d - (tW * qE[west] + tE * qW[east] + tS * qN[south] + tN * qS[north]),
-        -tW * qW[west],
-        -tS * qS[south],
-        -(tW * qS[west] + tS * qW[south]),
-        -(tE * qS[east] + tS * qE[south]),
-        fa[mid] + qE[west] * fa[west] + qW[east] * fa[east]
-        + qN[south] * fa[south] + qS[north] * fa[north],
-    ]).reshape(6, n), rb.black, axis=1)
+    # at the black cells: their faces, the red ratios next to them (qEw is
+    # qE[W], the ratio on the east face of the cell to the west) and the
+    # area-weighted source around them
+    tW, tE, tS, tN = np.take(faces, rb.black_faces, axis=1).transpose(1, 0, 2)
+    qEw, qWe, qNs, qSn, qWw, qSs, qSw, qWs, qSe, qEs = np.take(
+        ratios.reshape(s, -1), rb.black_ratios, axis=1).transpose(1, 0, 2)
+    fa = f * grid.cell_area
+    faW, faE, faS, faN = np.append(fa, 0.0)[rb.black_nbrs]
+    stencil = np.empty((s, 5, n_black))
+    stencil[:, 0] = (tW + tE + tS + tN
+                     - (tW * qEw + tE * qWe + tS * qNs + tN * qSn))
+    stencil[:, 1] = -tW * qWw
+    stencil[:, 2] = -tS * qSs
+    stencil[:, 3] = -(tW * qSw + tS * qWs)
+    stencil[:, 4] = -(tE * qSe + tS * qEs)
+    rhs = (fa[rb.black] + qEw * faW + qWe * faE + qNs * faS + qSn * faN)
 
-    n_black = rb.black.size
-    ab = np.zeros((nx + 1, n_black + 1), order="F")
-    ab[rb.band_rows, rb.band_cols] = S_and_rhs[:5]
-    chol, info = dpbtrf(ab[:, :n_black], lower=1, overwrite_ab=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dpbtrf failed on the TPFA band (info = {info})")
-    p_black, info = dpbtrs(chol, S_and_rhs[5], lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dpbtrs failed on the TPFA band (info = {info})")
+    # one lower band, stored transposed so that band[:n_black].T is the
+    # Fortran (nx + 1, n_black) array dpbtrf factors in place; it is zeroed
+    # and filled again for each row
+    band = np.empty((n_black + 1, nx + 1))
+    p_black = np.zeros((s, n_black + 1))    # column n_black: a wall
+    for r in range(s):
+        band.fill(0.0)
+        band.ravel()[rb.band] = stencil[r]
+        chol, info = dpbtrf(band[:n_black].T, lower=1, overwrite_ab=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dpbtrf failed on the TPFA band (info = {info})")
+        x, info = dpbtrs(chol, rhs[r], lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dpbtrs failed on the TPFA band (info = {info})")
+        p_black[r, :n_black] = x.ravel()
 
-    p_pad = np.zeros((ny + 2) * (nx + 2))
-    p_pad[rb.black_pad] = p_black.ravel()
-    p_pad[rb.red_pad] = (fa.ravel()[rb.red_pad] / d_red
-                         + np.sum(q_red * p_pad[rb.red_nbrs], axis=0))
-    p = p_pad.reshape(ny + 2, nx + 2)[mid].ravel()
+    p = np.zeros((s, n))
+    p[:, rb.black] = p_black[:, :n_black]
+    p[:, rb.red] = (fa[rb.red] / d_red
+                    + np.sum(q_red * np.take(p_black, rb.red_nbrs, axis=1),
+                             axis=1))
+    p -= np.mean(p, axis=1, keepdims=True)  # uniform cells: area-weighted
+                                            # mean == arithmetic mean
 
-    p -= np.mean(p)  # uniform cells: area-weighted mean == arithmetic mean
-
-    ux_pad, uy_pad, div = _face_fluxes(tw, ts, grid.to_2d(p), hx, hy)
+    ux, uy, div = _face_fluxes(tw, ts, p.reshape(s, ny, nx), hx, hy)
     miss = np.max(np.abs(div - grid.to_2d(f)))
     if not miss <= 1e-6 * np.max(np.abs(f)):
         raise np.linalg.LinAlgError(f"TPFA solve misses the source by {miss:.3g}")
-    vel_x = 0.5 * (ux_pad[:, :-1] + ux_pad[:, 1:])
-    vel_y = 0.5 * (uy_pad[:-1, :] + uy_pad[1:, :])
+    vel_x = 0.5 * (ux[..., :-1] + ux[..., 1:])
+    vel_y = 0.5 * (uy[..., :-1, :] + uy[..., 1:, :])
 
-    return DarcySolution(pressure=p, vel_x=vel_x.ravel(), vel_y=vel_y.ravel(), grid=grid)
+    return DarcySolution(pressure=p.reshape(K.shape),
+                         vel_x=vel_x.reshape(K.shape),
+                         vel_y=vel_y.reshape(K.shape), grid=grid)
 
 
 def flux_divergence(sol: DarcySolution, K) -> np.ndarray:
-    """Discrete divergence of the TPFA flux per cell (for conservation checks)."""
+    """Discrete divergence of the TPFA flux per cell (for conservation
+    checks), of the solution's pressure shape."""
     grid = sol.grid
-    nx, ny = grid.nx, grid.ny
-    hx, hy = 1.0 / nx, 1.0 / ny
-    K2d = grid.to_2d(np.asarray(K, dtype=float).ravel())
-    return _face_fluxes(*_face_transmissibilities(K2d, hx, hy),
-                        grid.to_2d(sol.pressure), hx, hy)[2].ravel()
+    hx, hy = 1.0 / grid.nx, 1.0 / grid.ny
+    shape = np.shape(sol.pressure)
+    K2d = np.reshape(np.asarray(K, dtype=float), shape[:-1] + (grid.ny, grid.nx))
+    _, tw, ts = _face_transmissibilities(K2d, hx, hy)
+    return _face_fluxes(tw, ts, np.reshape(sol.pressure, K2d.shape),
+                        hx, hy)[2].reshape(shape)
 
 
 def restrict(field, nx: int, ny: int, out_nx: int, out_ny: int) -> np.ndarray:
-    """Coarsen a flat field by block cell-averaging."""
+    """Coarsen by block cell-averaging a flat field of nx * ny cells, giving
+    one of out_nx * out_ny, or a stack of them, one per row."""
     if nx % out_nx or ny % out_ny:
         raise ValueError(
             f"grid {nx}x{ny} not divisible by output grid {out_nx}x{out_ny}")
+    f = np.asarray(field, dtype=float)
+    if f.ndim not in (1, 2) or f.shape[-1] != nx * ny:
+        raise ValueError(f"field of shape {f.shape} is not one flat field of "
+                         f"{nx * ny} cells or a stack of them")
     bx, by = nx // out_nx, ny // out_ny
-    f = np.asarray(field, dtype=float).reshape(ny, nx)
-    return f.reshape(out_ny, by, out_nx, bx).mean(axis=(1, 3)).ravel()
+    coarse = f.reshape(-1, out_ny, by, out_nx, bx).mean(axis=(2, 4))
+    return coarse.reshape(f.shape[:-1] + (out_nx * out_ny,))

@@ -207,10 +207,12 @@ def load_model(model_dir) -> DeepGPModel:
     predicts bit-identically to the saved one without rebuilding them.
 
     Every field is type-checked and every array's name checked before any
-    container is read, and a container that cannot be read is a ValueError
-    naming its file.  Then every shape is checked and the digest must match
-    the containers and numbers as read, so a file edited after saving is a
-    ValueError naming model.json, not a stale prediction.
+    container is read: a name listed in both ``numbers`` and ``arrays`` is
+    a ValueError naming it and model.json.  A container that cannot be
+    read is a ValueError naming its file.  Then every shape is checked and
+    the digest must match the containers and numbers as read, so a file
+    edited after saving is a ValueError naming model.json, not a stale
+    prediction.
     """
     path, field, get = _read_document(model_dir, "model.json", MODEL_FORMAT)
     dims = field("dims", "an integer list")
@@ -221,6 +223,10 @@ def load_model(model_dir) -> DeepGPModel:
                for name in field("numbers", "an object")}
     files = field("arrays", "an object")
     digest = field("digest", "a string")
+    both = sorted(numbers.keys() & files.keys())
+    if both:
+        raise ValueError(f"{path}: model array '{both[0]}' is listed in both "
+                         "'numbers' and 'arrays'")
     try:
         check_model_array_names(numbers.keys() | files.keys(), dims)
     except ValueError as exc:

@@ -8,8 +8,9 @@ then represented by the noise-free conditioning of those drawn values (so
 re-evaluating at the same points returns the draw itself).  Repeating the
 whole process gives samples of the Monte Carlo mean/variance estimators,
 from which the mean-of-mean, mean-of-variance, error bars and pointwise
-density estimates are assembled.  A plain Monte Carlo loop over the actual
-simulator provides the ground-truth reference.
+density estimates are assembled.  Plain Monte Carlo over the actual
+simulator, run in blocks of samples (:func:`mc_baseline`), provides the
+ground-truth reference.
 
 :func:`uq_report` runs its repeats in blocks of max(1, n // n'), n the
 model's training rows, so a block never holds more input rows than the
@@ -32,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .darcy import STACK_CELLS
 from .kernels import gram, chol_psd, downdate
 from .random_field import (Grid2D, KLExpansion, permeability,
                            sample_permeability, _uniform_coefficients)
@@ -282,40 +284,80 @@ def uq_report(model: DeepGPModel, dist: InputDistribution, n_prime: int,
     return report
 
 
-def _simulate(i, simulator, *args):
-    """``simulator(*args)`` for sample ``i``: a numerical failure
-    (``optimize._NUMERICAL_FAILURES``) is re-raised as its own type naming
-    the sample; any other propagates."""
-    try:
-        return simulator(*args)
-    except _NUMERICAL_FAILURES as exc:
-        raise type(exc)(f"simulator failed at sample {i}: {exc}") from exc
+def _simulate_blocks(simulator, kle: KLExpansion, N: int, seed: int,
+                     stream: int):
+    """Run ``simulator`` over samples 0, ..., N - 1 in blocks, yielding
+    ``(start, K, Y)`` per block: its first sample index, its permeability
+    fields ``K`` (rows, n_cells) and their outputs ``Y``, one row each.
+
+    A block holds ``max(1, darcy.STACK_CELLS // n_cells)`` rows (8 at 32 x
+    32, 2 at 64 x 64, 1 from 91 x 91 up), and sample ``i`` draws its field
+    from ``rng_for(seed, stream, i)``.  ``simulator`` maps a block of rows
+    to a block of outputs; see :func:`_simulate_block` for its failures.
+    """
+    size = max(1, STACK_CELLS // kle.grid.n_cells)
+    for start in range(0, N, size):
+        K = np.stack([sample_permeability(kle, rng_for(seed, stream, i))
+                      for i in range(start, min(start + size, N))])
+        yield start, K, _simulate_block(start, simulator, K)
+
+
+def _simulate_block(start, simulator, K):
+    """``simulator(K)`` for the block of samples start, start + 1, ....
+
+    If the block raises a ValueError or a numerical failure
+    (``optimize._NUMERICAL_FAILURES``), its rows run again one at a time,
+    each as a block of one, so the first failing row raises what a
+    per-sample loop would: a numerical failure is re-raised as its own type
+    naming the sample, a ValueError propagates unchanged.  Any other
+    exception propagates from the block.
+    """
+    if len(K) > 1:
+        try:
+            return simulator(K)
+        except (ValueError, *_NUMERICAL_FAILURES):
+            pass
+    rows = []
+    for j in range(len(K)):
+        try:
+            rows.append(simulator(K[j:j + 1]))
+        except _NUMERICAL_FAILURES as exc:
+            raise type(exc)(f"simulator failed at sample {start + j}: "
+                            f"{exc}") from exc
+    return np.concatenate(rows)
 
 
 def mc_baseline(simulator, dist: InputDistribution, N: int, seed: int,
                 pdf_at=None, out_grid: Grid2D = None):
     """Plain Monte Carlo over the actual simulator: the ground truth.
 
-    ``simulator`` maps one permeability row to one output row.  Returns
-    ``(mean, variance, pdfs)`` with the population-form variance and one
-    density estimate per requested location; a location outside the
-    output raises ValueError once the first sample gives the output width.
-    All N output rows are kept (N * width * 8 bytes) for numpy's two-pass
-    moments, which do not cancel on outputs far from zero mean.
-    Sample ``i`` draws its inputs from ``rng_for(seed, MC_BASELINE_STREAM, i)``
-    and runs the simulator through :func:`_simulate`: a numerical failure
-    names the sample, any other exception propagates.
+    ``simulator`` maps a block of permeability rows, shape (s, n_cells), to
+    a block of output rows, shape (s, width).  Returns ``(mean, variance,
+    pdfs)`` with the population-form variance and one density estimate per
+    requested location; a location outside the output raises ValueError
+    once the first block gives the output width.  All N output rows are
+    kept (N * width * 8 bytes) for numpy's two-pass moments, which do not
+    cancel on outputs far from zero mean.
+
+    The samples run in the blocks of :func:`_simulate_blocks`, sample ``i``
+    drawing its inputs from ``rng_for(seed, MC_BASELINE_STREAM, i)``, so
+    the moments and PDFs are those of a per-sample loop, bit for bit, for a
+    simulator whose rows do not depend on the block around them (as
+    ``darcy.solve``'s do not).  A block that fails runs again one row at a
+    time: a numerical failure names the first failing sample (``simulator
+    failed at sample i: ...``), a ValueError propagates unchanged, and any
+    other exception propagates from the block.
     """
     if N < 2:
         raise ValueError("need at least two samples")
     pdf_cols = _pdf_columns(pdf_at, out_grid) if pdf_at else []
     Y = None
-    for i in range(N):
-        K = sample_permeability(dist.kle, rng_for(seed, MC_BASELINE_STREAM, i))
-        y = np.asarray(_simulate(i, simulator, K), dtype=float).ravel()
+    for start, K, y in _simulate_blocks(simulator, dist.kle, N, seed,
+                                        MC_BASELINE_STREAM):
+        y = np.asarray(y, dtype=float).reshape(len(K), -1)
         if Y is None:
-            _check_pdf_columns(pdf_cols, y.size)
-            Y = np.empty((N, y.size))
-        Y[i] = y
+            _check_pdf_columns(pdf_cols, y.shape[1])
+            Y = np.empty((N, y.shape[1]))
+        Y[start:start + len(K)] = y
     pdfs = [_pdf_estimate(loc, col, [Y[:, col]]) for loc, col in pdf_cols]
     return Y.mean(axis=0), Y.var(axis=0), pdfs

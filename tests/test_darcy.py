@@ -5,7 +5,9 @@ from scipy.linalg.lapack import dpbtrf
 from dgpuq import cli, darcy
 from dgpuq.darcy import (SourceSpec, source_term, solve, restrict,
                          flux_divergence)
-from dgpuq.random_field import Grid2D
+from dgpuq.random_field import (Grid2D, ExpCovSpec, kle_decompose,
+                                sample_permeability)
+from dgpuq.rng import rng_for
 from helpers import sparse_tpfa_pressure
 
 
@@ -264,6 +266,51 @@ class TestExtremeContrast:
         with pytest.raises(np.linalg.LinAlgError,
                            match="misses the source by 10"):
             solve(grid, K, SourceSpec())
+
+
+class TestStack:
+    @pytest.mark.parametrize("sg", [1.0, 4.0])
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_rows_equal_single_solves_bit_for_bit(self, n, sg):
+        grid = Grid2D(n, n)
+        kle = kle_decompose(grid, ExpCovSpec(s_g_sq=sg, lambdas=(0.1, 0.1)), 10)
+        K = sample_permeability(kle, rng_for(3, n), 5)
+        stack = solve(grid, K, SourceSpec())
+        coarse = restrict(stack.pressure, n, n, n // 2, n // 2)
+        assert stack.pressure.shape == stack.vel_x.shape == (5, n * n)
+        assert coarse.shape == (5, n * n // 4)
+        div = flux_divergence(stack, K)
+        for r, k in enumerate(K):
+            one = solve(grid, k, SourceSpec())
+            for name in ("pressure", "vel_x", "vel_y"):
+                np.testing.assert_array_equal(getattr(stack, name)[r],
+                                              getattr(one, name))
+            np.testing.assert_array_equal(
+                coarse[r], restrict(one.pressure, n, n, n // 2, n // 2))
+            np.testing.assert_array_equal(div[r], flux_divergence(one, k))
+
+    def test_a_stack_of_one_is_a_single_field(self):
+        grid = Grid2D(8, 8)
+        K = np.exp(np.random.default_rng(5).standard_normal(grid.n_cells))
+        one, stack = solve(grid, K, SourceSpec()), solve(grid, K[None], SourceSpec())
+        assert one.pressure.shape == (64,) and stack.pressure.shape == (1, 64)
+        np.testing.assert_array_equal(stack.pressure[0], one.pressure)
+
+    def test_a_failing_row_fails_the_stack(self):
+        grid = Grid2D(8, 8)
+        K = np.ones((3, grid.n_cells))
+        K[1] = 1e-170
+        with pytest.raises(np.linalg.LinAlgError):
+            solve(grid, K, SourceSpec())
+
+    @pytest.mark.parametrize("shape", [(2, 2, 64), (0, 64), ()])
+    def test_not_a_field_or_stack_rejected(self, shape):
+        with pytest.raises(ValueError, match="one flat field or a stack"):
+            solve(Grid2D(8, 8), np.ones(shape), SourceSpec())
+
+    def test_restrict_rejects_a_field_of_the_wrong_size(self):
+        with pytest.raises(ValueError, match="not one flat field"):
+            restrict(np.zeros((2, 63)), 8, 8, 4, 4)
 
 
 class TestRestrict:

@@ -297,6 +297,14 @@ class TestTrainDeep:
         with pytest.raises(error, match=message):
             train_deep(np.zeros((4, 1)), Y, dims=dims, m_inducing=[2])
 
+    @pytest.mark.parametrize("routine, matrix", [
+        pytest.param(dpotrf, [[-1.0]], id="dpotrf-indefinite"),
+        pytest.param(dtrtri, [[0.0]], id="dtrtri-singular")])
+    def test_failed_lapack_call_names_the_routine(self, routine, matrix):
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=f"{routine.__name__} failed with info=1"):
+            deepgp._lapack_checked(routine, np.array(matrix), lower=1)
+
     def test_joint_phase_is_the_only_ascent(self, monkeypatch):
         calls = []
         real = deepgp.ascend

@@ -349,7 +349,13 @@ def layer_parts(n=4, q=2, m=3):
     pytest.param(lambda: train_gplvm(np.eye(5, 3), q=2, m=6), ValueError,
                  r"1 <= m <= 5, got 6", id="m-above-rows"),
     pytest.param(lambda: train_gplvm(np.eye(5, 3), q=2, m=0), ValueError,
-                 r"1 <= m <= 5, got 0", id="m-zero")])
+                 r"1 <= m <= 5, got 0", id="m-zero"),
+    pytest.param(lambda: layer_bound(ARDParams(1.0, np.ones(2)), 2.0,
+                                     layer_parts()["latent"], np.zeros((3, 2)),
+                                     np.zeros((5, 2))),
+                 DimensionMismatchError,
+                 "layer outputs rows: expected length 4, got 5",
+                 id="layer-output-rows")])
 def test_bad_layer_part_or_size_raises_naming_it(build, error, message):
     with pytest.raises(error, match=message):
         build()

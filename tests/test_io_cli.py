@@ -367,10 +367,29 @@ class TestCli:
         assert res.returncode == 0, res.stderr
         info = io.load_kle_from_manifest(tmp_path / "d" / "manifest.json")
         drawn = []
-        mc_baseline(lambda K: drawn.append(K) or K[:1],
+        mc_baseline(lambda K: drawn.append(K) or K[..., :1],
                     InputDistribution(kle=info["kle"]), N=2, seed=0)
         K0 = io.read_matrix(tmp_path / "d" / "K.dgpm")[0]
         assert not np.allclose(drawn[0], K0)
+
+    def test_gen_data_equals_a_per_sample_loop(self, tmp_path):
+        # 256 cells: blocks of 32 rows, so 70 samples run as 32, 32 and 6
+        from dgpuq import cli
+        from dgpuq.darcy import solve, restrict
+        from dgpuq.random_field import sample_permeability
+        from dgpuq.rng import GEN_DATA_STREAM
+        assert cli.main(["gen-data", "--n", "70", "--grid", "16", "--out-grid",
+                         "8", "--kle", "10", "--sg", "4", "--seed", "3",
+                         "--out", str(tmp_path)]) == 0
+        info = io.load_kle_from_manifest(tmp_path / "manifest.json")
+        grid, source = info["grid"], info["source"]
+        K = np.array([sample_permeability(info["kle"],
+                                          rng_for(3, GEN_DATA_STREAM, i))
+                      for i in range(70)])
+        p = np.array([restrict(solve(grid, k, source).pressure, 16, 16, 8, 8)
+                      for k in K])
+        np.testing.assert_array_equal(io.read_matrix(tmp_path / "K.dgpm"), K)
+        np.testing.assert_array_equal(io.read_matrix(tmp_path / "p.dgpm"), p)
 
     def test_invalid_grid_combo_exits_2(self, tmp_path):
         res = run_cli("gen-data", "--n", "2", "--grid", "16", "--out-grid",
@@ -488,17 +507,20 @@ class TestCli:
     def test_gen_data_solver_failure_names_the_sample(self, monkeypatch,
                                                      tmp_path, capsys):
         from dgpuq import cli, darcy
-        real, calls = darcy.solve, []
+        argv = ["gen-data", "--n", "4", "--grid", "8", "--out-grid", "4",
+                "--kle", "5", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        K2 = io.read_matrix(tmp_path / "K.dgpm")[2]
+        capsys.readouterr()
+        real = darcy.solve
 
-        def failing(*args):
-            calls.append(args)
-            if len(calls) == 3:
+        def failing(grid, K, source):
+            if any(np.array_equal(row, K2) for row in np.atleast_2d(K)):
                 raise np.linalg.LinAlgError("band is not positive definite")
-            return real(*args)
+            return real(grid, K, source)
 
         monkeypatch.setattr(darcy, "solve", failing)
-        assert cli.main(["gen-data", "--n", "4", "--grid", "8", "--out-grid",
-                         "4", "--kle", "5", "--out", str(tmp_path)]) == 3
+        assert cli.main(argv) == 3
         assert capsys.readouterr().err == (
             "numeric failure: simulator failed at sample 2: band is not "
             "positive definite\n")
@@ -745,6 +767,22 @@ class TestCli:
                          "--out", str(tmp_path / "p")]) == 2
         assert capsys.readouterr().err == (
             f"error: {path}: unknown model array 'junk'\n")
+
+    def test_predict_names_an_array_that_is_also_a_number(self, tmp_path,
+                                                          capsys):
+        # beta0 is one of the model's numbers; its container is never
+        # written, so reading it first would name the missing file instead
+        from dgpuq import cli
+        save_tiny_model(tmp_path / "m")
+        path = edit_model_json(tmp_path / "m", "arrays.beta0", "beta0.dgpm")
+        io.write_matrix(tmp_path / "x.dgpm", np.zeros((4, 2)))
+        assert cli.main(["predict", "--model", str(tmp_path / "m"),
+                         "--inputs", str(tmp_path / "x.dgpm"),
+                         "--out", str(tmp_path / "p")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: model array 'beta0' is listed in both 'numbers' "
+            "and 'arrays'\n")
+        assert not (tmp_path / "p").exists()
 
     def test_predict_on_a_broken_container_names_that_file(self, tmp_path,
                                                            capsys):

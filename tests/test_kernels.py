@@ -325,6 +325,20 @@ class TestCholPsd:
             assert np.all(np.isfinite(L))
 
 
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: gram(np.zeros((3, 2)), np.zeros((4, 2)),
+                              ARDParams(1.0, np.ones(3))),
+                 DimensionMismatchError,
+                 "gram vs kernel dim: expected length 3, got 2",
+                 id="gram-kernel-dim"),
+    pytest.param(lambda: chol_psd(np.zeros((2, 3))), ValueError,
+                 r"chol_psd needs a square matrix, got shape \(2, 3\)",
+                 id="chol-psd-not-square")])
+def test_bad_operand_raises_naming_it(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestParamValidation:
     def test_rbf_requires_positive_signal(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dgpuq.random_field import (Grid2D, ExpCovSpec, KLExpansion, kle_decompose,
-                                permeability)
+                                permeability, sample_permeability)
 from dgpuq import uq
 from dgpuq.deepgp import train_deep, predict, predict_layer1
 from dgpuq.uq import (InputDistribution, sample_inputs, propagate_realization,
@@ -192,6 +192,14 @@ class TestPropagateRealization:
                            match="layer 1 propagation failed"):
             propagate_realization(small_model, sample_inputs(dist8, 2, 1), 0)
 
+    def test_failed_sparse_layer_draw_names_the_layer(self, small_model,
+                                                      dist8, monkeypatch):
+        # an indefinite conditional covariance in the one sparse layer
+        monkeypatch.setattr(uq, "downdate", lambda K, U: -np.eye(len(K)))
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="layer 2 propagation failed"):
+            propagate_realization(small_model, sample_inputs(dist8, 2, 1), 0)
+
     def test_realization_mean_matches_predict_mean(self, small_model, dist8):
         Xp = sample_inputs(dist8, 6, seed=13)
         mean, _ = predict(small_model, Xp)
@@ -335,7 +343,7 @@ class TestMcBaseline:
         np.testing.assert_array_equal(var, np.zeros(16))
 
     def test_mean_matches_loop_oracle(self, dist8):
-        sim = lambda K: K[:5] * 2.0
+        sim = lambda K: K[..., :5] * 2.0
         N = 20
         mean, var, _ = mc_baseline(sim, dist8, N=N, seed=4)
         rows = []
@@ -347,9 +355,52 @@ class TestMcBaseline:
         oracle = np.sum(rows, axis=0) / N
         assert np.abs(mean - oracle).max() < 1e-12
 
+    def test_blocks_equal_the_loop_oracle_bit_for_bit(self, dist32):
+        # 1024 cells: blocks of 8 rows, so N = 20 runs as 8, 8 and 4
+        blocks = []
+
+        def sim(K):
+            blocks.append(len(K))
+            return np.log(K[..., :7]) ** 2
+
+        mean, var, pdfs = mc_baseline(sim, dist32, N=20, seed=6, pdf_at=[3])
+        assert blocks == [8, 8, 4]
+        rows = np.array([sim(sample_permeability(
+            dist32.kle, rng_for(6, MC_BASELINE_STREAM, i))) for i in range(20)])
+        np.testing.assert_array_equal(mean, rows.mean(axis=0))
+        np.testing.assert_array_equal(var, rows.var(axis=0))
+        oracle = uq._pdf_estimate(("col", 3), 3, [rows[:, 3]])
+        np.testing.assert_array_equal(pdfs[0].mean_density, oracle.mean_density)
+
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError, FloatingPointError])
+    def test_failing_row_in_a_later_block_is_named(self, dist32, error):
+        bad = sample_permeability(dist32.kle, rng_for(6, MC_BASELINE_STREAM, 11))
+        calls = []
+
+        def sim(K):
+            calls.append(len(K))
+            if any(np.array_equal(row, bad) for row in K):
+                raise error("no solution")
+            return K[:, :2]
+
+        with pytest.raises(error, match="^simulator failed at sample 11: "
+                                        "no solution$"):
+            mc_baseline(sim, dist32, N=20, seed=6)
+        # the second block, then its rows one at a time up to sample 11
+        assert calls == [8, 8, 1, 1, 1, 1]
+
+    def test_value_error_in_a_block_propagates_unchanged(self, dist32):
+        def sim(K):
+            if len(K) > 1:
+                raise ValueError("bad block")
+            raise ValueError("bad row")
+
+        with pytest.raises(ValueError, match="^bad row$"):
+            mc_baseline(sim, dist32, N=20, seed=6)
+
     def test_variance_of_offset_outputs_matches_numpy(self, dist8):
         # a mean far above the spread: sum(y^2)/N - mean^2 cancels there
-        sim = lambda K: 1e4 + 1e-3 * np.log(K[:3])
+        sim = lambda K: 1e4 + 1e-3 * np.log(K[..., :3])
         N = 200
         _, var, _ = mc_baseline(sim, dist8, N=N, seed=0)
         rows = []
@@ -361,7 +412,7 @@ class TestMcBaseline:
         assert np.all(np.abs(var - oracle) <= 1e-12 * oracle)
 
     def test_minimal_run_and_pdf(self, dist8):
-        mean, var, pdfs = mc_baseline(lambda K: K[:3], dist8, N=50, seed=5,
+        mean, var, pdfs = mc_baseline(lambda K: K[..., :3], dist8, N=50, seed=5,
                                       pdf_at=[1])
         assert mean.shape == (3,)
         assert np.all(var >= 0)
@@ -375,7 +426,7 @@ class TestMcBaseline:
 
         def sim(K):
             runs.append(1)
-            return K[:3]
+            return K[..., :3]
 
         with pytest.raises(ValueError, match=rf"\('col', {col}\)"):
             mc_baseline(sim, dist8, N=5, seed=0, pdf_at=[col])
