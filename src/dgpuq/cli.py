@@ -63,6 +63,20 @@ def _parse_locations(text):
     return locs
 
 
+def _read_finite(path):
+    """The matrix container at ``path``; a row with a NaN or inf entry is a
+    ValueError naming the file and the row."""
+    import numpy as np
+    from . import io
+
+    M = io.read_matrix(path)
+    bad = ~np.isfinite(M).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{path}: row {int(np.argmax(bad))} has a non-finite "
+                         "entry")
+    return M
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -130,8 +144,8 @@ def cmd_train(args):
     if len(inducing) != len(dims):
         raise ValueError("--inducing must have one entry per layer")
 
-    X = io.read_matrix(files["K"])
-    Y = io.read_matrix(files[args.target])
+    X = _read_finite(files["K"])
+    Y = _read_finite(files[args.target])
     model = train_deep(X, Y, dims=dims, m_inducing=inducing, iters=args.iters,
                        init_iters=args.init_iters, seed=args.seed)
 
@@ -148,16 +162,11 @@ def cmd_train(args):
 
 
 def cmd_predict(args):
-    import numpy as np
     from .deepgp import predict
     from . import io
 
     model = io.load_model(args.model)
-    Xstar = io.read_matrix(args.inputs)
-    bad = ~np.isfinite(Xstar).all(axis=1)
-    if bad.any():
-        raise ValueError(f"{args.inputs}: row {int(np.argmax(bad))} has a "
-                         "non-finite entry")
+    Xstar = _read_finite(args.inputs)
     if Xstar.shape[1] != model.X.shape[1]:
         raise ValueError(f"inputs have {Xstar.shape[1]} columns, model "
                          f"expects {model.X.shape[1]}")

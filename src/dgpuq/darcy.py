@@ -61,7 +61,8 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .random_field import Grid2D
 
-__all__ = ["SourceSpec", "DarcySolution", "source_term", "solve", "restrict"]
+__all__ = ["SourceSpec", "DarcySolution", "source_term", "solve", "restrict",
+           "flux_divergence"]
 
 # cells per stack for callers that solve many fields: max(1, STACK_CELLS //
 # n_cells) rows (the module docstring's table)

@@ -720,40 +720,37 @@ def _test_inputs(model: DeepGPModel, Xstar):
 
 
 def predict_layer1(model: DeepGPModel, Xstar):
-    """Exact-GP predictive mean and joint (n*, n*) covariance of the first
-    latent at new inputs, shared by its q1 columns: what a joint draw
-    (:func:`uq.propagate_realization`) needs.  :func:`predict` reads only
-    the marginal variances and never forms this covariance.
+    """Exact-GP predictive mean and joint covariance of the first latent at
+    a stack of s sets of new inputs, (s, n*, kappa): means (s, n*, q1) and
+    covariances (s, n*, n*), each set's joint on its own and shared by its
+    q1 columns, what a joint draw (:func:`uq.uq_report`) needs.
+    :func:`predict` reads only the marginal variances and never forms this
+    covariance.
 
-    Xstar is one set of inputs, (n*, kappa), or a stack of s sets,
-    (s, n*, kappa), which gives a stack of means (s, n*, q1) and of
-    covariances (s, n*, n*), each set's joint on its own.  A stack forms
-    one cross-Gram and one triangular solve over all s n* rows, so the n
-    training rows are read once for the stack, and each set's mean
-    product, test self-Gram and downdate on its own rows.  Each set's
-    result comes from the operations of a call on that set alone; the
-    longer BLAS products may round it differently only where the kernel
+    The stack forms one cross-Gram and one triangular solve over all s n*
+    rows, so the n training rows are read once for the stack, and each
+    set's mean product, test self-Gram and downdate on its own rows.  Each
+    set's result comes from the operations of a stack of that set alone;
+    the longer BLAS products may round it differently only where the kernel
     tiles them by the row count (see :mod:`dgpuq.uq`).
     """
-    if np.ndim(Xstar) > 3:
+    if np.ndim(Xstar) != 3:
         raise ValueError(f"test inputs have shape {np.shape(Xstar)}: expected"
-                         " one set (n*, kappa) or a stack (s, n*, kappa)")
+                         " a stack (s, n*, kappa)")
     Xstar, factors = _test_inputs(model, Xstar)
-    sets = Xstar.reshape(-1, *Xstar.shape[-2:])
-    Ks, Kss = predictive_grams(model.X, factors["input_norms"].ravel(), sets,
+    Ks, Kss = predictive_grams(model.X, factors["input_norms"].ravel(), Xstar,
                                model.input_layer.kernel)
     # v = L^-1 Ks and mean Ks^T mu_bar (Rasmussen & Williams 2006,
     # Algorithm 2.1).  The mean is a product per set: a stacked product
     # only q1 columns wide rounds by its row count on OpenBLAS's AVX-512
     # kernels, and per set it costs n q1 flops a row, against n kappa
     v = solve_triangular(factors["input_chol"], Ks, lower=True)
-    n_star, means = sets.shape[1], []
+    n_star, means = Xstar.shape[1], []
     for k, K in enumerate(Kss):
         cols = slice(k * n_star, (k + 1) * n_star)
         means.append(Ks[:, cols].T @ model.input_layer.mu_bar)
         downdate(K, v[:, cols].T)          # in K's memory
-    means = np.stack(means)
-    return (means, Kss) if Xstar.ndim == 3 else (means[0], Kss[0])
+    return np.stack(means), Kss
 
 
 def propagate(model: DeepGPModel, layer_index: int, qh_prev_star):

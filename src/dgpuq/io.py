@@ -285,14 +285,21 @@ def write_dataset_manifest(out_dir, *, grid: Grid2D, out_grid: Grid2D,
 def load_kle_from_manifest(manifest_path):
     """Rebuild a dataset's ``grid``, ``out_grid``, ``kle`` and ``source``
     from its manifest; ``files`` maps each stored field name (``K`` always
-    among them) to its container's path."""
+    among them) to its container's path.  Eigenfields that are not one row
+    per eigenvalue and one column per grid cell are a ValueError naming the
+    manifest."""
     path, field, get = _read_document(manifest_path, "manifest.json",
                                       DATASET_FORMAT)
     base = os.path.dirname(path)
     field("files.K", "a string")
     grid = Grid2D(*field("grid", "an integer pair"))
-    kle = KLExpansion(eigenvalues=get("kle.eigenvalues").ravel(),
-                      eigenfields=get("kle.eigenfields"),
+    vals, fields = get("kle.eigenvalues").ravel(), get("kle.eigenfields")
+    if fields.shape != (vals.size, grid.n_cells):
+        raise ValueError(f"{path}: field 'kle.eigenfields' has shape "
+                         f"{fields.shape}, expected ({vals.size}, "
+                         f"{grid.n_cells}): one row per eigenvalue, one "
+                         "column per grid cell")
+    kle = KLExpansion(eigenvalues=vals, eigenfields=fields,
                       mean=field("cov.mean", "a number"), grid=grid)
     return {"grid": grid,
             "out_grid": Grid2D(*field("out_grid", "an integer pair")),

@@ -235,36 +235,30 @@ def cross_gram(X, x_norms, Xstar, kernel: ARDParams):
 
 
 def predictive_grams(X, x_norms, Xstar, kernel: ARDParams):
-    """``(gram(X, Xstar), gram(Xstar, Xstar))`` with Xstar copied once.
+    """``(gram(X, Xstar), gram(Xstar, Xstar))`` for a stack of s test sets,
+    Xstar (s, n*, kappa), with Xstar copied once.
 
     ``x_norms`` are the weighted row norms of the fixed rows X, as returned
     by ``gram(X, X, kernel, return_norms=True)``.  Xstar is copied once,
     as ``Xstar * sqrt(w)``, and its norms are formed once.  That copy is
-    the ``dsyrk`` operand of the test self-Gram, which is bit-identical to
-    ``gram(Xstar, Xstar)``, and is then scaled by ``sqrt(w)`` again in
-    place.  The cross-Gram is one product of the unscaled X with it, so it
-    differs from ``gram(X, Xstar)`` only in the association of
-    x_ik w_k x*_jk, by last bits.
-
-    Xstar may also be a stack of s test sets, shape (s, n*, kappa).  The
-    cross-Gram is then one product over all s n* rows, (n, s n*) with the
-    sets' columns in stack order, and the self-Grams are (s, n*, n*), one
-    ``dsyrk`` per set.  Every entry is formed by the same operations as in
-    a call on its set alone, so each self-Gram is that call's bit for bit;
-    a set's cross-Gram columns are too unless the BLAS kernel rounds a
-    column by the product's width (:mod:`dgpuq.uq` says where).
+    the ``dsyrk`` operand of each set's test self-Gram, (s, n*, n*),
+    bit-identical to ``gram`` on the set, and is then scaled by ``sqrt(w)``
+    again in place.  The cross-Gram is one product of the unscaled X with
+    it, (n, s n*) with the sets' columns in stack order.  It differs from
+    ``gram(X, Xstar)`` only in the association of x_ik w_k x*_jk, by last
+    bits; a set's columns equal those of a stack of that set alone unless
+    the BLAS kernel rounds a column by the product's width (:mod:`dgpuq.uq`
+    says where).
     """
-    shape = np.shape(Xstar)
-    X, Xh, ss = _predictive_operands(X, np.reshape(Xstar, (-1, shape[-1])),
+    s, n_star, kappa = np.shape(Xstar)
+    X, Xh, ss = _predictive_operands(X, np.reshape(Xstar, (-1, kappa)),
                                      kernel)
-    s, n_star = shape[:2] if len(shape) == 3 else (1, len(Xh))
     Kss = np.empty((s, n_star, n_star))
     for K, Ah, norms in zip(Kss, Xh.reshape(s, n_star, Xh.shape[1]),
                             ss.reshape(s, n_star)):
         np.exp(-0.5 * _syrk_sqdist(Ah, norms), out=K)
         K *= kernel.sigma_h_sq
-    return (_cross(X, x_norms, Xh, ss, kernel),
-            Kss if len(shape) == 3 else Kss[0])
+    return _cross(X, x_norms, Xh, ss, kernel), Kss
 
 
 def downdate(K, V):

@@ -12,13 +12,14 @@ density estimates are assembled.  Plain Monte Carlo over the actual
 simulator, run in blocks of samples (:func:`mc_baseline`), provides the
 ground-truth reference.
 
-:func:`uq_report` runs its repeats in blocks of max(1, n // n'), n the
-model's training rows, so a block never holds more input rows than the
-model's own X.  A block shares one permeability call and one first-latent
-cross-Gram and triangular solve, so the n x kappa training rows are read
-once per block, not per repeat; each repeat keeps its own streams and
-every other step.  The outputs are those of a loop of
-:func:`sample_inputs` and :func:`propagate_realization`, bit for bit
+:func:`uq_report` is the one propagation path.  It runs its repeats in
+blocks of max(1, n // n'), n the model's training rows, so a block never
+holds more input rows than the model's own X.  A block shares one
+permeability call and one first-latent cross-Gram and triangular solve, so
+the n x kappa training rows are read once per block, not per repeat; each
+repeat keeps its own streams and every other step.  The outputs are those
+of a per-repeat loop (:func:`sample_inputs`, a stack of one through
+:func:`deepgp.predict_layer1`, then :func:`_realization`), bit for bit
 wherever the BLAS kernel rounds a column of a product the same whatever
 the product's width.  OpenBLAS's AVX-512 kernels do at n' = 120, the
 paper's and the ``uq`` command's default (blocks of 2 to 10 sets of 4096
@@ -46,7 +47,6 @@ __all__ = [
     "PdfEstimate",
     "UQReport",
     "sample_inputs",
-    "propagate_realization",
     "uq_report",
     "mc_baseline",
     "kde_curve",
@@ -117,19 +117,6 @@ def _draw_gaussian(mean, cov, rng):
     return mean + L @ z
 
 
-def propagate_realization(model: DeepGPModel, Xprime, seed: int,
-                          *subkeys: int) -> np.ndarray:
-    """One posterior realization of the full stack evaluated at Xprime,
-    drawn from the stream ``rng_for(seed, *subkeys)``.
-
-    Returns the final-layer function values, shape (n', output dim).  It is
-    one repeat of :func:`uq_report`: the first latent's joint predictive
-    (:func:`deepgp.predict_layer1`) on one set, then :func:`_realization`.
-    """
-    rng = rng_for(seed, *subkeys)
-    return _realization(model, *predict_layer1(model, Xprime), rng)
-
-
 def _realization(model: DeepGPModel, mean, cov, rng) -> np.ndarray:
     """A realization drawn by ``rng`` from the first latent's joint
     predictive ``(mean, cov)`` at n' inputs, then through every sparse
@@ -179,13 +166,14 @@ def kde_curve(values, abscissae) -> np.ndarray:
 
 
 def _pdf_columns(pdf_at, out_grid: Grid2D):
+    """``(location, column)`` for each ``(x, y)`` point of ``pdf_at``: the
+    output column of the ``out_grid`` cell that holds it."""
+    if out_grid is None:
+        raise ValueError("pdf locations need out_grid")
     cols = []
     for loc in pdf_at:
-        if isinstance(loc, (int, np.integer)):
-            cols.append((("col", int(loc)), int(loc)))
-            continue
-        if out_grid is None:
-            raise ValueError("pdf locations given as coordinates need out_grid")
+        if np.ndim(loc) != 1 or len(loc) != 2:
+            raise ValueError(f"pdf location {loc!r} is not an (x, y) point")
         x, y = float(loc[0]), float(loc[1])
         if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
             raise ValueError(f"pdf location ({x}, {y}) lies outside [0, 1]^2")
@@ -234,7 +222,8 @@ def uq_report(model: DeepGPModel, dist: InputDistribution, n_prime: int,
     and population-form variance (divisor n_prime).  Error bars are two
     standard errors of the across-repeat average (they shrink like
     1/sqrt(n_repeats)); the PDF bands are two plain standard deviations
-    across repeats.
+    across repeats.  Each ``pdf_at`` entry is an ``(x, y)`` point of the
+    unit square, read at the ``out_grid`` cell that holds it.
 
     The repeats run in blocks of max(1, n // n_prime), n the rows of
     ``model.X``, which bounds a block's inputs by the model's own.  A block
@@ -334,8 +323,9 @@ def mc_baseline(simulator, dist: InputDistribution, N: int, seed: int,
     ``simulator`` maps a block of permeability rows, shape (s, n_cells), to
     a block of output rows, shape (s, width).  Returns ``(mean, variance,
     pdfs)`` with the population-form variance and one density estimate per
-    requested location; a location outside the output raises ValueError
-    once the first block gives the output width.  All N output rows are
+    ``(x, y)`` location of ``pdf_at`` (as in :func:`uq_report`); a location
+    whose ``out_grid`` cell is outside the output raises ValueError once
+    the first block gives the output width.  All N output rows are
     kept (N * width * 8 bytes) for numpy's two-pass moments, which do not
     cancel on outputs far from zero mean.
 

@@ -5,12 +5,14 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from dgpuq.deepgp import DeepGPModel, InputLayer
+from dgpuq import uq
+from dgpuq.deepgp import DeepGPModel, InputLayer, predict_layer1
 from dgpuq.gplvm import InducingSet, LayerState, VariationalLatent
 from dgpuq.kernels import (ARDParams, RBFParams, DimensionMismatchError, gram,
                            chol_psd)
 from dgpuq.optimize import _NUMERICAL_FAILURES
 from dgpuq.random_field import KLExpansion
+from dgpuq.rng import rng_for, UQ_STREAM
 
 
 def central_diff(fun, x, eps=1e-5):
@@ -213,6 +215,32 @@ def exact_gp_model(kernel, noise_var, X, Y):
                     lam=np.ones_like(mu_bar))
     return DeepGPModel(X=X, Y=Y, input_layer=il, hidden_layers=[],
                        dims=[Y.shape[1]])
+
+
+def predict_one_set(model, Xstar):
+    """:func:`dgpuq.deepgp.predict_layer1` on one set of test inputs,
+    (n*, kappa), as a stack of one: the set's mean and joint covariance."""
+    mean, cov = predict_layer1(model, np.asarray(Xstar, dtype=float)[None])
+    return mean[0], cov[0]
+
+
+def one_realization(model, Xprime, seed, *subkeys):
+    """One repeat of :func:`dgpuq.uq.uq_report` on its own: the first
+    latent's joint predictive on the one set Xprime, then
+    ``uq._realization`` drawn from ``rng_for(seed, *subkeys)``."""
+    return uq._realization(model, *predict_one_set(model, Xprime),
+                           rng_for(seed, *subkeys))
+
+
+def loop_realizations(model, dist, n_prime, n_repeats, seed):
+    """The realizations of :func:`dgpuq.uq.uq_report` by a per-repeat loop:
+    repeat j's inputs from stream ``(seed, UQ_STREAM, j, 0)`` and its draw
+    from ``(seed, UQ_STREAM, j, 1)``."""
+    return [one_realization(model,
+                            uq.sample_inputs(dist, n_prime, seed, UQ_STREAM,
+                                             j, 0),
+                            seed, UQ_STREAM, j, 1)
+            for j in range(n_repeats)]
 
 
 def dense_gp_predict(K, Ks, Kss, noise_var, Y):

@@ -7,7 +7,7 @@ import scipy.optimize
 import scipy.spatial.distance
 from scipy.linalg.lapack import dpotrf, dtrtri
 
-from dgpuq import cli, deepgp, io, uq
+from dgpuq import cli, deepgp, io
 from dgpuq.kernels import (RBFParams, ARDParams, gram, chol_psd,
                            DimensionMismatchError)
 from dgpuq.gplvm import (VariationalLatent, InducingSet, LayerState, layer_bound,
@@ -20,7 +20,8 @@ from dgpuq.deepgp import (DeepGPModel, InputLayer, elbo, elbo_grad_vector,
 from dgpuq.rng import rng_for
 from helpers import (mc_phi_oracle, loop_phi_forward, loop_first_latent_forward,
                      loop_first_latent_grads, two_gram_predict, exact_gp_chol,
-                     exact_gp_model, dense_gp_logml)
+                     exact_gp_model, dense_gp_logml, one_realization,
+                     predict_one_set)
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -433,7 +434,7 @@ class TestPredictLayer1:
                                        lam=np.full((n, q1), 1e6))
         C = gram(X, X, il_kern) + 1e-8 * np.eye(n)
         trained_h1 = C @ mu_bar
-        mean, _ = predict_layer1(model, X)
+        mean, _ = predict_one_set(model, X)
         assert np.abs(mean - trained_h1).max() < 1e-4
 
     def test_mean_is_gram_times_mu_bar_when_cholesky_needs_jitter(self):
@@ -447,14 +448,14 @@ class TestPredictLayer1:
         K = gram(X, X, il.kernel)
         _, jitter = chol_psd(K + il.noise_var * np.eye(10))
         assert jitter > 0
-        mean, _ = predict_layer1(model, X)
+        mean, _ = predict_one_set(model, X)
         expect = K @ il.mu_bar
         np.testing.assert_allclose(mean, expect, rtol=0,
                                    atol=1e-10 * np.abs(expect).max())
 
     def test_prior_reversion_far_from_data(self):
         model = tiny_model(seed=13)
-        mean, cov = predict_layer1(model, np.full((1, 2), 60.0))
+        mean, cov = predict_one_set(model, np.full((1, 2), 60.0))
         assert np.abs(mean).max() < 1e-6
         assert cov[0, 0] == pytest.approx(model.input_layer.kernel.sigma_h_sq,
                                           rel=1e-6)
@@ -467,7 +468,7 @@ class TestPredictLayer1:
         gpm = exact_gp_model(il.kernel, il.noise_var, model.X, M1)
         rng = np.random.default_rng(0)
         Xs = rng.normal(size=(6, 2))
-        mean_a, cov_a = predict_layer1(model, Xs)
+        mean_a, cov_a = predict_one_set(model, Xs)
         mean_b, cov_b = two_gram_predict(
             model.X, il.kernel, exact_gp_chol(model.X, il.kernel, il.noise_var),
             gpm.input_layer.mu_bar, Xs)
@@ -487,7 +488,7 @@ class TestPredictLayer1:
         mean, cov = predict_layer1(model, Xs)
         assert mean.shape == (3, 30, 2) and cov.shape == (3, 30, 30)
         for k in range(3):
-            mean_k, cov_k = predict_layer1(model, Xs[k])
+            mean_k, cov_k = predict_one_set(model, Xs[k])
             np.testing.assert_array_equal(mean[k], mean_k)
             np.testing.assert_array_equal(cov[k], cov_k)
 
@@ -498,7 +499,7 @@ class TestPredictLayer1:
     def test_rebuilt_cache_reproduces_the_prediction(self):
         model = tiny_model(seed=19)
         Xs = np.random.default_rng(1).normal(size=(5, 2))
-        mean_a, cov_a = predict_layer1(model, Xs)
+        mean_a, cov_a = predict_one_set(model, Xs)
         factors = deepgp.prediction_factors(model)
         # the cache keeps n weighted norms, not the scaled n x kappa inputs
         assert factors["input_norms"].shape == (1, model.X.shape[0])
@@ -508,7 +509,7 @@ class TestPredictLayer1:
         assert rel_err(mean_a, mean_o) <= 1e-12
         assert rel_err(cov_a, cov_o) <= 1e-12
         model._pred_cache.clear()
-        mean_b, cov_b = predict_layer1(model, Xs)
+        mean_b, cov_b = predict_one_set(model, Xs)
         np.testing.assert_array_equal(mean_a, mean_b)
         np.testing.assert_array_equal(cov_a, cov_b)
 
@@ -645,7 +646,7 @@ class TestPredict:
         # test inputs away from the training rows, where sigma^2 - |v|^2
         # does not cancel
         Xs = np.random.default_rng(2).normal(size=(15, 2)) + 3.0
-        mean, cov = predict_layer1(model, Xs)
+        mean, cov = predict_one_set(model, Xs)
         # predict's first layer alone: the same model with no sparse layer
         first = DeepGPModel(X=model.X, Y=model.Y, input_layer=model.input_layer,
                             hidden_layers=[], dims=model.dims[:1])
@@ -691,14 +692,17 @@ class TestPredict:
         np.testing.assert_array_equal(mean_a, mean_b)
         np.testing.assert_array_equal(var_a, var_b)
 
-    @pytest.mark.parametrize("call", [
-        lambda model, X: predict(model, X),
-        lambda model, X: predict_layer1(model, X),
-        lambda model, X: predict_layer1(model, np.stack([X, X])),
-        lambda model, X: uq.propagate_realization(model, X, 0)],
+    @pytest.mark.parametrize("call, Xs, error, message", [
+        (predict, np.zeros((3, 5)), DimensionMismatchError, "predict columns"),
+        (predict_layer1, np.zeros((1, 3, 5)), DimensionMismatchError,
+         "predict columns"),
+        (predict_layer1, np.zeros((2, 3, 5)), DimensionMismatchError,
+         "predict columns"),
+        (predict_layer1, np.zeros((3, 2)), ValueError, "expected a stack")],
         ids=["predict", "predict_layer1", "predict_layer1_stacked",
-             "propagate_realization"])
-    def test_column_check_comes_before_any_factor(self, monkeypatch, call):
+             "predict_layer1_one_set"])
+    def test_column_check_comes_before_any_factor(self, monkeypatch, call, Xs,
+                                                  error, message):
         model = set_first_latent(tiny_model(seed=43))
         calls = []
 
@@ -710,8 +714,8 @@ class TestPredict:
 
         for name in ("chol_psd", "layer_bound"):
             monkeypatch.setattr(deepgp, name, spy(name, getattr(deepgp, name)))
-        with pytest.raises(DimensionMismatchError, match="predict columns"):
-            call(model, np.zeros((3, 5)))
+        with pytest.raises(error, match=message):
+            call(model, Xs)
         assert calls == []
         assert model._pred_cache == {}
         predict(model, model.X[:3])         # the spies do see a build
@@ -780,9 +784,8 @@ class TestModelArrays:
         Xs = np.random.default_rng(9).normal(size=(6, 2))
         for got, want in zip(predict(back, Xs), predict(model, Xs)):
             np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(
-            uq.propagate_realization(back, Xs, 4),
-            uq.propagate_realization(model, Xs, 4))
+        np.testing.assert_array_equal(one_realization(back, Xs, 4),
+                                      one_realization(model, Xs, 4))
 
     def test_one_row_block_is_taken_as_one_dimensional(self):
         model = tiny_model(seed=59)

@@ -6,10 +6,9 @@ import pytest
 import scipy.linalg
 
 from dgpuq import deepgp
-from dgpuq.deepgp import predict_layer1
 from dgpuq.kernels import RBFParams, gram, DimensionMismatchError
 from helpers import (ard_case, dense_gp_predict, exact_gp_chol,
-                     exact_gp_model, two_gram_predict)
+                     exact_gp_model, predict_one_set, two_gram_predict)
 
 
 def random_case(rng, n=5, kappa=2, nu=2, noise=0.3):
@@ -45,7 +44,7 @@ class TestPredict:
         Y = np.cos(X)
         kern = RBFParams(tau0_sq=1.0, lengthscale_inv=np.array([2.0]))
         model = exact_gp_model(kern, 1e-12, X, Y)
-        mean, cov = predict_layer1(model, X[3:4])
+        mean, cov = predict_one_set(model, X[3:4])
         assert abs(mean[0, 0] - Y[3, 0]) < 1e-6
         assert cov[0, 0] < 1e-6
 
@@ -55,7 +54,7 @@ class TestPredict:
         Y = rng.normal(size=(8, 1))
         kern = RBFParams(tau0_sq=1.7, lengthscale_inv=np.array([1.0]))
         model = exact_gp_model(kern, 0.1, X, Y)
-        mean, cov = predict_layer1(model, [[50.0]])
+        mean, cov = predict_one_set(model, [[50.0]])
         assert abs(mean[0, 0]) < 1e-6
         assert cov[0, 0] == pytest.approx(1.7, abs=1e-6)
 
@@ -66,7 +65,7 @@ class TestPredict:
         kern = RBFParams(tau0_sq=1.0, lengthscale_inv=np.array([1.5]))
         model = exact_gp_model(kern, 0.2, X, Y)
         Xs = rng.uniform(0, 1, (4, 1))
-        mean, cov = predict_layer1(model, Xs)
+        mean, cov = predict_one_set(model, Xs)
         K = gram(X, X, kern)
         Ks = gram(X, Xs, kern)
         Kss = gram(Xs, Xs, kern)
@@ -79,7 +78,7 @@ class TestPredict:
         for n in (5, 12, 20):
             model = random_model(rng, n=n, kappa=2, nu=2)
             Xs = rng.normal(size=(6, 2))
-            mean, cov = predict_layer1(model, Xs)
+            mean, cov = predict_one_set(model, Xs)
             il = model.input_layer
             K = gram(model.X, model.X, il.kernel)
             Ks = gram(model.X, Xs, il.kernel)
@@ -92,7 +91,7 @@ class TestPredict:
         rng = np.random.default_rng(10)
         model = random_model(rng, n=12, kappa=2, nu=1, noise=0.05)
         Xs = rng.normal(size=(30, 2)) * 2.0
-        _, cov = predict_layer1(model, Xs)
+        _, cov = predict_one_set(model, Xs)
         bound = (model.input_layer.kernel.sigma_h_sq
                  + model.input_layer.noise_var)
         assert np.all(np.diag(cov) <= bound + 1e-10)
@@ -101,7 +100,7 @@ class TestPredict:
         rng = np.random.default_rng(11)
         model = random_model(rng)
         with pytest.raises(DimensionMismatchError):
-            predict_layer1(model, np.zeros((2, 3)))
+            deepgp.predict_layer1(model, np.zeros((1, 2, 3)))
 
     def test_column_check_comes_before_any_gram(self, monkeypatch):
         rng = np.random.default_rng(12)
@@ -112,7 +111,7 @@ class TestPredict:
 
         monkeypatch.setattr(deepgp, "predictive_grams", no_product)
         with pytest.raises(DimensionMismatchError):
-            predict_layer1(model, np.zeros((2, 3)))
+            deepgp.predict_layer1(model, np.zeros((1, 2, 3)))
 
     def test_marginal_column_check_comes_before_any_gram(self, monkeypatch):
         rng = np.random.default_rng(14)
@@ -146,7 +145,7 @@ class TestPredictAgainstTwoGramOracle:
         rng = np.random.default_rng(n + kappa + n_star)
         model, cols = weighted_model(rng, n, kappa, spread)
         Xs = rng.normal(size=(n_star, kappa)) * cols
-        mean, cov = predict_layer1(model, Xs)
+        mean, cov = predict_one_set(model, Xs)
         mean_or, cov_or = oracle_predict(model, Xs)
         assert rel_to_max(mean, mean_or) <= 1e-12
         assert rel_to_max(cov, cov_or) <= 1e-12
@@ -185,7 +184,8 @@ class TestPredictAgainstTwoGramOracle:
         B = rounding(X, Xs)
         mean_tol = B.T @ np.abs(alpha)
         cov_tol = rounding(Xs, Xs) + 2.0 * (np.abs(Linv) @ B).T @ np.abs(v)
-        for mean, cov in (predict_layer1(model, Xs), oracle_predict(model, Xs)):
+        for mean, cov in (predict_one_set(model, Xs),
+                          oracle_predict(model, Xs)):
             assert np.all(np.abs(mean - mean_ref) <= mean_tol)
             assert np.all(np.abs(cov - cov_ref) <= cov_tol)
 

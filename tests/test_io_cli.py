@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import dgpuq
 from dgpuq import io
 from dgpuq.deepgp import train_deep, predict
 from dgpuq.rng import rng_for, MC_BASELINE_STREAM
+from helpers import one_realization
 
 
 def cli_env(**overrides):
@@ -127,19 +129,18 @@ class TestModelPersistence:
         assert np.array_equal(var0, var1)
 
     def test_reload_reproduces_realizations_bitwise(self, tmp_path):
-        from dgpuq.uq import propagate_realization
         rng = rng_for(81)
         X = rng.uniform(0, 1, (14, 2))
         Y = np.column_stack([np.cos(2 * X[:, 0]), X[:, 0] - X[:, 1]])
         model = train_deep(X, Y, dims=[2, 2], m_inducing=[5, 5], iters=4,
                            seed=2, init_iters=15)
         Xs = rng.uniform(0, 1, (7, 2))
-        draw0 = propagate_realization(model, Xs, 5, 1, 2)
+        draw0 = one_realization(model, Xs, 5, 1, 2)
         io.save_model(tmp_path / "mdl", model)
         back = io.load_model(tmp_path / "mdl")
         # the loaded factors, not a rebuild, feed the draw
         assert back._pred_cache["input_chol"].flags.f_contiguous
-        draw1 = propagate_realization(back, Xs, 5, 1, 2)
+        draw1 = one_realization(back, Xs, 5, 1, 2)
         assert np.array_equal(draw0, draw1)
 
     def test_model_file_schema(self, tmp_path):
@@ -203,7 +204,7 @@ class TestModelPersistence:
                                         spy(name, getattr(module, name)))
         Xs = rng_for(79).uniform(0, 1, (5, 2))
         predict(model, Xs)
-        uq.propagate_realization(model, Xs, 3)
+        one_realization(model, Xs, 3)
         assert calls, "the spies saw no call at all"
         assert not [c for c in calls if c[0] == "layer_bound"]
         assert not [c for c in calls if c[0] == "gram"
@@ -812,6 +813,42 @@ class TestCli:
                        "non-finite entry\n")
         assert not (tmp_path / "p").exists()
 
+    @pytest.mark.parametrize("name, row, col, bad", [
+        ("p", 4, 17, np.nan), ("K", 7, 0, np.inf)], ids=["nan-in-p", "inf-in-K"])
+    def test_train_on_a_non_finite_entry_names_file_and_row(
+            self, desk_dataset, tmp_path, capsys, name, row, col, bad):
+        from dgpuq import cli
+        data = tmp_path / "d"
+        shutil.copytree(desk_dataset, data)
+        M = io.read_matrix(data / f"{name}.dgpm")
+        M[row, col] = bad
+        io.write_matrix(data / f"{name}.dgpm", M)
+        assert cli.main(["train", "--data", str(data), "--dims", "2",
+                         "--inducing", "4", "--iters", "2", "--init-iters", "3",
+                         "--out", str(tmp_path / "m")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {data / f'{name}.dgpm'}: row {row} has a non-finite "
+            "entry\n")
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("shape", [(9, 256), (10, 250)],
+                             ids=["rows", "columns"])
+    def test_eigenfields_of_the_wrong_shape_name_the_manifest(
+            self, desk_dataset, tmp_path, capsys, shape):
+        # the dataset has 10 eigenvalues on a 16 x 16 grid
+        from dgpuq import cli
+        data = tmp_path / "d"
+        shutil.copytree(desk_dataset, data)
+        io.write_matrix(data / "kle_eigenfields.dgpm", np.ones(shape))
+        message = (f"{data / 'manifest.json'}: field 'kle.eigenfields' has "
+                   f"shape {shape}, expected (10, 256)")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            io.load_kle_from_manifest(data)
+        assert cli.main(["mc-baseline", "--kle-manifest", str(data), "--n", "2",
+                         "--out", str(tmp_path / "mc")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "mc").exists()
+
     def test_uq_on_a_manifest_of_another_grid_exits_2(self, desk_dataset,
                                                         tmp_path):
         mdl = tmp_path / "mdl"
@@ -982,20 +1019,39 @@ class TestOneOwnerOfModelState:
         assert offences == []
 
 
+def package_modules():
+    """``(name, module)`` for every module of the package, imported."""
+    import importlib
+    import pkgutil
+    return [(info.name, importlib.import_module(f"dgpuq.{info.name}"))
+            for info in pkgutil.iter_modules(dgpuq.__path__)]
+
+
 class TestPublicNames:
-    """Every name in a module's ``__all__`` is defined there: the benchmark
-    tracer (``bench/tracing.py``) fetches each one with ``getattr``."""
+    """A module's ``__all__`` names exactly what it offers: the benchmark
+    tracer (``bench/tracing.py``) fetches each name with ``getattr`` and
+    times only the functions listed there."""
 
     def test_every_exported_name_is_defined(self):
-        import importlib
-        import pkgutil
         missing = []
-        for info in pkgutil.iter_modules(dgpuq.__path__):
-            mod = importlib.import_module(f"dgpuq.{info.name}")
-            missing += [f"{info.name}.{name}"
-                        for name in getattr(mod, "__all__", ())
-                        if not hasattr(mod, name)]
+        for name, mod in package_modules():
+            missing += [f"{name}.{attr}" for attr in getattr(mod, "__all__", ())
+                        if not hasattr(mod, attr)]
         assert missing == []
+
+    def test_every_public_function_is_exported(self):
+        # cli's commands are reached through main, not imported
+        import inspect
+        unlisted = []
+        for name, mod in package_modules():
+            if name == "cli":
+                continue
+            unlisted += [f"{name}.{attr}" for attr, fn in vars(mod).items()
+                         if inspect.isfunction(fn)
+                         and fn.__module__ == mod.__name__
+                         and not attr.startswith("_")
+                         and attr not in getattr(mod, "__all__", ())]
+        assert unlisted == []
 
 
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",

@@ -121,9 +121,9 @@ class TestGram:
         assert gram(X, X, p).shape == (0, 0)
         A = np.ones((2, 3))
         _, norms = gram(A, A, p, return_norms=True)
-        Ks, Kss = predictive_grams(A, norms, X, p)
-        assert Ks.shape == (2, 0) and Kss.shape == (0, 0)
-        assert downdate(Kss, Ks.T).shape == (0, 0)
+        Ks, Kss = predictive_grams(A, norms, X[None], p)
+        assert Ks.shape == (2, 0) and Kss.shape == (1, 0, 0)
+        assert downdate(Kss[0], Ks.T).shape == (0, 0)
         assert capfd.readouterr() == ("", "")
 
     def test_matches_double_loop_oracle_at_input_layer_width(self):
@@ -230,7 +230,7 @@ class TestPredictiveGrams:
         X, p = spread_rows(rng, n, kappa, spread)
         Xs, _ = spread_rows(rng, 7, kappa, spread)
         _, norms = gram(X, X, p, return_norms=True)
-        Ks, Kss = predictive_grams(X, norms, Xs, p)
+        Ks, (Kss,) = predictive_grams(X, norms, Xs[None], p)
         np.testing.assert_array_equal(Kss, gram(Xs, Xs, p))
         np.testing.assert_array_equal(Kss, Kss.T)
         assert Ks.shape == (n, 7)
@@ -242,7 +242,7 @@ class TestPredictiveGrams:
         p = ARDParams(sigma_h_sq=1.0, weights=np.array([1.0, 1.0]))
         X = np.zeros((3, 2))
         with pytest.raises(DimensionMismatchError):
-            predictive_grams(X, np.zeros(3), np.zeros((2, 3)), p)
+            predictive_grams(X, np.zeros(3), np.zeros((1, 2, 3)), p)
 
 
 class TestCholPsd:

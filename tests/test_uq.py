@@ -7,9 +7,10 @@ from dgpuq.random_field import (Grid2D, ExpCovSpec, KLExpansion, kle_decompose,
                                 permeability, sample_permeability)
 from dgpuq import uq
 from dgpuq.deepgp import train_deep, predict, predict_layer1
-from dgpuq.uq import (InputDistribution, sample_inputs, propagate_realization,
-                      uq_report, mc_baseline, kde_curve)
+from dgpuq.uq import (InputDistribution, sample_inputs, uq_report, mc_baseline,
+                      kde_curve)
 from dgpuq.rng import rng_for, MC_BASELINE_STREAM, UQ_STREAM
+from helpers import loop_realizations, one_realization, predict_one_set
 
 PAPER_COV = ExpCovSpec(s_g_sq=1.0, lambdas=(0.1, 0.1), mean=0.0)
 
@@ -107,11 +108,19 @@ class TestSampleInputs:
             mc_baseline(simulator, dist8, N=1, seed=0)
 
 
+def cell_center(col, grid):
+    """The (x, y) center of output column ``col``'s cell of ``grid``."""
+    return ((col % grid.nx + 0.5) / grid.nx, (col // grid.nx + 0.5) / grid.ny)
+
+
 class TestPropagateRealization:
+    """One repeat's realization (``uq._realization``) from the first
+    latent's joint predictive on one set of inputs."""
+
     def test_two_seeds_differ(self, small_model, dist8):
         Xp = sample_inputs(dist8, 10, seed=11)
-        r1 = propagate_realization(small_model, Xp, seed=1)
-        r2 = propagate_realization(small_model, Xp, seed=2)
+        r1 = one_realization(small_model, Xp, 1)
+        r2 = one_realization(small_model, Xp, 2)
         assert r1.shape == (10, 2)
         assert np.abs(r1 - r2).max() > 0
 
@@ -143,7 +152,7 @@ class TestPropagateRealization:
                             dims=[1])
         mean, _ = predict(model, X)
         for seed in (1, 2):
-            r = propagate_realization(model, X, seed=seed)
+            r = one_realization(model, X, seed)
             assert np.abs(r - mean).max() < 1e-6
 
     def test_indefinite_covariance_raises(self):
@@ -153,7 +162,7 @@ class TestPropagateRealization:
             uq._draw_gaussian(np.zeros((2, 1)), np.diag([1.0, -10.0]),
                               rng_for(0))
 
-    def test_draw_from_a_near_degenerate_layer_factorizes(self, monkeypatch):
+    def test_draw_from_a_near_degenerate_layer_factorizes(self):
         # sigma_h_sq = 1.5e8 with lengthscales near 30, as a short training
         # run can leave a layer: its conditional covariance is ~1e-7 of
         # sigma_h_sq, and forming it through the explicit Kuu^-1 - A^-1
@@ -179,18 +188,14 @@ class TestPropagateRealization:
         for k in range(10):
             H = rng.uniform(-0.5, 1.0, (8, q))
             # a zero first-layer covariance: the draw is H itself
-            monkeypatch.setattr(uq, "predict_layer1",
-                                lambda model, X: (H, np.zeros((8, 8))))
-            r = propagate_realization(model, np.zeros((8, 1)), seed=k)
+            r = uq._realization(model, H, np.zeros((8, 8)), rng_for(k))
             assert r.shape == (8, nu) and np.all(np.isfinite(r))
 
-    def test_failed_first_layer_draw_names_the_layer(self, small_model, dist8,
-                                                     monkeypatch):
-        monkeypatch.setattr(uq, "predict_layer1", lambda model, X: (
-            np.zeros((2, 2)), np.diag([1.0, -10.0])))
+    def test_failed_first_layer_draw_names_the_layer(self, small_model):
         with pytest.raises(np.linalg.LinAlgError,
                            match="layer 1 propagation failed"):
-            propagate_realization(small_model, sample_inputs(dist8, 2, 1), 0)
+            uq._realization(small_model, np.zeros((2, 2)),
+                            np.diag([1.0, -10.0]), rng_for(0))
 
     def test_failed_sparse_layer_draw_names_the_layer(self, small_model,
                                                       dist8, monkeypatch):
@@ -198,25 +203,24 @@ class TestPropagateRealization:
         monkeypatch.setattr(uq, "downdate", lambda K, U: -np.eye(len(K)))
         with pytest.raises(np.linalg.LinAlgError,
                            match="layer 2 propagation failed"):
-            propagate_realization(small_model, sample_inputs(dist8, 2, 1), 0)
+            one_realization(small_model, sample_inputs(dist8, 2, 1), 0)
 
     def test_realization_mean_matches_predict_mean(self, small_model, dist8):
         Xp = sample_inputs(dist8, 6, seed=13)
         mean, _ = predict(small_model, Xp)
-        draws = np.stack([propagate_realization(small_model, Xp, seed=s)
+        mean1, cov1 = predict_one_set(small_model, Xp)
+        draws = np.stack([uq._realization(small_model, mean1, cov1, rng_for(s))
                           for s in range(200)])
         emp = draws.mean(axis=0)
         se = draws.std(axis=0) / np.sqrt(200)
         assert np.all(np.abs(emp - mean) < 3 * se + 1e-9)
 
-    def test_without_subkeys_the_stream_is_the_seed_alone(self, small_model,
-                                                          dist8, stream_keys):
+    def test_without_subkeys_the_stream_is_the_seed_alone(self, dist8,
+                                                          stream_keys):
         Xp = sample_inputs(dist8, 4, 17)
-        r = propagate_realization(small_model, Xp, 3)
-        assert stream_keys == [(17,), (3,)]
-        np.testing.assert_array_equal(Xp, sample_inputs(dist8, 4, seed=17))
-        np.testing.assert_array_equal(r, propagate_realization(small_model, Xp,
-                                                               seed=3))
+        assert stream_keys == [(17,)]
+        np.testing.assert_array_equal(
+            Xp, sample_permeability(dist8.kle, rng_for(17), 4))
         assert not np.array_equal(Xp, sample_inputs(dist8, 4, 17, UQ_STREAM))
 
 
@@ -239,8 +243,9 @@ class TestUqReport:
 
     def test_pdf_integrates_to_one(self, small_model, dist8):
         rep = uq_report(small_model, dist8, n_prime=30, n_repeats=5, seed=7,
-                        pdf_at=[0], out_grid=None)
+                        pdf_at=[(0.1, 0.1)], out_grid=Grid2D(2, 2))
         pdf = rep.pdf_points[0]
+        assert pdf.column == 0
         mass = np.trapezoid(pdf.mean_density, pdf.abscissae)
         assert abs(mass - 1.0) < 1e-3
         assert np.all(pdf.lower >= 0)
@@ -265,9 +270,8 @@ class TestUqReport:
         assert stream_keys == [(11, UQ_STREAM, j, k)
                                for j in range(3) for k in (0, 1)]
 
-    @pytest.mark.parametrize("entry, label", [(2, ('col', 2)),
-                                              ((0.9, 0.9), (0.9, 0.9))],
-                             ids=["column", "location"])
+    @pytest.mark.parametrize("entry, label", [((0.9, 0.9), (0.9, 0.9))],
+                             ids=["location"])
     def test_pdf_column_out_of_range_rejected(self, small_model, dist8,
                                               stream_keys, entry, label):
         # the model has two output columns, (0.9, 0.9) is column 15 of the
@@ -275,6 +279,17 @@ class TestUqReport:
         with pytest.raises(ValueError, match=re.escape(str(label))):
             uq_report(small_model, dist8, n_prime=10, n_repeats=3, seed=9,
                       pdf_at=[entry], out_grid=Grid2D(4, 4))
+        assert stream_keys == []
+
+    @pytest.mark.parametrize("entry", [1, np.int64(0), (0.5,), "ab"],
+                             ids=["int", "numpy-int", "one-coordinate",
+                                  "string"])
+    def test_pdf_entry_that_is_not_a_point_rejected(self, small_model, dist8,
+                                                    stream_keys, entry):
+        # a bare column index is no longer a location, even one in range
+        with pytest.raises(ValueError, match="is not an \\(x, y\\) point"):
+            uq_report(small_model, dist8, n_prime=10, n_repeats=3, seed=9,
+                      pdf_at=[(0.5, 0.5), entry], out_grid=Grid2D(4, 4))
         assert stream_keys == []
 
     def test_moments_are_population_form(self, small_model, dist8,
@@ -292,13 +307,11 @@ class TestUqReport:
     def test_blocks_match_the_per_repeat_loop(self, mid_model, dist32):
         # n = 96 and n' = 30 give blocks of 3, 3 and 1 repeats
         n_prime, n_repeats, seed = 30, 7, 6
+        grid = Grid2D(2, 2)
         rep = uq_report(mid_model, dist32, n_prime, n_repeats, seed,
-                        pdf_at=[1, 0])
-        loop = [propagate_realization(
-                    mid_model,
-                    sample_inputs(dist32, n_prime, seed, UQ_STREAM, j, 0),
-                    seed, UQ_STREAM, j, 1)
-                for j in range(n_repeats)]
+                        pdf_at=[cell_center(1, grid), cell_center(0, grid)],
+                        out_grid=grid)
+        loop = loop_realizations(mid_model, dist32, n_prime, n_repeats, seed)
         means = np.asarray([r.mean(axis=0) for r in loop])
         variances = np.asarray([r.var(axis=0) for r in loop])
         root_n = np.sqrt(n_repeats)
@@ -363,13 +376,16 @@ class TestMcBaseline:
             blocks.append(len(K))
             return np.log(K[..., :7]) ** 2
 
-        mean, var, pdfs = mc_baseline(sim, dist32, N=20, seed=6, pdf_at=[3])
+        grid = Grid2D(4, 4)
+        mean, var, pdfs = mc_baseline(sim, dist32, N=20, seed=6,
+                                      pdf_at=[cell_center(3, grid)],
+                                      out_grid=grid)
         assert blocks == [8, 8, 4]
         rows = np.array([sim(sample_permeability(
             dist32.kle, rng_for(6, MC_BASELINE_STREAM, i))) for i in range(20)])
         np.testing.assert_array_equal(mean, rows.mean(axis=0))
         np.testing.assert_array_equal(var, rows.var(axis=0))
-        oracle = uq._pdf_estimate(("col", 3), 3, [rows[:, 3]])
+        oracle = uq._pdf_estimate(cell_center(3, grid), 3, [rows[:, 3]])
         np.testing.assert_array_equal(pdfs[0].mean_density, oracle.mean_density)
 
     @pytest.mark.parametrize("error", [np.linalg.LinAlgError, FloatingPointError])
@@ -412,15 +428,17 @@ class TestMcBaseline:
         assert np.all(np.abs(var - oracle) <= 1e-12 * oracle)
 
     def test_minimal_run_and_pdf(self, dist8):
+        grid = Grid2D(2, 2)
         mean, var, pdfs = mc_baseline(lambda K: K[..., :3], dist8, N=50, seed=5,
-                                      pdf_at=[1])
+                                      pdf_at=[cell_center(1, grid)],
+                                      out_grid=grid)
         assert mean.shape == (3,)
         assert np.all(var >= 0)
-        assert len(pdfs) == 1
+        assert len(pdfs) == 1 and pdfs[0].column == 1
         mass = np.trapezoid(pdfs[0].mean_density, pdfs[0].abscissae)
         assert abs(mass - 1.0) < 1e-3
 
-    @pytest.mark.parametrize("col", [-1, 7])
+    @pytest.mark.parametrize("col", [7])
     def test_pdf_column_out_of_range_rejected(self, dist8, col):
         runs = []
 
@@ -428,8 +446,10 @@ class TestMcBaseline:
             runs.append(1)
             return K[..., :3]
 
-        with pytest.raises(ValueError, match=rf"\('col', {col}\)"):
-            mc_baseline(sim, dist8, N=5, seed=0, pdf_at=[col])
+        grid = Grid2D(4, 4)
+        with pytest.raises(ValueError, match=f"selects output column {col},"):
+            mc_baseline(sim, dist8, N=5, seed=0,
+                        pdf_at=[cell_center(col, grid)], out_grid=grid)
         assert len(runs) == 1
 
     def test_simulator_failure_reports_index(self, dist8):
