@@ -267,8 +267,14 @@ def build_parser():
     t.add_argument("--layers", type=int, help="default: one per --dims entry")
     t.add_argument("--dims", default="30,30")
     t.add_argument("--inducing", default="50,50")
-    t.add_argument("--iters", type=int, default=50)
-    t.add_argument("--init-iters", type=int, default=150)
+    t.add_argument("--iters", type=int, default=50,
+                   help="budget of accepted steps of the joint phase; the "
+                        "ascent may stop before using it up, once the bound "
+                        "stops rising (default: %(default)s)")
+    t.add_argument("--init-iters", type=int, default=150,
+                   help="budget of accepted steps of each greedy GP-LVM fit, "
+                        "which it may likewise leave unused "
+                        "(default: %(default)s)")
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--out", required=True)
 

@@ -46,8 +46,8 @@ them, and :func:`model_from_arrays` rebuilds the model from that.
 
 Training is two-phase: a greedy stack of GP-LVMs initializes every layer,
 then the joint bound (first-layer KL + collapsed layer terms + entropies)
-is refined by gradient ascent, the one objective that fits every
-parameter.  The input layer starts in closed form from the greedy first
+is refined by L-BFGS ascent (:func:`optimize.ascend`), the one objective
+that fits every parameter.  The input layer starts in closed form from the greedy first
 latent's means M: signal variance v = var(M) (1 when that is 0), the
 median-heuristic inverse scales, noise variance v / 100 and mu_bar = C^-1 M,
 the exact-GP mean weights.
@@ -70,7 +70,8 @@ from .kernels import (ARDParams, RBFParams, gram, predictive_grams,
 from .gplvm import (LOG_2PI, LayerState, VariationalLatent, InducingSet,
                     layer_bound, layer_bound_grads, train_gplvm, _phi_forward,
                     _pairs, _pair_weights)
-from .optimize import BlockSpec, ascend, cached_objective
+from .optimize import (BlockSpec, CountedObjective, ascend, cached_objective,
+                       _NUMERICAL_FAILURES)
 
 __all__ = [
     "InputLayer",
@@ -357,8 +358,11 @@ def _deep_forward(model: DeepGPModel, pack=True):
     """
     X, Y = model.X, model.Y
     G = model.n_latents
-    M1, diag_S1, kl1, packed = _first_latent_forward(
-        model.input_layer, X, need_full=pack)
+    try:
+        M1, diag_S1, kl1, packed = _first_latent_forward(
+            model.input_layer, X, need_full=pack)
+    except _NUMERICAL_FAILURES as exc:
+        raise type(exc)(f"input layer: {exc}") from exc
     first = VariationalLatent(means=M1, variances=diag_S1)
 
     value = -kl1
@@ -369,9 +373,12 @@ def _deep_forward(model: DeepGPModel, pack=True):
             out_means, out_vars = nxt.means, nxt.variances
         else:
             out_means, out_vars = Y, None
-        v, cache = layer_bound(layer.kernel, layer.beta,
-                               first if t == 0 else layer.latent,
-                               layer.inducing.inputs, out_means, out_vars)
+        try:
+            v, cache = layer_bound(layer.kernel, layer.beta,
+                                   first if t == 0 else layer.latent,
+                                   layer.inducing.inputs, out_means, out_vars)
+        except _NUMERICAL_FAILURES as exc:
+            raise type(exc)(f"layer {t + 1}: {exc}") from exc
         value += v
         caches.append(cache)
     for t in range(1, G):
@@ -510,6 +517,25 @@ def _median_heuristic(X, max_points=200):
     return np.full(X.shape[1], 1.0 / med)
 
 
+# a greedy fit or the joint phase that leaves a layer's sigma_h_sq or its
+# largest ARD weight below this fraction of its start has degenerated
+DEGENERATE = 1e-6
+
+
+def _check_alive(t, layer, start, phase):
+    """Raise FloatingPointError naming sparse layer t (counted from 1 in the
+    message) when its sigma_h_sq or largest ARD weight is below DEGENERATE
+    times ``start``, the pair at the start of its greedy fit."""
+    now = (layer.kernel.sigma_h_sq, float(np.max(layer.kernel.weights)))
+    for name, value, first in zip(("sigma_h_sq", "largest ARD weight"), now,
+                                  start):
+        if not value >= DEGENERATE * first:
+            raise FloatingPointError(
+                f"layer {t + 1} degenerated in the {phase}: its {name} fell "
+                f"from {first:.4g} to {value:.4g}, below {DEGENERATE:g} of "
+                "its start")
+
+
 def train_deep(X, Y, dims, m_inducing, iters=100, seed=0,
                init_iters=150) -> DeepGPModel:
     """Train a deep GP by greedy GP-LVM stacking plus joint refinement.
@@ -518,10 +544,17 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0,
     ----------
     dims : latent dimensions q_1..q_G (outermost first).
     m_inducing : inducing counts, one per sparse layer.
-    iters : accepted steps of the joint phase.
-    init_iters : accepted steps for each greedy GP-LVM fit.
+    iters : budget of accepted steps of the joint phase.
+    init_iters : budget of accepted steps for each greedy GP-LVM fit.
 
-    X needs at least two rows.
+    X needs at least two rows.  The model's ``training_meta["optimizer"]``
+    lists every ascent in the order it ran, each greedy fit's warm and full
+    phases (``"greedy warm"``, ``"greedy full"``, with its ``layer``)
+    and then the ``"joint"`` phase, with its budget, accepted steps, value
+    evaluations and gradient evaluations.  Raises FloatingPointError,
+    naming the layer, when a greedy fit or the joint phase leaves a layer's
+    sigma_h_sq or largest ARD weight below DEGENERATE of its greedy start,
+    and when the joint bound is not finite at its start.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -540,12 +573,19 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0,
         raise ValueError("Y has zero variance; nothing to model")
 
     # greedy stack: GP-LVM on Y gives the last latent, then work backwards;
-    # each layer keeps its GP-LVM latent as its input latent
-    layers = [None] * G
+    # each layer keeps its GP-LVM latent as its input latent.  train_gplvm
+    # starts sigma_h_sq at var(data) and every ARD weight at 1
+    layers, starts, runs = [None] * G, [None] * G, []
     data = Y
     for t in range(G - 1, -1, -1):
+        fit = []
         layers[t], _ = train_gplvm(data, dims[t], m_inducing[t],
-                                   iters=init_iters, seed=seed + 101 * t)
+                                   iters=init_iters, seed=seed + 101 * t,
+                                   record=fit)
+        runs += [dict(r, phase=f"greedy {r['phase']}", layer=t + 1)
+                 for r in fit]
+        starts[t] = (float(np.var(data)), 1.0)
+        _check_alive(t, layers[t], starts[t], "greedy fit")
         data = layers[t].latent.means
 
     # input layer: the exact GP of X -> first latent means M at a closed-form
@@ -573,15 +613,32 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0,
     def backward(state):
         return spec.flatten(_deep_backward(state))
 
-    x, trace = ascend(cached_objective(forward, backward),
-                      spec.pack(values), iters)
+    x0 = spec.pack(values)
+    objective = CountedObjective(cached_objective(forward, backward))
+    try:
+        x, trace = ascend(objective, x0, iters)
+    except FloatingPointError:
+        # every evaluation is guarded, so ascend raises only for a bound
+        # that is not finite at x0: evaluate it there again for the reason
+        try:
+            f0, _ = forward(x0)
+            reason = (f"its value is {f0}" if not np.isfinite(f0)
+                      else "its gradient is not finite")
+        except _NUMERICAL_FAILURES as exc:
+            reason = str(exc)
+        raise FloatingPointError("the joint bound is not finite at its "
+                                 f"start: {reason}") from None
+    runs.append(objective.record(iters, trace, phase="joint"))
     trained = _with_values(model, spec.unpack(x))
+    for t, layer in enumerate(trained.hidden_layers):
+        _check_alive(t, layer, starts[t], "joint phase")
     M1, diag_S1, _, _ = _first_latent_forward(trained.input_layer, X)
     trained.hidden_layers[0].latent = VariationalLatent(means=M1,
                                                         variances=diag_S1)
     trained.training_meta.update({
         "elbo_trace": trace,
         "final_elbo": float(trace[-1]),
+        "optimizer": runs,
     })
     return trained
 

@@ -41,7 +41,7 @@ import numpy as np
 import scipy.linalg
 
 from .kernels import ARDParams, gram, DimensionMismatchError
-from .optimize import BlockSpec, ascend, cached_objective
+from .optimize import BlockSpec, CountedObjective, ascend, cached_objective
 from .rng import rng_for
 
 __all__ = [
@@ -294,7 +294,8 @@ def _phi_backward(kernel, means, variances, Z, phi1, T, W1, W2, w_phi0):
     s2 = mu * (mu * r1 - 2.0 * PZ) + P1 @ (Zc * Zc)
     d_means = -a * (mu * r1 - PZ)
     d_vars = 0.5 * a * (a * s2 - r1)
-    d_w = -0.5 * np.sum(s2 / gam ** 2 + variances * r1 / gam, axis=0)
+    # s2 / gam / gam, not s2 / gam**2: gam**2 overflows for gam above 1e154
+    d_w = -0.5 * np.sum(s2 / gam / gam + variances * r1 / gam, axis=0)
     d_Z = P1.T @ (a * mu) - Zc * (P1.T @ a)
     # Phi2: the same three sums over the pairs (k, l), weighted by Q
     w2 = _pair_weights(W2)[:, None]
@@ -308,7 +309,7 @@ def _phi_backward(kernel, means, variances, Z, phi1, T, W1, W2, w_phi0):
     W2s = W2 + W2.T
     pair_delta, pair_delta2 = _pair_sums(
         W2s * _unpack_pairs(T.sum(axis=0), m), Zc)
-    d_w -= (np.sum(t2 / rho ** 2 + variances * r2 / rho, axis=0)
+    d_w -= (np.sum(t2 / rho / rho + variances * r2 / rho, axis=0)
             + 0.125 * pair_delta2)
     R = T.T @ np.hstack([mu / rho, 1.0 / rho])
     pair_md = _unpack_pairs(R[:, :q] - zbar * R[:, q:], m)
@@ -540,12 +541,15 @@ def _layer_state(values) -> LayerState:
         inducing=InducingSet(inputs=values["Hu"]))
 
 
-def train_gplvm(Y, q, m, iters=200, seed=0):
+def train_gplvm(Y, q, m, iters=200, seed=0, record=None):
     """Train a Bayesian GP-LVM on data Y.
 
     Returns ``(state, trace)`` where ``state`` carries the optimized kernel,
     noise precision, variational posterior q(H) and inducing inputs, and
-    ``trace`` is the nondecreasing ELBO history.
+    ``trace`` is the nondecreasing ELBO history.  ``iters`` is a budget of
+    accepted steps, shared by a warm phase with beta held fixed and a full
+    phase; each phase's :meth:`optimize.CountedObjective.record` (phase
+    ``"warm"`` or ``"full"``) is appended to the list ``record`` if given.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n, nu = Y.shape
@@ -584,11 +588,16 @@ def train_gplvm(Y, q, m, iters=200, seed=0):
     # hold the noise precision for the first stretch so it cannot swallow
     # the signal before the latent space has organized
     warm = min(50, int(iters) // 3)
-    x, trace_a = ascend(cached_objective(forward, make_backward({"beta"})),
-                        x0, warm)
-    x, trace_b = ascend(cached_objective(forward, make_backward(())), x,
-                        int(iters) - warm)
-    trace = np.concatenate([trace_a, trace_b[1:]])
+    x, traces = x0, []
+    for phase, budget, frozen in (("warm", warm, {"beta"}),
+                                  ("full", int(iters) - warm, ())):
+        objective = CountedObjective(cached_objective(forward,
+                                                      make_backward(frozen)))
+        x, trace = ascend(objective, x, budget)
+        traces.append(trace if not traces else trace[1:])
+        if record is not None:
+            record.append(objective.record(budget, trace, phase=phase))
+    trace = np.concatenate(traces)
     return _layer_state(spec.unpack(x)), trace
 
 

@@ -286,8 +286,9 @@ def load_kle_from_manifest(manifest_path):
     """Rebuild a dataset's ``grid``, ``out_grid``, ``kle`` and ``source``
     from its manifest; ``files`` maps each stored field name (``K`` always
     among them) to its container's path.  Eigenfields that are not one row
-    per eigenvalue and one column per grid cell are a ValueError naming the
-    manifest."""
+    per eigenvalue and one column per grid cell or hold a non-finite entry,
+    and an eigenvalue that is not finite and non-negative, are a ValueError
+    naming the manifest."""
     path, field, get = _read_document(manifest_path, "manifest.json",
                                       DATASET_FORMAT)
     base = os.path.dirname(path)
@@ -299,6 +300,12 @@ def load_kle_from_manifest(manifest_path):
                          f"{fields.shape}, expected ({vals.size}, "
                          f"{grid.n_cells}): one row per eigenvalue, one "
                          "column per grid cell")
+    if not np.isfinite(fields).all():
+        raise ValueError(f"{path}: field 'kle.eigenfields' has a non-finite "
+                         "entry")
+    if not (np.isfinite(vals) & (vals >= 0.0)).all():
+        raise ValueError(f"{path}: field 'kle.eigenvalues' must be finite and "
+                         "non-negative")
     kle = KLExpansion(eigenvalues=vals, eigenfields=fields,
                       mean=field("cov.mean", "a number"), grid=grid)
     return {"grid": grid,

@@ -1,12 +1,29 @@
-"""Full-batch gradient ascent with backtracking line search.
+"""Full-batch L-BFGS ascent with a backtracking line search.
 
-Shared by every trainer in the library.  Steps are only accepted when they
-satisfy a (weak) Armijo increase condition with constant ``ARMIJO``, so the
-recorded objective trace is nondecreasing.  The first step tried is
-``STEP0``; a rejected trial is scaled by ``SHRINK`` until it falls below
-``MIN_STEP``, and an accepted step, scaled by ``GROW`` and capped at
-``MAX_STEP``, is the next iteration's first trial.  Every trainer uses these
-constants.
+Shared by every trainer in the library.  :func:`ascend` maximizes f by
+quasi-Newton steps (Liu & Nocedal 1989, Math. Programming 45):
+
+* **Direction.**  The first trial direction is g/|g|.  After that it is
+  the two-loop L-BFGS direction H g over the last ``MEMORY`` curvature
+  pairs (s, y), with s the accepted step, y = g_old - g_new and the
+  initial scale s.y / y.y of the newest pair.  A pair whose
+  s.y <= ``CURVATURE`` |s| |y| is not kept, so H stays positive definite.
+* **Line search.**  The unit step is tried first and shrunk until the
+  trial passes the Armijo test f(x + t d) >= f + ``ARMIJO`` t g.d, so the
+  recorded objective trace is nondecreasing.  A rejected trial's step is
+  replaced by the maximizer of the quadratic through f, g.d and the
+  trial's value, kept within ``SHRINK_FLOOR`` and ``SHRINK`` times the
+  step (Nocedal & Wright 2006, sec. 3.5), so a search needs fewer trials
+  than plain halving; a trial whose value is not finite halves the step.
+  The search gives up below ``MIN_STEP``.  When the search along the
+  L-BFGS direction fails, the memory is cleared and the search is tried
+  once more along g/|g|; when that fails too, the ascent stops.
+* **Stop rule.**  The ascent also stops after an accepted step that gains
+  at most ``FTOL`` times the total gain since x0.  The test is relative to
+  the bound's own progress, so it does not depend on the bound's additive
+  constants, and it keeps the ascent from spending its budget on steps of
+  no consequence near the optimum.  ``iters`` is therefore a budget of
+  accepted steps, which an ascent need not use up.
 
 Each trainer writes its objective as two halves: ``forward(x) -> (f, state)``
 computes the value and keeps what the gradient needs (Gram matrices, their
@@ -18,6 +35,8 @@ at the trial it accepts, so the callable keeps the last point's forward
 state: a gradient request at that same point runs only the backward.  Every
 accepted step thus costs one forward, not two, and the arithmetic, hence
 every value, gradient and trajectory, is the same as recomputing it.
+:class:`CountedObjective` wraps that callable to count its value and
+gradient evaluations, which each trainer records for every ascent.
 
 Every trainer lays out its parameter vector with one :class:`BlockSpec`.
 ``pack`` takes the blocks' values by name, ``unpack`` returns them by name,
@@ -27,11 +46,12 @@ with zeros for the blocks a trainer holds fixed.
 
 from __future__ import annotations
 
+import collections
 import math
 
 import numpy as np
 
-__all__ = ["BlockSpec", "ascend", "cached_objective"]
+__all__ = ["BlockSpec", "CountedObjective", "ascend", "cached_objective"]
 
 # failures of a trial point that mean "outside the feasible region": the
 # objective there is -inf and the line search shrinks its step.
@@ -40,13 +60,17 @@ __all__ = ["BlockSpec", "ascend", "cached_objective"]
 # maps this same tuple to its numeric-failure exit code
 _NUMERICAL_FAILURES = (np.linalg.LinAlgError, FloatingPointError, OverflowError)
 
-# line-search constants of :func:`ascend`
-STEP0 = 0.1
+# constants of :func:`ascend`: the curvature pairs the L-BFGS direction
+# keeps; the line search's largest and smallest factor between trials, its
+# smallest step and its Armijo constant; the least s.y / (|s| |y|) of a
+# kept pair; and the relative gain that ends the ascent
+MEMORY = 10
 SHRINK = 0.5
-GROW = 1.3
-MAX_STEP = 1e3
+SHRINK_FLOOR = 0.1
 MIN_STEP = 1e-14
 ARMIJO = 1e-4
+CURVATURE = 1e-10
+FTOL = 2.2e-9
 
 
 class BlockSpec:
@@ -130,15 +154,89 @@ def cached_objective(forward, backward):
     return value_and_grad
 
 
+class CountedObjective:
+    """A ``value_and_grad`` that counts its value-only and its gradient
+    evaluations, so a trainer can record what each ascent cost."""
+
+    def __init__(self, value_and_grad):
+        self.value_and_grad = value_and_grad
+        self.value_evals = self.grad_evals = 0
+
+    def __call__(self, x, need_grad=True):
+        if need_grad:
+            self.grad_evals += 1
+        else:
+            self.value_evals += 1
+        return self.value_and_grad(x, need_grad)
+
+    def record(self, budget, trace, **labels):
+        """``labels`` plus this ascent's budget, accepted steps and the two
+        counts, for a model's training record."""
+        return dict(labels, budget=int(budget), accepted=len(trace) - 1,
+                    value_evals=self.value_evals, grad_evals=self.grad_evals)
+
+
+def _lbfgs_direction(g, pairs):
+    """The two-loop L-BFGS ascent direction H g (Nocedal & Wright, Alg. 7.4).
+
+    ``pairs`` holds ``(s, y, 1/s.y)`` oldest first, with s the accepted step
+    and y = g_old - g_new, the curvature pair of -f; H's initial scale is
+    s.y / y.y of the newest pair.
+    """
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * float(np.dot(s, q))
+        q -= alpha * y
+        alphas.append(alpha)
+    _, y, rho = pairs[-1]
+    d = q / (rho * float(np.dot(y, y)))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        d += (alpha - rho * float(np.dot(y, d))) * s
+    return d
+
+
+def _search(value_and_grad, x, f, d, slope):
+    """Armijo backtracking along the ascent direction ``d`` with slope
+    ``slope`` = g.d > 0: the first ``(x + t d, f there)`` from t = 1 down to
+    MIN_STEP whose value rises by at least ARMIJO t slope, or None.
+
+    After a rejected trial the next t is the maximizer of the quadratic
+    through f, the slope and the trial's value, kept within
+    [SHRINK_FLOOR t, SHRINK t]; after a trial whose value is not finite it
+    is SHRINK t.  Trials are value-only; ``f`` and ``slope`` are floats.
+    """
+    t = 1.0
+    while t >= MIN_STEP:
+        x_new = x + t * d
+        f_new = float(value_and_grad(x_new, False)[0])
+        if f_new >= f + ARMIJO * t * slope:     # False for a NaN
+            return x_new, f_new
+        # the quadratic's curvature is -excess / t^2: concave when the trial
+        # falls short of the linear model, as every finite rejected one does
+        # unless rounding hides the difference
+        excess = f + slope * t - f_new
+        if math.isfinite(f_new) and excess > 0.0:
+            t = min(max(0.5 * slope * t * t / excess, SHRINK_FLOOR * t),
+                    SHRINK * t)
+        else:
+            t *= SHRINK
+    return None
+
+
 def ascend(value_and_grad, x0, iters):
-    """Maximize ``f`` given ``value_and_grad(x, need_grad) -> (f, g or None)``.
+    """Maximize ``f`` given ``value_and_grad(x, need_grad) -> (f, g or None)``
+    by L-BFGS with a backtracking line search.
 
     Line-search trial points are evaluated with ``need_grad=False`` so that
     implementations can skip the expensive backward pass there; the gradient
     is then requested at the accepted trial point, which
-    :func:`cached_objective` serves from that trial's forward.  When that
-    gradient fails (``g`` is None), the ascent stops at the accepted point
-    with the line search's value for it.
+    :func:`cached_objective` serves from that trial's forward.  The ascent
+    stops early when no trial along the gradient passes the line search,
+    when the gradient is zero, when an accepted step gains at most FTOL of
+    the total gain since x0, or when the gradient at the accepted point
+    fails (``g`` is None): then it ends there, with the line search's value
+    for it.
 
     Parameters
     ----------
@@ -154,32 +252,35 @@ def ascend(value_and_grad, x0, iters):
     f, g = value_and_grad(x, True)
     if not np.isfinite(f):
         raise FloatingPointError("objective not finite at the initial point")
-    trace = [float(f)]
-    step = STEP0
+    f = float(f)
+    trace = [f]
+    pairs = collections.deque(maxlen=MEMORY)
     for _ in range(int(iters)):
-        gnorm_sq = float(np.dot(g, g))
-        if gnorm_sq == 0.0:
+        gnorm = math.sqrt(float(np.dot(g, g)))
+        if gnorm == 0.0:
             break
-
-        def search(s):
-            while s >= MIN_STEP:
-                x_new = x + s * g
-                f_new, _ = value_and_grad(x_new, False)
-                if np.isfinite(f_new) and f_new >= f + ARMIJO * s * gnorm_sq:
-                    return s, x_new, f_new
-                s *= SHRINK
-            return None
-
-        accepted = search(step)
-        if accepted is None and step < STEP0:
-            # the carried step may have shrunk past a rough patch; retry fresh
-            accepted = search(STEP0)
+        accepted = None
+        if pairs:
+            d = _lbfgs_direction(g, pairs)
+            slope = float(np.dot(g, d))
+            if slope > 0.0:
+                accepted = _search(value_and_grad, x, f, d, slope)
+            if accepted is None:
+                pairs.clear()   # the curvature misled: restart from g
+        if accepted is None:
+            accepted = _search(value_and_grad, x, f, g / gnorm, gnorm)
         if accepted is None:
             break
-        step_acc, x, f = accepted
-        _, g = value_and_grad(x, True)
-        trace.append(float(f))
-        if g is None:
-            break       # no gradient at the accepted point: stop there
-        step = min(step_acc * GROW, MAX_STEP)
+        x_new, f_new = accepted
+        _, g_new = value_and_grad(x_new, True)
+        trace.append(f_new)
+        gain = f_new - f
+        s, x, f = x_new - x, x_new, f_new
+        if g_new is None or gain <= FTOL * (f - trace[0]):
+            break
+        y = g - g_new
+        sy = float(np.dot(s, y))
+        if sy > CURVATURE * np.linalg.norm(s) * np.linalg.norm(y):
+            pairs.append((s, y, 1.0 / sy))
+        g = g_new
     return x, np.asarray(trace)

@@ -48,6 +48,36 @@ def recomputing_objective(forward, backward):
     return value_and_grad
 
 
+def spy_ascend(mp, module, runs=None, forwards=None):
+    """Record each ``module.ascend`` call's result and its counts in
+    ``runs`` (a new list unless given), and return that list.
+
+    The counts follow the benchmark tracer's protocol: every call of the
+    objective is a value or a gradient evaluation by its ``need_grad``.
+    ``forwards``, a one-item list, is a forward counter the caller keeps.
+    """
+    runs = [] if runs is None else runs
+    real = module.ascend
+
+    def spied(value_and_grad, x0, iters):
+        counts = {"value_evals": 0, "grad_evals": 0}
+
+        def counted(x, need_grad=True):
+            counts["grad_evals" if need_grad else "value_evals"] += 1
+            return value_and_grad(x, need_grad)
+
+        start = forwards[0] if forwards else 0
+        x, trace = real(counted, x0, iters)
+        counts["accepted"] = len(trace) - 1
+        counts["forwards"] = (forwards[0] if forwards else 0) - start
+        runs.append({"x0": np.array(x0), "x": x, "trace": trace,
+                     "budget": iters, **counts})
+        return x, trace
+
+    mp.setattr(module, "ascend", spied)
+    return runs
+
+
 # Hand-indexed parameter codecs: each trainer's vector layout written out
 # position by position, the reference for the optimize.BlockSpec layouts of
 # gplvm.train_gplvm and deepgp.train_deep.

@@ -7,7 +7,7 @@ import scipy.optimize
 import scipy.spatial.distance
 from scipy.linalg.lapack import dpotrf, dtrtri
 
-from dgpuq import cli, deepgp, io
+from dgpuq import cli, deepgp, gplvm, io
 from dgpuq.kernels import (RBFParams, ARDParams, gram, chol_psd,
                            DimensionMismatchError)
 from dgpuq.gplvm import (VariationalLatent, InducingSet, LayerState, layer_bound,
@@ -21,7 +21,7 @@ from dgpuq.rng import rng_for
 from helpers import (mc_phi_oracle, loop_phi_forward, loop_first_latent_forward,
                      loop_first_latent_grads, two_gram_predict, exact_gp_chol,
                      exact_gp_model, dense_gp_logml, one_realization,
-                     predict_one_set)
+                     predict_one_set, spy_ascend)
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -282,6 +282,98 @@ class TestTrainDeep:
         mu_d, _ = predict(model, Xte)
         rmse_d = float(np.sqrt(np.mean((mu_d - Yte) ** 2)))
         assert rmse_d <= 1.1 * rmse_gp
+
+    def test_one_layer_fit_stops_well_inside_its_budget(self, monkeypatch):
+        # the fit above: 150 greedy and 300 joint steps of budget, most of
+        # which the relative-gain stop leaves unused
+        runs = []
+        for module in (gplvm, deepgp):
+            spy_ascend(monkeypatch, module, runs)
+        X, Y, _, _ = benchmark_1d()
+        train_deep(X, Y, dims=[1], m_inducing=[50], iters=300, seed=0)
+        assert len(runs) == 3
+        assert sum(r["value_evals"] for r in runs) <= 300
+
+    def test_optimizer_record_lists_every_ascent_and_reloads(self, monkeypatch,
+                                                             tmp_path):
+        runs = []
+        for module in (gplvm, deepgp):
+            spy_ascend(monkeypatch, module, runs)
+        X, Y, _, _ = benchmark_1d(seed=8, n=20)
+        model = train_deep(X, np.hstack([Y, Y ** 2]), dims=[2, 2],
+                           m_inducing=[5, 5], iters=7, seed=2, init_iters=12)
+        io.save_model(tmp_path, model)
+        record = io.load_model(tmp_path).training_meta["optimizer"]
+        # the greedy stack fits layer 2 first; each fit's warm phase holds
+        # beta for min(50, init_iters // 3) steps
+        assert [(r["phase"], r.get("layer"), r["budget"]) for r in record] == [
+            ("greedy warm", 2, 4), ("greedy full", 2, 8),
+            ("greedy warm", 1, 4), ("greedy full", 1, 8), ("joint", None, 7)]
+        keys = ("budget", "accepted", "value_evals", "grad_evals")
+        assert [{k: r[k] for k in keys} for r in record] == [
+            {k: r[k] for k in keys} for r in runs]
+
+    @pytest.mark.parametrize("phase, quantity", [
+        ("greedy fit", "sigma_h_sq"), ("greedy fit", "largest ARD weight"),
+        ("joint phase", "sigma_h_sq"), ("joint phase", "largest ARD weight")])
+    def test_degenerate_layer_raises_naming_it(self, monkeypatch, phase,
+                                               quantity):
+        X, Y, _, _ = benchmark_1d(seed=8, n=20)
+        Y = np.hstack([Y, Y ** 2])
+        fit = dict(dims=[2, 2], m_inducing=[5, 5], iters=5, seed=2,
+                   init_iters=9)
+        if phase == "greedy fit":
+            # layer 2 is fitted first
+            real = deepgp.train_gplvm
+
+            def collapsing(*args, **kwargs):
+                layer, trace = real(*args, **kwargs)
+                k = layer.kernel
+                layer.kernel = (
+                    ARDParams(1e-12 * k.sigma_h_sq, k.weights)
+                    if quantity == "sigma_h_sq"
+                    else ARDParams(k.sigma_h_sq, 1e-12 * k.weights))
+                return layer, trace
+
+            monkeypatch.setattr(deepgp, "train_gplvm", collapsing)
+        else:
+            # the joint phase's parameter layout, from a fit of the same shape
+            spec = deepgp._layout(train_deep(X, Y, **fit))[0]
+            name = {"sigma_h_sq": "sigma_h_sq1",
+                    "largest ARD weight": "weights1"}[quantity]
+            real = deepgp.ascend
+
+            def collapsing(value_and_grad, x0, iters):
+                x, trace = real(value_and_grad, x0, iters)
+                values = spec.unpack(x)
+                values[name] = 1e-12 * values[name]
+                return spec.pack(values), trace
+
+            monkeypatch.setattr(deepgp, "ascend", collapsing)
+        with pytest.raises(FloatingPointError,
+                           match=f"layer 2 degenerated in the {phase}: its "
+                                 f"{quantity} fell from .* below 1e-06 of "
+                                 "its start"):
+            train_deep(X, Y, **fit)
+
+    def test_bound_not_finite_at_the_joint_start_raises_naming_the_layer(
+            self, monkeypatch):
+        # beta ** 2 overflows in layer 1's bound, the first the joint
+        # bound evaluates after the input layer
+        real = deepgp.train_gplvm
+
+        def noiseless(*args, **kwargs):
+            layer, trace = real(*args, **kwargs)
+            layer.beta = 1e200
+            return layer, trace
+
+        monkeypatch.setattr(deepgp, "train_gplvm", noiseless)
+        X, Y, _, _ = benchmark_1d(seed=8, n=20)
+        with pytest.raises(FloatingPointError,
+                           match="the joint bound is not finite at its start: "
+                                 "layer 1: "):
+            train_deep(X, np.hstack([Y, Y ** 2]), dims=[2, 2],
+                       m_inducing=[5, 5], iters=5, seed=2, init_iters=9)
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError, match="two training points"):

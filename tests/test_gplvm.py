@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,23 @@ class TestPhiMatrixForms:
                               0.5 * (W2 + W2.T), 0.3)
         for key in g:
             assert max_rel_err(g[key], g_sym[key]) <= 1e-13, key
+
+    def test_backward_at_huge_variances_is_finite_without_a_warning(self):
+        # gam = w S + 1 and rho = 2 w S + 1 near 1e160: their squares
+        # overflow, so the backward must not form them
+        rng = np.random.default_rng(10)
+        n, q, m = 5, 2, 3
+        kern = ARDParams(1.0, np.ones(q))
+        means = rng.normal(size=(n, q))
+        variances = np.full((n, q), 1e160)
+        Z = rng.normal(size=(m, q))
+        W1, W2 = rng.normal(size=(n, m)), rng.normal(size=(m, m))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, phi1, T, _ = _phi_forward(kern, means, variances, Z)
+            g = _phi_backward(kern, means, variances, Z, phi1, T, W1, W2, 0.3)
+        for key, value in g.items():
+            assert np.all(np.isfinite(value)), key
 
 
 class TestElboLayer:

@@ -14,6 +14,7 @@ import pytest
 import dgpuq
 from dgpuq import io
 from dgpuq.deepgp import train_deep, predict
+from dgpuq.kernels import ARDParams
 from dgpuq.rng import rng_for, MC_BASELINE_STREAM
 from helpers import one_realization
 
@@ -686,6 +687,36 @@ class TestCli:
         doc = json.loads((tmp_path / "m" / "model.json").read_text())
         assert len(doc["training"]["elbo_trace"]) == 1
 
+    @pytest.mark.parametrize("broken, message", [
+        ("sigma_h_sq", "layer 2 degenerated in the greedy fit: its sigma_h_sq "
+                       "fell from "),
+        ("beta", "the joint bound is not finite at its start: layer 1: ")],
+        ids=["collapsed-greedy-layer", "bound-not-finite-at-joint-start"])
+    def test_train_of_a_degenerate_layer_exits_3_naming_it(
+            self, desk_dataset, tmp_path, capsys, monkeypatch, broken,
+            message):
+        from dgpuq import cli, deepgp
+        real = deepgp.train_gplvm
+
+        def breaking(*args, **kwargs):
+            layer, trace = real(*args, **kwargs)
+            if broken == "beta":
+                layer.beta = 1e200
+            else:
+                layer.kernel = ARDParams(1e-12 * layer.kernel.sigma_h_sq,
+                                         layer.kernel.weights)
+            return layer, trace
+
+        monkeypatch.setattr(deepgp, "train_gplvm", breaking)
+        code = cli.main(["train", "--data", str(desk_dataset), "--dims", "2,2",
+                         "--inducing", "4,4", "--iters", "2",
+                         "--init-iters", "3", "--out", str(tmp_path / "m")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"numeric failure: {message}")
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "m").exists()
+
     def test_train_takes_its_layer_count_from_dims(self, desk_dataset,
                                                    tmp_path, capsys):
         from dgpuq import cli
@@ -848,6 +879,36 @@ class TestCli:
                          "--out", str(tmp_path / "mc")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "mc").exists()
+
+    @pytest.mark.parametrize("name, index, bad, field, what", [
+        ("kle_eigenfields", (3, 40), np.nan, "eigenfields", "has a non-finite"),
+        ("kle_eigenfields", (0, 0), -np.inf, "eigenfields", "has a non-finite"),
+        ("kle_eigenvalues", (0, 2), np.nan, "eigenvalues", "must be finite"),
+        ("kle_eigenvalues", (0, 9), np.inf, "eigenvalues", "must be finite"),
+        ("kle_eigenvalues", (0, 5), -1e-3, "eigenvalues", "must be finite")],
+        ids=["nan-field", "inf-field", "nan-value", "inf-value",
+             "negative-value"])
+    def test_non_finite_kle_names_the_manifest(self, desk_dataset, tmp_path,
+                                               capsys, name, index, bad, field,
+                                               what):
+        from dgpuq import cli
+        data = tmp_path / "d"
+        shutil.copytree(desk_dataset, data)
+        M = io.read_matrix(data / f"{name}.dgpm")
+        M[index] = bad
+        io.write_matrix(data / f"{name}.dgpm", M)
+        message = f"{data / 'manifest.json'}: field 'kle.{field}' {what}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            io.load_kle_from_manifest(data)
+        save_tiny_model(tmp_path / "m")
+        for argv in (["mc-baseline", "--kle-manifest", str(data), "--n", "2"],
+                     ["uq", "--model", str(tmp_path / "m"), "--kle-manifest",
+                      str(data), "--inner", "2", "--repeats", "2"],
+                     ["train", "--data", str(data), "--dims", "2",
+                      "--inducing", "4", "--iters", "2", "--init-iters", "3"]):
+            assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {message}")
+            assert not (tmp_path / "out").exists()
 
     def test_uq_on_a_manifest_of_another_grid_exits_2(self, desk_dataset,
                                                         tmp_path):

@@ -9,9 +9,9 @@ from dgpuq import deepgp, gplvm, optimize
 from dgpuq.kernels import ARDParams
 from dgpuq.optimize import BlockSpec, ascend, cached_objective
 from dgpuq.rng import rng_for
-from helpers import (recomputing_objective, hand_gplvm_pack, hand_gplvm_unpack,
-                     hand_gplvm_grad, hand_pack_params, hand_unpack_params,
-                     hand_grad_vector)
+from helpers import (recomputing_objective, spy_ascend, hand_gplvm_pack,
+                     hand_gplvm_unpack, hand_gplvm_grad, hand_pack_params,
+                     hand_unpack_params, hand_grad_vector)
 
 
 class _State:
@@ -174,7 +174,8 @@ Y = np.column_stack([np.sin(2.0 * np.pi * X[:, 0]), X[:, 0] * X[:, 1],
                      np.cos(np.pi * X[:, 1])]) + 0.05 * _rng.standard_normal((24, 3))
 
 # module whose ascend runs the objective, the functions each of which marks
-# one forward of an objective that ascend runs, and a small training run;
+# one forward of an objective that ascend runs, and a small training run
+# whose line searches reject some trial (60 joint steps for deepgp);
 # deepgp.ascend runs only train_deep's joint phase: its greedy GP-LVM fits
 # ascend through gplvm.ascend
 TRAINERS = {
@@ -182,35 +183,8 @@ TRAINERS = {
               lambda: gplvm.train_gplvm(Y, 2, 8, iters=30, seed=1)),
     "deepgp": (deepgp, ("_first_latent_forward",),
                lambda: deepgp.train_deep(X, Y, dims=[2, 2], m_inducing=[8, 8],
-                                         iters=12, init_iters=20, seed=1)),
+                                         iters=60, init_iters=20, seed=1)),
 }
-
-
-def _spy_ascend(mp, module, forwards=None):
-    """Record each ``module.ascend`` call's result and its counts.
-
-    The counts follow the benchmark tracer's protocol: every call of the
-    objective is a value or a gradient evaluation by its ``need_grad``.
-    """
-    runs = []
-    real = module.ascend
-
-    def spied(value_and_grad, x0, *args, **kwargs):
-        counts = {"value_evals": 0, "grad_evals": 0}
-
-        def counted(x, need_grad=True):
-            counts["grad_evals" if need_grad else "value_evals"] += 1
-            return value_and_grad(x, need_grad)
-
-        start = forwards[0] if forwards else 0
-        x, trace = real(counted, x0, *args, **kwargs)
-        counts["accepted"] = len(trace) - 1
-        counts["forwards"] = (forwards[0] if forwards else 0) - start
-        runs.append({"x0": np.array(x0), "x": x, "trace": trace, **counts})
-        return x, trace
-
-    mp.setattr(module, "ascend", spied)
-    return runs
 
 
 @pytest.mark.parametrize("name", list(TRAINERS))
@@ -219,7 +193,7 @@ def test_trajectory_matches_recomputing_reference(monkeypatch, name):
     results = {}
     for reference in (False, True):
         with monkeypatch.context() as mp:
-            runs = _spy_ascend(mp, module)
+            runs = spy_ascend(mp, module)
             if reference:
                 mp.setattr(module, "cached_objective", recomputing_objective)
             train()
@@ -243,7 +217,7 @@ def test_one_forward_per_value_evaluation(monkeypatch, name):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(module, forward_name, counted_forward)
-    runs = _spy_ascend(monkeypatch, module, forwards)
+    runs = spy_ascend(monkeypatch, module, forwards=forwards)
     train()
     assert runs
     for r in runs:
@@ -266,7 +240,7 @@ def test_trainer_gradient_after_a_changed_point_is_fresh(monkeypatch, name):
         return real(forward, backward)
 
     with monkeypatch.context() as mp:
-        runs = _spy_ascend(mp, module)
+        runs = spy_ascend(mp, module)
         mp.setattr(module, "cached_objective", capturing)
         train()
     forward, backward = pairs[-1]
@@ -429,22 +403,93 @@ class TestAscendStops:
         assert vg.counts() == (0, 1)
 
     def test_no_armijo_step_stops_at_the_last_accepted_point(self):
-        # a tent with its peak at 0.1: the first trial, STEP0 along g = 1,
-        # lands on the peak; every later trial falls on the far slope
-        assert optimize.STEP0 == 0.1
-        vg = Logged(lambda x: (float(x[0]), np.ones(1)) if x[0] <= 0.1
-                    else (0.2 - float(x[0]), -np.ones(1)))
+        # a tent with its peak at 1: the first trial, the unit step along
+        # g/|g| = 1, lands on the peak; every later trial falls on the far
+        # slope
+        vg = Logged(lambda x: (float(x[0]), np.ones(1)) if x[0] <= 1.0
+                    else (2.0 - float(x[0]), -np.ones(1)))
         x, trace = ascend(vg, np.zeros(1), 5)
-        np.testing.assert_array_equal(x, [0.1])
-        np.testing.assert_array_equal(trace, [0.0, 0.1])
+        np.testing.assert_array_equal(x, [1.0])
+        np.testing.assert_array_equal(trace, [0.0, 1.0])
         assert np.all(np.diff(trace) >= 0.0)
-        # the carried step (STEP0 grown once) halves until it is below
-        # MIN_STEP; none of those trials is retried from STEP0
-        steps, s = [], optimize.STEP0 * optimize.GROW
+        # the gradient did not change, so no curvature pair is kept: the
+        # next search runs along g/|g| again from the unit step.  The
+        # quadratic through f = 1, slope 1 and f(1 + t) = 1 - t peaks at
+        # t/4, so each trial quarters the step until it is below MIN_STEP,
+        # and the search is not retried
+        steps, s = [], 1.0
         while s >= optimize.MIN_STEP:
             steps.append(s)
-            s *= optimize.SHRINK
+            s /= 4.0
         trials = [x[0] for x, need in vg.calls[3:]]
-        assert trials == [0.1 + s for s in steps]
+        assert trials == [1.0 + s for s in steps]
         assert vg.counts() == (1 + len(steps), 2)
-        assert len(steps) == 44
+        assert len(steps) == 24
+
+    def test_trial_that_is_not_finite_halves_the_step(self):
+        # f(x) = x up to 0.3 and -inf beyond: no quadratic to fit, so the
+        # unit step halves until the trial is feasible
+        vg = Logged(lambda x: (float(x[0]) if x[0] <= 0.3 else -np.inf,
+                               np.ones(1)))
+        x, trace = ascend(vg, np.zeros(1), 1)
+        assert [x[0] for x, need in vg.calls if not need] == [1.0, 0.5, 0.25]
+        np.testing.assert_array_equal(x, [0.25])
+        np.testing.assert_array_equal(trace, [0.0, 0.25])
+
+    def test_failed_quasi_newton_search_restarts_along_the_gradient(self):
+        # f = -(x - c).A.(x - c), and -inf beyond the line through the first
+        # accepted point x1 with normal n = (-1, 4).  The L-BFGS direction
+        # at x1 (19 degrees) points across that line and the gradient (9
+        # degrees) does not, so every L-BFGS trial is infeasible and halves
+        # the step down to MIN_STEP; the memory is then cleared and the
+        # unit step along g/|g| is taken
+        A, c, n = np.diag([1.0, 10.0]), np.array([3.0, 1.0]), np.array([-1.0, 4.0])
+        g0 = 2.0 * A @ c
+        x1 = g0 / np.sqrt(g0 @ g0)
+
+        def fn(x):
+            if (x - x1) @ n > 0.0:
+                return -np.inf, None
+            return -float((x - c) @ A @ (x - c)), -2.0 * A @ (x - c)
+
+        vg = Logged(fn)
+        x, trace = ascend(vg, np.zeros(2), 2)
+        trials = [(z, fn(z)[0]) for z, need in vg.calls[3:] if not need]
+        halvings = int(np.floor(np.log2(1.0 / optimize.MIN_STEP))) + 1
+        assert len(trials) == halvings + 1
+        assert all(f == -np.inf for _, f in trials[:-1])
+        g1 = fn(x1)[1]
+        np.testing.assert_array_equal(trials[-1][0], x1 + g1 / np.sqrt(g1 @ g1))
+        np.testing.assert_array_equal(x, trials[-1][0])
+        np.testing.assert_array_equal(trace, [fn(z)[0] for z in
+                                              (np.zeros(2), x1, x)])
+
+    def test_quadratic_converges_within_a_few_dozen_steps(self):
+        # f = b.x - x.A.x/2 in 20 dimensions, A of condition 1e2 in a random
+        # basis: L-BFGS stops by its own rule near the maximizer A^-1 b,
+        # well inside its budget
+        rng = np.random.default_rng(0)
+        Q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+        A = (Q * np.logspace(0.0, 2.0, 20)) @ Q.T
+        b = rng.standard_normal(20)
+        x_star = np.linalg.solve(A, b)
+        vg = Logged(lambda x: (float(b @ x - 0.5 * x @ A @ x), b - A @ x))
+        x, trace = ascend(vg, np.zeros(20), 200)
+        assert len(trace) - 1 <= 60
+        assert np.all(np.diff(trace) >= 0.0)
+        assert np.linalg.norm(x - x_star) <= 1e-4 * np.linalg.norm(x_star)
+
+    def test_step_of_negligible_gain_stops_the_ascent(self):
+        # a smooth concave f: the gains shrink as the steps close in on the
+        # maximizer c, and the ascent stops after the first whose gain is
+        # at most FTOL of the total, long before its budget
+        c = np.array([1.0, -2.0])
+        vg = Logged(lambda x: (-float(np.sum(np.cosh(x - c))),
+                               -np.sinh(x - c)))
+        x, trace = ascend(vg, np.zeros(2), 1000)
+        gains = np.diff(trace)
+        total = trace - trace[0]
+        assert len(trace) - 1 < 100
+        assert gains[-1] <= optimize.FTOL * total[-1]
+        assert np.all(gains[:-1] > optimize.FTOL * total[1:-1])
+        np.testing.assert_allclose(x, c, atol=1e-4)
