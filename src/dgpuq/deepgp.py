@@ -551,7 +551,8 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0,
     lists every ascent in the order it ran, each greedy fit's warm and full
     phases (``"greedy warm"``, ``"greedy full"``, with its ``layer``)
     and then the ``"joint"`` phase, with its budget, accepted steps, value
-    evaluations and gradient evaluations.  Raises FloatingPointError,
+    evaluations, gradient evaluations and why it stopped
+    (:meth:`optimize.CountedObjective.record`).  Raises FloatingPointError,
     naming the layer, when a greedy fit or the joint phase leaves a layer's
     sigma_h_sq or largest ARD weight below DEGENERATE of its greedy start,
     and when the joint bound is not finite at its start.
@@ -648,7 +649,7 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0,
 # ---------------------------------------------------------------------------
 
 def _layer_factors(model: DeepGPModel, t):
-    """Sparse layer t's named factors V, Dmat and B from one layer bound."""
+    """Sparse layer t's named factors V and B from one layer bound."""
     layer = model.hidden_layers[t]
     # the means that the layer maps to: the next latent's, or Y
     outputs = (model.hidden_layers[t + 1].latent.means
@@ -656,17 +657,15 @@ def _layer_factors(model: DeepGPModel, t):
     _, cache = layer_bound(layer.kernel, layer.beta, layer.latent,
                            layer.inducing.inputs, outputs)
     V = layer.beta * cache.AinvM                     # (m, nu)
-    Dmat = cache.Kuu_inv - cache.A_inv               # PSD: posterior shrinkage
-    # Dmat = Lk^-T (I - Aw^-1) Lk^-1 = B B^T with B = Lk^-T Q diag(1 - 1/a)^1/2
-    # for Aw = Q diag(a) Q^T: a joint draw subtracts (Ksu B)(Ksu B)^T from
-    # Kss, which stays positive semi-definite to rounding.  Kss - Ksu Dmat Kus
-    # lost that by up to 1.5e-3 of its mean diagonal on a layer with
-    # sigma_h_sq = 1.5e8, beyond chol_psd's jitter
+    # the posterior shrinkage Kuu^-1 - A^-1 = Lk^-T (I - Aw^-1) Lk^-1 is B B^T
+    # with B = Lk^-T Q diag(1 - 1/a)^1/2 for Aw = Q diag(a) Q^T.  Clipping
+    # 1 - 1/a at 0 keeps B B^T PSD to rounding; the difference of the two
+    # inverses is indefinite once Phi2's roundoff meets an ill-conditioned Kuu
     a, Q = np.linalg.eigh(cache.Aw)
     B = _lapack_checked(dtrtrs, cache.L_K,
                         Q * np.sqrt(np.clip(1.0 - 1.0 / a, 0.0, None)),
                         lower=1, trans=1)
-    return {f"layer{t}_V": V, f"layer{t}_Dmat": Dmat, f"layer{t}_B": B}
+    return {f"layer{t}_V": V, f"layer{t}_B": B}
 
 
 def prediction_factors(model: DeepGPModel) -> dict:
@@ -674,8 +673,8 @@ def prediction_factors(model: DeepGPModel) -> dict:
     the parameters, by name: the first latent's lower Cholesky factor of C
     (``input_chol``, n x n) and its training rows' weighted norms
     (``input_norms``, 1 x n), then per sparse layer t the mean weights
-    ``layer{t}_V`` (m x nu), ``layer{t}_Dmat`` (m x m) and its factor
-    ``layer{t}_B`` (Dmat = B B^T).
+    ``layer{t}_V`` (m x nu) and ``layer{t}_B`` (m x m), the factor of the
+    posterior shrinkage: Kuu^-1 - A^-1 = B B^T.
 
     They are ``model._pred_cache`` itself, empty or complete: a non-empty
     cache is returned as it is, and a build stores its factors only once
@@ -713,8 +712,7 @@ def check_model_array_names(names, dims):
         params.update({f"Hu{t}": (m, q), f"sigma_h_sq{t}": (),
                        f"weights{t}": (q,), f"beta{t}": (),
                        f"means{t}": ("n", q), f"variances{t}": ("n", q)})
-        factors.update({f"layer{t}_V": (m, q_out), f"layer{t}_Dmat": (m, m),
-                        f"layer{t}_B": (m, m)})
+        factors.update({f"layer{t}_V": (m, q_out), f"layer{t}_B": (m, m)})
     shapes = params.keys() | factors.keys()
     for name in sorted(shapes ^ set(names)):
         raise ValueError(f"model array {name!r} is missing" if name in shapes
@@ -818,7 +816,8 @@ def propagate(model: DeepGPModel, layer_index: int, qh_prev_star):
     factorized moments of the layer output, the variance including the
     layer noise 1/beta: the marginal of each point, never a covariance
     across points.  The quadratic terms contract the (n*, P) pair form of
-    the Phi2 terms with the pair weights of Dmat and of V V^T per column.
+    the Phi2 terms with the pair weights of B B^T, the posterior shrinkage
+    that a joint draw reads too, and of V V^T per column.
     """
     means, variances = qh_prev_star
     means = np.atleast_2d(np.asarray(means, dtype=float))
@@ -826,7 +825,7 @@ def propagate(model: DeepGPModel, layer_index: int, qh_prev_star):
     factors = prediction_factors(model)
     layer = model.hidden_layers[layer_index]
     kern, at = layer.kernel, f"layer{layer_index}_"
-    V, Dmat = factors[at + "V"], factors[at + "Dmat"]
+    V, B = factors[at + "V"], factors[at + "B"]
     _, phi1, T, _ = _phi_forward(kern, means, np.clip(variances, 1e-300, None),
                                  layer.inducing.inputs)
     m = phi1.shape[1]
@@ -836,7 +835,7 @@ def propagate(model: DeepGPModel, layer_index: int, qh_prev_star):
     VV *= V[ll]
     VV[m:] *= 2.0
     mean = phi1 @ V                                             # (n*, nu)
-    tr_term = T @ _pair_weights(Dmat)                           # <T_t, Dmat>
+    tr_term = T @ _pair_weights(B @ B.T)                        # <T_t, B B^T>
     quad = T @ VV                                               # V'T_t V
     proj = mean * mean
     var = kern.sigma_h_sq - tr_term[:, None] + quad - proj

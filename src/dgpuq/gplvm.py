@@ -24,7 +24,7 @@ standard-normal latent prior, and :func:`train_gplvm` optimizes that model.
 
 The GP-LVM objective is split into a forward and a backward half.
 ``_elbo_forward`` evaluates the bound and returns the layer cache (the Phi
-statistics, the K_uu and A factors and their inverses); ``_elbo_backward``
+statistics and the K_uu and A factors); ``_elbo_backward``
 turns that cache into the gradient blocks.  :func:`train_gplvm` hands them
 to :func:`optimize.cached_objective`, so the gradient at an accepted
 line-search trial reuses that trial's forward.  Its parameter vector is
@@ -338,9 +338,8 @@ class _LayerCache:
     Kuu: np.ndarray
     L_K: np.ndarray           # lower factor of Kuu
     Aw: np.ndarray            # I + beta Lk^-1 Phi2 Lk^-T
+    L_Aw: np.ndarray          # lower factor of Aw
     Kuu_gram: np.ndarray
-    Kuu_inv: np.ndarray
-    A_inv: np.ndarray
     M: np.ndarray             # Phi1^T @ out_means
     AinvM: np.ndarray
     djit: np.ndarray          # d(jitter)/d(Kuu_gram), or None
@@ -368,7 +367,6 @@ def layer_bound(kernel: ARDParams, beta: float, latent: VariationalLatent,
     Hu = np.atleast_2d(np.asarray(Hu, dtype=float))
     out_means = np.atleast_2d(np.asarray(out_means, dtype=float))
     n, nu = out_means.shape
-    m = Hu.shape[0]
     if n != latent.n:
         raise DimensionMismatchError("layer outputs rows", latent.n, n)
     phi0, phi1, T, phi2 = _phi_forward(kernel, latent.means, latent.variances, Hu)
@@ -383,11 +381,6 @@ def layer_bound(kernel: ARDParams, beta: float, latent: VariationalLatent,
     Aw = beta * P2w
     Aw[np.diag_indices_from(Aw)] += 1.0
     L_Aw = np.linalg.cholesky(Aw)
-    Lk_inv = scipy.linalg.solve_triangular(L_K, np.eye(m), lower=True)
-    Aw_inv = scipy.linalg.cho_solve((L_Aw, True), np.eye(m))
-    Kuu_inv = Lk_inv.T @ Lk_inv
-    A_inv = Lk_inv.T @ Aw_inv @ Lk_inv
-    A_inv = 0.5 * (A_inv + A_inv.T)
     M = phi1.T @ out_means
     Mw = scipy.linalg.solve_triangular(L_K, M, lower=True)
     AwinvMw = scipy.linalg.cho_solve((L_Aw, True), Mw)
@@ -404,8 +397,8 @@ def layer_bound(kernel: ARDParams, beta: float, latent: VariationalLatent,
     cache = _LayerCache(kernel=kernel, beta=beta, means=latent.means,
                         variances=latent.variances, Z=Hu, out_means=out_means,
                         out_vars=out_vars, phi1=phi1, T=T, phi2=phi2, Kuu=Kuu,
-                        L_K=L_K, Aw=Aw, Kuu_gram=Kuu_gram, Kuu_inv=Kuu_inv,
-                        A_inv=A_inv, M=M, AinvM=AinvM, djit=djit, value=value)
+                        L_K=L_K, Aw=Aw, L_Aw=L_Aw, Kuu_gram=Kuu_gram, M=M,
+                        AinvM=AinvM, djit=djit, value=value)
     return value, cache
 
 
@@ -420,12 +413,19 @@ def layer_bound_grads(cache: _LayerCache):
     nu = cache.out_means.shape[1]
     n = cache.out_means.shape[0]
     kern = cache.kernel
+    # Kuu^-1 and A^-1 = (Kuu + beta Phi2)^-1 from the bound's two factors
+    eye = np.eye(cache.L_K.shape[0])
+    Lk_inv = scipy.linalg.solve_triangular(cache.L_K, eye, lower=True)
+    Aw_inv = scipy.linalg.cho_solve((cache.L_Aw, True), eye)
+    Kuu_inv = Lk_inv.T @ Lk_inv
+    A_inv = Lk_inv.T @ Aw_inv @ Lk_inv
+    A_inv = 0.5 * (A_inv + A_inv.T)
 
-    W_A = -0.5 * nu * cache.A_inv - 0.5 * beta ** 2 * (cache.AinvM @ cache.AinvM.T)
-    KiP2Ki = cache.Kuu_inv @ cache.phi2 @ cache.Kuu_inv
-    W_phi2 = beta * W_A + 0.5 * beta * nu * cache.Kuu_inv
+    W_A = -0.5 * nu * A_inv - 0.5 * beta ** 2 * (cache.AinvM @ cache.AinvM.T)
+    KiP2Ki = Kuu_inv @ cache.phi2 @ Kuu_inv
+    W_phi2 = beta * W_A + 0.5 * beta * nu * Kuu_inv
     W_phi1 = beta ** 2 * cache.out_means @ cache.AinvM.T
-    W_Kuu = 0.5 * nu * cache.Kuu_inv + W_A - 0.5 * beta * nu * KiP2Ki
+    W_Kuu = 0.5 * nu * Kuu_inv + W_A - 0.5 * beta * nu * KiP2Ki
     w_phi0 = -0.5 * beta * nu
 
     g = _phi_backward(kern, cache.means, cache.variances, cache.Z,
@@ -443,8 +443,8 @@ def layer_bound_grads(cache: _LayerCache):
 
     sum_sq = float(np.sum(cache.out_means ** 2))
     sum_vars = float(np.sum(cache.out_vars)) if cache.out_vars is not None else 0.0
-    tr_AinvPhi2 = float(np.sum(cache.A_inv * cache.phi2))
-    tr_KinvPhi2 = float(np.sum(cache.Kuu_inv * cache.phi2))
+    tr_AinvPhi2 = float(np.sum(A_inv * cache.phi2))
+    tr_KinvPhi2 = float(np.sum(Kuu_inv * cache.phi2))
     tr_MAM = float(np.sum(cache.M * cache.AinvM))
     phi0 = n * kern.sigma_h_sq
     g["beta"] = (0.5 * nu * n / beta

@@ -7,7 +7,7 @@ float64 payload.  Writes and reads round-trip bit-exactly.  Model files,
 dataset manifests and reports are JSON documents whose array fields are
 named references to sibling containers.
 
-A ``dgpuq-model-v3`` model.json holds ``dims``, ``training``, ``numbers``
+A ``dgpuq-model-v4`` model.json holds ``dims``, ``training``, ``numbers``
 (the scalar parameters), ``arrays`` (each other array's name and its
 ``<name>.dgpm`` container) and ``digest``.  The names are
 :func:`deepgp.model_arrays`' own: the training data, the parameters, layer
@@ -18,7 +18,7 @@ container, then reads every container, checks every shape
 (:func:`deepgp.model_from_arrays`) and then the digest, a SHA-256 over
 every number and every container's payload, so a file edited after saving
 is rejected; the loaded model holds all the factors and rebuilds none.  A
-``dgpuq-model-v1`` or ``-v2`` directory must be retrained.
+``dgpuq-model-v1``, ``-v2`` or ``-v3`` directory must be retrained.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ __all__ = [
 MAGIC = b"DGPM1\n"
 # the header line: two decimal counts and the payload's type
 _HEADER = re.compile(rb"(\d+) (\d+) f64le\n")
-MODEL_FORMAT = "dgpuq-model-v3"
+MODEL_FORMAT = "dgpuq-model-v4"
 DATASET_FORMAT = "dgpuq-dataset-v1"
 UQ_REPORT_FORMAT = "dgpuq-uq-v1"
 MC_REPORT_FORMAT = "dgpuq-mc-v1"

@@ -36,7 +36,8 @@ state: a gradient request at that same point runs only the backward.  Every
 accepted step thus costs one forward, not two, and the arithmetic, hence
 every value, gradient and trajectory, is the same as recomputing it.
 :class:`CountedObjective` wraps that callable to count its value and
-gradient evaluations, which each trainer records for every ascent.
+gradient evaluations and to tell which rule stopped the ascent, which each
+trainer records for every ascent.
 
 Every trainer lays out its parameter vector with one :class:`BlockSpec`.
 ``pack`` takes the blocks' values by name, ``unpack`` returns them by name,
@@ -156,24 +157,38 @@ def cached_objective(forward, backward):
 
 class CountedObjective:
     """A ``value_and_grad`` that counts its value-only and its gradient
-    evaluations, so a trainer can record what each ascent cost."""
+    evaluations, so a trainer can record what each ascent cost and why it
+    stopped."""
 
     def __init__(self, value_and_grad):
         self.value_and_grad = value_and_grad
         self.value_evals = self.grad_evals = 0
+        self.last = None    # what the last call served: a stop reason or None
 
     def __call__(self, x, need_grad=True):
         if need_grad:
             self.grad_evals += 1
         else:
             self.value_evals += 1
-        return self.value_and_grad(x, need_grad)
+        f, g = self.value_and_grad(x, need_grad)
+        self.last = ("no step" if not need_grad
+                     else "gradient failed" if g is None
+                     else "zero gradient" if not np.any(g) else None)
+        return f, g
 
     def record(self, budget, trace, **labels):
-        """``labels`` plus this ascent's budget, accepted steps and the two
-        counts, for a model's training record."""
-        return dict(labels, budget=int(budget), accepted=len(trace) - 1,
-                    value_evals=self.value_evals, grad_evals=self.grad_evals)
+        """``labels`` plus this ascent's budget, accepted steps, the two
+        counts and ``stop``, why :func:`ascend` stopped, read from the calls
+        it made: ``"no step"`` when its last call was a line-search trial
+        (every trial of the last search failed), ``"gradient failed"`` or
+        ``"zero gradient"`` when the last gradient was None or all zero,
+        ``"budget"`` when it accepted ``budget`` steps, and else
+        ``"converged"``, the FTOL rule."""
+        accepted = len(trace) - 1
+        stop = self.last or ("budget" if accepted == budget else "converged")
+        return dict(labels, budget=int(budget), accepted=accepted,
+                    value_evals=self.value_evals, grad_evals=self.grad_evals,
+                    stop=stop)
 
 
 def _lbfgs_direction(g, pairs):

@@ -130,7 +130,7 @@ def _realization(model: DeepGPModel, mean, cov, rng) -> np.ndarray:
         try:
             Ksu = gram(values, layer.inducing.inputs, layer.kernel)
             mean = Ksu @ factors[f"layer{t}_V"]
-            U = Ksu @ factors[f"layer{t}_B"]    # Ksu Dmat Kus = U U^T
+            U = Ksu @ factors[f"layer{t}_B"]    # Ksu B B^T Kus = U U^T
             values = _draw_gaussian(
                 mean, downdate(gram(values, values, layer.kernel), U), rng)
         except np.linalg.LinAlgError as exc:

@@ -312,6 +312,8 @@ class TestTrainDeep:
         keys = ("budget", "accepted", "value_evals", "grad_evals")
         assert [{k: r[k] for k in keys} for r in record] == [
             {k: r[k] for k in keys} for r in runs]
+        assert {r["stop"] for r in record} <= {
+            "budget", "converged", "no step", "zero gradient", "gradient failed"}
 
     @pytest.mark.parametrize("phase, quantity", [
         ("greedy fit", "sigma_h_sq"), ("greedy fit", "largest ARD weight"),
@@ -656,7 +658,8 @@ class TestPropagate:
         V = layer.beta * cache.AinvM
         mean_or = Ksu @ V
         var_or = np.empty_like(mean_or)
-        Dmat = cache.Kuu_inv - cache.A_inv
+        Dmat = (np.linalg.inv(cache.Kuu)
+                - np.linalg.inv(cache.Kuu + layer.beta * cache.phi2))
         for i in range(4):
             k = Ksu[i]
             base = layer.kernel.sigma_h_sq - k @ Dmat @ k
@@ -675,12 +678,12 @@ class TestPropagate:
         for t in range(model.n_latents):
             mean, var = propagate(model, t, (means, variances))
             factors = deepgp.prediction_factors(model)
-            V, Dmat = factors[f"layer{t}_V"], factors[f"layer{t}_Dmat"]
+            V, B = factors[f"layer{t}_V"], factors[f"layer{t}_B"]
             layer = model.hidden_layers[t]
             kern = layer.kernel
             _, phi1, T, _ = loop_phi_forward(kern, means, variances,
                                              layer.inducing.inputs)
-            tr_term = np.einsum("tkl,kl->t", T, Dmat)
+            tr_term = np.einsum("tkl,kl->t", T, B @ B.T)
             quad = np.einsum("tkl,kj,lj->tj", T, V, V)
             mean_or = phi1 @ V
             var_or = np.maximum(kern.sigma_h_sq - tr_term[:, None] + quad
@@ -691,6 +694,42 @@ class TestPropagate:
                                        atol=1e-12 * kern.sigma_h_sq)
             means = mean_or
             variances = var_or + 1e-3
+
+    def test_contracted_posterior_is_psd_on_an_ill_conditioned_layer(
+            self, monkeypatch):
+        # a near-linear layer: a large signal variance, tiny ARD weights and
+        # inducing inputs a hair from training latents make Kuu
+        # ill-conditioned, so Phi2's roundoff, amplified through Kuu^-1,
+        # turns Kuu^-1 - A^-1 formed as two inverses indefinite (eigenvalues
+        # down to about -5 times the largest); B B^T stays PSD to rounding
+        rng = np.random.default_rng(0)
+        n, q, m = 60, 2, 12
+        H = rng.normal(size=(n, q))
+        Y = np.column_stack([np.sin(H[:, 0]), H[:, 0] * H[:, 1], H[:, 1]])
+        Y += 0.01 * rng.normal(size=Y.shape)
+        il = InputLayer(kernel=RBFParams(tau0_sq=1.0,
+                                         lengthscale_inv=np.ones(2)),
+                        noise_var=0.1, mu_bar=0.3 * rng.normal(size=(n, q)),
+                        lam=np.full((n, q), 2.0))
+        Z = H[rng.choice(n, m, replace=False)] + 1e-3 * rng.normal(size=(m, q))
+        layer = LayerState(kernel=ARDParams(150.0, np.full(q, 2e-4)),
+                           beta=5e3,
+                           latent=VariationalLatent(H, np.full((n, q), 0.01)),
+                           inducing=InducingSet(inputs=Z))
+        model = DeepGPModel(X=rng.normal(size=(n, 2)), Y=Y, input_layer=il,
+                            hidden_layers=[layer], dims=[q])
+        seen, real = [], deepgp._pair_weights
+
+        def spy(W):
+            seen.append(W.copy())
+            return real(W)
+
+        monkeypatch.setattr(deepgp, "_pair_weights", spy)
+        propagate(model, 0, (H[:5], np.full((5, q), 0.01)))
+        assert len(seen) == 1 and seen[0].shape == (m, m)
+        eig = np.linalg.eigvalsh(seen[0])
+        assert eig[-1] > 0.0
+        assert eig[0] >= -1e-12 * eig[-1]
 
     def test_random_propagations_finite_nonnegative(self):
         model = set_first_latent(tiny_model(seed=25))
@@ -772,8 +811,7 @@ class TestPredict:
         Xs = np.random.default_rng(5).normal(size=(6, 2))
         factors = deepgp.prediction_factors(model)
         assert set(factors) == {"input_chol", "input_norms", "layer0_V",
-                                "layer0_Dmat", "layer0_B", "layer1_V",
-                                "layer1_Dmat", "layer1_B"}
+                                "layer0_B", "layer1_V", "layer1_B"}
         mean_a, var_a = predict(model, Xs)
         # copies in C order, as a matrix container reads them back
         fresh = deepgp.model_from_arrays(

@@ -147,9 +147,28 @@ class TestModelPersistence:
     def test_model_file_schema(self, tmp_path):
         save_tiny_model(tmp_path / "m")
         doc = json.loads((tmp_path / "m" / "model.json").read_text())
-        assert doc["format"] == "dgpuq-model-v3"
+        assert doc["format"] == "dgpuq-model-v4"
         for name in doc["arrays"].values():
             assert (tmp_path / "m" / name).exists()
+
+    def test_format_string_is_pinned_with_the_array_table(self):
+        # what a model holds, by name and shape, for dims (2, 3), next to the
+        # format string that names it: a change to the table that does not
+        # bump the format fails here
+        from dgpuq.deepgp import check_model_array_names
+        table = {"X": ("n", "kappa"), "Y": ("n", "nu"), "tau0_sq": (),
+                 "b": ("kappa",), "noise_var": (), "mu_bar": ("n", 2),
+                 "lam": ("n", 2), "input_chol": ("n", "n"),
+                 "input_norms": (1, "n")}
+        for t, (q, q_out) in enumerate([(2, 3), (3, "nu")]):
+            m = f"m{t}"
+            table.update({f"Hu{t}": (m, q), f"sigma_h_sq{t}": (),
+                          f"weights{t}": (q,), f"beta{t}": (),
+                          f"means{t}": ("n", q), f"variances{t}": ("n", q),
+                          f"layer{t}_V": (m, q_out), f"layer{t}_B": (m, m)})
+        params, factors = check_model_array_names(table, (2, 3))
+        assert (io.MODEL_FORMAT, {**params, **factors}) == (
+            "dgpuq-model-v4", table)
 
     def test_cli_saved_model_holds_exactly_its_arrays(self, desk_dataset,
                                                        tmp_path):
@@ -280,13 +299,14 @@ class TestModelDigest:
         assert str(tmp_path / "m" / "model.json") in err
         assert "field 'digest'" in err
 
-    @pytest.mark.parametrize("fmt", ["dgpuq-model-v1", "dgpuq-model-v2"])
-    def test_old_model_exits_2_naming_v3(self, tmp_path, capsys, fmt):
+    @pytest.mark.parametrize("fmt", ["dgpuq-model-v1", "dgpuq-model-v2",
+                                     "dgpuq-model-v3"])
+    def test_old_model_exits_2_naming_the_format(self, tmp_path, capsys, fmt):
         save_tiny_model(tmp_path / "m")
         path = edit_model_json(tmp_path / "m", "format", fmt)
         assert self.predict_exit(tmp_path / "m", tmp_path) == 2
         err = capsys.readouterr().err
-        assert str(path) in err and "dgpuq-model-v3" in err
+        assert str(path) in err and "dgpuq-model-v4" in err
 
 
 class TestCsv:

@@ -493,3 +493,43 @@ class TestAscendStops:
         assert gains[-1] <= optimize.FTOL * total[-1]
         assert np.all(gains[:-1] > optimize.FTOL * total[1:-1])
         np.testing.assert_allclose(x, c, atol=1e-4)
+
+
+class TestStopReason:
+    """``CountedObjective.record`` names why :func:`ascend` stopped, one
+    reason per hand-built objective."""
+
+    @staticmethod
+    def stop(fn, x0, budget):
+        counted = optimize.CountedObjective(Logged(fn))
+        _, trace = ascend(counted, np.asarray(x0, dtype=float), budget)
+        return counted.record(budget, trace)["stop"]
+
+    def test_budget(self):
+        c = np.array([1.0, -2.0])
+        assert self.stop(lambda x: (-float(np.sum(np.cosh(x - c))),
+                                    -np.sinh(x - c)), np.zeros(2), 3) == "budget"
+
+    def test_converged(self):
+        c = np.array([1.0, -2.0])
+        assert self.stop(lambda x: (-float(np.sum(np.cosh(x - c))),
+                                    -np.sinh(x - c)),
+                         np.zeros(2), 1000) == "converged"
+
+    def test_no_step(self):
+        # the tent of TestAscendStops: no trial beyond the peak passes
+        assert self.stop(lambda x: (float(x[0]), np.ones(1)) if x[0] <= 1.0
+                         else (2.0 - float(x[0]), -np.ones(1)),
+                         np.zeros(1), 5) == "no step"
+
+    def test_zero_gradient(self):
+        c = np.array([1.0, -2.0])
+        assert self.stop(lambda x: (-float(np.sum((x - c) ** 2)),
+                                    -2.0 * (x - c)), c, 5) == "zero gradient"
+
+    def test_gradient_failed(self):
+        # f(x) = x with a gradient that fails beyond x = 0.5: the first step
+        # is accepted and its gradient is None
+        assert self.stop(lambda x: (float(x[0]),
+                                    np.ones(1) if x[0] <= 0.5 else None),
+                         np.zeros(1), 5) == "gradient failed"
