@@ -36,7 +36,7 @@ gradient is taken.  :func:`elbo` is the forward without packing, which only
 a value needs, and :func:`elbo_grad_vector` the forward with packing
 followed by the backward.
 :func:`train_deep` packs at every trial point, since any trial may be
-accepted, and hands the halves to :func:`optimize.cached_objective`, so the
+accepted, and hands the halves to an :class:`optimize.Objective`, so the
 gradient at an accepted line-search trial reuses that trial's forward.
 The parameter vector is laid out by one :class:`optimize.BlockSpec`
 (``_layout``); :func:`pack_params` and :func:`unpack_params` are its pack and
@@ -70,8 +70,7 @@ from .kernels import (ARDParams, RBFParams, gram, predictive_grams,
 from .gplvm import (LOG_2PI, LayerState, VariationalLatent, InducingSet,
                     layer_bound, layer_bound_grads, train_gplvm, _phi_forward,
                     _pairs, _pair_weights)
-from .optimize import (BlockSpec, CountedObjective, ascend, cached_objective,
-                       _NUMERICAL_FAILURES)
+from .optimize import BlockSpec, Objective, ascend, _NUMERICAL_FAILURES
 
 __all__ = [
     "InputLayer",
@@ -552,7 +551,7 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0,
     phases (``"greedy warm"``, ``"greedy full"``, with its ``layer``)
     and then the ``"joint"`` phase, with its budget, accepted steps, value
     evaluations, gradient evaluations and why it stopped
-    (:meth:`optimize.CountedObjective.record`).  Raises FloatingPointError,
+    (:meth:`optimize.Objective.record`).  Raises FloatingPointError,
     naming the layer, when a greedy fit or the joint phase leaves a layer's
     sigma_h_sq or largest ARD weight below DEGENERATE of its greedy start,
     and when the joint bound is not finite at its start.
@@ -615,18 +614,14 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0,
         return spec.flatten(_deep_backward(state))
 
     x0 = spec.pack(values)
-    objective = CountedObjective(cached_objective(forward, backward))
+    objective = Objective(forward, backward)
     try:
         x, trace = ascend(objective, x0, iters)
     except FloatingPointError:
         # every evaluation is guarded, so ascend raises only for a bound
-        # that is not finite at x0: evaluate it there again for the reason
-        try:
-            f0, _ = forward(x0)
-            reason = (f"its value is {f0}" if not np.isfinite(f0)
-                      else "its gradient is not finite")
-        except _NUMERICAL_FAILURES as exc:
-            reason = str(exc)
+        # that is not finite at x0: the objective kept the failure there, or
+        # else the forward's own value was not finite
+        reason = objective.failure or f"its value is {objective.value}"
         raise FloatingPointError("the joint bound is not finite at its "
                                  f"start: {reason}") from None
     runs.append(objective.record(iters, trace, phase="joint"))

@@ -26,7 +26,7 @@ The GP-LVM objective is split into a forward and a backward half.
 ``_elbo_forward`` evaluates the bound and returns the layer cache (the Phi
 statistics and the K_uu and A factors); ``_elbo_backward``
 turns that cache into the gradient blocks.  :func:`train_gplvm` hands them
-to :func:`optimize.cached_objective`, so the gradient at an accepted
+to an :class:`optimize.Objective`, so the gradient at an accepted
 line-search trial reuses that trial's forward.  Its parameter vector is
 laid out by an :class:`optimize.BlockSpec` (``_spec``), in which the latent
 variances are 1/(1 + lam) and lam is stored as its log.
@@ -41,7 +41,7 @@ import numpy as np
 import scipy.linalg
 
 from .kernels import ARDParams, gram, DimensionMismatchError
-from .optimize import BlockSpec, CountedObjective, ascend, cached_objective
+from .optimize import BlockSpec, Objective, ascend
 from .rng import rng_for
 
 __all__ = [
@@ -548,7 +548,7 @@ def train_gplvm(Y, q, m, iters=200, seed=0, record=None):
     noise precision, variational posterior q(H) and inducing inputs, and
     ``trace`` is the nondecreasing ELBO history.  ``iters`` is a budget of
     accepted steps, shared by a warm phase with beta held fixed and a full
-    phase; each phase's :meth:`optimize.CountedObjective.record` (phase
+    phase; each phase's :meth:`optimize.Objective.record` (phase
     ``"warm"`` or ``"full"``) is appended to the list ``record`` if given.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -591,8 +591,7 @@ def train_gplvm(Y, q, m, iters=200, seed=0, record=None):
     x, traces = x0, []
     for phase, budget, frozen in (("warm", warm, {"beta"}),
                                   ("full", int(iters) - warm, ())):
-        objective = CountedObjective(cached_objective(forward,
-                                                      make_backward(frozen)))
+        objective = Objective(forward, make_backward(frozen))
         x, trace = ascend(objective, x, budget)
         traces.append(trace if not traces else trace[1:])
         if record is not None:

@@ -28,16 +28,16 @@ quasi-Newton steps (Liu & Nocedal 1989, Math. Programming 45):
 Each trainer writes its objective as two halves: ``forward(x) -> (f, state)``
 computes the value and keeps what the gradient needs (Gram matrices, their
 factors, the Phi statistics), and ``backward(state) -> g`` turns that state
-into the gradient.  :func:`cached_objective` joins them into the
+into the gradient.  One :class:`Objective` per ascent joins them into the
 ``value_and_grad(x, need_grad)`` callable that :func:`ascend` takes.  The
 line search evaluates trial points value-only and then asks for the gradient
-at the trial it accepts, so the callable keeps the last point's forward
+at the trial it accepts, so the objective keeps the last point's forward
 state: a gradient request at that same point runs only the backward.  Every
 accepted step thus costs one forward, not two, and the arithmetic, hence
-every value, gradient and trajectory, is the same as recomputing it.
-:class:`CountedObjective` wraps that callable to count its value and
-gradient evaluations and to tell which rule stopped the ascent, which each
-trainer records for every ascent.
+every value, gradient and trajectory, is the same as recomputing it.  The
+same object counts its value and gradient evaluations and its failed ones,
+keeps the last failure's reason and tells which rule stopped the ascent, so
+each trainer records every ascent from the objective alone.
 
 Every trainer lays out its parameter vector with one :class:`BlockSpec`.
 ``pack`` takes the blocks' values by name, ``unpack`` returns them by name,
@@ -52,7 +52,7 @@ import math
 
 import numpy as np
 
-__all__ = ["BlockSpec", "CountedObjective", "ascend", "cached_objective"]
+__all__ = ["BlockSpec", "Objective", "ascend"]
 
 # failures of a trial point that mean "outside the feasible region": the
 # objective there is -inf and the line search shrinks its step.
@@ -114,70 +114,65 @@ class BlockSpec:
                                for name, shape, _ in self.blocks], dtype=float)
 
 
-def cached_objective(forward, backward):
-    """``value_and_grad(x, need_grad)`` built from a forward and a backward.
+class Objective:
+    """The ``value_and_grad(x, need_grad)`` that :func:`ascend` takes, built
+    from a forward and a backward, with the record of what it served.
 
     ``forward(x)`` returns ``(f, state)``; ``backward(state)`` returns the
-    gradient at the same x.  The callable keeps a copy of the last x, which
-    is what ``forward`` is given, with its f and state.  A gradient request
-    at an equal x passes the kept state to ``backward`` and lets go of it;
-    any other x drops the kept state before the new forward runs, so two
-    forward states are never alive at once.  A numerical failure in either
-    half (:data:`_NUMERICAL_FAILURES`) or a gradient with a non-finite
-    entry returns ``(-inf, None)``.
+    gradient at the same x.  The objective keeps a copy of the last x, which
+    is what ``forward`` is given, with its f (``value``) and state.  A
+    gradient request at an equal x passes the kept state to ``backward`` and
+    lets go of it; any other x drops the kept state before the new forward
+    runs, so two forward states are never alive at once.  A numerical
+    failure in either half (:data:`_NUMERICAL_FAILURES`) or a gradient with
+    a non-finite entry returns ``(-inf, None)``: ``failed`` counts those
+    results and ``failure`` keeps the last one's reason.  ``value_evals``
+    and ``grad_evals`` count the value-only and the gradient requests.
     """
-    last = {}   # x, f and, until a backward takes it, state
 
-    def value_and_grad(x, need_grad=True):
-        reuse = ("x" in last and np.array_equal(x, last["x"])
-                 and ("state" in last or not need_grad))
-        if not reuse:
-            last.clear()    # the old state goes before the new forward runs
-            # the forward gets a private copy: its state may hold views of
-            # x, and the caller may change its array afterwards
-            x = np.array(x, dtype=float)
-            try:
-                f, state = forward(x)
-            except _NUMERICAL_FAILURES:
-                return -np.inf, None
-            last.update(x=x, f=f, state=state)
-            del state       # the kept copy is the only reference
-        if not need_grad:
-            return last["f"], None
-        try:
-            g = backward(last.pop("state"))
-        except _NUMERICAL_FAILURES:
-            return -np.inf, None
-        if not np.all(np.isfinite(g)):
-            return -np.inf, None
-        return last["f"], g
+    def __init__(self, forward, backward):
+        self.forward, self.backward = forward, backward
+        self.value_evals = self.grad_evals = self.failed = 0
+        self.failure = None
+        self._last = {}     # x, f and, until a backward takes it, state
+        self._served = None     # a stop reason for the last call, or None
 
-    return value_and_grad
-
-
-class CountedObjective:
-    """A ``value_and_grad`` that counts its value-only and its gradient
-    evaluations, so a trainer can record what each ascent cost and why it
-    stopped."""
-
-    def __init__(self, value_and_grad):
-        self.value_and_grad = value_and_grad
-        self.value_evals = self.grad_evals = 0
-        self.last = None    # what the last call served: a stop reason or None
+    @property
+    def value(self):
+        """f at the last x, or None when its forward failed."""
+        return self._last.get("f")
 
     def __call__(self, x, need_grad=True):
         if need_grad:
             self.grad_evals += 1
         else:
             self.value_evals += 1
-        f, g = self.value_and_grad(x, need_grad)
-        self.last = ("no step" if not need_grad
-                     else "gradient failed" if g is None
-                     else "zero gradient" if not np.any(g) else None)
+        last = self._last
+        try:
+            if not ("x" in last and np.array_equal(x, last["x"])
+                    and ("state" in last or not need_grad)):
+                last.clear()    # the old state goes before the new forward
+                # the forward gets a private copy: its state may hold views
+                # of x, and the caller may change its array afterwards
+                x = np.array(x, dtype=float)
+                f, state = self.forward(x)
+                last.update(x=x, f=f, state=state)
+                del state       # the kept copy is the only reference
+            g = self.backward(last.pop("state")) if need_grad else None
+            if need_grad and not np.all(np.isfinite(g)):
+                raise FloatingPointError("its gradient is not finite")
+            f = last["f"]
+        except _NUMERICAL_FAILURES as exc:
+            self.failed += 1
+            self.failure = str(exc)
+            f, g = -np.inf, None
+        self._served = ("no step" if not need_grad
+                        else "gradient failed" if g is None
+                        else "zero gradient" if not np.any(g) else None)
         return f, g
 
     def record(self, budget, trace, **labels):
-        """``labels`` plus this ascent's budget, accepted steps, the two
+        """``labels`` plus this ascent's budget, accepted steps, the three
         counts and ``stop``, why :func:`ascend` stopped, read from the calls
         it made: ``"no step"`` when its last call was a line-search trial
         (every trial of the last search failed), ``"gradient failed"`` or
@@ -185,10 +180,10 @@ class CountedObjective:
         ``"budget"`` when it accepted ``budget`` steps, and else
         ``"converged"``, the FTOL rule."""
         accepted = len(trace) - 1
-        stop = self.last or ("budget" if accepted == budget else "converged")
+        stop = self._served or ("budget" if accepted == budget else "converged")
         return dict(labels, budget=int(budget), accepted=accepted,
                     value_evals=self.value_evals, grad_evals=self.grad_evals,
-                    stop=stop)
+                    failed=self.failed, stop=stop)
 
 
 def _lbfgs_direction(g, pairs):
@@ -246,7 +241,7 @@ def ascend(value_and_grad, x0, iters):
     Line-search trial points are evaluated with ``need_grad=False`` so that
     implementations can skip the expensive backward pass there; the gradient
     is then requested at the accepted trial point, which
-    :func:`cached_objective` serves from that trial's forward.  The ascent
+    :class:`Objective` serves from that trial's forward.  The ascent
     stops early when no trial along the gradient passes the line search,
     when the gradient is zero, when an accepted step gains at most FTOL of
     the total gain since x0, or when the gradient at the accepted point

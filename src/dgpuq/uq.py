@@ -125,7 +125,8 @@ def _realization(model: DeepGPModel, mean, cov, rng) -> np.ndarray:
     try:
         values = _draw_gaussian(mean, cov, rng)
     except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"layer 1 propagation failed: {exc}") from exc
+        raise np.linalg.LinAlgError(
+            f"input layer propagation failed: {exc}") from exc
     for t, layer in enumerate(model.hidden_layers):
         try:
             Ksu = gram(values, layer.inducing.inputs, layer.kernel)
@@ -135,7 +136,7 @@ def _realization(model: DeepGPModel, mean, cov, rng) -> np.ndarray:
                 mean, downdate(gram(values, values, layer.kernel), U), rng)
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
-                f"layer {t + 2} propagation failed: {exc}") from exc
+                f"layer {t + 1} propagation failed: {exc}") from exc
     return values
 
 

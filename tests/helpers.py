@@ -10,7 +10,7 @@ from dgpuq.deepgp import DeepGPModel, InputLayer, predict_layer1
 from dgpuq.gplvm import InducingSet, LayerState, VariationalLatent
 from dgpuq.kernels import (ARDParams, RBFParams, DimensionMismatchError, gram,
                            chol_psd)
-from dgpuq.optimize import _NUMERICAL_FAILURES
+from dgpuq.optimize import Objective
 from dgpuq.random_field import KLExpansion
 from dgpuq.rng import rng_for, UQ_STREAM
 
@@ -30,22 +30,15 @@ def central_diff(fun, x, eps=1e-5):
     return g
 
 
-def recomputing_objective(forward, backward):
-    """``value_and_grad`` that runs ``forward`` afresh on every call.
-
-    The reference for :func:`dgpuq.optimize.cached_objective`: same halves,
-    same failure mapping, no state kept between calls.
+class RecomputingObjective(Objective):
+    """The reference for :class:`dgpuq.optimize.Objective`: same halves,
+    failure mapping, counts and ``record``, but ``forward`` runs afresh on
+    every call, since no point or state is kept from one call to the next.
     """
-    def value_and_grad(x, need_grad=True):
-        try:
-            f, state = forward(np.array(x, dtype=float))
-            g = backward(state) if need_grad else None
-        except _NUMERICAL_FAILURES:
-            return -np.inf, None
-        if g is not None and not np.all(np.isfinite(g)):
-            return -np.inf, None
-        return f, g
-    return value_and_grad
+
+    def __call__(self, x, need_grad=True):
+        self._last.clear()
+        return super().__call__(x, need_grad)
 
 
 def spy_ascend(mp, module, runs=None, forwards=None):

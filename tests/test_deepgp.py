@@ -377,6 +377,30 @@ class TestTrainDeep:
             train_deep(X, np.hstack([Y, Y ** 2]), dims=[2, 2],
                        m_inducing=[5, 5], iters=5, seed=2, init_iters=9)
 
+    def test_bound_not_finite_at_the_joint_start_runs_its_forward_once(
+            self, monkeypatch):
+        # the start above: the reason for the failure is the one the
+        # objective kept, not that of a second forward at x0
+        real, real_forward = deepgp.train_gplvm, deepgp._deep_forward
+        forwards = []
+
+        def noiseless(*args, **kwargs):
+            layer, trace = real(*args, **kwargs)
+            layer.beta = 1e200
+            return layer, trace
+
+        def counted(*args, **kwargs):
+            forwards.append(args)
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(deepgp, "train_gplvm", noiseless)
+        monkeypatch.setattr(deepgp, "_deep_forward", counted)
+        X, Y, _, _ = benchmark_1d(seed=8, n=20)
+        with pytest.raises(FloatingPointError, match="layer 1: "):
+            train_deep(X, np.hstack([Y, Y ** 2]), dims=[2, 2],
+                       m_inducing=[5, 5], iters=5, seed=2, init_iters=9)
+        assert len(forwards) == 1
+
     def test_needs_two_points(self):
         with pytest.raises(ValueError, match="two training points"):
             train_deep(np.zeros((1, 1)), [[0.0, 1.0]], dims=[1],

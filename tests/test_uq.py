@@ -193,7 +193,7 @@ class TestPropagateRealization:
 
     def test_failed_first_layer_draw_names_the_layer(self, small_model):
         with pytest.raises(np.linalg.LinAlgError,
-                           match="layer 1 propagation failed"):
+                           match="input layer propagation failed"):
             uq._realization(small_model, np.zeros((2, 2)),
                             np.diag([1.0, -10.0]), rng_for(0))
 
@@ -202,7 +202,7 @@ class TestPropagateRealization:
         # an indefinite conditional covariance in the one sparse layer
         monkeypatch.setattr(uq, "downdate", lambda K, U: -np.eye(len(K)))
         with pytest.raises(np.linalg.LinAlgError,
-                           match="layer 2 propagation failed"):
+                           match="layer 1 propagation failed"):
             one_realization(small_model, sample_inputs(dist8, 2, 1), 0)
 
     def test_realization_mean_matches_predict_mean(self, small_model, dist8):
