@@ -75,30 +75,39 @@ def _chol_conditioned(M, base_jitter):
     """Cholesky of ``M + jit*I`` with jit sized from the actual spectrum.
 
     The jitter lifts the smallest eigenvalue to about RCOND_FLOOR times the
-    largest, using a soft minimum over the spectrum so the rule stays
+    largest, using a soft minimum over the spectrum e so the rule stays
     differentiable when small eigenvalues cluster (the usual situation when
-    an ARD weight switches a dimension off).
+    an ARD weight switches a dimension off):
+
+        jit = RCOND_FLOOR lam_max - soft_min,
+        soft_min = -log(sum_i exp(-t e_i)) / t,  t = 10 / (RCOND_FLOOR lam_max).
 
     Returns ``(L, M + jit*I, djit_dM)``; the last entry is the derivative
     of the jitter w.r.t. the matrix when the spectral branch is active,
-    else None.  Chaining it keeps the analytic gradients consistent with
-    the regularized objective.  Raises LinAlgError when ``M + jit*I`` is
-    still not numerically positive definite.
+    else None.  With w the soft-min weights, d(soft_min)/de = w at fixed t,
+    and the scale t moves with lam_max, which adds (w.e - soft_min) /
+    lam_max to d(jit)/d(lam_max).  Chaining it keeps the analytic gradients
+    consistent with the regularized objective.  Raises LinAlgError when
+    ``M + jit*I`` is still not numerically positive definite.
     """
     evals, vecs = np.linalg.eigh(M)
     lam_min, lam_max = float(evals[0]), float(evals[-1])
     # log-sum-exp soft minimum, smoothing scale tied to the jitter magnitude
     t = 10.0 / max(RCOND_FLOOR * lam_max, 1e-300)
     expd = np.exp(-t * (evals - lam_min))
-    soft_min = lam_min - float(np.log(expd.sum())) / t
+    log_sum = float(np.log(expd.sum()))
+    soft_min = lam_min - log_sum / t
     spectral = RCOND_FLOOR * lam_max - soft_min
     jit = float(base_jitter)
     djit = None
     if spectral > jit:
         jit = spectral
-        wts = expd / expd.sum()          # exact d(soft_min)/d(eigenvalues)
+        wts = expd / expd.sum()          # d(soft_min)/d(eigenvalues) at fixed t
         v_hi = vecs[:, -1]
-        djit = (RCOND_FLOOR * np.outer(v_hi, v_hi)
+        # w.e - soft_min, formed from the shifted eigenvalues to avoid
+        # cancellation
+        scale_term = (float(wts @ (evals - lam_min)) + log_sum / t) / lam_max
+        djit = ((RCOND_FLOOR + scale_term) * np.outer(v_hi, v_hi)
                 - (vecs * wts[None, :]) @ vecs.T)
     Mj = M + jit * np.eye(M.shape[0])
     return np.linalg.cholesky(Mj), Mj, djit

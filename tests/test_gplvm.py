@@ -8,7 +8,7 @@ from dgpuq.gplvm import (VariationalLatent, InducingSet, LayerState,
                          layer_bound, layer_bound_grads, latent_kl,
                          train_gplvm, effective_dims, _pairs, _phi_forward,
                          _phi_backward, _elbo_forward, _elbo_backward, _spec,
-                         _layer_state)
+                         _layer_state, _chol_conditioned, RCOND_FLOOR)
 from helpers import (central_diff, dense_gp_logml, mc_phi_oracle,
                      loop_phi_forward, loop_phi_backward)
 from dgpuq.rng import rng_for
@@ -299,6 +299,53 @@ class TestElboGrad:
                         inducing=InducingSet(inputs=Z))
         g = elbo_grad(st, rng.normal(size=(n, 2)))
         assert abs(g["weights"][1]) < 1e-8
+
+
+class TestSpectralJitter:
+    """The jitter derivative of ``_chol_conditioned``'s spectral branch."""
+
+    def test_jitter_derivative_along_the_top_eigenvector(self):
+        # three small eigenvalues within the soft minimum's scale 1/t =
+        # RCOND_FLOOR lam_max / 10 of each other, so the scale's dependence
+        # on lam_max moves the jitter; on a diagonal matrix the jitter reads
+        # exactly off the smallest diagonal entry
+        e = np.array([1e-10, 3e-10, 6e-10, 1.0])
+
+        def jitter(top):
+            M = np.diag(np.append(e[:-1], top))
+            _, Mj, djit = _chol_conditioned(M, 1e-10)
+            return Mj[0, 0] - M[0, 0], djit
+
+        jit, djit = jitter(1.0)
+        assert jit > RCOND_FLOOR            # the spectral branch
+        h = 1e-3
+        fd = (jitter(1.0 + h)[0] - jitter(1.0 - h)[0]) / (2.0 * h)
+        assert abs(djit[-1, -1] - fd) < 1e-6 * abs(fd)
+
+    def test_bound_gradient_through_a_near_singular_kuu(self):
+        # inducing inputs that nearly coincide make K_uu singular to
+        # RCOND_FLOOR, so the bound takes the spectral branch
+        rng = np.random.default_rng(5)
+        n, q, m, nu = 40, 2, 10, 3
+        mu = rng.normal(size=(n, q))
+        Y = rng.normal(size=(n, nu))
+        Z = mu[:m].copy()
+        Z[1] = Z[0] + 1e-4
+        Z[2] = Z[0] + 2e-4 * rng.normal(size=q)
+        Z[3] = Z[4] + 1e-5
+        latent = VariationalLatent(mu, np.full((n, q), 0.05))
+        log_w = np.log([0.8, 1.1])
+
+        def bound(lw):
+            return layer_bound(ARDParams(1.3, np.exp(lw)), 50.0, latent, Z, Y)
+
+        _, cache = bound(log_w)
+        assert cache.djit is not None
+        g = layer_bound_grads(cache)["weights"] * np.exp(log_w)
+        # the bound's own rounding noise sets the step (stable from 1e-2
+        # down to 1e-3)
+        fd = central_diff(lambda lw: bound(lw)[0], log_w, eps=3e-3)
+        assert np.abs(g - fd).max() < 5e-5 * np.abs(fd).max()
 
 
 class TestTrainGplvm:
