@@ -20,9 +20,9 @@ result is exactly symmetric with a zero distance diagonal.  It can hand its
 norms to its caller (``return_norms``), and :func:`predictive_grams` (joint)
 and :func:`cross_gram` (marginal) take a fixed training set's norms as
 given, so the deep model's first latent (:mod:`dgpuq.deepgp`) predicts by
-scaling only the test rows.  :func:`chol_psd` checks symmetry in the pass
-that symmetrizes, and :func:`downdate` forms a posterior covariance
-``K - V V^T`` as one exactly symmetric ``dsyrk`` update.
+scaling only the test rows.  :func:`downdate` forms a posterior covariance
+``K - V V^T`` as one exactly symmetric ``dsyrk`` update: :func:`chol_psd`
+rejects any input that is not exactly symmetric.
 
 All arrays are dense row-major float64.
 """
@@ -120,8 +120,8 @@ def _norms(A, scale):
     return norms
 
 
-# rows of the diagonal block that _mirror_lower and _symmetric_part sweep,
-# and the strict upper triangle of such a block
+# rows of the diagonal block _mirror_lower sweeps to make a result exactly
+# symmetric (chol_psd requires it), and that block's strict upper triangle
 _SYM_BLOCK = 64
 _BLOCK_UPPER = ~np.tri(_SYM_BLOCK, dtype=bool)
 
@@ -282,37 +282,17 @@ def _cholesky(M):
     return scipy.linalg.cholesky(M, lower=True, check_finite=False)
 
 
-def _symmetric_part(M):
-    """``(S, max|M - M^T|)``: S is 0.5 (M + M^T) on and below the diagonal,
-    all that dpotrf reads, and only partly filled above it.
-
-    A panel of rows and the matching panel of columns are read together,
-    left of the diagonal only, so the asymmetry comes from the pass that
-    forms S, with transients of _SYM_BLOCK rows.
-    """
-    n = M.shape[0]
-    S = np.zeros((n, n))
-    asym = 0.0
-    for s in range(0, n, _SYM_BLOCK):
-        e = min(s + _SYM_BLOCK, n)
-        rows, cols, out = M[s:e, :e], M[:e, s:e].T, S[s:e, :e]
-        np.subtract(rows, cols, out=out)
-        asym = max(asym, float(np.max(out)), -float(np.min(out)))
-        np.add(rows, cols, out=out)
-        out *= 0.5
-    return S, asym
-
-
 def chol_psd(M):
     """Lower Cholesky factor of ``M``, or of ``M + jitter * I`` with the one
     jitter ``1e-6 * mean(diag(M))`` when the exact factorization fails.
 
-    ``M`` is symmetrized, 0.5 (M + M^T), in the same pass that checks it.
+    ``M`` must be exactly symmetric: the factorization reads one triangle.
+    ``M`` itself is never written; the jitter is added to a copy.
 
     Returns
     -------
-    (L, jitter) : lower-triangular factor and the jitter applied (0 or the
-        one value above).
+    (L, jitter) : lower-triangular factor, in Fortran order, and the jitter
+        applied (0 or the one value above).
 
     Raises
     ------
@@ -320,18 +300,16 @@ def chol_psd(M):
         If the jittered factorization fails too, or at once when the exact
         one fails and the mean diagonal is not positive.
     ValueError
-        If ``M`` has a NaN or infinite entry, or is not symmetric within
-        max|M - M^T| <= 1e-10 max(max|M|, 1).
+        If ``M`` is not square, has a NaN or infinite entry, or is not
+        exactly symmetric.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"chol_psd needs a square matrix, got shape {M.shape}")
-    scale = max(float(np.max(M)), -float(np.min(M))) if M.size else 0.0
-    if not np.isfinite(scale):       # np.max and np.min carry a NaN through
+    if not np.isfinite(M).all():     # first, as NaN != NaN
         raise ValueError("chol_psd input has a NaN or infinite entry")
-    M, asym = _symmetric_part(M)
-    if not asym <= 1e-10 * max(scale, 1.0):
-        raise ValueError("chol_psd input is not symmetric within 1e-10 relative")
+    if not np.array_equal(M, M.T):
+        raise ValueError("chol_psd input is not symmetric")
     try:
         return _cholesky(M), 0.0
     except np.linalg.LinAlgError:
@@ -339,5 +317,6 @@ def chol_psd(M):
     if not jitter > 0:
         raise np.linalg.LinAlgError("matrix not factorizable and its mean "
                                     "diagonal is not positive")
+    M = M.copy()
     M[np.diag_indices_from(M)] += jitter
     return _cholesky(M), jitter

@@ -271,14 +271,23 @@ class TestCholPsd:
         with pytest.raises(ValueError):
             chol_psd(M)
 
-    def test_asymmetry_at_the_tolerance(self):
-        # max|M - M^T| <= 1e-10 max(max|M|, 1), in a row panel past the first
+    def test_one_ulp_asymmetry_rejected(self):
+        # symmetric means exactly symmetric: -0.0 against +0.0 passes, one
+        # entry one ulp off, past the first 64-row block, does not
         M = np.eye(150) * 4.0
-        M[130, 20] += 4e-10
+        M[20, 3] = -0.0
+        M[130, 20] = M[20, 130] = 0.5
         chol_psd(M)
-        M[130, 20] += 1e-11
-        with pytest.raises(ValueError, match="symmetric"):
+        M[130, 20] = np.nextafter(0.5, 1.0)
+        with pytest.raises(ValueError, match="not symmetric"):
             chol_psd(M)
+
+    def test_jitter_leaves_the_input_unchanged(self):
+        M = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+        before = M.copy()
+        L, jitter = chol_psd(M)
+        assert jitter > 0.0
+        np.testing.assert_array_equal(M, before)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (70, 3)])
