@@ -69,7 +69,7 @@ from .kernels import (ARDParams, RBFParams, gram, predictive_grams,
                       DimensionMismatchError, _mirror_lower)
 from .gplvm import (LOG_2PI, LayerState, VariationalLatent, InducingSet,
                     layer_bound, layer_bound_grads, train_gplvm, _phi_forward,
-                    _pairs, _pair_weights)
+                    _pairs, _pair_weights, _check_shape)
 from .optimize import BlockSpec, Objective, ascend, _NUMERICAL_FAILURES
 
 __all__ = [
@@ -546,7 +546,9 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0,
     iters : budget of accepted steps of the joint phase.
     init_iters : budget of accepted steps for each greedy GP-LVM fit.
 
-    X needs at least two rows.  The model's ``training_meta["optimizer"]``
+    X needs at least two rows.  Every layer's latent dimension and inducing
+    count are checked before the first fit, and a ValueError names the
+    layer whose shape cannot be fitted.  The model's ``training_meta["optimizer"]``
     lists every ascent in the order it ran, each greedy fit's warm and full
     phases (``"greedy warm"``, ``"greedy full"``, with its ``layer``)
     and then the ``"joint"`` phase, with its budget, accepted steps, value
@@ -571,6 +573,14 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0,
         raise ValueError("m_inducing must have one entry per layer")
     if float(np.var(Y)) <= 0.0:
         raise ValueError("Y has zero variance; nothing to model")
+    # every layer's shape before the first greedy fit: layer t maps its
+    # latents to the next layer's, or to Y
+    for t in range(G):
+        q_out = dims[t + 1] if t + 1 < G else Y.shape[1]
+        try:
+            _check_shape(X.shape[0], q_out, dims[t], m_inducing[t])
+        except ValueError as exc:
+            raise ValueError(f"layer {t + 1}: {exc}") from None
 
     # greedy stack: GP-LVM on Y gives the last latent, then work backwards;
     # each layer keeps its GP-LVM latent as its input latent.  train_gplvm

@@ -550,6 +550,15 @@ def _layer_state(values) -> LayerState:
         inducing=InducingSet(inputs=values["Hu"]))
 
 
+def _check_shape(n, nu, q, m):
+    """Raise ValueError unless a GP-LVM of q latents and m inducing inputs
+    fits n rows of nu outputs: 1 <= q <= nu and 1 <= m <= n."""
+    if not 1 <= q <= nu:
+        raise ValueError(f"latent dimension must satisfy 1 <= q <= {nu}, got {q}")
+    if not 1 <= m <= n:
+        raise ValueError(f"inducing count must satisfy 1 <= m <= {n}, got {m}")
+
+
 def train_gplvm(Y, q, m, iters=200, seed=0, record=None):
     """Train a Bayesian GP-LVM on data Y.
 
@@ -562,10 +571,7 @@ def train_gplvm(Y, q, m, iters=200, seed=0, record=None):
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n, nu = Y.shape
-    if not 1 <= q <= nu:
-        raise ValueError(f"latent dimension must satisfy 1 <= q <= {nu}, got {q}")
-    if not 1 <= m <= n:
-        raise ValueError(f"inducing count must satisfy 1 <= m <= {n}, got {m}")
+    _check_shape(n, nu, q, m)
     y_var = float(np.var(Y))
     if y_var <= 0.0:
         raise ValueError("Y has zero variance; nothing to model")

@@ -416,6 +416,26 @@ class TestTrainDeep:
         with pytest.raises(error, match=message):
             train_deep(np.zeros((4, 1)), Y, dims=dims, m_inducing=[2])
 
+    @pytest.mark.parametrize("dims, inducing, message", [
+        pytest.param([300, 2], [5, 5], "layer 1: latent dimension must "
+                     "satisfy 1 <= q <= 2, got 300", id="inner-latent"),
+        pytest.param([2, 5], [5, 5], "layer 2: latent dimension must "
+                     "satisfy 1 <= q <= 2, got 5", id="last-latent"),
+        pytest.param([2, 2], [60, 6], "layer 1: inducing count must "
+                     "satisfy 1 <= m <= 20, got 60", id="inducing")])
+    def test_layer_shape_checked_before_any_fit(self, monkeypatch, dims,
+                                                inducing, message):
+        # the greedy stack fits layer 2 first: no fit may run before a
+        # later layer's shape is found wrong
+        fits = []
+        monkeypatch.setattr(deepgp, "train_gplvm",
+                            lambda *args, **kwargs: fits.append(args))
+        X, Y, _, _ = benchmark_1d(seed=8, n=20)
+        with pytest.raises(ValueError, match=message):
+            train_deep(X, np.hstack([Y, Y ** 2]), dims=dims,
+                       m_inducing=inducing, iters=1, init_iters=3)
+        assert fits == []
+
     @pytest.mark.parametrize("routine, matrix", [
         pytest.param(dpotrf, [[-1.0]], id="dpotrf-indefinite"),
         pytest.param(dtrtri, [[0.0]], id="dtrtri-singular")])

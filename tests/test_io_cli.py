@@ -772,6 +772,12 @@ class TestCli:
         pytest.param(TRAIN_ARGV + ["--dims", "2,2", "--inducing", "4"], None,
                      "--inducing must have one entry per layer",
                      id="inducing-count"),
+        pytest.param(TRAIN_ARGV + ["--dims", "300,3", "--inducing", "5,5"],
+                     None, "layer 1: latent dimension must satisfy "
+                     "1 <= q <= 3, got 300", id="dims-wider-than-next-layer"),
+        pytest.param(TRAIN_ARGV + ["--dims", "2,2", "--inducing", "60,6"],
+                     None, "layer 1: inducing count must satisfy "
+                     "1 <= m <= 10, got 60", id="inducing-above-rows"),
         pytest.param(TRAIN_ARGV + ["--inducing", "0,5"], None,
                      "--inducing must be a comma-separated list of positive "
                      "integers, got '0,5'", id="inducing-not-positive"),
