@@ -173,7 +173,8 @@ class Objective:
 
     def record(self, budget, trace, **labels):
         """``labels`` plus this ascent's budget, accepted steps, the three
-        counts and ``stop``, why :func:`ascend` stopped, read from the calls
+        counts, ``failure``, the last failure's reason (None when ``failed``
+        is 0), and ``stop``, why :func:`ascend` stopped, read from the calls
         it made: ``"no step"`` when its last call was a line-search trial
         (every trial of the last search failed), ``"gradient failed"`` or
         ``"zero gradient"`` when the last gradient was None or all zero,
@@ -183,7 +184,7 @@ class Objective:
         stop = self._served or ("budget" if accepted == budget else "converged")
         return dict(labels, budget=int(budget), accepted=accepted,
                     value_evals=self.value_evals, grad_evals=self.grad_evals,
-                    failed=self.failed, stop=stop)
+                    failed=self.failed, failure=self.failure, stop=stop)
 
 
 def _lbfgs_direction(g, pairs):

@@ -314,6 +314,9 @@ class TestTrainDeep:
             {k: r[k] for k in keys} for r in runs]
         assert {r["stop"] for r in record} <= {
             "budget", "converged", "no step", "zero gradient", "gradient failed"}
+        # the last failure's reason is kept exactly when some call failed
+        assert all((r["failure"] is None) == (r["failed"] == 0)
+                   for r in record)
 
     @pytest.mark.parametrize("phase, quantity", [
         ("greedy fit", "sigma_h_sq"), ("greedy fit", "largest ARD weight"),

@@ -144,6 +144,7 @@ class TestCachedObjective:
         assert vg.failure == "dpotrf failed with info=3"
         record = vg.record(1, trace)
         assert (record["failed"], record["accepted"]) == (1, 1)
+        assert record["failure"] == "dpotrf failed with info=3"
 
     def test_failed_gradient_at_an_accepted_point_stops_there(self):
         q = Quadratic([1.0, -2.0, 0.5])
