@@ -548,11 +548,12 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0,
 
     X needs at least two rows.  Every layer's latent dimension and inducing
     count are checked before the first fit, and a ValueError names the
-    layer whose shape cannot be fitted.  The model's ``training_meta["optimizer"]``
-    lists every ascent in the order it ran, each greedy fit's warm and full
-    phases (``"greedy warm"``, ``"greedy full"``, with its ``layer``)
-    and then the ``"joint"`` phase, with its budget, accepted steps, value
-    evaluations, gradient evaluations and why it stopped
+    layer whose shape cannot be fitted.  The model's
+    ``training_meta["optimizer"]`` lists every ascent in the order it ran,
+    each greedy fit's warm and full phases (``"greedy warm"``,
+    ``"greedy full"``, with its ``layer``) and then the ``"joint"`` phase,
+    with its budget, accepted steps, value evaluations, gradient
+    evaluations, last failure and why it stopped
     (:meth:`optimize.Objective.record`).  Raises FloatingPointError,
     naming the layer, when a greedy fit or the joint phase leaves a layer's
     sigma_h_sq or largest ARD weight below DEGENERATE of its greedy start,

@@ -285,7 +285,7 @@ class TestCholPsd:
     def test_jitter_leaves_the_input_unchanged(self):
         M = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
         before = M.copy()
-        L, jitter = chol_psd(M)
+        _, jitter = chol_psd(M)
         assert jitter > 0.0
         np.testing.assert_array_equal(M, before)
 
