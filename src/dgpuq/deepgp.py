@@ -572,8 +572,6 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0,
         raise ValueError("need at least one latent layer")
     if len(m_inducing) != G:
         raise ValueError("m_inducing must have one entry per layer")
-    if float(np.var(Y)) <= 0.0:
-        raise ValueError("Y has zero variance; nothing to model")
     # every layer's shape before the first greedy fit: layer t maps its
     # latents to the next layer's, or to Y
     for t in range(G):
@@ -604,13 +602,12 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0,
     # is the exact-GP mean weights C^-1 M
     first = layers[0].latent
     m_var = float(np.var(first.means)) or 1.0
-    kernel = RBFParams(tau0_sq=m_var, lengthscale_inv=_median_heuristic(X))
-    C = gram(X, X, kernel)
-    C[np.diag_indices_from(C)] += 0.01 * m_var
-    mu_bar = cho_solve((chol_psd(C)[0], True), first.means)
-    input_layer = InputLayer(kernel=kernel, noise_var=0.01 * m_var,
-                             mu_bar=mu_bar,
-                             lam=1.0 / np.clip(first.variances, 1e-12, None))
+    input_layer = InputLayer(
+        kernel=RBFParams(tau0_sq=m_var, lengthscale_inv=_median_heuristic(X)),
+        noise_var=0.01 * m_var, mu_bar=None,
+        lam=1.0 / np.clip(first.variances, 1e-12, None))
+    C = _input_cov(input_layer, X)[0]
+    input_layer.mu_bar = cho_solve((chol_psd(C)[0], True), first.means)
 
     model = DeepGPModel(X=X, Y=Y, input_layer=input_layer, hidden_layers=layers,
                         dims=dims, training_meta={"seed": int(seed),

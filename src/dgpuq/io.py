@@ -59,8 +59,7 @@ MC_REPORT_FORMAT = "dgpuq-mc-v1"
 
 
 def write_matrix(path, arr):
-    """Write a 2-D float64 array as a matrix container; return the
-    little-endian row-major array whose bytes are the payload."""
+    """Write a 2-D float64 array as a matrix container."""
     a = np.ascontiguousarray(np.atleast_2d(np.asarray(arr, dtype="<f8")))
     if a.ndim != 2:
         raise ValueError(f"matrix container holds 2-D arrays, got shape {a.shape}")
@@ -68,7 +67,6 @@ def write_matrix(path, arr):
         fh.write(MAGIC)
         fh.write(f"{a.shape[0]} {a.shape[1]} f64le\n".encode("ascii"))
         fh.write(a.data)
-    return a
 
 
 def read_matrix(path) -> np.ndarray:

@@ -13,14 +13,15 @@ parameterizations give bit-identical Gram matrices.
 
 Squared distances use the expanded form ``a_i + b_j - 2 (A w) B^T`` with
 the weighted row norms ``a_i = sum_k w_k A_ik^2``.  A self-Gram
-``gram(X, X)`` (and ``pairwise_sqdist(X, X)``) forms its norms once and its
-product as one ``dsyrk`` on the rows scaled by ``sqrt(w)``: half the flops
-of a general product, and the lower triangle it fills is mirrored, so the
-result is exactly symmetric with a zero distance diagonal.  It can hand its
-norms to its caller (``return_norms``), and :func:`predictive_grams` (joint)
-and :func:`cross_gram` (marginal) take a fixed training set's norms as
-given, so the deep model's first latent (:mod:`dgpuq.deepgp`) predicts by
-scaling only the test rows.  :func:`downdate` forms a posterior covariance
+``gram(X, X)`` (and ``pairwise_sqdist(X, X)``), one object passed as both
+arguments, forms its norms once and its product as one ``dsyrk`` on the
+rows scaled by ``sqrt(w)``: half the flops of a general product, and the
+lower triangle it fills is mirrored, so the result is exactly symmetric
+with a zero distance diagonal.  It can hand its norms to its caller
+(``return_norms``), and :func:`predictive_grams` (joint) and
+:func:`cross_gram` (marginal) take a fixed training set's norms as given,
+so the deep model's first latent (:mod:`dgpuq.deepgp`) predicts by scaling
+only the test rows.  :func:`downdate` forms a posterior covariance
 ``K - V V^T`` as one exactly symmetric ``dsyrk`` update: :func:`chol_psd`
 rejects any input that is not exactly symmetric.
 
@@ -89,13 +90,6 @@ def RBFParams(tau0_sq, lengthscale_inv) -> ARDParams:
 def _check_len(name, vec, expected):
     if vec.shape[-1] != expected:
         raise DimensionMismatchError(name, expected, vec.shape[-1])
-
-
-def _same_rows(A, B) -> bool:
-    """Whether A and B are views of the same data with the same layout."""
-    return A is B or (A.shape == B.shape and A.strides == B.strides
-                      and A.__array_interface__["data"][0]
-                      == B.__array_interface__["data"][0])
 
 
 # elements of the row block that the weighted norms reduce at a time
@@ -176,30 +170,31 @@ def pairwise_sqdist(A, B, scale) -> np.ndarray:
     """Weighted pairwise squared distances sum_k scale_k (A_ik - B_jk)^2.
 
     Computed via the expanded form for speed; clipped at zero to guard
-    against cancellation.  When B is A the row norms are formed once and
-    the product is one ``dsyrk``: the result is exactly symmetric with a
-    zero diagonal.
+    against cancellation.  When B is A (one object passed twice) the row
+    norms are formed once and the product is one ``dsyrk``: the result is
+    exactly symmetric with a zero diagonal.
     """
+    same = A is B
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    return _sqdist_and_norms(A, B, scale, _same_rows(A, B))[0]
+    return _sqdist_and_norms(A, B, scale, same)[0]
 
 
 def gram(A, B, kernel: ARDParams, return_norms=False):
     """Assemble the Gram matrix with entry (i, j) = k(A[i], B[j]).
 
-    A self-Gram (B the same array as A) is exactly symmetric with diagonal
+    A self-Gram (B the same object as A) is exactly symmetric with diagonal
     ``sigma_h_sq``: its distances are one ``dsyrk`` on the rows scaled by
     ``sqrt(w)``, mirrored.  With ``return_norms`` it returns ``(K, norms)``,
     the weighted row norms sum_k w_k A_ik^2, for :func:`predictive_grams`;
     that is only defined for a self-Gram.
     """
+    same = A is B
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[1] != B.shape[1]:
         raise DimensionMismatchError("gram column counts", A.shape[1], B.shape[1])
     _check_len("gram vs kernel dim", A, kernel.dim)
-    same = _same_rows(A, B)
     if return_norms and not same:
         raise ValueError("gram returns row norms only for a self-Gram")
     sq, aa = _sqdist_and_norms(A, B, kernel.weights, same)

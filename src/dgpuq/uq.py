@@ -111,8 +111,6 @@ def _draw_gaussian(mean, cov, rng):
     raises ``np.linalg.LinAlgError``.
     """
     z = rng.standard_normal(mean.shape)
-    if not cov.any():                   # a deterministic draw: nothing to factor
-        return mean.copy()
     L, _ = chol_psd(cov)
     return mean + L @ z
 

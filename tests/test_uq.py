@@ -187,8 +187,9 @@ class TestPropagateRealization:
                             hidden_layers=[layer], dims=[q])
         for k in range(10):
             H = rng.uniform(-0.5, 1.0, (8, q))
-            # a zero first-layer covariance: the draw is H itself
-            r = uq._realization(model, H, np.zeros((8, 8)), rng_for(k))
+            # a first-layer covariance of 1e-300 I: the draw is H to within
+            # 1e-150, and the sparse layer's draw is what is checked
+            r = uq._realization(model, H, 1e-300 * np.eye(8), rng_for(k))
             assert r.shape == (8, nu) and np.all(np.isfinite(r))
 
     def test_failed_first_layer_draw_names_the_layer(self, small_model):
