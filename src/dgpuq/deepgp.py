@@ -535,8 +535,8 @@ def _check_alive(t, layer, start, phase):
                 "its start")
 
 
-def train_deep(X, Y, dims, m_inducing, iters=100, seed=0,
-               init_iters=150) -> DeepGPModel:
+def train_deep(X, Y, dims, m_inducing, *, iters, init_iters,
+               seed=0) -> DeepGPModel:
     """Train a deep GP by greedy GP-LVM stacking plus joint refinement.
 
     Parameters
@@ -545,8 +545,10 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0,
     m_inducing : inducing counts, one per sparse layer.
     iters : budget of accepted steps of the joint phase.
     init_iters : budget of accepted steps for each greedy GP-LVM fit.
+    Both budgets are required: the ``train`` command owns their defaults.
 
-    X needs at least two rows.  Every layer's latent dimension and inducing
+    X needs at least two rows, and Y a nonzero variance (the first greedy
+    fit checks it).  Every layer's latent dimension and inducing
     count are checked before the first fit, and a ValueError names the
     layer whose shape cannot be fitted.  The model's
     ``training_meta["optimizer"]`` lists every ascent in the order it ran,
@@ -557,7 +559,8 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0,
     (:meth:`optimize.Objective.record`).  Raises FloatingPointError,
     naming the layer, when a greedy fit or the joint phase leaves a layer's
     sigma_h_sq or largest ARD weight below DEGENERATE of its greedy start,
-    and when the joint bound is not finite at its start.
+    when a greedy fit's bound is not finite at the start of a phase, and
+    when the joint bound is not finite at its start.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -588,9 +591,12 @@ def train_deep(X, Y, dims, m_inducing, iters=100, seed=0,
     data = Y
     for t in range(G - 1, -1, -1):
         fit = []
-        layers[t], _ = train_gplvm(data, dims[t], m_inducing[t],
-                                   iters=init_iters, seed=seed + 101 * t,
-                                   record=fit)
+        try:
+            layers[t], _ = train_gplvm(data, dims[t], m_inducing[t],
+                                       iters=init_iters, seed=seed + 101 * t,
+                                       record=fit)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"layer {t + 1}: {exc}") from None
         runs += [dict(r, phase=f"greedy {r['phase']}", layer=t + 1)
                  for r in fit]
         starts[t] = (float(np.var(data)), 1.0)
@@ -781,9 +787,11 @@ def predict_layer1(model: DeepGPModel, Xstar):
     """Exact-GP predictive mean and joint covariance of the first latent at
     a stack of s sets of new inputs, (s, n*, kappa): means (s, n*, q1) and
     covariances (s, n*, n*), each set's joint on its own and shared by its
-    q1 columns, what a joint draw (:func:`uq.uq_report`) needs.
-    :func:`predict` reads only the marginal variances and never forms this
-    covariance.
+    q1 columns, what a joint draw (:func:`uq.uq_report`) needs.  The
+    covariance is noise-free, k** - K*^T C^-1 K*: :func:`predict` adds the
+    input layer's noise_var to its marginal variances and never forms this
+    covariance.  Neither is the variational predictive of the q(h1) that
+    the joint bound trains, which adds K*^T C^-1 S_j C^-1 K* per column.
 
     The stack forms one cross-Gram and one triangular solve over all s n*
     rows, so the n training rows are read once for the stack, and each
@@ -852,8 +860,11 @@ def predict(model: DeepGPModel, Xstar):
     Chains the exact first-layer predictive with moment propagation through
     every sparse layer; deterministic given the model (no sampling).  The
     moments are factorized per point and dimension, so the first layer
-    gives only its marginal variances, which agree with the diagonal of
-    :func:`predict_layer1`'s joint covariance to rounding.
+    gives only its marginal variances: the diagonal of
+    :func:`predict_layer1`'s joint covariance, to rounding, plus the input
+    layer's noise_var.  Each layer's variance includes its noise (noise_var
+    for the first latent, 1/beta for each sparse layer); the draws of
+    :func:`uq.uq_report` are noise-free.
     """
     Xstar, factors = _test_inputs(model, Xstar)
     il = model.input_layer

@@ -559,7 +559,7 @@ def _check_shape(n, nu, q, m):
         raise ValueError(f"inducing count must satisfy 1 <= m <= {n}, got {m}")
 
 
-def train_gplvm(Y, q, m, iters=200, seed=0, record=None):
+def train_gplvm(Y, q, m, *, iters, seed=0, record=None):
     """Train a Bayesian GP-LVM on data Y.
 
     Returns ``(state, trace)`` where ``state`` carries the optimized kernel,
@@ -568,6 +568,8 @@ def train_gplvm(Y, q, m, iters=200, seed=0, record=None):
     accepted steps, shared by a warm phase with beta held fixed and a full
     phase; each phase's :meth:`optimize.Objective.record` (phase
     ``"warm"`` or ``"full"``) is appended to the list ``record`` if given.
+    A bound that is not finite where a phase starts raises
+    FloatingPointError naming the phase and the objective's reason.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n, nu = Y.shape
@@ -610,7 +612,15 @@ def train_gplvm(Y, q, m, iters=200, seed=0, record=None):
     for phase, budget, frozen in (("warm", warm, {"beta"}),
                                   ("full", int(iters) - warm, ())):
         objective = Objective(forward, make_backward(frozen))
-        x, trace = ascend(objective, x, budget)
+        try:
+            x, trace = ascend(objective, x, budget)
+        except FloatingPointError:
+            # as in deepgp.train_deep's joint phase: ascend raises only for
+            # a bound that is not finite where the phase starts
+            reason = objective.failure or f"its value is {objective.value}"
+            raise FloatingPointError(
+                f"the GP-LVM bound is not finite at the start of its {phase} "
+                f"phase: {reason}") from None
         traces.append(trace if not traces else trace[1:])
         if record is not None:
             record.append(objective.record(budget, trace, phase=phase))

@@ -98,13 +98,15 @@ def read_matrix(path) -> np.ndarray:
 
 
 def _jsonable(obj):
-    """The JSON form of what json cannot write itself: a grid as [nx, ny],
-    an array as a flat list of floats and anything else as its str."""
+    """The JSON form of what json cannot write itself: a grid as [nx, ny]
+    and an array as a flat list of floats.  Anything else is a TypeError,
+    so a wrong type in a record is an error, not a string."""
     if isinstance(obj, Grid2D):
         return [obj.nx, obj.ny]
     if isinstance(obj, np.ndarray):
         return [float(x) for x in np.ravel(obj)]
-    return str(obj)
+    raise TypeError(f"object of type {type(obj).__name__} is not JSON "
+                    "serializable")
 
 
 def _json_dump(path, doc):

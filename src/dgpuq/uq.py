@@ -222,7 +222,10 @@ def uq_report(model: DeepGPModel, dist: InputDistribution, n_prime: int,
     standard errors of the across-repeat average (they shrink like
     1/sqrt(n_repeats)); the PDF bands are two plain standard deviations
     across repeats.  Each ``pdf_at`` entry is an ``(x, y)`` point of the
-    unit square, read at the ``out_grid`` cell that holds it.
+    unit square, read at the ``out_grid`` cell that holds it.  The draws
+    are noise-free: neither the input layer's noise_var nor a sparse
+    layer's 1/beta enters them, while :func:`deepgp.predict` adds both to
+    its variances.
 
     The repeats run in blocks of max(1, n // n_prime), n the rows of
     ``model.X``, which bounds a block's inputs by the model's own.  A block

@@ -278,7 +278,8 @@ class TestTrainDeep:
         mu_gp, _ = two_gram_predict(X, kern, exact_gp_chol(X, kern, noise_var),
                                     gpm.input_layer.mu_bar, Xte)
         rmse_gp = float(np.sqrt(np.mean((mu_gp - Yte) ** 2)))
-        model = train_deep(X, Y, dims=[1], m_inducing=[50], iters=300, seed=0)
+        model = train_deep(X, Y, dims=[1], m_inducing=[50], iters=300, seed=0,
+                           init_iters=150)
         mu_d, _ = predict(model, Xte)
         rmse_d = float(np.sqrt(np.mean((mu_d - Yte) ** 2)))
         assert rmse_d <= 1.1 * rmse_gp
@@ -290,7 +291,8 @@ class TestTrainDeep:
         for module in (gplvm, deepgp):
             spy_ascend(monkeypatch, module, runs)
         X, Y, _, _ = benchmark_1d()
-        train_deep(X, Y, dims=[1], m_inducing=[50], iters=300, seed=0)
+        train_deep(X, Y, dims=[1], m_inducing=[50], iters=300, seed=0,
+                   init_iters=150)
         assert len(runs) == 3
         assert sum(r["value_evals"] for r in runs) <= 300
 
@@ -404,10 +406,36 @@ class TestTrainDeep:
                        m_inducing=[5, 5], iters=5, seed=2, init_iters=9)
         assert len(forwards) == 1
 
+    def test_greedy_fit_that_cannot_start_exits_3_naming_layer_and_reason(
+            self, tmp_path, capsys, monkeypatch):
+        # the first greedy fit is of the last layer, layer 2: its first
+        # bound evaluation fails, so its warm phase cannot start
+        assert cli.main(["gen-data", "--n", "10", "--grid", "16",
+                         "--out-grid", "8", "--kle", "10", "--seed", "3",
+                         "--out", str(tmp_path / "d")]) == 0
+        capsys.readouterr()
+        real, calls = gplvm.layer_bound, []
+
+        def failing_first(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gplvm, "layer_bound", failing_first)
+        code = cli.main(["train", "--data", str(tmp_path / "d"), "--dims",
+                         "3,3", "--inducing", "4,4", "--iters", "2",
+                         "--init-iters", "3", "--out", str(tmp_path / "m")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: layer 2: the GP-LVM bound is not finite at the "
+            "start of its warm phase: Matrix is not positive definite\n")
+        assert len(calls) == 1
+
     def test_needs_two_points(self):
         with pytest.raises(ValueError, match="two training points"):
             train_deep(np.zeros((1, 1)), [[0.0, 1.0]], dims=[1],
-                       m_inducing=[1])
+                       m_inducing=[1], iters=100, init_iters=150)
 
     @pytest.mark.parametrize("Y, dims, error, message", [
         pytest.param(np.ones((3, 2)), [1], DimensionMismatchError,
@@ -417,7 +445,8 @@ class TestTrainDeep:
                      "at least one latent layer", id="no-layer")])
     def test_bad_training_set_raises_naming_it(self, Y, dims, error, message):
         with pytest.raises(error, match=message):
-            train_deep(np.zeros((4, 1)), Y, dims=dims, m_inducing=[2])
+            train_deep(np.zeros((4, 1)), Y, dims=dims, m_inducing=[2],
+                       iters=100, init_iters=150)
 
     @pytest.mark.parametrize("dims, inducing, message", [
         pytest.param([300, 2], [5, 5], "layer 1: latent dimension must "
@@ -554,9 +583,11 @@ class TestTrainDeep:
         X = np.zeros((5, 2))
         Y = np.ones((5, 3))
         with pytest.raises(ValueError):
-            train_deep(X, Y, dims=[2], m_inducing=[2, 3], iters=1)
-        with pytest.raises(ValueError):
-            train_deep(X, Y, dims=[2], m_inducing=[2], iters=1)  # zero variance
+            train_deep(X, Y, dims=[2], m_inducing=[2, 3], iters=1,
+                       init_iters=150)
+        with pytest.raises(ValueError, match="Y has zero variance"):
+            train_deep(X, Y, dims=[2], m_inducing=[2], iters=1,
+                       init_iters=150)
 
 
 class TestPredictLayer1:
@@ -940,7 +971,8 @@ class TestPredict:
 
     def test_training_fit_correlation_on_benchmark(self):
         X, Y, _, _ = benchmark_1d(seed=31)
-        model = train_deep(X, Y, dims=[1], m_inducing=[25], iters=150, seed=3)
+        model = train_deep(X, Y, dims=[1], m_inducing=[25], iters=150, seed=3,
+                           init_iters=150)
         mean, var = predict(model, X)
         r = np.corrcoef(mean.ravel(), Y.ravel())[0, 1]
         assert r > 0.95

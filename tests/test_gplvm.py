@@ -408,13 +408,17 @@ def layer_parts(n=4, q=2, m=3):
                  DimensionMismatchError,
                  "inducing inputs: expected length 2, got 1",
                  id="inducing-columns"),
-    pytest.param(lambda: train_gplvm(np.eye(5, 3), q=4, m=2), ValueError,
+    pytest.param(lambda: train_gplvm(np.eye(5, 3), q=4, m=2,
+                                     iters=200), ValueError,
                  r"1 <= q <= 3, got 4", id="q-above-outputs"),
-    pytest.param(lambda: train_gplvm(np.eye(5, 3), q=0, m=2), ValueError,
+    pytest.param(lambda: train_gplvm(np.eye(5, 3), q=0, m=2,
+                                     iters=200), ValueError,
                  r"1 <= q <= 3, got 0", id="q-zero"),
-    pytest.param(lambda: train_gplvm(np.eye(5, 3), q=2, m=6), ValueError,
+    pytest.param(lambda: train_gplvm(np.eye(5, 3), q=2, m=6,
+                                     iters=200), ValueError,
                  r"1 <= m <= 5, got 6", id="m-above-rows"),
-    pytest.param(lambda: train_gplvm(np.eye(5, 3), q=2, m=0), ValueError,
+    pytest.param(lambda: train_gplvm(np.eye(5, 3), q=2, m=0,
+                                     iters=200), ValueError,
                  r"1 <= m <= 5, got 0", id="m-zero"),
     pytest.param(lambda: layer_bound(ARDParams(1.0, np.ones(2)), 2.0,
                                      layer_parts()["latent"], np.zeros((3, 2)),

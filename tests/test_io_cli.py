@@ -320,6 +320,17 @@ class TestCsv:
             assert float(line.split(",")[1]) == values[i]
 
 
+class TestReport:
+    def test_report_of_an_unknown_object_raises(self, tmp_path):
+        # a grid and an array have JSON forms; anything else is an error,
+        # not its str
+        with pytest.raises(TypeError, match="object of type object is not "
+                                            "JSON serializable"):
+            io.write_report(tmp_path, {"format": io.UQ_REPORT_FORMAT,
+                                       "seed": object()},
+                            {"mean": np.zeros(2)}, [])
+
+
 @pytest.fixture(scope="module")
 def desk_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("data") / "ds"

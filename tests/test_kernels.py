@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dgpuq import kernels
 from dgpuq.kernels import (RBFParams, ARDParams, gram, predictive_grams,
                            chol_psd, downdate, pairwise_sqdist,
                            DimensionMismatchError)
@@ -151,6 +152,29 @@ class TestGram:
         moved = X.copy()
         moved[:, p.weights == 0.0] = rng.normal(size=(n, 1)) * 100.0
         assert np.array_equal(gram(moved, moved, p), K)
+
+    def test_self_gram_is_taken_by_identity(self, monkeypatch):
+        # one object passed twice takes the dsyrk path; an equal copy and a
+        # second view of the same buffer take the general product
+        real, seen = kernels._syrk_sqdist, []
+
+        def spy(*args):
+            seen.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(kernels, "_syrk_sqdist", spy)
+        rng = np.random.default_rng(9)
+        A = rng.normal(size=(6, 3))
+        p = ARDParams(sigma_h_sq=1.7, weights=np.array([0.4, 1.1, 2.0]))
+        K = gram(A, A, p)
+        pairwise_sqdist(A, A, p.weights)
+        assert len(seen) == 2
+        assert np.array_equal(K, K.T)
+        np.testing.assert_array_equal(np.diag(K), np.full(6, p.sigma_h_sq))
+        gram(A, A.copy(), p)
+        gram(A, A[:], p)
+        pairwise_sqdist(A, A.copy(), p.weights)
+        assert len(seen) == 2
 
     def test_ard_irrelevance_property(self):
         rng = np.random.default_rng(3)
