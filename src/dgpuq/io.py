@@ -110,9 +110,10 @@ def _jsonable(obj):
 
 
 def _json_dump(path, doc):
+    # encoded before the file is opened, so a TypeError leaves no part of it
+    text = json.dumps(doc, indent=2, sort_keys=True, default=_jsonable)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=_jsonable)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _is_int(v):

@@ -323,12 +323,13 @@ class TestCsv:
 class TestReport:
     def test_report_of_an_unknown_object_raises(self, tmp_path):
         # a grid and an array have JSON forms; anything else is an error,
-        # not its str
+        # not its str, and no part of report.json is written
         with pytest.raises(TypeError, match="object of type object is not "
                                             "JSON serializable"):
             io.write_report(tmp_path, {"format": io.UQ_REPORT_FORMAT,
                                        "seed": object()},
                             {"mean": np.zeros(2)}, [])
+        assert not (tmp_path / "report.json").exists()
 
 
 @pytest.fixture(scope="module")
